@@ -5,15 +5,12 @@
 //! ```sh
 //! cargo run --release -p doall-bench --bin chaos                  # default seed bank
 //! cargo run --release -p doall-bench --bin chaos -- --smoke       # CI per-PR leg
-//! cargo run --release -p doall-bench --bin chaos -- --smoke --shards 4   # sharded stepping
 //! cargo run --release -p doall-bench --bin chaos -- --seeds chaos-seeds.txt
 //! cargo run --release -p doall-bench --bin chaos -- --replay target/chaos/repro.txt
 //! ```
 //!
-//! `--shards K` runs every sync-plane cell with K-way sharded stepping
-//! (overriding `DOALL_ENGINE_SHARDS`; the async plane has no shards) —
-//! reports are bit-identical to sequential (`tests/shard_differential.rs`),
-//! so the campaign's pass/fail verdict and any shrunken repro are too.
+//! Also `--count N` (seeds `0..N`) and `--out-dir DIR`; any other
+//! argument is rejected with exit code 2.
 //!
 //! The campaign itself fans out across the work-stealing sweep scheduler
 //! ([`doall_bench::sweep`]): each seed × grid cell — run plus, on failure,
@@ -37,7 +34,7 @@
 //! `target/chaos`); `--replay FILE` re-runs such a file and exits 0 iff
 //! the failure still reproduces.
 
-use doall_bench::sweep;
+use doall_bench::{cli, sweep};
 use doall_core::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB, ProtocolC, ProtocolD};
 use doall_sim::asynch::{run_async, AsyncConfig, AsyncProtocol, DelayDist};
 use doall_sim::chaos::{contract_violations, shrink, ChaosCase, ChaosConfig, Plane, Repro};
@@ -72,10 +69,10 @@ fn trace_violations(trace: &Trace, n: usize, out: &mut Vec<String>) {
 /// Runs `case` on the sync plane; `None` = shape not runnable (invalid
 /// plan for this `t`, or a constructor that rejects the shape) — which a
 /// shrink oracle must treat as "does not fail".
-fn sync_violations<P, F>(build: &F, case: &ChaosCase, shards: Option<usize>) -> Option<Vec<String>>
+fn sync_violations<P, F>(build: &F, case: &ChaosCase) -> Option<Vec<String>>
 where
-    P: Protocol + Send,
-    P::Msg: Send + Sync + 'static,
+    P: Protocol,
+    P::Msg: 'static,
     F: Fn(u64, u64) -> Option<Vec<P>>,
 {
     let plan = case.plan();
@@ -87,10 +84,7 @@ where
     // deadlines crossed by sparse fast-forward. Liveness is the watchdog's
     // job — its window counts *executed* rounds only — plus the engine's
     // deadlock detection.
-    let mut cfg = RunConfig::new(case.n, Round::MAX).with_trace().with_stall_window(STALL_WINDOW);
-    if let Some(shards) = shards {
-        cfg = cfg.with_shards(shards);
-    }
+    let cfg = RunConfig::new(case.n, Round::MAX).with_trace().with_stall_window(STALL_WINDOW);
     Some(match run(procs, plan, cfg) {
         Ok(report) => {
             let mut v = contract_violations(report.survivor_count(), &report.metrics);
@@ -129,27 +123,13 @@ where
     })
 }
 
-/// Dispatches a case to one cell of [`GRID`]. `shards` applies to the
-/// sync plane only (the async engine has no sharded stepping).
-fn case_violations(
-    protocol: &str,
-    plane: Plane,
-    case: &ChaosCase,
-    shards: Option<usize>,
-) -> Option<Vec<String>> {
+/// Dispatches a case to one cell of [`GRID`].
+fn case_violations(protocol: &str, plane: Plane, case: &ChaosCase) -> Option<Vec<String>> {
     match (protocol, plane) {
-        ("A", Plane::Sync) => {
-            sync_violations(&|n, t| ProtocolA::processes(n, t).ok(), case, shards)
-        }
-        ("B", Plane::Sync) => {
-            sync_violations(&|n, t| ProtocolB::processes(n, t).ok(), case, shards)
-        }
-        ("C", Plane::Sync) => {
-            sync_violations(&|n, t| ProtocolC::processes(n, t).ok(), case, shards)
-        }
-        ("D", Plane::Sync) => {
-            sync_violations(&|n, t| ProtocolD::processes(n, t).ok(), case, shards)
-        }
+        ("A", Plane::Sync) => sync_violations(&|n, t| ProtocolA::processes(n, t).ok(), case),
+        ("B", Plane::Sync) => sync_violations(&|n, t| ProtocolB::processes(n, t).ok(), case),
+        ("C", Plane::Sync) => sync_violations(&|n, t| ProtocolC::processes(n, t).ok(), case),
+        ("D", Plane::Sync) => sync_violations(&|n, t| ProtocolD::processes(n, t).ok(), case),
         ("A", Plane::Async) => async_violations(&|n, t| AsyncProtocolA::processes(n, t).ok(), case),
         ("B", Plane::Async) => async_violations(&|n, t| AsyncProtocolB::processes(n, t).ok(), case),
         _ => None,
@@ -159,7 +139,7 @@ fn case_violations(
 fn replay(path: &str) -> i32 {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let repro = Repro::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
-    match case_violations(&repro.protocol, repro.plane, &repro.case, None) {
+    match case_violations(&repro.protocol, repro.plane, &repro.case) {
         Some(v) if !v.is_empty() => {
             println!("{path}: failure reproduces on {} ({}):", repro.protocol, repro.plane);
             for violation in v {
@@ -187,8 +167,17 @@ fn load_seeds(path: &str) -> Vec<u64> {
         .collect()
 }
 
+/// Arguments that stand alone.
+const FLAGS: [&str; 1] = ["--smoke"];
+/// Arguments followed by a value.
+const OPTIONS: [&str; 4] = ["--seeds", "--count", "--replay", "--out-dir"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = cli::check_args(&args, &FLAGS, &OPTIONS) {
+        eprintln!("chaos: {e}");
+        std::process::exit(2);
+    }
     let flag = |name: &str| args.iter().any(|a| a == name);
     let opt = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
 
@@ -197,8 +186,6 @@ fn main() {
     }
 
     let smoke = flag("--smoke");
-    let shards: Option<usize> =
-        opt("--shards").map(|s| s.parse().expect("--shards takes a number"));
     let out_dir = opt("--out-dir").cloned().unwrap_or_else(|| "target/chaos".to_string());
     let seeds: Vec<u64> = match opt("--seeds") {
         Some(path) => load_seeds(path),
@@ -234,10 +221,10 @@ fn main() {
             (case.faults.len() as u64 + 1) * if *plane == Plane::Async { 2 } else { 1 }
         },
         |_, (case, protocol, plane)| {
-            let violations = case_violations(protocol, *plane, case, shards);
+            let violations = case_violations(protocol, *plane, case);
             let shrunk = match &violations {
                 Some(v) if !v.is_empty() => Some(shrink(case, |c| {
-                    case_violations(protocol, *plane, c, shards).is_some_and(|v| !v.is_empty())
+                    case_violations(protocol, *plane, c).is_some_and(|v| !v.is_empty())
                 })),
                 _ => None,
             };
@@ -285,5 +272,25 @@ fn main() {
     );
     if failures > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(args: &[&str]) -> Result<(), String> {
+        cli::check_args(args, &FLAGS, &OPTIONS)
+    }
+
+    #[test]
+    fn documented_flags_pass_and_stale_ones_are_rejected() {
+        assert!(check(&[]).is_ok());
+        assert!(check(&["--smoke", "--out-dir", "/tmp/chaos"]).is_ok());
+        assert!(check(&["--seeds", "chaos-seeds.txt", "--count", "3"]).is_ok());
+        assert!(check(&["--replay", "target/chaos/repro.txt"]).is_ok());
+        let err = check(&["--smoke", "--shards", "4"]).unwrap_err();
+        assert!(err.contains("`--shards`") && err.contains("--out-dir VALUE"), "{err}");
+        assert!(check(&["--count"]).is_err(), "an option without its value");
     }
 }

@@ -12,7 +12,7 @@ fn main() -> ExitCode {
             match doall_bench::by_id(id) {
                 Some(o) => outcomes.push(o),
                 None => {
-                    eprintln!("unknown experiment id: {id} (expected e1..e16)");
+                    eprintln!("unknown experiment id: {id} (expected e1..e18)");
                     return ExitCode::FAILURE;
                 }
             }

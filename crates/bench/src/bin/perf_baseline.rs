@@ -18,9 +18,11 @@
 //! no more than 30% more memory.
 //! Any violation exits non-zero. Cells absent from the baseline (new
 //! cells, or smoke-shrunk shapes with different ids) are skipped.
+//! Any argument other than the ones above is rejected with exit code 2.
 
 use std::time::{Duration, Instant};
 
+use doall_bench::cli;
 use doall_core::{
     AsyncProtocolA, AsyncProtocolB, Lockstep, NaiveSpread, ProtocolA, ProtocolB, ProtocolC,
     ProtocolD, ReplicateAll,
@@ -156,8 +158,8 @@ fn measure<P, F>(
     build: F,
 ) -> Measurement
 where
-    P: Protocol + Send,
-    P::Msg: Send + Sync + 'static,
+    P: Protocol,
+    P::Msg: 'static,
     F: Fn() -> Vec<P>,
 {
     measure_with(id.into(), n, t, scenario.label(), max_iters, || {
@@ -265,37 +267,20 @@ fn async_cells(smoke: bool) -> Vec<Measurement> {
     out
 }
 
-/// The scale cells (PR 8, curve since PR 9): the e17 giant coordinator-D
-/// shape — `t = 2^17` processes stepping through `n = 2^27` units, 134M
-/// protocol steps — run at shards ∈ {1, 2, 4, 8}. One timed iteration
-/// each (a run takes tens of seconds); `main` asserts every sharded cell's
-/// metrics are bit-identical to the shards1 twin and prints the speedup
-/// curve (which scales with the cores the host actually has — a
-/// single-core CI container records parity, i.e. the sharding overhead
-/// bound; on a ≥4-core host the 4-shard cell must clear 2×), and the
-/// shards1 cell's `mem_bytes` is the committed peak-engine-memory anchor
-/// for the `--compare` gate.
-fn scale_cells() -> Vec<Measurement> {
+/// The scale cell (PR 8): the e17 giant coordinator-D shape — `t = 2^17`
+/// processes stepping through `n = 2^27` units, 134M protocol steps. One
+/// timed iteration (a run takes tens of seconds); its `mem_bytes` is the
+/// committed peak-engine-memory anchor for the `--compare` gate. The id
+/// keeps its historical `_shards1` suffix so committed baselines still
+/// match it.
+fn scale_cell() -> Measurement {
     let (n, t) = (1u64 << 27, 1u64 << 17);
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|shards| {
-            measure_with(
-                format!("scale/d_coord_t131072_shards{shards}"),
-                n,
-                t,
-                "failure-free".into(),
-                1,
-                || {
-                    let cfg = RunConfig::new(n as usize, Round::MAX).with_shards(shards);
-                    let report =
-                        run(ProtocolD::processes_with_coordinator(n, t).unwrap(), NoFailures, cfg)
-                            .expect("scale run must complete");
-                    (report.metrics, report.mem.engine_bytes(), report.executed_rounds)
-                },
-            )
-        })
-        .collect()
+    measure_with("scale/d_coord_t131072_shards1".into(), n, t, "failure-free".into(), 1, || {
+        let cfg = RunConfig::new(n as usize, Round::MAX);
+        let report = run(ProtocolD::processes_with_coordinator(n, t).unwrap(), NoFailures, cfg)
+            .expect("scale run must complete");
+        (report.metrics, report.mem.engine_bytes(), report.executed_rounds)
+    })
 }
 
 /// `chaos/shrink_b`: times one end-to-end shrinker pass — scan seeds for
@@ -570,7 +555,7 @@ fn cells(smoke: bool) -> Vec<Measurement> {
         out.push(measure("storm/lockstep_t512", 2_048, 512, &ff, 20, || {
             Lockstep::processes(2_048, 512).unwrap()
         }));
-        out.extend(scale_cells());
+        out.push(scale_cell());
     }
     out.extend(async_cells(smoke));
     out.extend(serve_cells());
@@ -603,54 +588,6 @@ fn check_async_twins(results: &[Measurement]) -> usize {
         }
     }
     mismatches
-}
-
-/// Every `scale/*_shardsK` cell (K > 1) must report exactly the metrics
-/// of its `*_shards1` twin — sharded stepping is a wall-clock knob, never
-/// a semantic one. Prints the speedup curve over the shards1 twin, and
-/// applies the **core-count-aware parallel-efficiency gate**: a host with
-/// at least 4 cores must see the 4-shard cell run at least 2× faster than
-/// sequential (half-efficiency at 4 lanes); hosts with fewer cores can
-/// only record the sharding overhead bound, so a shortfall there is
-/// expected parity, not a failure. Returns the number of violations
-/// (metric mismatches plus efficiency-gate failures).
-fn check_scale_twins(results: &[Measurement]) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut violations = 0;
-    for m in results {
-        let Some((prefix, shards)) = m.id.rsplit_once("_shards") else { continue };
-        if !m.id.starts_with("scale/") || shards == "1" {
-            continue;
-        }
-        let Some(twin) = results.iter().find(|r| r.id == format!("{prefix}_shards1")) else {
-            continue;
-        };
-        if m.metrics != twin.metrics {
-            eprintln!(
-                "scale twin check: {}: FAIL sharded metrics diverged from sequential\n  sharded:    {:?}\n  sequential: {:?}",
-                m.id, m.metrics, twin.metrics,
-            );
-            violations += 1;
-            continue;
-        }
-        let speedup = twin.mean_ms() / m.mean_ms();
-        let gated = shards == "4" && cores >= 4;
-        let verdict = if speedup >= 2.0 {
-            "ok"
-        } else if cores < 2 {
-            "parity expected: single-core host, sharding needs cores to pay off"
-        } else if gated {
-            violations += 1;
-            "FAIL efficiency gate: >=4-core host must clear 2x at 4 shards"
-        } else {
-            "WARN speedup below 2x"
-        };
-        eprintln!(
-            "scale twin check: {}: metrics bit-identical, {speedup:.2}x speedup over shards1 on {cores} core(s) ({verdict})",
-            m.id,
-        );
-    }
-    violations
 }
 
 /// One baseline entry scraped from a committed BENCH_*.json file.
@@ -745,8 +682,17 @@ fn compare(results: &[Measurement], baseline_path: &str) -> usize {
     violations
 }
 
+/// Arguments that stand alone.
+const FLAGS: [&str; 1] = ["--smoke"];
+/// Arguments followed by a value.
+const OPTIONS: [&str; 2] = ["--out", "--compare"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = cli::check_args(&args, &FLAGS, &OPTIONS) {
+        eprintln!("perf_baseline: {e}");
+        std::process::exit(2);
+    }
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = args.iter().position(|a| a == "--out").and_then(|i| args.get(i + 1)).cloned();
     let baseline =
@@ -758,16 +704,7 @@ fn main() {
         eprintln!("twin check: {twin_mismatches} async arena/reference cell(s) drifted");
         std::process::exit(1);
     }
-    let scale_violations = check_scale_twins(&results);
-    if scale_violations > 0 {
-        eprintln!(
-            "scale twin check: {scale_violations} sharded cell(s) drifted from sequential or missed the efficiency gate"
-        );
-        std::process::exit(1);
-    }
-    // `host_cores` stamps the measuring host into the committed baseline:
-    // the scale-cell speedup curve is only meaningful relative to the core
-    // count that produced it (a single-core container records parity).
+    // `host_cores` stamps the measuring host into the committed baseline.
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let body: Vec<String> = results.iter().map(Measurement::to_json).collect();
     let json = format!(
@@ -788,5 +725,24 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("compare: all measured cells within 30% of {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(args: &[&str]) -> Result<(), String> {
+        cli::check_args(args, &FLAGS, &OPTIONS)
+    }
+
+    #[test]
+    fn documented_flags_pass_and_stale_ones_are_rejected() {
+        assert!(check(&[]).is_ok());
+        assert!(check(&["--smoke", "--compare", "BENCH_PR10.json"]).is_ok());
+        assert!(check(&["--out", "f.json"]).is_ok());
+        let err = check(&["--smoke", "--shards", "4"]).unwrap_err();
+        assert!(err.contains("`--shards`") && err.contains("--compare VALUE"), "{err}");
+        assert!(check(&["--out"]).is_err(), "an option without its value");
     }
 }

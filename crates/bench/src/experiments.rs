@@ -44,9 +44,9 @@ pub struct Outcome {
     pub pass: bool,
 }
 
-fn run_protocol<P: Protocol + Send>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Metrics
+fn run_protocol<P: Protocol>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Metrics
 where
-    P::Msg: Send + Sync + 'static,
+    P::Msg: 'static,
 {
     let report = run(procs, scenario.adversary::<P::Msg>(), RunConfig::new(n as usize, Round::MAX))
         .unwrap_or_else(|e| panic!("{}: {e}", scenario.label()));
@@ -991,9 +991,9 @@ pub fn e14() -> Outcome {
 /// Runs one fault-catalog cell: wraps the processes with the scenario's
 /// [`FaultPlan`] (slowdown windows are wrapper-enforced), drives the same
 /// plan as the adversary, and returns the traced report.
-fn run_fault_cell<P: Protocol + Send>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Report
+fn run_fault_cell<P: Protocol>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Report
 where
-    P::Msg: Send + Sync + 'static,
+    P::Msg: 'static,
 {
     let plan = scenario.fault_plan();
     run(
@@ -1249,15 +1249,15 @@ pub fn e16() -> Outcome {
     }
 }
 
-/// E17 — the scale axis (DESIGN.md §2.12): the sharded engine, the
-/// struct-of-arrays process table, and run-compressed protocol state
-/// carry the *same exact closed-form counts* two orders of magnitude past
-/// the e3/e6 shapes — `t = 2^16`–`2^17` processes and `n = 2^27`–`10^8`
-/// units — while per-process engine state stays inside its 32-byte
-/// budget. Each giant cell is paired with a small cell that validates the
-/// identical formula on the honest grid first. Registered in [`by_id`]
-/// only, *not* in [`all`]: the giant cells are the CI scale-smoke leg,
-/// not part of the default suite. Derivations: EXPERIMENTS.md §e17.
+/// E17 — the scale axis (DESIGN.md §2.12): the struct-of-arrays process
+/// table and run-compressed protocol state carry the *same exact
+/// closed-form counts* two orders of magnitude past the e3/e6 shapes —
+/// `t = 2^16`–`2^17` processes and `n = 2^27`–`10^8` units — while
+/// per-process engine state stays inside its 32-byte budget. Each giant
+/// cell is paired with a small cell that validates the identical formula
+/// on the honest grid first. Registered in [`by_id`] only, *not* in
+/// [`all`]: the giant cells are the CI scale-smoke leg, not part of the
+/// default suite. Derivations: EXPERIMENTS.md §e17.
 pub fn e17() -> Outcome {
     let mut table =
         Table::new(["cell", "n", "t", "work", "msgs (expect)", "rounds (expect)", "soa B/proc"]);
@@ -1312,11 +1312,10 @@ pub fn e17() -> Outcome {
 
     // Coordinator-D failure-free counts are exact at any scale: one
     // agreement phase of 2(t−1) messages, then ⌈n/t⌉ work rounds and the
-    // 3-round agree/decide envelope. The t = 2^17 cell is the sharded-
-    // stepping showcase (all t processes step every work round — the
-    // perf_baseline shard-speedup pair); the n = 10^8 cell is the
-    // workload ceiling, with interval-compressed shares keeping every
-    // process's state at a handful of runs.
+    // 3-round agree/decide envelope. In the t = 2^17 cell all t processes
+    // step every work round (perf_baseline's scale cell); the n = 10^8
+    // cell is the workload ceiling, with interval-compressed shares
+    // keeping every process's state at a handful of runs.
     for (cell, n, t) in [
         ("coordinator-D", 4_096u64, 1_024u64),
         ("coordinator-D (giant t)", 1 << 27, 1 << 17),

@@ -16,6 +16,7 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
 pub mod sweep;
 pub mod table;

@@ -5,7 +5,6 @@
 //! served through the pool bit-identical to a direct engine run.
 
 use std::fmt;
-use std::num::NonZeroUsize;
 
 use doall_sim::asynch::{
     run_async, AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, AsyncRunError, DelayDist,
@@ -18,8 +17,7 @@ use doall_workload::Scenario;
 /// both planes. Terminal calls pick the plane:
 ///
 /// * [`run`](JobSpec::run) / [`run_with`](JobSpec::run_with) — the
-///   synchronous round engine (PR 9 sharded stepping intact via
-///   [`shards`](JobSpec::shards) or `DOALL_ENGINE_SHARDS`);
+///   synchronous round engine;
 /// * [`run_async`](JobSpec::run_async) /
 ///   [`run_async_with`](JobSpec::run_async_with) — the event-driven
 ///   engine, honouring the [`seed`](JobSpec::seed) and
@@ -55,7 +53,6 @@ pub struct JobSpec<P> {
     max_rounds: Round,
     record_trace: bool,
     stall_window: Option<u64>,
-    shards: Option<NonZeroUsize>,
     seed: u64,
     delay: Option<(DelayDist, u64)>,
     max_events: Option<u64>,
@@ -65,8 +62,7 @@ pub struct JobSpec<P> {
 
 impl<P> JobSpec<P> {
     /// A failure-free job over `procs` performing `n` units, with the
-    /// engine defaults of both planes (shards still follow
-    /// `DOALL_ENGINE_SHARDS`, like [`RunConfig::new`]).
+    /// engine defaults of both planes.
     pub fn new(procs: Vec<P>, n: usize) -> Self {
         JobSpec {
             procs,
@@ -75,7 +71,6 @@ impl<P> JobSpec<P> {
             max_rounds: Round::MAX,
             record_trace: false,
             stall_window: None,
-            shards: None,
             seed: 0,
             delay: None,
             max_events: None,
@@ -109,10 +104,10 @@ impl<P> JobSpec<P> {
         self
     }
 
-    /// Forces the sync engine's shard count (overrides
-    /// `DOALL_ENGINE_SHARDS`; `1` = sequential).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = NonZeroUsize::new(shards.max(1));
+    /// **Accepted and ignored**: the sync engine has one round pipeline
+    /// (DESIGN.md §2.12), so the argument changes nothing. Kept only
+    /// because the frozen `benchmark/` crate still calls it.
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -156,15 +151,9 @@ impl<P> JobSpec<P> {
 
     /// The sync-plane [`RunConfig`] this spec compiles to.
     fn run_config(&self) -> RunConfig {
-        // Start from `RunConfig::new` so the `DOALL_ENGINE_SHARDS` default
-        // applies exactly as it does for direct engine users; an explicit
-        // `shards()` call wins over the environment.
         let mut cfg = RunConfig::new(self.n, self.max_rounds);
         cfg.record_trace = self.record_trace;
         cfg.stall_window = self.stall_window;
-        if self.shards.is_some() {
-            cfg.shards = self.shards;
-        }
         cfg
     }
 
@@ -196,8 +185,8 @@ fn plan_has_slow(scenario: &Scenario) -> bool {
 /// and the service loop — bit-identity by construction.
 fn execute_sync<P>(procs: Vec<P>, scenario: &Scenario, cfg: RunConfig) -> Result<Report, RunError>
 where
-    P: Protocol + Send,
-    P::Msg: Send + Sync + 'static,
+    P: Protocol,
+    P::Msg: 'static,
 {
     if plan_has_slow(scenario) {
         run(scenario.fault_plan().wrap(procs), scenario.adversary::<P::Msg>(), cfg)
@@ -231,7 +220,7 @@ where
 impl<P> JobSpec<P>
 where
     P: Protocol + Send + 'static,
-    P::Msg: Send + Sync + 'static,
+    P::Msg: 'static,
 {
     /// Runs the job on the **synchronous** round engine.
     ///

@@ -65,14 +65,11 @@ pub struct RunConfig {
     /// window, so deep-idle protocols (Protocol C's `2^k`-round waits) are
     /// not false positives. `None` disables the watchdog.
     pub stall_window: Option<u64>,
-    /// Number of shards for parallel stepping (`None` or `Some(1)` = the
-    /// sequential engine). Sharding splits each round's due list into
-    /// contiguous pid ranges stepped on scoped worker threads; the
-    /// adversary, metrics, trace, and message queueing all run on the merge
-    /// thread in pid order, so a sharded run is **bit-identical** to the
-    /// sequential one (`tests/shard_differential.rs`) — sharding is purely
-    /// a wall-clock knob. [`RunConfig::new`] seeds this from the
-    /// `DOALL_ENGINE_SHARDS` environment variable when set.
+    /// **Accepted and ignored.** The engine has one round pipeline (see
+    /// DESIGN.md §2.12, "Why there is one round pipeline"); no value stored
+    /// here changes which code runs or what a run reports. The field and
+    /// [`with_shards`](RunConfig::with_shards) remain only because the
+    /// frozen `benchmark/` crate still names them.
     pub shards: Option<NonZeroUsize>,
 }
 
@@ -88,23 +85,12 @@ impl Default for RunConfig {
     }
 }
 
-/// Shard-count default from the `DOALL_ENGINE_SHARDS` environment variable
-/// (unset, empty, `0`, or unparsable all mean "sequential"). Read per call
-/// rather than cached so tests can vary the variable within one process.
-fn env_shards() -> Option<NonZeroUsize> {
-    std::env::var("DOALL_ENGINE_SHARDS").ok().and_then(|v| v.trim().parse().ok())
-}
-
 impl RunConfig {
     /// Convenience constructor for an `n`-unit workload with a round cap
     /// (`u64` values and bare literals convert; pass a [`Round`] for wide
-    /// caps such as [`Round::MAX`]). The shard count defaults to the
-    /// `DOALL_ENGINE_SHARDS` environment variable (sequential when unset),
-    /// so an entire binary can be switched to sharded stepping without
-    /// touching call sites; [`with_shards`](RunConfig::with_shards) wins
-    /// over the environment.
+    /// caps such as [`Round::MAX`]).
     pub fn new(n: usize, max_rounds: impl Into<Round>) -> Self {
-        RunConfig { n, max_rounds: max_rounds.into(), shards: env_shards(), ..RunConfig::default() }
+        RunConfig { n, max_rounds: max_rounds.into(), ..RunConfig::default() }
     }
 
     /// Enables trace recording.
@@ -119,8 +105,8 @@ impl RunConfig {
         self
     }
 
-    /// Sets the shard count for parallel stepping (`0` and `1` both mean
-    /// sequential; see [`RunConfig::shards`]).
+    /// **Accepted and ignored**: records `shards` in the inert
+    /// [`RunConfig::shards`] field and changes nothing else.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = NonZeroUsize::new(shards);
         self
@@ -132,8 +118,8 @@ impl RunConfig {
 /// Two reports compare equal when their *semantic* outcome matches —
 /// metrics, trace, and statuses. The [`mem`](Report::mem) probe is
 /// excluded from equality: buffer high-water marks depend on allocation
-/// history (shard count, snapshot/resume, capacity growth), not on the
-/// simulated execution, and differential tests assert semantic identity.
+/// history (snapshot/resume, capacity growth), not on the simulated
+/// execution, and differential tests assert semantic identity.
 #[derive(Clone, Debug, Serialize)]
 pub struct Report {
     /// Work / message / round counters.
@@ -176,8 +162,8 @@ pub struct MemBudget {
     /// number: it must stay ≤ 32 bytes × t regardless of n or round count.
     pub soa_bytes: u64,
     /// Peak transient state: in-flight send ops, the delivery index's
-    /// per-delivery entries, the due list, and shard lanes. Proportional
-    /// to per-round traffic, not to `t`.
+    /// per-delivery entries, and the due list. Proportional to per-round
+    /// traffic, not to `t`.
     pub flight_bytes: u64,
     /// Workload-proportional ledgers: the per-unit work multiplicity table
     /// and the recorded trace.
@@ -401,8 +387,7 @@ impl std::error::Error for RunError {}
 /// ```
 pub fn run<P, A>(procs: Vec<P>, adversary: A, cfg: RunConfig) -> Result<Report, RunError>
 where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
+    P: Protocol,
     A: Adversary<P::Msg>,
 {
     run_returning(procs, adversary, cfg).map(|(report, _)| report)
@@ -429,10 +414,6 @@ struct DeliveryIndex {
     /// iteration order; recycled scratch for
     /// [`build_filtered`](DeliveryIndex::build_filtered).
     omit: Vec<bool>,
-    /// Per-shard touched lists for
-    /// [`build_parallel`](DeliveryIndex::build_parallel); the sequential
-    /// builds use the global `touched` list and clear these.
-    shard_touched: Vec<Vec<u32>>,
 }
 
 impl DeliveryIndex {
@@ -445,7 +426,6 @@ impl DeliveryIndex {
             index: Vec::new(),
             touched: Vec::new(),
             omit: Vec::new(),
-            shard_touched: Vec::new(),
         }
     }
 
@@ -481,7 +461,6 @@ impl DeliveryIndex {
     fn build<M>(&mut self, pending: &[FlightOp<M>], live: &LiveSet) -> u64 {
         self.next_epoch();
         self.touched.clear();
-        self.shard_touched.iter_mut().for_each(Vec::clear);
         let mut dead: u64 = 0;
         for op in pending {
             for p in op.to.iter() {
@@ -511,177 +490,10 @@ impl DeliveryIndex {
         dead
     }
 
-    /// Builds the index in parallel by contiguous recipient range: each of
-    /// `shards` worker threads counts and fills the inboxes of its own pid
-    /// range (`chunk = ⌈t/shards⌉` pids), with one prefix-sum over the
-    /// shard boundaries between the two passes. Span recipients are
-    /// intersected with each shard's range in O(1) per op, and dead-letter
-    /// tallies are accumulated per shard and summed — every recipient
-    /// belongs to exactly one shard, so nothing is double-counted.
-    ///
-    /// When `routes` is given (the two-phase exchange: last round's step
-    /// lanes bucketed their emitted ops by destination shard), shard `k`
-    /// scans only the op ids routed to it, in ascending op-id order;
-    /// otherwise every shard scans the whole op table. Either way, each
-    /// recipient's inbox lists op ids in ascending order — exactly the
-    /// order the sequential [`build`](DeliveryIndex::build) produces — so
-    /// inbox iteration, and therefore every protocol step, is
-    /// bit-identical to the sequential engine's. Returns the dead-letter
-    /// count.
-    fn build_parallel<M: Sync>(
-        &mut self,
-        pending: &[FlightOp<M>],
-        live: &LiveSet,
-        routes: Option<&[Vec<u32>]>,
-        shards: usize,
-    ) -> u64 {
-        self.next_epoch();
-        self.touched.clear();
-        let t = self.stamp.len();
-        let chunk = t.div_ceil(shards);
-        if self.shard_touched.len() < shards {
-            self.shard_touched.resize_with(shards, Vec::new);
-        }
-        let epoch = self.epoch;
-        let mut deads = vec![0u64; shards];
-        let mut totals = vec![0u32; shards];
-
-        // Pass 1: count, per recipient range. Each worker owns its range's
-        // slices of the stamp/cursor columns.
-        {
-            let mut stamp_rest = self.stamp.as_mut_slice();
-            let mut cursor_rest = self.cursor.as_mut_slice();
-            let mut touched_it = self.shard_touched.iter_mut();
-            let mut dead_it = deads.iter_mut();
-            let mut total_it = totals.iter_mut();
-            std::thread::scope(|scope| {
-                for k in 0..shards {
-                    let lo = (k * chunk).min(t);
-                    let hi = ((k + 1) * chunk).min(t);
-                    let (stamp, rest) = std::mem::take(&mut stamp_rest).split_at_mut(hi - lo);
-                    stamp_rest = rest;
-                    let (cursor, rest) = std::mem::take(&mut cursor_rest).split_at_mut(hi - lo);
-                    cursor_rest = rest;
-                    let touched = touched_it.next().expect("sized above");
-                    let dead = dead_it.next().expect("sized above");
-                    let total = total_it.next().expect("sized above");
-                    let ops = routes.map(|r| r[k].as_slice());
-                    scope.spawn(move || {
-                        touched.clear();
-                        let mut count_one = |i: usize| {
-                            if live.contains(i) {
-                                let j = i - lo;
-                                if stamp[j] != epoch {
-                                    stamp[j] = epoch;
-                                    cursor[j] = 0;
-                                    touched.push(i as u32);
-                                }
-                                cursor[j] += 1;
-                                *total += 1;
-                            } else {
-                                *dead += 1;
-                            }
-                        };
-                        let mut scan = |op: &FlightOp<M>| match op.to {
-                            Recipients::One(p) => {
-                                let i = p.index();
-                                if i >= lo && i < hi {
-                                    count_one(i);
-                                }
-                            }
-                            Recipients::Span { lo: slo, hi: shi } => {
-                                for i in slo.max(lo)..shi.min(hi) {
-                                    count_one(i);
-                                }
-                            }
-                        };
-                        match ops {
-                            Some(ids) => ids.iter().for_each(|&id| scan(&pending[id as usize])),
-                            None => pending.iter().for_each(&mut scan),
-                        }
-                    });
-                }
-            });
-        }
-
-        // Prefix-sum over the shard boundaries, then size the id table.
-        let grand: u32 = totals.iter().sum();
-        self.index.clear();
-        self.index.resize(grand as usize, 0);
-
-        // Pass 2: offsets + fill, per recipient range, each worker writing
-        // its own contiguous segment of the id table.
-        {
-            let mut stamp_rest = self.stamp.as_slice();
-            let mut offset_rest = self.offset.as_mut_slice();
-            let mut cursor_rest = self.cursor.as_mut_slice();
-            let mut index_rest = self.index.as_mut_slice();
-            let mut touched_it = self.shard_touched.iter();
-            let mut seg_start: u32 = 0;
-            std::thread::scope(|scope| {
-                for k in 0..shards {
-                    let lo = (k * chunk).min(t);
-                    let hi = ((k + 1) * chunk).min(t);
-                    let (stamp, rest) = stamp_rest.split_at(hi - lo);
-                    stamp_rest = rest;
-                    let (offset, rest) = std::mem::take(&mut offset_rest).split_at_mut(hi - lo);
-                    offset_rest = rest;
-                    let (cursor, rest) = std::mem::take(&mut cursor_rest).split_at_mut(hi - lo);
-                    cursor_rest = rest;
-                    let (seg, rest) =
-                        std::mem::take(&mut index_rest).split_at_mut(totals[k] as usize);
-                    index_rest = rest;
-                    let touched = touched_it.next().expect("sized above");
-                    let base = seg_start;
-                    seg_start += totals[k];
-                    let ops = routes.map(|r| r[k].as_slice());
-                    scope.spawn(move || {
-                        // Counts → absolute CSR offsets within this shard's
-                        // segment (offsets are global; `seg` is base-relative).
-                        let mut cum = base;
-                        for &i in touched {
-                            let j = i as usize - lo;
-                            let count = cursor[j];
-                            offset[j] = cum;
-                            cursor[j] = cum;
-                            cum += count;
-                        }
-                        let mut fill_one = |i: usize, id: u32| {
-                            let j = i - lo;
-                            if stamp[j] == epoch {
-                                seg[(cursor[j] - base) as usize] = id;
-                                cursor[j] += 1;
-                            }
-                        };
-                        let mut fill = |id: u32| match pending[id as usize].to {
-                            Recipients::One(p) => {
-                                let i = p.index();
-                                if i >= lo && i < hi {
-                                    fill_one(i, id);
-                                }
-                            }
-                            Recipients::Span { lo: slo, hi: shi } => {
-                                for i in slo.max(lo)..shi.min(hi) {
-                                    fill_one(i, id);
-                                }
-                            }
-                        };
-                        match ops {
-                            Some(ids) => ids.iter().for_each(|&id| fill(id)),
-                            None => (0..pending.len() as u32).for_each(&mut fill),
-                        }
-                    });
-                }
-            });
-        }
-        deads.iter().sum()
-    }
-
     /// Whether the most recent build addressed at least one live recipient
-    /// (the watchdog's "a delivery happened" signal), regardless of which
-    /// build path produced it.
+    /// (the watchdog's "a delivery happened" signal).
     fn delivered(&self) -> bool {
-        !self.touched.is_empty() || self.shard_touched.iter().any(|s| !s.is_empty())
+        !self.touched.is_empty()
     }
 
     /// Whether recipient `i` was addressed by a live delivery in the most
@@ -722,7 +534,6 @@ impl DeliveryIndex {
     ) -> (u64, u64) {
         self.next_epoch();
         self.touched.clear();
-        self.shard_touched.iter_mut().for_each(Vec::clear);
         self.omit.clear();
         let mut dead: u64 = 0;
         let mut omitted: u64 = 0;
@@ -775,10 +586,7 @@ impl DeliveryIndex {
 
     /// Bytes in the per-delivery scratch (counted as flight state).
     fn flight_bytes(&self) -> u64 {
-        (self.index.capacity() * 4
-            + self.touched.capacity() * 4
-            + self.shard_touched.iter().map(|s| s.capacity() * 4).sum::<usize>()
-            + self.omit.capacity()) as u64
+        (self.index.capacity() * 4 + self.touched.capacity() * 4 + self.omit.capacity()) as u64
     }
 }
 
@@ -886,182 +694,6 @@ impl ProcSet {
     }
 }
 
-/// Per-shard scratch for parallel stepping: the shard's slice of the due
-/// list, one recycled [`Effects`] buffer per due process, the post-step
-/// wakeup candidates, and — for the parallel effect-application phase —
-/// the lane-local sinks: an adversary fate per due process, a thread-local
-/// [`Metrics`] ledger, a thread-local [`Trace`], the lane's fragment of
-/// next round's in-flight ops, the destination-shard routing buckets of
-/// the two-phase exchange, and the units of work performed. Lanes are
-/// long-lived (capacity survives across rounds); only the portion covering
-/// this round's chunk is touched.
-struct Lane<M> {
-    due: Vec<u32>,
-    eff: Vec<Effects<M>>,
-    wake: Vec<Option<Round>>,
-    fate: Vec<Fate>,
-    ledger: Metrics,
-    trace: Trace,
-    out: Vec<FlightOp<M>>,
-    route: Vec<Vec<u32>>,
-    work_units: Vec<u32>,
-    work_max: u32,
-}
-
-impl<M> Default for Lane<M> {
-    fn default() -> Self {
-        Lane {
-            due: Vec::new(),
-            eff: Vec::new(),
-            wake: Vec::new(),
-            fate: Vec::new(),
-            ledger: Metrics::default(),
-            trace: Trace::new(),
-            out: Vec::new(),
-            route: Vec::new(),
-            work_units: Vec::new(),
-            work_max: 0,
-        }
-    }
-}
-
-impl<M: Classify + Clone> Lane<M> {
-    /// Applies this lane's fated effects into the lane-local sinks —
-    /// message counting, tracing, outbound queueing with destination-shard
-    /// routing, work-unit collection — plus the surviving processes'
-    /// wakeup-cache refresh on the lane's own slices of the process table.
-    /// Runs on a worker thread; determinism comes from the fold: lanes
-    /// cover ascending pid chunks, so concatenating the lane sinks in lane
-    /// order reproduces the sequential engine's effect order exactly. All
-    /// rulings that *other* processes can observe (retirement, live-set
-    /// movement, crash counters, the adversary's own state) were already
-    /// applied on the merge thread in pid order by the fate pass.
-    fn apply(
-        &mut self,
-        round: Round,
-        record: bool,
-        route_chunk: Option<usize>,
-        lane_lo: usize,
-        meta: &mut [u8],
-        slot: &mut [u128],
-    ) {
-        self.work_units.clear();
-        self.work_max = 0;
-        for di in 0..self.due.len() {
-            let idx = self.due[di] as usize;
-            let pid = Pid::new(idx);
-            let eff = &mut self.eff[di];
-            let fate = &self.fate[di];
-            if record {
-                for tag in eff.notes() {
-                    self.trace.push(Event::Note { round, pid, tag });
-                }
-            }
-            let count_work = match fate {
-                Fate::Survive | Fate::Omit(_) => true,
-                Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => spec.count_work,
-            };
-            if count_work {
-                if let Some(unit) = eff.work() {
-                    let u = unit.zero_based() as u32;
-                    self.work_units.push(u);
-                    self.work_max = self.work_max.max(u);
-                    if record {
-                        self.trace.push(Event::Work { round, pid, unit });
-                    }
-                }
-            }
-            // The omission ledger reads must precede the `Outbound` borrow
-            // of the ledger.
-            let (total, before) = match fate {
-                Fate::Omit(_) => (eff.send_count() as u64, self.ledger.messages),
-                _ => (0, 0),
-            };
-            let mut out = Outbound {
-                metrics: &mut self.ledger,
-                trace: &mut self.trace,
-                record,
-                next_pending: &mut self.out,
-                round,
-                route: route_chunk.map(|chunk| (&mut self.route, chunk)),
-            };
-            match fate {
-                Fate::Survive => {
-                    let terminated = eff.is_terminated();
-                    for op in eff.drain_sends() {
-                        out.deliver(pid, op.to, op.payload);
-                    }
-                    if terminated {
-                        if record {
-                            self.trace.push(Event::Terminate { round, pid });
-                        }
-                    } else {
-                        set_wakeup_raw(meta, slot, idx - lane_lo, self.wake[di]);
-                    }
-                }
-                Fate::Omit(filter) => {
-                    let terminated = eff.is_terminated();
-                    out.deliver_crash_subset(pid, eff, filter);
-                    let suppressed = total - (self.ledger.messages - before);
-                    self.ledger.omissions += suppressed;
-                    if record && suppressed > 0 {
-                        self.trace.push(Event::Note { round, pid, tag: "fault:omit" });
-                    }
-                    if terminated {
-                        if record {
-                            self.trace.push(Event::Terminate { round, pid });
-                        }
-                    } else {
-                        set_wakeup_raw(meta, slot, idx - lane_lo, self.wake[di]);
-                    }
-                }
-                Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
-                    out.deliver_crash_subset(pid, eff, &spec.deliver);
-                    if record {
-                        self.trace.push(Event::Crash { round, pid });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shallow bytes held by this lane's buffers.
-    fn bytes(&self) -> u64 {
-        (self.due.capacity() * 4
-            + self.eff.capacity() * std::mem::size_of::<Effects<M>>()
-            + self.wake.capacity() * std::mem::size_of::<Option<Round>>()
-            + self.fate.capacity() * std::mem::size_of::<Fate>()
-            + self.out.capacity() * std::mem::size_of::<FlightOp<M>>()
-            + self.route.iter().map(|r| r.capacity() * 4).sum::<usize>()
-            + self.work_units.capacity() * 4) as u64
-    }
-}
-
-/// Minimum live processes *per shard* before the due-scan forks worker
-/// threads: below this, one pass over the bitset beats the spawn cost.
-/// A threshold only picks the code path — both paths produce the identical
-/// ascending due list — so it can never affect results.
-const PAR_SCAN_MIN: usize = 4096;
-
-/// Minimum work recordings in a round before the per-unit multiplicity
-/// table is updated by range-sharded workers rather than one pass. Like
-/// [`PAR_SCAN_MIN`], path selection only.
-const PAR_WORK_MIN: usize = 4096;
-
-/// [`ProcSet::set_wakeup`] on the raw column slices a lane borrows for its
-/// contiguous pid chunk (`j` is chunk-relative).
-fn set_wakeup_raw(meta: &mut [u8], slot: &mut [u128], j: usize, wake: Option<Round>) {
-    match wake {
-        Some(r) => {
-            meta[j] |= PS_WAKE;
-            slot[j] = r.get();
-        }
-        None => {
-            meta[j] &= !PS_WAKE;
-        }
-    }
-}
-
 /// Like [`run`], but also hands back the final per-process protocol states,
 /// for protocols whose outcome lives in process state (e.g. the decision
 /// value of a Byzantine-agreement process).
@@ -1075,8 +707,7 @@ pub fn run_returning<P, A>(
     cfg: RunConfig,
 ) -> Result<(Report, Vec<P>), RunError>
 where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
+    P: Protocol,
     A: Adversary<P::Msg>,
 {
     let mut engine = Engine::new(procs, adversary, cfg)?;
@@ -1225,8 +856,6 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     last_progress: Round,
     stall_streak: u64,
     finished: bool,
-    // Resolved shard count (≥ 1; from `RunConfig::shards`).
-    shards: usize,
     // Rounds actually executed (one per `advance` call); the fast-forward
     // jumps the 128-bit clock but not this counter. Snapshotted, so a
     // resumed run reports the same total as an uninterrupted one.
@@ -1236,32 +865,19 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // Scratch buffers, allocated once and recycled every round; excluded
     // from snapshots and rebuilt on resume. In steady state the loop
     // performs no allocation: `eff` is reset (not rebuilt), the two op
-    // buffers swap roles each round, the due list and shard lanes are
-    // refilled in place, and the delivery index grows only to the
-    // high-water mark of per-round live deliveries. The in-flight buffers
-    // hold send *ops* (payload stored once per broadcast), never
-    // per-recipient envelopes.
+    // buffers swap roles each round, the due list is refilled in place,
+    // and the delivery index grows only to the high-water mark of
+    // per-round live deliveries. The in-flight buffers hold send *ops*
+    // (payload stored once per broadcast), never per-recipient envelopes.
     due: Vec<u32>,
     eff: Effects<P::Msg>,
-    lanes: Vec<Lane<P::Msg>>,
     next_pending: Vec<FlightOp<P::Msg>>,
     delivery: DeliveryIndex,
-    // Two-phase-exchange routing: per-destination-shard op-id lists over
-    // `pending`, built by last round's lanes (phase one) and consumed by
-    // the parallel inbox build (phase two). `routes_valid` is false
-    // whenever `pending` was produced by a path that did not route (the
-    // sequential settle path, or a resume) — the parallel build then
-    // falls back to scanning the whole op table, with identical results.
-    routes: Vec<Vec<u32>>,
-    routes_valid: bool,
-    // Per-shard due-list fragments for the parallel due-scan.
-    scan: Vec<Vec<u32>>,
 }
 
 impl<P, A> Engine<P, A>
 where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
+    P: Protocol,
     A: Adversary<P::Msg>,
 {
     /// Builds an engine over `procs` (pid = index) paused before round 1.
@@ -1278,7 +894,6 @@ where
         let pset = ProcSet::from_wakeups(
             procs.iter().map(|p| p.next_wakeup(Round::ONE).map(|w| w.max(Round::ONE))),
         );
-        let shards = cfg.shards.map_or(1, NonZeroUsize::get);
         let mem =
             MemBudget { proc_bytes: (t * std::mem::size_of::<P>()) as u64, ..MemBudget::default() };
         Ok(Engine {
@@ -1294,17 +909,12 @@ where
             last_progress: Round::ZERO,
             stall_streak: 0,
             finished: false,
-            shards,
             executed_rounds: 0,
             mem,
             due: Vec::new(),
             eff: Effects::new(),
-            lanes: Vec::new(),
             next_pending: Vec::new(),
             delivery: DeliveryIndex::new(t),
-            routes: Vec::new(),
-            routes_valid: false,
-            scan: Vec::new(),
             procs,
             adversary,
             cfg,
@@ -1381,7 +991,6 @@ where
     /// uninterrupted run.
     pub fn resume(snapshot: EngineSnapshot<P, A>) -> Self {
         let t = snapshot.procs.len();
-        let shards = snapshot.cfg.shards.map_or(1, NonZeroUsize::get);
         Engine {
             record: snapshot.cfg.record_trace,
             procs: snapshot.procs,
@@ -1398,17 +1007,12 @@ where
             last_progress: snapshot.last_progress,
             stall_streak: snapshot.stall_streak,
             finished: snapshot.finished,
-            shards,
             executed_rounds: snapshot.executed_rounds,
             mem: snapshot.mem,
             due: Vec::new(),
             eff: Effects::new(),
-            lanes: Vec::new(),
             next_pending: Vec::new(),
             delivery: DeliveryIndex::new(t),
-            routes: Vec::new(),
-            routes_valid: false,
-            scan: Vec::new(),
         }
     }
 
@@ -1454,9 +1058,6 @@ where
             + ((self.pending.capacity() + self.next_pending.capacity())
                 * std::mem::size_of::<FlightOp<P::Msg>>()) as u64
             + (self.due.capacity() * 4) as u64
-            + self.lanes.iter().map(Lane::bytes).sum::<u64>()
-            + (self.routes.iter().map(|r| r.capacity() * 4).sum::<usize>()) as u64
-            + (self.scan.iter().map(|s| s.capacity() * 4).sum::<usize>()) as u64
             + (self.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
         self.mem.flight_bytes = self.mem.flight_bytes.max(flight);
         let ledger = (self.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()) as u64
@@ -1528,13 +1129,6 @@ where
                 );
                 self.metrics.dead_letters += dead;
                 self.metrics.omissions += omitted;
-            } else if self.shards > 1 && self.pending.len() >= self.shards {
-                // Sharded inbox build, consuming last round's
-                // destination-shard routes when the lanes produced them.
-                let routes = (self.routes_valid && self.routes.len() >= self.shards)
-                    .then(|| &self.routes[..self.shards]);
-                self.metrics.dead_letters +=
-                    self.delivery.build_parallel(&self.pending, &self.live, routes, self.shards);
             } else {
                 self.metrics.dead_letters += self.delivery.build(&self.pending, &self.live);
             }
@@ -1554,118 +1148,39 @@ where
         // 2. Due-scan: the set of processes stepped this round is fully
         //    determined at the round boundary (live ∧ (adversary event ∨
         //    inbox ∨ wakeup due)), and a fate ruling only ever affects the
-        //    stepped process itself — so the list can be collected up front
-        //    and, when sharding, stepped on worker threads without changing
-        //    which processes run or what they observe.
+        //    stepped process itself — so the list is collected up front.
         self.due.clear();
-        if self.shards > 1 && self.live.len() >= self.shards * PAR_SCAN_MIN {
-            // Range-sharded scan: worker k walks the live pids of its own
-            // contiguous pid range; concatenating the fragments in range
-            // order yields exactly the ascending due list the sequential
-            // scan produces.
-            let t = self.procs.len();
-            let chunk = t.div_ceil(self.shards);
-            if self.scan.len() < self.shards {
-                self.scan.resize_with(self.shards, Vec::new);
-            }
-            {
-                let pset = &self.pset;
-                let delivery = &self.delivery;
-                let live = &self.live;
-                std::thread::scope(|scope| {
-                    for (k, frag) in self.scan.iter_mut().enumerate().take(self.shards) {
-                        let lo = (k * chunk).min(t);
-                        let hi = ((k + 1) * chunk).min(t);
-                        scope.spawn(move || {
-                            frag.clear();
-                            for i in live.ones_range(lo, hi) {
-                                if adv_due
-                                    || (have_inbox && delivery.has_inbox(i))
-                                    || pset.wakeup_due(i, round)
-                                {
-                                    frag.push(i as u32);
-                                }
-                            }
-                        });
-                    }
-                });
-            }
-            for k in 0..self.shards {
-                let frag = &mut self.scan[k];
-                self.due.append(frag);
-            }
-        } else {
-            let pset = &self.pset;
-            let delivery = &self.delivery;
-            let due = &mut self.due;
-            for i in self.live.iter() {
-                if adv_due || (have_inbox && delivery.has_inbox(i)) || pset.wakeup_due(i, round) {
-                    due.push(i as u32);
-                }
+        let pset = &self.pset;
+        let delivery = &self.delivery;
+        let due = &mut self.due;
+        for i in self.live.iter() {
+            if adv_due || (have_inbox && delivery.has_inbox(i)) || pset.wakeup_due(i, round) {
+                due.push(i as u32);
             }
         }
 
-        // 3. Step every due process and let the adversary rule on it. The
-        //    sharded path steps disjoint contiguous chunks in parallel and
-        //    then settles in pid order on this thread; the sequential path
-        //    interleaves step and settle per process. Both produce
-        //    bit-identical traces, metrics, and message order.
+        // 3. Step every due process, in pid order, and let the adversary
+        //    rule on it before the next one steps.
         let next = round.saturating_add(1);
-        if self.shards > 1 && self.due.len() >= self.shards {
-            // Route ops by destination shard only when next round's inbox
-            // build can be sharded too (a filtering adversary forces the
-            // sequential filtered build, which scans the whole table).
-            let route_ops = !self.adversary.filters_deliveries();
-            let mut lanes = std::mem::take(&mut self.lanes);
-            if lanes.len() < self.shards {
-                lanes.resize_with(self.shards, Lane::default);
+        let mut eff = std::mem::replace(&mut self.eff, Effects::new());
+        for di in 0..self.due.len() {
+            let idx = self.due[di] as usize;
+            eff.reset();
+            let inbox = if have_inbox && self.delivery.has_inbox(idx) {
+                self.delivery.inbox(idx, &self.pending)
+            } else {
+                Inbox::empty()
+            };
+            self.procs[idx].step(round, inbox, &mut eff);
+            self.settle(round, Pid::new(idx), &mut eff);
+            // The step may have changed this process's timing state;
+            // refresh its cached wakeup (retired slots are never read).
+            if self.live.contains(idx) {
+                let wake = self.procs[idx].next_wakeup(next).map(|w| w.max(next));
+                self.pset.set_wakeup(idx, wake);
             }
-            let (s, len) = (self.shards, self.due.len());
-            for (k, lane) in lanes.iter_mut().enumerate() {
-                lane.due.clear();
-                lane.fate.clear();
-                if k < s {
-                    lane.due.extend_from_slice(&self.due[k * len / s..(k + 1) * len / s]);
-                }
-                let chunk = lane.due.len();
-                if lane.eff.len() < chunk {
-                    lane.eff.resize_with(chunk, Effects::new);
-                }
-                if lane.wake.len() < chunk {
-                    lane.wake.resize(chunk, None);
-                }
-                if lane.route.len() < s {
-                    lane.route.resize_with(s, Vec::new);
-                }
-            }
-            self.step_shards(&mut lanes, round, have_inbox);
-            self.rule_fates(&mut lanes, round);
-            self.apply_lanes(&mut lanes, round, route_ops);
-            self.fold_lanes(&mut lanes, route_ops);
-            self.apply_work(&mut lanes);
-            self.lanes = lanes;
-        } else {
-            self.routes_valid = false;
-            let mut eff = std::mem::replace(&mut self.eff, Effects::new());
-            for di in 0..self.due.len() {
-                let idx = self.due[di] as usize;
-                eff.reset();
-                let inbox = if have_inbox && self.delivery.has_inbox(idx) {
-                    self.delivery.inbox(idx, &self.pending)
-                } else {
-                    Inbox::empty()
-                };
-                self.procs[idx].step(round, inbox, &mut eff);
-                self.settle(round, Pid::new(idx), &mut eff);
-                // The step may have changed this process's timing state;
-                // refresh its cached wakeup (retired slots are never read).
-                if self.live.contains(idx) {
-                    let wake = self.procs[idx].next_wakeup(next).map(|w| w.max(next));
-                    self.pset.set_wakeup(idx, wake);
-                }
-            }
-            self.eff = eff;
         }
+        self.eff = eff;
 
         self.observe_mem();
 
@@ -1745,228 +1260,10 @@ where
         Ok(())
     }
 
-    /// Steps the lanes' due chunks on scoped worker threads. Shard threads
-    /// touch only disjoint `&mut [P]` slices of the process table (the due
-    /// list is ascending, so successive chunks split off successive slice
-    /// tails) plus shared read-only views of the delivery index and the
-    /// in-flight ops; every engine-state mutation — adversary ruling,
-    /// metrics, trace, outbound queueing — happens afterwards on the merge
-    /// thread, in [`settle`](Engine::settle). Each worker also precomputes
-    /// its processes' post-step wakeups; the merge thread installs them
-    /// only for processes the adversary leaves alive.
-    fn step_shards(&mut self, lanes: &mut [Lane<P::Msg>], round: Round, have_inbox: bool) {
-        let next = round.saturating_add(1);
-        let delivery = &self.delivery;
-        let pending = &self.pending[..];
-        let mut rest = self.procs.as_mut_slice();
-        let mut base = 0usize;
-        std::thread::scope(|scope| {
-            for lane in lanes.iter_mut() {
-                if lane.due.is_empty() {
-                    continue;
-                }
-                let lo = lane.due[0] as usize;
-                let hi = *lane.due.last().expect("nonempty chunk") as usize + 1;
-                let tail = std::mem::take(&mut rest);
-                let (_, tail) = tail.split_at_mut(lo - base);
-                let (chunk, tail) = tail.split_at_mut(hi - lo);
-                rest = tail;
-                base = hi;
-                scope.spawn(move || {
-                    for (i, &p) in lane.due.iter().enumerate() {
-                        let idx = p as usize;
-                        let eff = &mut lane.eff[i];
-                        eff.reset();
-                        let inbox = if have_inbox && delivery.has_inbox(idx) {
-                            delivery.inbox(idx, pending)
-                        } else {
-                            Inbox::empty()
-                        };
-                        let proc = &mut chunk[idx - lo];
-                        proc.step(round, inbox, eff);
-                        lane.wake[i] = proc.next_wakeup(next).map(|w| w.max(next));
-                    }
-                });
-            }
-        });
-    }
-
-    /// The adversary rules on every stepped process, strictly in ascending
-    /// pid order on the merge thread — the one irreducibly sequential
-    /// phase of the parallel pipeline. [`Adversary::intercept`] is stateful
-    /// (RNG draws, budget consumption) and its [`AdversaryCtx`] exposes the
-    /// live set and crash counter *as of earlier rulings this round*, so
-    /// interleaving it with anything would change what adversaries observe.
-    /// Everything the ctx of a later pid can see — retirement, live-set
-    /// movement, the crash/termination counters, recovery scheduling — is
-    /// applied here, immediately per ruling; everything it cannot see
-    /// (message ledgers, traces, outbound queues, the work table, wakeup
-    /// caches) is deferred to the parallel [`Lane::apply`] phase.
-    fn rule_fates(&mut self, lanes: &mut [Lane<P::Msg>], round: Round) {
-        for lane in lanes.iter_mut() {
-            for di in 0..lane.due.len() {
-                let idx = lane.due[di] as usize;
-                let pid = Pid::new(idx);
-                let ctx = AdversaryCtx {
-                    t: self.procs.len(),
-                    alive: AliveView::Set(&self.live),
-                    live: self.live.len(),
-                    crashes: self.metrics.crashes,
-                };
-                let fate = self.adversary.intercept(round, pid, &lane.eff[di], ctx);
-                match &fate {
-                    Fate::Survive | Fate::Omit(_) => {
-                        if lane.eff[di].is_terminated() {
-                            self.pset.retire(idx, true, round);
-                            self.live.remove(idx);
-                            self.metrics.terminations += 1;
-                        }
-                    }
-                    Fate::Crash(_) => {
-                        self.pset.retire(idx, false, round);
-                        self.live.remove(idx);
-                        self.metrics.crashes += 1;
-                    }
-                    Fate::CrashRecover { downtime, wipe, .. } => {
-                        self.pset.retire(idx, false, round);
-                        self.live.remove(idx);
-                        self.metrics.crashes += 1;
-                        let at = round.saturating_add(u128::from((*downtime).max(1)));
-                        self.revive.insert(idx as u32, (at, *wipe));
-                        self.next_revive = Some(self.next_revive.map_or(at, |r| r.min(at)));
-                    }
-                }
-                lane.fate.push(fate);
-            }
-        }
-    }
-
-    /// Applies every lane's fated effects in parallel (phase one of the
-    /// two-phase exchange): each worker owns its lane plus its contiguous
-    /// slices of the process-state columns, writing message counts, trace
-    /// events, outbound ops, destination-shard routes, and work units into
-    /// lane-local sinks. See [`Lane::apply`].
-    fn apply_lanes(&mut self, lanes: &mut [Lane<P::Msg>], round: Round, route_ops: bool) {
-        let t = self.procs.len();
-        let route_chunk = route_ops.then(|| t.div_ceil(self.shards));
-        let record = self.record;
-        let mut meta_rest = self.pset.meta.as_mut_slice();
-        let mut slot_rest = self.pset.slot.as_mut_slice();
-        let mut base = 0usize;
-        std::thread::scope(|scope| {
-            for lane in lanes.iter_mut() {
-                if lane.due.is_empty() {
-                    continue;
-                }
-                let lo = lane.due[0] as usize;
-                let hi = *lane.due.last().expect("nonempty chunk") as usize + 1;
-                let (_, tail) = std::mem::take(&mut meta_rest).split_at_mut(lo - base);
-                let (meta, tail) = tail.split_at_mut(hi - lo);
-                meta_rest = tail;
-                let (_, tail) = std::mem::take(&mut slot_rest).split_at_mut(lo - base);
-                let (slot, tail) = tail.split_at_mut(hi - lo);
-                slot_rest = tail;
-                base = hi;
-                scope.spawn(move || lane.apply(round, record, route_chunk, lo, meta, slot));
-            }
-        });
-    }
-
-    /// Folds the lane-local sinks into the engine ledgers at the round
-    /// barrier, in ascending lane order (phase two of the exchange). Lanes
-    /// cover ascending pid chunks and each sink preserves its lane's
-    /// emission order, so lane-order concatenation reproduces the
-    /// sequential engine's op table, trace, and counters exactly; the
-    /// routed op ids are rebased from lane-local to global as they land.
-    fn fold_lanes(&mut self, lanes: &mut [Lane<P::Msg>], route_ops: bool) {
-        if route_ops {
-            if self.routes.len() < self.shards {
-                self.routes.resize_with(self.shards, Vec::new);
-            }
-            self.routes.iter_mut().for_each(Vec::clear);
-        }
-        for lane in lanes.iter_mut() {
-            let base = self.next_pending.len() as u32;
-            self.next_pending.append(&mut lane.out);
-            if route_ops {
-                for (k, bucket) in lane.route.iter_mut().enumerate() {
-                    self.routes[k].extend(bucket.drain(..).map(|i| i + base));
-                }
-            }
-            self.metrics.fold_effects(&mut lane.ledger);
-            self.metrics.work_total += lane.work_units.len() as u64;
-            if self.record {
-                self.trace.append(&mut lane.trace);
-            }
-        }
-        self.routes_valid = route_ops;
-    }
-
-    /// Applies the lanes' collected work units to the per-unit multiplicity
-    /// table — the giant-cell Amdahl term (one random-access increment per
-    /// unit of work per round). Above [`PAR_WORK_MIN`] recordings the table
-    /// is split into contiguous unit ranges, each worker streaming over
-    /// *all* lanes' units and incrementing only its own range: increments
-    /// are commutative, so the resulting table is exactly the sequential
-    /// engine's.
-    fn apply_work(&mut self, lanes: &mut [Lane<P::Msg>]) {
-        let total: usize = lanes.iter().map(|l| l.work_units.len()).sum();
-        if total == 0 {
-            return;
-        }
-        let needed = lanes
-            .iter()
-            .filter(|l| !l.work_units.is_empty())
-            .map(|l| l.work_max as usize + 1)
-            .max()
-            .unwrap_or(0);
-        if self.metrics.work_by_unit.len() < needed {
-            self.metrics.work_by_unit.resize(needed, 0);
-        }
-        let table = &mut self.metrics.work_by_unit;
-        if total >= PAR_WORK_MIN && self.shards > 1 {
-            let chunk = table.len().div_ceil(self.shards);
-            let lanes = &*lanes;
-            let mut rest = table.as_mut_slice();
-            let mut seg_lo = 0usize;
-            std::thread::scope(|scope| {
-                while !rest.is_empty() {
-                    let take = chunk.min(rest.len());
-                    let (seg, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                    rest = tail;
-                    let lo = seg_lo;
-                    seg_lo += take;
-                    scope.spawn(move || {
-                        let hi = lo + seg.len();
-                        for lane in lanes {
-                            for &u in &lane.work_units {
-                                let u = u as usize;
-                                if u >= lo && u < hi {
-                                    seg[u - lo] += 1;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        } else {
-            for lane in lanes.iter() {
-                for &u in &lane.work_units {
-                    table[u as usize] += 1;
-                }
-            }
-        }
-        for lane in lanes.iter_mut() {
-            lane.work_units.clear();
-        }
-    }
-
     /// Applies the adversary's ruling to one stepped process: intercept,
     /// fate application, metrics, tracing, and outbound queueing — the
-    /// sequential tail of a step. Always runs on the merge thread in
-    /// ascending pid order, which is what keeps sharded runs bit-identical
-    /// to sequential ones: adversary RNG draws, trace events, and message
-    /// queue order all replay the sequential engine's exactly.
+    /// tail of a step, in ascending pid order (adversary RNG draws, trace
+    /// events, and message queue order all follow it).
     fn settle(&mut self, round: Round, pid: Pid, eff: &mut Effects<P::Msg>) {
         let idx = pid.index();
         let ctx = AdversaryCtx {
@@ -2004,7 +1301,6 @@ where
                     record: self.record,
                     next_pending: &mut self.next_pending,
                     round,
-                    route: None,
                 };
                 for op in eff.drain_sends() {
                     out.deliver(pid, op.to, op.payload);
@@ -2036,7 +1332,6 @@ where
                     record: self.record,
                     next_pending: &mut self.next_pending,
                     round,
-                    route: None,
                 };
                 out.deliver_crash_subset(pid, eff, filter);
                 let suppressed = total - (self.metrics.messages - before);
@@ -2068,7 +1363,6 @@ where
                     record: self.record,
                     next_pending: &mut self.next_pending,
                     round,
-                    route: None,
                 };
                 out.deliver_crash_subset(pid, eff, &spec.deliver);
                 self.pset.retire(idx, false, round);
@@ -2088,20 +1382,13 @@ where
 }
 
 /// The per-round outbound-delivery context: everything queueing a send op
-/// needs (counters, optional tracing, the next-round in-flight buffer, and
-/// — on the parallel path — the destination-shard routing buckets of the
-/// two-phase exchange).
+/// needs (counters, optional tracing, and the next-round in-flight buffer).
 struct Outbound<'a, M> {
     metrics: &'a mut Metrics,
     trace: &'a mut Trace,
     record: bool,
     next_pending: &'a mut Vec<FlightOp<M>>,
     round: Round,
-    /// `(buckets, chunk)`: each queued op's id is appended to the bucket of
-    /// every destination shard its recipients intersect (shard = pid /
-    /// chunk, with `chunk = ⌈t/shards⌉` matching
-    /// [`DeliveryIndex::build_parallel`]). `None` on the sequential path.
-    route: Option<(&'a mut Vec<Vec<u32>>, usize)>,
 }
 
 impl<M: Classify> Outbound<'_, M> {
@@ -2117,18 +1404,6 @@ impl<M: Classify> Outbound<'_, M> {
                     to: recipient,
                     class: payload.class(),
                 });
-            }
-        }
-        if let Some((buckets, chunk)) = self.route.as_mut() {
-            let id = self.next_pending.len() as u32;
-            let (lo, hi) = match to {
-                Recipients::One(p) => (p.index(), p.index() + 1),
-                Recipients::Span { lo, hi } => (lo, hi),
-            };
-            if hi > lo {
-                for k in lo / *chunk..=(hi - 1) / *chunk {
-                    buckets[k].push(id);
-                }
             }
         }
         self.next_pending.push(FlightOp { from, to, payload });

@@ -221,9 +221,7 @@ impl LiveSet {
     }
 
     /// Iterates the live pids in `[lo, hi)` in ascending pid order, in
-    /// O(span/64 + live-in-span), holding only `&self` — the shard-range
-    /// due-scan: each delivery shard walks its own pid range concurrently
-    /// while the set is shared read-only across worker threads.
+    /// O(span/64 + live-in-span), holding only `&self`.
     pub fn ones_range(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
         let hi = hi.min(self.t);
         let lo = lo.min(hi);

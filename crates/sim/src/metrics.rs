@@ -107,23 +107,6 @@ impl Metrics {
         self.messages += k;
         *self.messages_by_class.entry(class).or_insert(0) += k;
     }
-
-    /// Folds a lane-local effect ledger into this one and zeroes the lane:
-    /// message totals, per-class counts, and send-omission suppressions.
-    /// Addition is commutative, so folding lanes in ascending-pid lane
-    /// order yields exactly the counters the sequential engine accumulates
-    /// pid by pid. Work, crash/termination, and round counters are *not*
-    /// folded here — the engine accounts those on its own phases.
-    pub(crate) fn fold_effects(&mut self, lane: &mut Metrics) {
-        self.messages += lane.messages;
-        self.omissions += lane.omissions;
-        for (class, k) in &lane.messages_by_class {
-            *self.messages_by_class.entry(class).or_insert(0) += k;
-        }
-        lane.messages = 0;
-        lane.omissions = 0;
-        lane.messages_by_class.clear();
-    }
 }
 
 #[cfg(test)]

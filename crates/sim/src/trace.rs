@@ -148,15 +148,6 @@ impl Trace {
     pub(crate) fn push(&mut self, event: Event) {
         self.events.push(event);
     }
-
-    /// Moves every event of `other` onto the end of this trace, leaving
-    /// `other` empty with its capacity intact — the deterministic fold of
-    /// lane-local traces at the engine's round barrier (lanes cover
-    /// ascending pid chunks, so folding in lane order reproduces the
-    /// sequential engine's event order exactly).
-    pub(crate) fn append(&mut self, other: &mut Trace) {
-        self.events.append(&mut other.events);
-    }
 }
 
 #[cfg(test)]

@@ -16,13 +16,9 @@ use doall::sim::{run, Metrics, Protocol, RunConfig, RunError};
 use doall::workload::Scenario;
 use doall::{Lockstep, NaiveSpread, ProtocolA, ProtocolB, ProtocolC, ProtocolD, ReplicateAll};
 
-fn measure<P: Protocol + Send>(
-    procs: Vec<P>,
-    scenario: &Scenario,
-    n: u64,
-) -> Result<Metrics, RunError>
+fn measure<P: Protocol>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Result<Metrics, RunError>
 where
-    P::Msg: Send + Sync + 'static,
+    P::Msg: 'static,
 {
     let report =
         run(procs, scenario.adversary::<P::Msg>(), RunConfig::new(n as usize, u64::MAX - 1))?;

@@ -24,9 +24,9 @@ fn scenarios(t: u64) -> Vec<Scenario> {
     ]
 }
 
-fn run_checked<P: Protocol + Send>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Report
+fn run_checked<P: Protocol>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Report
 where
-    P::Msg: Send + Sync + 'static,
+    P::Msg: 'static,
 {
     let report = run(
         procs,
@@ -209,9 +209,9 @@ fn fault_scenarios(t: u64) -> Vec<Scenario> {
 /// task completed before the fault is lost from the final report, a
 /// recovering process never acts during its downtime window, and a
 /// degraded process never steps faster than its rate.
-fn run_faulted<P: Protocol + Send>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Report
+fn run_faulted<P: Protocol>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Report
 where
-    P::Msg: Send + Sync + 'static,
+    P::Msg: 'static,
 {
     let plan = scenario.fault_plan();
     let report = run(

@@ -328,3 +328,42 @@ fn terminated_processes_stop_receiving() {
     // when the run ends (everyone has retired), so it is never delivered.
     assert_eq!(report.metrics.dead_letters, 2);
 }
+
+/// The engine steps every process on the calling thread, so neither the
+/// protocol state nor the payload needs `Send`/`Sync`: processes may
+/// share an `Rc` and ship one in a message.
+#[test]
+fn protocols_and_payloads_may_hold_an_rc() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    #[derive(Clone, Debug)]
+    struct Tally(Rc<Cell<u64>>);
+    impl Classify for Tally {}
+    struct Counter {
+        me: usize,
+        steps: Rc<Cell<u64>>,
+    }
+    impl Protocol for Counter {
+        type Msg = Tally;
+        fn step(&mut self, _: Round, inbox: Inbox<'_, Tally>, eff: &mut Effects<Tally>) {
+            self.steps.set(self.steps.get() + 1);
+            if self.me == 0 {
+                eff.send(Pid::new(1), Tally(Rc::clone(&self.steps)));
+                eff.terminate();
+            } else if let Some((_, tally)) = inbox.iter().next() {
+                assert!(Rc::ptr_eq(&tally.0, &self.steps), "payload is the shared counter");
+                eff.terminate();
+            }
+        }
+        fn next_wakeup(&self, now: Round) -> Option<Round> {
+            (self.me == 0).then_some(now)
+        }
+    }
+    let steps = Rc::new(Cell::new(0));
+    let procs = (0..2).map(|me| Counter { me, steps: Rc::clone(&steps) }).collect();
+    let report = run(procs, NoFailures, RunConfig::new(0, 10)).unwrap();
+    assert_eq!(report.metrics.messages, 1);
+    assert_eq!(report.survivor_count(), 2);
+    assert_eq!(steps.get(), 2, "p0 at round 1, p1 on receipt at round 2");
+}

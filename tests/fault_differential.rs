@@ -29,8 +29,8 @@ fn ab_shape() -> impl Strategy<Value = (u64, u64)> {
 /// zero-fault plan with wrapped processes — and demands bit identity.
 fn assert_sync_invisible<P, F>(mk: F, n: u64, label: &str)
 where
-    P: Protocol + Send,
-    P::Msg: Send + Sync + 'static,
+    P: Protocol,
+    P::Msg: 'static,
     F: Fn() -> Vec<P>,
 {
     let cfg = || RunConfig::new(n as usize, u64::MAX - 1).with_trace();

@@ -1,7 +1,7 @@
 //! The service plane's load-bearing promise: a job served through a
 //! [`Session`]'s shared pool is **bit-identical** to a direct engine run —
-//! on both planes, across shard counts, and under fault plans — and
-//! admission control never loses or duplicates a job.
+//! on both planes and under fault plans — and admission control never
+//! loses or duplicates a job.
 
 use doall::service::{Admission, ArrivalModel, JobSpec, Pool, Session, Verdict};
 use doall::sim::asynch::{run_async, AsyncConfig, DelayDist};
@@ -20,8 +20,10 @@ fn serve_sync(spec: JobSpec<ProtocolB>) -> doall::sim::Report {
     record.report.as_ref().unwrap().as_sync().unwrap().clone()
 }
 
-/// Service ≡ direct ≡ legacy `run(...)`, across shard counts and a fault
-/// plan, on the synchronous plane.
+/// Service ≡ direct ≡ legacy `run(...)` under a fault plan on the
+/// synchronous plane — and the retained `shards` knobs are inert: any
+/// value yields the same `Report` and the same `MemBudget` (`Report`'s
+/// equality skips `mem`, so it is compared explicitly).
 #[test]
 fn sync_service_is_bit_identical_to_direct_run() {
     let (n, t) = (64u64, 16u64);
@@ -31,25 +33,27 @@ fn sync_service_is_bit_identical_to_direct_run() {
         Scenario::CrashRecovery { pid: 0, round: 4, downtime: 6, wipe: true },
     ];
     for scenario in scenarios {
-        for shards in [1usize, 4] {
-            let spec = || {
-                JobSpec::new(ProtocolB::processes(n, t).unwrap(), n as usize)
-                    .scenario(scenario.clone())
-                    .with_trace()
-                    .shards(shards)
-            };
-            let direct = spec().run().unwrap();
-            // The thin shim changes nothing: the legacy entry point with
-            // the same adversary produces the same report.
-            let legacy = run(
-                ProtocolB::processes(n, t).unwrap(),
-                scenario.adversary(),
-                RunConfig::new(n as usize, u64::MAX - 1).with_trace().with_shards(shards),
-            )
-            .unwrap();
-            assert_eq!(direct, legacy, "{} shards={shards}: shim drift", scenario.label());
-            let served = serve_sync(spec());
-            assert_eq!(direct, served, "{} shards={shards}: service drift", scenario.label());
+        let spec = || {
+            JobSpec::new(ProtocolB::processes(n, t).unwrap(), n as usize)
+                .scenario(scenario.clone())
+                .with_trace()
+        };
+        let legacy = |cfg: RunConfig| {
+            run(ProtocolB::processes(n, t).unwrap(), scenario.adversary(), cfg.with_trace())
+                .unwrap()
+        };
+        let direct = spec().run().unwrap();
+        // The thin shim changes nothing: the legacy entry point with
+        // the same adversary produces the same report.
+        let cfg = RunConfig::new(n as usize, u64::MAX - 1);
+        assert_eq!(direct, legacy(cfg.clone()), "{}: shim drift", scenario.label());
+        let served = serve_sync(spec());
+        assert_eq!(direct, served, "{}: service drift", scenario.label());
+        for k in [0usize, 1, 4, 32] {
+            for knobbed in [spec().shards(k).run().unwrap(), legacy(cfg.clone().with_shards(k))] {
+                assert_eq!(direct, knobbed, "{} shards={k}: report moved", scenario.label());
+                assert_eq!(direct.mem, knobbed.mem, "{} shards={k}: mem moved", scenario.label());
+            }
         }
     }
 }

@@ -16,10 +16,7 @@ use doall::{
 const N: u64 = 16;
 const T: u64 = 4;
 
-fn smoke<P: Protocol + Send>(name: &str, procs: Vec<P>, n: u64, t: u64)
-where
-    P::Msg: Send + Sync,
-{
+fn smoke<P: Protocol>(name: &str, procs: Vec<P>, n: u64, t: u64) {
     assert_eq!(procs.len(), t as usize, "{name}: one state machine per process");
     let report = run(procs, NoFailures, RunConfig::new(n as usize, u64::MAX - 1))
         .unwrap_or_else(|e| panic!("{name}: fault-free run failed: {e}"));
