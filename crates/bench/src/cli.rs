@@ -1,6 +1,6 @@
-//! Strict argument checking shared by the `chaos` and `perf_baseline`
-//! binaries: an argument neither of them knows is an error, not a no-op,
-//! so a stale flag in a script cannot keep "passing" unnoticed.
+//! Strict argument checking for the `chaos` binary: an argument it does
+//! not know is an error, not a no-op, so a stale flag in a script cannot
+//! keep "passing" unnoticed.
 
 /// Checks that every argument is one of `flags` (standalone) or one of
 /// `options` (consumes the following argument as its value).

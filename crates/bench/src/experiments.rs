@@ -1259,8 +1259,16 @@ pub fn e16() -> Outcome {
 /// [`all`]: the giant cells are the CI scale-smoke leg, not part of the
 /// default suite. Derivations: EXPERIMENTS.md §e17.
 pub fn e17() -> Outcome {
-    let mut table =
-        Table::new(["cell", "n", "t", "work", "msgs (expect)", "rounds (expect)", "soa B/proc"]);
+    let mut table = Table::new([
+        "cell",
+        "n",
+        "t",
+        "work",
+        "msgs (expect)",
+        "rounds (expect)",
+        "soa B/proc",
+        "engine B/proc",
+    ]);
     let mut pass = true;
 
     // Protocol B with every process except p0 dead at round 1: the lone
@@ -1307,15 +1315,20 @@ pub fn e17() -> Outcome {
             format!("{} (expect {})", m.messages, b_msgs(t)),
             format!("{} (expect {})", m.rounds, b_rounds(n, t)),
             format!("{}", report.mem.soa_bytes.div_ceil(t)),
+            format!("{}", report.mem.engine_bytes().div_ceil(t)),
         ]);
     }
 
     // Coordinator-D failure-free counts are exact at any scale: one
     // agreement phase of 2(t−1) messages, then ⌈n/t⌉ work rounds and the
     // 3-round agree/decide envelope. In the t = 2^17 cell all t processes
-    // step every work round (perf_baseline's scale cell); the n = 10^8
-    // cell is the workload ceiling, with interval-compressed shares
-    // keeping every process's state at a handful of runs.
+    // step every work round (134M protocol steps); the n = 10^8 cell is
+    // the workload ceiling, with interval-compressed shares keeping every
+    // process's state at a handful of runs. Peak engine memory — the SoA
+    // columns plus the 2(t−1) agreement messages in flight — is linear in
+    // t: the t = 2^17 cell peaks at 16 925 028 bytes (129 per process),
+    // and the gate is 1.3 × that.
+    const D_ENGINE_BYTES_PER_PROCESS: u64 = 167;
     for (cell, n, t) in [
         ("coordinator-D", 4_096u64, 1_024u64),
         ("coordinator-D (giant t)", 1 << 27, 1 << 17),
@@ -1335,7 +1348,8 @@ pub fn e17() -> Outcome {
             && m.dead_letters == 0
             && m.crashes == 0
             && u64::from(m.terminations) == t
-            && report.mem.soa_bytes <= 32 * t;
+            && report.mem.soa_bytes <= 32 * t
+            && report.mem.engine_bytes() <= D_ENGINE_BYTES_PER_PROCESS * t;
         table.row([
             cell.to_string(),
             n.to_string(),
@@ -1344,6 +1358,7 @@ pub fn e17() -> Outcome {
             format!("{} (expect {})", m.messages, 2 * (t - 1)),
             format!("{} (expect {})", m.rounds, rounds),
             format!("{}", report.mem.soa_bytes.div_ceil(t)),
+            format!("{}", report.mem.engine_bytes().div_ceil(t)),
         ]);
     }
 

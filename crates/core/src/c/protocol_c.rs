@@ -165,7 +165,7 @@ impl ProtocolC {
                     }
                 }
                 CState::DetectWait { h, target, sent_at } => {
-                    if round < sent_at + 2u64 {
+                    if round < sent_at.saturating_add(2) {
                         return; // the response round
                     }
                     let responded = inbox.iter().any(|(from, msg)| {
@@ -310,7 +310,10 @@ impl Protocol for ProtocolC {
         match self.state {
             CState::Done => None,
             CState::Passive { deadline } => Some(deadline.max(now)),
-            CState::DetectWait { sent_at, .. } => Some((sent_at + 2u64).max(now)),
+            // Saturating: a deadline pinned at `Round::MAX` activates its
+            // process on the last representable round; the engine then
+            // reports the exhausted clock as `RunError::RoundLimit`.
+            CState::DetectWait { sent_at, .. } => Some(sent_at.saturating_add(2).max(now)),
             _ => Some(now),
         }
     }

@@ -8,8 +8,8 @@
 //! payload `k` times at scheduling and the queue is a plain binary heap.
 //! The differential property test (`tests/async_differential.rs`) proves
 //! the two produce bit-identical [`AsyncReport`]s over random
-//! send/delay/crash patterns, and the perf baseline measures this engine
-//! as the "before" of the zero-clone arena path.
+//! send/delay/crash patterns at small `t`, and identical
+//! [`Metrics`] for Protocols A and B at storm scale (`t = 1024`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

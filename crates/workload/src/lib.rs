@@ -12,7 +12,5 @@
 pub mod scenario;
 pub mod tasks;
 
-#[allow(deprecated)]
-pub use scenario::AsyncScenario;
 pub use scenario::Scenario;
 pub use tasks::{FormulaSweep, IdempotentTask, ValveBank};

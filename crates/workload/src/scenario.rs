@@ -5,8 +5,7 @@
 //! Since PR 10 there is **one** scenario vocabulary for both planes: every
 //! [`Scenario`] lowers to a synchronous adversary via
 //! [`Scenario::adversary`] *and* to an asynchronous one via
-//! [`Scenario::async_adversary`]. The old `AsyncScenario` twin enum is a
-//! deprecated alias kept for source compatibility.
+//! [`Scenario::async_adversary`].
 
 use doall_sim::asynch::{
     AsyncAdversary, AsyncCrashSchedule, AsyncRandomCrashes, AsyncTrigger, AsyncTriggerAdversary,
@@ -463,17 +462,6 @@ impl Scenario {
         }
     }
 }
-
-/// The pre-PR10 asynchronous twin of [`Scenario`], now the same type.
-///
-/// The old `AsyncScenario` field vocabulary (`at`, `count`, `duration`)
-/// folded into the synchronous names (`round`, `rounds`); construct a
-/// [`Scenario`] and call [`Scenario::async_adversary`] instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "the scenario enums are unified; use `Scenario` and `Scenario::async_adversary`"
-)]
-pub type AsyncScenario = Scenario;
 
 #[cfg(test)]
 mod tests {

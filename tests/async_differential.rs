@@ -8,6 +8,8 @@
 //!    cloned per recipient at scheduling, plain binary heap) over random
 //!    send/delay/crash patterns. Drawn `max_delay`s straddle the calendar
 //!    queue's horizon, so both queue representations are exercised.
+//!    The random patterns stay at `t ≤ 10`; Protocols A and B at
+//!    `t = 1024` cover storm scale with full-struct [`Metrics`] equality.
 //! 2. Failure-free asynchronous runs of Protocols A and B must report
 //!    exactly the synchronous work and message counts over a small grid —
 //!    the §2.1 claim that the bounds carry over.
@@ -16,6 +18,7 @@ use doall::sim::asynch::{
     run_async, AsyncConfig, AsyncCrashSchedule, AsyncEffects, AsyncProtocol, DelayDist,
 };
 use doall::sim::{Classify, CrashSpec, Inbox, NoFailures, Pid, Unit};
+use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB};
 use proptest::prelude::*;
 
@@ -235,6 +238,38 @@ proptest! {
             8u64
         );
     }
+}
+
+/// The twin check at storm scale, where the random patterns above cannot
+/// reach: one active process span-broadcasting through `t = 1024`
+/// (Protocol A, failure-free) and the detector's O(t²) notice traffic
+/// after 992 crashes (Protocol B). Full-struct equality — totals, per
+/// class, dead letters, per-unit multiplicities, final timestamp — so an
+/// arena path that misclassifies only under load cannot pass.
+#[test]
+fn arena_engine_matches_reference_at_storm_scale() {
+    fn twin<P>(build: fn(u64, u64) -> Vec<P>, scenario: Scenario, messages: u64)
+    where
+        P: AsyncProtocol,
+        P::Msg: 'static,
+    {
+        let cfg = AsyncConfig::new(2_048, 7).with_delay(DelayDist::Uniform, 4);
+        let arena = run_async(build(2_048, 1_024), scenario.async_adversary(), cfg.clone());
+        let reference = doall::sim::asynch::reference::run_async_reference(
+            build(2_048, 1_024),
+            scenario.async_adversary(),
+            cfg,
+        );
+        let (arena, reference) = (arena.unwrap().metrics, reference.unwrap().metrics);
+        assert_eq!(arena, reference, "{}", scenario.label());
+        assert_eq!(arena.messages, messages, "{}", scenario.label());
+    }
+    twin(|n, t| AsyncProtocolA::processes(n, t).unwrap(), Scenario::FailureFree, 94_240);
+    twin(
+        |n, t| AsyncProtocolB::processes(n, t).unwrap(),
+        Scenario::DeadOnArrival { k: 992 },
+        31_744,
+    );
 }
 
 /// §2.1's carried-over bounds, sharpened to equality where equality is a

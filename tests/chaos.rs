@@ -8,10 +8,13 @@
 //! the victim's chunk forever, yet the survivors terminate anyway. That
 //! is exactly the class of bug the effectiveness checkers exist to catch
 //! (survivors retired with work left undone).
+//!
+//! The last test replays campaign seeds that once panicked a real protocol.
 
 use doall::sim::chaos::{contract_violations, shrink, ChaosCase, ChaosConfig, Plane, Repro};
 use doall::sim::invariants::check_termination_after_completion;
-use doall::sim::{run, Classify, Effects, Inbox, Protocol, Round, RunConfig, Unit};
+use doall::sim::{run, Classify, Effects, Inbox, Protocol, Round, RunConfig, RunError, Unit};
+use doall::ProtocolC;
 
 #[derive(Clone, Debug)]
 struct Hush;
@@ -151,4 +154,22 @@ fn late_crashes_after_retirement_are_not_violations() {
     let case =
         ChaosCase { seed: 0, t: 4, n: 64, faults: vec![FaultKind::Crash(Pid::new(1)).at(30u64)] };
     assert_eq!(violations(&case), Some(Vec::new()));
+}
+
+#[test]
+fn protocol_c_on_a_saturated_clock_ends_in_a_typed_error() {
+    // Three wide-grid plans under which a Protocol C deadline saturates at
+    // `Round::MAX` and its process goes active there; polling from that
+    // round used to panic with "round clock overflow" in `next_wakeup`.
+    let cfg = ChaosConfig::new(64, 256);
+    for seed in [48u64, 2805, 2815] {
+        let plan = ChaosCase::generate(seed, &cfg).plan();
+        plan.validate(64).expect("generated plans are valid for their t");
+        let procs = plan.wrap(ProtocolC::processes(256, 64).unwrap());
+        let run_cfg = RunConfig::new(256, Round::MAX).with_stall_window(4_096);
+        match run(procs, plan, run_cfg) {
+            Ok(report) => assert!(report.metrics.all_work_done(), "seed {seed}"),
+            Err(e) => assert!(matches!(e, RunError::RoundLimit { .. }), "seed {seed}: {e}"),
+        }
+    }
 }
