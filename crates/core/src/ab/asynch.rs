@@ -204,12 +204,12 @@ impl AsyncProtocol for AsyncProtocolA {
 #[cfg(test)]
 mod tests {
     use doall_bounds::theorems;
-    use doall_sim::asynch::{run_async, AsyncConfig, AsyncCrash};
+    use doall_sim::asynch::{run_async, AsyncConfig, AsyncCrashSchedule};
     use doall_sim::invariants::{
         check_activation_order, check_detector_soundness, check_no_zombie_actions,
         check_single_active,
     };
-    use doall_sim::NoFailures;
+    use doall_sim::{CrashSpec, Deliver, NoFailures};
 
     use super::*;
 
@@ -236,10 +236,12 @@ mod tests {
     fn crash_of_active_process_hands_over_via_detector() {
         // p0 dies on its 5th handler invocation (start + 4 ticks = after 5
         // operations); p1 activates once the detector informs it.
-        let crash =
-            AsyncCrash { pid: Pid::new(0), on_invocation: 5, deliver_prefix: 0, count_work: true };
-        let report =
-            run_async(AsyncProtocolA::processes(N, T).unwrap(), vec![crash], cfg(2)).unwrap();
+        let crash = AsyncCrashSchedule::new().crash_at(
+            Pid::new(0),
+            5,
+            CrashSpec { deliver: Deliver::Prefix(0), count_work: true },
+        );
+        let report = run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(2)).unwrap();
         assert!(report.metrics.all_work_done());
         let b = theorems::protocol_a(N, T);
         assert!(report.metrics.work_total <= b.work);
@@ -268,18 +270,14 @@ mod tests {
         // only after the previous active process truly retired) — checked
         // both directly on the notes and via the ported trace invariants.
         for seed in 0..8 {
-            let crash = AsyncCrash {
-                pid: Pid::new(0),
-                on_invocation: 9,
-                deliver_prefix: 2,
-                count_work: true,
-            };
-            let report = run_async(
-                AsyncProtocolA::processes(N, T).unwrap(),
-                vec![crash],
-                cfg(seed).with_trace(),
-            )
-            .unwrap();
+            let crash = AsyncCrashSchedule::new().crash_at(
+                Pid::new(0),
+                9,
+                CrashSpec { deliver: Deliver::Prefix(2), count_work: true },
+            );
+            let report =
+                run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(seed).with_trace())
+                    .unwrap();
             assert!(report.metrics.all_work_done(), "seed {seed}");
             let activations: Vec<Pid> = report
                 .notes
@@ -301,10 +299,12 @@ mod tests {
     #[test]
     fn cascade_of_crashes_respects_work_bound() {
         // p0 dies right after performing its first unit of work.
-        let crash =
-            AsyncCrash { pid: Pid::new(0), on_invocation: 1, deliver_prefix: 0, count_work: true };
-        let report =
-            run_async(AsyncProtocolA::processes(N, T).unwrap(), vec![crash], cfg(3)).unwrap();
+        let crash = AsyncCrashSchedule::new().crash_at(
+            Pid::new(0),
+            1,
+            CrashSpec { deliver: Deliver::Prefix(0), count_work: true },
+        );
+        let report = run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(3)).unwrap();
         assert!(report.metrics.all_work_done());
         assert!(report.metrics.work_total <= theorems::protocol_a(N, T).work);
     }

@@ -428,16 +428,11 @@ pub struct RandomCrashes {
 
 impl RandomCrashes {
     /// Creates a random adversary with the given per-round crash
-    /// probability and total crash budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_per_round` is not within `[0.0, 1.0]`.
+    /// probability and total crash budget. A probability outside
+    /// `[0.0, 1.0]` is reported by [`validate`](Adversary::validate), so
+    /// the engine refuses the run with
+    /// [`RunError::InvalidAdversary`](crate::RunError::InvalidAdversary).
     pub fn new(seed: u64, p_per_round: f64, max_crashes: u32) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_per_round),
-            "crash probability must be in [0, 1], got {p_per_round}"
-        );
         RandomCrashes {
             rng: SmallRng::seed_from_u64(seed),
             p_per_round,
@@ -456,7 +451,21 @@ impl RandomCrashes {
     }
 }
 
+/// The shared range check behind both planes' random-crash `validate`
+/// hooks (`NaN` is out of range).
+pub(crate) fn check_crash_probability(p: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(format!("crash probability must be in [0, 1], got {p}"))
+    }
+}
+
 impl<M> Adversary<M> for RandomCrashes {
+    fn validate(&self, _t: usize) -> Result<(), String> {
+        check_crash_probability(self.p_per_round)
+    }
+
     fn intercept(
         &mut self,
         _round: Round,

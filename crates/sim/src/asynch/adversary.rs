@@ -23,10 +23,11 @@ use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use super::{AsyncEffects, Time};
-use crate::adversary::{AdversaryCtx, CrashSpec, Deliver, Fate, NoFailures};
+use crate::adversary::{
+    check_crash_probability, AdversaryCtx, CrashSpec, Deliver, Fate, NoFailures,
+};
 use crate::ids::Pid;
 
 /// An asynchronous crash-failure adversary.
@@ -133,44 +134,6 @@ impl<M> AsyncAdversary<M> for NoFailures {
     }
 }
 
-/// Crash instructions for the asynchronous engine: process `pid` crashes
-/// during its `nth` handler invocation (1-based), delivering only the
-/// first `deliver_prefix` messages of that handler.
-///
-/// This is the pre-PR-4 crash interface, kept as a thin adapter: a
-/// `Vec<AsyncCrash>` *is* an [`AsyncAdversary`], equivalent to an
-/// [`AsyncCrashSchedule`] with `Deliver::Prefix` specs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AsyncCrash {
-    /// The victim.
-    pub pid: Pid,
-    /// Which handler invocation the crash interrupts (1-based).
-    pub on_invocation: u64,
-    /// How many of that handler's outgoing messages escape.
-    pub deliver_prefix: usize,
-    /// Whether the handler's work units count as performed.
-    pub count_work: bool,
-}
-
-impl<M> AsyncAdversary<M> for Vec<AsyncCrash> {
-    fn intercept(
-        &mut self,
-        _time: Time,
-        pid: Pid,
-        invocation: u64,
-        _effects: &AsyncEffects<M>,
-        _ctx: AdversaryCtx<'_>,
-    ) -> Fate {
-        match self.iter().find(|c| c.pid == pid && c.on_invocation == invocation) {
-            Some(c) => Fate::Crash(CrashSpec {
-                deliver: Deliver::Prefix(c.deliver_prefix),
-                count_work: c.count_work,
-            }),
-            None => Fate::Survive,
-        }
-    }
-}
-
 /// Crashes given processes at given handler invocations, with the full
 /// synchronous [`CrashSpec`] vocabulary (silent, after-round, prefix,
 /// arbitrary subset).
@@ -250,16 +213,11 @@ pub struct AsyncRandomCrashes {
 
 impl AsyncRandomCrashes {
     /// Creates a random adversary with the given per-invocation crash
-    /// probability and total crash budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_per_event` is not within `[0.0, 1.0]`.
+    /// probability and total crash budget. A probability outside
+    /// `[0.0, 1.0]` is reported by [`validate`](AsyncAdversary::validate),
+    /// so the engine refuses the run with
+    /// [`AsyncRunError::InvalidAdversary`](super::AsyncRunError::InvalidAdversary).
     pub fn new(seed: u64, p_per_event: f64, max_crashes: u32) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_per_event),
-            "crash probability must be in [0, 1], got {p_per_event}"
-        );
         AsyncRandomCrashes {
             rng: SmallRng::seed_from_u64(seed),
             p_per_event,
@@ -278,6 +236,10 @@ impl AsyncRandomCrashes {
 }
 
 impl<M> AsyncAdversary<M> for AsyncRandomCrashes {
+    fn validate(&self, _t: usize) -> Result<(), String> {
+        check_crash_probability(self.p_per_event)
+    }
+
     fn intercept(
         &mut self,
         _time: Time,
@@ -438,24 +400,6 @@ mod tests {
 
     fn ctx(alive: &[bool]) -> AdversaryCtx<'_> {
         AdversaryCtx::new(alive, 0)
-    }
-
-    #[test]
-    fn vec_of_async_crashes_is_a_prefix_schedule() {
-        let mut adv = vec![AsyncCrash {
-            pid: Pid::new(1),
-            on_invocation: 2,
-            deliver_prefix: 3,
-            count_work: true,
-        }];
-        let eff: AsyncEffects<()> = AsyncEffects::default();
-        let alive = [true, true];
-        assert_eq!(adv.intercept(Time::new(9), Pid::new(1), 1, &eff, ctx(&alive)), Fate::Survive);
-        assert_eq!(adv.intercept(Time::new(9), Pid::new(0), 2, &eff, ctx(&alive)), Fate::Survive);
-        assert_eq!(
-            adv.intercept(Time::new(9), Pid::new(1), 2, &eff, ctx(&alive)),
-            Fate::Crash(CrashSpec { deliver: Deliver::Prefix(3), count_work: true })
-        );
     }
 
     #[test]

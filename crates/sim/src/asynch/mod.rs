@@ -47,8 +47,7 @@
 //! ([`AsyncAdversary::omits_delivery`]), and crash-recovery
 //! ([`crate::Fate::CrashRecover`], which restarts the
 //! victim — stale or wiped — after its downtime via
-//! [`AsyncProtocol::on_recover`]); the legacy `Vec<AsyncCrash>` remains
-//! usable as a thin adapter and a [`FaultPlan`](crate::FaultPlan) drives
+//! [`AsyncProtocol::on_recover`]); a [`FaultPlan`](crate::FaultPlan) drives
 //! named-fault schedules on both planes. With
 //! [`AsyncConfig::record_trace`] set, runs record a [`Trace`] whose events
 //! feed the ported invariant checkers (including
@@ -65,8 +64,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 pub use adversary::{
-    AsyncAdversary, AsyncCrash, AsyncCrashSchedule, AsyncRandomCrashes, AsyncTrigger,
-    AsyncTriggerAdversary, AsyncTriggerRule,
+    AsyncAdversary, AsyncCrashSchedule, AsyncRandomCrashes, AsyncTrigger, AsyncTriggerAdversary,
+    AsyncTriggerRule,
 };
 
 use crate::adversary::{AdversaryCtx, AliveView, Fate};
@@ -86,7 +85,7 @@ use queue::{Ev, EventQueue};
 pub type Time = Round;
 
 /// How per-hop delays are drawn. Every distribution is bounded by
-/// [`AsyncConfig::max_delay`], which also sizes the calendar queue.
+/// [`AsyncConfig::max_delay`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DelayDist {
     /// Uniform in `1..=max_delay` — the classic adversary-seeded delay.
@@ -298,9 +297,10 @@ pub struct AsyncConfig {
     pub n: usize,
     /// Seed for delay randomness (runs are reproducible per seed).
     pub seed: u64,
-    /// Maximum message / detector-notice delay; also the calendar queue's
-    /// horizon (values `≤ 64` use the bucketed calendar, larger ones the
-    /// binary heap).
+    /// Maximum message / detector-notice delay (`0` is read as `1`). Any
+    /// value is valid and none changes which code runs: the event queue's
+    /// ring is sized from it up to a fixed cap, and wider delays route
+    /// their far draws through the queue's overflow heap.
     pub max_delay: u64,
     /// Shape of the per-hop delay distribution within `1..=max_delay`.
     pub delay: DelayDist,
@@ -567,7 +567,9 @@ impl<M> OpArena<M> {
     }
 }
 
-/// A serializable snapshot of an [`AsyncEngine`] at a batch boundary.
+/// A serializable snapshot of an [`AsyncEngine`] at a batch boundary —
+/// which is to say the engine's run state itself: the engine holds one
+/// value of this type and [`AsyncEngine::snapshot`] clones it.
 ///
 /// Captures *everything* the engine needs to continue — protocol states,
 /// the op arena with its in-flight payloads, the full event schedule
@@ -575,103 +577,8 @@ impl<M> OpArena<M> {
 /// metrics, trace and the live/reviving sets — so that
 /// [`AsyncEngine::resume`] followed by a run to completion is
 /// **bit-identical** to the uninterrupted run.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct AsyncEngineSnapshot<P: AsyncProtocol, A> {
-    procs: Vec<P>,
-    adversary: A,
-    cfg: AsyncConfig,
-    rng: SmallRng,
-    queue: EventQueue,
-    arena: OpArena<P::Msg>,
-    metrics: Metrics,
-    trace: Trace,
-    terminated: Vec<bool>,
-    crashed: Vec<bool>,
-    alive: Vec<bool>,
-    live: usize,
-    reviving: Vec<bool>,
-    pending_revivals: usize,
-    invocations: Vec<u64>,
-    notes: Vec<(Time, Pid, &'static str)>,
-    handled: u64,
-    now: Time,
-    last_progress: Time,
-    finished: bool,
-    #[serde(default)]
-    mem: MemBudget,
-    #[serde(default)]
-    executed: u64,
-}
-
-impl<P, A> AsyncEngineSnapshot<P, A>
-where
-    P: AsyncProtocol,
-{
-    /// The timestamp of the last batch processed before the snapshot.
-    pub fn time(&self) -> Time {
-        self.now
-    }
-
-    /// The metrics as of the snapshot.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-}
-
-impl<P, A> Clone for AsyncEngineSnapshot<P, A>
-where
-    P: AsyncProtocol + Clone,
-    P::Msg: Clone,
-    A: Clone,
-{
-    fn clone(&self) -> Self {
-        AsyncEngineSnapshot {
-            procs: self.procs.clone(),
-            adversary: self.adversary.clone(),
-            cfg: self.cfg.clone(),
-            rng: self.rng.clone(),
-            queue: self.queue.clone(),
-            arena: self.arena.clone(),
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
-            terminated: self.terminated.clone(),
-            crashed: self.crashed.clone(),
-            alive: self.alive.clone(),
-            live: self.live,
-            reviving: self.reviving.clone(),
-            pending_revivals: self.pending_revivals,
-            invocations: self.invocations.clone(),
-            notes: self.notes.clone(),
-            handled: self.handled,
-            now: self.now,
-            last_progress: self.last_progress,
-            finished: self.finished,
-            mem: self.mem,
-            executed: self.executed,
-        }
-    }
-}
-
-/// The resumable asynchronous engine behind [`run_async`].
-///
-/// Events (start signals, message deliveries, detector notices, ticks) are
-/// processed in timestamp order, with all deliveries to one process at one
-/// timestamp batched into a single [`AsyncProtocol::on_messages`]
-/// invocation. Each delivery and notice is delayed by a seeded draw from
-/// [`AsyncConfig::delay`]. When a process retires, the detector schedules
-/// a notice to every alive process. After every handler invocation the
-/// [`AsyncAdversary`] rules on the process's fate; a crashing handler's
-/// outgoing messages pass through its [`Deliver`](crate::Deliver) filter
-/// in send order, exactly as in the synchronous engine.
-///
-/// [`run_until`](AsyncEngine::run_until) can pause the execution at any
-/// batch boundary; [`snapshot`](AsyncEngine::snapshot) /
-/// [`resume`](AsyncEngine::resume) round-trip the paused state with a
-/// bit-identical-continuation guarantee. The optional
-/// [`AsyncConfig::stall_window`] watchdog converts tick-loop livelocks
-/// into a loud [`AsyncRunError::Livelock`] with a diagnosis.
-pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
-    // ---- state: everything a snapshot captures ----
     procs: Vec<P>,
     adversary: A,
     cfg: AsyncConfig,
@@ -697,17 +604,56 @@ pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     last_progress: Time,
     finished: bool,
     // Peak-memory probe (observed once per processed batch) and the count
-    // of batches actually processed; both snapshotted, both excluded from
-    // report equality.
+    // of batches actually processed; both excluded from report equality.
+    #[serde(default)]
     mem: MemBudget,
+    #[serde(default)]
     executed: u64,
-    // ---- derived: recomputed from cfg / adversary on new() and resume() ----
+}
+
+impl<P, A> AsyncEngineSnapshot<P, A>
+where
+    P: AsyncProtocol,
+{
+    /// The timestamp of the last batch processed before the snapshot.
+    pub fn time(&self) -> Time {
+        self.now
+    }
+
+    /// The metrics as of the snapshot.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+}
+
+/// The resumable asynchronous engine behind [`run_async`].
+///
+/// Events (start signals, message deliveries, detector notices, ticks) are
+/// processed in timestamp order, with all deliveries to one process at one
+/// timestamp batched into a single [`AsyncProtocol::on_messages`]
+/// invocation. Each delivery and notice is delayed by a seeded draw from
+/// [`AsyncConfig::delay`]. When a process retires, the detector schedules
+/// a notice to every alive process. After every handler invocation the
+/// [`AsyncAdversary`] rules on the process's fate; a crashing handler's
+/// outgoing messages pass through its [`Deliver`](crate::Deliver) filter
+/// in send order, exactly as in the synchronous engine.
+///
+/// [`run_until`](AsyncEngine::run_until) can pause the execution at any
+/// batch boundary; [`snapshot`](AsyncEngine::snapshot) /
+/// [`resume`](AsyncEngine::resume) round-trip the paused state with a
+/// bit-identical-continuation guarantee. The optional
+/// [`AsyncConfig::stall_window`] watchdog converts tick-loop livelocks
+/// into a loud [`AsyncRunError::Livelock`] with a diagnosis.
+pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
+    // ---- state: the whole of it, and exactly what a snapshot is ----
+    st: AsyncEngineSnapshot<P, A>,
+    // ---- derived: computed from cfg / adversary by resume() ----
     max_delay: u64,
     // Whether deliveries must be checked for receive omission; queried
     // once so the zero-fault delivery path stays branch-predictable.
     filters: bool,
     record: bool,
-    // ---- scratch: rebuilt empty on resume (safe: `generation` stamps
+    // ---- scratch: built empty by resume() (safe: `generation` stamps
     // only ever match groups built within one batch, and `batch` is empty
     // at every pause boundary) ----
     eff: AsyncEffects<P::Msg>,
@@ -739,9 +685,7 @@ where
     pub fn new(procs: Vec<P>, adversary: A, cfg: AsyncConfig) -> Result<Self, AsyncRunError> {
         let t = procs.len();
         adversary.validate(t).map_err(|reason| AsyncRunError::InvalidAdversary { reason })?;
-        let max_delay = cfg.max_delay.max(1);
-        let rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut queue = EventQueue::with_horizon(max_delay);
+        let mut queue = EventQueue::with_horizon(cfg.max_delay.max(1));
         for pid in 0..t {
             queue.push(Time::ZERO, Ev::Start(Pid::new(pid)));
         }
@@ -753,17 +697,11 @@ where
                 queue.push(time, Ev::Inject(pid));
             }
         }
-        let filters = adversary.filters_deliveries();
-        let record = cfg.record_trace;
-        let metrics = Metrics::new(cfg.n);
-        Ok(AsyncEngine {
-            procs,
-            adversary,
-            cfg,
-            rng,
+        Ok(Self::resume(AsyncEngineSnapshot {
+            rng: SmallRng::seed_from_u64(cfg.seed),
             queue,
             arena: OpArena::new(),
-            metrics,
+            metrics: Metrics::new(cfg.n),
             trace: Trace::new(),
             terminated: vec![false; t],
             crashed: vec![false; t],
@@ -782,38 +720,31 @@ where
                 ..MemBudget::default()
             },
             executed: 0,
-            max_delay,
-            filters,
-            record,
-            eff: AsyncEffects::default(),
-            batch: Vec::new(),
-            inbox_ids: Vec::new(),
-            stamp: vec![0; t],
-            slot: vec![0; t],
-            groups: Vec::new(),
-            generation: 0,
-        })
+            procs,
+            adversary,
+            cfg,
+        }))
     }
 
     /// The timestamp of the most recently processed batch.
     pub fn time(&self) -> Time {
-        self.now
+        self.st.now
     }
 
     /// Whether the execution has completed (every process retired with no
     /// revival pending).
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.st.finished
     }
 
     /// The metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.st.metrics
     }
 
     /// The per-process protocol states (e.g. for mid-run inspection).
     pub fn processes(&self) -> &[P] {
-        &self.procs
+        &self.st.procs
     }
 
     /// Processes event batches until the execution completes, an error
@@ -833,22 +764,22 @@ where
     /// eventually acts); [`AsyncRunError::Livelock`] if the
     /// [`AsyncConfig::stall_window`] watchdog trips.
     pub fn run_until(&mut self, stop: Option<Time>) -> Result<bool, AsyncRunError> {
-        while !self.finished {
+        while !self.st.finished {
             debug_assert!(self.batch.is_empty(), "batch buffer must drain between timestamps");
-            let Some(now) = self.queue.drain_next(&mut self.batch) else {
+            let Some(now) = self.st.queue.drain_next(&mut self.batch) else {
                 break;
             };
-            self.now = now;
-            self.executed += 1;
-            let work0 = self.metrics.work_total;
-            let crashes0 = self.metrics.crashes;
-            let terminations0 = self.metrics.terminations;
-            let recoveries0 = self.metrics.recoveries;
+            self.st.now = now;
+            self.st.executed += 1;
+            let work0 = self.st.metrics.work_total;
+            let crashes0 = self.st.metrics.crashes;
+            let terminations0 = self.st.metrics.terminations;
+            let recoveries0 = self.st.metrics.recoveries;
             let result = self.process_batch(now);
             self.batch.clear();
             self.observe_mem();
             let delivered = result?;
-            if self.finished {
+            if self.st.finished {
                 return Ok(true);
             }
             // Watchdog: progress is a delivered message batch or movement
@@ -857,14 +788,14 @@ where
             // executed rounds). Revivals always count — recoveries moves —
             // so an arbitrarily long crash downtime cannot false-trip.
             let progress = delivered
-                || self.metrics.work_total != work0
-                || self.metrics.crashes != crashes0
-                || self.metrics.terminations != terminations0
-                || self.metrics.recoveries != recoveries0;
+                || self.st.metrics.work_total != work0
+                || self.st.metrics.crashes != crashes0
+                || self.st.metrics.terminations != terminations0
+                || self.st.metrics.recoveries != recoveries0;
             if progress {
-                self.last_progress = now;
-            } else if let Some(window) = self.cfg.stall_window {
-                if now.saturating_sub(self.last_progress) > u128::from(window) {
+                self.st.last_progress = now;
+            } else if let Some(window) = self.st.cfg.stall_window {
+                if now.saturating_sub(self.st.last_progress) > u128::from(window) {
                     return Err(AsyncRunError::Livelock {
                         window,
                         diagnosis: Box::new(self.diagnosis()),
@@ -875,13 +806,13 @@ where
                 return Ok(false);
             }
         }
-        if self.finished {
+        if self.st.finished {
             return Ok(true);
         }
-        let t = self.procs.len();
-        let alive_pids = (0..t).filter(|&i| self.alive[i]).map(Pid::new).collect::<Vec<_>>();
+        let t = self.st.procs.len();
+        let alive_pids = (0..t).filter(|&i| self.st.alive[i]).map(Pid::new).collect::<Vec<_>>();
         if alive_pids.is_empty() {
-            self.finished = true;
+            self.st.finished = true;
             Ok(true)
         } else {
             Err(AsyncRunError::Stalled { alive: alive_pids })
@@ -896,65 +827,20 @@ where
         A: Clone,
     {
         debug_assert!(self.batch.is_empty(), "snapshots are taken at batch boundaries");
-        AsyncEngineSnapshot {
-            procs: self.procs.clone(),
-            adversary: self.adversary.clone(),
-            cfg: self.cfg.clone(),
-            rng: self.rng.clone(),
-            queue: self.queue.clone(),
-            arena: self.arena.clone(),
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
-            terminated: self.terminated.clone(),
-            crashed: self.crashed.clone(),
-            alive: self.alive.clone(),
-            live: self.live,
-            reviving: self.reviving.clone(),
-            pending_revivals: self.pending_revivals,
-            invocations: self.invocations.clone(),
-            notes: self.notes.clone(),
-            handled: self.handled,
-            now: self.now,
-            last_progress: self.last_progress,
-            finished: self.finished,
-            mem: self.mem,
-            executed: self.executed,
-        }
+        self.st.clone()
     }
 
     /// Reconstructs an engine from a snapshot; the continuation is
-    /// bit-identical to the run the snapshot was taken from.
+    /// bit-identical to the run the snapshot was taken from. The snapshot
+    /// moves in whole as the engine's state; this is the only place the
+    /// derived values and scratch buffers are built.
     pub fn resume(snapshot: AsyncEngineSnapshot<P, A>) -> Self {
         let t = snapshot.procs.len();
-        let max_delay = snapshot.cfg.max_delay.max(1);
-        let filters = snapshot.adversary.filters_deliveries();
-        let record = snapshot.cfg.record_trace;
         AsyncEngine {
-            procs: snapshot.procs,
-            adversary: snapshot.adversary,
-            cfg: snapshot.cfg,
-            rng: snapshot.rng,
-            queue: snapshot.queue,
-            arena: snapshot.arena,
-            metrics: snapshot.metrics,
-            trace: snapshot.trace,
-            terminated: snapshot.terminated,
-            crashed: snapshot.crashed,
-            alive: snapshot.alive,
-            live: snapshot.live,
-            reviving: snapshot.reviving,
-            pending_revivals: snapshot.pending_revivals,
-            invocations: snapshot.invocations,
-            notes: snapshot.notes,
-            handled: snapshot.handled,
-            now: snapshot.now,
-            last_progress: snapshot.last_progress,
-            finished: snapshot.finished,
-            mem: snapshot.mem,
-            executed: snapshot.executed,
-            max_delay,
-            filters,
-            record,
+            max_delay: snapshot.cfg.max_delay.max(1),
+            filters: snapshot.adversary.filters_deliveries(),
+            record: snapshot.cfg.record_trace,
+            st: snapshot,
             eff: AsyncEffects::default(),
             batch: Vec::new(),
             inbox_ids: Vec::new(),
@@ -970,14 +856,15 @@ where
     /// returned `Ok(true)`).
     pub fn into_report(mut self) -> AsyncReport {
         self.observe_mem();
+        let st = self.st;
         AsyncReport {
-            metrics: self.metrics,
-            terminated: self.terminated,
-            crashed: self.crashed,
-            notes: self.notes,
-            trace: self.trace,
-            mem: self.mem,
-            executed: self.executed,
+            metrics: st.metrics,
+            terminated: st.terminated,
+            crashed: st.crashed,
+            notes: st.notes,
+            trace: st.trace,
+            mem: st.mem,
+            executed: st.executed,
         }
     }
 
@@ -986,40 +873,40 @@ where
     /// per-process columns, `flight` the op arena + event queue + batch
     /// scratch, `ledger` the work table, notes, and trace.
     fn observe_mem(&mut self) {
-        self.mem.soa_bytes = (self.terminated.capacity()
-            + self.crashed.capacity()
-            + self.alive.capacity()
-            + self.reviving.capacity()
-            + self.invocations.capacity() * 8
+        self.st.mem.soa_bytes = (self.st.terminated.capacity()
+            + self.st.crashed.capacity()
+            + self.st.alive.capacity()
+            + self.st.reviving.capacity()
+            + self.st.invocations.capacity() * 8
             + self.stamp.capacity() * 8
             + self.slot.capacity() * 4) as u64;
-        let flight = (self.arena.slots.capacity() * std::mem::size_of::<FlightOp<P::Msg>>()
-            + self.arena.refs.capacity() * 4
-            + self.arena.free.capacity() * 4
+        let flight = (self.st.arena.slots.capacity() * std::mem::size_of::<FlightOp<P::Msg>>()
+            + self.st.arena.refs.capacity() * 4
+            + self.st.arena.free.capacity() * 4
             + self.batch.capacity() * std::mem::size_of::<Ev>()
             + self.inbox_ids.capacity() * 4
             + self.groups.iter().map(|g| g.capacity() * 8).sum::<usize>())
             as u64
-            + self.queue.bytes();
-        self.mem.flight_bytes = self.mem.flight_bytes.max(flight);
-        let ledger = (self.metrics.work_by_unit.capacity() * 4
-            + self.notes.capacity() * std::mem::size_of::<(Time, Pid, &'static str)>())
+            + self.st.queue.bytes();
+        self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
+        let ledger = (self.st.metrics.work_by_unit.capacity() * 4
+            + self.st.notes.capacity() * std::mem::size_of::<(Time, Pid, &'static str)>())
             as u64
-            + std::mem::size_of_val(self.trace.events()) as u64;
-        self.mem.ledger_bytes = self.mem.ledger_bytes.max(ledger);
+            + std::mem::size_of_val(self.st.trace.events()) as u64;
+        self.st.mem.ledger_bytes = self.st.mem.ledger_bytes.max(ledger);
     }
 
     fn diagnosis(&self) -> AsyncStallDiagnosis {
         let stalled: Vec<Pid> =
-            (0..self.procs.len()).filter(|&i| self.alive[i]).map(Pid::new).collect();
-        let invocations = stalled.iter().map(|&p| (p, self.invocations[p.index()])).collect();
+            (0..self.st.procs.len()).filter(|&i| self.st.alive[i]).map(Pid::new).collect();
+        let invocations = stalled.iter().map(|&p| (p, self.st.invocations[p.index()])).collect();
         AsyncStallDiagnosis {
-            time: self.now,
-            last_progress: self.last_progress,
+            time: self.st.now,
+            last_progress: self.st.last_progress,
             stalled,
             invocations,
-            pending_events: self.queue.len(),
-            pending_revivals: self.pending_revivals,
+            pending_events: self.st.queue.len(),
+            pending_revivals: self.st.pending_revivals,
         }
     }
 
@@ -1029,7 +916,7 @@ where
     /// completion, leaving any remaining batch events undispatched (they
     /// are start-of-idle noise: every process has retired).
     fn process_batch(&mut self, now: Time) -> Result<bool, AsyncRunError> {
-        let t = self.procs.len();
+        let t = self.st.procs.len();
         self.generation += 1;
         let generation = self.generation;
         let mut groups_used = 0usize;
@@ -1055,25 +942,25 @@ where
             let pid = match ev {
                 Ev::Consumed => continue,
                 Ev::Start(pid) => {
-                    if !self.alive[pid.index()] {
+                    if !self.st.alive[pid.index()] {
                         continue;
                     }
                     self.eff.reset();
-                    self.procs[pid.index()].on_start(&mut self.eff);
+                    self.st.procs[pid.index()].on_start(&mut self.eff);
                     pid
                 }
                 Ev::Tick(pid) => {
-                    if !self.alive[pid.index()] {
+                    if !self.st.alive[pid.index()] {
                         continue;
                     }
                     self.eff.reset();
-                    self.procs[pid.index()].on_tick(&mut self.eff);
+                    self.st.procs[pid.index()].on_tick(&mut self.eff);
                     pid
                 }
                 Ev::Inject(pid) => {
                     // Handler-free invocation: nothing runs, but the
                     // adversary gets its interception point below.
-                    if !self.alive[pid.index()] {
+                    if !self.st.alive[pid.index()] {
                         continue;
                     }
                     self.eff.reset();
@@ -1081,20 +968,20 @@ where
                 }
                 Ev::Revive { pid, wipe } => {
                     let idx = pid.index();
-                    if self.alive[idx] || !self.reviving[idx] {
+                    if self.st.alive[idx] || !self.st.reviving[idx] {
                         continue;
                     }
-                    self.reviving[idx] = false;
-                    self.pending_revivals -= 1;
-                    self.crashed[idx] = false;
-                    self.alive[idx] = true;
-                    self.live += 1;
-                    self.metrics.recoveries += 1;
+                    self.st.reviving[idx] = false;
+                    self.st.pending_revivals -= 1;
+                    self.st.crashed[idx] = false;
+                    self.st.alive[idx] = true;
+                    self.st.live += 1;
+                    self.st.metrics.recoveries += 1;
                     if self.record {
-                        self.trace.push(Event::Recover { round: now, pid });
+                        self.st.trace.push(Event::Recover { round: now, pid });
                     }
                     self.eff.reset();
-                    self.procs[idx].on_recover(wipe, &mut self.eff);
+                    self.st.procs[idx].on_recover(wipe, &mut self.eff);
                     // Detector re-registration: replay every past
                     // retirement to the recovered process, which may have
                     // missed reports during its downtime (or wiped the
@@ -1103,9 +990,9 @@ where
                     // idempotent; soundness is untouched because only
                     // permanently retired processes are replayed.
                     for obs in 0..t {
-                        if obs != idx && !self.alive[obs] && !self.reviving[obs] {
-                            let delay = self.cfg.delay.sample(&mut self.rng, self.max_delay);
-                            self.queue.push(
+                        if obs != idx && !self.st.alive[obs] && !self.st.reviving[obs] {
+                            let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
+                            self.st.queue.push(
                                 now + delay,
                                 Ev::Notice { observer: pid, retired: Pid::new(obs) },
                             );
@@ -1114,24 +1001,24 @@ where
                     pid
                 }
                 Ev::Notice { observer, retired } => {
-                    if !self.alive[observer.index()] {
+                    if !self.st.alive[observer.index()] {
                         continue;
                     }
                     if self.record {
-                        self.trace.push(Event::Notice { round: now, observer, retired });
+                        self.st.trace.push(Event::Notice { round: now, observer, retired });
                     }
                     self.eff.reset();
-                    self.procs[observer.index()].on_retirement(retired, &mut self.eff);
+                    self.st.procs[observer.index()].on_retirement(retired, &mut self.eff);
                     observer
                 }
                 Ev::Deliver { op, to } => {
-                    if !self.alive[to.index()] {
+                    if !self.st.alive[to.index()] {
                         // Individually dead-lettered: a recipient that died
                         // mid-batch (or before all-retired early return)
                         // never gets its group dispatched, matching the
                         // reference scheduler event for event.
-                        self.metrics.dead_letters += 1;
-                        self.arena.release(op);
+                        self.st.metrics.dead_letters += 1;
+                        self.st.arena.release(op);
                         continue;
                     }
                     // This is the recipient's first delivery of the
@@ -1150,21 +1037,21 @@ where
                         // recipient), at delivery time — the shared fault
                         // contract on [`Adversary`](crate::Adversary).
                         if self.filters
-                            && self.adversary.omits_delivery(
+                            && self.st.adversary.omits_delivery(
                                 now,
-                                self.arena.ops()[op2 as usize].from,
+                                self.st.arena.ops()[op2 as usize].from,
                                 to,
                             )
                         {
-                            self.metrics.omissions += 1;
+                            self.st.metrics.omissions += 1;
                             if self.record {
-                                self.trace.push(Event::Note {
+                                self.st.trace.push(Event::Note {
                                     round: now,
                                     pid: to,
                                     tag: "fault:omit",
                                 });
                             }
-                            self.arena.release(op2);
+                            self.st.arena.release(op2);
                             continue;
                         }
                         self.inbox_ids.push(op2);
@@ -1174,35 +1061,36 @@ where
                         continue;
                     }
                     self.eff.reset();
-                    let inbox = Inbox::csr(&self.inbox_ids, self.arena.ops());
-                    self.procs[to.index()].on_messages(inbox, &mut self.eff);
+                    let inbox = Inbox::csr(&self.inbox_ids, self.st.arena.ops());
+                    self.st.procs[to.index()].on_messages(inbox, &mut self.eff);
                     for &id in &self.inbox_ids {
-                        self.arena.release(id);
+                        self.st.arena.release(id);
                     }
                     delivered = true;
                     to
                 }
             };
 
-            self.handled += 1;
-            if self.handled > self.cfg.max_events {
-                return Err(AsyncRunError::EventLimit { limit: self.cfg.max_events });
+            self.st.handled += 1;
+            if self.st.handled > self.st.cfg.max_events {
+                return Err(AsyncRunError::EventLimit { limit: self.st.cfg.max_events });
             }
             let idx = pid.index();
-            self.invocations[idx] += 1;
+            self.st.invocations[idx] += 1;
 
             let ctx = AdversaryCtx {
                 t,
-                alive: AliveView::Slice(&self.alive),
-                live: self.live,
-                crashes: self.metrics.crashes,
+                alive: AliveView::Slice(&self.st.alive),
+                live: self.st.live,
+                crashes: self.st.metrics.crashes,
             };
-            let fate = self.adversary.intercept(now, pid, self.invocations[idx], &self.eff, ctx);
+            let fate =
+                self.st.adversary.intercept(now, pid, self.st.invocations[idx], &self.eff, ctx);
 
             for tag in self.eff.notes.drain(..) {
-                self.notes.push((now, pid, tag));
+                self.st.notes.push((now, pid, tag));
                 if self.record {
-                    self.trace.push(Event::Note { round: now, pid, tag });
+                    self.st.trace.push(Event::Note { round: now, pid, tag });
                 }
             }
 
@@ -1220,9 +1108,9 @@ where
             };
             if count_work {
                 for &unit in &self.eff.work {
-                    self.metrics.record_work(unit);
+                    self.st.metrics.record_work(unit);
                     if self.record {
-                        self.trace.push(Event::Work { round: now, pid, unit });
+                        self.st.trace.push(Event::Work { round: now, pid, unit });
                     }
                 }
             }
@@ -1252,17 +1140,22 @@ where
                 }
                 if scheduled > 0 {
                     let class = op.payload.class();
-                    self.metrics.record_messages(class, scheduled as u64);
-                    let id = self.arena.insert(
+                    self.st.metrics.record_messages(class, scheduled as u64);
+                    let id = self.st.arena.insert(
                         FlightOp { from: pid, to: op.to, payload: op.payload },
                         scheduled as u32,
                     );
                     for (k, to) in op.to.iter().enumerate() {
                         if lets_through(k, to) {
-                            let delay = self.cfg.delay.sample(&mut self.rng, self.max_delay);
-                            self.queue.push(now + delay, Ev::Deliver { op: id, to });
+                            let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
+                            self.st.queue.push(now + delay, Ev::Deliver { op: id, to });
                             if self.record {
-                                self.trace.push(Event::Send { round: now, from: pid, to, class });
+                                self.st.trace.push(Event::Send {
+                                    round: now,
+                                    from: pid,
+                                    to,
+                                    class,
+                                });
                             }
                         }
                     }
@@ -1271,29 +1164,29 @@ where
             }
 
             if omitted_now > 0 {
-                self.metrics.omissions += omitted_now;
+                self.st.metrics.omissions += omitted_now;
                 if self.record {
-                    self.trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
+                    self.st.trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
                 }
             }
 
             let crashed_now = matches!(fate, Fate::Crash(_) | Fate::CrashRecover { .. });
             if self.eff.tick && !crashed_now && !self.eff.terminated {
-                self.queue.push(now + 1u64, Ev::Tick(pid));
+                self.st.queue.push(now + 1u64, Ev::Tick(pid));
             }
 
             let retired_now = if crashed_now {
-                self.crashed[idx] = true;
-                self.metrics.crashes += 1;
+                self.st.crashed[idx] = true;
+                self.st.metrics.crashes += 1;
                 if self.record {
-                    self.trace.push(Event::Crash { round: now, pid });
+                    self.st.trace.push(Event::Crash { round: now, pid });
                 }
                 true
             } else if self.eff.terminated {
-                self.terminated[idx] = true;
-                self.metrics.terminations += 1;
+                self.st.terminated[idx] = true;
+                self.st.metrics.terminations += 1;
                 if self.record {
-                    self.trace.push(Event::Terminate { round: now, pid });
+                    self.st.trace.push(Event::Terminate { round: now, pid });
                 }
                 true
             } else {
@@ -1301,22 +1194,22 @@ where
             };
 
             if retired_now {
-                self.alive[idx] = false;
-                self.live -= 1;
+                self.st.alive[idx] = false;
+                self.st.live -= 1;
                 if let Some((downtime, wipe)) = recover_plan {
                     // Recoverable crash: schedule the restart; crucially,
                     // NO detector notices — the detector stays sound by
                     // never accusing a process that will act again.
-                    self.reviving[idx] = true;
-                    self.pending_revivals += 1;
-                    self.queue.push(now + downtime, Ev::Revive { pid, wipe });
+                    self.st.reviving[idx] = true;
+                    self.st.pending_revivals += 1;
+                    self.st.queue.push(now + downtime, Ev::Revive { pid, wipe });
                 } else {
                     // Retirement detector: eventually (and soundly) inform
                     // everyone still alive.
-                    for (obs, &obs_alive) in self.alive.iter().enumerate() {
+                    for (obs, &obs_alive) in self.st.alive.iter().enumerate() {
                         if obs != idx && obs_alive {
-                            let delay = self.cfg.delay.sample(&mut self.rng, self.max_delay);
-                            self.queue.push(
+                            let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
+                            self.st.queue.push(
                                 now + delay,
                                 Ev::Notice { observer: Pid::new(obs), retired: pid },
                             );
@@ -1325,9 +1218,9 @@ where
                 }
             }
 
-            self.metrics.rounds = now;
-            if self.live == 0 && self.pending_revivals == 0 {
-                self.finished = true;
+            self.st.metrics.rounds = now;
+            if self.st.live == 0 && self.st.pending_revivals == 0 {
+                self.st.finished = true;
                 return Ok(delivered);
             }
         }
@@ -1418,10 +1311,12 @@ mod tests {
     #[test]
     fn async_crash_suppresses_sends_and_work() {
         let procs = vec![Player { me: 0 }, Player { me: 1 }];
-        let crash =
-            AsyncCrash { pid: Pid::new(0), on_invocation: 1, deliver_prefix: 0, count_work: false };
-        let err =
-            run_async(procs, vec![crash], AsyncConfig { n: 2, ..Default::default() }).unwrap_err();
+        let crash = AsyncCrashSchedule::new().crash_at(
+            Pid::new(0),
+            1,
+            CrashSpec { deliver: crate::Deliver::Prefix(0), count_work: false },
+        );
+        let err = run_async(procs, crash, AsyncConfig { n: 2, ..Default::default() }).unwrap_err();
         // p1 never hears anything except the retirement notice, which in
         // this toy protocol does not terminate it -> the run stalls.
         match err {

@@ -5,22 +5,19 @@
 //! broadcast schedules `k` copies of a 16-byte event rather than `k`
 //! payload clones.
 //!
-//! Two implementations sit behind one API:
+//! There is one implementation, for every delay: a **delay-bucketed
+//! calendar queue**. Events scheduled less than a ring's width ahead of the
+//! drain cursor — all message traffic whenever `max_delay` fits the ring —
+//! land in a ring of buckets holding at most one timestamp each, so
+//! push/drain are O(1) amortized with no comparisons at all. Anything
+//! further ahead (fault injections, crash-recovery revivals, and the far
+//! tail of message delays wider than the ring) waits in a side heap keyed
+//! by `(time, seq)` and spills into the ring once the cursor comes within
+//! the ring's width of it, preserving global schedule order.
 //!
-//! * a **delay-bucketed calendar queue** — every *message* event is
-//!   scheduled at most `max_delay` ahead of the drain cursor, so a ring of
-//!   `max_delay + 1` buckets holds at most one timestamp per bucket and
-//!   push/drain are O(1) amortized with no comparisons at all. Fault
-//!   events (adversary injections, crash-recovery revivals) may land
-//!   arbitrarily far ahead; they wait in a small side heap and spill into
-//!   the ring once the cursor comes within a horizon of them, preserving
-//!   global schedule order;
-//! * a **binary-heap fallback** for large delay horizons, keyed by
-//!   `(time, seq)` like the pre-PR-4 engine.
-//!
-//! Both produce identical orderings: all events of the earliest pending
-//! timestamp, in global schedule (`seq`) order — which is exactly what the
-//! engine's per-timestamp batching consumes.
+//! Drains yield all events of the earliest pending timestamp, in global
+//! schedule (`seq`) order — which is exactly what the engine's
+//! per-timestamp batching consumes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,10 +25,11 @@ use std::collections::BinaryHeap;
 use super::Time;
 use crate::ids::Pid;
 
-/// Delay horizon up to which the calendar representation is used. Above
-/// it, ring memory (one bucket per time slot) stops being worth it and the
-/// heap takes over.
-const CALENDAR_HORIZON: u64 = 64;
+/// Most ring slots past the cursor's own. The ring is sized from
+/// `max_delay` but never beyond this: `max_delay` is a plain public input
+/// (`u64::MAX` is valid), and a delay wider than the ring only routes its
+/// far traffic through the overflow heap.
+const RING_CAP: u64 = 4096;
 
 /// One scheduled occurrence. No payload lives here — deliveries carry an
 /// op-arena id.
@@ -74,7 +72,7 @@ pub(crate) enum Ev {
     Consumed,
 }
 
-/// Heap entry ordered by `(time, seq)`; the event itself does not
+/// Overflow-heap entry ordered by `(time, seq)`; the event itself does not
 /// participate in the ordering.
 #[derive(Clone)]
 struct Entry {
@@ -100,102 +98,106 @@ impl Ord for Entry {
     }
 }
 
-#[derive(Clone)]
-enum Imp {
-    /// `buckets[time % buckets.len()]` holds the events of exactly one
-    /// timestamp at a time: in-horizon pushes land at most `max_delay`
-    /// past the drain cursor and the cursor's own bucket is drained before
-    /// it advances, so slots are never shared. Push order within a bucket
-    /// *is* global schedule order — the `(time, seq)` order the heap would
-    /// produce — because `seq` only ever increases. All ring arithmetic
-    /// happens on the wide clock (`time` and `cursor` are 128-bit
-    /// [`Time`]s reduced mod the ring size), and the cursor advance is
-    /// bounded by the ring: every ring event lies within `max_delay` of
-    /// the cursor, so no sparse stretch wider than the horizon can exist
-    /// here.
-    ///
-    /// Beyond-horizon pushes (fault injections, revivals) wait in
-    /// `overflow`, ordered by `(time, seq)`. Every drain spills the due
-    /// part of the overflow into the ring *before* selecting the next
-    /// timestamp; since the engine only pushes new events after a drain,
-    /// an overflow entry always reaches its bucket ahead of any
-    /// younger-`seq` event of the same timestamp, so bucket order stays
-    /// global schedule order. When the ring is empty the cursor jumps
-    /// straight to the earliest overflow time.
-    Calendar {
-        buckets: Vec<Vec<Ev>>,
-        cursor: Time,
-        ring_len: usize,
-        overflow: BinaryHeap<Reverse<Entry>>,
-    },
-    Heap(BinaryHeap<Reverse<Entry>>),
-}
-
 /// Timestamp-ordered queue over [`Ev`]s; see the module docs. `Clone`
 /// captures the full schedule — including `seq`, so a cloned queue
 /// reproduces the original's tie-breaking order exactly (the property the
 /// engine's snapshot/resume differential relies on).
 #[derive(Clone)]
 pub(crate) struct EventQueue {
-    imp: Imp,
+    /// `buckets[time % buckets.len()]` holds the events of exactly one
+    /// timestamp at a time: ring pushes land less than `buckets.len()`
+    /// past the drain cursor and the cursor's own bucket is drained before
+    /// it advances, so slots are never shared. Push order within a bucket
+    /// *is* global schedule order — ascending `seq` — because `seq` only
+    /// ever increases. All ring arithmetic happens on the wide clock
+    /// (`time` and `cursor` are 128-bit [`Time`]s reduced mod the ring
+    /// size), and the cursor advance is bounded by the ring: every ring
+    /// event lies within a ring's width of the cursor, so no sparse
+    /// stretch wider than that can exist here.
+    buckets: Vec<Vec<Ev>>,
+    cursor: Time,
+    /// Events currently in the ring.
+    ring_len: usize,
+    /// Sum of the buckets' capacities, kept current by every push and
+    /// swap so [`bytes`](EventQueue::bytes) never scans the ring.
+    ring_cap: usize,
+    /// Pushes a ring's width or more past the cursor, ordered by `(time,
+    /// seq)`. Every drain spills the due part into the ring *before*
+    /// selecting the next timestamp; since the engine only pushes new
+    /// events after a drain, an overflow entry always reaches its bucket
+    /// ahead of any younger-`seq` event of the same timestamp, so bucket
+    /// order stays global schedule order. When the ring is empty the
+    /// cursor jumps straight to the earliest overflow time.
+    overflow: BinaryHeap<Reverse<Entry>>,
     len: usize,
     seq: u64,
 }
 
 impl EventQueue {
-    /// Creates a queue for events scheduled at most `max_delay` past the
-    /// most recently drained timestamp (plus the initial burst at time 0).
+    /// Creates a queue whose message traffic is scheduled at most
+    /// `max_delay` past the most recently drained timestamp (plus the
+    /// initial burst at time 0).
     pub(crate) fn with_horizon(max_delay: u64) -> Self {
-        let imp = if max_delay <= CALENDAR_HORIZON {
-            Imp::Calendar {
-                buckets: (0..=max_delay).map(|_| Vec::new()).collect(),
-                cursor: Time::ZERO,
-                ring_len: 0,
-                overflow: BinaryHeap::new(),
-            }
-        } else {
-            Imp::Heap(BinaryHeap::new())
-        };
-        EventQueue { imp, len: 0, seq: 0 }
+        let slots = max_delay.min(RING_CAP) as usize + 1;
+        EventQueue {
+            buckets: (0..slots).map(|_| Vec::new()).collect(),
+            cursor: Time::ZERO,
+            ring_len: 0,
+            ring_cap: 0,
+            overflow: BinaryHeap::new(),
+            len: 0,
+            seq: 0,
+        }
     }
 
-    /// Number of events pending (all representations).
+    /// Number of events pending (ring and overflow).
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Bytes held by the queue's buffers (ring buckets, overflow / heap
-    /// entries), for the engine's memory probe. Capacities, not lengths:
-    /// the probe tracks high-water footprint.
+    /// Bytes held by the queue's buffers (bucket headers, bucket contents,
+    /// overflow entries), for the engine's memory probe. Capacities, not
+    /// lengths: the probe tracks high-water footprint.
     pub(crate) fn bytes(&self) -> u64 {
-        let ev = std::mem::size_of::<Ev>();
-        let entry = std::mem::size_of::<Reverse<Entry>>();
-        (match &self.imp {
-            Imp::Calendar { buckets, overflow, .. } => {
-                buckets.iter().map(|b| b.capacity() * ev).sum::<usize>()
-                    + overflow.capacity() * entry
-            }
-            Imp::Heap(heap) => heap.capacity() * entry,
-        }) as u64
+        (self.buckets.len() * std::mem::size_of::<Vec<Ev>>()
+            + self.ring_cap * std::mem::size_of::<Ev>()
+            + self.overflow.capacity() * std::mem::size_of::<Reverse<Entry>>()) as u64
+    }
+
+    /// Appends `ev` to the bucket of `time`, which must lie within the
+    /// ring's width of the cursor.
+    fn ring_push(&mut self, time: Time, ev: Ev) {
+        let m = self.buckets.len() as u128;
+        let bucket = &mut self.buckets[(time.get() % m) as usize];
+        let before = bucket.capacity();
+        bucket.push(ev);
+        self.ring_cap += bucket.capacity() - before;
+        self.ring_len += 1;
+    }
+
+    /// Moves every overflow entry now within the ring's width of the
+    /// cursor into its bucket, in `(time, seq)` order.
+    fn spill(&mut self) {
+        let m = self.buckets.len() as u128;
+        while self.overflow.peek().is_some_and(|Reverse(e)| e.time - self.cursor < m) {
+            let Reverse(e) = self.overflow.pop().expect("peeked");
+            self.ring_push(e.time, e.ev);
+        }
     }
 
     /// Schedules `ev` at `time` (never earlier than the drain cursor).
-    /// Message traffic always lands within `now + 1 ..= now + max_delay`
-    /// and goes straight to a calendar bucket; fault events may aim
-    /// arbitrarily far ahead and wait in the overflow heap until due.
+    /// Pushes less than a ring's width ahead go straight to a calendar
+    /// bucket; anything further waits in the overflow heap until due.
     pub(crate) fn push(&mut self, time: Time, ev: Ev) {
-        match &mut self.imp {
-            Imp::Calendar { buckets, cursor, ring_len, overflow } => {
-                let m = buckets.len() as u128;
-                debug_assert!(time >= *cursor, "push into the past: time {time}, cursor {cursor}");
-                if time - *cursor < m {
-                    buckets[(time.get() % m) as usize].push(ev);
-                    *ring_len += 1;
-                } else {
-                    overflow.push(Reverse(Entry { time, seq: self.seq, ev }));
-                }
-            }
-            Imp::Heap(heap) => heap.push(Reverse(Entry { time, seq: self.seq, ev })),
+        debug_assert!(
+            time >= self.cursor,
+            "push into the past: time {time}, cursor {}",
+            self.cursor
+        );
+        if time - self.cursor < self.buckets.len() as u128 {
+            self.ring_push(time, ev);
+        } else {
+            self.overflow.push(Reverse(Entry { time, seq: self.seq, ev }));
         }
         self.seq += 1;
         self.len += 1;
@@ -209,57 +211,36 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        let now = match &mut self.imp {
-            Imp::Calendar { buckets, cursor, ring_len, overflow } => {
-                let m = buckets.len() as u128;
-                if *ring_len == 0 {
-                    if let Some(Reverse(e)) = overflow.peek() {
-                        // Ring exhausted: jump straight to the earliest
-                        // overflow time (an arbitrarily long idle stretch).
-                        *cursor = e.time;
-                    }
-                }
-                // Spill the due part of the overflow before selecting the
-                // next timestamp: these entries may be earlier than every
-                // ring event, and their seq predates any bucket content of
-                // the same time (an in-horizon push of that time would
-                // have followed a drain that spilled them first).
-                while overflow.peek().is_some_and(|Reverse(e)| e.time - *cursor < m) {
-                    let Reverse(e) = overflow.pop().expect("peeked");
-                    buckets[(e.time.get() % m) as usize].push(e.ev);
-                    *ring_len += 1;
-                }
-                while buckets[(cursor.get() % m) as usize].is_empty() {
-                    *cursor += 1;
-                }
-                // The walk advanced the horizon: spill again so every
-                // entry now within it reaches its bucket before the engine
-                // pushes younger events at the same timestamps. All such
-                // entries lie strictly past the drained time, so the
-                // current batch is unaffected.
-                while overflow.peek().is_some_and(|Reverse(e)| e.time - *cursor < m) {
-                    let Reverse(e) = overflow.pop().expect("peeked");
-                    buckets[(e.time.get() % m) as usize].push(e.ev);
-                    *ring_len += 1;
-                }
-                // Swap the bucket out wholesale: `out` gets the events,
-                // the bucket inherits `out`'s (cleared) capacity.
-                std::mem::swap(&mut buckets[(cursor.get() % m) as usize], out);
-                *ring_len -= out.len();
-                *cursor
-            }
-            Imp::Heap(heap) => {
-                let Reverse(first) = heap.pop().expect("len > 0");
-                let now = first.time;
-                out.push(first.ev);
-                while heap.peek().is_some_and(|Reverse(e)| e.time == now) {
-                    out.push(heap.pop().expect("peeked").0.ev);
-                }
-                now
-            }
-        };
+        if self.ring_len == 0 {
+            // Ring exhausted: jump straight to the earliest overflow time
+            // (an arbitrarily long idle stretch) and spill what is due
+            // there. With events in the ring there is nothing to spill
+            // yet: the previous drain's post-walk spill left every
+            // overflow entry a ring's width or more past the cursor, and
+            // pushes since then only added entries at least that far out.
+            let Reverse(e) = self.overflow.peek().expect("len > 0 with an empty ring");
+            self.cursor = e.time;
+            self.spill();
+        }
+        let slots = self.buckets.len();
+        let mut slot = (self.cursor.get() % slots as u128) as usize;
+        while self.buckets[slot].is_empty() {
+            self.cursor += 1;
+            slot = if slot + 1 == slots { 0 } else { slot + 1 };
+        }
+        // The walk advanced the horizon: spill so every entry now within
+        // it reaches its bucket before the engine pushes younger events at
+        // the same timestamps. All such entries lie strictly past the
+        // drained time, so the current batch is unaffected.
+        self.spill();
+        // Swap the bucket out wholesale: `out` gets the events, the bucket
+        // inherits `out`'s (cleared) capacity.
+        let bucket = &mut self.buckets[slot];
+        self.ring_cap = self.ring_cap - bucket.capacity() + out.capacity();
+        std::mem::swap(bucket, out);
+        self.ring_len -= out.len();
         self.len -= out.len();
-        Some(now)
+        Some(self.cursor)
     }
 }
 
@@ -277,33 +258,37 @@ mod tests {
         }
     }
 
-    /// Pushes the same schedule through both representations and checks
-    /// identical (time, order) drains.
+    /// Pushes `schedule` as `(time, pid)` ticks up front and drains the
+    /// queue dry, returning every event as `(time, pid)` in drain order.
+    fn drain_all(mut q: EventQueue, schedule: &[(u64, usize)]) -> Vec<(Time, usize)> {
+        for &(t, p) in schedule {
+            q.push(Time::from(t), Ev::Tick(Pid::new(p)));
+        }
+        let mut seen = Vec::new();
+        let mut batch = Vec::new();
+        while let Some(t) = q.drain_next(&mut batch) {
+            seen.extend(batch.drain(..).map(|ev| (t, pid_of(ev))));
+        }
+        seen
+    }
+
+    /// The order any correct queue must produce: the pushes sorted by
+    /// `(time, seq)` — a stable sort by time, since `seq` is push order.
+    fn oracle(schedule: &[(u64, usize)]) -> Vec<(Time, usize)> {
+        let mut sorted: Vec<_> = schedule.iter().map(|&(t, p)| (Time::from(t), p)).collect();
+        sorted.sort_by_key(|&(t, _)| t);
+        sorted
+    }
+
+    /// An in-ring schedule drains in `(time, seq)` order.
     #[test]
     fn calendar_and_heap_agree_on_order() {
         let schedule: &[(u64, usize)] = &[(3, 0), (1, 1), (3, 2), (2, 3), (1, 4), (5, 5), (3, 6)];
-        let drain_all = |mut q: EventQueue| {
-            for &(t, p) in schedule {
-                q.push(Time::from(t), Ev::Tick(Pid::new(p)));
-            }
-            let mut out = Vec::new();
-            let mut seen = Vec::new();
-            let mut batch = Vec::new();
-            while let Some(t) = q.drain_next(&mut batch) {
-                for ev in batch.drain(..) {
-                    seen.push((t, pid_of(ev)));
-                }
-                out.push(t);
-            }
-            (out, seen)
-        };
-        let cal = drain_all(EventQueue::with_horizon(8));
-        let heap = drain_all(EventQueue::with_horizon(CALENDAR_HORIZON + 1));
-        assert_eq!(cal, heap);
-        assert_eq!(cal.0, [1u64, 2, 3, 5].map(Time::from).to_vec());
+        let cal = drain_all(EventQueue::with_horizon(8), schedule);
+        assert_eq!(cal, oracle(schedule));
         // Within a timestamp, schedule order is preserved.
         assert_eq!(
-            cal.1,
+            cal,
             [(1u64, 1), (1, 4), (2, 3), (3, 0), (3, 2), (3, 6), (5, 5)]
                 .map(|(t, p)| (Time::from(t), p))
                 .to_vec()
@@ -389,33 +374,76 @@ mod tests {
         batch.clear();
     }
 
-    /// Calendar-with-overflow and heap agree on a schedule that straddles
-    /// the horizon.
+    /// A schedule that straddles the ring (times 70 and 130 wait in the
+    /// overflow heap) drains in `(time, seq)` order.
     #[test]
     fn calendar_overflow_and_heap_agree() {
         let schedule: &[(u64, usize)] =
             &[(0, 0), (7, 1), (3, 2), (70, 3), (7, 4), (1, 5), (130, 6)];
-        let drain_all = |mut q: EventQueue| {
-            for &(t, p) in schedule {
-                q.push(Time::from(t), Ev::Inject(Pid::new(p)));
-            }
-            let mut seen = Vec::new();
-            let mut batch = Vec::new();
-            while let Some(t) = q.drain_next(&mut batch) {
-                for ev in batch.drain(..) {
-                    seen.push((t, pid_of(ev)));
-                }
-            }
-            seen
-        };
-        let cal = drain_all(EventQueue::with_horizon(8));
-        let heap = drain_all(EventQueue::with_horizon(CALENDAR_HORIZON + 1));
-        assert_eq!(cal, heap);
+        let cal = drain_all(EventQueue::with_horizon(8), schedule);
+        assert_eq!(cal, oracle(schedule));
         assert_eq!(
             cal,
             [(0u64, 0), (1, 5), (3, 2), (7, 1), (7, 4), (70, 3), (130, 6)]
                 .map(|(t, p)| (Time::from(t), p))
                 .to_vec()
         );
+    }
+
+    /// Message traffic wider than the ring: 32 chains each reschedule
+    /// themselves up to `RING_CAP + 50` past the advancing cursor, so the
+    /// ring never empties while far draws ride the overflow heap and spill
+    /// back in among younger near pushes. The drain order must still be
+    /// `(time, seq)` over everything ever pushed, and the running capacity
+    /// total must match a scan of the ring.
+    #[test]
+    fn delays_wider_than_the_ring_drain_in_schedule_order() {
+        const PUSHES: usize = 4000;
+        let max_delay = RING_CAP + 50;
+        let mut q = EventQueue::with_horizon(max_delay);
+        assert_eq!(q.buckets.len() as u64, RING_CAP + 1, "the ring stays capped");
+        let mut pushed: Vec<(u64, usize)> = Vec::new();
+        let push = |q: &mut EventQueue, pushed: &mut Vec<(u64, usize)>, time: u64| {
+            q.push(Time::from(time), Ev::Tick(Pid::new(pushed.len())));
+            pushed.push((time, pushed.len()));
+        };
+        for _ in 0..32 {
+            push(&mut q, &mut pushed, 0);
+        }
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        let mut seen = Vec::new();
+        let mut batch = Vec::new();
+        let mut overflowed = 0usize;
+        while let Some(now) = q.drain_next(&mut batch) {
+            for ev in batch.drain(..) {
+                seen.push((now, pid_of(ev)));
+                if pushed.len() < PUSHES {
+                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    // Mostly near draws (a dense front of same-time
+                    // collisions), one in eight across the full width.
+                    let width = if (lcg >> 60) == 0 { max_delay } else { 3 };
+                    push(&mut q, &mut pushed, now.get() as u64 + 1 + (lcg >> 20) % width);
+                }
+            }
+            overflowed = overflowed.max(q.overflow.len());
+            assert_eq!(q.ring_cap, q.buckets.iter().map(Vec::capacity).sum::<usize>());
+        }
+        assert!(overflowed > 0, "some delay must have exceeded the ring");
+        assert_eq!(seen.len(), PUSHES);
+        assert_eq!(seen, oracle(&pushed));
+    }
+
+    /// The memory probe counts the bucket headers — 24 B a slot, the whole
+    /// footprint of an idle capped ring — plus contents by capacity.
+    #[test]
+    fn bytes_include_the_slot_headers() {
+        let header = std::mem::size_of::<Vec<Ev>>() as u64;
+        assert_eq!(EventQueue::with_horizon(4).bytes(), 5 * header);
+        assert_eq!(EventQueue::with_horizon(u64::MAX).bytes(), (RING_CAP + 1) * header);
+        let mut q = EventQueue::with_horizon(4);
+        q.push(Time::new(3), Ev::Tick(Pid::new(0)));
+        q.push(Time::new(500), Ev::Inject(Pid::new(1)));
+        let contents = std::mem::size_of::<Ev>() + std::mem::size_of::<Reverse<Entry>>();
+        assert!(q.bytes() >= 5 * header + contents as u64);
     }
 }

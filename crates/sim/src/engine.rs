@@ -715,12 +715,14 @@ where
     Ok(engine.into_report())
 }
 
-/// A checkpoint of a paused [`Engine`]: everything the run's future depends
-/// on — protocol states, the adversary (including any consumed-fault or RNG
-/// state), in-flight send ops, the live set, the wakeup cache, metrics,
-/// trace, and the 128-bit [`Round`] clock. Resuming via
-/// [`Engine::resume`] continues the run **bit-identically** to one that was
-/// never interrupted (see `tests/snapshot_differential.rs`).
+/// A checkpoint of a paused [`Engine`] — which is to say the engine's run
+/// state itself: everything the run's future depends on — protocol states,
+/// the adversary (including any consumed-fault or RNG state), in-flight
+/// send ops, the live set, the wakeup cache, metrics, trace, and the 128-bit
+/// [`Round`] clock. The engine holds one value of this type,
+/// [`Engine::snapshot`] clones it, and resuming via [`Engine::resume`]
+/// continues the run **bit-identically** to one that was never interrupted
+/// (see `tests/snapshot_differential.rs`).
 ///
 /// The snapshot owns its data (it is deep-cloned out of the engine), so it
 /// remains valid after the original engine advances or is dropped. All
@@ -728,23 +730,54 @@ where
 /// implementation in the workspace (see `vendor/README.md`) a snapshot can
 /// be persisted wholesale, provided `P`, `A`, and the message type also
 /// serialize.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct EngineSnapshot<P: Protocol, A> {
     procs: Vec<P>,
     adversary: A,
     cfg: RunConfig,
     round: Round,
+    // Struct-of-arrays per-process state: status + retirement round +
+    // cached wakeup, one byte and one slot per process (see [`ProcSet`]).
+    // The wakeup cache holds the earliest round each alive process may act
+    // spontaneously (absent = purely reactive, `Round::MAX` = a deadline
+    // saturated past the horizon, which fires *at* the horizon). A process
+    // is *stepped* only when it is due, has an inbox, or the adversary has
+    // an event scheduled this round — by the quiescence contract on
+    // [`Protocol`], the skipped invocations were provably no-ops. The
+    // cache is refreshed after every step (the only moments process state
+    // can change), so entries for untouched processes stay valid and the
+    // fast-forward jump reads the minimum straight off this table.
     pset: ProcSet,
+    // The compressed live set: bitset membership plus lazily rebuilt
+    // maximal runs. Replaces both the old `Vec<bool>` mirror and the
+    // compacting `order` list — the per-round due-scan walks the runs in
+    // pid order, so a mass extinction leaving a handful of survivors costs
+    // O(survivors) per round from the very next round, with no compaction
+    // heuristics.
     live: LiveSet,
     metrics: Metrics,
     trace: Trace,
+    // In-flight send ops awaiting delivery at `round`. Messages cross a
+    // round boundary, so a checkpoint without them would silently drop a
+    // whole round of traffic.
     pending: Vec<FlightOp<P::Msg>>,
+    // Crash-recovery bookkeeping, sparse: scheduled restart round (and
+    // whether state is wiped) per process crashed via
+    // [`Fate::CrashRecover`], keyed by pid. `next_revive` caches the
+    // minimum so the common (no recoveries pending) round costs one
+    // comparison; O(recovering) space instead of a t-length column.
     revive: BTreeMap<u32, (Round, bool)>,
     next_revive: Option<Round>,
+    // Watchdog state: last round with observable progress and the length
+    // of the current no-progress streak of executed rounds.
     last_progress: Round,
     stall_streak: u64,
     finished: bool,
+    // Peak-memory probe, observed once per executed round.
     mem: MemBudget,
+    // Rounds actually executed (one per `advance` call); the fast-forward
+    // jumps the 128-bit clock but not this counter. Part of the state, so
+    // a resumed run reports the same total as an uninterrupted one.
     #[serde(default)]
     executed_rounds: u64,
 }
@@ -761,34 +794,6 @@ where
     /// Metrics accumulated up to the snapshot point.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-}
-
-impl<P, A> Clone for EngineSnapshot<P, A>
-where
-    P: Protocol + Clone,
-    P::Msg: Clone,
-    A: Clone,
-{
-    fn clone(&self) -> Self {
-        EngineSnapshot {
-            procs: self.procs.clone(),
-            adversary: self.adversary.clone(),
-            cfg: self.cfg.clone(),
-            round: self.round,
-            pset: self.pset.clone(),
-            live: self.live.clone(),
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
-            pending: self.pending.clone(),
-            revive: self.revive.clone(),
-            next_revive: self.next_revive,
-            last_progress: self.last_progress,
-            stall_streak: self.stall_streak,
-            finished: self.finished,
-            mem: self.mem,
-            executed_rounds: self.executed_rounds,
-        }
     }
 }
 
@@ -814,61 +819,17 @@ where
 /// delivery, stepping with adversary interception, retirement bookkeeping,
 /// then a sparse fast-forward over provably idle rounds.
 pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
-    procs: Vec<P>,
-    adversary: A,
-    cfg: RunConfig,
-    // Struct-of-arrays per-process state: status + retirement round +
-    // cached wakeup, one byte and one slot per process (see [`ProcSet`]).
-    // The wakeup cache holds the earliest round each alive process may act
-    // spontaneously (absent = purely reactive, `Round::MAX` = a deadline
-    // saturated past the horizon, which fires *at* the horizon). A process
-    // is *stepped* only when it is due, has an inbox, or the adversary has
-    // an event scheduled this round — by the quiescence contract on
-    // [`Protocol`], the skipped invocations were provably no-ops. The
-    // cache is refreshed after every step (the only moments process state
-    // can change), so entries for untouched processes stay valid and the
-    // fast-forward jump reads the minimum straight off this table.
-    pset: ProcSet,
-    // The compressed live set: bitset membership plus lazily rebuilt
-    // maximal runs. Replaces both the old `Vec<bool>` mirror and the
-    // compacting `order` list — the per-round due-scan walks the runs in
-    // pid order, so a mass extinction leaving a handful of survivors costs
-    // O(survivors) per round from the very next round, with no compaction
-    // heuristics.
-    live: LiveSet,
-    metrics: Metrics,
-    trace: Trace,
+    // The run state — the whole of it, and exactly what a snapshot is.
+    st: EngineSnapshot<P, A>,
+    // Derived from `cfg.record_trace` by `resume`.
     record: bool,
-    // In-flight send ops awaiting delivery at `round`. Part of snapshots:
-    // messages cross a round boundary, so a checkpoint without them would
-    // silently drop a whole round of traffic.
-    pending: Vec<FlightOp<P::Msg>>,
-    round: Round,
-    // Crash-recovery bookkeeping, sparse: scheduled restart round (and
-    // whether state is wiped) per process crashed via
-    // [`Fate::CrashRecover`], keyed by pid. `next_revive` caches the
-    // minimum so the common (no recoveries pending) round costs one
-    // comparison; O(recovering) space instead of a t-length column.
-    revive: BTreeMap<u32, (Round, bool)>,
-    next_revive: Option<Round>,
-    // Watchdog state: last round with observable progress and the length
-    // of the current no-progress streak of executed rounds.
-    last_progress: Round,
-    stall_streak: u64,
-    finished: bool,
-    // Rounds actually executed (one per `advance` call); the fast-forward
-    // jumps the 128-bit clock but not this counter. Snapshotted, so a
-    // resumed run reports the same total as an uninterrupted one.
-    executed_rounds: u64,
-    // Peak-memory probe, observed once per executed round.
-    mem: MemBudget,
-    // Scratch buffers, allocated once and recycled every round; excluded
-    // from snapshots and rebuilt on resume. In steady state the loop
-    // performs no allocation: `eff` is reset (not rebuilt), the two op
-    // buffers swap roles each round, the due list is refilled in place,
-    // and the delivery index grows only to the high-water mark of
-    // per-round live deliveries. The in-flight buffers hold send *ops*
-    // (payload stored once per broadcast), never per-recipient envelopes.
+    // Scratch buffers, allocated once (by `resume`) and recycled every
+    // round; not part of the state. In steady state the loop performs no
+    // allocation: `eff` is reset (not rebuilt), the two op buffers swap
+    // roles each round, the due list is refilled in place, and the
+    // delivery index grows only to the high-water mark of per-round live
+    // deliveries. The in-flight buffers hold send *ops* (payload stored
+    // once per broadcast), never per-recipient envelopes.
     due: Vec<u32>,
     eff: Effects<P::Msg>,
     next_pending: Vec<FlightOp<P::Msg>>,
@@ -896,12 +857,11 @@ where
         );
         let mem =
             MemBudget { proc_bytes: (t * std::mem::size_of::<P>()) as u64, ..MemBudget::default() };
-        Ok(Engine {
+        Ok(Self::resume(EngineSnapshot {
             pset,
             live: LiveSet::new(t),
             metrics: Metrics::new(cfg.n),
             trace: Trace::new(),
-            record: cfg.record_trace,
             pending: Vec::new(),
             round: Round::ONE,
             revive: BTreeMap::new(),
@@ -911,30 +871,26 @@ where
             finished: false,
             executed_rounds: 0,
             mem,
-            due: Vec::new(),
-            eff: Effects::new(),
-            next_pending: Vec::new(),
-            delivery: DeliveryIndex::new(t),
             procs,
             adversary,
             cfg,
-        })
+        }))
     }
 
     /// The round the engine is paused at (the next round to execute, or
     /// the final round once [`is_finished`](Engine::is_finished)).
     pub fn round(&self) -> Round {
-        self.round
+        self.st.round
     }
 
     /// Whether every process has retired (the run is complete).
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.st.finished
     }
 
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.st.metrics
     }
 
     /// Runs until completion or, if `stop` is given, pauses at the first
@@ -947,8 +903,8 @@ where
     ///
     /// As [`run`], plus [`RunError::Stalled`] when the watchdog is armed.
     pub fn run_until(&mut self, stop: Option<Round>) -> Result<bool, RunError> {
-        while !self.finished {
-            if stop.is_some_and(|s| self.round >= s) {
+        while !self.st.finished {
+            if stop.is_some_and(|s| self.st.round >= s) {
                 return Ok(false);
             }
             self.advance()?;
@@ -963,56 +919,24 @@ where
         P::Msg: Clone,
         A: Clone,
     {
-        EngineSnapshot {
-            procs: self.procs.clone(),
-            adversary: self.adversary.clone(),
-            cfg: self.cfg.clone(),
-            round: self.round,
-            pset: self.pset.clone(),
-            live: self.live.clone(),
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
-            pending: self.pending.clone(),
-            revive: self.revive.clone(),
-            next_revive: self.next_revive,
-            last_progress: self.last_progress,
-            stall_streak: self.stall_streak,
-            finished: self.finished,
-            mem: self.mem,
-            executed_rounds: self.executed_rounds,
-        }
+        self.st.clone()
     }
 
-    /// Reconstructs an engine from a snapshot. Scratch state (delivery
-    /// index, effect buffers) is rebuilt empty; stale-stamp reasoning makes
-    /// that equivalent to the buffers the original engine carried (stamps
-    /// only ever match the round they were built in, and the clock is
-    /// strictly monotone). The continuation is bit-identical to the
-    /// uninterrupted run.
+    /// Reconstructs an engine from a snapshot, which moves in whole as the
+    /// engine's state; this is the only place scratch state (delivery
+    /// index, effect buffers) is built, and it is built empty. Stale-stamp
+    /// reasoning makes that equivalent to the buffers the original engine
+    /// carried (stamps only ever match the round they were built in, and
+    /// the clock is strictly monotone). The continuation is bit-identical
+    /// to the uninterrupted run.
     pub fn resume(snapshot: EngineSnapshot<P, A>) -> Self {
-        let t = snapshot.procs.len();
         Engine {
             record: snapshot.cfg.record_trace,
-            procs: snapshot.procs,
-            adversary: snapshot.adversary,
-            cfg: snapshot.cfg,
-            round: snapshot.round,
-            pset: snapshot.pset,
-            live: snapshot.live,
-            metrics: snapshot.metrics,
-            trace: snapshot.trace,
-            pending: snapshot.pending,
-            revive: snapshot.revive,
-            next_revive: snapshot.next_revive,
-            last_progress: snapshot.last_progress,
-            stall_streak: snapshot.stall_streak,
-            finished: snapshot.finished,
-            executed_rounds: snapshot.executed_rounds,
-            mem: snapshot.mem,
+            delivery: DeliveryIndex::new(snapshot.procs.len()),
+            st: snapshot,
             due: Vec::new(),
             eff: Effects::new(),
             next_pending: Vec::new(),
-            delivery: DeliveryIndex::new(t),
         }
     }
 
@@ -1022,30 +946,31 @@ where
     /// (statuses of still-running processes read [`Status::Alive`]).
     pub fn into_report(mut self) -> (Report, Vec<P>) {
         self.observe_mem();
+        let st = self.st;
         (
             Report {
-                metrics: self.metrics,
-                trace: self.trace,
-                statuses: self.pset.statuses(),
-                mem: self.mem,
-                executed_rounds: self.executed_rounds,
+                metrics: st.metrics,
+                trace: st.trace,
+                statuses: st.pset.statuses(),
+                mem: st.mem,
+                executed_rounds: st.executed_rounds,
             },
-            self.procs,
+            st.procs,
         )
     }
 
     /// The watchdog's view of the paused engine: who is alive, what they
     /// are waiting on, and what is in flight.
     fn diagnosis(&self) -> StallDiagnosis {
-        let stalled: Vec<Pid> = self.live.ones().map(Pid::new).collect();
-        let wakeups = stalled.iter().map(|&p| (p, self.pset.wakeup(p.index()))).collect();
+        let stalled: Vec<Pid> = self.st.live.ones().map(Pid::new).collect();
+        let wakeups = stalled.iter().map(|&p| (p, self.st.pset.wakeup(p.index()))).collect();
         StallDiagnosis {
-            round: self.round,
-            last_progress: self.last_progress,
+            round: self.st.round,
+            last_progress: self.st.last_progress,
             stalled,
             wakeups,
-            pending_ops: self.pending.len(),
-            pending_revivals: self.revive.len(),
+            pending_ops: self.st.pending.len(),
+            pending_revivals: self.st.revive.len(),
         }
     }
 
@@ -1053,22 +978,23 @@ where
     /// per-process SoA columns (recomputed — they are stable at t), and the
     /// high-water mark of transient flight state and ledgers.
     fn observe_mem(&mut self) {
-        self.mem.soa_bytes = self.pset.bytes() + self.live.bytes() + self.delivery.soa_bytes();
+        self.st.mem.soa_bytes =
+            self.st.pset.bytes() + self.st.live.bytes() + self.delivery.soa_bytes();
         let flight = self.delivery.flight_bytes()
-            + ((self.pending.capacity() + self.next_pending.capacity())
+            + ((self.st.pending.capacity() + self.next_pending.capacity())
                 * std::mem::size_of::<FlightOp<P::Msg>>()) as u64
             + (self.due.capacity() * 4) as u64
-            + (self.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
-        self.mem.flight_bytes = self.mem.flight_bytes.max(flight);
-        let ledger = (self.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()) as u64
-            + std::mem::size_of_val(self.trace.events()) as u64;
-        self.mem.ledger_bytes = self.mem.ledger_bytes.max(ledger);
+            + (self.st.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
+        self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
+        let ledger = (self.st.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()) as u64
+            + std::mem::size_of_val(self.st.trace.events()) as u64;
+        self.st.mem.ledger_bytes = self.st.mem.ledger_bytes.max(ledger);
     }
 
     fn round_limit(&self) -> RunError {
         RunError::RoundLimit {
-            limit: self.cfg.max_rounds,
-            metrics: Box::new(self.metrics.clone()),
+            limit: self.st.cfg.max_rounds,
+            metrics: Box::new(self.st.metrics.clone()),
             diagnosis: Box::new(self.diagnosis()),
         }
     }
@@ -1076,61 +1002,63 @@ where
     /// Executes one round (plus any sparse fast-forward that follows it),
     /// leaving the engine paused at the next round boundary.
     fn advance(&mut self) -> Result<(), RunError> {
-        let round = self.round;
-        if round > self.cfg.max_rounds {
+        let round = self.st.round;
+        if round > self.st.cfg.max_rounds {
             return Err(self.round_limit());
         }
-        self.executed_rounds += 1;
+        self.st.executed_rounds += 1;
 
         // Progress baseline for the watchdog: any retirement, recovery, or
         // unit of work moves one of these counters.
-        let work0 = self.metrics.work_total;
-        let crashes0 = self.metrics.crashes;
-        let terminations0 = self.metrics.terminations;
-        let recoveries0 = self.metrics.recoveries;
+        let work0 = self.st.metrics.work_total;
+        let crashes0 = self.st.metrics.crashes;
+        let terminations0 = self.st.metrics.terminations;
+        let recoveries0 = self.st.metrics.recoveries;
 
         // 0. Restart processes whose recovery downtime has elapsed — before
         //    delivery, so messages arriving this very round are received.
-        if self.next_revive.is_some_and(|r| r <= round) {
+        if self.st.next_revive.is_some_and(|r| r <= round) {
             let ready: Vec<(u32, bool)> = self
+                .st
                 .revive
                 .iter()
                 .filter(|&(_, &(at, _))| at <= round)
                 .map(|(&i, &(_, wipe))| (i, wipe))
                 .collect();
             for (i, wipe) in ready {
-                self.revive.remove(&i);
+                self.st.revive.remove(&i);
                 let idx = i as usize;
-                self.pset.revive(idx);
-                self.live.insert(idx);
-                self.metrics.recoveries += 1;
-                self.procs[idx].on_recover(round, wipe);
-                let wake = self.procs[idx].next_wakeup(round).map(|w| w.max(round));
-                self.pset.set_wakeup(idx, wake);
+                self.st.pset.revive(idx);
+                self.st.live.insert(idx);
+                self.st.metrics.recoveries += 1;
+                self.st.procs[idx].on_recover(round, wipe);
+                let wake = self.st.procs[idx].next_wakeup(round).map(|w| w.max(round));
+                self.st.pset.set_wakeup(idx, wake);
                 if self.record {
-                    self.trace.push(Event::Recover { round, pid: Pid::new(idx) });
+                    self.st.trace.push(Event::Recover { round, pid: Pid::new(idx) });
                 }
             }
-            self.next_revive = self.revive.values().map(|&(at, _)| at).min();
+            self.st.next_revive = self.st.revive.values().map(|&(at, _)| at).min();
         }
 
         // 1. Deliver last round's messages: index the in-flight ops by live
         //    recipient; spans are intersected with the live set and dead
         //    recipients become dead letters without ever materializing.
-        let have_inbox = !self.pending.is_empty();
+        let have_inbox = !self.st.pending.is_empty();
         if have_inbox {
-            if self.adversary.filters_deliveries() {
+            if self.st.adversary.filters_deliveries() {
                 let (dead, omitted) = self.delivery.build_filtered(
                     round,
-                    &self.pending,
-                    &self.live,
-                    &mut self.adversary,
-                    self.record.then_some(&mut self.trace),
+                    &self.st.pending,
+                    &self.st.live,
+                    &mut self.st.adversary,
+                    self.record.then_some(&mut self.st.trace),
                 );
-                self.metrics.dead_letters += dead;
-                self.metrics.omissions += omitted;
+                self.st.metrics.dead_letters += dead;
+                self.st.metrics.omissions += omitted;
             } else {
-                self.metrics.dead_letters += self.delivery.build(&self.pending, &self.live);
+                self.st.metrics.dead_letters +=
+                    self.delivery.build(&self.st.pending, &self.st.live);
             }
         }
         // A delivery to at least one live, non-omitted recipient counts as
@@ -1143,17 +1071,17 @@ where
         // the dense engine. Adversaries that may act any round (random
         // crashes with budget left) return `Some(now)` and keep the dense
         // behaviour bit-for-bit.
-        let adv_due = self.adversary.next_event(round).is_some_and(|r| r <= round);
+        let adv_due = self.st.adversary.next_event(round).is_some_and(|r| r <= round);
 
         // 2. Due-scan: the set of processes stepped this round is fully
         //    determined at the round boundary (live ∧ (adversary event ∨
         //    inbox ∨ wakeup due)), and a fate ruling only ever affects the
         //    stepped process itself — so the list is collected up front.
         self.due.clear();
-        let pset = &self.pset;
+        let pset = &self.st.pset;
         let delivery = &self.delivery;
         let due = &mut self.due;
-        for i in self.live.iter() {
+        for i in self.st.live.iter() {
             if adv_due || (have_inbox && delivery.has_inbox(i)) || pset.wakeup_due(i, round) {
                 due.push(i as u32);
             }
@@ -1167,17 +1095,17 @@ where
             let idx = self.due[di] as usize;
             eff.reset();
             let inbox = if have_inbox && self.delivery.has_inbox(idx) {
-                self.delivery.inbox(idx, &self.pending)
+                self.delivery.inbox(idx, &self.st.pending)
             } else {
                 Inbox::empty()
             };
-            self.procs[idx].step(round, inbox, &mut eff);
+            self.st.procs[idx].step(round, inbox, &mut eff);
             self.settle(round, Pid::new(idx), &mut eff);
             // The step may have changed this process's timing state;
             // refresh its cached wakeup (retired slots are never read).
-            if self.live.contains(idx) {
-                let wake = self.procs[idx].next_wakeup(next).map(|w| w.max(next));
-                self.pset.set_wakeup(idx, wake);
+            if self.st.live.contains(idx) {
+                let wake = self.st.procs[idx].next_wakeup(next).map(|w| w.max(next));
+                self.st.pset.set_wakeup(idx, wake);
             }
         }
         self.eff = eff;
@@ -1185,15 +1113,15 @@ where
         self.observe_mem();
 
         // Did everyone retire? (A scheduled revival is not retirement.)
-        if self.live.is_empty() && self.revive.is_empty() {
-            self.metrics.rounds = round;
-            self.finished = true;
+        if self.st.live.is_empty() && self.st.revive.is_empty() {
+            self.st.metrics.rounds = round;
+            self.st.finished = true;
             return Ok(());
         }
 
         // Swap the op buffers: last round's deliveries become the new
         // scratch, this round's sends become the in-flight set.
-        std::mem::swap(&mut self.pending, &mut self.next_pending);
+        std::mem::swap(&mut self.st.pending, &mut self.next_pending);
         self.next_pending.clear();
 
         // Watchdog: an executed round with no delivery, no work, and no
@@ -1201,22 +1129,22 @@ where
         // window is a livelock verdict. Fast-forwarded rounds (below) are
         // provably quiescent and never counted.
         let progress = delivered
-            || self.metrics.work_total != work0
-            || self.metrics.crashes != crashes0
-            || self.metrics.terminations != terminations0
-            || self.metrics.recoveries != recoveries0;
+            || self.st.metrics.work_total != work0
+            || self.st.metrics.crashes != crashes0
+            || self.st.metrics.terminations != terminations0
+            || self.st.metrics.recoveries != recoveries0;
         if progress {
-            self.last_progress = round;
-            self.stall_streak = 0;
+            self.st.last_progress = round;
+            self.st.stall_streak = 0;
         } else {
-            self.stall_streak += 1;
-            if let Some(window) = self.cfg.stall_window {
-                if self.stall_streak > window {
+            self.st.stall_streak += 1;
+            if let Some(window) = self.st.cfg.stall_window {
+                if self.st.stall_streak > window {
                     return Err(RunError::Stalled {
                         round,
                         window,
                         diagnosis: Box::new(self.diagnosis()),
-                        metrics: Box::new(self.metrics.clone()),
+                        metrics: Box::new(self.st.metrics.clone()),
                     });
                 }
             }
@@ -1230,21 +1158,21 @@ where
         // saturated wakeup (`Round::MAX`) is a legal target: a deadline
         // past the representable horizon fires *at* the horizon, exactly
         // as the old 64-bit clock fired saturated deadlines at `u64::MAX`.
-        let advanced = if self.pending.is_empty() {
+        let advanced = if self.st.pending.is_empty() {
             let wake = {
-                let pset = &self.pset;
-                self.live.iter().filter_map(|i| pset.wakeup(i)).map(|w| w.max(next)).min()
+                let pset = &self.st.pset;
+                self.st.live.iter().filter_map(|i| pset.wakeup(i)).map(|w| w.max(next)).min()
             };
-            let adv = self.adversary.next_event(next).map(|r| r.max(next));
-            let rev = self.next_revive.map(|r| r.max(next));
+            let adv = self.st.adversary.next_event(next).map(|r| r.max(next));
+            let rev = self.st.next_revive.map(|r| r.max(next));
             match [wake, adv, rev].into_iter().flatten().min() {
                 Some(target) => target,
                 None => {
-                    let alive = self.live.ones().map(Pid::new).collect();
+                    let alive = self.st.live.ones().map(Pid::new).collect();
                     return Err(RunError::Deadlock {
                         round,
                         alive,
-                        metrics: Box::new(self.metrics.clone()),
+                        metrics: Box::new(self.st.metrics.clone()),
                     });
                 }
             }
@@ -1256,7 +1184,7 @@ where
             // horizon: report the cap rather than spinning at Round::MAX.
             return Err(self.round_limit());
         }
-        self.round = advanced;
+        self.st.round = advanced;
         Ok(())
     }
 
@@ -1267,12 +1195,12 @@ where
     fn settle(&mut self, round: Round, pid: Pid, eff: &mut Effects<P::Msg>) {
         let idx = pid.index();
         let ctx = AdversaryCtx {
-            t: self.procs.len(),
-            alive: AliveView::Set(&self.live),
-            live: self.live.len(),
-            crashes: self.metrics.crashes,
+            t: self.st.procs.len(),
+            alive: AliveView::Set(&self.st.live),
+            live: self.st.live.len(),
+            crashes: self.st.metrics.crashes,
         };
-        let fate = self.adversary.intercept(round, pid, eff, ctx);
+        let fate = self.st.adversary.intercept(round, pid, eff, ctx);
         // Copy out the recovery schedule (if any) before the match below
         // borrows `fate`'s crash spec.
         let recover_plan = match fate {
@@ -1282,35 +1210,41 @@ where
 
         if self.record {
             for tag in eff.notes() {
-                self.trace.push(Event::Note { round, pid, tag });
+                self.st.trace.push(Event::Note { round, pid, tag });
             }
         }
 
         match fate {
             Fate::Survive => {
                 if let Some(unit) = eff.work() {
-                    self.metrics.record_work(unit);
+                    self.st.metrics.record_work(unit);
                     if self.record {
-                        self.trace.push(Event::Work { round, pid, unit });
+                        self.st.trace.push(Event::Work { round, pid, unit });
                     }
                 }
                 let terminated = eff.is_terminated();
                 let mut out = Outbound {
-                    metrics: &mut self.metrics,
-                    trace: &mut self.trace,
+                    metrics: &mut self.st.metrics,
+                    trace: &mut self.st.trace,
                     record: self.record,
                     next_pending: &mut self.next_pending,
                     round,
                 };
-                for op in eff.drain_sends() {
-                    out.deliver(pid, op.to, op.payload);
+                // Most steps send nothing: skip building and dropping a
+                // `Drain` for them. `Drain::drop` is an out-of-line call
+                // per step whenever the inliner declines it, which on the
+                // step-bound giant cells is a tenth of the pass.
+                if eff.send_count() > 0 {
+                    for op in eff.drain_sends() {
+                        out.deliver(pid, op.to, op.payload);
+                    }
                 }
                 if terminated {
-                    self.pset.retire(idx, true, round);
-                    self.live.remove(idx);
-                    self.metrics.terminations += 1;
+                    self.st.pset.retire(idx, true, round);
+                    self.st.live.remove(idx);
+                    self.st.metrics.terminations += 1;
                     if self.record {
-                        self.trace.push(Event::Terminate { round, pid });
+                        self.st.trace.push(Event::Terminate { round, pid });
                     }
                 }
             }
@@ -1318,63 +1252,63 @@ where
                 // Send-omission: the process survives and everything but
                 // the filtered sends applies.
                 if let Some(unit) = eff.work() {
-                    self.metrics.record_work(unit);
+                    self.st.metrics.record_work(unit);
                     if self.record {
-                        self.trace.push(Event::Work { round, pid, unit });
+                        self.st.trace.push(Event::Work { round, pid, unit });
                     }
                 }
                 let terminated = eff.is_terminated();
                 let total = eff.send_count() as u64;
-                let before = self.metrics.messages;
+                let before = self.st.metrics.messages;
                 let mut out = Outbound {
-                    metrics: &mut self.metrics,
-                    trace: &mut self.trace,
+                    metrics: &mut self.st.metrics,
+                    trace: &mut self.st.trace,
                     record: self.record,
                     next_pending: &mut self.next_pending,
                     round,
                 };
                 out.deliver_crash_subset(pid, eff, filter);
-                let suppressed = total - (self.metrics.messages - before);
-                self.metrics.omissions += suppressed;
+                let suppressed = total - (self.st.metrics.messages - before);
+                self.st.metrics.omissions += suppressed;
                 if self.record && suppressed > 0 {
-                    self.trace.push(Event::Note { round, pid, tag: "fault:omit" });
+                    self.st.trace.push(Event::Note { round, pid, tag: "fault:omit" });
                 }
                 if terminated {
-                    self.pset.retire(idx, true, round);
-                    self.live.remove(idx);
-                    self.metrics.terminations += 1;
+                    self.st.pset.retire(idx, true, round);
+                    self.st.live.remove(idx);
+                    self.st.metrics.terminations += 1;
                     if self.record {
-                        self.trace.push(Event::Terminate { round, pid });
+                        self.st.trace.push(Event::Terminate { round, pid });
                     }
                 }
             }
             Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
                 if spec.count_work {
                     if let Some(unit) = eff.work() {
-                        self.metrics.record_work(unit);
+                        self.st.metrics.record_work(unit);
                         if self.record {
-                            self.trace.push(Event::Work { round, pid, unit });
+                            self.st.trace.push(Event::Work { round, pid, unit });
                         }
                     }
                 }
                 let mut out = Outbound {
-                    metrics: &mut self.metrics,
-                    trace: &mut self.trace,
+                    metrics: &mut self.st.metrics,
+                    trace: &mut self.st.trace,
                     record: self.record,
                     next_pending: &mut self.next_pending,
                     round,
                 };
                 out.deliver_crash_subset(pid, eff, &spec.deliver);
-                self.pset.retire(idx, false, round);
-                self.live.remove(idx);
-                self.metrics.crashes += 1;
+                self.st.pset.retire(idx, false, round);
+                self.st.live.remove(idx);
+                self.st.metrics.crashes += 1;
                 if self.record {
-                    self.trace.push(Event::Crash { round, pid });
+                    self.st.trace.push(Event::Crash { round, pid });
                 }
                 if let Some((downtime, wipe)) = recover_plan {
                     let at = round.saturating_add(u128::from(downtime));
-                    self.revive.insert(idx as u32, (at, wipe));
-                    self.next_revive = Some(self.next_revive.map_or(at, |r| r.min(at)));
+                    self.st.revive.insert(idx as u32, (at, wipe));
+                    self.st.next_revive = Some(self.st.next_revive.map_or(at, |r| r.min(at)));
                 }
             }
         }

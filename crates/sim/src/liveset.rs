@@ -220,26 +220,6 @@ impl LiveSet {
         })
     }
 
-    /// Iterates the live pids in `[lo, hi)` in ascending pid order, in
-    /// O(span/64 + live-in-span), holding only `&self`.
-    pub fn ones_range(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
-        let hi = hi.min(self.t);
-        let lo = lo.min(hi);
-        let wlo = lo / 64;
-        let whi = hi.div_ceil(64);
-        self.words[wlo..whi].iter().enumerate().flat_map(move |(o, &w)| {
-            let base = (wlo + o) * 64;
-            let mut w = w;
-            if base < lo {
-                w &= u64::MAX << (lo - base);
-            }
-            if base + 64 > hi {
-                w &= u64::MAX >> (base + 64 - hi);
-            }
-            (0..64).filter(move |b| w & (1u64 << b) != 0).map(move |b| base + b)
-        })
-    }
-
     /// Bytes held by this set (words plus the run list), for the memory
     /// probe.
     pub fn bytes(&self) -> u64 {
@@ -323,21 +303,6 @@ mod tests {
             for hi in [lo, lo + 1, 128, 150, 400] {
                 let expect = s.clone().iter().filter(|&i| i >= lo && i < hi).count();
                 assert_eq!(s.count_span(lo, hi), expect, "span {lo}..{hi}");
-            }
-        }
-    }
-
-    #[test]
-    fn ones_range_matches_filtered_iteration() {
-        let mut s = LiveSet::new(200);
-        for i in (0..200).step_by(7) {
-            s.remove(i);
-        }
-        for lo in [0usize, 1, 63, 64, 65, 100, 199, 200] {
-            for hi in [lo, lo + 1, 64, 128, 200, 400] {
-                let expect: Vec<usize> = s.ones().filter(|&i| i >= lo && i < hi).collect();
-                let got: Vec<usize> = s.ones_range(lo, hi).collect();
-                assert_eq!(got, expect, "range {lo}..{hi}");
             }
         }
     }

@@ -6,10 +6,13 @@
 //!    notes, and full traces — to
 //!    [`doall::sim::asynch::reference::run_async_reference`] (payload
 //!    cloned per recipient at scheduling, plain binary heap) over random
-//!    send/delay/crash patterns. Drawn `max_delay`s straddle the calendar
-//!    queue's horizon, so both queue representations are exercised.
-//!    The random patterns stay at `t ≤ 10`; Protocols A and B at
-//!    `t = 1024` cover storm scale with full-struct [`Metrics`] equality.
+//!    send/delay/crash patterns. Drawn `max_delay`s stay small (dense
+//!    same-bucket traffic); a fixed grid straddles the calendar ring's cap,
+//!    so message traffic through the overflow heap is exercised too, and
+//!    `max_delay = u64::MAX` pins that the ring is never sized from the
+//!    raw input. The random patterns stay at `t ≤ 10`; Protocols A and B
+//!    at `t = 1024` cover storm scale with full-struct [`Metrics`]
+//!    equality.
 //! 2. Failure-free asynchronous runs of Protocols A and B must report
 //!    exactly the synchronous work and message counts over a small grid —
 //!    the §2.1 claim that the bounds carry over.
@@ -182,46 +185,112 @@ fn dist_of(raw: u8) -> DelayDist {
     }
 }
 
+/// Runs one chatter system under one crash schedule through the op-arena
+/// engine and the per-recipient-clone reference scheduler and requires the
+/// complete [`AsyncReport`](doall::sim::asynch::AsyncReport) to agree:
+/// every metric (totals, per class, dead letters, per-unit multiplicities,
+/// final timestamp), statuses, notes, and the full recorded trace.
+fn assert_arena_matches_reference(t: usize, n: usize, max_delay: u64, delay: DelayDist, seed: u64) {
+    let cfg = AsyncConfig {
+        n,
+        seed,
+        max_delay,
+        delay,
+        max_events: 1_000_000,
+        record_trace: true,
+        stall_window: None,
+    };
+    let sched = crash_schedule(t, seed);
+    let fast = run_async(AsyncChatter::procs(t, n, seed), sched.clone(), cfg.clone())
+        .expect("chatters always retire");
+    let reference = doall::sim::asynch::reference::run_async_reference(
+        AsyncChatter::procs(t, n, seed),
+        sched,
+        cfg,
+    )
+    .expect("reference run must complete identically");
+    let at = format!("t={t} n={n} max_delay={max_delay} {delay:?} seed={seed}");
+    assert_eq!(fast.metrics, reference.metrics, "{at}");
+    assert_eq!(fast.terminated, reference.terminated, "{at}");
+    assert_eq!(fast.crashed, reference.crashed, "{at}");
+    assert_eq!(fast.notes, reference.notes, "{at}");
+    assert_eq!(fast.trace, reference.trace, "{at}");
+}
+
+/// The calendar ring's slot cap (`RING_CAP` in `asynch/queue.rs`, private
+/// to the engine): delays at or past it route their far draws through the
+/// queue's overflow heap.
+const RING_CAP: u64 = 4096;
+
+/// Delay widths just under, just over and well past the ring cap, at a
+/// small shape: message traffic that fits the ring exactly, spills by one
+/// slot, and mostly lives in the overflow heap must all still match the
+/// reference scheduler event for event.
+#[test]
+fn arena_engine_matches_reference_across_the_ring_cap() {
+    for max_delay in [RING_CAP - 1, RING_CAP + 1, 3 * RING_CAP] {
+        for delay in [DelayDist::Uniform, DelayDist::Fixed, DelayDist::Bimodal] {
+            for seed in 0..6u64 {
+                assert_arena_matches_reference(6, 8, max_delay, delay, mix(seed));
+            }
+        }
+    }
+}
+
+/// `max_delay` is plain public data and `u64::MAX` is a valid value: the
+/// run completes, does all the work, and — the guard that the ring is
+/// never sized from the raw input — holds well under 1 MB of engine state.
+#[test]
+fn unbounded_max_delay_completes_in_bounded_memory() {
+    for delay in [DelayDist::Uniform, DelayDist::Fixed, DelayDist::Bimodal] {
+        let cfg = AsyncConfig::new(8, 3).with_delay(delay, u64::MAX);
+        let report = run_async(AsyncProtocolA::processes(8, 4).unwrap(), NoFailures, cfg)
+            .unwrap_or_else(|e| panic!("{delay:?}: {e}"));
+        assert!(report.metrics.all_work_done(), "{delay:?}");
+        assert!(report.has_survivor(), "{delay:?}");
+        assert!(
+            report.mem.engine_bytes() < 1 << 20,
+            "{delay:?}: {} engine bytes",
+            report.mem.engine_bytes()
+        );
+    }
+}
+
+/// The async peer of `tests/engine.rs`'s probability check: an
+/// out-of-range `Scenario::Random` is a typed error, never a panic.
+#[test]
+fn out_of_range_crash_probability_is_a_typed_error() {
+    for p in [2.0, -1.0, f64::NAN] {
+        let err = doall::JobSpec::new(AsyncProtocolA::processes(8, 4).unwrap(), 8)
+            .scenario(Scenario::Random { seed: 1, p, max_crashes: 3 })
+            .run_async()
+            .expect_err("an invalid probability must refuse the run");
+        match err {
+            doall::sim::asynch::AsyncRunError::InvalidAdversary { reason } => {
+                assert!(reason.contains("probability"), "p = {p}: {reason}");
+            }
+            other => panic!("p = {p}: expected InvalidAdversary, got {other}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// The op-arena engine and the per-recipient-clone reference scheduler
-    /// agree on the complete AsyncReport: every metric (totals, per class,
-    /// dead letters, per-unit multiplicities, final timestamp), statuses,
-    /// notes, and the full recorded trace.
+    /// agree on the complete AsyncReport over random shapes, schedules and
+    /// delay distributions.
     #[test]
     fn arena_engine_matches_per_recipient_reference(
         t in 1usize..=10,
         n in 1usize..=12,
-        // Straddles the calendar horizon (64): small draws use the
-        // bucketed calendar, large ones the binary-heap fallback.
+        // Small widths: few buckets, so timestamps collide densely. The
+        // ring-cap grid above covers the wide ones.
         max_delay in 1u64..=96,
         raw_dist in 0u8..=2,
         seed in any::<u64>(),
     ) {
-        let cfg = AsyncConfig {
-            n,
-            seed,
-            max_delay,
-            delay: dist_of(raw_dist),
-            max_events: 1_000_000,
-            record_trace: true,
-            stall_window: None,
-        };
-        let sched = crash_schedule(t, seed);
-        let fast = run_async(AsyncChatter::procs(t, n, seed), sched.clone(), cfg.clone())
-            .expect("chatters always retire");
-        let reference = doall::sim::asynch::reference::run_async_reference(
-            AsyncChatter::procs(t, n, seed),
-            sched,
-            cfg,
-        )
-        .expect("reference run must complete identically");
-        prop_assert_eq!(&fast.metrics, &reference.metrics);
-        prop_assert_eq!(&fast.terminated, &reference.terminated);
-        prop_assert_eq!(&fast.crashed, &reference.crashed);
-        prop_assert_eq!(&fast.notes, &reference.notes);
-        prop_assert_eq!(&fast.trace, &reference.trace);
+        assert_arena_matches_reference(t, n, max_delay, dist_of(raw_dist), seed);
     }
 
     /// Sanity on the generator itself: drawn systems really do send

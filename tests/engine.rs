@@ -367,3 +367,23 @@ fn protocols_and_payloads_may_hold_an_rc() {
     assert_eq!(report.survivor_count(), 2);
     assert_eq!(steps.get(), 2, "p0 at round 1, p1 on receipt at round 2");
 }
+
+/// `Scenario::Random` is plain public data: a crash probability outside
+/// `[0, 1]` (or `NaN`) is refused by `validate` as a typed error before
+/// round 1, never by a panic.
+#[test]
+fn out_of_range_crash_probability_is_a_typed_error() {
+    use doall::workload::Scenario;
+    for p in [2.0, -1.0, f64::NAN] {
+        let err = doall::JobSpec::new(doall::ProtocolA::processes(8, 4).unwrap(), 8)
+            .scenario(Scenario::Random { seed: 1, p, max_crashes: 3 })
+            .run()
+            .expect_err("an invalid probability must refuse the run");
+        match err {
+            doall::sim::RunError::InvalidAdversary { reason } => {
+                assert!(reason.contains("probability"), "p = {p}: {reason}");
+            }
+            other => panic!("p = {p}: expected InvalidAdversary, got {other}"),
+        }
+    }
+}

@@ -10,7 +10,7 @@
 
 use doall::sim::asynch::{AsyncConfig, AsyncEngine, DelayDist, Time};
 use doall::sim::chaos::{ChaosCase, ChaosConfig};
-use doall::sim::{Engine, FaultPlan, Report, Round, RunConfig};
+use doall::sim::{Engine, FaultKind, FaultPlan, Pid, Report, Round, RunConfig};
 use doall::{AsyncProtocolB, ProtocolB};
 use proptest::prelude::*;
 
@@ -41,14 +41,17 @@ fn sync_run(plan: &FaultPlan, pause: Option<Round>) -> Report {
 }
 
 /// The async-plane counterpart: Async Protocol B under uniform delivery
-/// delays seeded by `delay_seed`, paused at virtual time `pause`.
+/// delays in `1..=max_delay` seeded by `delay_seed`, paused at virtual time
+/// `pause`.
 fn async_run(
     plan: &FaultPlan,
     delay_seed: u64,
+    max_delay: u64,
     pause: Option<Time>,
 ) -> doall::sim::asynch::AsyncReport {
     let procs = plan.wrap_async(AsyncProtocolB::processes(64, 16).expect("valid B shape"));
-    let cfg = AsyncConfig::new(64, delay_seed).with_delay(DelayDist::Uniform, 4).with_trace();
+    let cfg =
+        AsyncConfig::new(64, delay_seed).with_delay(DelayDist::Uniform, max_delay).with_trace();
     let mut engine = AsyncEngine::new(procs, plan.clone(), cfg).expect("plan validates at t = 16");
     let finished = engine.run_until(pause).expect("run must complete");
     if !finished {
@@ -82,8 +85,25 @@ proptest! {
         pause in 1u64..64,
     ) {
         let plan = plan_for(plan_seed, 16, 64);
-        let straight = async_run(&plan, delay_seed, None);
-        let resumed = async_run(&plan, delay_seed, Some(Time::new(pause as u128)));
+        let straight = async_run(&plan, delay_seed, 4, None);
+        let resumed = async_run(&plan, delay_seed, 4, Some(Time::new(pause as u128)));
+        prop_assert_eq!(straight, resumed);
+
+        // The same contract with the event queue's overflow heap occupied
+        // at the pause: a late passive process crashes at time 2 and
+        // revives 1,000 steps later, far beyond the 257-slot ring that
+        // `max_delay = 256` sizes, while process 0's traffic keeps batches
+        // flowing through every pause point (all below the revival).
+        let victim = Pid::new(8 + plan_seed as usize % 8);
+        let wide = FaultPlan::new(vec![FaultKind::CrashRecover {
+            pid: victim,
+            downtime: 1_000,
+            wipe: plan_seed % 2 == 1,
+        }
+        .at(2u64)]);
+        let straight = async_run(&wide, delay_seed, 256, None);
+        prop_assert_eq!(straight.metrics.recoveries, 1);
+        let resumed = async_run(&wide, delay_seed, 256, Some(Time::new(4 * pause as u128)));
         prop_assert_eq!(straight, resumed);
     }
 }
