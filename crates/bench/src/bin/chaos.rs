@@ -126,7 +126,10 @@ where
 /// Dispatches a case to one cell of [`GRID`].
 fn case_violations(protocol: &str, plane: Plane, case: &ChaosCase) -> Option<Vec<String>> {
     match (protocol, plane) {
-        ("A", Plane::Sync) => sync_violations(&|n, t| ProtocolA::processes(n, t).ok(), case),
+        // Padded, so shrink candidates at a non-square `t` or a
+        // non-dividing `n` stay runnable; at a valid shape it is the
+        // strict system.
+        ("A", Plane::Sync) => sync_violations(&|n, t| ProtocolA::processes_padded(n, t).ok(), case),
         ("B", Plane::Sync) => sync_violations(&|n, t| ProtocolB::processes(n, t).ok(), case),
         ("C", Plane::Sync) => sync_violations(&|n, t| ProtocolC::processes(n, t).ok(), case),
         ("D", Plane::Sync) => sync_violations(&|n, t| ProtocolD::processes(n, t).ok(), case),
@@ -197,8 +200,8 @@ fn main() {
         }
     };
 
-    // t = 16 satisfies every constructor: perfect square (A, B), power of
-    // two (C), anything (D and the async pair).
+    // t = 16 satisfies every constructor: perfect square (B and the async
+    // pair), power of two (C), anything (D and the padded sync A).
     let cfg = ChaosConfig::new(16, 64);
     // The seed × grid campaign is embarrassingly parallel: every cell is
     // one deterministic run (plus, on failure, its deterministic shrink),

@@ -1,4 +1,5 @@
-//! The asynchronous variant of Protocol A (§2.1 of the paper).
+//! The asynchronous variant of Protocol A (§2.1 of the paper) — and the
+//! one machine behind both asynchronous protocols.
 //!
 //! > "Notice that we can easily modify this algorithm to run in a
 //! > completely asynchronous system equipped with an appropriate failure
@@ -6,18 +7,20 @@
 //! > becoming active, process `j` waits until it has been informed that
 //! > processes `1, …, j−1` crashed or terminated."
 //!
-//! The checkpointing logic is byte-for-byte the synchronous `DoWork` of
-//! Figure 1 — the [`compile_dowork`](super::compile_dowork) schedule is
-//! shared — only the
-//! activation trigger changes: the retirement detector of
-//! [`doall_sim::asynch`] replaces the round deadline. Because the detector
-//! is *sound* (it never reports a live process), at most one process is
-//! active at any time, and the Theorem 2.3 work/message bounds carry over
-//! unchanged; time is no longer a meaningful measure.
+//! The checkpointing logic is not a copy of the synchronous `DoWork` of
+//! Figure 1 but the same function: [`AsyncAb`] holds the crate's one
+//! `DoWork` driver (see [`super`]) and emits through
+//! [`AsyncEffects`] where the synchronous protocols emit through
+//! `Effects`. Only the activation trigger changes: the retirement detector
+//! of [`doall_sim::asynch`] replaces the round deadline. Because the
+//! detector is *sound* (it never reports a live process), at most one
+//! process is active at any time, and the Theorem 2.3 work/message bounds
+//! carry over unchanged; time is no longer a meaningful measure.
 //!
 //! See [`asynch_b`](super::asynch_b) for the Protocol B analogue, which
 //! additionally infers retirements from received checkpoints instead of
-//! waiting for a detector report about every lower-numbered process.
+//! waiting for a detector report about every lower-numbered process — the
+//! `INFER = true` instance of the same machine.
 
 use std::collections::BTreeSet;
 
@@ -25,47 +28,8 @@ use doall_bounds::AbParams;
 use doall_sim::asynch::{AsyncEffects, AsyncProtocol};
 use doall_sim::{Inbox, Pid};
 
-use super::{group_span, interpret, is_terminal_for, validate, AbMsg, LastOrdinary, Op, Schedule};
+use super::{validate, AbMsg, DoWork, Heard};
 use crate::error::ConfigError;
-
-#[derive(Clone, Debug)]
-pub(super) enum AsyncState {
-    Passive,
-    Active { ops: Schedule },
-    Done,
-}
-
-/// Executes the next one-round operation of an active schedule, requesting
-/// a tick continuation until the schedule is exhausted — shared by the
-/// asynchronous Protocols A and B (their active phases are identical).
-pub(super) fn advance_schedule(
-    state: &mut AsyncState,
-    params: AbParams,
-    j: u64,
-    eff: &mut AsyncEffects<AbMsg>,
-) {
-    let AsyncState::Active { ops } = state else { return };
-    if let Some(op) = ops.pop_front() {
-        match op {
-            Op::Work { u } => eff.perform(doall_sim::Unit::new(u as usize)),
-            Op::PartialCp { c } => {
-                eff.multicast(super::higher_own_group(params, j), AbMsg::Partial { c });
-            }
-            Op::FullCpGroup { c, g } => {
-                eff.multicast(group_span(params, g), AbMsg::Full { c, g });
-            }
-            Op::FullCpOwn { c, g } => {
-                eff.multicast(super::higher_own_group(params, j), AbMsg::Full { c, g });
-            }
-        }
-    }
-    if matches!(state, AsyncState::Active { ops } if ops.is_empty()) {
-        eff.terminate();
-        *state = AsyncState::Done;
-    } else {
-        eff.continue_later();
-    }
-}
 
 /// One process of the asynchronous Protocol A.
 ///
@@ -83,29 +47,37 @@ pub(super) fn advance_schedule(
 /// assert!(report.metrics.all_work_done());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+pub type AsyncProtocolA = AsyncAb<false>;
+
+/// One process of an asynchronous checkpointing protocol: it activates
+/// once every lower-numbered process is *known* retired. Known means
+/// reported by the retirement detector and, when `INFER` is set, also
+/// implied by the highest ordinary sender heard from
+/// ([`AsyncProtocolB`](super::asynch_b::AsyncProtocolB); without it,
+/// [`AsyncProtocolA`]).
 #[derive(Clone, Debug)]
-pub struct AsyncProtocolA {
-    params: AbParams,
-    j: u64,
-    state: AsyncState,
-    last: LastOrdinary,
-    /// Detector reports received out of order (ahead of the watermark).
-    retired: BTreeSet<u64>,
-    /// Every pid below this is known retired — advanced incrementally so
-    /// each notice costs amortized O(log t), not a rescan of `0..j`.
-    retired_below: u64,
+pub struct AsyncAb<const INFER: bool> {
+    core: DoWork,
+    /// Detector reports received ahead of the `known_below` watermark.
+    reported: BTreeSet<u64>,
+    /// Everything below this pid is known retired by *inference*: an
+    /// ordinary message from `i` proves all `k < i` retired (Lemma 2.2).
+    /// Stays 0 unless `INFER`.
+    inferred_below: u64,
+    /// Everything below this pid is known retired (by report or
+    /// inference) — advanced incrementally so each notice or message
+    /// batch costs amortized O(log t), not a rescan of `0..j`.
+    known_below: u64,
 }
 
-impl AsyncProtocolA {
+impl<const INFER: bool> AsyncAb<INFER> {
     /// Creates process `j` of an `(n, t)` system.
     pub fn new(params: AbParams, j: u64) -> Self {
-        AsyncProtocolA {
-            params,
-            j,
-            state: AsyncState::Passive,
-            last: LastOrdinary::Fictitious,
-            retired: BTreeSet::new(),
-            retired_below: 0,
+        AsyncAb {
+            core: DoWork::new(params, j),
+            reported: BTreeSet::new(),
+            inferred_below: 0,
+            known_below: 0,
         }
     }
 
@@ -115,88 +87,101 @@ impl AsyncProtocolA {
     ///
     /// Returns a [`ConfigError`] unless `t` is a positive perfect square,
     /// `t | n`, and `n >= t`.
-    pub fn processes(n: u64, t: u64) -> Result<Vec<AsyncProtocolA>, ConfigError> {
+    pub fn processes(n: u64, t: u64) -> Result<Vec<Self>, ConfigError> {
         let params = validate(n, t)?;
-        Ok((0..t).map(|j| AsyncProtocolA::new(params, j)).collect())
+        Ok((0..t).map(|j| Self::new(params, j)).collect())
     }
 
-    fn all_lower_retired(&mut self) -> bool {
-        while self.retired_below < self.j && self.retired.remove(&self.retired_below) {
-            self.retired_below += 1;
+    /// Whether every process below `j` is known retired (watermark
+    /// advanced incrementally).
+    fn all_lower_known_retired(&mut self) -> bool {
+        self.known_below = self.known_below.max(self.inferred_below);
+        while self.known_below < self.core.rank && self.reported.remove(&self.known_below) {
+            self.known_below += 1;
         }
-        self.retired_below >= self.j
+        self.known_below >= self.core.rank
     }
 
-    fn activate(&mut self, eff: &mut AsyncEffects<AbMsg>) {
-        eff.note("activate");
-        self.state = AsyncState::Active { ops: Schedule::new(self.params, self.j, self.last) };
-        advance_schedule(&mut self.state, self.params, self.j, eff);
+    fn maybe_activate(&mut self, eff: &mut AsyncEffects<AbMsg>) {
+        if self.core.is_passive() && self.all_lower_known_retired() {
+            self.core.activate(eff);
+            self.keep_ticking(eff);
+        }
+    }
+
+    /// An active schedule is driven one operation per tick.
+    fn keep_ticking(&self, eff: &mut AsyncEffects<AbMsg>) {
+        if self.core.is_active() {
+            eff.continue_later();
+        }
     }
 }
 
-impl AsyncProtocol for AsyncProtocolA {
+impl<const INFER: bool> AsyncProtocol for AsyncAb<INFER> {
     type Msg = AbMsg;
 
     fn on_start(&mut self, eff: &mut AsyncEffects<AbMsg>) {
-        if self.j == 0 {
-            self.activate(eff);
+        if self.core.rank == 0 {
+            self.maybe_activate(eff);
         }
     }
 
     fn on_messages(&mut self, inbox: Inbox<'_, AbMsg>, eff: &mut AsyncEffects<AbMsg>) {
+        if !self.core.is_passive() {
+            return; // active/terminated processes ignore stray traffic
+        }
         for (from, payload) in inbox.iter() {
-            if !matches!(self.state, AsyncState::Passive) {
-                return; // active/terminated processes ignore stray traffic
+            let from = from.index() as u64;
+            match self.core.hear(Some(from), *payload) {
+                Heard::Terminal => return self.core.retire(eff),
+                // The sender was active when it sent this, so everything
+                // below it has retired. (Senders are always lower-numbered
+                // here — checkpoints flow upward — but cap at `j` anyway:
+                // inference must never cover `j` itself.)
+                Heard::Updated if INFER => {
+                    self.inferred_below = self.inferred_below.max(from.min(self.core.rank));
+                }
+                Heard::Updated | Heard::Ignored => {}
             }
-            if is_terminal_for(self.params, self.j, *payload) {
-                eff.terminate();
-                self.state = AsyncState::Done;
-                return;
-            }
-            if let Some(last) = interpret(self.params, self.j, from.index() as u64, *payload) {
-                self.last = last;
-            }
+        }
+        if INFER {
+            // Fresh inference may cover exactly the pids whose detector
+            // reports this process was still waiting on.
+            self.maybe_activate(eff);
         }
     }
 
     fn on_retirement(&mut self, retired: Pid, eff: &mut AsyncEffects<AbMsg>) {
-        self.retired.insert(retired.index() as u64);
-        if matches!(self.state, AsyncState::Passive) && self.all_lower_retired() {
-            self.activate(eff);
-        }
+        self.reported.insert(retired.index() as u64);
+        self.maybe_activate(eff);
     }
 
     fn on_tick(&mut self, eff: &mut AsyncEffects<AbMsg>) {
-        advance_schedule(&mut self.state, self.params, self.j, eff);
+        self.core.advance(eff);
+        self.keep_ticking(eff);
     }
 
     fn on_recover(&mut self, wipe: bool, eff: &mut AsyncEffects<AbMsg>) {
         eff.note("rejoin");
+        self.core.on_recover(wipe);
         if wipe {
-            self.state = AsyncState::Passive;
-            self.last = LastOrdinary::Fictitious;
-            self.retired.clear();
-            self.retired_below = 0;
-            if self.j == 0 {
-                self.activate(eff);
-            }
-            // j > 0 waits: the detector replays past retirements to a
-            // recovered process, so activation re-triggers via
-            // on_retirement once the replayed notices land.
+            self.reported.clear();
+            self.inferred_below = 0;
+            self.known_below = 0;
+        }
+        if self.core.is_passive() {
+            // Wiped, the process re-learns retirements from the detector's
+            // replay (and any later checkpoints); p0 needs no predecessors
+            // and starts over at once.
+            self.maybe_activate(eff);
+        } else if self.core.is_active() {
+            // The crash severed the tick chain driving the schedule;
+            // splice it back.
+            eff.continue_later();
         } else {
-            match self.state {
-                // The crash severed the tick chain driving the schedule;
-                // splice it back.
-                AsyncState::Active { .. } => eff.continue_later(),
-                // The crash preempted a same-invocation termination; the
-                // work is done, so retire for real now.
-                AsyncState::Done => eff.terminate(),
-                AsyncState::Passive => {
-                    if self.all_lower_retired() {
-                        self.activate(eff);
-                    }
-                }
-            }
+            // The crash preempted a same-invocation termination; the work
+            // is done, so retire for real now.
+            self.core.advance(eff);
         }
     }
 }

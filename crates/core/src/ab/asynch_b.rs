@@ -23,20 +23,13 @@
 //! the `go ahead` machinery disappears entirely: `AsyncProtocolB` sends
 //! **zero** `go_ahead` messages in every execution.
 //!
-//! The checkpointing schedule is untouched (shared
-//! [`compile_dowork`](super::compile_dowork)), so
-//! Theorem 2.3/2.8's work bound (`≤ 3n`) and the ordinary-message bound
-//! (`≤ 9t√t`) carry over exactly as for the asynchronous Protocol A.
+//! The checkpointing is untouched — both asynchronous protocols are one
+//! machine, [`AsyncAb`], whose `INFER` parameter is the whole of the
+//! difference described above — so Theorem 2.3/2.8's work bound (`≤ 3n`)
+//! and the ordinary-message bound (`≤ 9t√t`) carry over exactly as for the
+//! asynchronous Protocol A.
 
-use std::collections::BTreeSet;
-
-use doall_bounds::AbParams;
-use doall_sim::asynch::{AsyncEffects, AsyncProtocol};
-use doall_sim::{Inbox, Pid};
-
-use super::asynch::{advance_schedule, AsyncState};
-use super::{interpret, is_terminal_for, validate, AbMsg, LastOrdinary, Schedule};
-use crate::error::ConfigError;
+use super::asynch::AsyncAb;
 
 /// One process of the asynchronous Protocol B.
 ///
@@ -56,133 +49,7 @@ use crate::error::ConfigError;
 /// assert_eq!(report.metrics.messages_by_class.get("go_ahead"), None);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug)]
-pub struct AsyncProtocolB {
-    params: AbParams,
-    j: u64,
-    state: AsyncState,
-    last: LastOrdinary,
-    /// Detector reports received ahead of the `known_below` watermark.
-    reported: BTreeSet<u64>,
-    /// Everything below this pid is known retired by *inference*: an
-    /// ordinary message from `i` proves all `k < i` retired (Lemma 2.2).
-    inferred_below: u64,
-    /// Everything below this pid is known retired (by report or
-    /// inference) — advanced incrementally so each notice or message
-    /// batch costs amortized O(log t), not a rescan of `0..j`.
-    known_below: u64,
-}
-
-impl AsyncProtocolB {
-    /// Creates process `j` of an `(n, t)` system.
-    pub fn new(params: AbParams, j: u64) -> Self {
-        AsyncProtocolB {
-            params,
-            j,
-            state: AsyncState::Passive,
-            last: LastOrdinary::Fictitious,
-            reported: BTreeSet::new(),
-            inferred_below: 0,
-            known_below: 0,
-        }
-    }
-
-    /// Creates the full vector of `t` processes for `n` units of work.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] unless `t` is a positive perfect square,
-    /// `t | n`, and `n >= t`.
-    pub fn processes(n: u64, t: u64) -> Result<Vec<AsyncProtocolB>, ConfigError> {
-        let params = validate(n, t)?;
-        Ok((0..t).map(|j| AsyncProtocolB::new(params, j)).collect())
-    }
-
-    /// Whether every process below `j` is known retired, by report or by
-    /// message inference (watermark advanced incrementally).
-    fn all_lower_known_retired(&mut self) -> bool {
-        self.known_below = self.known_below.max(self.inferred_below);
-        while self.known_below < self.j && self.reported.remove(&self.known_below) {
-            self.known_below += 1;
-        }
-        self.known_below >= self.j
-    }
-
-    fn maybe_activate(&mut self, eff: &mut AsyncEffects<AbMsg>) {
-        if matches!(self.state, AsyncState::Passive) && self.all_lower_known_retired() {
-            eff.note("activate");
-            self.state = AsyncState::Active { ops: Schedule::new(self.params, self.j, self.last) };
-            advance_schedule(&mut self.state, self.params, self.j, eff);
-        }
-    }
-}
-
-impl AsyncProtocol for AsyncProtocolB {
-    type Msg = AbMsg;
-
-    fn on_start(&mut self, eff: &mut AsyncEffects<AbMsg>) {
-        if self.j == 0 {
-            self.maybe_activate(eff);
-        }
-    }
-
-    fn on_messages(&mut self, inbox: Inbox<'_, AbMsg>, eff: &mut AsyncEffects<AbMsg>) {
-        for (from, payload) in inbox.iter() {
-            if !matches!(self.state, AsyncState::Passive) {
-                return; // active/terminated processes ignore stray traffic
-            }
-            if is_terminal_for(self.params, self.j, *payload) {
-                eff.terminate();
-                self.state = AsyncState::Done;
-                return;
-            }
-            if let Some(last) = interpret(self.params, self.j, from.index() as u64, *payload) {
-                self.last = last;
-                // The sender was active when it sent this, so everything
-                // below it has retired. (Senders are always lower-numbered
-                // here — checkpoints flow upward — but cap at `j` anyway:
-                // inference must never cover `j` itself.)
-                self.inferred_below = self.inferred_below.max((from.index() as u64).min(self.j));
-            }
-        }
-        // Fresh inference may cover exactly the pids whose detector
-        // reports this process was still waiting on.
-        self.maybe_activate(eff);
-    }
-
-    fn on_retirement(&mut self, retired: Pid, eff: &mut AsyncEffects<AbMsg>) {
-        self.reported.insert(retired.index() as u64);
-        self.maybe_activate(eff);
-    }
-
-    fn on_tick(&mut self, eff: &mut AsyncEffects<AbMsg>) {
-        advance_schedule(&mut self.state, self.params, self.j, eff);
-    }
-
-    fn on_recover(&mut self, wipe: bool, eff: &mut AsyncEffects<AbMsg>) {
-        eff.note("rejoin");
-        if wipe {
-            self.state = AsyncState::Passive;
-            self.last = LastOrdinary::Fictitious;
-            self.reported.clear();
-            self.inferred_below = 0;
-            self.known_below = 0;
-            // Re-learn retirements from the detector's replay (and any
-            // later checkpoints); p0 needs no predecessors at all.
-            self.maybe_activate(eff);
-        } else {
-            match self.state {
-                // The crash severed the tick chain driving the schedule;
-                // splice it back.
-                AsyncState::Active { .. } => eff.continue_later(),
-                // The crash preempted a same-invocation termination; the
-                // work is done, so retire for real now.
-                AsyncState::Done => eff.terminate(),
-                AsyncState::Passive => self.maybe_activate(eff),
-            }
-        }
-    }
-}
+pub type AsyncProtocolB = AsyncAb<true>;
 
 #[cfg(test)]
 mod tests {
@@ -193,7 +60,7 @@ mod tests {
     use doall_sim::invariants::{
         check_activation_order, check_detector_soundness, check_single_active,
     };
-    use doall_sim::{CrashSpec, NoFailures};
+    use doall_sim::{CrashSpec, NoFailures, Pid};
 
     use super::super::asynch::AsyncProtocolA;
     use super::*;

@@ -8,27 +8,36 @@
 //! `g` above its own it broadcasts `(c, g)` to group `g` and then
 //! checkpoints that fact, with the same message, to its own group.
 //!
-//! The two protocols differ only in *when a passive process takes over*:
-//! Protocol A uses the crude global deadline `DD(j) = j(n + 3t)`; Protocol
-//! B uses the per-edge deadline `DDB(j, i)` plus a polling `go ahead` phase
-//! (see [`protocol_b`]).
+//! That procedure — `DoWork`, Figure 1 — exists once, here: the message
+//! type, the [`Schedule`] that compiles it into one-round operations, and
+//! the crate-private `DoWork` driver that holds a process's
+//! passive/active/done phase and its last ordinary message, interprets
+//! incoming checkpoints, and emits each operation through a small sink.
+//! Everything else in the crate that runs Figure 1 is that driver plus an
+//! **activation rule** — *when a passive process takes over*:
 //!
-//! This module holds the piece they share: the message type, the
-//! sequential `DoWork` procedure of Figure 1 compiled into a queue of
-//! one-round operations, and the takeover-restart logic that interprets
-//! the last ordinary message received.
+//! * [`protocol_a`]: the crude global deadline `DD(j) = j(n + 3t)` (its
+//!   padded constructor clips the same driver to arbitrary shapes);
+//! * [`protocol_b`]: the per-edge deadline `DDB(j, i)` plus a polling
+//!   `go ahead` phase;
+//! * [`asynch`] / [`asynch_b`]: "every lower-numbered process is known
+//!   retired", by failure detector alone or detector plus message
+//!   inference;
+//! * [`crate::d::fallback`]: `DD(rank)` counted from the round Protocol D
+//!   gave up, with ranks and units relabelled onto the survivors.
 
 pub mod asynch;
 pub mod asynch_b;
-pub mod padded;
 pub mod protocol_a;
 pub mod protocol_b;
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 use doall_bounds::AbParams;
-use doall_sim::{Classify, Effects, Unit};
+use doall_sim::asynch::AsyncEffects;
+use doall_sim::{Classify, Effects, Round, Unit};
 
 use crate::error::ConfigError;
 
@@ -118,6 +127,20 @@ pub fn validate(n: u64, t: u64) -> Result<AbParams, ConfigError> {
     Ok(AbParams::new(n, t))
 }
 
+/// The padded `(n⁺, t⁺)` that lets Figure 1 run on any positive `(n, t)`
+/// — the paper's "easy modifications of the protocol when these
+/// assumptions do not hold": `t⁺ = ⌈√t⌉²` (the extra *virtual processes*
+/// hold the highest ranks and are silent from round 0, which Protocol A
+/// tolerates natively) and `n⁺ = max(t⁺, ⌈n/t⁺⌉·t⁺)` (the extra *phantom
+/// units* consume their round but perform nothing). The Theorem 2.3
+/// guarantees carry over in padded terms, a constant-factor slack:
+/// `t⁺ < t + 2√t + 1` and `n⁺ < n + t⁺`.
+pub fn padded_params(n: u64, t: u64) -> AbParams {
+    let s = doall_bounds::isqrt(t.saturating_sub(1)) + 1;
+    let t_pad = s * s;
+    AbParams::new(n.div_ceil(t_pad).max(1) * t_pad, t_pad)
+}
+
 /// The last ordinary message a process holds, which determines where it
 /// restarts when it becomes active (the `DoWork` dispatch of Figure 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,24 +211,18 @@ pub enum Op {
     },
 }
 
-/// Compiles Figure 1's `DoWork` for process `j`, given its last ordinary
-/// message, into the exact sequence of one-round operations it will
-/// execute while active.
-pub fn compile_dowork(p: AbParams, j: u64, last: LastOrdinary) -> VecDeque<Op> {
-    let sqrt_t = p.sqrt_t();
-    let gj = p.group_of(j);
+/// The restart prologue of Figure 1's `DoWork` for a process of group
+/// `gj`: resume the checkpointing that the previous active process may
+/// have been in the middle of when it sent `last`.
+fn restart_prologue(p: AbParams, gj: u64, last: LastOrdinary) -> VecDeque<Op> {
     let mut ops = VecDeque::new();
-
-    // Resume the checkpointing that the previous active process may have
-    // been in the middle of.
-    let c = last.completed_subchunk();
     match last {
         LastOrdinary::Fictitious => {
             // Nothing has provably happened; start working immediately.
         }
         LastOrdinary::Partial { c } => {
             ops.push_back(Op::PartialCp { c });
-            if c % sqrt_t == 0 && c > 0 {
+            if c % p.sqrt_t() == 0 && c > 0 {
                 push_full_checkpoint(&mut ops, p, c, gj + 1);
             }
         }
@@ -215,24 +232,33 @@ pub fn compile_dowork(p: AbParams, j: u64, last: LastOrdinary) -> VecDeque<Op> {
                 // us; make sure the rest of our group knows, then continue
                 // the full checkpoint with group g + 1.
                 ops.push_back(Op::FullCpOwn { c, g });
-                push_full_checkpoint(&mut ops, p, c, g + 1);
             } else {
                 // k ∉ g_j, so g == g_j: we were being informed that subchunk
                 // c is complete. Tell the rest of our group, then continue
                 // the full checkpoint from the next group up.
                 ops.push_back(Op::PartialCp { c });
-                push_full_checkpoint(&mut ops, p, c, g + 1);
             }
+            push_full_checkpoint(&mut ops, p, c, g + 1);
         }
     }
+    ops
+}
+
+/// Compiles Figure 1's `DoWork` for process `j`, given its last ordinary
+/// message, into the exact sequence of one-round operations it will
+/// execute while active — the eager reference [`Schedule`] is tested
+/// against.
+pub fn compile_dowork(p: AbParams, j: u64, last: LastOrdinary) -> VecDeque<Op> {
+    let gj = p.group_of(j);
+    let mut ops = restart_prologue(p, gj, last);
 
     // Figure 1 lines 10–14: perform the remaining subchunks.
-    for s in c + 1..=p.t {
+    for s in last.completed_subchunk() + 1..=p.t {
         for u in p.subchunk_units(s) {
             ops.push_back(Op::Work { u });
         }
         ops.push_back(Op::PartialCp { c: s });
-        if s % sqrt_t == 0 {
+        if s % p.sqrt_t() == 0 {
             push_full_checkpoint(&mut ops, p, s, gj + 1);
         }
     }
@@ -267,32 +293,9 @@ impl Schedule {
     /// Builds process `j`'s schedule given its last ordinary message —
     /// the lazy equivalent of [`compile_dowork`]`(p, j, last)`.
     pub fn new(p: AbParams, j: u64, last: LastOrdinary) -> Self {
-        let sqrt_t = p.sqrt_t();
         let gj = p.group_of(j);
-        let mut buf = VecDeque::new();
-
-        // Resume the checkpointing that the previous active process may
-        // have been in the middle of (same dispatch as `compile_dowork`).
-        let c = last.completed_subchunk();
-        match last {
-            LastOrdinary::Fictitious => {}
-            LastOrdinary::Partial { c } => {
-                buf.push_back(Op::PartialCp { c });
-                if c % sqrt_t == 0 && c > 0 {
-                    push_full_checkpoint(&mut buf, p, c, gj + 1);
-                }
-            }
-            LastOrdinary::Full { c, g, sender_in_own_group } => {
-                if sender_in_own_group {
-                    buf.push_back(Op::FullCpOwn { c, g });
-                    push_full_checkpoint(&mut buf, p, c, g + 1);
-                } else {
-                    buf.push_back(Op::PartialCp { c });
-                    push_full_checkpoint(&mut buf, p, c, g + 1);
-                }
-            }
-        }
-        Schedule { p, gj, buf, next_s: c + 1 }
+        let buf = restart_prologue(p, gj, last);
+        Schedule { p, gj, buf, next_s: last.completed_subchunk() + 1 }
     }
 
     /// Expands the next subchunk (Figure 1 lines 10–14) into the buffer.
@@ -325,39 +328,6 @@ impl Schedule {
     }
 }
 
-/// Executes one compiled operation, emitting its work or broadcast. Every
-/// broadcast here targets a contiguous pid range, so each is recorded as a
-/// single O(1) span multicast — the payload is stored once regardless of
-/// the group width.
-pub fn exec_op(op: Op, p: AbParams, j: u64, eff: &mut Effects<AbMsg>) {
-    match op {
-        Op::Work { u } => eff.perform(Unit::new(u as usize)),
-        Op::PartialCp { c } => {
-            eff.multicast(higher_own_group(p, j), AbMsg::Partial { c });
-        }
-        Op::FullCpGroup { c, g } => {
-            eff.multicast(group_span(p, g), AbMsg::Full { c, g });
-        }
-        Op::FullCpOwn { c, g } => {
-            eff.multicast(higher_own_group(p, j), AbMsg::Full { c, g });
-        }
-    }
-}
-
-/// The recipients of an own-group broadcast: processes `j+1 ..= g_j·√t − 1`
-/// (all lower-numbered members are known to have retired), as a contiguous
-/// pid range.
-pub fn higher_own_group(p: AbParams, j: u64) -> std::ops::Range<usize> {
-    let end = p.group_of(j) * p.sqrt_t();
-    j as usize + 1..end as usize
-}
-
-/// The pids of group `g` as a contiguous range.
-pub fn group_span(p: AbParams, g: u64) -> std::ops::Range<usize> {
-    let members = p.group_members(g);
-    members.start as usize..members.end as usize
-}
-
 /// Whether an incoming ordinary message tells `j` to terminate: `(t)` from
 /// a partial checkpoint, or `(t, g_j)` from a full checkpoint.
 pub fn is_terminal_for(p: AbParams, j: u64, msg: AbMsg) -> bool {
@@ -377,6 +347,247 @@ pub fn interpret(p: AbParams, j: u64, k: u64, msg: AbMsg) -> Option<LastOrdinary
             Some(LastOrdinary::Full { c, g, sender_in_own_group: p.group_of(k) == p.group_of(j) })
         }
         AbMsg::GoAhead => None,
+    }
+}
+
+/// Where a [`DoWork`] driver's actions go: the engine's effects for the
+/// plane it runs on, directly or through [`Clipped`]. Statically
+/// dispatched — no `dyn` enters a protocol step.
+pub(crate) trait Sink {
+    /// Performs (one-based) unit `u`.
+    fn work(&mut self, u: u64);
+    /// Broadcasts `msg` to the contiguous rank range `ranks`, ascending.
+    fn multicast(&mut self, ranks: Range<u64>, msg: AbMsg);
+    /// Records a trace annotation.
+    fn note(&mut self, tag: &'static str);
+    /// Retires the process.
+    fn terminate(&mut self);
+}
+
+macro_rules! effects_sink {
+    ($effects:ident) => {
+        /// Ranks are pids and units are units; every broadcast is one O(1)
+        /// span multicast, the payload stored once whatever the width.
+        impl Sink for $effects<AbMsg> {
+            fn work(&mut self, u: u64) {
+                self.perform(Unit::new(u as usize));
+            }
+            fn multicast(&mut self, ranks: Range<u64>, msg: AbMsg) {
+                $effects::multicast(self, ranks.start as usize..ranks.end as usize, msg);
+            }
+            fn note(&mut self, tag: &'static str) {
+                $effects::note(self, tag);
+            }
+            fn terminate(&mut self) {
+                $effects::terminate(self);
+            }
+        }
+    };
+}
+effects_sink!(Effects);
+effects_sink!(AsyncEffects);
+
+/// The clip-and-relabel sink behind every padded machine (see
+/// [`padded_params`]): ranks at or above `t_real` are virtual processes,
+/// so a rank range is cut there and what falls beyond is never sent;
+/// units above `n_real` are phantoms, performed as a silent round. What
+/// survives the clip is relabelled by the caller's two maps — identities
+/// for a padded [`ProtocolA`](protocol_a::ProtocolA), rank → survivor pid
+/// and unit → outstanding unit for Protocol D's fallback.
+pub(crate) struct Clipped<'a, M, U, S> {
+    pub(crate) eff: &'a mut Effects<M>,
+    pub(crate) n_real: u64,
+    pub(crate) t_real: u64,
+    /// The real unit behind relabelled unit `u <= n_real`.
+    pub(crate) unit: U,
+    /// Sends to the real pids behind a non-empty rank range below
+    /// `t_real`, in ascending rank order.
+    pub(crate) send: S,
+}
+
+impl<M, U, S> Sink for Clipped<'_, M, U, S>
+where
+    U: Fn(u64) -> usize,
+    S: Fn(&mut Effects<M>, Range<usize>, AbMsg),
+{
+    fn work(&mut self, u: u64) {
+        if u <= self.n_real {
+            self.eff.perform(Unit::new((self.unit)(u)));
+        }
+    }
+    fn multicast(&mut self, ranks: Range<u64>, msg: AbMsg) {
+        let hi = ranks.end.min(self.t_real);
+        if ranks.start < hi {
+            (self.send)(self.eff, ranks.start as usize..hi as usize, msg);
+        }
+    }
+    fn note(&mut self, tag: &'static str) {
+        self.eff.note(tag);
+    }
+    fn terminate(&mut self) {
+        self.eff.terminate();
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Phase {
+    Passive,
+    Active {
+        ops: Schedule,
+    },
+    Done,
+    /// Done, but a crash swallowed the terminate (or the terminal message):
+    /// the next step retires for real. Entered only on stale recovery.
+    Retiring,
+}
+
+/// What [`DoWork::hear`] made of one incoming message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Heard {
+    /// `(t)` or `(t, g_j)`: all work is done, retire.
+    Terminal,
+    /// An ordinary message; it is now the last one held.
+    Updated,
+    /// Nothing changed: a `go ahead`, or a message not to be held.
+    Ignored,
+}
+
+/// Figure 1 for one process: its phase, the last ordinary message it
+/// holds, and the `DoWork` schedule once it is active. The owner supplies
+/// only the activation rule — it feeds messages to [`DoWork::hear`] while
+/// the driver is passive and calls [`DoWork::activate`] when its rule
+/// fires; [`DoWork::advance`] does the rest.
+#[derive(Clone, Debug)]
+pub(crate) struct DoWork {
+    pub(crate) params: AbParams,
+    /// This process's number among the `params.t` of the (padded) system.
+    pub(crate) rank: u64,
+    phase: Phase,
+    last: LastOrdinary,
+}
+
+impl DoWork {
+    pub(crate) fn new(params: AbParams, rank: u64) -> Self {
+        debug_assert!(rank < params.t);
+        DoWork { params, rank, phase: Phase::Passive, last: LastOrdinary::Fictitious }
+    }
+
+    pub(crate) fn is_passive(&self) -> bool {
+        matches!(self.phase, Phase::Passive)
+    }
+
+    pub(crate) fn is_active(&self) -> bool {
+        matches!(self.phase, Phase::Active { .. })
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        matches!(self.phase, Phase::Done)
+    }
+
+    /// Whether the last ordinary message already reports subchunk `t`.
+    pub(crate) fn knows_all_work_done(&self) -> bool {
+        self.last.completed_subchunk() >= self.params.t
+    }
+
+    /// Digests one message. `from_rank` is `None` for a message that may
+    /// retire this process but must not be held: its sender has no rank,
+    /// or the caller keeps the *first* ordinary message of an inbox and
+    /// already has it. Every [`Heard::Updated`] overwrites the message held
+    /// before, so a loop that always passes `Some` keeps the last.
+    pub(crate) fn hear(&mut self, from_rank: Option<u64>, msg: AbMsg) -> Heard {
+        if is_terminal_for(self.params, self.rank, msg) {
+            return Heard::Terminal;
+        }
+        match from_rank.and_then(|k| interpret(self.params, self.rank, k, msg)) {
+            Some(last) => {
+                self.last = last;
+                Heard::Updated
+            }
+            None => Heard::Ignored,
+        }
+    }
+
+    /// Retires: a terminal message arrived, or the schedule ran out.
+    pub(crate) fn retire(&mut self, out: &mut impl Sink) {
+        out.terminate();
+        self.phase = Phase::Done;
+    }
+
+    /// Becomes active: compiles `DoWork` from the last ordinary message
+    /// and executes its first operation in this same step.
+    pub(crate) fn activate(&mut self, out: &mut impl Sink) {
+        out.note("activate");
+        self.phase = Phase::Active { ops: Schedule::new(self.params, self.rank, self.last) };
+        self.advance(out);
+    }
+
+    /// One step of everything that is not an activation rule: a pending
+    /// post-recovery retirement, or the next operation of the active
+    /// schedule (retiring when it was the last; an active process ignores
+    /// its inbox — in a clean execution every lower process has retired).
+    /// Returns `false` iff the driver is passive, i.e. the step is the
+    /// caller's.
+    pub(crate) fn advance(&mut self, out: &mut impl Sink) -> bool {
+        let (p, j) = (self.params, self.rank);
+        match &mut self.phase {
+            Phase::Passive => return false,
+            Phase::Done => {}
+            Phase::Retiring => self.retire(out),
+            Phase::Active { ops } => {
+                // All lower-numbered members of the own group are known
+                // retired, so own-group broadcasts go upward only.
+                let own_above = || j + 1..p.group_of(j) * p.sqrt_t();
+                match ops.pop_front() {
+                    Some(Op::Work { u }) => out.work(u),
+                    Some(Op::PartialCp { c }) => out.multicast(own_above(), AbMsg::Partial { c }),
+                    Some(Op::FullCpGroup { c, g }) => {
+                        out.multicast(p.group_members(g), AbMsg::Full { c, g });
+                    }
+                    Some(Op::FullCpOwn { c, g }) => {
+                        out.multicast(own_above(), AbMsg::Full { c, g })
+                    }
+                    None => {}
+                }
+                if ops.is_empty() {
+                    self.retire(out);
+                }
+            }
+        }
+        true
+    }
+
+    /// When the driver next acts unprompted; `passive` is the caller's
+    /// activation rule, consulted only while passive.
+    pub(crate) fn next_wakeup(
+        &self,
+        now: Round,
+        passive: impl FnOnce() -> Option<Round>,
+    ) -> Option<Round> {
+        match self.phase {
+            Phase::Passive => passive(),
+            Phase::Active { .. } | Phase::Retiring => Some(now),
+            Phase::Done => None,
+        }
+    }
+
+    /// Retires at the next [`DoWork::advance`] instead of waiting for a
+    /// terminal message that nobody will resend.
+    pub(crate) fn retire_on_next_step(&mut self) {
+        self.phase = Phase::Retiring;
+    }
+
+    /// The process rejoined after a crash. A wipe is the initial
+    /// configuration again — safe, since rejoining can only repeat work,
+    /// never lose a checkpointed unit. Stale state resumes as it stands (a
+    /// passive process takes over from its last checkpoint view, an active
+    /// one continues its schedule), except that a finished process, whose
+    /// terminate the crash swallowed, retires again.
+    pub(crate) fn on_recover(&mut self, wipe: bool) {
+        if wipe {
+            *self = DoWork::new(self.params, self.rank);
+        } else if self.is_done() {
+            self.retire_on_next_step();
+        }
     }
 }
 
@@ -494,10 +705,24 @@ mod tests {
         assert_eq!(ops[1], Op::FullCpGroup { c: 16, g: 4 });
     }
 
+    /// Rank `j` of `p()`, activated holding `last`, after `steps` further
+    /// steps: the effects of the last step taken.
+    fn effects_after(j: u64, last: LastOrdinary, steps: usize) -> Effects<AbMsg> {
+        let mut d = DoWork::new(p(), j);
+        d.last = last;
+        let mut eff = Effects::new();
+        d.activate(&mut eff);
+        for _ in 0..steps {
+            eff.reset();
+            assert!(d.advance(&mut eff));
+        }
+        eff
+    }
+
     #[test]
     fn exec_partial_cp_broadcasts_to_higher_own_group_as_one_span() {
-        let mut eff = Effects::new();
-        exec_op(Op::PartialCp { c: 2 }, p(), 5, &mut eff);
+        // Holding (2), the first operation re-fires PartialCp { c: 2 }.
+        let eff = effects_after(5, LastOrdinary::Partial { c: 2 }, 0);
         // Group 2 is processes 4..=7; j = 5 informs 6, 7 — one op, the
         // payload stored once.
         assert_eq!(eff.sends().len(), 1);
@@ -509,20 +734,75 @@ mod tests {
 
     #[test]
     fn exec_full_cp_group_broadcasts_to_whole_target_group_as_one_span() {
-        let mut eff = Effects::new();
-        exec_op(Op::FullCpGroup { c: 4, g: 3 }, p(), 0, &mut eff);
+        // Holding (4, 2) from its own group, rank 0 checkpoints that and
+        // then runs FullCpGroup { c: 4, g: 3 }.
+        let last = LastOrdinary::Full { c: 4, g: 2, sender_in_own_group: true };
+        let eff = effects_after(0, last, 1);
         assert_eq!(eff.sends().len(), 1);
         let to: Vec<usize> = eff.sends()[0].to.iter().map(doall_sim::Pid::index).collect();
         assert_eq!(to, vec![8, 9, 10, 11]);
+        assert_eq!(eff.sends()[0].payload, AbMsg::Full { c: 4, g: 3 });
         assert_eq!(eff.send_count(), 4);
     }
 
     #[test]
     fn exec_work_performs_the_unit() {
-        let mut eff = Effects::new();
-        exec_op(Op::Work { u: 7 }, p(), 0, &mut eff);
+        // Holding (3) with n/t = 2: PartialCp { c: 3 }, then Work { u: 7 }.
+        let eff = effects_after(0, LastOrdinary::Partial { c: 3 }, 1);
         assert_eq!(eff.work(), Some(Unit::new(7)));
         assert!(eff.sends().is_empty());
+    }
+
+    #[test]
+    fn driver_retires_with_its_last_operation_and_then_idles() {
+        // t = 1: one unit, one (recipient-less) partial checkpoint.
+        let mut d = DoWork::new(AbParams::new(1, 1), 0);
+        let mut eff = Effects::new();
+        assert!(!d.advance(&mut eff), "passive: the step is the caller's");
+        d.activate(&mut eff);
+        assert_eq!((eff.notes(), eff.work()), (&["activate"][..], Some(Unit::new(1))));
+        assert!(d.is_active() && !eff.is_terminated());
+        eff.reset();
+        assert!(d.advance(&mut eff));
+        assert!(d.is_done() && eff.is_terminated() && eff.sends().is_empty());
+        eff.reset();
+        assert!(d.advance(&mut eff));
+        assert!(eff.is_idle());
+    }
+
+    #[test]
+    fn stale_recovery_of_a_finished_driver_retires_again_wiped_starts_over() {
+        let mut d = DoWork::new(p(), 3);
+        let mut eff = Effects::new();
+        assert_eq!(d.hear(Some(2), AbMsg::Partial { c: 16 }), Heard::Terminal);
+        d.retire(&mut eff);
+        d.on_recover(false);
+        assert_eq!(d.next_wakeup(Round::new(9), || None), Some(Round::new(9)));
+        eff.reset();
+        assert!(d.advance(&mut eff));
+        assert!(eff.is_terminated());
+        assert_eq!(d.next_wakeup(Round::new(10), || None), None);
+
+        assert_eq!(d.hear(None, AbMsg::Partial { c: 5 }), Heard::Ignored);
+        assert_eq!(d.hear(None, AbMsg::Partial { c: 16 }), Heard::Terminal);
+        assert_eq!(d.hear(Some(2), AbMsg::Partial { c: 5 }), Heard::Updated);
+        assert_eq!(d.hear(Some(2), AbMsg::GoAhead), Heard::Ignored);
+        d.on_recover(true);
+        assert!(d.is_passive());
+        assert_eq!(d.last, LastOrdinary::Fictitious);
+    }
+
+    #[test]
+    fn padding_shapes_are_minimal_squares() {
+        assert_eq!(padded_params(10, 6).t, 9);
+        assert_eq!(padded_params(10, 6).n, 18);
+        assert_eq!(padded_params(5, 3).t, 4);
+        assert_eq!(padded_params(5, 3).n, 8);
+        // Already-valid shapes pass through unchanged.
+        assert_eq!(padded_params(32, 16).t, 16);
+        assert_eq!(padded_params(32, 16).n, 32);
+        assert_eq!(padded_params(1, 1).t, 1);
+        assert_eq!(padded_params(1, 1).n, 1);
     }
 
     #[test]

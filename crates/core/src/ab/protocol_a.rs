@@ -4,19 +4,18 @@
 //! Guarantees (Theorem 2.3): in every execution at most `3n` units of work
 //! are performed, at most `9t√t` messages are sent, and all processes
 //! retire by round `nt + 3t²`.
+//!
+//! §2.1 assumes `t` is a perfect square and `t | n` with `n >= t`;
+//! [`ProtocolA::processes`] holds callers to that.
+//! [`ProtocolA::processes_padded`] accepts any positive shape by running
+//! the same machine on [`padded_params`] and clipping what it emits to the
+//! real system.
 
 use doall_bounds::deadlines_ab::{dd, AbParams};
 use doall_sim::{Effects, Inbox, Protocol, Round};
 
-use super::{exec_op, interpret, is_terminal_for, validate, AbMsg, LastOrdinary, Schedule};
+use super::{padded_params, validate, AbMsg, Clipped, DoWork, Heard, Sink};
 use crate::error::ConfigError;
-
-#[derive(Clone, Debug)]
-enum AState {
-    Passive,
-    Active { ops: Schedule },
-    Done,
-}
 
 /// One process of Protocol A.
 ///
@@ -37,27 +36,16 @@ enum AState {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ProtocolA {
-    params: AbParams,
-    j: u64,
-    state: AState,
-    last: LastOrdinary,
-    /// Set by a stale crash-recovery that found the state already
-    /// [`AState::Done`]: the crash preempted the final step's terminate,
-    /// so the next step must retire for real.
-    retire_next_step: bool,
+    core: DoWork,
+    /// Real unit and process counts; below `core.params` only when padded.
+    n_real: u64,
+    t_real: u64,
 }
 
 impl ProtocolA {
     /// Creates process `j` of a `(n, t)` system.
     pub fn new(params: AbParams, j: u64) -> Self {
-        debug_assert!(j < params.t);
-        ProtocolA {
-            params,
-            j,
-            state: AState::Passive,
-            last: LastOrdinary::Fictitious,
-            retire_next_step: false,
-        }
+        ProtocolA { core: DoWork::new(params, j), n_real: params.n, t_real: params.t }
     }
 
     /// Creates the full vector of `t` processes for `n` units of work.
@@ -71,48 +59,74 @@ impl ProtocolA {
         Ok((0..t).map(|j| ProtocolA::new(params, j)).collect())
     }
 
+    /// Creates the `t` real processes for `n` real units of any positive
+    /// shape, padded per [`padded_params`]; on a shape
+    /// [`ProtocolA::processes`] accepts the two build the same system.
+    ///
+    /// # Errors
+    ///
+    /// Rejects only empty systems and empty workloads.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use doall_core::ab::protocol_a::ProtocolA;
+    /// use doall_sim::{run, NoFailures, RunConfig};
+    ///
+    /// // 10 units on 6 processes: neither square nor divisible — fine here.
+    /// let procs = ProtocolA::processes_padded(10, 6)?;
+    /// let report = run(procs, NoFailures, RunConfig::new(10, 100_000))?;
+    /// assert!(report.metrics.all_work_done());
+    /// assert_eq!(report.metrics.work_total, 10); // phantoms are not counted
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn processes_padded(n: u64, t: u64) -> Result<Vec<ProtocolA>, ConfigError> {
+        if t == 0 {
+            return Err(ConfigError::NoProcesses);
+        }
+        if n == 0 {
+            return Err(ConfigError::NoWork);
+        }
+        let params = padded_params(n, t);
+        Ok((0..t)
+            .map(|j| ProtocolA { core: DoWork::new(params, j), n_real: n, t_real: t })
+            .collect())
+    }
+
     /// The deadline at which this process takes over if still passive:
     /// `DD(j) = j(n + 3t)`.
     pub fn deadline(&self) -> Round {
-        Round::from(dd(self.params, self.j))
-    }
-
-    fn activate(&mut self, eff: &mut Effects<AbMsg>) {
-        eff.note("activate");
-        let mut ops = Schedule::new(self.params, self.j, self.last);
-        if let Some(op) = ops.pop_front() {
-            exec_op(op, self.params, self.j, eff);
-        }
-        if ops.is_empty() {
-            eff.terminate();
-            self.state = AState::Done;
-        } else {
-            self.state = AState::Active { ops };
-        }
+        Round::from(dd(self.core.params, self.core.rank))
     }
 
     /// Digests the inbox: returns `true` if a terminal message arrived.
     fn ingest(&mut self, inbox: Inbox<'_, AbMsg>) -> bool {
-        let mut terminal = false;
         // Per the paper's convention, if several ordinary messages arrive in
         // one round (impossible in a clean execution), the lowest-numbered
-        // sender wins; iterating in pid order and keeping the first does it.
-        let mut updated = false;
+        // sender wins: iterate in pid order and hold on to the first, so
+        // later ones can only be terminal.
+        let mut held = false;
         for (from, msg) in inbox.iter() {
-            if !msg.is_ordinary() {
-                continue;
-            }
-            if is_terminal_for(self.params, self.j, *msg) {
-                terminal = true;
-            }
-            if !updated {
-                if let Some(last) = interpret(self.params, self.j, from.index() as u64, *msg) {
-                    self.last = last;
-                    updated = true;
-                }
+            match self.core.hear((!held).then_some(from.index() as u64), *msg) {
+                Heard::Terminal => return true,
+                Heard::Updated => held = true,
+                Heard::Ignored => {}
             }
         }
-        terminal
+        false
+    }
+}
+
+/// The identity-relabelled [`Clipped`] sink: virtual processes hold the
+/// highest pids, so cutting a span at `t_real` drops exactly the messages
+/// that must never be sent and what is left is still one O(1) span op.
+fn clip(eff: &mut Effects<AbMsg>, n_real: u64, t_real: u64) -> impl Sink + '_ {
+    Clipped {
+        eff,
+        n_real,
+        t_real,
+        unit: |u| u as usize,
+        send: |eff: &mut Effects<AbMsg>, pids, msg| eff.multicast(pids, msg),
     }
 }
 
@@ -120,66 +134,30 @@ impl Protocol for ProtocolA {
     type Msg = AbMsg;
 
     fn step(&mut self, round: Round, inbox: Inbox<'_, AbMsg>, eff: &mut Effects<AbMsg>) {
-        if self.retire_next_step {
-            self.retire_next_step = false;
-            eff.terminate();
+        let mut out = clip(eff, self.n_real, self.t_real);
+        if self.core.advance(&mut out) {
             return;
         }
-        match &mut self.state {
-            AState::Done => {}
-            AState::Active { ops } => {
-                // An active process ignores incoming messages (in a clean
-                // execution there are none: all lower processes retired).
-                if let Some(op) = ops.pop_front() {
-                    exec_op(op, self.params, self.j, eff);
-                }
-                if ops.is_empty() {
-                    eff.terminate();
-                    self.state = AState::Done;
-                }
-            }
-            AState::Passive => {
-                if self.ingest(inbox) {
-                    eff.terminate();
-                    self.state = AState::Done;
-                    return;
-                }
-                // Figure 1, main protocol: take over at round DD(j).
-                if round >= self.deadline().max(Round::ONE) {
-                    self.activate(eff);
-                }
-            }
+        if self.ingest(inbox) {
+            self.core.retire(&mut out);
+        } else if round >= self.deadline().max(Round::ONE) {
+            // Figure 1, main protocol: take over at round DD(j).
+            self.core.activate(&mut out);
         }
     }
 
+    // The engine asks after every step. Delegating to the shared driver
+    // made this too big for rustc's automatic cross-crate inlining, which
+    // the hand-written match used to get (+3 % on `sync_sparse` without).
+    #[inline]
     fn next_wakeup(&self, now: Round) -> Option<Round> {
-        if self.retire_next_step {
-            return Some(now);
-        }
-        match self.state {
-            AState::Passive => Some(self.deadline().max(Round::ONE).max(now)),
-            AState::Active { .. } => Some(now),
-            AState::Done => None,
-        }
+        self.core.next_wakeup(now, || Some(self.deadline().max(Round::ONE).max(now)))
     }
 
     fn on_recover(&mut self, _round: Round, wipe: bool) {
-        if wipe {
-            // Back to the initial configuration: wait out DD(j) again (it
-            // has usually passed, so the next step re-activates) and redo
-            // from the fictitious view. Safe — rejoining can only repeat
-            // work, never lose a checkpointed unit.
-            self.state = AState::Passive;
-            self.last = LastOrdinary::Fictitious;
-            self.retire_next_step = false;
-        } else if matches!(self.state, AState::Done) {
-            // The crash preempted the final step's terminate: retire for
-            // real on the next step (the work really was completed).
-            self.retire_next_step = true;
-        }
-        // Other stale state needs no adjustment: a passive process re-arms
-        // its (long-past) deadline and takes over from its last checkpoint
-        // view; an active one resumes its remaining schedule.
+        // Wiped, the process waits out DD(j) again — it has usually
+        // passed, so the next step re-activates from the fictitious view.
+        self.core.on_recover(wipe);
     }
 }
 
@@ -400,5 +378,68 @@ mod tests {
         assert!(ProtocolA::processes(10, 3).is_err());
         assert!(ProtocolA::processes(7, 4).is_err());
         assert!(ProtocolA::processes(0, 4).is_err());
+        assert_eq!(ProtocolA::processes_padded(0, 4).unwrap_err(), ConfigError::NoWork);
+        assert_eq!(ProtocolA::processes_padded(4, 0).unwrap_err(), ConfigError::NoProcesses);
+    }
+
+    // ---- The padded constructor: arbitrary shapes ----
+
+    fn padded_cfg(n: u64) -> RunConfig {
+        RunConfig::new(n as usize, 10_000_000).with_trace()
+    }
+
+    #[test]
+    fn awkward_shapes_complete_failure_free() {
+        for (n, t) in [(1, 1), (1, 2), (3, 2), (7, 3), (10, 6), (11, 7), (13, 5), (100, 11)] {
+            let report =
+                run(ProtocolA::processes_padded(n, t).unwrap(), NoFailures, padded_cfg(n)).unwrap();
+            assert!(report.metrics.all_work_done(), "shape ({n},{t})");
+            assert_eq!(report.metrics.work_total, n, "shape ({n},{t}): phantoms not counted");
+        }
+    }
+
+    #[test]
+    fn awkward_shapes_survive_crash_cascades() {
+        for (n, t) in [(7, 3), (10, 6), (13, 5), (23, 7)] {
+            let mut adv = CrashSchedule::new();
+            for j in 0..t - 1 {
+                adv = adv.crash_at(Pid::new(j as usize), 1 + j * 3, CrashSpec::silent());
+            }
+            let report =
+                run(ProtocolA::processes_padded(n, t).unwrap(), adv, padded_cfg(n)).unwrap();
+            assert!(report.metrics.all_work_done(), "shape ({n},{t})");
+            assert!(check_single_active(&report.trace).is_empty(), "shape ({n},{t})");
+            assert!(check_activation_order(&report.trace).is_empty(), "shape ({n},{t})");
+        }
+    }
+
+    #[test]
+    fn padded_bounds_hold_in_padded_terms() {
+        // Theorem 2.3 in padded parameters covers the real run.
+        let (n, t) = (10u64, 6u64);
+        let p = padded_params(n, t);
+        let mut adv = CrashSchedule::new();
+        for j in 0..t - 1 {
+            adv = adv.crash_at(Pid::new(j as usize), 2 + j, CrashSpec::silent());
+        }
+        let report = run(ProtocolA::processes_padded(n, t).unwrap(), adv, padded_cfg(n)).unwrap();
+        bounds_hold(&report, p.n, p.t);
+    }
+
+    #[test]
+    fn no_message_ever_targets_a_virtual_process() {
+        let (n, t) = (10u64, 6u64); // padded to t=9: ranks 6..8 are virtual
+        let report = run(
+            ProtocolA::processes_padded(n, t).unwrap(),
+            CrashSchedule::new().crash_at(Pid::new(0), 4, CrashSpec::prefix(1)),
+            padded_cfg(n),
+        )
+        .unwrap();
+        for event in report.trace.events() {
+            if let doall_sim::Event::Send { to, .. } = event {
+                assert!(to.index() < t as usize, "message to virtual process {to}");
+            }
+        }
+        assert!(report.metrics.all_work_done());
     }
 }

@@ -19,22 +19,25 @@
 use doall_bounds::deadlines_ab::{ddb, pto, AbParams};
 use doall_sim::{Effects, Inbox, Pid, Protocol, Round};
 
-use super::{exec_op, interpret, is_terminal_for, validate, AbMsg, LastOrdinary, Schedule};
+use super::{validate, AbMsg, DoWork, Heard};
 use crate::error::ConfigError;
 
-#[derive(Clone, Debug)]
-enum BState {
-    Passive,
-    Preactive {
+/// What a passive process is waiting on (stale once it is active).
+#[derive(Clone, Copy, Debug)]
+enum Waiting {
+    /// Round `r' + DDB(j, i)`, to go preactive.
+    Deadline {
+        /// Round at which the last ordinary message was received (`r'`); 0
+        /// for the fictitious initial message.
+        heard_at: Round,
+    },
+    /// Preactive (Figure 2, `PreactivePhase`): a response to its polls.
+    Polling {
         /// Round at which the preactive phase began.
         entry: Round,
         /// The next group member to poll (absolute pid).
         next_target: u64,
     },
-    Active {
-        ops: Schedule,
-    },
-    Done,
 }
 
 /// One process of Protocol B.
@@ -54,36 +57,18 @@ enum BState {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ProtocolB {
-    params: AbParams,
-    j: u64,
-    state: BState,
-    last: LastOrdinary,
+    core: DoWork,
+    waiting: Waiting,
     /// Sender of the last ordinary message (`i` in the paper); process 0
     /// fictitiously, before anything arrives.
     last_sender: u64,
-    /// Round at which the last ordinary message was received (`r'`); 0 for
-    /// the fictitious initial message.
-    last_round: Round,
-    /// Set on a stale crash-recovery when this process already knows all
-    /// work is done: its terminal message may have been lost during the
-    /// downtime and no one will ever send again, so retire at the next
-    /// step instead of waiting forever.
-    retire_next_step: bool,
 }
 
 impl ProtocolB {
     /// Creates process `j` of an `(n, t)` system.
     pub fn new(params: AbParams, j: u64) -> Self {
-        debug_assert!(j < params.t);
-        ProtocolB {
-            params,
-            j,
-            state: BState::Passive,
-            last: LastOrdinary::Fictitious,
-            last_sender: 0,
-            last_round: Round::ZERO,
-            retire_next_step: false,
-        }
+        let waiting = Waiting::Deadline { heard_at: Round::ZERO };
+        ProtocolB { core: DoWork::new(params, j), waiting, last_sender: 0 }
     }
 
     /// Creates the full vector of `t` processes for `n` units of work.
@@ -98,26 +83,13 @@ impl ProtocolB {
     }
 
     /// The round at which this process will go preactive if it hears
-    /// nothing more: `r' + DDB(j, i)`.
+    /// nothing more, `r' + DDB(j, i)` — or the round it did.
     pub fn preactive_deadline(&self) -> Round {
-        self.last_round + ddb(self.params, self.j, self.last_sender)
-    }
-
-    fn knows_all_work_done(&self) -> bool {
-        self.last.completed_subchunk() >= self.params.t
-    }
-
-    fn activate(&mut self, eff: &mut Effects<AbMsg>) {
-        eff.note("activate");
-        let mut ops = Schedule::new(self.params, self.j, self.last);
-        if let Some(op) = ops.pop_front() {
-            exec_op(op, self.params, self.j, eff);
-        }
-        if ops.is_empty() {
-            eff.terminate();
-            self.state = BState::Done;
-        } else {
-            self.state = BState::Active { ops };
+        match self.waiting {
+            Waiting::Deadline { heard_at } => {
+                heard_at + ddb(self.core.params, self.core.rank, self.last_sender)
+            }
+            Waiting::Polling { entry, .. } => entry,
         }
     }
 
@@ -126,39 +98,53 @@ impl ProtocolB {
     /// or the process right after the sender if it was one of ours
     /// (everything up to the sender has provably retired — Lemma 2.7).
     fn first_poll_target(&self) -> u64 {
-        let gj = self.params.group_of(self.j);
-        if self.params.group_of(self.last_sender) != gj {
-            (gj - 1) * self.params.sqrt_t()
+        let p = self.core.params;
+        let gj = p.group_of(self.core.rank);
+        if p.group_of(self.last_sender) != gj {
+            (gj - 1) * p.sqrt_t()
         } else {
             self.last_sender + 1
         }
     }
 
-    /// Digests the inbox. Returns `(terminal, got_ordinary, got_go_ahead)`.
-    fn ingest(&mut self, round: Round, inbox: Inbox<'_, AbMsg>) -> (bool, bool, bool) {
+    /// Digests the inbox. Returns `(terminal, got_go_ahead)`. Of several
+    /// ordinary messages in one round the lowest-numbered sender's is
+    /// held, as in Protocol A.
+    fn ingest(&mut self, round: Round, inbox: Inbox<'_, AbMsg>) -> (bool, bool) {
         let mut terminal = false;
-        let mut got_ordinary = false;
+        let mut held = false;
         let mut got_go_ahead = false;
         for (from, msg) in inbox.iter() {
-            match *msg {
-                AbMsg::GoAhead => got_go_ahead = true,
-                msg => {
-                    if is_terminal_for(self.params, self.j, msg) {
-                        terminal = true;
-                    }
-                    if !got_ordinary {
-                        if let Some(last) = interpret(self.params, self.j, from.index() as u64, msg)
-                        {
-                            self.last = last;
-                            self.last_sender = from.index() as u64;
-                            self.last_round = round;
-                            got_ordinary = true;
-                        }
-                    }
+            let from = from.index() as u64;
+            match self.core.hear((!held).then_some(from), *msg) {
+                Heard::Terminal => terminal = true,
+                Heard::Updated => {
+                    // "If it does get a message, then j becomes passive
+                    // again."
+                    self.last_sender = from;
+                    self.waiting = Waiting::Deadline { heard_at: round };
+                    held = true;
                 }
+                Heard::Ignored => got_go_ahead |= *msg == AbMsg::GoAhead,
             }
         }
-        (terminal, got_ordinary, got_go_ahead)
+        (terminal, got_go_ahead)
+    }
+
+    /// One round of the preactive phase (Figure 2, `PreactivePhase`): every
+    /// `PTO` rounds, poll the next candidate or — once all lower group
+    /// members have been polled without response — become active.
+    fn preactive_tick(&mut self, round: Round, eff: &mut Effects<AbMsg>) {
+        let Waiting::Polling { entry, next_target } = self.waiting else { return };
+        if !(round - entry).is_multiple_of(u128::from(pto(self.core.params))) {
+            return; // between polls, waiting for a response
+        }
+        if next_target < self.core.rank {
+            eff.send(Pid::new(next_target as usize), AbMsg::GoAhead);
+            self.waiting = Waiting::Polling { entry, next_target: next_target + 1 };
+        } else {
+            self.core.activate(eff);
+        }
     }
 }
 
@@ -166,147 +152,73 @@ impl Protocol for ProtocolB {
     type Msg = AbMsg;
 
     fn step(&mut self, round: Round, inbox: Inbox<'_, AbMsg>, eff: &mut Effects<AbMsg>) {
-        if self.retire_next_step {
-            // Post-recovery retirement: all work was provably done before
-            // the crash; the terminal message may be unrepeatable (and when
-            // the crash preempted our own terminate, unrepeated by us).
-            self.retire_next_step = false;
-            eff.terminate();
-            self.state = BState::Done;
-            return;
-        }
-        if matches!(self.state, BState::Done) {
-            return;
-        }
-        if let BState::Active { ops } = &mut self.state {
-            // Active processes ignore incoming traffic (stray go_aheads
-            // from pollers that had not yet heard our broadcasts).
-            if let Some(op) = ops.pop_front() {
-                exec_op(op, self.params, self.j, eff);
-            }
-            if ops.is_empty() {
-                eff.terminate();
-                self.state = BState::Done;
-            }
+        // Active processes ignore incoming traffic (stray go_aheads from
+        // pollers that had not yet heard our broadcasts).
+        if self.core.advance(eff) {
             return;
         }
 
         // Passive / preactive: digest the inbox first — a message arriving
         // exactly at a deadline round cancels the takeover.
-        let (terminal, got_ordinary, got_go_ahead) = self.ingest(round, inbox);
+        let (terminal, got_go_ahead) = self.ingest(round, inbox);
         if terminal {
-            eff.terminate();
-            self.state = BState::Done;
+            self.core.retire(eff);
             return;
         }
-        if got_ordinary {
-            // "If it does get a message, then j becomes passive again."
-            self.state = BState::Passive;
-        }
-        if got_go_ahead && !self.knows_all_work_done() {
-            // Figure 2, main protocol lines 1–2.
-            self.activate(eff);
+        // Figure 2, main protocol lines 1–2 — and process 0, which is
+        // active from the start (it "becomes active in round 0", before
+        // the execution begins).
+        if (got_go_ahead && !self.core.knows_all_work_done()) || self.core.rank == 0 {
+            self.core.activate(eff);
             return;
         }
 
-        // Process 0 is active from the start (it "becomes active in round
-        // 0", before the execution begins).
-        if self.j == 0 {
-            if matches!(self.state, BState::Passive) {
-                self.activate(eff);
-            }
-            return;
+        if matches!(self.waiting, Waiting::Deadline { .. })
+            && !self.core.knows_all_work_done()
+            && round >= self.preactive_deadline()
+        {
+            // Enter the preactive phase; its first poll (or immediate
+            // activation) happens this very round.
+            self.waiting = Waiting::Polling { entry: round, next_target: self.first_poll_target() };
         }
-
-        match self.state {
-            BState::Passive => {
-                if !self.knows_all_work_done() && round >= self.preactive_deadline() {
-                    // Enter the preactive phase; its first poll (or
-                    // immediate activation) happens this very round.
-                    let next_target = self.first_poll_target();
-                    self.state = BState::Preactive { entry: round, next_target };
-                    self.preactive_tick(round, eff);
-                }
-            }
-            BState::Preactive { .. } => {
-                if !got_ordinary {
-                    self.preactive_tick(round, eff);
-                }
-            }
-            BState::Active { .. } | BState::Done => unreachable!("handled above"),
-        }
+        self.preactive_tick(round, eff);
     }
 
+    // The engine asks after every step. Delegating to the shared driver
+    // made this too big for rustc's automatic cross-crate inlining, which
+    // the hand-written match used to get (+3 % on `sync_sparse` without).
+    #[inline]
     fn next_wakeup(&self, now: Round) -> Option<Round> {
-        if self.retire_next_step {
-            return Some(now);
-        }
-        match self.state {
-            BState::Done => None,
-            BState::Active { .. } => Some(now),
-            BState::Passive => {
-                if self.j == 0 {
-                    Some(now)
-                } else if self.knows_all_work_done() {
-                    // Only waiting for the final (t)/(t, g_j); purely reactive.
-                    None
-                } else {
-                    Some(self.preactive_deadline().max(now))
-                }
+        self.core.next_wakeup(now, || match self.waiting {
+            Waiting::Polling { entry, .. } => {
+                let p = u128::from(pto(self.core.params));
+                Some(entry + now.saturating_sub(entry).div_ceil(p) * p)
             }
-            BState::Preactive { entry, .. } => {
-                let p = pto(self.params);
-                let elapsed = now.saturating_sub(entry);
-                let p = u128::from(p);
-                Some(entry + elapsed.div_ceil(p) * p)
-            }
-        }
+            Waiting::Deadline { .. } if self.core.rank == 0 => Some(now),
+            // Only waiting for the final (t)/(t, g_j); purely reactive.
+            Waiting::Deadline { .. } if self.core.knows_all_work_done() => None,
+            Waiting::Deadline { .. } => Some(self.preactive_deadline().max(now)),
+        })
     }
 
     fn on_recover(&mut self, _round: Round, wipe: bool) {
+        self.core.on_recover(wipe);
         if wipe {
             // Full reset to the initial configuration: the fictitious
             // message from process 0 at round 0 re-arms DDB, which has
             // usually long passed — the next step goes preactive and the
             // go-ahead polling re-integrates the process safely.
-            self.state = BState::Passive;
-            self.last = LastOrdinary::Fictitious;
+            self.waiting = Waiting::Deadline { heard_at: Round::ZERO };
             self.last_sender = 0;
-            self.last_round = Round::ZERO;
-            self.retire_next_step = false;
-        } else if matches!(self.state, BState::Done) {
-            // The crash preempted the step that reached `Done`: the engine
-            // recorded the crash instead of our terminate, so retire again.
-            self.retire_next_step = true;
-        } else if self.knows_all_work_done() {
+        } else if self.core.knows_all_work_done() {
             // Stale state already proves all n units performed; the only
             // thing the downtime can have cost us is the terminal message,
             // which nobody will resend. Retire instead of waiting for it.
-            self.retire_next_step = true;
+            self.core.retire_on_next_step();
         }
         // Other stale states need no adjustment: a passed deadline sends
         // the process into its preactive polling phase, whose go-aheads
         // either wake a live lower process or license a safe takeover.
-    }
-}
-
-impl ProtocolB {
-    /// One round of the preactive phase (Figure 2, `PreactivePhase`): every
-    /// `PTO` rounds, poll the next candidate or — once all lower group
-    /// members have been polled without response — become active.
-    fn preactive_tick(&mut self, round: Round, eff: &mut Effects<AbMsg>) {
-        let BState::Preactive { entry, next_target } = self.state else {
-            unreachable!("preactive_tick outside preactive state");
-        };
-        if !(round - entry).is_multiple_of(u128::from(pto(self.params))) {
-            return; // between polls, waiting for a response
-        }
-        if next_target < self.j {
-            eff.send(Pid::new(next_target as usize), AbMsg::GoAhead);
-            self.state = BState::Preactive { entry, next_target: next_target + 1 };
-        } else {
-            self.activate(eff);
-        }
     }
 }
 

@@ -8,38 +8,30 @@
 //! sorted units of `S` play units `1..|S|`.
 //!
 //! Protocol A needs `t` a perfect square and `t | n` with `n >= t`; `|T|`
-//! and `|S|` are arbitrary, so we pad — the paper's "easy modifications of
-//! the protocol when these assumptions do not hold" left to the reader:
+//! and `|S|` are arbitrary, so the machine runs on
+//! [`padded_params`]`(|S|, |T|)`: virtual processes rank above every real
+//! survivor and are silent from the start, phantom units consume their
+//! round but emit no work.
 //!
-//! * *virtual processes* fill `|T|` up to the next perfect square. They
-//!   rank above every real process and are crashed from the start; since
-//!   Protocol A natively tolerates silent processes, correctness is
-//!   untouched. Messages addressed to them are simply dropped (never sent).
-//! * *phantom units* pad `|S|` up to a positive multiple of the padded
-//!   process count. Performing a phantom unit consumes the round but emits
-//!   no work.
+//! Nothing of Figure 1 is written here. The machine is the crate's one
+//! `DoWork` driver (see [`crate::ab`]) under the activation rule
+//! `base + DD(rank)`, emitting through the same clip sink as a padded
+//! `ProtocolA` — with rank → survivor pid and unit → outstanding unit maps
+//! where that one uses identities.
 
 use doall_bounds::deadlines_ab::{dd, AbParams};
-use doall_sim::{Effects, Pid, Round, Unit};
+use doall_sim::{Effects, Pid, Round};
 
-use crate::ab::{interpret, is_terminal_for, AbMsg, LastOrdinary, Op, Schedule};
+use crate::ab::{padded_params, AbMsg, Clipped, DoWork, Heard};
 
 use super::DMsg;
-
-#[derive(Clone, Debug)]
-enum FState {
-    Passive,
-    Active { ops: Schedule },
-    Done,
-}
 
 /// The embedded, relabeled Protocol A machine driven by a Protocol D
 /// process after the fallback trigger.
 #[derive(Clone, Debug)]
 pub struct FallbackMachine {
-    params: AbParams,
-    /// My rank within the sorted survivor set.
-    rank: u64,
+    /// Figure 1 for my rank within the sorted survivor set.
+    core: DoWork,
     /// The engine round at which this machine started (deadlines offset).
     base: Round,
     /// Sorted survivor pids: `ranks[r]` is the real pid of rank `r`.
@@ -47,8 +39,6 @@ pub struct FallbackMachine {
     /// Sorted outstanding units: `units[u-1]` is the real unit of
     /// relabeled unit `u`.
     units: Vec<u64>,
-    state: FState,
-    last: LastOrdinary,
 }
 
 impl FallbackMachine {
@@ -66,139 +56,68 @@ impl FallbackMachine {
             .iter()
             .position(|&p| p == me)
             .expect("fallback is only run by agreed survivors") as u64;
-        let t_padded = {
-            let mut s = 1u64;
-            while s * s < survivors.len() as u64 {
-                s += 1;
-            }
-            s * s
-        };
-        let n_padded = (units.len() as u64).div_ceil(t_padded).max(1) * t_padded;
-        let params = AbParams::new(n_padded, t_padded);
+        let params = padded_params(units.len() as u64, survivors.len() as u64);
         FallbackMachine {
-            params,
-            rank,
+            core: DoWork::new(params, rank),
             base: base.into(),
             ranks: survivors,
             units,
-            state: FState::Passive,
-            last: LastOrdinary::Fictitious,
         }
     }
 
     /// Whether the machine has retired.
     pub fn is_done(&self) -> bool {
-        matches!(self.state, FState::Done)
+        self.core.is_done()
     }
 
     /// The padded Protocol A parameters (for tests).
     pub fn params(&self) -> AbParams {
-        self.params
-    }
-
-    fn rank_of(&self, pid: u64) -> Option<u64> {
-        self.ranks.binary_search(&pid).ok().map(|r| r as u64)
-    }
-
-    /// Broadcasts `msg` to the given ranks, dropping virtual ones.
-    fn broadcast_ranks<I: Iterator<Item = u64>>(
-        &self,
-        ranks: I,
-        msg: AbMsg,
-        eff: &mut Effects<DMsg>,
-    ) {
-        for r in ranks {
-            if let Some(&pid) = self.ranks.get(r as usize) {
-                eff.send(Pid::new(pid as usize), DMsg::Fallback(msg));
-            }
-        }
-    }
-
-    fn exec(&mut self, op: Op, eff: &mut Effects<DMsg>) {
-        let p = self.params;
-        match op {
-            Op::Work { u } => {
-                // Phantom units beyond |S| consume the round silently.
-                if let Some(&real) = self.units.get(u as usize - 1) {
-                    eff.perform(Unit::new(real as usize));
-                }
-            }
-            Op::PartialCp { c } => {
-                let end = p.group_of(self.rank) * p.sqrt_t();
-                self.broadcast_ranks(self.rank + 1..end, AbMsg::Partial { c }, eff);
-            }
-            Op::FullCpGroup { c, g } => {
-                self.broadcast_ranks(p.group_members(g), AbMsg::Full { c, g }, eff);
-            }
-            Op::FullCpOwn { c, g } => {
-                let end = p.group_of(self.rank) * p.sqrt_t();
-                self.broadcast_ranks(self.rank + 1..end, AbMsg::Full { c, g }, eff);
-            }
-        }
-    }
-
-    fn activate(&mut self, eff: &mut Effects<DMsg>) {
-        eff.note("activate");
-        let mut ops = Schedule::new(self.params, self.rank, self.last);
-        if let Some(op) = ops.pop_front() {
-            self.exec(op, eff);
-        }
-        if ops.is_empty() {
-            eff.terminate();
-            self.state = FState::Done;
-        } else {
-            self.state = FState::Active { ops };
-        }
+        self.core.params
     }
 
     /// One engine round. `inbox` holds the fallback messages delivered this
     /// round as `(sender pid, message)` pairs.
     pub fn step(&mut self, round: Round, inbox: &[(u64, AbMsg)], eff: &mut Effects<DMsg>) {
-        match &mut self.state {
-            FState::Done => {}
-            FState::Active { ops } => {
-                let op = ops.pop_front();
-                if let Some(op) = op {
-                    self.exec(op, eff);
+        let (ranks, units) = (&self.ranks[..], &self.units[..]);
+        let mut out = Clipped {
+            eff,
+            n_real: units.len() as u64,
+            t_real: ranks.len() as u64,
+            unit: |u| units[u as usize - 1] as usize,
+            send: |eff: &mut Effects<DMsg>, to: std::ops::Range<usize>, msg| {
+                for &pid in &ranks[to] {
+                    eff.send(Pid::new(pid as usize), DMsg::Fallback(msg));
                 }
-                if matches!(&self.state, FState::Active { ops } if ops.is_empty()) {
-                    eff.terminate();
-                    self.state = FState::Done;
-                }
+            },
+        };
+        if self.core.advance(&mut out) {
+            return;
+        }
+        // Of several messages in one round the last one is held; a
+        // terminal one counts whoever sent it, anything else only from an
+        // agreed survivor.
+        for (from, msg) in inbox {
+            let sender_rank = ranks.binary_search(from).ok().map(|r| r as u64);
+            if self.core.hear(sender_rank, *msg) == Heard::Terminal {
+                return self.core.retire(&mut out);
             }
-            FState::Passive => {
-                for (from, msg) in inbox {
-                    if is_terminal_for(self.params, self.rank, *msg) {
-                        eff.terminate();
-                        self.state = FState::Done;
-                        return;
-                    }
-                    if let Some(sender_rank) = self.rank_of(*from) {
-                        if let Some(last) = interpret(self.params, self.rank, sender_rank, *msg) {
-                            self.last = last;
-                        }
-                    }
-                }
-                let rel = round.saturating_sub(self.base);
-                if rel >= u128::from(dd(self.params, self.rank)) {
-                    self.activate(eff);
-                }
-            }
+        }
+        if round.saturating_sub(self.base) >= u128::from(dd(self.core.params, self.core.rank)) {
+            self.core.activate(&mut out);
         }
     }
 
     /// Earliest round at which this machine wants to act spontaneously.
     pub fn next_wakeup(&self, now: Round) -> Option<Round> {
-        match self.state {
-            FState::Done => None,
-            FState::Active { .. } => Some(now),
-            FState::Passive => Some((self.base + dd(self.params, self.rank)).max(now)),
-        }
+        self.core
+            .next_wakeup(now, || Some((self.base + dd(self.core.params, self.core.rank)).max(now)))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use doall_sim::Unit;
+
     use super::*;
 
     #[test]
@@ -207,7 +126,7 @@ mod tests {
         let m = FallbackMachine::new(7, vec![2, 7, 9], vec![10, 11, 12, 40, 41], 100u64);
         assert_eq!(m.params().t, 4);
         assert_eq!(m.params().n, 8);
-        assert_eq!(m.rank, 1);
+        assert_eq!(m.core.rank, 1);
     }
 
     #[test]
@@ -215,7 +134,7 @@ mod tests {
         let m = FallbackMachine::new(3, vec![3], vec![9], 5u64);
         assert_eq!(m.params().t, 1);
         assert_eq!(m.params().n, 1);
-        assert_eq!(m.rank, 0);
+        assert_eq!(m.core.rank, 0);
     }
 
     #[test]
@@ -293,5 +212,79 @@ mod tests {
         m.step(Round::new(51), &[(2, AbMsg::Partial { c: t_sub })], &mut eff);
         assert!(eff.is_terminated());
         assert!(m.is_done());
+    }
+
+    /// Process `j` of a Protocol A system with its fallback twin under the
+    /// identity relabelling riding along: every step is taken by both on
+    /// the same inbox and must emit the same thing.
+    struct Twin {
+        a: crate::ab::protocol_a::ProtocolA,
+        f: FallbackMachine,
+    }
+
+    impl doall_sim::Protocol for Twin {
+        type Msg = AbMsg;
+
+        fn step(
+            &mut self,
+            round: Round,
+            inbox: doall_sim::Inbox<'_, AbMsg>,
+            eff: &mut Effects<AbMsg>,
+        ) {
+            let pairs: Vec<(u64, AbMsg)> =
+                inbox.iter().map(|(from, msg)| (from.index() as u64, *msg)).collect();
+            self.a.step(round, inbox, eff);
+            let mut twin = Effects::new();
+            self.f.step(round, &pairs, &mut twin);
+
+            let flat = |to: &doall_sim::Recipients, msg: AbMsg| {
+                to.iter().map(move |pid| (pid, msg)).collect::<Vec<_>>()
+            };
+            let sent: Vec<_> = eff.sends().iter().flat_map(|op| flat(&op.to, op.payload)).collect();
+            let twin_sent: Vec<_> = twin
+                .sends()
+                .iter()
+                .flat_map(|op| match op.payload {
+                    DMsg::Fallback(msg) => flat(&op.to, msg),
+                    ref other => panic!("fallback sent {other}"),
+                })
+                .collect();
+            let at = format!("round {round}, rank {}", self.f.core.rank);
+            assert_eq!(twin.work(), eff.work(), "{at}");
+            assert_eq!(twin_sent, sent, "{at}");
+            assert_eq!(twin.notes(), eff.notes(), "{at}");
+            assert_eq!(twin.is_terminated(), eff.is_terminated(), "{at}");
+            assert_eq!(self.f.next_wakeup(round + 1u64), self.a.next_wakeup(round + 1u64), "{at}");
+        }
+
+        fn next_wakeup(&self, now: Round) -> Option<Round> {
+            self.a.next_wakeup(now)
+        }
+    }
+
+    #[test]
+    fn identity_relabelled_fallback_is_protocol_a_step_for_step() {
+        use doall_sim::{run, CrashSchedule, CrashSpec, RunConfig};
+
+        for (n, t) in [(32u64, 16u64), (18, 9), (8, 4)] {
+            let twins: Vec<Twin> = crate::ab::protocol_a::ProtocolA::processes(n, t)
+                .unwrap()
+                .into_iter()
+                .zip(0..t)
+                .map(|(a, j)| Twin {
+                    a,
+                    f: FallbackMachine::new(j, (0..t).collect(), (1..=n).collect(), 0u64),
+                })
+                .collect();
+            // Takeovers with every kind of handover: mid-work, mid-checkpoint
+            // with a partial broadcast, and right after a full broadcast.
+            let adv = CrashSchedule::new()
+                .crash_at(Pid::new(0), n / t + 1, CrashSpec::prefix(1))
+                .crash_at(Pid::new(1), n + 3 * t + 2, CrashSpec::silent())
+                .crash_at(Pid::new(2), 2 * (n + 3 * t) + n / 2, CrashSpec::after_round());
+            let report = run(twins, adv, RunConfig::new(n as usize, 1_000_000)).unwrap();
+            assert!(report.metrics.all_work_done());
+            assert_eq!(report.metrics.crashes, 3);
+        }
     }
 }

@@ -15,7 +15,6 @@ pub mod intervals;
 
 pub use ab::asynch::AsyncProtocolA;
 pub use ab::asynch_b::AsyncProtocolB;
-pub use ab::padded::PaddedA;
 pub use ab::protocol_a::ProtocolA;
 pub use ab::protocol_b::ProtocolB;
 pub use baseline::{AsyncReplicate, Lockstep, NaiveSpread, ReplicateAll};

@@ -259,6 +259,56 @@ fn protocol_a_fault_scenarios() {
     for scenario in fault_scenarios(t) {
         run_faulted(ProtocolA::processes(n, t).unwrap(), &scenario, n);
     }
+    // A shape only the padded constructor takes: (30, 13) runs as (32, 16)
+    // with three virtual processes and two phantom units.
+    let (n, t) = (30u64, 13u64);
+    for scenario in fault_scenarios(t) {
+        run_faulted(ProtocolA::processes_padded(n, t).unwrap(), &scenario, n);
+    }
+}
+
+/// A stale crash-recovery that preempts the very step that retires the
+/// last process: p0 of a `(4, 1)` system works rounds 1–4 and would
+/// terminate with its checkpoint in round 5; the crash swallows that
+/// terminate, and on rejoining at round 7 it must retire again. The
+/// hand-copied padded machine had no recovery hook and deadlocked here.
+#[test]
+fn stale_recovery_over_the_final_step_still_retires() {
+    use doall::sim::faults::{FaultKind, FaultPlan};
+
+    let fault = FaultKind::CrashRecover { pid: Pid::new(0), downtime: 2, wipe: false };
+    for procs in [ProtocolA::processes(4, 1).unwrap(), ProtocolA::processes_padded(4, 1).unwrap()] {
+        let plan = FaultPlan::new([fault.clone().at(5u64)]);
+        let report = run(plan.wrap(procs), plan, RunConfig::new(4, 100).with_trace()).unwrap();
+        assert!(report.metrics.all_work_done());
+        assert_eq!(report.metrics.rounds, 7u64);
+        assert_eq!(report.metrics.work_total, 4);
+    }
+}
+
+/// The padded constructor's twin: on every shape the strict constructor
+/// accepts nothing pads, so the two must produce the same `Report`, trace
+/// included, under the whole fail-stop and beyond-fail-stop grids — the
+/// same shapes `tests/properties.rs` draws its `ab_shape()` from.
+#[test]
+fn padded_constructor_equals_strict_on_every_valid_shape() {
+    let traced = |procs: Vec<ProtocolA>, scenario: &Scenario, n: u64| {
+        let plan = scenario.fault_plan();
+        run(
+            plan.wrap(procs),
+            scenario.adversary::<doall::core::ab::AbMsg>(),
+            RunConfig::new(n as usize, u64::MAX - 1).with_trace(),
+        )
+        .map_err(|e| e.to_string())
+    };
+    for (s, k) in (1u64..=6).flat_map(|s| (1u64..=6).map(move |k| (s, k))) {
+        let (n, t) = (s * s * k, s * s);
+        for scenario in scenarios(t).into_iter().chain(fault_scenarios(t)) {
+            let strict = traced(ProtocolA::processes(n, t).unwrap(), &scenario, n);
+            let padded = traced(ProtocolA::processes_padded(n, t).unwrap(), &scenario, n);
+            assert_eq!(padded, strict, "({n}, {t}) {}", scenario.label());
+        }
+    }
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use doall::bounds::deadlines_ab::{ddb, tt, AbParams};
 use doall::bounds::theorems;
+use doall::core::ab::padded_params;
 use doall::sim::invariants::{check_activation_order, check_single_active};
 use doall::sim::{run, RunConfig};
 use doall::workload::Scenario;
@@ -25,6 +26,25 @@ fn c_shape() -> impl Strategy<Value = (u64, u64)> {
         let t = 1u64 << log_t;
         (t * k, t)
     })
+}
+
+/// One random crash storm against `t` Protocol A processes doing `n`
+/// units: all work done whenever one process survives, Theorem 2.3 in
+/// the terms of the shape the schedule runs on (`ran` — the padded one for
+/// a padded build), and the single-active invariants.
+fn protocol_a_storm(procs: Vec<ProtocolA>, n: u64, t: u64, ran: AbParams, seed: u64, p: f64) {
+    let scenario = Scenario::Random { seed, p, max_crashes: (t - 1) as u32 };
+    let report =
+        run(procs, scenario.adversary(), RunConfig::new(n as usize, u64::MAX - 1).with_trace())
+            .unwrap();
+    prop_assert!(report.has_survivor());
+    prop_assert!(report.metrics.all_work_done());
+    let b = theorems::protocol_a(ran.n, ran.t);
+    prop_assert!(report.metrics.work_total <= b.work);
+    prop_assert!(report.metrics.messages <= b.messages);
+    prop_assert!(report.metrics.rounds <= b.rounds);
+    prop_assert!(check_single_active(&report.trace).is_empty());
+    prop_assert!(check_activation_order(&report.trace).is_empty());
 }
 
 proptest! {
@@ -57,20 +77,15 @@ proptest! {
     /// Protocol A: correctness and Theorem 2.3 under random crash storms.
     #[test]
     fn protocol_a_random_storms((n, t) in ab_shape(), seed in any::<u64>(), p in 0.0f64..0.08) {
-        let scenario = Scenario::Random { seed, p, max_crashes: (t - 1) as u32 };
-        let report = run(
-            ProtocolA::processes(n, t).unwrap(),
-            scenario.adversary(),
-            RunConfig::new(n as usize, u64::MAX - 1).with_trace(),
-        ).unwrap();
-        prop_assert!(report.has_survivor());
-        prop_assert!(report.metrics.all_work_done());
-        let b = theorems::protocol_a(n, t);
-        prop_assert!(report.metrics.work_total <= b.work);
-        prop_assert!(report.metrics.messages <= b.messages);
-        prop_assert!(report.metrics.rounds <= b.rounds);
-        prop_assert!(check_single_active(&report.trace).is_empty());
-        prop_assert!(check_activation_order(&report.trace).is_empty());
+        protocol_a_storm(ProtocolA::processes(n, t).unwrap(), n, t, AbParams::new(n, t), seed, p);
+    }
+
+    /// The same contract on arbitrary shapes through the padded
+    /// constructor, Theorem 2.3 read in padded terms (`3n⁺`, `9t⁺√t⁺`).
+    #[test]
+    fn protocol_a_padded_random_storms(n in 1u64..=200, t in 1u64..=40, seed in any::<u64>(), p in 0.0f64..0.08) {
+        let procs = ProtocolA::processes_padded(n, t).unwrap();
+        protocol_a_storm(procs, n, t, padded_params(n, t), seed, p);
     }
 
     /// Protocol B: correctness and Theorem 2.8 under random crash storms.
