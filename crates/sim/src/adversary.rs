@@ -354,7 +354,11 @@ impl<M> Adversary<M> for NoFailures {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CrashSchedule {
-    by_round: BTreeMap<Round, Vec<(Pid, CrashSpec)>>,
+    // Keyed by round, then by pid, so an intercept costs two map lookups
+    // however many crashes share a round (`Scenario::DeadOnArrival` puts
+    // thousands in round 1). Rounds stay the outer key: a round with no
+    // entries misses in one lookup instead of searching every entry.
+    by_round: BTreeMap<Round, BTreeMap<Pid, CrashSpec>>,
     count: usize,
 }
 
@@ -369,14 +373,15 @@ impl CrashSchedule {
     /// beyond the 64-bit horizon).
     ///
     /// If the process is already retired by then, the entry is ignored at
-    /// run time.
+    /// run time. Scheduling the same `(pid, round)` twice keeps the first
+    /// spec; the repeat still counts toward [`len`](CrashSchedule::len).
     pub fn crash_at(mut self, pid: Pid, round: impl Into<Round>, spec: CrashSpec) -> Self {
-        self.by_round.entry(round.into()).or_default().push((pid, spec));
+        self.by_round.entry(round.into()).or_default().entry(pid).or_insert(spec);
         self.count += 1;
         self
     }
 
-    /// Number of scheduled crash entries.
+    /// Number of scheduled crash entries (every `crash_at` call).
     pub fn len(&self) -> usize {
         self.count
     }
@@ -395,12 +400,10 @@ impl<M> Adversary<M> for CrashSchedule {
         _effects: &Effects<M>,
         _ctx: AdversaryCtx<'_>,
     ) -> Fate {
-        if let Some(entries) = self.by_round.get(&round) {
-            if let Some((_, spec)) = entries.iter().find(|(p, _)| *p == pid) {
-                return Fate::Crash(spec.clone());
-            }
+        match self.by_round.get(&round).and_then(|entries| entries.get(&pid)) {
+            Some(spec) => Fate::Crash(spec.clone()),
+            None => Fate::Survive,
         }
-        Fate::Survive
     }
 
     fn next_event(&self, now: Round) -> Option<Round> {
@@ -704,6 +707,22 @@ mod tests {
             s.intercept(Round::new(5), Pid::new(1), &eff, ctx(&alive)),
             Fate::Crash(_)
         ));
+    }
+
+    #[test]
+    fn schedule_keeps_the_first_spec_of_a_repeated_round_and_pid() {
+        let mut s = CrashSchedule::new().crash_at(Pid::new(3), 7, CrashSpec::prefix(2)).crash_at(
+            Pid::new(3),
+            7,
+            CrashSpec::silent(),
+        );
+        assert_eq!(s.len(), 2);
+        let eff: Effects<()> = Effects::new();
+        let alive = [true; 4];
+        assert_eq!(
+            s.intercept(Round::new(7), Pid::new(3), &eff, ctx(&alive)),
+            Fate::Crash(CrashSpec::prefix(2))
+        );
     }
 
     #[test]

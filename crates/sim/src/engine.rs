@@ -162,8 +162,9 @@ pub struct MemBudget {
     /// number: it must stay ≤ 32 bytes × t regardless of n or round count.
     pub soa_bytes: u64,
     /// Peak transient state: in-flight send ops, the delivery index's
-    /// per-delivery entries, and the due list. Proportional to per-round
-    /// traffic, not to `t`.
+    /// per-delivery entries, and the two due lists (this round's and the
+    /// next round's). Proportional to per-round traffic and stepping, not
+    /// to `t`.
     pub flight_bytes: u64,
     /// Workload-proportional ledgers: the per-unit work multiplicity table
     /// and the recorded trace.
@@ -745,8 +746,10 @@ pub struct EngineSnapshot<P: Protocol, A> {
     // an event scheduled this round — by the quiescence contract on
     // [`Protocol`], the skipped invocations were provably no-ops. The
     // cache is refreshed after every step (the only moments process state
-    // can change), so entries for untouched processes stay valid and the
-    // fast-forward jump reads the minimum straight off this table.
+    // can change), so entries for untouched processes stay valid. The
+    // engine's round index (`next_due` / `far`, scratch beside it) is
+    // derived from this table; the exact scans that rebuild the index read
+    // it whenever the index cannot answer on its own.
     pset: ProcSet,
     // The compressed live set: bitset membership plus lazily rebuilt
     // maximal runs. Replaces both the old `Vec<bool>` mirror and the
@@ -808,9 +811,10 @@ where
 /// * **Checkpoint/restore** — [`snapshot`](Engine::snapshot) captures the
 ///   complete run state at any pause point and [`resume`](Engine::resume)
 ///   reconstructs an engine that continues bit-identically; scratch
-///   buffers (the delivery index, effect buffers) are rebuilt fresh, which
-///   is safe because the round clock is strictly monotone and the delivery
-///   index's stamps can only match rounds they were built in.
+///   buffers (the delivery index, effect buffers, the round index) are
+///   rebuilt fresh, which is safe because the round clock is strictly
+///   monotone, the delivery index's stamps can only match rounds they were
+///   built in, and an empty round index forces one exact scan.
 /// * **Watchdog** — with [`RunConfig::stall_window`] set, the engine
 ///   monitors observable progress every executed round and aborts livelocks
 ///   with a [`StallDiagnosis`] instead of burning the round budget.
@@ -825,15 +829,27 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     record: bool,
     // Scratch buffers, allocated once (by `resume`) and recycled every
     // round; not part of the state. In steady state the loop performs no
-    // allocation: `eff` is reset (not rebuilt), the two op buffers swap
-    // roles each round, the due list is refilled in place, and the
-    // delivery index grows only to the high-water mark of per-round live
-    // deliveries. The in-flight buffers hold send *ops* (payload stored
-    // once per broadcast), never per-recipient envelopes.
+    // allocation: `eff` is reset (not rebuilt), the two op buffers and the
+    // two due lists swap roles each round, and the delivery index grows
+    // only to the high-water mark of per-round live deliveries. (The one
+    // exception is the standard library's stable sort, which borrows a
+    // heap merge buffer when it restores pid order to a due list of more
+    // than about a thousand entries.) The in-flight buffers hold send
+    // *ops* (payload stored once per broadcast), never per-recipient
+    // envelopes.
     due: Vec<u32>,
     eff: Effects<P::Msg>,
     next_pending: Vec<FlightOp<P::Msg>>,
     delivery: DeliveryIndex,
+    // The round index, which lets a round find its due processes in
+    // O(due) instead of scanning the live set. `next_due` holds, in pid
+    // order, the processes the step loop refreshed to a wakeup of exactly
+    // the next round; `far` is a lower bound on the cached wakeup of every
+    // other live process (`None`: none has one). The bound only ever
+    // drops between exact scans, each of which recomputes it; a revival
+    // or `resume` sets it to a round already reached, forcing a scan.
+    next_due: Vec<u32>,
+    far: Option<Round>,
 }
 
 impl<P, A> Engine<P, A>
@@ -924,11 +940,13 @@ where
 
     /// Reconstructs an engine from a snapshot, which moves in whole as the
     /// engine's state; this is the only place scratch state (delivery
-    /// index, effect buffers) is built, and it is built empty. Stale-stamp
-    /// reasoning makes that equivalent to the buffers the original engine
-    /// carried (stamps only ever match the round they were built in, and
-    /// the clock is strictly monotone). The continuation is bit-identical
-    /// to the uninterrupted run.
+    /// index, effect buffers, round index) is built, and it is built empty.
+    /// Stale-stamp reasoning makes that equivalent to the buffers the
+    /// original engine carried (stamps only ever match the round they were
+    /// built in, and the clock is strictly monotone), and the empty round
+    /// index carries a bound of round 0, so the first resumed round finds
+    /// its due processes by an exact scan of the wakeup cache. The
+    /// continuation is bit-identical to the uninterrupted run.
     pub fn resume(snapshot: EngineSnapshot<P, A>) -> Self {
         Engine {
             record: snapshot.cfg.record_trace,
@@ -937,6 +955,8 @@ where
             due: Vec::new(),
             eff: Effects::new(),
             next_pending: Vec::new(),
+            next_due: Vec::new(),
+            far: Some(Round::ZERO),
         }
     }
 
@@ -983,7 +1003,7 @@ where
         let flight = self.delivery.flight_bytes()
             + ((self.st.pending.capacity() + self.next_pending.capacity())
                 * std::mem::size_of::<FlightOp<P::Msg>>()) as u64
-            + (self.due.capacity() * 4) as u64
+            + ((self.due.capacity() + self.next_due.capacity()) * 4) as u64
             + (self.st.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
         self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
         let ledger = (self.st.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()) as u64
@@ -1039,6 +1059,8 @@ where
                 }
             }
             self.st.next_revive = self.st.revive.values().map(|&(at, _)| at).min();
+            // A revived process is in no index entry: force the exact scan.
+            self.far = Some(round);
         }
 
         // 1. Deliver last round's messages: index the in-flight ops by live
@@ -1073,22 +1095,50 @@ where
         // behaviour bit-for-bit.
         let adv_due = self.st.adversary.next_event(round).is_some_and(|r| r <= round);
 
-        // 2. Due-scan: the set of processes stepped this round is fully
+        // 2. The due list: the set of processes stepped this round is fully
         //    determined at the round boundary (live ∧ (adversary event ∨
         //    inbox ∨ wakeup due)), and a fate ruling only ever affects the
         //    stepped process itself — so the list is collected up front.
-        self.due.clear();
-        let pset = &self.st.pset;
-        let delivery = &self.delivery;
-        let due = &mut self.due;
-        for i in self.st.live.iter() {
-            if adv_due || (have_inbox && delivery.has_inbox(i)) || pset.wakeup_due(i, round) {
-                due.push(i as u32);
+        //    When the adversary is quiet and `far` proves no wakeup outside
+        //    `next_due` has come due, the index answers in O(due): last
+        //    round's `next_due` plus the inbox recipients not already in
+        //    it, merged back into pid order. Otherwise the exact scan walks
+        //    the live set and recomputes `far` from every process it skips.
+        if !adv_due && self.far.is_none_or(|f| f > round) {
+            std::mem::swap(&mut self.due, &mut self.next_due);
+            if have_inbox {
+                let indexed = self.due.len();
+                for &i in &self.delivery.touched {
+                    if !self.st.pset.wakeup_due(i as usize, round) {
+                        self.due.push(i);
+                    }
+                }
+                if self.due.len() > indexed {
+                    self.due.sort();
+                }
             }
+        } else {
+            self.due.clear();
+            let mut far: Option<Round> = None;
+            let pset = &self.st.pset;
+            let delivery = &self.delivery;
+            let due = &mut self.due;
+            for i in self.st.live.iter() {
+                if adv_due || (have_inbox && delivery.has_inbox(i)) || pset.wakeup_due(i, round) {
+                    due.push(i as u32);
+                } else if let Some(w) = pset.wakeup(i) {
+                    far = Some(far.map_or(w, |f| f.min(w)));
+                }
+            }
+            self.far = far;
         }
+        self.next_due.clear();
 
         // 3. Step every due process, in pid order, and let the adversary
-        //    rule on it before the next one steps.
+        //    rule on it before the next one steps. Each survivor's
+        //    refreshed wakeup goes into the index: exactly `next` joins
+        //    `next_due` (in pid order, since the loop is), anything later
+        //    lowers `far`.
         let next = round.saturating_add(1);
         let mut eff = std::mem::replace(&mut self.eff, Effects::new());
         for di in 0..self.due.len() {
@@ -1106,6 +1156,11 @@ where
             if self.st.live.contains(idx) {
                 let wake = self.st.procs[idx].next_wakeup(next).map(|w| w.max(next));
                 self.st.pset.set_wakeup(idx, wake);
+                match wake {
+                    Some(w) if w == next => self.next_due.push(idx as u32),
+                    Some(w) => self.far = Some(self.far.map_or(w, |f| f.min(w))),
+                    None => {}
+                }
             }
         }
         self.eff = eff;
@@ -1150,19 +1205,24 @@ where
             }
         }
 
-        // Sparse fast-forward through provably idle rounds: with nothing in
-        // flight, jump the clock straight to the earliest cached wakeup or
-        // scheduled adversary event — one O(live) scan per jump, however
-        // astronomically far the target lies (Protocol C's silent waiting
-        // phases cost exactly one jump each on the 128-bit clock). A
-        // saturated wakeup (`Round::MAX`) is a legal target: a deadline
+        // Sparse fast-forward through provably idle rounds. Messages in
+        // flight, or a process in `next_due`, make `next` the target (every
+        // cached wakeup, adversary event and revival is clamped to at least
+        // `next`, so nothing can come sooner). Only a fully quiescent round
+        // scans the live set for the earliest cached wakeup — one O(live)
+        // scan per jump, however astronomically far the target lies
+        // (Protocol C's silent waiting phases cost exactly one jump each on
+        // the 128-bit clock) — and the exact minimum it finds resets `far`.
+        // A saturated wakeup (`Round::MAX`) is a legal target: a deadline
         // past the representable horizon fires *at* the horizon, exactly
         // as the old 64-bit clock fired saturated deadlines at `u64::MAX`.
-        let advanced = if self.st.pending.is_empty() {
+        let advanced = if self.st.pending.is_empty() && self.next_due.is_empty() {
             let wake = {
                 let pset = &self.st.pset;
-                self.st.live.iter().filter_map(|i| pset.wakeup(i)).map(|w| w.max(next)).min()
+                self.st.live.iter().filter_map(|i| pset.wakeup(i)).min()
             };
+            self.far = wake;
+            let wake = wake.map(|w| w.max(next));
             let adv = self.st.adversary.next_event(next).map(|r| r.max(next));
             let rev = self.st.next_revive.map(|r| r.max(next));
             match [wake, adv, rev].into_iter().flatten().min() {

@@ -1,14 +1,20 @@
-//! Differential property test for the span-multicast message plane: a
-//! *reference engine* that expands every send op into per-recipient
-//! `(from, to, payload)` triples — the pre-PR-3 representation — must
-//! produce byte-identical [`Report`]s (statuses and all metrics, including
-//! `messages_by_class`, dead letters, and per-unit work multiplicities) to
-//! the production engine's CSR span delivery, over randomly drawn
-//! unicast/multicast patterns, crash schedules, and fast-forward gaps.
+//! Differential property test for the span-multicast message plane and
+//! the sparse round scheduler: a *reference engine* that expands every
+//! send op into per-recipient `(from, to, payload)` triples — the pre-PR-3
+//! representation — and steps every live process every executed round
+//! must produce byte-identical [`Report`]s (statuses and all metrics,
+//! including `messages_by_class`, dead letters, and per-unit work
+//! multiplicities) and the same executed-round count as the production
+//! engine's CSR span delivery and O(due) round index, over randomly drawn
+//! unicast/multicast patterns, crash schedules, crash-recovery fault
+//! plans, moving deadlines, and fast-forward gaps.
+
+use std::collections::BTreeMap;
 
 use doall::sim::{
-    run, Adversary, AdversaryCtx, Classify, CrashSchedule, CrashSpec, Effects, Fate, Inbox,
-    MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace, Unit,
+    run, Adversary, AdversaryCtx, Classify, CrashSchedule, CrashSpec, Effects, Fate, FaultKind,
+    FaultPlan, Inbox, MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace,
+    Unit,
 };
 use proptest::prelude::*;
 
@@ -137,11 +143,134 @@ impl Protocol for Chatter {
     }
 }
 
+/// A deadline-driven process whose deliveries move its next action earlier
+/// *or* later: every received message resets the deadline to
+/// `round + 1 + payload % k`, and every action sets it to
+/// `round + 1 + hash % k`, with `k` drawn per process from
+/// {1, 3, 40, 1000}. `k = 1` keeps a process due every round (the
+/// next-round list), `k = 1000` parks it far out (the far-wakeup bound),
+/// and a message can pull a parked deadline in or push a near one out
+/// without the process ever being due. Actions mirror [`Chatter`]'s; a
+/// few received messages are echoed. A wiped recovery restarts from the
+/// initial state (whose deadline is usually already past, so the process
+/// is due in its revival round); a stale one keeps its deadline, which may
+/// lie anywhere ahead — unless the crash hit its final action, in which
+/// case it is due at once and terminates.
+#[derive(Clone)]
+struct Mover {
+    me: usize,
+    t: usize,
+    n: usize,
+    seed: u64,
+    k: u64,
+    start: Round,
+    actions: u64,
+    echoes: u32,
+    deadline: Round,
+    acted: u64,
+    echoes_left: u32,
+    checksum: u64,
+}
+
+impl Mover {
+    fn procs(t: usize, n: usize, seed: u64) -> Vec<Mover> {
+        (0..t)
+            .map(|me| {
+                let h = mix(seed ^ 0x4D4F_5645 ^ (me as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+                let ks: [u64; 4] = [1, 3, 40, 1000];
+                let start = Round::from(1 + h % 30);
+                let echoes = (h >> 16) as u32 % 4;
+                Mover {
+                    me,
+                    t,
+                    n,
+                    seed,
+                    k: ks[(h >> 32) as usize % ks.len()],
+                    start,
+                    actions: 1 + (h >> 48) % 6,
+                    echoes,
+                    deadline: start,
+                    acted: 0,
+                    echoes_left: echoes,
+                    checksum: 0,
+                }
+            })
+            .collect()
+    }
+}
+
+impl Protocol for Mover {
+    type Msg = Chat;
+
+    fn step(&mut self, round: Round, inbox: Inbox<'_, Chat>, eff: &mut Effects<Chat>) {
+        if self.acted >= self.actions {
+            // Only a stale revival of a process that crashed in its final
+            // action gets here (due at once, see `on_recover`): finish.
+            eff.terminate();
+            return;
+        }
+        for (from, msg) in inbox.iter() {
+            self.checksum = mix(self.checksum ^ (from.index() as u64) ^ msg.0);
+            self.deadline = round.saturating_add(u128::from(1 + msg.0 % self.k));
+            if self.echoes_left > 0 {
+                self.echoes_left -= 1;
+                eff.send(from, Chat(self.checksum));
+            }
+        }
+        if self.deadline > round {
+            return;
+        }
+        self.acted += 1;
+        let h = mix(self.seed ^ (self.me as u64) << 32 ^ round.get() as u64 ^ self.checksum);
+        self.deadline = round.saturating_add(u128::from(1 + (h >> 4) % self.k));
+        if h.is_multiple_of(3) {
+            eff.perform(Unit::new(1 + (h >> 8) as usize % self.n));
+        }
+        match (h >> 16) % 4 {
+            0 => eff.send(Pid::new((h >> 24) as usize % self.t), Chat(h >> 40)),
+            1 => {
+                let lo = (h >> 24) as usize % self.t;
+                let hi = lo + 1 + (h >> 34) as usize % (self.t - lo);
+                eff.multicast(lo..hi, Chat(h >> 40));
+            }
+            2 => {
+                let lo = (h >> 24) as usize % self.t;
+                eff.multicast(lo..self.t, Chat(h >> 40));
+                eff.send(Pid::new((h >> 45) as usize % self.t), Chat(h >> 50));
+            }
+            _ => eff.note("mumble"),
+        }
+        if self.acted == self.actions {
+            eff.terminate();
+        }
+    }
+
+    fn next_wakeup(&self, _now: Round) -> Option<Round> {
+        Some(self.deadline)
+    }
+
+    fn on_recover(&mut self, round: Round, wipe: bool) {
+        if wipe {
+            self.deadline = self.start;
+            self.acted = 0;
+            self.echoes_left = self.echoes;
+            self.checksum = 0;
+        } else if self.acted >= self.actions {
+            self.deadline = round;
+        }
+    }
+}
+
 /// The reference engine: same model semantics as `doall::sim::run`, but
 /// every send op is immediately expanded into one owned `(from, to,
 /// payload)` triple per recipient — per-recipient clones, per-recipient
 /// metric recording, per-recipient delivery — the representation the span
-/// engine replaced.
+/// engine replaced. It keeps no wakeup cache and no round index: every
+/// live process steps every executed round, and the fast-forward asks
+/// every live process for its wakeup afresh. Crash-recovery revivals
+/// happen at the start of their round (before delivery), and the report
+/// counts executed rounds, so a production round index that adds or
+/// drops an executed round is caught too.
 fn run_reference<P, A>(mut procs: Vec<P>, mut adversary: A, cfg: RunConfig) -> Option<Report>
 where
     P: Protocol,
@@ -152,6 +281,8 @@ where
     let mut alive = vec![true; t];
     let mut live = t;
     let mut metrics = Metrics::new(cfg.n);
+    let mut revive: BTreeMap<usize, (Round, bool)> = BTreeMap::new();
+    let mut executed_rounds = 0u64;
     let record_work = |m: &mut Metrics, unit: Unit| {
         m.work_total += 1;
         let idx = unit.zero_based();
@@ -169,13 +300,29 @@ where
         if round > cfg.max_rounds {
             return None;
         }
-        // Deliver: naive per-recipient inbox build.
+        executed_rounds += 1;
+        // Revive: restarts whose downtime has elapsed, before delivery.
+        let ready: Vec<(usize, bool)> =
+            revive.iter().filter(|(_, &(at, _))| at <= round).map(|(&i, &(_, w))| (i, w)).collect();
+        for (idx, wipe) in ready {
+            revive.remove(&idx);
+            statuses[idx] = Status::Alive;
+            alive[idx] = true;
+            live += 1;
+            metrics.recoveries += 1;
+            procs[idx].on_recover(round, wipe);
+        }
+        // Deliver: naive per-recipient inbox build, consulting receive
+        // omission once per live (message, recipient) in send order.
+        let filters = adversary.filters_deliveries();
         let mut inboxes: Vec<Vec<(Pid, P::Msg)>> = vec![Vec::new(); t];
         for (from, to, payload) in pending.drain(..) {
-            if alive[to.index()] {
-                inboxes[to.index()].push((from, payload));
-            } else {
+            if !alive[to.index()] {
                 metrics.dead_letters += 1;
+            } else if filters && adversary.omits_delivery(round, from, to) {
+                metrics.omissions += 1;
+            } else {
+                inboxes[to.index()].push((from, payload));
             }
         }
 
@@ -208,7 +355,7 @@ where
                         metrics.terminations += 1;
                     }
                 }
-                Fate::Crash(spec) => {
+                Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
                     if spec.count_work {
                         if let Some(unit) = eff.work() {
                             record_work(&mut metrics, unit);
@@ -230,6 +377,10 @@ where
                     alive[idx] = false;
                     live -= 1;
                     metrics.crashes += 1;
+                    if let Fate::CrashRecover { downtime, wipe, .. } = fate {
+                        revive
+                            .insert(idx, (round.saturating_add(u128::from(downtime.max(1))), wipe));
+                    }
                 }
                 Fate::Omit(filter) => {
                     // Send omission: the process survives, works, and its
@@ -258,20 +409,17 @@ where
                         metrics.terminations += 1;
                     }
                 }
-                Fate::CrashRecover { .. } => {
-                    unreachable!("the differential fixtures use fail-stop adversaries only")
-                }
             }
         }
 
-        if live == 0 {
+        if live == 0 && revive.is_empty() {
             metrics.rounds = round;
             return Some(Report {
                 metrics,
                 trace: Trace::new(),
                 statuses,
                 mem: MemBudget::default(),
-                executed_rounds: 0,
+                executed_rounds,
             });
         }
 
@@ -286,27 +434,25 @@ where
                 .map(|w| w.max(next))
                 .min();
             let adv = adversary.next_event(next).map(|r| r.max(next));
-            round = match (wake, adv) {
-                (Some(w), Some(a)) => w.min(a),
-                (Some(w), None) => w,
-                (None, Some(a)) => a,
-                (None, None) => return None, // deadlock: Chatters never do this
-            };
+            let rev = revive.values().map(|&(at, _)| at.max(next)).min();
+            // `None` is a deadlock: neither fixture ever produces one.
+            round = [wake, adv, rev].into_iter().flatten().min()?;
         } else {
             round = round.next();
         }
     }
 }
 
-/// A random crash schedule: up to 5 crashes with every delivery-filter
-/// shape (silent, after-round, prefix, arbitrary subset).
-fn crash_schedule(t: usize, seed: u64) -> CrashSchedule {
+/// A random crash schedule: up to 5 crashes in rounds `1..=horizon` with
+/// every delivery-filter shape (silent, after-round, prefix, arbitrary
+/// subset).
+fn crash_schedule(t: usize, seed: u64, horizon: u64) -> CrashSchedule {
     let mut sched = CrashSchedule::new();
     let crashes = mix(seed) % 6;
     for c in 0..crashes {
         let h = mix(seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let pid = Pid::new(h as usize % t);
-        let round = 1 + (h >> 16) % 60;
+        let round = 1 + (h >> 16) % horizon;
         let spec = match (h >> 32) % 4 {
             0 => CrashSpec::silent(),
             1 => CrashSpec::after_round(),
@@ -321,12 +467,74 @@ fn crash_schedule(t: usize, seed: u64) -> CrashSchedule {
     sched
 }
 
+/// A random valid fault plan of one to six faults injected in rounds
+/// `1..=horizon`, at least half of them crash-recoveries (wiped or stale,
+/// downtimes from one round to several hundred), plus permanent crashes,
+/// send-omission and receive-omission windows. Pid 0 is never crashed for
+/// good, and no pid gets both a permanent crash and another crash-like
+/// fault, so the plan always validates.
+fn fault_plan(t: usize, seed: u64, horizon: u64) -> FaultPlan {
+    let mut faults = Vec::new();
+    let mut crash_like: Vec<(usize, bool)> = Vec::new(); // (pid, permanent)
+    for c in 0..1 + mix(seed ^ 0x0FA1_7000) % 6 {
+        let h = mix(seed ^ 0x0FA1_7000 ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let pid = h as usize % t;
+        let at = 1 + (h >> 16) % horizon;
+        let window = 1 + (h >> 40) % 20;
+        let fault = match (h >> 32) % 6 {
+            0..=2 => {
+                if crash_like.iter().any(|&(p, permanent)| p == pid && permanent) {
+                    continue;
+                }
+                crash_like.push((pid, false));
+                let downtimes: [u64; 5] = [1, 2, 5, 40, 300];
+                FaultKind::CrashRecover {
+                    pid: Pid::new(pid),
+                    downtime: downtimes[(h >> 44) as usize % downtimes.len()],
+                    wipe: (h >> 50) & 1 == 1,
+                }
+                .at(at)
+            }
+            3 => {
+                if pid == 0 || crash_like.iter().any(|&(p, _)| p == pid) {
+                    continue;
+                }
+                crash_like.push((pid, true));
+                FaultKind::Crash(Pid::new(pid)).at(at)
+            }
+            4 => FaultKind::OmitSends(Pid::new(pid)).at(at).for_rounds(window),
+            _ => FaultKind::OmitRecv(Pid::new(pid)).at(at).for_rounds(window),
+        };
+        faults.push(fault);
+    }
+    let plan = FaultPlan::new(faults);
+    assert!(plan.validate(t).is_ok(), "generator drew an invalid plan");
+    plan
+}
+
+/// Runs `procs` through the production engine and the reference, and
+/// asserts they agree on metrics, statuses, and executed rounds.
+fn assert_twins<P, A>(procs: Vec<P>, adversary: A, cfg: RunConfig) -> Report
+where
+    P: Protocol + Clone,
+    A: Adversary<P::Msg> + Clone,
+{
+    let fast = run(procs.clone(), adversary.clone(), cfg.clone()).expect("fixtures always retire");
+    let reference =
+        run_reference(procs, adversary, cfg).expect("reference run must complete identically");
+    assert_eq!(&fast.metrics, &reference.metrics);
+    assert_eq!(&fast.statuses, &reference.statuses);
+    assert_eq!(fast.executed_rounds, reference.executed_rounds);
+    fast
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// The span engine and the per-recipient reference engine agree on the
     /// complete Report: statuses, message counts (total, per class, dead
-    /// letters), per-unit work multiplicities, and the final round.
+    /// letters), per-unit work multiplicities, the final round, and the
+    /// number of executed rounds.
     #[test]
     fn span_engine_matches_per_recipient_reference(
         t in 1usize..=10,
@@ -334,13 +542,36 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = RunConfig::new(n, 200_000);
-        let sched = crash_schedule(t, seed);
-        let fast = run(Chatter::procs(t, n, seed), sched.clone(), cfg.clone())
-            .expect("chatters always retire");
-        let reference = run_reference(Chatter::procs(t, n, seed), sched, cfg)
-            .expect("reference run must complete identically");
-        prop_assert_eq!(&fast.metrics, &reference.metrics);
-        prop_assert_eq!(&fast.statuses, &reference.statuses);
+        assert_twins(Chatter::procs(t, n, seed), crash_schedule(t, seed, 60), cfg);
+    }
+
+    /// The round index twin under fail-stop crashes: moving deadlines keep
+    /// processes entering and leaving the next-round list, being woken by
+    /// inboxes before they are due, and parking far out, across live sets
+    /// up to three bitset words wide.
+    #[test]
+    fn round_index_matches_dense_reference_under_crash_schedules(
+        t in 1usize..=130,
+        n in 1usize..=12,
+        seed in any::<u64>(),
+    ) {
+        let cfg = RunConfig::new(n, Round::MAX);
+        assert_twins(Mover::procs(t, n, seed), crash_schedule(t, seed, 200), cfg);
+    }
+
+    /// The same twin under fault plans built around crash-recovery: a
+    /// revived process re-enters the system with a wakeup no index entry
+    /// knows about — due in its revival round, or anywhere ahead — and
+    /// omission windows route delivery through the filtered inbox build.
+    #[test]
+    fn round_index_matches_dense_reference_under_recovery_plans(
+        t in 1usize..=130,
+        n in 1usize..=12,
+        seed in any::<u64>(),
+    ) {
+        let cfg = RunConfig::new(n, Round::MAX);
+        let report = assert_twins(Mover::procs(t, n, seed), fault_plan(t, seed, 60), cfg);
+        prop_assert!(report.metrics.crashes >= report.metrics.recoveries);
     }
 
     /// Sanity on the generator itself: some drawn systems really do send
@@ -349,7 +580,7 @@ proptest! {
     fn chatter_runs_produce_traffic(seed in any::<u64>()) {
         let report = run(
             Chatter::procs(8, 8, seed),
-            crash_schedule(8, seed),
+            crash_schedule(8, seed, 60),
             RunConfig::new(8, 200_000),
         ).expect("chatters always retire");
         // Every process retired one way or the other.

@@ -10,7 +10,7 @@
 
 use doall::sim::asynch::{AsyncConfig, AsyncEngine, DelayDist, Time};
 use doall::sim::chaos::{ChaosCase, ChaosConfig};
-use doall::sim::{Engine, FaultKind, FaultPlan, Pid, Report, Round, RunConfig};
+use doall::sim::{Engine, Event, FaultKind, FaultPlan, Pid, Report, Round, RunConfig};
 use doall::{AsyncProtocolB, ProtocolB};
 use proptest::prelude::*;
 
@@ -105,6 +105,46 @@ proptest! {
         prop_assert_eq!(straight.metrics.recoveries, 1);
         let resumed = async_run(&wide, delay_seed, 256, Some(Time::new(4 * pause as u128)));
         prop_assert_eq!(straight, resumed);
+    }
+}
+
+/// Pause points on the sync engine's round-index seams. Process 0 (B's
+/// first active process) crash-recovers mid-run: a later process takes
+/// over when its parked takeover deadline fires — a far wakeup, found by
+/// the exact scan that `far <= round` forces — and process 0 later
+/// revives. A resumed engine does not carry the round index over: it
+/// starts from an empty `next_due` and `far = 0`, so pausing exactly at
+/// the takeover round, and at the round right after the revival, checks
+/// that the rebuilt index continues as the one the straight run kept.
+#[test]
+fn pauses_at_round_index_seams_resume_bit_identically() {
+    for (at, downtime, wipe) in [(2u64, 3u64, false), (3, 10, true), (5, 40, false), (8, 200, true)]
+    {
+        let plan =
+            FaultPlan::new(vec![
+                FaultKind::CrashRecover { pid: Pid::new(0), downtime, wipe }.at(at)
+            ]);
+        let straight = sync_run(&plan, None);
+        let takeovers: Vec<Round> = straight
+            .trace
+            .notes("activate")
+            .filter(|&(_, pid)| pid != Pid::new(0))
+            .map(|(round, _)| round)
+            .collect();
+        let after_revivals: Vec<Round> = straight
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Recover { round, .. } => Some(round.next()),
+                _ => None,
+            })
+            .collect();
+        assert!(!takeovers.is_empty(), "plan at {at} / down {downtime}: no takeover");
+        assert_eq!(after_revivals.len(), 1, "plan at {at} / down {downtime}: no revival");
+        for pause in takeovers.into_iter().chain(after_revivals) {
+            assert_eq!(straight, sync_run(&plan, Some(pause)), "pause at {pause}");
+        }
     }
 }
 
