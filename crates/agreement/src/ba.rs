@@ -460,7 +460,7 @@ impl BaOutcome {
 
 #[cfg(test)]
 mod tests {
-    use doall_sim::{CrashSchedule, CrashSpec, NoFailures, Trigger, TriggerAdversary, TriggerRule};
+    use doall_sim::{CrashSpec, FaultPlan, NoFailures, Trigger};
 
     use super::*;
 
@@ -508,11 +508,10 @@ mod tests {
         // The general reaches only sender 2 with its value: some senders
         // inform 0, the survivor order ensures a consistent final value.
         for engine in [Engine::A, Engine::B] {
-            let adv = TriggerAdversary::new(vec![TriggerRule {
-                trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
-                target: None,
-                spec: CrashSpec::subset([Pid::new(2)]),
-            }]);
+            let adv = FaultPlan::default().crash_on(
+                Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
+                CrashSpec::subset([Pid::new(2)]),
+            );
             let outcome = BaSystem::new(16, 3, engine).unwrap().general_value(9).run(adv).unwrap();
             assert!(outcome.agreement(), "{engine:?}: {:?}", outcome.decisions);
             // Validity is vacuous (the general crashed), but agreement must
@@ -525,19 +524,10 @@ mod tests {
     fn sender_cascade_crashes_preserve_agreement_and_termination() {
         // Senders die one after another mid-work; the last sender finishes.
         for engine in [Engine::B, Engine::C] {
-            let mut rules = Vec::new();
-            for s in 0..3u64 {
-                rules.push(TriggerRule {
-                    trigger: Trigger::NthWorkBy { pid: Pid::new(s as usize), nth: 2 },
-                    target: None,
-                    spec: CrashSpec::silent(),
-                });
-            }
-            let outcome = BaSystem::new(16, 3, engine)
-                .unwrap()
-                .general_value(4)
-                .run(TriggerAdversary::new(rules))
-                .unwrap();
+            let plan = (0..3).fold(FaultPlan::default(), |plan, s| {
+                plan.crash_on(Trigger::NthWorkBy { pid: Pid::new(s), nth: 2 }, CrashSpec::silent())
+            });
+            let outcome = BaSystem::new(16, 3, engine).unwrap().general_value(4).run(plan).unwrap();
             assert!(outcome.agreement(), "{engine:?}: {:?}", outcome.decisions);
             assert!(outcome.decided_count() >= 13, "{engine:?}");
         }
@@ -545,7 +535,7 @@ mod tests {
 
     #[test]
     fn late_sender_crashes_after_informs_are_consistent() {
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 30, CrashSpec::prefix(1));
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 30, CrashSpec::prefix(1));
         let outcome = BaSystem::new(24, 3, Engine::B).unwrap().general_value(11).run(adv).unwrap();
         assert!(outcome.agreement());
         assert!(outcome.decisions.iter().flatten().all(|v| *v == 11));

@@ -13,7 +13,7 @@
 
 use doall_core::ProtocolB;
 use doall_sim::{
-    run, Adversary, CrashSchedule, CrashSpec, Metrics, NoFailures, Pid, RunConfig, RunError,
+    run, Adversary, CrashSpec, FaultPlan, Metrics, NoFailures, Pid, RunConfig, RunError,
 };
 
 use crate::ba::{BaMsg, BaSystem, Engine, Value};
@@ -115,7 +115,7 @@ pub fn run_bootstrap<A: Adversary<BaMsg>>(
 
     // Stage 2: the survivors perform the agreed pool with Protocol B.
     // Casualties of stage 1 are dead on arrival here.
-    let mut schedule = CrashSchedule::new();
+    let mut schedule = FaultPlan::default();
     for (pid, decided) in outcome.decisions.iter().enumerate() {
         if decided.is_none() {
             schedule = schedule.crash_at(Pid::new(pid), 1, CrashSpec::silent());
@@ -147,7 +147,7 @@ pub fn direct_effort(n: u64, t: u64) -> Result<u64, BootstrapError> {
 
 #[cfg(test)]
 mod tests {
-    use doall_sim::{CrashSchedule, CrashSpec, NoFailures, Pid};
+    use doall_sim::{CrashSpec, FaultPlan, NoFailures, Pid};
 
     use super::*;
 
@@ -177,7 +177,7 @@ mod tests {
     fn crashes_during_agreement_carry_into_the_work_run() {
         // p1 and p2 die during the agreement; the work run must cope with
         // them dead on arrival and still finish everything.
-        let adv = CrashSchedule::new().crash_at(Pid::new(1), 2, CrashSpec::silent()).crash_at(
+        let adv = FaultPlan::default().crash_at(Pid::new(1), 2, CrashSpec::silent()).crash_at(
             Pid::new(2),
             3,
             CrashSpec::silent(),

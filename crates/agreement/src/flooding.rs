@@ -130,7 +130,7 @@ impl Protocol for FloodingBa {
 #[cfg(test)]
 mod tests {
     use doall_bounds::theorems;
-    use doall_sim::{CrashSchedule, CrashSpec, NoFailures, Pid};
+    use doall_sim::{CrashSpec, FaultPlan, NoFailures, Pid};
 
     use super::*;
 
@@ -146,7 +146,7 @@ mod tests {
     fn general_crash_mid_broadcast_still_agrees() {
         // The general reaches only p5; t echo rounds spread p5's adopted
         // value to everyone.
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::subset([Pid::new(5)]));
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::subset([Pid::new(5)]));
         let (decisions, _) = FloodingBa::run_system(10, 3, 9, adv).unwrap();
         let decided: Vec<Value> = decisions.iter().flatten().copied().collect();
         assert_eq!(decided.len(), 9);
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn cascading_crashes_up_to_t_keep_agreement() {
         for seed_round in 1..4u64 {
-            let adv = CrashSchedule::new()
+            let adv = FaultPlan::default()
                 .crash_at(Pid::new(1), seed_round, CrashSpec::prefix(2))
                 .crash_at(Pid::new(2), seed_round + 1, CrashSpec::prefix(1))
                 .crash_at(Pid::new(3), seed_round + 2, CrashSpec::prefix(3));

@@ -342,7 +342,7 @@ pub fn e5() -> Outcome {
     let (n, t) = (128u64, 8u64);
     let rows = sweep::map_cells((0..=5u64).collect(), |_, &f| {
         // One crash per phase: victim j dies during work phase j+1.
-        let mut sched = doall_sim::CrashSchedule::new();
+        let mut sched = doall_sim::FaultPlan::default();
         let phase_len = n / t + 4;
         for j in 0..f {
             sched = sched.crash_at(
@@ -995,13 +995,9 @@ fn run_fault_cell<P: Protocol>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Re
 where
     P::Msg: 'static,
 {
-    let plan = scenario.fault_plan();
-    run(
-        plan.wrap(procs),
-        scenario.adversary::<P::Msg>(),
-        RunConfig::new(n as usize, Round::MAX).with_trace(),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", scenario.label()))
+    let plan = scenario.fault_plan(chaos::Plane::Sync);
+    run(plan.wrap(procs), plan, RunConfig::new(n as usize, Round::MAX).with_trace())
+        .unwrap_or_else(|e| panic!("{}: {e}", scenario.label()))
 }
 
 /// The e15 fault catalog: two crash-recovery flavours (stale and wiped

@@ -189,12 +189,12 @@ impl<const INFER: bool> AsyncProtocol for AsyncAb<INFER> {
 #[cfg(test)]
 mod tests {
     use doall_bounds::theorems;
-    use doall_sim::asynch::{run_async, AsyncConfig, AsyncCrashSchedule};
+    use doall_sim::asynch::{run_async, AsyncConfig};
     use doall_sim::invariants::{
         check_activation_order, check_detector_soundness, check_no_zombie_actions,
         check_single_active,
     };
-    use doall_sim::{CrashSpec, Deliver, NoFailures};
+    use doall_sim::{CrashSpec, Deliver, FaultPlan, NoFailures, Trigger};
 
     use super::*;
 
@@ -221,9 +221,8 @@ mod tests {
     fn crash_of_active_process_hands_over_via_detector() {
         // p0 dies on its 5th handler invocation (start + 4 ticks = after 5
         // operations); p1 activates once the detector informs it.
-        let crash = AsyncCrashSchedule::new().crash_at(
-            Pid::new(0),
-            5,
+        let crash = FaultPlan::default().crash_on(
+            Trigger::NthInvocationOf { pid: Pid::new(0), nth: 5 },
             CrashSpec { deliver: Deliver::Prefix(0), count_work: true },
         );
         let report = run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(2)).unwrap();
@@ -255,9 +254,8 @@ mod tests {
         // only after the previous active process truly retired) — checked
         // both directly on the notes and via the ported trace invariants.
         for seed in 0..8 {
-            let crash = AsyncCrashSchedule::new().crash_at(
-                Pid::new(0),
-                9,
+            let crash = FaultPlan::default().crash_on(
+                Trigger::NthInvocationOf { pid: Pid::new(0), nth: 9 },
                 CrashSpec { deliver: Deliver::Prefix(2), count_work: true },
             );
             let report =
@@ -284,9 +282,8 @@ mod tests {
     #[test]
     fn cascade_of_crashes_respects_work_bound() {
         // p0 dies right after performing its first unit of work.
-        let crash = AsyncCrashSchedule::new().crash_at(
-            Pid::new(0),
-            1,
+        let crash = FaultPlan::default().crash_on(
+            Trigger::NthInvocationOf { pid: Pid::new(0), nth: 1 },
             CrashSpec { deliver: Deliver::Prefix(0), count_work: true },
         );
         let report = run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(3)).unwrap();

@@ -54,13 +54,11 @@ pub type AsyncProtocolB = AsyncAb<true>;
 #[cfg(test)]
 mod tests {
     use doall_bounds::theorems;
-    use doall_sim::asynch::{
-        run_async, AsyncConfig, AsyncCrashSchedule, AsyncRandomCrashes, AsyncReport,
-    };
+    use doall_sim::asynch::{run_async, AsyncConfig, AsyncReport};
     use doall_sim::invariants::{
         check_activation_order, check_detector_soundness, check_single_active,
     };
-    use doall_sim::{CrashSpec, NoFailures, Pid};
+    use doall_sim::{CrashSpec, FaultPlan, NoFailures, Pid, Trigger};
 
     use super::super::asynch::AsyncProtocolA;
     use super::*;
@@ -93,7 +91,7 @@ mod tests {
     #[test]
     fn bounds_hold_under_random_crashes() {
         for seed in 0..12 {
-            let adv = AsyncRandomCrashes::new(seed, 0.01, (T - 1) as u32);
+            let adv = FaultPlan::random(seed, 0.01, (T - 1) as u32);
             let report =
                 run_async(AsyncProtocolB::processes(N, T).unwrap(), adv, cfg(seed).with_trace())
                     .unwrap();
@@ -120,12 +118,17 @@ mod tests {
     fn message_inference_activates_no_later_than_protocol_a() {
         // p0 dies mid-schedule (after a few checkpoints), p1 takes over,
         // checkpoints at least once, then dies too; p2 succeeds it.
-        let adv =
-            || {
-                AsyncCrashSchedule::new()
-                    .crash_at(Pid::new(0), 4, CrashSpec::after_round())
-                    .crash_at(Pid::new(1), 6, CrashSpec::after_round())
-            };
+        let adv = || {
+            FaultPlan::default()
+                .crash_on(
+                    Trigger::NthInvocationOf { pid: Pid::new(0), nth: 4 },
+                    CrashSpec::after_round(),
+                )
+                .crash_on(
+                    Trigger::NthInvocationOf { pid: Pid::new(1), nth: 6 },
+                    CrashSpec::after_round(),
+                )
+        };
         // Bimodal delays (fast hops vs 32-step stragglers) make "the
         // report on long-dead p0 is still in flight when p1's report
         // lands" a common occurrence instead of a 1-in-100 coincidence.

@@ -167,10 +167,7 @@ mod tests {
     use doall_sim::invariants::{
         check_activation_order, check_sequential_work, check_single_active,
     };
-    use doall_sim::{
-        run, CrashSchedule, CrashSpec, Deliver, NoFailures, Pid, RunConfig, Trigger,
-        TriggerAdversary, TriggerRule,
-    };
+    use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger};
 
     use super::*;
 
@@ -239,7 +236,7 @@ mod tests {
 
     #[test]
     fn silent_crash_of_process_0_hands_over_at_dd1() {
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::silent());
         let report = run(ProtocolA::processes(N, T).unwrap(), adv, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         // p1 starts from scratch at DD(1) = n + 3t.
@@ -255,11 +252,10 @@ mod tests {
     fn crash_after_checkpoint_loses_no_work() {
         // p0 dies right after its first partial checkpoint went out in
         // full; p1 resumes at subchunk 2 without redoing anything.
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
-            target: None,
-            spec: CrashSpec::after_round(),
-        }]);
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
+            CrashSpec::after_round(),
+        );
         let report = run(ProtocolA::processes(N, T).unwrap(), adv, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.work_total, N, "checkpointed work must not be redone");
@@ -272,11 +268,10 @@ mod tests {
     fn unreported_work_is_redone_by_the_successor() {
         // p0 performs exactly one unit and dies before any checkpoint: the
         // classic "work-optimal protocols must do n + t - 1 work" scenario.
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth: 1 },
-            target: None,
-            spec: CrashSpec { deliver: Deliver::None, count_work: true },
-        }]);
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthWorkBy { pid: Pid::new(0), nth: 1 },
+            CrashSpec { deliver: Deliver::None, count_work: true },
+        );
         let report = run(ProtocolA::processes(N, T).unwrap(), adv, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.work_total, N + 1, "unit 1 performed twice");
@@ -290,11 +285,10 @@ mod tests {
         // p0 crashes mid-partial-checkpoint: the (1) reaches only p3 (not
         // p1, p2). p1 takes over from scratch; single-active must still
         // hold thanks to DD's pessimism.
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
-            target: None,
-            spec: CrashSpec::subset([Pid::new(3)]),
-        }]);
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
+            CrashSpec::subset([Pid::new(3)]),
+        );
         let report = run(ProtocolA::processes(N, T).unwrap(), adv, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         // p1 redoes subchunk 1 (its view is fictitious).
@@ -307,15 +301,13 @@ mod tests {
     fn cascade_of_takeover_crashes_respects_all_bounds() {
         // Each newly-activated process dies right after performing one more
         // unit, unreported — the adversary that forces Θ(n + t) work.
-        let rules: Vec<TriggerRule> = (0..T - 1)
-            .map(|j| TriggerRule {
-                trigger: Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: 1 },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::None, count_work: true },
-            })
-            .collect();
-        let report =
-            run(ProtocolA::processes(N, T).unwrap(), TriggerAdversary::new(rules), cfg()).unwrap();
+        let plan = (0..T - 1).fold(FaultPlan::default(), |plan, j| {
+            plan.crash_on(
+                Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: 1 },
+                CrashSpec { deliver: Deliver::None, count_work: true },
+            )
+        });
+        let report = run(ProtocolA::processes(N, T).unwrap(), plan, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.crashes, (T - 1) as u32);
         // Every faulty process redid unit 1: n + (t-1) total.
@@ -329,17 +321,15 @@ mod tests {
         // Kill each successive activated process right before it finishes
         // checkpointing a chunk, forcing chunk-sized rework, the worst case
         // of Theorem 2.3's accounting.
-        let rules: Vec<TriggerRule> = (0..T - 1)
-            .map(|j| TriggerRule {
-                // Crash on the 9th send-round: subchunk cps 1-4 plus the
-                // first 4 full-cp broadcasts of chunk 1, dying mid-full-cp.
-                trigger: Trigger::NthSendRoundBy { pid: Pid::new(j as usize), nth: 5 },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::Prefix(1), count_work: true },
-            })
-            .collect();
-        let report =
-            run(ProtocolA::processes(N, T).unwrap(), TriggerAdversary::new(rules), cfg()).unwrap();
+        // Crash on the 9th send-round: subchunk cps 1-4 plus the
+        // first 4 full-cp broadcasts of chunk 1, dying mid-full-cp.
+        let plan = (0..T - 1).fold(FaultPlan::default(), |plan, j| {
+            plan.crash_on(
+                Trigger::NthSendRoundBy { pid: Pid::new(j as usize), nth: 5 },
+                CrashSpec { deliver: Deliver::Prefix(1), count_work: true },
+            )
+        });
+        let report = run(ProtocolA::processes(N, T).unwrap(), plan, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         bounds_hold(&report, N, T);
         invariants_hold(&report);
@@ -348,7 +338,7 @@ mod tests {
     #[test]
     fn random_crashes_never_violate_theorem_2_3() {
         for seed in 0..20 {
-            let adv = doall_sim::RandomCrashes::new(seed, 0.002, (T - 1) as u32);
+            let adv = doall_sim::FaultPlan::random(seed, 0.002, (T - 1) as u32);
             let report = run(ProtocolA::processes(N, T).unwrap(), adv, cfg()).unwrap();
             assert!(report.has_survivor(), "budgeted adversary leaves a survivor");
             assert!(report.metrics.all_work_done(), "seed {seed}: work incomplete");
@@ -361,7 +351,7 @@ mod tests {
     fn worst_case_time_when_only_last_process_survives() {
         // Everybody but p_{t-1} is dead on arrival: it must wait for
         // DD(t-1) and then do everything — the Theorem 2.3(c) worst case.
-        let mut adv = CrashSchedule::new();
+        let mut adv = FaultPlan::default();
         for j in 0..T - 1 {
             adv = adv.crash_at(Pid::new(j as usize), 1, CrashSpec::silent());
         }
@@ -401,7 +391,7 @@ mod tests {
     #[test]
     fn awkward_shapes_survive_crash_cascades() {
         for (n, t) in [(7, 3), (10, 6), (13, 5), (23, 7)] {
-            let mut adv = CrashSchedule::new();
+            let mut adv = FaultPlan::default();
             for j in 0..t - 1 {
                 adv = adv.crash_at(Pid::new(j as usize), 1 + j * 3, CrashSpec::silent());
             }
@@ -418,7 +408,7 @@ mod tests {
         // Theorem 2.3 in padded parameters covers the real run.
         let (n, t) = (10u64, 6u64);
         let p = padded_params(n, t);
-        let mut adv = CrashSchedule::new();
+        let mut adv = FaultPlan::default();
         for j in 0..t - 1 {
             adv = adv.crash_at(Pid::new(j as usize), 2 + j, CrashSpec::silent());
         }
@@ -431,7 +421,7 @@ mod tests {
         let (n, t) = (10u64, 6u64); // padded to t=9: ranks 6..8 are virtual
         let report = run(
             ProtocolA::processes_padded(n, t).unwrap(),
-            CrashSchedule::new().crash_at(Pid::new(0), 4, CrashSpec::prefix(1)),
+            FaultPlan::default().crash_at(Pid::new(0), 4, CrashSpec::prefix(1)),
             padded_cfg(n),
         )
         .unwrap();

@@ -228,10 +228,7 @@ mod tests {
     use doall_sim::invariants::{
         check_activation_order, check_sequential_work, check_single_active,
     };
-    use doall_sim::{
-        run, CrashSchedule, CrashSpec, Deliver, NoFailures, Pid, RandomCrashes, RunConfig, Trigger,
-        TriggerAdversary, TriggerRule,
-    };
+    use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger};
 
     use super::*;
 
@@ -288,7 +285,7 @@ mod tests {
 
     #[test]
     fn silent_crash_of_p0_hands_over_within_pto() {
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::silent());
         let report = run(ProtocolB::processes(N, T).unwrap(), adv, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         let activations: Vec<_> = report.trace.notes("activate").collect();
@@ -303,7 +300,7 @@ mod tests {
     fn go_ahead_wakes_the_lowest_alive_process() {
         // p0 and p1 die instantly; p2's self-deadline fires before p3 can
         // poll it, and every activation stays single.
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::silent()).crash_at(
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::silent()).crash_at(
             Pid::new(1),
             1,
             CrashSpec::silent(),
@@ -323,11 +320,10 @@ mod tests {
         // p0 dies during its first partial checkpoint, reaching only p3.
         // p1 restarts from scratch while p3 knows subchunk 1 is done — the
         // exact interleaving Lemma 2.7 worries about.
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
-            target: None,
-            spec: CrashSpec::subset([Pid::new(3)]),
-        }]);
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 1 },
+            CrashSpec::subset([Pid::new(3)]),
+        );
         let report = run(ProtocolB::processes(N, T).unwrap(), adv, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.work_total, N + N / T, "p1 redoes subchunk 1 only");
@@ -337,15 +333,13 @@ mod tests {
 
     #[test]
     fn takeover_cascade_stays_within_bounds() {
-        let rules: Vec<TriggerRule> = (0..T - 1)
-            .map(|j| TriggerRule {
-                trigger: Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: 1 },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::None, count_work: true },
-            })
-            .collect();
-        let report =
-            run(ProtocolB::processes(N, T).unwrap(), TriggerAdversary::new(rules), cfg()).unwrap();
+        let plan = (0..T - 1).fold(FaultPlan::default(), |plan, j| {
+            plan.crash_on(
+                Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: 1 },
+                CrashSpec { deliver: Deliver::None, count_work: true },
+            )
+        });
+        let report = run(ProtocolB::processes(N, T).unwrap(), plan, cfg()).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.crashes, (T - 1) as u32);
         assert_eq!(report.metrics.work_total, N + T - 1);
@@ -358,7 +352,7 @@ mod tests {
         // Kill all of group 1 at once: group 2's first member must take
         // over after GTO-based waiting, polling nobody (it is first in its
         // group).
-        let mut adv = CrashSchedule::new();
+        let mut adv = FaultPlan::default();
         for j in 0..4u64 {
             adv = adv.crash_at(Pid::new(j as usize), 1, CrashSpec::silent());
         }
@@ -380,7 +374,7 @@ mod tests {
         // Only the last process survives. Protocol A would need
         // DD(t-1) = (t-1)(n+3t) rounds; Protocol B must finish within
         // 3n + 8t (Theorem 2.8(c)).
-        let mut adv = CrashSchedule::new();
+        let mut adv = FaultPlan::default();
         for j in 0..T - 1 {
             adv = adv.crash_at(Pid::new(j as usize), 1, CrashSpec::silent());
         }
@@ -395,7 +389,7 @@ mod tests {
     fn go_ahead_to_dead_process_times_out_to_next() {
         // Group 1 processes 0,1,2 die; p3 (last of group 1) must poll 1, 2
         // (it knows nothing about them) and then activate on its own.
-        let adv = CrashSchedule::new()
+        let adv = FaultPlan::default()
             .crash_at(Pid::new(0), 1, CrashSpec::silent())
             .crash_at(Pid::new(1), 1, CrashSpec::silent())
             .crash_at(Pid::new(2), 1, CrashSpec::silent());
@@ -412,7 +406,7 @@ mod tests {
     #[test]
     fn random_crashes_never_violate_theorem_2_8() {
         for seed in 0..20 {
-            let adv = RandomCrashes::new(seed, 0.01, (T - 1) as u32);
+            let adv = FaultPlan::random(seed, 0.01, (T - 1) as u32);
             let report = run(ProtocolB::processes(N, T).unwrap(), adv, cfg()).unwrap();
             assert!(report.has_survivor());
             assert!(report.metrics.all_work_done(), "seed {seed}: work incomplete");
@@ -425,7 +419,7 @@ mod tests {
     fn larger_configuration_stays_within_bounds_under_stress() {
         let (n, t) = (256, 64);
         for seed in 0..5 {
-            let adv = RandomCrashes::new(seed, 0.01, (t - 1) as u32);
+            let adv = FaultPlan::random(seed, 0.01, (t - 1) as u32);
             let report = run(
                 ProtocolB::processes(n, t).unwrap(),
                 adv,

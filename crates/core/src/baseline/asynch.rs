@@ -77,8 +77,8 @@ impl AsyncProtocol for AsyncReplicate {
 
 #[cfg(test)]
 mod tests {
-    use doall_sim::asynch::{run_async, AsyncConfig, AsyncCrashSchedule};
-    use doall_sim::{CrashSpec, NoFailures};
+    use doall_sim::asynch::{run_async, AsyncConfig};
+    use doall_sim::{CrashSpec, FaultPlan, NoFailures, Trigger};
 
     use super::*;
 
@@ -97,11 +97,9 @@ mod tests {
     fn tolerates_crashes_with_one_survivor() {
         // p0 dies on its 1st event (0 units counted), p1 on its 3rd
         // (2 units counted: the crashing invocation's unit is suppressed).
-        let adv = AsyncCrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::silent()).crash_at(
-            Pid::new(1),
-            3,
-            CrashSpec::silent(),
-        );
+        let adv = FaultPlan::default()
+            .crash_on(Trigger::NthInvocationOf { pid: Pid::new(0), nth: 1 }, CrashSpec::silent())
+            .crash_on(Trigger::NthInvocationOf { pid: Pid::new(1), nth: 3 }, CrashSpec::silent());
         // Fixed late notices keep the invocation numbering purely
         // start+ticks (a notice handler is an invocation too and would
         // otherwise shift which tick the crash lands on).

@@ -155,10 +155,7 @@ impl Protocol for Lockstep {
 #[cfg(test)]
 mod tests {
     use doall_sim::invariants::check_single_active;
-    use doall_sim::{
-        run, CrashSchedule, CrashSpec, Deliver, NoFailures, Pid, RunConfig, Trigger,
-        TriggerAdversary, TriggerRule,
-    };
+    use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger};
 
     use super::*;
 
@@ -183,15 +180,13 @@ mod tests {
     fn takeover_cascade_stays_under_n_plus_t() {
         // Each active process dies right after one unreported unit.
         let (n, t) = (12u64, 4u64);
-        let rules: Vec<TriggerRule> = (0..t - 1)
-            .map(|j| TriggerRule {
-                trigger: Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: 1 },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::None, count_work: true },
-            })
-            .collect();
-        let report =
-            run(Lockstep::processes(n, t).unwrap(), TriggerAdversary::new(rules), cfg(n)).unwrap();
+        let plan = (0..t - 1).fold(FaultPlan::default(), |plan, j| {
+            plan.crash_on(
+                Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: 1 },
+                CrashSpec { deliver: Deliver::None, count_work: true },
+            )
+        });
+        let report = run(Lockstep::processes(n, t).unwrap(), plan, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.work_total, n + t - 1);
         assert!(check_single_active(&report.trace).is_empty());
@@ -202,7 +197,7 @@ mod tests {
         let (n, t) = (12u64, 4u64);
         // Round 10 is a checkpoint round: the crash happens after the
         // checkpoint of unit 5 is fully delivered.
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 10, CrashSpec::after_round());
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 10, CrashSpec::after_round());
         let report = run(Lockstep::processes(n, t).unwrap(), adv, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.wasted_work(), 0);

@@ -228,9 +228,7 @@ impl Protocol for NaiveSpread {
 #[cfg(test)]
 mod tests {
     use doall_sim::invariants::check_single_active;
-    use doall_sim::{
-        run, CrashSpec, Deliver, NoFailures, RunConfig, Trigger, TriggerAdversary, TriggerRule,
-    };
+    use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, RunConfig, Trigger};
 
     use super::*;
 
@@ -240,28 +238,23 @@ mod tests {
 
     /// The §3 cascade: p0 dies after unit `t-1`; the top half crashes; each
     /// successive most-knowledgeable survivor redoes the suffix and dies.
-    fn cascade(_n: u64, t: u64) -> TriggerAdversary {
-        let mut rules = vec![TriggerRule {
-            trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth: t - 1 },
-            target: None,
-            spec: CrashSpec { deliver: Deliver::All, count_work: true },
-        }];
+    fn cascade(_n: u64, t: u64) -> FaultPlan {
+        let mut plan = FaultPlan::default().crash_on(
+            Trigger::NthWorkBy { pid: Pid::new(0), nth: t - 1 },
+            CrashSpec::after_round(),
+        );
         for j in t / 2 + 1..t {
-            rules.push(TriggerRule {
-                trigger: Trigger::AtRound(Round::from(2 * t)),
-                target: Some(Pid::new(j as usize)),
-                spec: CrashSpec::silent(),
-            });
+            let at = Trigger::AtRound { pid: Pid::new(j as usize), round: Round::from(2 * t) };
+            plan = plan.crash_on(at, CrashSpec::silent());
         }
         for j in (2..=t / 2).rev() {
             // Process j knows units 1..=j; it redoes j+1..=t-1 and dies.
-            rules.push(TriggerRule {
-                trigger: Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: t - 1 - j },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::None, count_work: true },
-            });
+            plan = plan.crash_on(
+                Trigger::NthWorkBy { pid: Pid::new(j as usize), nth: t - 1 - j },
+                CrashSpec { deliver: Deliver::None, count_work: true },
+            );
         }
-        TriggerAdversary::new(rules)
+        plan
     }
 
     #[test]
@@ -278,11 +271,10 @@ mod tests {
     fn most_knowledgeable_survivor_takes_over() {
         // p0 dies after reporting unit 3 to p3 (t = 4): p3 must take over,
         // not p1.
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 3 },
-            target: None,
-            spec: CrashSpec { deliver: Deliver::All, count_work: true },
-        }]);
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 3 },
+            CrashSpec { deliver: Deliver::All, count_work: true },
+        );
         let report = run(NaiveSpread::processes(8, 4).unwrap(), adv, cfg(8)).unwrap();
         assert!(report.metrics.all_work_done());
         let first = report.trace.notes("activate").next().unwrap();

@@ -76,13 +76,13 @@ impl Protocol for ReplicateAll {
 
 #[cfg(test)]
 mod tests {
-    use doall_sim::{run, CrashSchedule, CrashSpec, NoFailures, Pid, RunConfig};
+    use doall_sim::{run, CrashSpec, FaultPlan, NoFailures, Pid, RunConfig};
 
     use super::*;
 
     #[test]
     fn tolerates_any_crashes_with_one_survivor() {
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::silent()).crash_at(
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::silent()).crash_at(
             Pid::new(1),
             3,
             CrashSpec::silent(),

@@ -339,10 +339,7 @@ impl Protocol for ProtocolC {
 mod tests {
     use doall_bounds::theorems;
     use doall_sim::invariants::{check_sequential_work, check_single_active};
-    use doall_sim::{
-        run, CrashSchedule, CrashSpec, Deliver, NoFailures, Pid, RunConfig, Trigger,
-        TriggerAdversary, TriggerRule,
-    };
+    use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger};
 
     use super::*;
 
@@ -398,7 +395,7 @@ mod tests {
     fn dead_process_zero_makes_highest_process_take_over() {
         // D(i, 0) decreases with i: with no knowledge anywhere, the
         // highest-numbered process must be the first to time out.
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::silent());
         let report = run(ProtocolC::processes(8, 4).unwrap(), adv, cfg(8)).unwrap();
         assert!(report.metrics.all_work_done());
         let first_takeover = report.trace.notes("activate").next().unwrap();
@@ -412,11 +409,10 @@ mod tests {
         // p0 dies right after performing unit 3 unreported. The last
         // process it reported to (unit 2's recipient) knows most and must
         // take over before anyone less knowledgeable.
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth: 3 },
-            target: None,
-            spec: CrashSpec { deliver: Deliver::None, count_work: true },
-        }]);
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthWorkBy { pid: Pid::new(0), nth: 3 },
+            CrashSpec { deliver: Deliver::None, count_work: true },
+        );
         let report = run(ProtocolC::processes(8, 4).unwrap(), adv, cfg(8)).unwrap();
         assert!(report.metrics.all_work_done());
         // Unit 3 was performed by p0 (counted) and redone by the successor.
@@ -429,15 +425,13 @@ mod tests {
     fn cascade_of_takeover_crashes_respects_theorem_3_8() {
         // Every process crashes right after its first unit of real work —
         // maximal unreported-work waste.
-        let rules: Vec<TriggerRule> = (0..7)
-            .map(|j| TriggerRule {
-                trigger: Trigger::NthWorkBy { pid: Pid::new(j), nth: 1 },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::None, count_work: true },
-            })
-            .collect();
-        let report =
-            run(ProtocolC::processes(8, 8).unwrap(), TriggerAdversary::new(rules), cfg(8)).unwrap();
+        let plan = (0..7).fold(FaultPlan::default(), |plan, j| {
+            plan.crash_on(
+                Trigger::NthWorkBy { pid: Pid::new(j), nth: 1 },
+                CrashSpec { deliver: Deliver::None, count_work: true },
+            )
+        });
+        let report = run(ProtocolC::processes(8, 8).unwrap(), plan, cfg(8)).unwrap();
         assert!(report.metrics.all_work_done());
         // Not every trigger fires: a process that learns all work is done
         // halts without ever working, so its crash never happens. But the
@@ -455,20 +449,15 @@ mod tests {
         // within n + 2t (the naive algorithm would pay Θ(n + t²)).
         let t: u64 = 8;
         let n: u64 = 16;
-        let mut rules = vec![TriggerRule {
-            trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth: (t - 1) },
-            target: None,
-            spec: CrashSpec { deliver: Deliver::None, count_work: true },
-        }];
+        let mut plan = FaultPlan::default().crash_on(
+            Trigger::NthWorkBy { pid: Pid::new(0), nth: (t - 1) },
+            CrashSpec { deliver: Deliver::None, count_work: true },
+        );
         for j in t / 2 + 1..t {
-            rules.push(TriggerRule {
-                trigger: Trigger::AtRound(Round::from(2u64)),
-                target: Some(Pid::new(j as usize)),
-                spec: CrashSpec::silent(),
-            });
+            let at = Trigger::AtRound { pid: Pid::new(j as usize), round: Round::from(2u64) };
+            plan = plan.crash_on(at, CrashSpec::silent());
         }
-        let report =
-            run(ProtocolC::processes(n, t).unwrap(), TriggerAdversary::new(rules), cfg(n)).unwrap();
+        let report = run(ProtocolC::processes(n, t).unwrap(), plan, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
         bounds_hold(&report, n, t);
         invariants_hold(&report);
@@ -480,11 +469,10 @@ mod tests {
         // k: the successor's deadline arithmetic (Lemma 3.4) must hold at
         // every cut point.
         for k in 1..=14 {
-            let adv = TriggerAdversary::new(vec![TriggerRule {
-                trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: k },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::Prefix(0), count_work: true },
-            }]);
+            let adv = FaultPlan::default().crash_on(
+                Trigger::NthSendRoundBy { pid: Pid::new(0), nth: k },
+                CrashSpec { deliver: Deliver::Prefix(0), count_work: true },
+            );
             let report = run(ProtocolC::processes(6, 4).unwrap(), adv, cfg(6)).unwrap();
             assert!(report.metrics.all_work_done(), "k = {k}");
             invariants_hold(&report);
@@ -498,11 +486,10 @@ mod tests {
         // single recipient or nobody — knowledge stays totally ordered
         // either way (the merge debug_assert checks Lemma 3.4(c) live).
         for prefix in [0usize, 1] {
-            let adv = TriggerAdversary::new(vec![TriggerRule {
-                trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 4 },
-                target: None,
-                spec: CrashSpec { deliver: Deliver::Prefix(prefix), count_work: true },
-            }]);
+            let adv = FaultPlan::default().crash_on(
+                Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 4 },
+                CrashSpec { deliver: Deliver::Prefix(prefix), count_work: true },
+            );
             let report = run(ProtocolC::processes(6, 4).unwrap(), adv, cfg(6)).unwrap();
             assert!(report.metrics.all_work_done(), "prefix = {prefix}");
             invariants_hold(&report);
@@ -548,11 +535,10 @@ mod tests {
         // Crash the active process right after its final report: the
         // remaining processes must time out, re-detect, possibly redo a
         // suffix, and still all retire.
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth: 6 },
-            target: None,
-            spec: CrashSpec { deliver: Deliver::None, count_work: true },
-        }]);
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthWorkBy { pid: Pid::new(0), nth: 6 },
+            CrashSpec { deliver: Deliver::None, count_work: true },
+        );
         let report = run(ProtocolC::processes(6, 4).unwrap(), adv, cfg(6)).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(

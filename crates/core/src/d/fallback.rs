@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn identity_relabelled_fallback_is_protocol_a_step_for_step() {
-        use doall_sim::{run, CrashSchedule, CrashSpec, RunConfig};
+        use doall_sim::{run, CrashSpec, FaultPlan, RunConfig};
 
         for (n, t) in [(32u64, 16u64), (18, 9), (8, 4)] {
             let twins: Vec<Twin> = crate::ab::protocol_a::ProtocolA::processes(n, t)
@@ -278,7 +278,7 @@ mod tests {
                 .collect();
             // Takeovers with every kind of handover: mid-work, mid-checkpoint
             // with a partial broadcast, and right after a full broadcast.
-            let adv = CrashSchedule::new()
+            let adv = FaultPlan::default()
                 .crash_at(Pid::new(0), n / t + 1, CrashSpec::prefix(1))
                 .crash_at(Pid::new(1), n + 3 * t + 2, CrashSpec::silent())
                 .crash_at(Pid::new(2), 2 * (n + 3 * t) + n / 2, CrashSpec::after_round());

@@ -555,7 +555,7 @@ impl Protocol for ProtocolD {
 mod tests {
     use doall_bounds::theorems;
     use doall_sim::invariants::check_no_zombie_actions;
-    use doall_sim::{run, CrashSchedule, CrashSpec, NoFailures, Pid, RandomCrashes, RunConfig};
+    use doall_sim::{run, CrashSpec, FaultPlan, NoFailures, Pid, RunConfig};
 
     use super::*;
 
@@ -599,7 +599,7 @@ mod tests {
         // by the survivors. §4 bounds: work <= n + n/t, messages <= 5t²,
         // rounds <= n/t + ⌈n/(t(t-1))⌉ + 6.
         let (n, t) = (100u64, 10u64);
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::silent());
         let report = run(ProtocolD::processes(n, t).unwrap(), adv, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
         let b = theorems::protocol_d_one_failure(n, t);
@@ -614,7 +614,7 @@ mod tests {
         // the other processes cannot distinguish this from no work done,
         // so they must redo p0's share — the 2n work bound in action.
         let (n, t) = (100u64, 10u64);
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), n / t + 1, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(0), n / t + 1, CrashSpec::silent());
         let report = run(ProtocolD::processes(n, t).unwrap(), adv, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
         assert_eq!(report.metrics.work_total, n + n / t, "p0's share redone");
@@ -626,7 +626,7 @@ mod tests {
         // Crash one process per phase (f = 3, never more than half):
         // Theorem 4.1 case 1 bounds hold.
         let (n, t) = (64u64, 8u64);
-        let adv = CrashSchedule::new()
+        let adv = FaultPlan::default()
             .crash_at(Pid::new(1), 2, CrashSpec::silent())
             .crash_at(Pid::new(2), 15, CrashSpec::silent())
             .crash_at(Pid::new(3), 25, CrashSpec::silent());
@@ -649,7 +649,7 @@ mod tests {
         // 6 of 8 processes die in the first work phase: more than half of
         // the live set, so the survivors revert to Protocol A.
         let (n, t) = (64u64, 8u64);
-        let mut adv = CrashSchedule::new();
+        let mut adv = FaultPlan::default();
         for j in 2..8 {
             adv = adv.crash_at(Pid::new(j), 2, CrashSpec::silent());
         }
@@ -669,7 +669,7 @@ mod tests {
     #[test]
     fn fallback_with_lone_survivor_finishes_silently() {
         let (n, t) = (30u64, 6u64);
-        let mut adv = CrashSchedule::new();
+        let mut adv = FaultPlan::default();
         for j in 1..6 {
             adv = adv.crash_at(Pid::new(j), 2, CrashSpec::silent());
         }
@@ -684,7 +684,7 @@ mod tests {
         // only p1 and p2: views diverge momentarily; the exchange must
         // still converge and no unit may be lost.
         let (n, t) = (60u64, 6u64);
-        let adv = CrashSchedule::new().crash_at(
+        let adv = FaultPlan::default().crash_at(
             Pid::new(0),
             n / t + 1,
             CrashSpec::subset([Pid::new(1), Pid::new(2)]),
@@ -698,7 +698,7 @@ mod tests {
     fn random_crash_storms_hold_theorem_4_1() {
         let (n, t) = (48u64, 8u64);
         for seed in 0..15 {
-            let adv = RandomCrashes::new(seed, 0.02, (t - 1) as u32);
+            let adv = FaultPlan::random(seed, 0.02, (t - 1) as u32);
             let report = run(ProtocolD::processes(n, t).unwrap(), adv, cfg(n)).unwrap();
             assert!(report.has_survivor(), "seed {seed}");
             assert!(report.metrics.all_work_done(), "seed {seed}: incomplete work");
@@ -741,7 +741,7 @@ mod tests {
         // A follower dies mid-work: the coordinator simply never hears it,
         // excludes it from T, and its share is redone next phase.
         let (n, t) = (60u64, 6u64);
-        let adv = CrashSchedule::new().crash_at(Pid::new(3), 2, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(3), 2, CrashSpec::silent());
         let report =
             run(ProtocolD::processes_with_coordinator(n, t).unwrap(), adv, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
@@ -754,7 +754,7 @@ mod tests {
         // time out waiting for its decision and fall back to the Figure 4
         // broadcast exchange for the rest of the run.
         let (n, t) = (60u64, 6u64);
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 2, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 2, CrashSpec::silent());
         let report =
             run(ProtocolD::processes_with_coordinator(n, t).unwrap(), adv, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
@@ -770,7 +770,7 @@ mod tests {
         // the outstanding work; correctness holds, waste is bounded.
         let (n, t) = (60u64, 6u64);
         let decide_round = n / t + 3; // leader decides at entry + 2
-        let adv = CrashSchedule::new().crash_at(
+        let adv = FaultPlan::default().crash_at(
             Pid::new(0),
             decide_round,
             CrashSpec::subset([Pid::new(1)]),
@@ -789,7 +789,7 @@ mod tests {
     fn coordinator_variant_random_storms_complete() {
         let (n, t) = (48u64, 8u64);
         for seed in 0..12 {
-            let adv = RandomCrashes::new(seed, 0.02, (t - 1) as u32);
+            let adv = FaultPlan::random(seed, 0.02, (t - 1) as u32);
             let report =
                 run(ProtocolD::processes_with_coordinator(n, t).unwrap(), adv, cfg(n)).unwrap();
             assert!(report.has_survivor(), "seed {seed}");

@@ -9,7 +9,10 @@ use std::fmt;
 use doall_sim::asynch::{
     run_async, AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, AsyncRunError, DelayDist,
 };
-use doall_sim::{run, Adversary, FaultKind, Metrics, Protocol, Report, Round, RunConfig, RunError};
+use doall_sim::chaos::Plane;
+use doall_sim::{
+    run, Adversary, FaultKind, FaultPlan, Metrics, Protocol, Report, Round, RunConfig, RunError,
+};
 use doall_workload::Scenario;
 
 /// A complete description of one Do-All job: the per-process protocol
@@ -172,11 +175,9 @@ impl<P> JobSpec<P> {
     }
 }
 
-/// Whether the scenario's plan needs the `Degraded` wrappers.
-fn plan_has_slow(scenario: &Scenario) -> bool {
-    scenario
-        .fault_plan()
-        .faults()
+/// Whether a plan needs the `Degraded` wrappers.
+fn has_slow(plan: &FaultPlan) -> bool {
+    plan.faults()
         .iter()
         .any(|f| matches!(f.kind, FaultKind::Slow { .. } | FaultKind::SlowQuarter(_)))
 }
@@ -188,8 +189,9 @@ where
     P: Protocol,
     P::Msg: 'static,
 {
-    if plan_has_slow(scenario) {
-        run(scenario.fault_plan().wrap(procs), scenario.adversary::<P::Msg>(), cfg)
+    let plan = scenario.fault_plan(Plane::Sync);
+    if has_slow(&plan) {
+        run(plan.wrap(procs), plan, cfg)
     } else {
         run(procs, scenario.adversary::<P::Msg>(), cfg)
     }
@@ -206,12 +208,9 @@ where
     P: AsyncProtocol,
     P::Msg: 'static,
 {
-    if plan_has_slow(scenario) {
-        run_async(
-            scenario.fault_plan().wrap_async(procs),
-            scenario.async_adversary::<P::Msg>(),
-            cfg,
-        )
+    let plan = scenario.fault_plan(Plane::Async);
+    if has_slow(&plan) {
+        run_async(plan.wrap_async(procs), plan, cfg)
     } else {
         run_async(procs, scenario.async_adversary::<P::Msg>(), cfg)
     }

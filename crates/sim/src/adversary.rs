@@ -14,14 +14,10 @@
 //! [`Fate::CrashRecover`] schedules the victim to restart after a downtime.
 //! Receive-side omission uses the separate
 //! [`omits_delivery`](Adversary::omits_delivery) hook, consulted at
-//! delivery time. The catalog layer in [`faults`](crate::faults) composes
-//! all of these from named [`FaultKind`](crate::FaultKind)s.
+//! delivery time. The adversary *data* — timed faults, crash rules and
+//! random crashes, on both planes — is one [`FaultPlan`](crate::FaultPlan).
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::effects::Effects;
 use crate::ids::{Pid, Round};
@@ -157,8 +153,8 @@ impl Deliver {
 /// The engine maintains the live-set incrementally and hands out a borrowed
 /// view per intercept, so constructing a context is free and
 /// [`alive_count`](AdversaryCtx::alive_count) is O(1) — adversaries that
-/// consult it every round (e.g. [`RandomCrashes`] sparing the last
-/// survivor) add no per-round scan.
+/// consult it every round (e.g. [`FaultPlan::random`](crate::FaultPlan::random)
+/// sparing the last survivor) add no per-round scan.
 #[derive(Clone, Copy, Debug)]
 pub struct AdversaryCtx<'a> {
     /// Number of processes in the system.
@@ -281,9 +277,9 @@ pub trait Adversary<M> {
     /// instead of a mid-run panic or a silently unsatisfiable schedule.
     /// [`FaultPlan`](crate::faults::FaultPlan) overrides this to reject
     /// plans that permanently crash all `t` processes, target out-of-range
-    /// pids, or schedule contradictory fates (see
-    /// [`FaultPlan::validate`](crate::faults::FaultPlan::validate)); the
-    /// default accepts everything.
+    /// pids, schedule contradictory fates or hold an asynchronous-only
+    /// trigger (see [`FaultPlan::validate_on`](crate::FaultPlan::validate_on));
+    /// the default accepts everything.
     fn validate(&self, _t: usize) -> Result<(), String> {
         Ok(())
     }
@@ -340,345 +336,21 @@ impl<M> Adversary<M> for NoFailures {
     }
 }
 
-/// Crashes given processes at given rounds, with per-crash delivery control.
-///
-/// # Examples
-///
-/// ```
-/// use doall_sim::{CrashSchedule, CrashSpec, Pid};
-///
-/// let schedule = CrashSchedule::new()
-///     .crash_at(Pid::new(0), 10, CrashSpec::silent())
-///     .crash_at(Pid::new(1), 25, CrashSpec::prefix(2));
-/// assert_eq!(schedule.len(), 2);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CrashSchedule {
-    // Keyed by round, then by pid, so an intercept costs two map lookups
-    // however many crashes share a round (`Scenario::DeadOnArrival` puts
-    // thousands in round 1). Rounds stay the outer key: a round with no
-    // entries misses in one lookup instead of searching every entry.
-    by_round: BTreeMap<Round, BTreeMap<Pid, CrashSpec>>,
-    count: usize,
-}
-
-impl CrashSchedule {
-    /// An empty schedule (equivalent to [`NoFailures`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `pid` to crash during round `round` (`u64` values and bare
-    /// literals convert; pass a [`Round`] to schedule deep-idle crashes
-    /// beyond the 64-bit horizon).
-    ///
-    /// If the process is already retired by then, the entry is ignored at
-    /// run time. Scheduling the same `(pid, round)` twice keeps the first
-    /// spec; the repeat still counts toward [`len`](CrashSchedule::len).
-    pub fn crash_at(mut self, pid: Pid, round: impl Into<Round>, spec: CrashSpec) -> Self {
-        self.by_round.entry(round.into()).or_default().entry(pid).or_insert(spec);
-        self.count += 1;
-        self
-    }
-
-    /// Number of scheduled crash entries (every `crash_at` call).
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-}
-
-impl<M> Adversary<M> for CrashSchedule {
-    fn intercept(
-        &mut self,
-        round: Round,
-        pid: Pid,
-        _effects: &Effects<M>,
-        _ctx: AdversaryCtx<'_>,
-    ) -> Fate {
-        match self.by_round.get(&round).and_then(|entries| entries.get(&pid)) {
-            Some(spec) => Fate::Crash(spec.clone()),
-            None => Fate::Survive,
-        }
-    }
-
-    fn next_event(&self, now: Round) -> Option<Round> {
-        self.by_round.range(now..).next().map(|(r, _)| *r)
-    }
-}
-
-/// Seeded random crash adversary.
-///
-/// Each alive process crashes with probability `p_per_round` at each
-/// executed round, up to `max_crashes` total (use `t - 1` to preserve the
-/// paper's "at least one survivor" premise). With `partial_delivery`, a
-/// crashing broadcaster delivers a random prefix of its messages.
-///
-/// Randomness comes from a seeded [`SmallRng`], so runs are reproducible.
-#[derive(Clone, Debug)]
-pub struct RandomCrashes {
-    rng: SmallRng,
-    p_per_round: f64,
-    max_crashes: u32,
-    partial_delivery: bool,
-    inflicted: u32,
-    saw_lone_survivor: bool,
-}
-
-impl RandomCrashes {
-    /// Creates a random adversary with the given per-round crash
-    /// probability and total crash budget. A probability outside
-    /// `[0.0, 1.0]` is reported by [`validate`](Adversary::validate), so
-    /// the engine refuses the run with
-    /// [`RunError::InvalidAdversary`](crate::RunError::InvalidAdversary).
-    pub fn new(seed: u64, p_per_round: f64, max_crashes: u32) -> Self {
-        RandomCrashes {
-            rng: SmallRng::seed_from_u64(seed),
-            p_per_round,
-            max_crashes,
-            partial_delivery: true,
-            inflicted: 0,
-            saw_lone_survivor: false,
-        }
-    }
-
-    /// Disables mid-broadcast partial delivery (crashes then happen cleanly
-    /// between rounds).
-    pub fn clean_crashes(mut self) -> Self {
-        self.partial_delivery = false;
-        self
-    }
-}
-
-/// The shared range check behind both planes' random-crash `validate`
-/// hooks (`NaN` is out of range).
-pub(crate) fn check_crash_probability(p: f64) -> Result<(), String> {
-    if (0.0..=1.0).contains(&p) {
-        Ok(())
-    } else {
-        Err(format!("crash probability must be in [0, 1], got {p}"))
-    }
-}
-
-impl<M> Adversary<M> for RandomCrashes {
-    fn validate(&self, _t: usize) -> Result<(), String> {
-        check_crash_probability(self.p_per_round)
-    }
-
-    fn intercept(
-        &mut self,
-        _round: Round,
-        _pid: Pid,
-        effects: &Effects<M>,
-        ctx: AdversaryCtx<'_>,
-    ) -> Fate {
-        if ctx.alive_count() <= 1 {
-            self.saw_lone_survivor = true;
-            return Fate::Survive;
-        }
-        if ctx.crashes >= self.max_crashes || self.inflicted >= self.max_crashes {
-            return Fate::Survive;
-        }
-        if self.rng.gen_bool(self.p_per_round) {
-            // `send_count` counts per-recipient messages (a span op counts
-            // its width), so the prefix distribution is identical to the
-            // old per-recipient representation.
-            let spec = if self.partial_delivery && effects.send_count() > 0 {
-                let k = self.rng.gen_range(0..=effects.send_count());
-                CrashSpec { deliver: Deliver::Prefix(k), count_work: self.rng.gen_bool(0.5) }
-            } else {
-                CrashSpec::silent()
-            };
-            self.inflicted += 1;
-            return Fate::Crash(spec);
-        }
-        Fate::Survive
-    }
-
-    fn next_event(&self, now: Round) -> Option<Round> {
-        // Random crashes can strike any round; fast-forwarding would skip
-        // coin flips and change the distribution, so forbid it while
-        // crashes remain possible. Once the budget is spent (or a lone
-        // survivor remains), no further crash can happen and idle rounds
-        // may be skipped again — essential for Protocol C, whose stragglers
-        // wait exponentially long deadlines.
-        if self.p_per_round > 0.0 && self.inflicted < self.max_crashes && !self.saw_lone_survivor {
-            Some(now)
-        } else {
-            None
-        }
-    }
-}
-
-/// A condition on which a [`TriggerAdversary`] rule fires.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Trigger {
-    /// Fires at the given round.
-    AtRound(Round),
-    /// Fires when the process performs its `nth` unit of work (1-based,
-    /// counted per process).
-    NthWorkBy {
-        /// The watched process.
-        pid: Pid,
-        /// Which work performance triggers (1-based).
-        nth: u64,
-    },
-    /// Fires when the process executes its `nth` *sending* round (1-based):
-    /// checkpoints, reports, polls — any round with at least one outgoing
-    /// message.
-    NthSendRoundBy {
-        /// The watched process.
-        pid: Pid,
-        /// Which sending round triggers (1-based).
-        nth: u64,
-    },
-    /// Fires the `nth` time any process emits the given trace note
-    /// (1-based). Protocols emit notes such as `"activate"`; this lets an
-    /// adversary kill, say, the third process ever to become active.
-    NthNote {
-        /// The watched annotation tag.
-        tag: &'static str,
-        /// Which occurrence triggers, counted across all processes.
-        nth: u64,
-    },
-}
-
-/// A rule: when `trigger` fires, crash the process it fired on.
-#[derive(Clone, Debug)]
-pub struct TriggerRule {
-    /// Condition to watch for.
-    pub trigger: Trigger,
-    /// Target override: crash this process instead of the one that tripped
-    /// the trigger (useful with [`Trigger::AtRound`]).
-    pub target: Option<Pid>,
-    /// How the crash unfolds.
-    pub spec: CrashSpec,
-}
-
-/// Composable behavioural adversary: a list of one-shot rules.
-///
-/// This is how the worst-case schedules from the paper's proofs are
-/// expressed: "crash the active process right after it completes a chunk
-/// but deliver the full-checkpoint to only half the next group", etc.
-///
-/// # Examples
-///
-/// ```
-/// use doall_sim::{TriggerAdversary, TriggerRule, Trigger, CrashSpec, Pid};
-///
-/// // Kill process 0 immediately after its 5th unit of work, unreported.
-/// let adv = TriggerAdversary::new(vec![TriggerRule {
-///     trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth: 5 },
-///     target: None,
-///     spec: CrashSpec { deliver: doall_sim::Deliver::None, count_work: true },
-/// }]);
-/// assert_eq!(adv.remaining_rules(), 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TriggerAdversary {
-    rules: Vec<(TriggerRule, bool)>, // (rule, spent)
-    work_counts: BTreeMap<Pid, u64>,
-    send_round_counts: BTreeMap<Pid, u64>,
-    note_counts: BTreeMap<&'static str, u64>,
-}
-
-impl TriggerAdversary {
-    /// Creates an adversary from a list of one-shot rules.
-    pub fn new(rules: Vec<TriggerRule>) -> Self {
-        TriggerAdversary {
-            rules: rules.into_iter().map(|r| (r, false)).collect(),
-            work_counts: BTreeMap::new(),
-            send_round_counts: BTreeMap::new(),
-            note_counts: BTreeMap::new(),
-        }
-    }
-
-    /// Number of rules that have not fired yet.
-    pub fn remaining_rules(&self) -> usize {
-        self.rules.iter().filter(|(_, spent)| !spent).count()
-    }
-}
-
-impl<M> Adversary<M> for TriggerAdversary {
-    fn intercept(
-        &mut self,
-        round: Round,
-        pid: Pid,
-        effects: &Effects<M>,
-        _ctx: AdversaryCtx<'_>,
-    ) -> Fate {
-        // Update observation counters for this (pid, round).
-        let work_count = if effects.work().is_some() {
-            let c = self.work_counts.entry(pid).or_insert(0);
-            *c += 1;
-            *c
-        } else {
-            *self.work_counts.get(&pid).unwrap_or(&0)
-        };
-        let send_count = if !effects.sends().is_empty() {
-            let c = self.send_round_counts.entry(pid).or_insert(0);
-            *c += 1;
-            *c
-        } else {
-            *self.send_round_counts.get(&pid).unwrap_or(&0)
-        };
-        let mut fired_notes: Vec<(&'static str, u64)> = Vec::new();
-        for note in effects.notes() {
-            let c = self.note_counts.entry(note).or_insert(0);
-            *c += 1;
-            fired_notes.push((note, *c));
-        }
-
-        for (rule, spent) in &mut self.rules {
-            if *spent {
-                continue;
-            }
-            let tripped = match &rule.trigger {
-                Trigger::AtRound(r) => *r == round && rule.target.is_none_or(|t| t == pid),
-                Trigger::NthWorkBy { pid: p, nth } => {
-                    *p == pid && effects.work().is_some() && work_count == *nth
-                }
-                Trigger::NthSendRoundBy { pid: p, nth } => {
-                    *p == pid && !effects.sends().is_empty() && send_count == *nth
-                }
-                Trigger::NthNote { tag, nth } => {
-                    fired_notes.iter().any(|(t, c)| t == tag && c == nth)
-                }
-            };
-            if tripped {
-                let victim_is_me = rule.target.is_none_or(|t| t == pid);
-                if victim_is_me {
-                    *spent = true;
-                    return Fate::Crash(rule.spec.clone());
-                }
-            }
-        }
-        Fate::Survive
-    }
-
-    fn next_event(&self, now: Round) -> Option<Round> {
-        self.rules
-            .iter()
-            .filter(|(_, spent)| !spent)
-            .filter_map(|(r, _)| match r.trigger {
-                Trigger::AtRound(rd) if rd >= now => Some(rd),
-                _ => None,
-            })
-            .min()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The synchronous plane's view of the fault table: each source of a
+    //! [`FaultPlan`] ruling through this module's trait.
+
     use super::*;
+    use crate::faults::{FaultPlan, Trigger};
     use crate::ids::Unit;
 
     fn ctx(alive: &[bool]) -> AdversaryCtx<'_> {
         AdversaryCtx::new(alive, 0)
+    }
+
+    fn next_event(plan: &FaultPlan, now: u64) -> Option<Round> {
+        Adversary::<()>::next_event(plan, Round::from(now))
     }
 
     #[test]
@@ -698,7 +370,7 @@ mod tests {
 
     #[test]
     fn schedule_fires_only_on_its_round_and_pid() {
-        let mut s = CrashSchedule::new().crash_at(Pid::new(1), 5, CrashSpec::silent());
+        let mut s = FaultPlan::default().crash_at(Pid::new(1), 5, CrashSpec::silent());
         let eff: Effects<()> = Effects::new();
         let alive = [true, true];
         assert_eq!(s.intercept(Round::new(4), Pid::new(1), &eff, ctx(&alive)), Fate::Survive);
@@ -707,11 +379,12 @@ mod tests {
             s.intercept(Round::new(5), Pid::new(1), &eff, ctx(&alive)),
             Fate::Crash(_)
         ));
+        assert_eq!(s.intercept(Round::new(6), Pid::new(1), &eff, ctx(&alive)), Fate::Survive);
     }
 
     #[test]
     fn schedule_keeps_the_first_spec_of_a_repeated_round_and_pid() {
-        let mut s = CrashSchedule::new().crash_at(Pid::new(3), 7, CrashSpec::prefix(2)).crash_at(
+        let mut s = FaultPlan::default().crash_at(Pid::new(3), 7, CrashSpec::prefix(2)).crash_at(
             Pid::new(3),
             7,
             CrashSpec::silent(),
@@ -727,43 +400,40 @@ mod tests {
 
     #[test]
     fn schedule_next_event_is_first_scheduled_round() {
-        let s = CrashSchedule::new().crash_at(Pid::new(0), 30, CrashSpec::silent()).crash_at(
+        let s = FaultPlan::default().crash_at(Pid::new(0), 30, CrashSpec::silent()).crash_at(
             Pid::new(1),
             12,
             CrashSpec::silent(),
         );
-        assert_eq!(
-            <CrashSchedule as Adversary<()>>::next_event(&s, Round::ZERO),
-            Some(Round::new(12))
-        );
-        assert_eq!(
-            <CrashSchedule as Adversary<()>>::next_event(&s, Round::new(13)),
-            Some(Round::new(30))
-        );
-        assert_eq!(<CrashSchedule as Adversary<()>>::next_event(&s, Round::new(31)), None);
+        assert_eq!(next_event(&s, 0), Some(Round::new(12)));
+        assert_eq!(next_event(&s, 13), Some(Round::new(30)));
+        assert_eq!(next_event(&s, 31), None);
     }
 
     #[test]
     fn random_adversary_respects_budget() {
-        let mut adv = RandomCrashes::new(42, 1.0, 0);
+        let mut adv = FaultPlan::random(42, 1.0, 0);
         let eff: Effects<()> = Effects::new();
         let alive = [true, true, true];
-        // p = 1.0 but budget 0: never crashes.
+        // p = 1.0 but budget 0: never crashes, and never forces a dense round.
         assert_eq!(adv.intercept(Round::new(1), Pid::new(0), &eff, ctx(&alive)), Fate::Survive);
+        assert_eq!(next_event(&adv, 1), None);
     }
 
     #[test]
     fn random_adversary_spares_last_survivor() {
-        let mut adv = RandomCrashes::new(7, 1.0, 10);
+        let mut adv = FaultPlan::random(7, 1.0, 10);
+        assert_eq!(next_event(&adv, 1), Some(Round::new(1)), "coins pin every round");
         let eff: Effects<()> = Effects::new();
         let alive = [true, false, false];
         assert_eq!(adv.intercept(Round::new(1), Pid::new(0), &eff, ctx(&alive)), Fate::Survive);
+        assert_eq!(next_event(&adv, 2), None, "a lone survivor releases fast-forward");
     }
 
     #[test]
     fn random_adversary_is_deterministic_per_seed() {
         let run = |seed| {
-            let mut adv = RandomCrashes::new(seed, 0.5, 100);
+            let mut adv = FaultPlan::random(seed, 0.5, 100);
             let eff: Effects<()> = Effects::new();
             let alive = [true; 4];
             (1u64..50)
@@ -778,32 +448,41 @@ mod tests {
     }
 
     #[test]
+    fn random_crashes_split_broadcasts_unless_clean() {
+        let mut eff: Effects<()> = Effects::new();
+        eff.broadcast((1..4).map(Pid::new), ());
+        let alive = [true; 4];
+        let mut split = FaultPlan::random(5, 1.0, 10);
+        let fate = split.intercept(Round::new(1), Pid::new(0), &eff, ctx(&alive));
+        assert!(
+            matches!(fate, Fate::Crash(CrashSpec { deliver: Deliver::Prefix(k), .. }) if k <= 3)
+        );
+        let mut clean = FaultPlan::random(5, 1.0, 10).clean_crashes();
+        let fate = clean.intercept(Round::new(1), Pid::new(0), &eff, ctx(&alive));
+        assert_eq!(fate, Fate::Crash(CrashSpec::silent()));
+    }
+
+    #[test]
     fn trigger_nth_work_fires_exactly_once() {
-        let mut adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth: 2 },
-            target: None,
-            spec: CrashSpec::silent(),
-        }]);
+        let mut adv = FaultPlan::default()
+            .crash_on(Trigger::NthWorkBy { pid: Pid::new(0), nth: 2 }, CrashSpec::silent());
         let alive = [true, true];
+        let idle: Effects<()> = Effects::new();
         let mut working: Effects<()> = Effects::new();
         working.perform(Unit::new(1));
         assert_eq!(adv.intercept(Round::new(1), Pid::new(0), &working, ctx(&alive)), Fate::Survive);
-        let mut working2: Effects<()> = Effects::new();
-        working2.perform(Unit::new(2));
+        assert_eq!(adv.intercept(Round::new(2), Pid::new(0), &idle, ctx(&alive)), Fate::Survive);
         assert!(matches!(
-            adv.intercept(Round::new(2), Pid::new(0), &working2, ctx(&alive)),
+            adv.intercept(Round::new(3), Pid::new(0), &working, ctx(&alive)),
             Fate::Crash(_)
         ));
-        assert_eq!(adv.remaining_rules(), 0);
+        assert_eq!(adv.intercept(Round::new(4), Pid::new(0), &working, ctx(&alive)), Fate::Survive);
     }
 
     #[test]
     fn trigger_note_counts_across_processes() {
-        let mut adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::NthNote { tag: "activate", nth: 2 },
-            target: None,
-            spec: CrashSpec::silent(),
-        }]);
+        let mut adv = FaultPlan::default()
+            .crash_on(Trigger::NthNote { tag: "activate", nth: 2 }, CrashSpec::silent());
         let alive = [true, true, true];
         let mut e1: Effects<()> = Effects::new();
         e1.note("activate");
@@ -818,14 +497,12 @@ mod tests {
 
     #[test]
     fn at_round_trigger_reports_next_event() {
-        let adv = TriggerAdversary::new(vec![TriggerRule {
-            trigger: Trigger::AtRound(Round::new(44)),
-            target: Some(Pid::new(1)),
-            spec: CrashSpec::silent(),
-        }]);
-        assert_eq!(
-            <TriggerAdversary as Adversary<()>>::next_event(&adv, Round::new(10)),
-            Some(Round::new(44))
+        let adv = FaultPlan::default().crash_on(
+            Trigger::AtRound { pid: Pid::new(1), round: Round::new(44) },
+            CrashSpec::silent(),
         );
+        assert_eq!(next_event(&adv, 10), Some(Round::new(44)));
+        assert_eq!(next_event(&adv, 44), Some(Round::new(44)));
+        assert_eq!(next_event(&adv, 45), None);
     }
 }

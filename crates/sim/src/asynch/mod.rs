@@ -63,10 +63,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-pub use adversary::{
-    AsyncAdversary, AsyncCrashSchedule, AsyncRandomCrashes, AsyncTrigger, AsyncTriggerAdversary,
-    AsyncTriggerRule,
-};
+pub use adversary::AsyncAdversary;
 
 use crate::adversary::{AdversaryCtx, AliveView, Fate};
 use crate::effects::SendBuf;
@@ -1258,6 +1255,7 @@ where
 mod tests {
     use super::*;
     use crate::adversary::{CrashSpec, NoFailures};
+    use crate::faults::{FaultPlan, Trigger};
     use crate::invariants::check_detector_soundness;
 
     #[derive(Clone, Debug)]
@@ -1311,9 +1309,8 @@ mod tests {
     #[test]
     fn async_crash_suppresses_sends_and_work() {
         let procs = vec![Player { me: 0 }, Player { me: 1 }];
-        let crash = AsyncCrashSchedule::new().crash_at(
-            Pid::new(0),
-            1,
+        let crash = FaultPlan::default().crash_on(
+            Trigger::NthInvocationOf { pid: Pid::new(0), nth: 1 },
             CrashSpec { deliver: crate::Deliver::Prefix(0), count_work: false },
         );
         let err = run_async(procs, crash, AsyncConfig { n: 2, ..Default::default() }).unwrap_err();
@@ -1416,9 +1413,8 @@ mod tests {
             fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Ball>) {}
         }
         let procs: Vec<Once> = (0..6).map(|me| Once { me }).collect();
-        let adv = AsyncCrashSchedule::new().crash_at(
-            Pid::new(0),
-            1,
+        let adv = FaultPlan::default().crash_on(
+            Trigger::NthInvocationOf { pid: Pid::new(0), nth: 1 },
             CrashSpec::subset([Pid::new(1), Pid::new(2), Pid::new(4)]),
         );
         let report = run_async(procs, adv, AsyncConfig::default()).unwrap();

@@ -1480,7 +1480,8 @@ fn truncate(to: Recipients, keep: usize) -> Recipients {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{CrashSchedule, CrashSpec, NoFailures};
+    use crate::adversary::{CrashSpec, NoFailures};
+    use crate::faults::FaultPlan;
     use crate::ids::Unit;
 
     /// Token ring: process 0 starts the token at its wakeup round; each
@@ -1572,7 +1573,7 @@ mod tests {
     fn silent_crash_of_token_holder_deadlocks_the_ring() {
         // Crash p1 the round it would forward the token: the remaining
         // processes wait forever — the engine must detect this, not hang.
-        let schedule = CrashSchedule::new().crash_at(Pid::new(1), 2, CrashSpec::silent());
+        let schedule = FaultPlan::default().crash_at(Pid::new(1), 2, CrashSpec::silent());
         let err = run(Ring::procs(3, 1), schedule, RunConfig::new(3, 1000)).unwrap_err();
         match err {
             RunError::Deadlock { alive, .. } => assert_eq!(alive, vec![Pid::new(2)]),
@@ -1582,7 +1583,7 @@ mod tests {
 
     #[test]
     fn crash_with_full_delivery_lets_the_token_escape() {
-        let schedule = CrashSchedule::new().crash_at(Pid::new(1), 2, CrashSpec::after_round());
+        let schedule = FaultPlan::default().crash_at(Pid::new(1), 2, CrashSpec::after_round());
         let report = run(Ring::procs(3, 1), schedule, RunConfig::new(3, 1000)).unwrap();
         // p1 crashed but its work and send both counted.
         assert_eq!(report.metrics.work_total, 3);
@@ -1594,7 +1595,7 @@ mod tests {
 
     #[test]
     fn crash_with_suppressed_work_uncounts_the_unit() {
-        let schedule = CrashSchedule::new().crash_at(
+        let schedule = FaultPlan::default().crash_at(
             Pid::new(2),
             3,
             CrashSpec { deliver: crate::Deliver::All, count_work: false },
@@ -1608,7 +1609,7 @@ mod tests {
     #[test]
     fn dead_letters_are_counted_for_retired_recipients() {
         // Crash p1 one round before the token reaches it.
-        let schedule = CrashSchedule::new().crash_at(Pid::new(1), 1, CrashSpec::silent());
+        let schedule = FaultPlan::default().crash_at(Pid::new(1), 1, CrashSpec::silent());
         let err = run(Ring::procs(3, 1), schedule, RunConfig::new(3, 1000)).unwrap_err();
         match err {
             RunError::Deadlock { metrics, .. } => {
@@ -1712,7 +1713,7 @@ mod tests {
         // to p2 (4 of them) arrive at round 2 as dead letters, and p2's own
         // round-1 sends are suppressed.
         let t = 5;
-        let adv = CrashSchedule::new().crash_at(Pid::new(2), 1, CrashSpec::silent());
+        let adv = FaultPlan::default().crash_at(Pid::new(2), 1, CrashSpec::silent());
         let report = run(blasters(t, 2), adv, RunConfig::new(0, 10)).unwrap();
         // Round 1: 4 survivors × 4 + p2 suppressed. Round 2: 4 × 4.
         assert_eq!(report.metrics.messages, 16 + 16);
@@ -1727,7 +1728,7 @@ mod tests {
         // (3 msgs). Prefix(3) must deliver 0..2 whole and only p3 from the
         // second span.
         let t = 6;
-        let adv = CrashSchedule::new().crash_at(Pid::new(2), 1, CrashSpec::prefix(3));
+        let adv = FaultPlan::default().crash_at(Pid::new(2), 1, CrashSpec::prefix(3));
         let report = run(blasters(t, 1), adv, RunConfig::new(0, 10).with_trace()).unwrap();
         let from_p2: Vec<usize> = report
             .trace
@@ -1765,7 +1766,7 @@ mod tests {
             }
         }
         let procs: Vec<SpanOnce> = (0..6).map(|me| SpanOnce { me, sent: false }).collect();
-        let adv = CrashSchedule::new().crash_at(
+        let adv = FaultPlan::default().crash_at(
             Pid::new(0),
             1,
             CrashSpec::subset([Pid::new(1), Pid::new(2), Pid::new(4)]),
@@ -1790,7 +1791,7 @@ mod tests {
         // must still step in pid order (the ring relies on it) and produce
         // the same metrics as a fresh small system.
         let t = 64;
-        let mut adv = CrashSchedule::new();
+        let mut adv = FaultPlan::default();
         for p in 8..t {
             adv = adv.crash_at(Pid::new(p), 1, CrashSpec::silent());
         }

@@ -1,24 +1,27 @@
-//! Named-fault catalog: composable fault kinds with injection triggers,
-//! observable symptoms, and timed-repair lifecycles.
+//! The fault table: one [`FaultPlan`] type describes a run's faults, on
+//! both execution planes.
 //!
 //! The raw adversary traits ([`Adversary`], [`AsyncAdversary`]) speak in
 //! per-step verdicts; scenarios want to speak in *faults*: "p3 omits all
 //! sends from round 5 to round 20", "p1 crashes at round 8 and restarts,
-//! wiped, 10 rounds later", "p2 runs at quarter speed". A [`FaultPlan`] is
-//! a list of such named [`Fault`]s and is itself an adversary on **both**
-//! execution planes, so one plan drives the synchronous round engine and
-//! the asynchronous event engine identically:
+//! wiped, 10 rounds later", "p0 dies right after its 5th unit of work",
+//! "each process crashes with probability 1 % per round". A [`FaultPlan`]
+//! holds such faults from three sources — named [`Fault`]s on the clock,
+//! crash rules fired by a [`Trigger`], and seeded random crashes — and is
+//! itself an adversary on **both** planes, so one plan drives the
+//! synchronous round engine and the asynchronous event engine alike:
 //!
 //! ```
-//! use doall_sim::{FaultKind, FaultPlan, Pid, Round};
+//! use doall_sim::{CrashSpec, FaultKind, FaultPlan, Pid, Round, Trigger};
 //!
 //! let plan = FaultPlan::new(vec![
 //!     FaultKind::SlowQuarter(Pid::new(1)).at(Round::new(5)),
 //!     FaultKind::OmitSends(Pid::new(3)).at(Round::new(5)).for_rounds(20),
 //!     FaultKind::CrashRecover { pid: Pid::new(0), downtime: 10, wipe: true }
 //!         .at(Round::new(8)),
-//! ]);
-//! assert_eq!(plan.len(), 3);
+//! ])
+//! .crash_on(Trigger::NthWorkBy { pid: Pid::new(2), nth: 5 }, CrashSpec::silent());
+//! assert_eq!(plan.len(), 4);
 //! ```
 //!
 //! Each fault's lifecycle is observable: injection shows up as the fault's
@@ -32,10 +35,15 @@
 //! [`Degraded`] / [`AsyncDegraded`] decorators; a plan with no `Slow*`
 //! faults wraps every process transparently.
 
+use std::collections::BTreeMap;
+
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversaryCtx, CrashSpec, Deliver, Fate};
 use crate::asynch::{AsyncAdversary, AsyncEffects, AsyncProtocol, Time};
+use crate::chaos::Plane;
 use crate::effects::Effects;
 use crate::ids::{Pid, Round};
 use crate::message::Inbox;
@@ -154,18 +162,183 @@ impl Fault {
     }
 }
 
-/// A composable schedule of named faults, usable as an [`Adversary`] on
-/// the synchronous plane and an [`AsyncAdversary`] on the asynchronous
-/// plane. A plan with zero faults behaves bit-identically to
-/// [`NoFailures`](crate::NoFailures) on both.
+/// What trips a crash rule of a [`FaultPlan`] (see [`FaultPlan::crash_on`]):
+/// the rule fires once, on the process that tripped it (`AtRound` names
+/// its victim). Counts are 1-based. A plan holding a trigger of one plane
+/// only is refused on the other with an `InvalidAdversary` error.
 ///
-/// `Slow*` faults are enforced by wrapping the processes (see
-/// [`FaultPlan::wrap`] / [`FaultPlan::wrap_async`]); all other kinds act
-/// through the adversary interception points.
+/// ```
+/// use doall_sim::{CrashSpec, FaultPlan, Pid, Trigger};
+///
+/// // p3 crashes mid-broadcast on its 7th handler invocation.
+/// let rule = Trigger::NthInvocationOf { pid: Pid::new(3), nth: 7 };
+/// assert_eq!(FaultPlan::default().crash_on(rule, CrashSpec::prefix(2)).len(), 1);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Trigger {
+    /// Fires if `pid` is intercepted in exactly round `round`; a victim
+    /// retired by then is spared. Synchronous plane only.
+    AtRound {
+        /// The victim.
+        pid: Pid,
+        /// The round it dies in.
+        round: Round,
+    },
+    /// Fires on the step in which `pid`'s performed units reach `nth`. A
+    /// round performs at most one unit; a handler invocation may perform
+    /// several, all of which count.
+    NthWorkBy {
+        /// The watched process.
+        pid: Pid,
+        /// Which unit performance triggers.
+        nth: u64,
+    },
+    /// Fires on `pid`'s `nth` *sending* round: checkpoints, reports, polls
+    /// — any round with at least one outgoing message. Synchronous plane
+    /// only.
+    NthSendRoundBy {
+        /// The watched process.
+        pid: Pid,
+        /// Which sending round triggers.
+        nth: u64,
+    },
+    /// Fires the `nth` time any process emits the trace note `tag`,
+    /// counted across all processes — e.g. kill the third process ever to
+    /// emit `"activate"`.
+    NthNote {
+        /// The watched annotation tag.
+        tag: &'static str,
+        /// Which occurrence triggers.
+        nth: u64,
+    },
+    /// Fires on `pid`'s `nth` handler invocation; the first is its start
+    /// signal. Asynchronous plane only.
+    NthInvocationOf {
+        /// The watched process.
+        pid: Pid,
+        /// Which invocation triggers.
+        nth: u64,
+    },
+}
+
+/// The one adversary data type: a schedule of faults, an [`Adversary`] on
+/// the synchronous plane and an [`AsyncAdversary`] on the asynchronous one.
+/// A plan with no entries behaves bit-identically to
+/// [`NoFailures`](crate::NoFailures) on both. Its entries come from three
+/// sources:
+/// - **timed faults** ([`FaultPlan::new`]): named [`Fault`]s on the clock;
+///   `Slow*` faults act by wrapping the processes ([`FaultPlan::wrap`] /
+///   [`FaultPlan::wrap_async`]), the others through the adversary hooks;
+/// - **crash rules** ([`FaultPlan::crash_on`], [`FaultPlan::crash_at`]);
+/// - **random crashes** ([`FaultPlan::random`]).
+///
+/// # Evaluation order
+///
+/// Each intercept asks the sources in a fixed order and the first verdict
+/// other than survival stands: timed faults (the first-listed active one)
+/// → exact-round rules → the other rules (the earliest-added one tripped)
+/// → random crashes. Rule counters advance on every intercept, whichever
+/// source rules; the coins are flipped only when the random source is
+/// reached.
+///
+/// # Known behaviour
+///
+/// Two properties of timed crashes stay because the benchmark's pinned
+/// counts depend on them:
+/// - The first-listed *active* timed fault wins, so an `OmitSends` window
+///   shadows a later-listed `Crash` of the same process until it closes.
+/// - An unspent `Crash` / `CrashRecover` announces an event every round
+///   from its `at` on, so every round is stepped densely until it fires —
+///   to the end of the run if its victim retired first. `Crash(p0).at(5)`
+///   after p0 terminated in round 1 executes 99,997 rounds on the way to
+///   round 100,000; the same crash as [`crash_at`](FaultPlan::crash_at)
+///   executes 3.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
     spent: Vec<bool>,
+    // Exact-round rules by round, then victim: two lookups per intercept
+    // however many share a round (`DeadOnArrival` puts thousands in one).
+    at_round: BTreeMap<Round, BTreeMap<Pid, CrashSpec>>,
+    // The other rules in the order added, and whether each has fired; the
+    // watches index them by what can trip them, so a step reads only those.
+    rules: Vec<(Trigger, CrashSpec)>,
+    fired: Vec<bool>,
+    by_pid: BTreeMap<Pid, Watch>,
+    by_tag: BTreeMap<&'static str, Watch>,
+    random: Option<Coins>,
+    // Rule entries added, repeated exact-round entries included.
+    rule_count: usize,
+}
+
+/// The rules (ascending positions in `FaultPlan::rules`) one process or
+/// note tag can trip, and the units / emissions and sending rounds seen.
+#[derive(Clone, Debug, Default)]
+struct Watch {
+    seen: u64,
+    sends: u64,
+    rules: Vec<usize>,
+}
+
+/// A step's effects as the plan reads them (`invocation` is 0 on rounds).
+struct Step<'a> {
+    units: u64,
+    sending: bool,
+    messages: usize,
+    notes: &'a [&'static str],
+    invocation: u64,
+}
+
+/// The random crash source (see [`FaultPlan::random`]).
+#[derive(Clone, Debug)]
+struct Coins {
+    rng: SmallRng,
+    p: f64,
+    // `gen_bool(p)` in integers: `(bits >> 11) · 2⁻⁵³ < p` exactly when
+    // `bits >> 11 < ⌈p · 2⁵³⌉`, so every coin lands as `gen_bool`'s would.
+    threshold: u64,
+    max_crashes: u32,
+    partial_delivery: bool,
+    inflicted: u32,
+    saw_lone_survivor: bool,
+}
+
+impl Coins {
+    #[inline]
+    fn draw(&mut self, messages: usize, ctx: AdversaryCtx<'_>) -> Fate {
+        if ctx.alive_count() <= 1 {
+            self.saw_lone_survivor = true;
+            return Fate::Survive;
+        }
+        if ctx.crashes.max(self.inflicted) >= self.max_crashes
+            || self.rng.next_u64() >> 11 >= self.threshold
+        {
+            return Fate::Survive;
+        }
+        let spec = if self.partial_delivery && messages > 0 {
+            let k = self.rng.gen_range(0..=messages);
+            CrashSpec { deliver: Deliver::Prefix(k), count_work: self.rng.gen_bool(0.5) }
+        } else {
+            CrashSpec::silent()
+        };
+        self.inflicted += 1;
+        Fate::Crash(spec)
+    }
+
+    /// Whether a crash can still come. Until then every round is an event,
+    /// since a skipped round would skip coin flips; after, fast-forward resumes.
+    fn armed(&self) -> bool {
+        self.p > 0.0 && self.inflicted < self.max_crashes && !self.saw_lone_survivor
+    }
+}
+
+/// The range check on a random crash probability (`NaN` is out of range).
+fn check_crash_probability(p: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(format!("crash probability must be in [0, 1], got {p}"))
+    }
 }
 
 impl FaultPlan {
@@ -178,17 +351,93 @@ impl FaultPlan {
     {
         let faults: Vec<Fault> = faults.into_iter().map(Into::into).collect();
         let spent = vec![false; faults.len()];
-        FaultPlan { faults, spent }
+        FaultPlan { faults, spent, ..Self::default() }
     }
 
-    /// Number of faults in the plan.
+    /// Seeded random crashes: every intercepted step (a round, or a handler
+    /// invocation) of a live process crashes with probability `p` until
+    /// `max_crashes` have struck, always sparing a lone survivor. A crashing
+    /// broadcaster delivers a random prefix of its messages (see
+    /// [`clean_crashes`](FaultPlan::clean_crashes)); a `p` outside `[0, 1]`
+    /// fails validation.
+    pub fn random(seed: u64, p: f64, max_crashes: u32) -> Self {
+        let coins = Coins {
+            rng: SmallRng::seed_from_u64(seed),
+            p,
+            threshold: (p * (1u64 << 53) as f64).ceil() as u64,
+            max_crashes,
+            partial_delivery: true,
+            inflicted: 0,
+            saw_lone_survivor: false,
+        };
+        FaultPlan { random: Some(coins), ..Self::default() }
+    }
+
+    /// Makes random crashes silent: no partial delivery, no counted work.
+    pub fn clean_crashes(mut self) -> Self {
+        if let Some(coins) = &mut self.random {
+            coins.partial_delivery = false;
+        }
+        self
+    }
+
+    /// Adds a crash rule: when `trigger` trips, the process it names
+    /// crashes as `spec` says. When several rules trip in one step, the
+    /// earliest added fires; a repeated [`AtRound`](Trigger::AtRound)
+    /// entry keeps its first spec.
+    ///
+    /// ```
+    /// use doall_sim::{CrashSpec, Deliver, FaultPlan, Pid, Trigger};
+    ///
+    /// // Kill process 0 immediately after its 5th unit of work, unreported.
+    /// let unreported = CrashSpec { deliver: Deliver::None, count_work: true };
+    /// let rule = Trigger::NthWorkBy { pid: Pid::new(0), nth: 5 };
+    /// assert_eq!(FaultPlan::default().crash_on(rule, unreported).len(), 1);
+    /// ```
+    pub fn crash_on(mut self, trigger: Trigger, spec: CrashSpec) -> Self {
+        self.rule_count += 1;
+        let watch = match trigger {
+            Trigger::AtRound { pid, round } => {
+                self.at_round.entry(round).or_default().entry(pid).or_insert(spec);
+                return self;
+            }
+            Trigger::NthNote { tag, .. } => self.by_tag.entry(tag).or_default(),
+            Trigger::NthWorkBy { pid, .. }
+            | Trigger::NthSendRoundBy { pid, .. }
+            | Trigger::NthInvocationOf { pid, .. } => self.by_pid.entry(pid).or_default(),
+        };
+        watch.rules.push(self.rules.len());
+        self.rules.push((trigger, spec));
+        self.fired.push(false);
+        self
+    }
+
+    /// [`crash_on`](FaultPlan::crash_on) an [`AtRound`](Trigger::AtRound)
+    /// trigger: `pid` crashes if it is intercepted in exactly round
+    /// `round` (`u64` values and bare literals convert; pass a [`Round`]
+    /// for deep-idle crashes beyond the 64-bit horizon).
+    ///
+    /// ```
+    /// use doall_sim::{CrashSpec, FaultPlan, Pid};
+    ///
+    /// let plan = FaultPlan::default()
+    ///     .crash_at(Pid::new(0), 10, CrashSpec::silent())
+    ///     .crash_at(Pid::new(1), 25, CrashSpec::prefix(2));
+    /// assert_eq!(plan.len(), 2);
+    /// ```
+    pub fn crash_at(self, pid: Pid, round: impl Into<Round>, spec: CrashSpec) -> Self {
+        self.crash_on(Trigger::AtRound { pid, round: round.into() }, spec)
+    }
+
+    /// Number of entries: timed faults, crash rules (a repeated entry
+    /// counts again) and the random source, counted alike on both planes.
     pub fn len(&self) -> usize {
-        self.faults.len()
+        self.faults.len() + self.rule_count + usize::from(self.random.is_some())
     }
 
     /// Whether the plan is fault-free.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
+        self.len() == 0
     }
 
     /// The scheduled faults, in insertion order.
@@ -235,7 +484,7 @@ impl FaultPlan {
             .collect()
     }
 
-    /// The shared verdict logic of both planes: `now` is a round or an
+    /// The timed faults' verdict on both planes: `now` is a round or an
     /// asynchronous timestamp.
     fn verdict(&mut self, now: Round, pid: Pid) -> Fate {
         for (i, f) in self.faults.iter().enumerate() {
@@ -295,19 +544,89 @@ impl FaultPlan {
             .min()
     }
 
+    /// The intercept of both planes (`now` is a round or a timestamp), in
+    /// the documented order. A plan of timed faults only or coins only goes
+    /// straight to its source; the step is read only by sources that need it.
+    #[inline]
+    fn rule<'a>(
+        &mut self,
+        now: Round,
+        pid: Pid,
+        step: impl Fn() -> Step<'a>,
+        ctx: AdversaryCtx<'_>,
+    ) -> Fate {
+        if self.rule_count == 0 {
+            match &mut self.random {
+                None => return self.verdict(now, pid),
+                Some(coins) if self.faults.is_empty() => return coins.draw(step().messages, ctx),
+                Some(_) => {}
+            }
+        }
+        let tripped = if self.rules.is_empty() { None } else { self.observe(pid, &step()) };
+        if !self.faults.is_empty() {
+            let fate = self.verdict(now, pid);
+            if !matches!(fate, Fate::Survive) {
+                return fate;
+            }
+        }
+        if let Some(spec) = self.at_round.get(&now).and_then(|victims| victims.get(&pid)) {
+            return Fate::Crash(spec.clone());
+        }
+        if let Some(i) = tripped {
+            self.fired[i] = true;
+            return Fate::Crash(self.rules[i].1.clone());
+        }
+        match &mut self.random {
+            Some(coins) => coins.draw(step().messages, ctx),
+            None => Fate::Survive,
+        }
+    }
+
+    /// Advances the rule counters by one step of `pid` and returns the
+    /// earliest-added unfired rule the step trips, without firing it.
+    fn observe(&mut self, pid: Pid, step: &Step<'_>) -> Option<usize> {
+        let (rules, fired) = (&self.rules, &self.fired);
+        let first_trip = |w: &Watch, before: u64| {
+            w.rules.iter().copied().find(|&i| {
+                !fired[i]
+                    && match rules[i].0 {
+                        Trigger::NthWorkBy { nth, .. } => before < nth && nth <= w.seen,
+                        Trigger::NthSendRoundBy { nth, .. } => step.sending && w.sends == nth,
+                        Trigger::NthInvocationOf { nth, .. } => step.invocation == nth,
+                        Trigger::NthNote { nth, .. } => nth == w.seen,
+                        Trigger::AtRound { .. } => false,
+                    }
+            })
+        };
+        let mut first = self.by_pid.get_mut(&pid).and_then(|w| {
+            let before = w.seen;
+            w.seen += step.units;
+            w.sends += u64::from(step.sending);
+            first_trip(w, before)
+        });
+        for tag in step.notes {
+            if let Some(w) = self.by_tag.get_mut(tag) {
+                w.seen += 1;
+                first = first.into_iter().chain(first_trip(w, w.seen)).min();
+            }
+        }
+        first
+    }
+
     /// Checks the plan against a system of `t` processes, rejecting
     /// schedules that are unsatisfiable or violate the paper's fault
-    /// model: out-of-range pids, permanent crashes of **all** `t`
+    /// model: out-of-range pids, permanent timed crashes of **all** `t`
     /// processes (the Do-All guarantee presumes a survivor), contradictory
     /// crash fates for one pid (a recovery scheduled at or after a
     /// permanent crash can never fire), overlapping `Slow*` windows on one
-    /// pid (the [`Degraded`] wrappers assume disjoint windows), and empty
-    /// fault windows (`until <= at`, a fault that can never inject).
+    /// pid (the [`Degraded`] wrappers assume disjoint windows), empty fault
+    /// windows (`until <= at`), and a crash probability outside `[0, 1]`.
     ///
-    /// Both adversary traits route their `validate` hook here, so every
-    /// engine entry point ([`Engine::new`](crate::Engine::new), [`run`],
-    /// [`run_async`]) refuses an invalid plan with a typed error before
-    /// round 1 instead of panicking — or silently doing nothing — mid-run.
+    /// Both adversary traits route their `validate` hook through
+    /// [`validate_on`](FaultPlan::validate_on), so every engine entry point
+    /// ([`Engine::new`](crate::Engine::new), [`run`], [`run_async`])
+    /// refuses an invalid plan with a typed error before round 1 instead
+    /// of panicking — or silently doing nothing — mid-run.
     ///
     /// [`run`]: crate::run
     /// [`run_async`]: crate::asynch::run_async
@@ -355,14 +674,49 @@ impl FaultPlan {
         if t > 0 && crashed.len() >= t {
             return Err(FaultPlanError::AllCrashed { t });
         }
-        Ok(())
+        let mut rule_pids = self.by_pid.keys().chain(self.at_round.values().flat_map(|v| v.keys()));
+        if let Some(&pid) = rule_pids.find(|pid| pid.index() >= t) {
+            return Err(FaultPlanError::PidOutOfRange { pid, t });
+        }
+        let p = self.random.as_ref().map_or(Ok(()), |coins| check_crash_probability(coins.p));
+        p.map_err(|reason| FaultPlanError::BadProbability { reason })
+    }
+
+    /// [`validate`](FaultPlan::validate) for a run on `plane`, which also
+    /// refuses a [`Trigger`] that exists only on the other plane.
+    ///
+    /// ```
+    /// use doall_sim::chaos::Plane;
+    /// use doall_sim::{CrashSpec, FaultPlan, Pid, Trigger};
+    ///
+    /// // Kill the second process ever to activate, on either plane.
+    /// let kill = |trigger| FaultPlan::default().crash_on(trigger, CrashSpec::silent());
+    /// let plan = kill(Trigger::NthNote { tag: "activate", nth: 2 });
+    /// assert!(plan.validate_on(4, Plane::Sync).is_ok() && plan.validate_on(4, Plane::Async).is_ok());
+    /// // Rounds have no handler invocations.
+    /// let plan = kill(Trigger::NthInvocationOf { pid: Pid::new(3), nth: 7 });
+    /// assert!(plan.validate_on(4, Plane::Sync).is_err());
+    /// ```
+    pub fn validate_on(&self, t: usize, plane: Plane) -> Result<(), FaultPlanError> {
+        self.validate(t)?;
+        let exact = self.at_round.iter().flat_map(|(&round, victims)| {
+            victims.keys().map(move |&pid| Trigger::AtRound { pid, round })
+        });
+        let mut triggers = exact.take(1).chain(self.rules.iter().map(|rule| rule.0.clone()));
+        let foreign = triggers.find(|trigger| match trigger {
+            Trigger::AtRound { .. } | Trigger::NthSendRoundBy { .. } => plane == Plane::Async,
+            Trigger::NthInvocationOf { .. } => plane == Plane::Sync,
+            Trigger::NthWorkBy { .. } | Trigger::NthNote { .. } => false,
+        });
+        foreign.map_or(Ok(()), |trigger| Err(FaultPlanError::WrongPlane { trigger, plane }))
     }
 }
 
-/// Why a [`FaultPlan`] was rejected by [`FaultPlan::validate`].
+/// Why a [`FaultPlan`] was rejected by [`FaultPlan::validate`] or
+/// [`FaultPlan::validate_on`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultPlanError {
-    /// A fault targets a pid outside `0..t`.
+    /// A fault or rule targets a pid outside `0..t`.
     PidOutOfRange {
         /// The out-of-range victim.
         pid: Pid,
@@ -394,6 +748,18 @@ pub enum FaultPlanError {
         /// The degenerate window's start.
         at: Round,
     },
+    /// The random crash probability lies outside `[0, 1]`.
+    BadProbability {
+        /// The range check's diagnosis.
+        reason: String,
+    },
+    /// A rule whose trigger cannot fire on the plane of the run.
+    WrongPlane {
+        /// The offending trigger.
+        trigger: Trigger,
+        /// The plane of the run.
+        plane: Plane,
+    },
 }
 
 impl std::fmt::Display for FaultPlanError {
@@ -417,6 +783,10 @@ impl std::fmt::Display for FaultPlanError {
             FaultPlanError::EmptyWindow { pid, at } => {
                 write!(f, "empty fault window for {pid} at round {at} (until <= at)")
             }
+            FaultPlanError::BadProbability { reason } => f.write_str(reason),
+            FaultPlanError::WrongPlane { trigger, plane } => {
+                write!(f, "trigger {trigger:?} cannot fire on the {plane} plane")
+            }
         }
     }
 }
@@ -428,14 +798,28 @@ impl<M> Adversary<M> for FaultPlan {
         &mut self,
         round: Round,
         pid: Pid,
-        _effects: &Effects<M>,
-        _ctx: AdversaryCtx<'_>,
+        effects: &Effects<M>,
+        ctx: AdversaryCtx<'_>,
     ) -> Fate {
-        self.verdict(round, pid)
+        let step = || Step {
+            units: u64::from(effects.work().is_some()),
+            sending: !effects.sends().is_empty(),
+            messages: effects.send_count(),
+            notes: effects.notes(),
+            invocation: 0,
+        };
+        self.rule(round, pid, step, ctx)
     }
 
     fn next_event(&self, now: Round) -> Option<Round> {
-        self.next_crash_event(now)
+        if self.random.as_ref().is_some_and(Coins::armed) {
+            return Some(now);
+        }
+        let exact = self.at_round.range(now..).next().map(|(&round, _)| round);
+        if self.faults.is_empty() {
+            return exact;
+        }
+        exact.into_iter().chain(self.next_crash_event(now)).min()
     }
 
     fn filters_deliveries(&self) -> bool {
@@ -447,7 +831,7 @@ impl<M> Adversary<M> for FaultPlan {
     }
 
     fn validate(&self, t: usize) -> Result<(), String> {
-        FaultPlan::validate(self, t).map_err(|e| e.to_string())
+        self.validate_on(t, Plane::Sync).map_err(|e| e.to_string())
     }
 }
 
@@ -456,11 +840,18 @@ impl<M> AsyncAdversary<M> for FaultPlan {
         &mut self,
         time: Time,
         pid: Pid,
-        _invocation: u64,
-        _effects: &AsyncEffects<M>,
-        _ctx: AdversaryCtx<'_>,
+        invocation: u64,
+        effects: &AsyncEffects<M>,
+        ctx: AdversaryCtx<'_>,
     ) -> Fate {
-        self.verdict(time, pid)
+        let step = || Step {
+            units: effects.work_units().len() as u64,
+            sending: !effects.sends().is_empty(),
+            messages: effects.send_count(),
+            notes: effects.notes(),
+            invocation,
+        };
+        self.rule(time, pid, step, ctx)
     }
 
     fn scheduled_events(&self) -> Vec<(Time, Pid)> {
@@ -476,7 +867,7 @@ impl<M> AsyncAdversary<M> for FaultPlan {
     }
 
     fn validate(&self, t: usize) -> Result<(), String> {
-        FaultPlan::validate(self, t).map_err(|e| e.to_string())
+        self.validate_on(t, Plane::Async).map_err(|e| e.to_string())
     }
 }
 
@@ -512,32 +903,15 @@ impl SlowWindow {
 ///
 /// Symptoms: the first gated step of a window emits a `"fault:slow"`
 /// note; the first step at or past a window's `until` emits
-/// `"fault:slow:repaired"`.
-#[derive(Debug)]
+/// `"fault:slow:repaired"`. A clone carries the buffered messages and
+/// window cursors, so engine snapshots capture mid-window state exactly.
+#[derive(Clone, Debug)]
 pub struct Degraded<P: Protocol> {
     inner: P,
     windows: Vec<SlowWindow>,
     buffered: Vec<(Pid, P::Msg)>,
     noted: Vec<bool>,
     repaired: Vec<bool>,
-}
-
-/// Cloning a wrapper clones the inner protocol *and* the degradation
-/// bookkeeping (buffered messages, window cursors), so engine snapshots
-/// capture mid-window state exactly.
-impl<P: Protocol + Clone> Clone for Degraded<P>
-where
-    P::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        Degraded {
-            inner: self.inner.clone(),
-            windows: self.windows.clone(),
-            buffered: self.buffered.clone(),
-            noted: self.noted.clone(),
-            repaired: self.repaired.clone(),
-        }
-    }
 }
 
 impl<P: Protocol> Degraded<P> {
@@ -553,16 +927,6 @@ impl<P: Protocol> Degraded<P> {
             noted: vec![false; n],
             repaired: vec![false; n],
         }
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Unwraps the inner process.
-    pub fn into_inner(self) -> P {
-        self.inner
     }
 
     fn window_at(&self, r: Round) -> Option<usize> {
@@ -662,8 +1026,9 @@ impl<P: Protocol> Protocol for Degraded<P> {
 /// every `factor`-th counted invocation reaches the inner protocol;
 /// gated message batches are buffered and a tick is requested so the
 /// deferred work is eventually driven. With no windows the wrapper is a
-/// strict pass-through.
-#[derive(Debug)]
+/// strict pass-through. A clone carries the invocation counter and the
+/// buffered batches, so engine snapshots capture mid-window state exactly.
+#[derive(Clone, Debug)]
 pub struct AsyncDegraded<P: AsyncProtocol> {
     inner: P,
     windows: Vec<SlowWindow>,
@@ -672,26 +1037,6 @@ pub struct AsyncDegraded<P: AsyncProtocol> {
     inner_wants_tick: bool,
     noted: Vec<bool>,
     repaired: Vec<bool>,
-}
-
-/// Cloning a wrapper clones the inner protocol *and* the degradation
-/// bookkeeping (invocation counter, buffered batches), so engine
-/// snapshots capture mid-window state exactly.
-impl<P: AsyncProtocol + Clone> Clone for AsyncDegraded<P>
-where
-    P::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        AsyncDegraded {
-            inner: self.inner.clone(),
-            windows: self.windows.clone(),
-            counted: self.counted,
-            buffered: self.buffered.clone(),
-            inner_wants_tick: self.inner_wants_tick,
-            noted: self.noted.clone(),
-            repaired: self.repaired.clone(),
-        }
-    }
 }
 
 impl<P: AsyncProtocol> AsyncDegraded<P> {
@@ -709,16 +1054,6 @@ impl<P: AsyncProtocol> AsyncDegraded<P> {
             noted: vec![false; n],
             repaired: vec![false; n],
         }
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Unwraps the inner process.
-    pub fn into_inner(self) -> P {
-        self.inner
     }
 
     /// Counts this invocation and decides whether it is gated; emits

@@ -20,7 +20,9 @@
 //! ## Quick tour
 //!
 //! * implement [`Protocol`] for your per-process state machine;
-//! * pick an [`Adversary`] (from [`NoFailures`] to scripted worst cases);
+//! * pick an [`Adversary`]: [`NoFailures`], or a [`FaultPlan`] — the one
+//!   adversary data type, holding timed faults, crash rules fired by a
+//!   [`Trigger`] (the proofs' scripted worst cases) and random crashes;
 //! * call [`run`] and inspect the [`Report`].
 //!
 //! ```
@@ -61,7 +63,8 @@
 //! (a crashed process restarts, stale or wiped), send/receive omission,
 //! and — via the [`Degraded`]/[`AsyncDegraded`] wrappers — degraded-mode
 //! slowdown. The [`faults`] module packages all of these as a named-fault
-//! catalog ([`FaultKind`]/[`FaultPlan`]) usable on either plane.
+//! catalog ([`FaultKind`]) inside the same [`FaultPlan`], usable on either
+//! plane.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -82,17 +85,14 @@ pub mod chaos;
 pub mod faults;
 pub mod invariants;
 
-pub use adversary::{
-    Adversary, AdversaryCtx, AliveView, CrashSchedule, CrashSpec, Deliver, Fate, NoFailures,
-    RandomCrashes, Trigger, TriggerAdversary, TriggerRule,
-};
+pub use adversary::{Adversary, AdversaryCtx, AliveView, CrashSpec, Deliver, Fate, NoFailures};
 pub use effects::{Effects, Recipients, SendOp};
 pub use engine::{
     run, run_returning, Engine, EngineSnapshot, MemBudget, Report, RunConfig, RunError,
     StallDiagnosis, Status,
 };
 pub use faults::{
-    AsyncDegraded, Degraded, Fault, FaultKind, FaultPlan, FaultPlanError, SlowWindow,
+    AsyncDegraded, Degraded, Fault, FaultKind, FaultPlan, FaultPlanError, SlowWindow, Trigger,
 };
 pub use ids::{Pid, Round, Unit};
 pub use liveset::LiveSet;

@@ -7,9 +7,9 @@
 //! ```
 
 use doall::bounds::theorems;
-use doall::sim::asynch::{AsyncCrashSchedule, AsyncReport, DelayDist};
+use doall::sim::asynch::{AsyncReport, DelayDist};
 use doall::sim::invariants::{check_activation_order, check_detector_soundness};
-use doall::sim::{CrashSpec, Pid};
+use doall::sim::{CrashSpec, FaultPlan, Pid, Trigger};
 use doall::{AsyncProtocolA, AsyncProtocolB, AsyncReplicate, JobSpec};
 
 fn describe(label: &str, report: &AsyncReport) {
@@ -32,7 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A custom adversary with no `Scenario` name: `run_async_with` is the
     // JobSpec escape hatch for exactly this case.
-    let adversary = || AsyncCrashSchedule::new().crash_at(Pid::new(0), 9, CrashSpec::prefix(2));
+    let adversary = || {
+        FaultPlan::default()
+            .crash_on(Trigger::NthInvocationOf { pid: Pid::new(0), nth: 9 }, CrashSpec::prefix(2))
+    };
     fn spec<P>(procs: Vec<P>, n: u64) -> JobSpec<P> {
         JobSpec::new(procs, n as usize).seed(42).delay(DelayDist::Uniform, 7).with_trace()
     }

@@ -18,7 +18,7 @@
 
 use doall::agreement::bootstrap::{direct_effort, run_bootstrap};
 use doall::service::{Admission, JobSpec, Pool, Session};
-use doall::sim::{CrashSchedule, CrashSpec, NoFailures, Pid};
+use doall::sim::{CrashSpec, FaultPlan, NoFailures, Pid};
 use doall::ProtocolB;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Crashes in both stages.
-    let ba_adv = CrashSchedule::new().crash_at(Pid::new(1), 2, CrashSpec::silent()).crash_at(
+    let ba_adv = FaultPlan::default().crash_at(Pid::new(1), 2, CrashSpec::silent()).crash_at(
         Pid::new(2),
         4,
         CrashSpec::prefix(1),

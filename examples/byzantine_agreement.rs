@@ -10,7 +10,7 @@
 
 use doall::agreement::{BaSystem, Engine, FloodingBa};
 use doall::bounds::theorems;
-use doall::sim::{CrashSchedule, CrashSpec, NoFailures, Pid};
+use doall::sim::{CrashSpec, FaultPlan, NoFailures, Pid};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (n, t) = (64u64, 8u64); // t + 1 = 9 senders (a perfect square)
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  rounds:   {}", outcome.metrics.rounds);
 
     // --- the general crashes mid-broadcast --------------------------------
-    let adversary = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::subset([Pid::new(3)]));
+    let adversary = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::subset([Pid::new(3)]));
     let outcome = BaSystem::new(n, t, Engine::B)?.general_value(value).run(adversary)?;
     assert!(outcome.agreement(), "agreement must survive a treacherous stage 1");
     let agreed = outcome.decisions.iter().flatten().next().copied();

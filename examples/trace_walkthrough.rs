@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use doall::core::ab::AbMsg;
-use doall::sim::{run, CrashSpec, Event, Pid, RunConfig, Trigger, TriggerAdversary, TriggerRule};
+use doall::sim::{run, CrashSpec, Event, FaultPlan, Pid, RunConfig, Trigger};
 use doall::ProtocolB;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,11 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // p0 dies during its second checkpoint broadcast; only one copy
     // escapes. p1 must take over via the DDB deadline.
-    let adversary = TriggerAdversary::new(vec![TriggerRule {
-        trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 2 },
-        target: None,
-        spec: CrashSpec::prefix(1),
-    }]);
+    let adversary = FaultPlan::default()
+        .crash_on(Trigger::NthSendRoundBy { pid: Pid::new(0), nth: 2 }, CrashSpec::prefix(1));
 
     let report = run(
         ProtocolB::processes(n, t)?,

@@ -17,10 +17,8 @@
 //!    exactly the synchronous work and message counts over a small grid —
 //!    the §2.1 claim that the bounds carry over.
 
-use doall::sim::asynch::{
-    run_async, AsyncConfig, AsyncCrashSchedule, AsyncEffects, AsyncProtocol, DelayDist,
-};
-use doall::sim::{Classify, CrashSpec, Inbox, NoFailures, Pid, Unit};
+use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, DelayDist};
+use doall::sim::{Classify, CrashSpec, FaultPlan, Inbox, NoFailures, Pid, Trigger, Unit};
 use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB};
 use proptest::prelude::*;
@@ -156,8 +154,8 @@ impl AsyncProtocol for AsyncChatter {
 
 /// A random invocation-indexed crash schedule: up to 5 crashes with every
 /// delivery-filter shape (silent, after-round, prefix, arbitrary subset).
-fn crash_schedule(t: usize, seed: u64) -> AsyncCrashSchedule {
-    let mut sched = AsyncCrashSchedule::new();
+fn crash_schedule(t: usize, seed: u64) -> FaultPlan {
+    let mut sched = FaultPlan::default();
     let crashes = mix(seed) % 6;
     for c in 0..crashes {
         let h = mix(seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -172,7 +170,7 @@ fn crash_schedule(t: usize, seed: u64) -> AsyncCrashSchedule {
                 CrashSpec::subset(members)
             }
         };
-        sched = sched.crash_at(pid, invocation, spec);
+        sched = sched.crash_on(Trigger::NthInvocationOf { pid, nth: invocation }, spec);
     }
     sched
 }

@@ -4,7 +4,7 @@
 
 use doall::agreement::{BaSystem, Engine, FloodingBa};
 use doall::bounds::theorems;
-use doall::sim::{CrashSchedule, CrashSpec, NoFailures, Pid, RandomCrashes};
+use doall::sim::{CrashSpec, FaultPlan, NoFailures, Pid};
 use proptest::prelude::*;
 
 #[test]
@@ -49,7 +49,7 @@ fn ba_survives_general_crash_at_every_stage_1_prefix() {
     // must hold for every k.
     let (n, t) = (24u64, 3u64);
     for k in 0..=t as usize {
-        let adv = CrashSchedule::new().crash_at(Pid::new(0), 1, CrashSpec::prefix(k));
+        let adv = FaultPlan::default().crash_at(Pid::new(0), 1, CrashSpec::prefix(k));
         let outcome = BaSystem::new(n, t, Engine::B).unwrap().general_value(9).run(adv).unwrap();
         assert!(outcome.agreement(), "prefix {k}: {:?}", outcome.decisions);
         assert_eq!(outcome.decided_count() as u64, n - 1, "prefix {k}");
@@ -58,15 +58,12 @@ fn ba_survives_general_crash_at_every_stage_1_prefix() {
 
 #[test]
 fn ba_survives_active_sender_crashes_at_every_cut_point() {
-    use doall::sim::{Trigger, TriggerAdversary, TriggerRule};
+    use doall::sim::Trigger;
     let (n, t) = (16u64, 3u64);
     for nth in 1..=10u64 {
         for engine in [Engine::B, Engine::C] {
-            let adv = TriggerAdversary::new(vec![TriggerRule {
-                trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth },
-                target: None,
-                spec: CrashSpec::prefix(1),
-            }]);
+            let adv = FaultPlan::default()
+                .crash_on(Trigger::NthSendRoundBy { pid: Pid::new(0), nth }, CrashSpec::prefix(1));
             let outcome = BaSystem::new(n, t, engine).unwrap().general_value(6).run(adv).unwrap();
             assert!(outcome.agreement(), "{engine:?} cut {nth}: {:?}", outcome.decisions);
         }
@@ -80,7 +77,7 @@ proptest! {
     #[test]
     fn ba_agreement_under_random_storms(seed in any::<u64>(), p in 0.0f64..0.05) {
         let (n, t) = (24u64, 3u64);
-        let adv = RandomCrashes::new(seed, p, t as u32);
+        let adv = FaultPlan::random(seed, p, t as u32);
         let outcome = BaSystem::new(n, t, Engine::B)
             .unwrap()
             .general_value(13)
@@ -96,7 +93,7 @@ proptest! {
     #[test]
     fn flooding_agreement_under_random_storms(seed in any::<u64>(), p in 0.0f64..0.05) {
         let (n, t) = (16u64, 4u64);
-        let adv = RandomCrashes::new(seed, p, t as u32);
+        let adv = FaultPlan::random(seed, p, t as u32);
         let (decisions, _) = FloodingBa::run_system(n, t, 2, adv).unwrap();
         let decided: Vec<u64> = decisions.iter().flatten().copied().collect();
         prop_assert!(decided.windows(2).all(|w| w[0] == w[1]), "{decisions:?}");

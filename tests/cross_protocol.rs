@@ -3,6 +3,7 @@
 //! checked on each run.
 
 use doall::bounds::theorems;
+use doall::sim::chaos::Plane;
 use doall::sim::invariants::{
     check_activation_order, check_degraded_rate, check_no_zombie_actions, check_recovery_silence,
     check_sequential_work, check_single_active,
@@ -213,13 +214,9 @@ fn run_faulted<P: Protocol>(procs: Vec<P>, scenario: &Scenario, n: u64) -> Repor
 where
     P::Msg: 'static,
 {
-    let plan = scenario.fault_plan();
-    let report = run(
-        plan.wrap(procs),
-        scenario.adversary::<P::Msg>(),
-        RunConfig::new(n as usize, u64::MAX - 1).with_trace(),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", scenario.label()));
+    let plan = scenario.fault_plan(Plane::Sync);
+    let report = run(plan.wrap(procs), plan, RunConfig::new(n as usize, u64::MAX - 1).with_trace())
+        .unwrap_or_else(|e| panic!("{}: {e}", scenario.label()));
     assert!(
         report.metrics.all_work_done(),
         "{}: missing units {:?}",
@@ -293,13 +290,9 @@ fn stale_recovery_over_the_final_step_still_retires() {
 #[test]
 fn padded_constructor_equals_strict_on_every_valid_shape() {
     let traced = |procs: Vec<ProtocolA>, scenario: &Scenario, n: u64| {
-        let plan = scenario.fault_plan();
-        run(
-            plan.wrap(procs),
-            scenario.adversary::<doall::core::ab::AbMsg>(),
-            RunConfig::new(n as usize, u64::MAX - 1).with_trace(),
-        )
-        .map_err(|e| e.to_string())
+        let plan = scenario.fault_plan(Plane::Sync);
+        run(plan.wrap(procs), plan, RunConfig::new(n as usize, u64::MAX - 1).with_trace())
+            .map_err(|e| e.to_string())
     };
     for (s, k) in (1u64..=6).flat_map(|s| (1u64..=6).map(move |k| (s, k))) {
         let (n, t) = (s * s * k, s * s);
@@ -370,11 +363,11 @@ fn async_protocols_fault_scenarios() {
                 ..AsyncConfig::new(n as usize, seed)
             }
             .with_trace();
-            let plan = scenario.fault_plan();
+            let plan = scenario.fault_plan(Plane::Async);
             let label = scenario.label();
             let report_a = run_async(
                 plan.wrap_async(AsyncProtocolA::processes(n, t).unwrap()),
-                scenario.async_adversary(),
+                plan.clone(),
                 cfg.clone(),
             )
             .unwrap_or_else(|e| panic!("{label} seed {seed} (A): {e}"));
@@ -383,7 +376,7 @@ fn async_protocols_fault_scenarios() {
             assert!(silence.is_empty(), "{label} seed {seed} (A): {silence:?}");
             let report_b = run_async(
                 plan.wrap_async(AsyncProtocolB::processes(n, t).unwrap()),
-                scenario.async_adversary(),
+                plan.clone(),
                 cfg,
             )
             .unwrap_or_else(|e| panic!("{label} seed {seed} (B): {e}"));

@@ -7,25 +7,21 @@
 
 use doall::bounds::theorems;
 use doall::sim::invariants::{check_activation_order, check_single_active};
-use doall::sim::{
-    run, CrashSpec, Deliver, Pid, Round, RunConfig, Trigger, TriggerAdversary, TriggerRule,
-};
+use doall::sim::{run, CrashSpec, Deliver, FaultPlan, Pid, Round, RunConfig, Trigger};
 use doall::{ProtocolA, ProtocolB, ProtocolC, ProtocolD};
 
-fn cut_rule(nth_send: u64, deliver: Deliver) -> TriggerAdversary {
-    TriggerAdversary::new(vec![TriggerRule {
-        trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: nth_send },
-        target: None,
-        spec: CrashSpec { deliver, count_work: true },
-    }])
+fn cut_rule(nth_send: u64, deliver: Deliver) -> FaultPlan {
+    FaultPlan::default().crash_on(
+        Trigger::NthSendRoundBy { pid: Pid::new(0), nth: nth_send },
+        CrashSpec { deliver, count_work: true },
+    )
 }
 
-fn work_cut_rule(nth: u64) -> TriggerAdversary {
-    TriggerAdversary::new(vec![TriggerRule {
-        trigger: Trigger::NthWorkBy { pid: Pid::new(0), nth },
-        target: None,
-        spec: CrashSpec { deliver: Deliver::None, count_work: true },
-    }])
+fn work_cut_rule(nth: u64) -> FaultPlan {
+    FaultPlan::default().crash_on(
+        Trigger::NthWorkBy { pid: Pid::new(0), nth },
+        CrashSpec { deliver: Deliver::None, count_work: true },
+    )
 }
 
 #[test]
@@ -100,18 +96,15 @@ fn protocol_b_two_stage_cuts() {
     let (n, t) = (16u64, 16u64);
     for i in [1u64, 3, 5, 9] {
         for k in [1u64, 2, 4, 7] {
-            let adv = TriggerAdversary::new(vec![
-                TriggerRule {
-                    trigger: Trigger::NthSendRoundBy { pid: Pid::new(0), nth: i },
-                    target: None,
-                    spec: CrashSpec { deliver: Deliver::Prefix(1), count_work: true },
-                },
-                TriggerRule {
-                    trigger: Trigger::NthSendRoundBy { pid: Pid::new(1), nth: k },
-                    target: None,
-                    spec: CrashSpec { deliver: Deliver::Prefix(2), count_work: true },
-                },
-            ]);
+            let adv = FaultPlan::default()
+                .crash_on(
+                    Trigger::NthSendRoundBy { pid: Pid::new(0), nth: i },
+                    CrashSpec::prefix(1),
+                )
+                .crash_on(
+                    Trigger::NthSendRoundBy { pid: Pid::new(1), nth: k },
+                    CrashSpec::prefix(2),
+                );
             let report = run(
                 ProtocolB::processes(n, t).unwrap(),
                 adv,
@@ -153,11 +146,10 @@ fn protocol_d_every_agreement_cut_point() {
     let work_rounds = n / t;
     for offset in 0..4u64 {
         for deliver in [Deliver::All, Deliver::None, Deliver::Prefix(2), Deliver::Prefix(4)] {
-            let adv = TriggerAdversary::new(vec![TriggerRule {
-                trigger: Trigger::AtRound(Round::from(work_rounds + 1 + offset)),
-                target: Some(Pid::new(0)),
-                spec: CrashSpec { deliver: deliver.clone(), count_work: true },
-            }]);
+            let adv = FaultPlan::default().crash_on(
+                Trigger::AtRound { pid: Pid::new(0), round: Round::from(work_rounds + 1 + offset) },
+                CrashSpec { deliver: deliver.clone(), count_work: true },
+            );
             let report = run(
                 ProtocolD::processes(n, t).unwrap(),
                 adv,
@@ -181,11 +173,10 @@ fn coordinator_d_every_phase_cut_point() {
     let (n, t) = (30u64, 6u64);
     for round in 1..=(n / t + 4) {
         for deliver in [Deliver::All, Deliver::None, Deliver::Prefix(1)] {
-            let adv = TriggerAdversary::new(vec![TriggerRule {
-                trigger: Trigger::AtRound(Round::from(round)),
-                target: Some(Pid::new(0)),
-                spec: CrashSpec { deliver: deliver.clone(), count_work: true },
-            }]);
+            let adv = FaultPlan::default().crash_on(
+                Trigger::AtRound { pid: Pid::new(0), round: Round::from(round) },
+                CrashSpec { deliver: deliver.clone(), count_work: true },
+            );
             let report = run(
                 ProtocolD::processes_with_coordinator(n, t).unwrap(),
                 adv,

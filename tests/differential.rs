@@ -12,9 +12,8 @@
 use std::collections::BTreeMap;
 
 use doall::sim::{
-    run, Adversary, AdversaryCtx, Classify, CrashSchedule, CrashSpec, Effects, Fate, FaultKind,
-    FaultPlan, Inbox, MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace,
-    Unit,
+    run, Adversary, AdversaryCtx, Classify, CrashSpec, Effects, Fate, FaultKind, FaultPlan, Inbox,
+    MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace, Unit,
 };
 use proptest::prelude::*;
 
@@ -446,8 +445,8 @@ where
 /// A random crash schedule: up to 5 crashes in rounds `1..=horizon` with
 /// every delivery-filter shape (silent, after-round, prefix, arbitrary
 /// subset).
-fn crash_schedule(t: usize, seed: u64, horizon: u64) -> CrashSchedule {
-    let mut sched = CrashSchedule::new();
+fn crash_schedule(t: usize, seed: u64, horizon: u64) -> FaultPlan {
+    let mut sched = FaultPlan::default();
     let crashes = mix(seed) % 6;
     for c in 0..crashes {
         let h = mix(seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));

@@ -2,8 +2,8 @@
 //! semantics, fast-forward equivalence, adversary composition.
 
 use doall::sim::{
-    run, Classify, CrashSchedule, CrashSpec, Deliver, Effects, Inbox, NoFailures, Pid, Protocol,
-    Round, RunConfig, Unit,
+    run, Classify, CrashSpec, Deliver, Effects, FaultPlan, Inbox, NoFailures, Pid, Protocol, Round,
+    RunConfig, Unit,
 };
 
 /// Ping-pong between two processes for a configurable number of volleys,
@@ -182,7 +182,7 @@ fn adversary_event_fires_on_a_round_where_no_process_wakes() {
     // The engine must fast-forward *to the adversary's scheduled rounds*
     // (not deadlock, not execute 59 idle rounds) and let it crash both
     // processes at exactly the scheduled times.
-    let adv = CrashSchedule::new().crash_at(Pid::new(0), 50, CrashSpec::silent()).crash_at(
+    let adv = FaultPlan::default().crash_at(Pid::new(0), 50, CrashSpec::silent()).crash_at(
         Pid::new(1),
         60,
         CrashSpec::silent(),
@@ -215,7 +215,7 @@ fn fast_forward_resumes_after_all_but_one_process_retires() {
     // must skip ~10^6 idle rounds in O(1) once the crashes have happened,
     // and the straggler must still act at its deadline.
     let t = 8;
-    let mut adv = CrashSchedule::new();
+    let mut adv = FaultPlan::default();
     for p in 0..t - 1 {
         adv = adv.crash_at(Pid::new(p), 1, CrashSpec::silent());
     }
@@ -256,7 +256,7 @@ fn crash_schedule_and_subset_delivery_compose() {
         }
     }
     let procs = (0..4).map(|me| Spammer { me, t: 4 }).collect();
-    let adv = CrashSchedule::new().crash_at(Pid::new(0), 2, CrashSpec::silent()).crash_at(
+    let adv = FaultPlan::default().crash_at(Pid::new(0), 2, CrashSpec::silent()).crash_at(
         Pid::new(1),
         2,
         CrashSpec { deliver: Deliver::Subset([Pid::new(3)].into()), count_work: true },
