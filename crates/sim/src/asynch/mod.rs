@@ -30,6 +30,22 @@
 //! recipient has been served, so arena memory is bounded by the in-flight
 //! high-water mark.
 //!
+//! ## Notice runs
+//!
+//! The detector's reports outnumber deliveries, and a crash storm issues
+//! them in bursts, so they are not queued one event per observer. A
+//! retirement draws each alive observer's delay (one draw per observer,
+//! ascending pid), stable-sorts the `(delay, pid)` pairs into one pid array
+//! in a slot of the notice-run table, and queues one `NoticeRun` event per
+//! distinct delay: one per fan-out under [`DelayDist::Fixed`], at most two
+//! under [`DelayDist::Bimodal`]. A revival's replay of past retirements is
+//! the same fan-out with the observer fixed. Dispatch walks a run in place,
+//! one [`AsyncProtocol::on_retirement`] invocation per observer still
+//! alive. Since nothing else is pushed between a fan-out's runs, each
+//! timestamp's share of it is contiguous in schedule order and ascending by
+//! pid — the order per-observer events would have had — so runs change no
+//! handler call, RNG draw or trace event.
+//!
 //! ## Batched delivery
 //!
 //! All messages reaching one process at one timestamp are handed to its
@@ -433,7 +449,8 @@ pub struct AsyncStallDiagnosis {
     pub stalled: Vec<Pid>,
     /// Handler-invocation counts of the stalled processes, `(pid, count)`.
     pub invocations: Vec<(Pid, u64)>,
-    /// Events still pending in the scheduler queue.
+    /// Per-recipient events still pending in the scheduler queue: a
+    /// queued notice run counts one event per report it carries.
     pub pending_events: usize,
     /// Crashed processes with a scheduled revival outstanding.
     pub pending_revivals: usize,
@@ -564,12 +581,88 @@ impl<M> OpArena<M> {
     }
 }
 
+/// One retirement-detector fan-out: the pid shared by all its reports,
+/// and the other side of each report grouped by drawn delay (ascending pid
+/// within a delay), so that each [`Ev::NoticeRun`] names a contiguous
+/// range of `pids`. Runs are queued at strictly increasing times, so the
+/// run ending at `pids.len()` is the last one dispatched.
+#[derive(Clone, Default)]
+struct NoticeFan {
+    pids: Box<[Pid]>,
+    /// The retired process of a retirement fan-out, or the observer of a
+    /// revival replay.
+    fixed: Pid,
+    /// Whether `fixed` is the observer (a revival replay: one observer
+    /// told of many retirements) rather than the retired process.
+    replay: bool,
+}
+
+impl NoticeFan {
+    /// The `(observer, retired)` pair of report `k`.
+    fn notice(&self, k: u32) -> (Pid, Pid) {
+        let other = self.pids[k as usize];
+        if self.replay {
+            (self.fixed, other)
+        } else {
+            (other, self.fixed)
+        }
+    }
+}
+
+/// The notice-run table: one slot per fan-out with runs still queued,
+/// recycled through a free list like the op arena's. A freed slot drops
+/// its pids; `pids` counts the live ones so the memory probe never scans
+/// the table.
+#[derive(Clone, Default)]
+struct NoticeRuns {
+    fans: Vec<NoticeFan>,
+    free: Vec<u32>,
+    pids: usize,
+}
+
+impl NoticeRuns {
+    /// Stores a fan-out whose delay-sorted draws are `draws` and returns
+    /// its slot.
+    fn insert(&mut self, fixed: Pid, replay: bool, draws: &[(u64, Pid)]) -> u32 {
+        let fan = NoticeFan { pids: draws.iter().map(|&(_, pid)| pid).collect(), fixed, replay };
+        self.pids += fan.pids.len();
+        match self.free.pop() {
+            Some(slot) => {
+                self.fans[slot as usize] = fan;
+                slot
+            }
+            None => {
+                self.fans.push(fan);
+                (self.fans.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Marks the run of `slot` ending at position `end` as dispatched,
+    /// freeing the slot after its last run.
+    fn release(&mut self, slot: u32, end: u32) {
+        let fan = &mut self.fans[slot as usize];
+        if end as usize == fan.pids.len() {
+            self.pids -= fan.pids.len();
+            fan.pids = Box::default();
+            self.free.push(slot);
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.fans.capacity() * std::mem::size_of::<NoticeFan>()
+            + self.pids * std::mem::size_of::<Pid>()
+            + self.free.capacity() * 4
+    }
+}
+
 /// A serializable snapshot of an [`AsyncEngine`] at a batch boundary —
 /// which is to say the engine's run state itself: the engine holds one
 /// value of this type and [`AsyncEngine::snapshot`] clones it.
 ///
 /// Captures *everything* the engine needs to continue — protocol states,
-/// the op arena with its in-flight payloads, the full event schedule
+/// the op arena with its in-flight payloads, the notice-run table with its
+/// partly dispatched fan-outs, the full event schedule
 /// (including tie-breaking sequence numbers), the delay RNG mid-stream,
 /// metrics, trace and the live/reviving sets — so that
 /// [`AsyncEngine::resume`] followed by a run to completion is
@@ -582,6 +675,7 @@ pub struct AsyncEngineSnapshot<P: AsyncProtocol, A> {
     rng: SmallRng,
     queue: EventQueue,
     arena: OpArena<P::Msg>,
+    notices: NoticeRuns,
     metrics: Metrics,
     trace: Trace,
     terminated: Vec<bool>,
@@ -629,8 +723,11 @@ where
 /// processed in timestamp order, with all deliveries to one process at one
 /// timestamp batched into a single [`AsyncProtocol::on_messages`]
 /// invocation. Each delivery and notice is delayed by a seeded draw from
-/// [`AsyncConfig::delay`]. When a process retires, the detector schedules
-/// a notice to every alive process. After every handler invocation the
+/// [`AsyncConfig::delay`]. When a process retires, the detector draws a
+/// notice delay for every alive process and queues the fan-out as runs,
+/// one event per distinct delay, each dispatched as one
+/// [`AsyncProtocol::on_retirement`] invocation per observer still alive.
+/// After every handler invocation the
 /// [`AsyncAdversary`] rules on the process's fate; a crashing handler's
 /// outgoing messages pass through its [`Deliver`](crate::Deliver) filter
 /// in send order, exactly as in the synchronous engine.
@@ -656,6 +753,9 @@ pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     eff: AsyncEffects<P::Msg>,
     batch: Vec<Ev>,
     inbox_ids: Vec<u32>,
+    // One notice fan-out's `(delay, pid)` draws, sorted by delay before
+    // they enter the notice-run table.
+    draws: Vec<(u64, Pid)>,
     // Per-timestamp delivery grouping (one linear pre-pass instead of a
     // rescan of the batch per recipient): `groups[slot[p]]` lists the
     // `(op, batch position)` pairs addressed to `p` this timestamp, with
@@ -698,6 +798,7 @@ where
             rng: SmallRng::seed_from_u64(cfg.seed),
             queue,
             arena: OpArena::new(),
+            notices: NoticeRuns::default(),
             metrics: Metrics::new(cfg.n),
             trace: Trace::new(),
             terminated: vec![false; t],
@@ -841,6 +942,7 @@ where
             eff: AsyncEffects::default(),
             batch: Vec::new(),
             inbox_ids: Vec::new(),
+            draws: Vec::new(),
             stamp: vec![0; t],
             slot: vec![0; t],
             groups: Vec::new(),
@@ -867,8 +969,9 @@ where
 
     /// Folds the current buffer footprint into the peak-memory probe — the
     /// async peer of the sync engine's per-round observation. `soa` is the
-    /// per-process columns, `flight` the op arena + event queue + batch
-    /// scratch, `ledger` the work table, notes, and trace.
+    /// per-process columns, `flight` the op arena + notice-run table +
+    /// event queue + batch scratch, `ledger` the work table, notes, and
+    /// trace.
     fn observe_mem(&mut self) {
         self.st.mem.soa_bytes = (self.st.terminated.capacity()
             + self.st.crashed.capacity()
@@ -882,7 +985,9 @@ where
             + self.st.arena.free.capacity() * 4
             + self.batch.capacity() * std::mem::size_of::<Ev>()
             + self.inbox_ids.capacity() * 4
-            + self.groups.iter().map(|g| g.capacity() * 8).sum::<usize>())
+            + self.groups.iter().map(|g| g.capacity() * 8).sum::<usize>()
+            + self.st.notices.bytes()
+            + self.draws.capacity() * std::mem::size_of::<(u64, Pid)>())
             as u64
             + self.st.queue.bytes();
         self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
@@ -989,24 +1094,32 @@ where
                     for obs in 0..t {
                         if obs != idx && !self.st.alive[obs] && !self.st.reviving[obs] {
                             let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
-                            self.st.queue.push(
-                                now + delay,
-                                Ev::Notice { observer: pid, retired: Pid::new(obs) },
-                            );
+                            self.draws.push((delay, Pid::new(obs)));
                         }
                     }
+                    self.fan_out(now, pid, true);
                     pid
                 }
-                Ev::Notice { observer, retired } => {
-                    if !self.st.alive[observer.index()] {
-                        continue;
+                Ev::NoticeRun { slot, start, len } => {
+                    // One report per position, in place: the run is this
+                    // timestamp's share of one fan-out, ascending by pid —
+                    // the order its per-observer events would have had.
+                    for k in start..start + len {
+                        let (observer, retired) = self.st.notices.fans[slot as usize].notice(k);
+                        if !self.st.alive[observer.index()] {
+                            continue;
+                        }
+                        if self.record {
+                            self.st.trace.push(Event::Notice { round: now, observer, retired });
+                        }
+                        self.eff.reset();
+                        self.st.procs[observer.index()].on_retirement(retired, &mut self.eff);
+                        if self.settle(now, observer)? {
+                            return Ok(delivered);
+                        }
                     }
-                    if self.record {
-                        self.st.trace.push(Event::Notice { round: now, observer, retired });
-                    }
-                    self.eff.reset();
-                    self.st.procs[observer.index()].on_retirement(retired, &mut self.eff);
-                    observer
+                    self.st.notices.release(slot, start + len);
+                    continue;
                 }
                 Ev::Deliver { op, to } => {
                     if !self.st.alive[to.index()] {
@@ -1067,161 +1180,178 @@ where
                     to
                 }
             };
-
-            self.st.handled += 1;
-            if self.st.handled > self.st.cfg.max_events {
-                return Err(AsyncRunError::EventLimit { limit: self.st.cfg.max_events });
-            }
-            let idx = pid.index();
-            self.st.invocations[idx] += 1;
-
-            let ctx = AdversaryCtx {
-                t,
-                alive: AliveView::Slice(&self.st.alive),
-                live: self.st.live,
-                crashes: self.st.metrics.crashes,
-            };
-            let fate =
-                self.st.adversary.intercept(now, pid, self.st.invocations[idx], &self.eff, ctx);
-
-            for tag in self.eff.notes.drain(..) {
-                self.st.notes.push((now, pid, tag));
-                if self.record {
-                    self.st.trace.push(Event::Note { round: now, pid, tag });
-                }
-            }
-
-            let (count_work, deliver) = match &fate {
-                Fate::Survive => (true, None),
-                Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
-                    (spec.count_work, Some(spec.deliver.clone()))
-                }
-                Fate::Omit(filter) => (true, Some(filter.clone())),
-            };
-            let is_omit = matches!(fate, Fate::Omit(_));
-            let recover_plan = match &fate {
-                Fate::CrashRecover { downtime, wipe, .. } => Some(((*downtime).max(1), *wipe)),
-                _ => None,
-            };
-            if count_work {
-                for &unit in &self.eff.work {
-                    self.st.metrics.record_work(unit);
-                    if self.record {
-                        self.st.trace.push(Event::Work { round: now, pid, unit });
-                    }
-                }
-            }
-
-            // Expand the handler's send ops: the payload enters the arena
-            // once; each surviving recipient gets a payload-free delivery
-            // event at an independently drawn time. The crash filter
-            // indexes messages in send order (spans expand ascending), so
-            // crash semantics match the synchronous engine's — and since
-            // filtering happens at event granularity, even a fragmented
-            // `Subset` costs zero payload clones here.
-            let mut msg_idx = 0usize;
-            let mut omitted_now = 0u64;
-            for op in self.eff.drain_sends() {
-                let len = op.to.len();
-                let lets_through = |k: usize, to: Pid| {
-                    deliver
-                        .as_ref()
-                        .is_none_or(|d: &crate::Deliver| d.lets_through(msg_idx + k, to))
-                };
-                let scheduled =
-                    op.to.iter().enumerate().filter(|&(k, to)| lets_through(k, to)).count();
-                if is_omit {
-                    // Send omission: the process survives, the suppressed
-                    // messages never left it.
-                    omitted_now += (len - scheduled) as u64;
-                }
-                if scheduled > 0 {
-                    let class = op.payload.class();
-                    self.st.metrics.record_messages(class, scheduled as u64);
-                    let id = self.st.arena.insert(
-                        FlightOp { from: pid, to: op.to, payload: op.payload },
-                        scheduled as u32,
-                    );
-                    for (k, to) in op.to.iter().enumerate() {
-                        if lets_through(k, to) {
-                            let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
-                            self.st.queue.push(now + delay, Ev::Deliver { op: id, to });
-                            if self.record {
-                                self.st.trace.push(Event::Send {
-                                    round: now,
-                                    from: pid,
-                                    to,
-                                    class,
-                                });
-                            }
-                        }
-                    }
-                }
-                msg_idx += len;
-            }
-
-            if omitted_now > 0 {
-                self.st.metrics.omissions += omitted_now;
-                if self.record {
-                    self.st.trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
-                }
-            }
-
-            let crashed_now = matches!(fate, Fate::Crash(_) | Fate::CrashRecover { .. });
-            if self.eff.tick && !crashed_now && !self.eff.terminated {
-                self.st.queue.push(now + 1u64, Ev::Tick(pid));
-            }
-
-            let retired_now = if crashed_now {
-                self.st.crashed[idx] = true;
-                self.st.metrics.crashes += 1;
-                if self.record {
-                    self.st.trace.push(Event::Crash { round: now, pid });
-                }
-                true
-            } else if self.eff.terminated {
-                self.st.terminated[idx] = true;
-                self.st.metrics.terminations += 1;
-                if self.record {
-                    self.st.trace.push(Event::Terminate { round: now, pid });
-                }
-                true
-            } else {
-                false
-            };
-
-            if retired_now {
-                self.st.alive[idx] = false;
-                self.st.live -= 1;
-                if let Some((downtime, wipe)) = recover_plan {
-                    // Recoverable crash: schedule the restart; crucially,
-                    // NO detector notices — the detector stays sound by
-                    // never accusing a process that will act again.
-                    self.st.reviving[idx] = true;
-                    self.st.pending_revivals += 1;
-                    self.st.queue.push(now + downtime, Ev::Revive { pid, wipe });
-                } else {
-                    // Retirement detector: eventually (and soundly) inform
-                    // everyone still alive.
-                    for (obs, &obs_alive) in self.st.alive.iter().enumerate() {
-                        if obs != idx && obs_alive {
-                            let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
-                            self.st.queue.push(
-                                now + delay,
-                                Ev::Notice { observer: Pid::new(obs), retired: pid },
-                            );
-                        }
-                    }
-                }
-            }
-
-            self.st.metrics.rounds = now;
-            if self.st.live == 0 && self.st.pending_revivals == 0 {
-                self.st.finished = true;
+            if self.settle(now, pid)? {
                 return Ok(delivered);
             }
         }
         Ok(delivered)
+    }
+
+    /// The tail of every handler invocation by `pid` at `now`, whose
+    /// actions are in `eff`: counts the invocation, lets the adversary
+    /// rule, and applies the ruling to the notes, work, sends, tick and
+    /// retirement. Returns whether the execution just finished.
+    fn settle(&mut self, now: Time, pid: Pid) -> Result<bool, AsyncRunError> {
+        self.st.handled += 1;
+        if self.st.handled > self.st.cfg.max_events {
+            return Err(AsyncRunError::EventLimit { limit: self.st.cfg.max_events });
+        }
+        let idx = pid.index();
+        self.st.invocations[idx] += 1;
+
+        let ctx = AdversaryCtx {
+            t: self.st.procs.len(),
+            alive: AliveView::Slice(&self.st.alive),
+            live: self.st.live,
+            crashes: self.st.metrics.crashes,
+        };
+        let fate = self.st.adversary.intercept(now, pid, self.st.invocations[idx], &self.eff, ctx);
+
+        for tag in self.eff.notes.drain(..) {
+            self.st.notes.push((now, pid, tag));
+            if self.record {
+                self.st.trace.push(Event::Note { round: now, pid, tag });
+            }
+        }
+
+        let (count_work, deliver) = match &fate {
+            Fate::Survive => (true, None),
+            Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
+                (spec.count_work, Some(spec.deliver.clone()))
+            }
+            Fate::Omit(filter) => (true, Some(filter.clone())),
+        };
+        let is_omit = matches!(fate, Fate::Omit(_));
+        let recover_plan = match &fate {
+            Fate::CrashRecover { downtime, wipe, .. } => Some(((*downtime).max(1), *wipe)),
+            _ => None,
+        };
+        if count_work {
+            for &unit in &self.eff.work {
+                self.st.metrics.record_work(unit);
+                if self.record {
+                    self.st.trace.push(Event::Work { round: now, pid, unit });
+                }
+            }
+        }
+
+        // Expand the handler's send ops: the payload enters the arena
+        // once; each surviving recipient gets a payload-free delivery
+        // event at an independently drawn time. The crash filter indexes
+        // messages in send order (spans expand ascending), so crash
+        // semantics match the synchronous engine's — and since filtering
+        // happens at event granularity, even a fragmented `Subset` costs
+        // zero payload clones here.
+        let mut msg_idx = 0usize;
+        let mut omitted_now = 0u64;
+        for op in self.eff.drain_sends() {
+            let len = op.to.len();
+            let lets_through = |k: usize, to: Pid| {
+                deliver.as_ref().is_none_or(|d: &crate::Deliver| d.lets_through(msg_idx + k, to))
+            };
+            let scheduled = op.to.iter().enumerate().filter(|&(k, to)| lets_through(k, to)).count();
+            if is_omit {
+                // Send omission: the process survives, the suppressed
+                // messages never left it.
+                omitted_now += (len - scheduled) as u64;
+            }
+            if scheduled > 0 {
+                let class = op.payload.class();
+                self.st.metrics.record_messages(class, scheduled as u64);
+                let id = self.st.arena.insert(
+                    FlightOp { from: pid, to: op.to, payload: op.payload },
+                    scheduled as u32,
+                );
+                for (k, to) in op.to.iter().enumerate() {
+                    if lets_through(k, to) {
+                        let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
+                        self.st.queue.push(now + delay, Ev::Deliver { op: id, to });
+                        if self.record {
+                            self.st.trace.push(Event::Send { round: now, from: pid, to, class });
+                        }
+                    }
+                }
+            }
+            msg_idx += len;
+        }
+
+        if omitted_now > 0 {
+            self.st.metrics.omissions += omitted_now;
+            if self.record {
+                self.st.trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
+            }
+        }
+
+        let crashed_now = matches!(fate, Fate::Crash(_) | Fate::CrashRecover { .. });
+        if self.eff.tick && !crashed_now && !self.eff.terminated {
+            self.st.queue.push(now + 1u64, Ev::Tick(pid));
+        }
+
+        let retired_now = if crashed_now {
+            self.st.crashed[idx] = true;
+            self.st.metrics.crashes += 1;
+            if self.record {
+                self.st.trace.push(Event::Crash { round: now, pid });
+            }
+            true
+        } else if self.eff.terminated {
+            self.st.terminated[idx] = true;
+            self.st.metrics.terminations += 1;
+            if self.record {
+                self.st.trace.push(Event::Terminate { round: now, pid });
+            }
+            true
+        } else {
+            false
+        };
+
+        if retired_now {
+            self.st.alive[idx] = false;
+            self.st.live -= 1;
+            if let Some((downtime, wipe)) = recover_plan {
+                // Recoverable crash: schedule the restart; crucially, NO
+                // detector notices — the detector stays sound by never
+                // accusing a process that will act again.
+                self.st.reviving[idx] = true;
+                self.st.pending_revivals += 1;
+                self.st.queue.push(now + downtime, Ev::Revive { pid, wipe });
+            } else {
+                // Retirement detector: eventually (and soundly) inform
+                // everyone still alive.
+                for (obs, &obs_alive) in self.st.alive.iter().enumerate() {
+                    if obs_alive {
+                        let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
+                        self.draws.push((delay, Pid::new(obs)));
+                    }
+                }
+                self.fan_out(now, pid, false);
+            }
+        }
+
+        self.st.metrics.rounds = now;
+        self.st.finished = self.st.live == 0 && self.st.pending_revivals == 0;
+        Ok(self.st.finished)
+    }
+
+    /// Queues the notice fan-out whose per-report delays `draws` holds, in
+    /// ascending pid order, around the shared pid `fixed` (the retired
+    /// process, or with `replay` the observer). A stable sort by delay
+    /// groups the reports into one run per distinct delay, each ascending
+    /// by pid; the runs take consecutive `seq`s, so the queue orders them
+    /// against every other event exactly as it would the per-report events.
+    fn fan_out(&mut self, now: Time, fixed: Pid, replay: bool) {
+        if self.draws.is_empty() {
+            return;
+        }
+        self.draws.sort_by_key(|&(delay, _)| delay);
+        let slot = self.st.notices.insert(fixed, replay, &self.draws);
+        let mut start = 0u32;
+        for run in self.draws.chunk_by(|a, b| a.0 == b.0) {
+            let len = run.len() as u32;
+            self.st.queue.push(now + run[0].0, Ev::NoticeRun { slot, start, len });
+            start += len;
+        }
+        self.draws.clear();
     }
 }
 
@@ -1500,6 +1630,50 @@ mod tests {
                 assert!(diagnosis.time > diagnosis.last_progress);
                 // The diagnosis renders the per-pid invocation counts.
                 assert!(diagnosis.to_string().contains("p0("));
+            }
+            other => panic!("expected livelock, got {other}"),
+        }
+    }
+
+    /// `pending_events` counts per-recipient events, not queue entries:
+    /// three quitters fan retirement notices out under bimodal delays, so
+    /// when the 16-step watchdog trips, each fan-out's delay-64 run is
+    /// still queued and counts one event per report it carries — the
+    /// figure per-observer notice events gave.
+    #[test]
+    fn livelock_diagnosis_counts_each_pending_notice_report() {
+        struct Spinner {
+            me: usize,
+        }
+        impl AsyncProtocol for Spinner {
+            type Msg = Ball;
+            fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+                if self.me < 3 {
+                    eff.terminate();
+                } else {
+                    eff.continue_later();
+                }
+            }
+            fn on_messages(&mut self, _: Inbox<'_, Ball>, _: &mut AsyncEffects<Ball>) {}
+            fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Ball>) {}
+            fn on_tick(&mut self, eff: &mut AsyncEffects<Ball>) {
+                eff.continue_later();
+            }
+        }
+        let procs = (0..8).map(|me| Spinner { me }).collect();
+        let cfg = AsyncConfig {
+            n: 1,
+            seed: 3,
+            max_delay: 64,
+            delay: DelayDist::Bimodal,
+            ..Default::default()
+        }
+        .with_stall_window(16);
+        match run_async(procs, NoFailures, cfg).unwrap_err() {
+            AsyncRunError::Livelock { diagnosis, .. } => {
+                assert_eq!(diagnosis.stalled.len(), 5);
+                // Five pending ticks plus nine undelivered notices.
+                assert_eq!(diagnosis.pending_events, 14);
             }
             other => panic!("expected livelock, got {other}"),
         }

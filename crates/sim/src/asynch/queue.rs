@@ -3,7 +3,10 @@
 //! Events are *small and payload-free*: a delivery references its
 //! [`SendOp`](crate::SendOp) in the op arena by id, so a `k`-recipient
 //! broadcast schedules `k` copies of a 16-byte event rather than `k`
-//! payload clones.
+//! payload clones. A retirement-detector fan-out is smaller still: its
+//! pids live once in the engine's notice-run table, and the queue carries
+//! one [`Ev::NoticeRun`] per distinct drawn delay, so a fan-out to `k`
+//! observers costs one event under `Fixed` delays, not `k`.
 //!
 //! There is one implementation, for every delay: a **delay-bucketed
 //! calendar queue**. Events scheduled less than a ring's width ahead of the
@@ -32,7 +35,7 @@ use crate::ids::Pid;
 const RING_CAP: u64 = 4096;
 
 /// One scheduled occurrence. No payload lives here — deliveries carry an
-/// op-arena id.
+/// op-arena id, notice runs a slot of the engine's notice-run table.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Ev {
     /// Process `pid`'s initial activation signal.
@@ -44,12 +47,16 @@ pub(crate) enum Ev {
         /// The recipient.
         to: Pid,
     },
-    /// A retirement-detector report.
-    Notice {
-        /// The process being informed.
-        observer: Pid,
-        /// The process reported retired.
-        retired: Pid,
+    /// The retirement-detector reports of one fan-out that share a drawn
+    /// delay: positions `start..start + len` of notice-run slot `slot`,
+    /// dispatched in place as one report per position.
+    NoticeRun {
+        /// The notice-run table slot holding the fan-out's pids.
+        slot: u32,
+        /// First position of this run in the slot's pid array.
+        start: u32,
+        /// Number of reports in the run (at least 1).
+        len: u32,
     },
     /// A self-scheduled continuation (see
     /// [`AsyncEffects::continue_later`](super::AsyncEffects::continue_later)).
@@ -70,6 +77,20 @@ pub(crate) enum Ev {
     /// Tombstone left in a drained batch once the engine has folded the
     /// event into an earlier handler invocation of the same timestamp.
     Consumed,
+}
+
+// Every event is 16 bytes: a notice run's three `u32`s plus the tag.
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+impl Ev {
+    /// Per-recipient events this entry stands for: a notice run's length,
+    /// 1 for everything else.
+    fn recipients(self) -> usize {
+        match self {
+            Ev::NoticeRun { len, .. } => len as usize,
+            _ => 1,
+        }
+    }
 }
 
 /// Overflow-heap entry ordered by `(time, seq)`; the event itself does not
@@ -129,6 +150,10 @@ pub(crate) struct EventQueue {
     /// order stays global schedule order. When the ring is empty the
     /// cursor jumps straight to the earliest overflow time.
     overflow: BinaryHeap<Reverse<Entry>>,
+    /// Per-recipient events pending (ring and overflow): a notice run
+    /// counts each of its reports, so this is the count the per-observer
+    /// notices it replaced would have. Zero exactly when the queue is
+    /// empty, since every event stands for at least one recipient.
     len: usize,
     seq: u64,
 }
@@ -150,7 +175,8 @@ impl EventQueue {
         }
     }
 
-    /// Number of events pending (ring and overflow).
+    /// Number of per-recipient events pending (ring and overflow); a
+    /// queued notice run counts its length.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -200,7 +226,7 @@ impl EventQueue {
             self.overflow.push(Reverse(Entry { time, seq: self.seq, ev }));
         }
         self.seq += 1;
-        self.len += 1;
+        self.len += ev.recipients();
     }
 
     /// Drains every event of the earliest pending timestamp into `out`
@@ -239,7 +265,7 @@ impl EventQueue {
         self.ring_cap = self.ring_cap - bucket.capacity() + out.capacity();
         std::mem::swap(bucket, out);
         self.ring_len -= out.len();
-        self.len -= out.len();
+        self.len -= out.iter().map(|&ev| ev.recipients()).sum::<usize>();
         Some(self.cursor)
     }
 }
@@ -252,9 +278,8 @@ mod tests {
         match ev {
             Ev::Start(p) | Ev::Tick(p) | Ev::Inject(p) => p.index(),
             Ev::Deliver { to, .. } => to.index(),
-            Ev::Notice { observer, .. } => observer.index(),
             Ev::Revive { pid, .. } => pid.index(),
-            Ev::Consumed => usize::MAX,
+            Ev::NoticeRun { .. } | Ev::Consumed => usize::MAX,
         }
     }
 

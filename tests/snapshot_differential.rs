@@ -9,8 +9,9 @@
 //! the same run", it is the same run.
 
 use doall::sim::asynch::{AsyncConfig, AsyncEngine, DelayDist, Time};
-use doall::sim::chaos::{ChaosCase, ChaosConfig};
+use doall::sim::chaos::{ChaosCase, ChaosConfig, Plane};
 use doall::sim::{Engine, Event, FaultKind, FaultPlan, Pid, Report, Round, RunConfig};
+use doall::workload::Scenario;
 use doall::{AsyncProtocolB, ProtocolB};
 use proptest::prelude::*;
 
@@ -174,4 +175,31 @@ fn chained_snapshots_compose() {
         next_pause += 3;
     }
     assert_eq!(straight, engine.into_report().0);
+}
+
+/// Async plane with retirement-notice runs in flight: twelve processes
+/// crash on their start signal at time 0, and each crash fans notices out
+/// to every live process as one run per drawn delay in `1..=4`. Pausing
+/// at time 1 leaves every fan-out's delay-1 run dispatched and its later
+/// runs queued, so the snapshot carries half-consumed run slots. A chain
+/// that snapshots again at time 2, still mid-storm, must also finish
+/// bit-identical to the straight run.
+#[test]
+fn async_pause_mid_crash_storm_resumes_bit_identically() {
+    let plan = Scenario::DeadOnArrival { k: 12 }.fault_plan(Plane::Async);
+    for delay_seed in 0..4 {
+        let straight = async_run(&plan, delay_seed, 4, None);
+        assert_eq!(straight.metrics.crashes, 12);
+        assert_eq!(straight, async_run(&plan, delay_seed, 4, Some(Time::new(1))));
+
+        let procs = plan.wrap_async(AsyncProtocolB::processes(64, 16).expect("valid B shape"));
+        let cfg = AsyncConfig::new(64, delay_seed).with_delay(DelayDist::Uniform, 4).with_trace();
+        let mut engine = AsyncEngine::new(procs, plan.clone(), cfg).expect("plan validates");
+        for pause in [1u64, 2] {
+            assert!(!engine.run_until(Some(Time::new(pause.into()))).expect("segment must run"));
+            engine = AsyncEngine::resume(engine.snapshot());
+        }
+        assert!(engine.run_until(None).expect("resumed run must complete"));
+        assert_eq!(straight, engine.into_report(), "delay seed {delay_seed}");
+    }
 }
