@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversaryCtx, AliveView, Fate};
 use crate::effects::{Effects, Recipients};
-use crate::ids::{Pid, Round};
+use crate::ids::{Pid, Round, Unit};
 use crate::liveset::LiveSet;
 use crate::message::{Classify, FlightOp, Inbox};
 use crate::metrics::Metrics;
@@ -166,8 +166,10 @@ pub struct MemBudget {
     /// next round's). Proportional to per-round traffic and stepping, not
     /// to `t`.
     pub flight_bytes: u64,
-    /// Workload-proportional ledgers: the per-unit work multiplicity table
-    /// and the recorded trace.
+    /// Workload-proportional ledgers: the per-unit work multiplicity table,
+    /// the recorded trace, and (sync engine) the per-writer column of open
+    /// work runs that feeds the table, two `usize` per process. The column is
+    /// counted here, not in `soa_bytes`, because it is part of the ledger.
     pub ledger_bytes: u64,
     /// Shallow protocol state: `size_of::<P>() × t`.
     pub proc_bytes: u64,
@@ -811,10 +813,12 @@ where
 /// * **Checkpoint/restore** — [`snapshot`](Engine::snapshot) captures the
 ///   complete run state at any pause point and [`resume`](Engine::resume)
 ///   reconstructs an engine that continues bit-identically; scratch
-///   buffers (the delivery index, effect buffers, the round index) are
-///   rebuilt fresh, which is safe because the round clock is strictly
-///   monotone, the delivery index's stamps can only match rounds they were
-///   built in, and an empty round index forces one exact scan.
+///   buffers (the delivery index, effect buffers, the round index, the
+///   work-run column) are rebuilt fresh, which is safe because the round
+///   clock is strictly monotone, the delivery index's stamps can only match
+///   rounds they were built in, an empty round index forces one exact
+///   scan, and every pause has already folded the work runs into the
+///   ledger.
 /// * **Watchdog** — with [`RunConfig::stall_window`] set, the engine
 ///   monitors observable progress every executed round and aborts livelocks
 ///   with a [`StallDiagnosis`] instead of burning the round budget.
@@ -850,6 +854,16 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // or `resume` sets it to a round already reached, forcing a scan.
     next_due: Vec<u32>,
     far: Option<Round>,
+    // The open work runs, one per writer: process `p`'s performances since
+    // the last flush are exactly the zero-based units `open[p].0 ..
+    // open[p].1`. A performance that extends its writer's run costs one
+    // write to this column instead of a read-modify-write scattered
+    // across the dense `Metrics::work_by_unit`; any other performance
+    // folds the run into the table with one contiguous add and opens a new
+    // one. `flush_work` empties the column wherever `Metrics` leaves the
+    // engine (every `run_until` return, `into_report`, each `RunError`),
+    // so a paused engine's ledger is always complete.
+    open: Vec<(usize, usize)>,
 }
 
 impl<P, A> Engine<P, A>
@@ -904,7 +918,10 @@ where
         self.st.finished
     }
 
-    /// Metrics accumulated so far.
+    /// Metrics accumulated so far. The per-unit ledger
+    /// ([`Metrics::work_by_unit`]) is complete at every pause: the engine
+    /// folds its per-writer work runs into the table before
+    /// [`run_until`](Engine::run_until) returns.
     pub fn metrics(&self) -> &Metrics {
         &self.st.metrics
     }
@@ -921,10 +938,12 @@ where
     pub fn run_until(&mut self, stop: Option<Round>) -> Result<bool, RunError> {
         while !self.st.finished {
             if stop.is_some_and(|s| self.st.round >= s) {
+                self.flush_work();
                 return Ok(false);
             }
             self.advance()?;
         }
+        self.flush_work();
         Ok(true)
     }
 
@@ -940,17 +959,20 @@ where
 
     /// Reconstructs an engine from a snapshot, which moves in whole as the
     /// engine's state; this is the only place scratch state (delivery
-    /// index, effect buffers, round index) is built, and it is built empty.
-    /// Stale-stamp reasoning makes that equivalent to the buffers the
-    /// original engine carried (stamps only ever match the round they were
-    /// built in, and the clock is strictly monotone), and the empty round
-    /// index carries a bound of round 0, so the first resumed round finds
-    /// its due processes by an exact scan of the wakeup cache. The
+    /// index, effect buffers, round index, work-run column) is built, and
+    /// it is built empty. Stale-stamp reasoning makes that equivalent to
+    /// the buffers the original engine carried (stamps only ever match the
+    /// round they were built in, and the clock is strictly monotone), the
+    /// empty round index carries a bound of round 0, so the first resumed
+    /// round finds its due processes by an exact scan of the wakeup cache,
+    /// and the snapshot's ledger already holds every performance. The
     /// continuation is bit-identical to the uninterrupted run.
     pub fn resume(snapshot: EngineSnapshot<P, A>) -> Self {
+        let t = snapshot.procs.len();
         Engine {
             record: snapshot.cfg.record_trace,
-            delivery: DeliveryIndex::new(snapshot.procs.len()),
+            delivery: DeliveryIndex::new(t),
+            open: vec![(0, 0); t],
             st: snapshot,
             due: Vec::new(),
             eff: Effects::new(),
@@ -965,6 +987,8 @@ where
     /// unfinished engine it reports the state as of the pause point
     /// (statuses of still-running processes read [`Status::Alive`]).
     pub fn into_report(mut self) -> (Report, Vec<P>) {
+        self.flush_work();
+        self.debug_check_ledger();
         self.observe_mem();
         let st = self.st;
         (
@@ -1006,15 +1030,58 @@ where
             + ((self.due.capacity() + self.next_due.capacity()) * 4) as u64
             + (self.st.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
         self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
-        let ledger = (self.st.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()) as u64
+        let ledger = (self.st.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()
+            + self.open.capacity() * std::mem::size_of::<(usize, usize)>())
+            as u64
             + std::mem::size_of_val(self.st.trace.events()) as u64;
         self.st.mem.ledger_bytes = self.st.mem.ledger_bytes.max(ledger);
     }
 
-    fn round_limit(&self) -> RunError {
+    /// Counts one performance of `unit` by process `idx`: `work_total` at
+    /// once (the watchdog reads it), the per-unit table through the
+    /// writer's open run.
+    fn record_work(&mut self, idx: usize, unit: Unit) {
+        self.st.metrics.work_total += 1;
+        let u = unit.zero_based();
+        let run = &mut self.open[idx];
+        if u == run.1 {
+            run.1 += 1;
+        } else {
+            let (lo, hi) = std::mem::replace(run, (u, u + 1));
+            self.st.metrics.record_work_run(lo, hi);
+        }
+    }
+
+    /// Folds every open work run into [`Metrics::work_by_unit`], leaving
+    /// the column empty.
+    fn flush_work(&mut self) {
+        for run in &mut self.open {
+            self.st.metrics.record_work_run(run.0, run.1);
+            run.0 = run.1;
+        }
+    }
+
+    /// The ledger invariant: the per-unit multiplicities sum to the work
+    /// total. Holds whenever the run column is empty.
+    fn debug_check_ledger(&self) {
+        debug_assert_eq!(
+            self.st.metrics.work_by_unit.iter().map(|&c| u64::from(c)).sum::<u64>(),
+            self.st.metrics.work_total,
+            "work ledger disagrees with work_total"
+        );
+    }
+
+    /// The metrics an abnormal exit carries: flushed and checked.
+    fn error_metrics(&mut self) -> Box<Metrics> {
+        self.flush_work();
+        self.debug_check_ledger();
+        Box::new(self.st.metrics.clone())
+    }
+
+    fn round_limit(&mut self) -> RunError {
         RunError::RoundLimit {
             limit: self.st.cfg.max_rounds,
-            metrics: Box::new(self.st.metrics.clone()),
+            metrics: self.error_metrics(),
             diagnosis: Box::new(self.diagnosis()),
         }
     }
@@ -1199,7 +1266,7 @@ where
                         round,
                         window,
                         diagnosis: Box::new(self.diagnosis()),
-                        metrics: Box::new(self.st.metrics.clone()),
+                        metrics: self.error_metrics(),
                     });
                 }
             }
@@ -1229,11 +1296,7 @@ where
                 Some(target) => target,
                 None => {
                     let alive = self.st.live.ones().map(Pid::new).collect();
-                    return Err(RunError::Deadlock {
-                        round,
-                        alive,
-                        metrics: Box::new(self.st.metrics.clone()),
-                    });
+                    return Err(RunError::Deadlock { round, alive, metrics: self.error_metrics() });
                 }
             }
         } else {
@@ -1277,7 +1340,7 @@ where
         match fate {
             Fate::Survive => {
                 if let Some(unit) = eff.work() {
-                    self.st.metrics.record_work(unit);
+                    self.record_work(idx, unit);
                     if self.record {
                         self.st.trace.push(Event::Work { round, pid, unit });
                     }
@@ -1312,7 +1375,7 @@ where
                 // Send-omission: the process survives and everything but
                 // the filtered sends applies.
                 if let Some(unit) = eff.work() {
-                    self.st.metrics.record_work(unit);
+                    self.record_work(idx, unit);
                     if self.record {
                         self.st.trace.push(Event::Work { round, pid, unit });
                     }
@@ -1345,7 +1408,7 @@ where
             Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
                 if spec.count_work {
                     if let Some(unit) = eff.work() {
-                        self.st.metrics.record_work(unit);
+                        self.record_work(idx, unit);
                         if self.record {
                             self.st.trace.push(Event::Work { round, pid, unit });
                         }

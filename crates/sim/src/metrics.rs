@@ -96,6 +96,20 @@ impl Metrics {
         self.work_by_unit[idx] += 1;
     }
 
+    /// Adds one performance to each of the zero-based units `lo..hi` of
+    /// the multiplicity table, growing it like
+    /// [`record_work`](Metrics::record_work). Leaves `work_total` alone: the
+    /// sync engine counts each performance as it happens and folds a
+    /// writer's contiguous run of units in here later, in one pass.
+    pub(crate) fn record_work_run(&mut self, lo: usize, hi: usize) {
+        if hi > self.work_by_unit.len() {
+            self.work_by_unit.resize(hi, 0);
+        }
+        for c in &mut self.work_by_unit[lo..hi] {
+            *c += 1;
+        }
+    }
+
     /// Bulk counter for span sends: one map lookup per *op*, not per
     /// recipient, while the counted values stay per-recipient (a
     /// `k`-recipient broadcast still counts `k`). Per-message call sites
@@ -185,5 +199,19 @@ mod tests {
         m.record_work(Unit::new(5));
         assert_eq!(m.work_by_unit.len(), 5);
         assert_eq!(m.work_by_unit[4], 1);
+    }
+
+    #[test]
+    fn a_work_run_matches_its_units_recorded_one_by_one() {
+        let mut run = Metrics::new(2);
+        run.record_work_run(1, 4);
+        run.record_work_run(3, 3);
+        let mut one_by_one = Metrics::new(2);
+        for u in 2..=4 {
+            one_by_one.record_work(Unit::new(u));
+        }
+        assert_eq!(run.work_by_unit, one_by_one.work_by_unit);
+        assert_eq!(run.work_by_unit, vec![0, 1, 1, 1]);
+        assert_eq!(run.work_total, 0, "the caller counts work_total");
     }
 }

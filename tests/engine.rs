@@ -268,31 +268,69 @@ fn crash_schedule_and_subset_delivery_compose() {
     assert_eq!(report.metrics.crashes, 2);
 }
 
+/// Performs units 1, 2, 3 in rounds 1, 2, 3 and never terminates; after
+/// round 3 it keeps waking every round when `busy`, and goes purely
+/// reactive otherwise. One writer, one contiguous run of work: the error
+/// payloads below see its units only if the engine folds the run into the
+/// ledger before handing the metrics out.
+struct Forever {
+    busy: bool,
+}
+#[derive(Clone, Debug)]
+struct NoMsg;
+impl Classify for NoMsg {}
+impl Protocol for Forever {
+    type Msg = NoMsg;
+    fn step(&mut self, round: Round, _: Inbox<'_, NoMsg>, eff: &mut Effects<NoMsg>) {
+        if round <= 3u64 {
+            eff.perform(Unit::new(round.get() as usize));
+        }
+    }
+    fn next_wakeup(&self, now: Round) -> Option<Round> {
+        (self.busy || now <= 3u64).then_some(now)
+    }
+}
+
 #[test]
 fn round_limit_reports_partial_metrics() {
     // A protocol that never terminates trips the round cap with its
     // accumulated metrics intact.
-    struct Forever;
-    #[derive(Clone, Debug)]
-    struct NoMsg;
-    impl Classify for NoMsg {}
-    impl Protocol for Forever {
-        type Msg = NoMsg;
-        fn step(&mut self, round: Round, _: Inbox<'_, NoMsg>, eff: &mut Effects<NoMsg>) {
-            if round <= 3u64 {
-                eff.perform(Unit::new(round.get() as usize));
-            }
-        }
-        fn next_wakeup(&self, now: Round) -> Option<Round> {
-            Some(now)
-        }
-    }
-    match run(vec![Forever], NoFailures, RunConfig::new(3, 50)) {
+    match run(vec![Forever { busy: true }], NoFailures, RunConfig::new(3, 50)) {
         Err(doall::sim::RunError::RoundLimit { limit, metrics, .. }) => {
             assert_eq!(limit, 50u64);
             assert_eq!(metrics.work_total, 3);
+            assert_eq!(metrics.work_by_unit, [1, 1, 1]);
         }
         other => panic!("expected RoundLimit, got {other:?}"),
+    }
+}
+
+#[test]
+fn stall_reports_partial_metrics() {
+    // The same run under the watchdog: five idle rounds after round 3's
+    // work exhaust the window long before the cap.
+    let cfg = RunConfig::new(3, 50).with_stall_window(5);
+    match run(vec![Forever { busy: true }], NoFailures, cfg) {
+        Err(doall::sim::RunError::Stalled { window, metrics, .. }) => {
+            assert_eq!(window, 5);
+            assert_eq!(metrics.work_total, 3);
+            assert_eq!(metrics.work_by_unit, [1, 1, 1]);
+        }
+        other => panic!("expected Stalled, got {other:?}"),
+    }
+}
+
+#[test]
+fn deadlock_reports_partial_metrics() {
+    // Purely reactive after round 3, with nothing in flight: the engine
+    // proves nothing can ever happen and hands back the metrics so far.
+    match run(vec![Forever { busy: false }], NoFailures, RunConfig::new(3, 50)) {
+        Err(doall::sim::RunError::Deadlock { round, metrics, .. }) => {
+            assert_eq!(round, 3u64);
+            assert_eq!(metrics.work_total, 3);
+            assert_eq!(metrics.work_by_unit, [1, 1, 1]);
+        }
+        other => panic!("expected Deadlock, got {other:?}"),
     }
 }
 

@@ -8,11 +8,16 @@
 //! long-run experiment harness lean on: a snapshot is not "approximately
 //! the same run", it is the same run.
 
+use std::collections::BTreeMap;
+
 use doall::sim::asynch::{AsyncConfig, AsyncEngine, DelayDist, Time};
 use doall::sim::chaos::{ChaosCase, ChaosConfig, Plane};
-use doall::sim::{Engine, Event, FaultKind, FaultPlan, Pid, Report, Round, RunConfig};
+use doall::sim::{
+    run, Adversary, Engine, Event, FaultKind, FaultPlan, Metrics, Pid, Protocol, Report, Round,
+    RunConfig,
+};
 use doall::workload::Scenario;
-use doall::{AsyncProtocolB, ProtocolB};
+use doall::{AsyncProtocolB, ProtocolA, ProtocolB, ProtocolD};
 use proptest::prelude::*;
 
 /// A fault plan drawn from the chaos generator (seed 0 ⇒ the empty,
@@ -175,6 +180,103 @@ fn chained_snapshots_compose() {
         next_pause += 3;
     }
     assert_eq!(straight, engine.into_report().0);
+}
+
+/// Σ `work_by_unit`: the per-unit ledger's total.
+fn ledger_sum(m: &Metrics) -> u64 {
+    m.work_by_unit.iter().map(|&c| u64::from(c)).sum()
+}
+
+/// Whether some process performed two units back to back that are not
+/// successive, i.e. the sync engine had to close one of its work runs
+/// mid-run and open another.
+fn has_discontiguous_writer(report: &Report) -> bool {
+    let mut last: BTreeMap<Pid, usize> = BTreeMap::new();
+    report.trace.events().iter().any(|e| match e {
+        Event::Work { pid, unit, .. } => {
+            last.insert(*pid, unit.get()).is_some_and(|prev| prev + 1 != unit.get())
+        }
+        _ => false,
+    })
+}
+
+/// The pause net for the sync engine's per-writer work runs. One engine
+/// pauses at every executed round and another, kept in lockstep, is
+/// rebuilt from its own snapshot at each pause. At every pause the ledger
+/// that [`Engine::metrics`] and [`Engine::snapshot`] expose must already
+/// hold every performance (Σ `work_by_unit` = `work_total`) and agree
+/// across the two engines; both must finish with the straight run's
+/// report.
+fn assert_pause_net<P, A>(label: &str, procs: Vec<P>, adversary: A, n: usize) -> Report
+where
+    P: Protocol + Clone,
+    P::Msg: Clone,
+    A: Adversary<P::Msg> + Clone,
+{
+    let cfg = RunConfig::new(n, Round::MAX).with_trace();
+    let straight = run(procs.clone(), adversary.clone(), cfg.clone()).expect("straight run");
+    let mut paused = Engine::new(procs.clone(), adversary.clone(), cfg.clone()).expect("valid");
+    let mut chained = Engine::new(procs, adversary, cfg).expect("valid");
+    let mut pauses = 0;
+    loop {
+        let stop = Some(paused.round().next());
+        let done = paused.run_until(stop).expect("segment must run");
+        assert_eq!(done, chained.run_until(stop).expect("segment must run"), "{label}");
+        if done {
+            break;
+        }
+        pauses += 1;
+        let at = paused.round();
+        let m = paused.metrics();
+        assert_eq!(ledger_sum(m), m.work_total, "{label}: metrics() at round {at}");
+        let snapshot = paused.snapshot();
+        assert_eq!(snapshot.metrics(), m, "{label}: snapshot() at round {at}");
+        chained = Engine::resume(chained.snapshot());
+        assert_eq!(chained.metrics(), m, "{label}: resumed engine at round {at}");
+    }
+    assert!(pauses > 1, "{label}: the run paused only {pauses} time(s)");
+    assert_eq!(straight, paused.into_report().0, "{label}: paused every round");
+    assert_eq!(straight, chained.into_report().0, "{label}: resumed every round");
+    straight
+}
+
+#[test]
+fn pausing_every_round_keeps_the_work_ledger_complete() {
+    // Coordinator-D: each process performs one long contiguous run.
+    let (n, t) = (256u64, 8u64);
+    let d = assert_pause_net(
+        "coordinator-D",
+        ProtocolD::processes_with_coordinator(n, t).expect("valid D shape"),
+        FaultPlan::default(),
+        n as usize,
+    );
+    assert_eq!(d.metrics.work_total, n);
+
+    // Protocol A under a takeover cascade: fifteen writers each redo a
+    // prefix the previous one never checkpointed, so many runs cover the
+    // same units.
+    let (n, t) = (64u64, 16u64);
+    let a = assert_pause_net(
+        "A under takeover-cascade(15)",
+        ProtocolA::processes(n, t).expect("valid A shape"),
+        Scenario::TakeoverCascade { victims: 15 }.fault_plan(Plane::Sync),
+        n as usize,
+    );
+    assert!(a.metrics.all_work_done());
+    assert!(a.metrics.work_total > n, "the cascade must redo work");
+
+    // Coordinator-D after a takeover cascade: the victims' units are
+    // reallocated to the survivors, whose work then jumps to a new range,
+    // so runs close and reopen mid-run.
+    let (n, t) = (256u64, 8u64);
+    let d = assert_pause_net(
+        "coordinator-D under takeover-cascade(4)",
+        ProtocolD::processes_with_coordinator(n, t).expect("valid D shape"),
+        Scenario::TakeoverCascade { victims: 4 }.fault_plan(Plane::Sync),
+        n as usize,
+    );
+    assert!(d.metrics.all_work_done());
+    assert!(has_discontiguous_writer(&d), "reallocation must split some writer's work");
 }
 
 /// Async plane with retirement-notice runs in flight: twelve processes
