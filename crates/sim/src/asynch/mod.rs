@@ -954,6 +954,7 @@ where
     /// usual call site is after [`run_until`](AsyncEngine::run_until)
     /// returned `Ok(true)`).
     pub fn into_report(mut self) -> AsyncReport {
+        self.st.metrics.debug_check();
         self.observe_mem();
         let st = self.st;
         AsyncReport {
@@ -1217,9 +1218,9 @@ where
         let (count_work, deliver) = match &fate {
             Fate::Survive => (true, None),
             Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
-                (spec.count_work, Some(spec.deliver.clone()))
+                (spec.count_work, Some(&spec.deliver))
             }
-            Fate::Omit(filter) => (true, Some(filter.clone())),
+            Fate::Omit(filter) => (true, Some(filter)),
         };
         let is_omit = matches!(fate, Fate::Omit(_));
         let recover_plan = match &fate {
@@ -1246,9 +1247,8 @@ where
         let mut omitted_now = 0u64;
         for op in self.eff.drain_sends() {
             let len = op.to.len();
-            let lets_through = |k: usize, to: Pid| {
-                deliver.as_ref().is_none_or(|d: &crate::Deliver| d.lets_through(msg_idx + k, to))
-            };
+            let lets_through =
+                |k: usize, to: Pid| deliver.is_none_or(|d| d.lets_through(msg_idx + k, to));
             let scheduled = op.to.iter().enumerate().filter(|&(k, to)| lets_through(k, to)).count();
             if is_omit {
                 // Send omission: the process survives, the suppressed

@@ -122,15 +122,7 @@ impl<M> SendBuf<M> {
         I: IntoIterator<Item = Pid>,
         M: Clone,
     {
-        let mut payload = Some(payload);
-        coalesce_runs(to, |run, last| {
-            let m = if last {
-                payload.take().expect("taken only on the final run")
-            } else {
-                payload.as_ref().expect("present until the final run").clone()
-            };
-            self.span(run, m);
-        });
+        split_runs(to, payload, |run, m| self.span(run, m));
     }
 
     /// The recorded ops, in send order.
@@ -326,15 +318,18 @@ impl<M> Effects<M> {
     }
 }
 
-/// Splits a pid iterator into maximal consecutive ascending runs, calling
-/// `emit(run, is_last)` for each — the coalescing behind
-/// [`SendBuf::coalesced`], which in turn backs [`Effects::broadcast`] and
-/// its asynchronous counterpart
-/// [`AsyncEffects::broadcast`](crate::asynch::AsyncEffects::broadcast).
-pub(crate) fn coalesce_runs<I, F>(to: I, mut emit: F)
+/// Splits a pid iterator into maximal consecutive ascending runs and
+/// hands each to `emit` with its own copy of `payload`: a clone for every
+/// run but the last, which moves the payload (an empty iterator drops it).
+/// Behind [`SendBuf::coalesced`] — and so [`Effects::broadcast`] and its
+/// asynchronous counterpart
+/// [`AsyncEffects::broadcast`](crate::asynch::AsyncEffects::broadcast) —
+/// and the sync engine's crash and omission filter.
+pub(crate) fn split_runs<I, M, F>(to: I, payload: M, mut emit: F)
 where
     I: IntoIterator<Item = Pid>,
-    F: FnMut(Range<usize>, bool),
+    M: Clone,
+    F: FnMut(Range<usize>, M),
 {
     let mut it = to.into_iter();
     let Some(first) = it.next() else { return };
@@ -343,12 +338,12 @@ where
         if p.index() == hi {
             hi += 1;
         } else {
-            emit(lo..hi, false);
+            emit(lo..hi, payload.clone());
             lo = p.index();
             hi = lo + 1;
         }
     }
-    emit(lo..hi, true);
+    emit(lo..hi, payload);
 }
 
 #[cfg(test)]

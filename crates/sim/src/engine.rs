@@ -6,8 +6,8 @@ use std::num::NonZeroUsize;
 
 use serde::{Deserialize, Serialize};
 
-use crate::adversary::{Adversary, AdversaryCtx, AliveView, Fate};
-use crate::effects::{Effects, Recipients};
+use crate::adversary::{Adversary, AdversaryCtx, AliveView, Deliver, Fate};
+use crate::effects::{split_runs, Effects, Recipients};
 use crate::ids::{Pid, Round, Unit};
 use crate::liveset::LiveSet;
 use crate::message::{Classify, FlightOp, Inbox};
@@ -413,9 +413,8 @@ struct DeliveryIndex {
     cursor: Vec<u32>,
     index: Vec<u32>,
     touched: Vec<u32>,
-    /// Per-(message, recipient) receive-omission verdicts, in pending-op
-    /// iteration order; recycled scratch for
-    /// [`build_filtered`](DeliveryIndex::build_filtered).
+    /// Per-live-(message, recipient) receive-omission verdicts of a
+    /// filtered build, in pending-op iteration order; recycled scratch.
     omit: Vec<bool>,
 }
 
@@ -459,38 +458,67 @@ impl DeliveryIndex {
 
     /// Builds the index for this round from the in-flight ops, intersecting
     /// every span with the live set: dead recipients never enter the index
-    /// (they are tallied as dead letters), so delivery work is proportional
-    /// to *live* deliveries plus ops. Returns the dead-letter count.
-    fn build<M>(&mut self, pending: &[FlightOp<M>], live: &LiveSet) -> u64 {
+    /// (they are tallied as dead letters, never as omissions), so delivery
+    /// work is proportional to *live* deliveries plus ops. When the
+    /// adversary [filters deliveries](Adversary::filters_deliveries), it is
+    /// consulted exactly once per live (message, recipient) — in the first
+    /// pass, with the verdicts replayed from scratch in the second — and
+    /// suppressed deliveries never enter the index; with `trace`, each
+    /// leaves a `"fault:omit"` note at the recipient (the receive-omission
+    /// symptom). Returns (dead letters, omitted).
+    fn build<M, A: Adversary<M>>(
+        &mut self,
+        round: Round,
+        pending: &[FlightOp<M>],
+        live: &LiveSet,
+        adversary: &mut A,
+        mut trace: Option<&mut Trace>,
+    ) -> (u64, u64) {
+        let filters = adversary.filters_deliveries();
         self.next_epoch();
         self.touched.clear();
+        self.omit.clear();
         let mut dead: u64 = 0;
+        let mut omitted: u64 = 0;
         for op in pending {
             for p in op.to.iter() {
                 let i = p.index();
-                if live.contains(i) {
-                    if self.stamp[i] != self.epoch {
-                        self.stamp[i] = self.epoch;
-                        self.cursor[i] = 0;
-                        self.touched.push(i as u32);
-                    }
-                    self.cursor[i] += 1;
-                } else {
+                if !live.contains(i) {
                     dead += 1;
+                    continue;
                 }
+                if filters {
+                    let drop = adversary.omits_delivery(round, op.from, p);
+                    self.omit.push(drop);
+                    if drop {
+                        omitted += 1;
+                        if let Some(t) = trace.as_deref_mut() {
+                            t.push(Event::Note { round, pid: p, tag: "fault:omit" });
+                        }
+                        continue;
+                    }
+                }
+                if self.stamp[i] != self.epoch {
+                    self.stamp[i] = self.epoch;
+                    self.cursor[i] = 0;
+                    self.touched.push(i as u32);
+                }
+                self.cursor[i] += 1;
             }
         }
         self.finish_counts();
+        let mut verdicts = self.omit.iter();
         for (id, op) in pending.iter().enumerate() {
             for p in op.to.iter() {
                 let i = p.index();
-                if live.contains(i) {
-                    self.index[self.cursor[i] as usize] = id as u32;
-                    self.cursor[i] += 1;
+                if !live.contains(i) || (filters && verdicts.next() == Some(&true)) {
+                    continue;
                 }
+                self.index[self.cursor[i] as usize] = id as u32;
+                self.cursor[i] += 1;
             }
         }
-        dead
+        (dead, omitted)
     }
 
     /// Whether the most recent build addressed at least one live recipient
@@ -517,68 +545,6 @@ impl DeliveryIndex {
         } else {
             Inbox::empty()
         }
-    }
-
-    /// [`build`](DeliveryIndex::build) with a receive-omission filter: the
-    /// adversary is consulted exactly once per (message, recipient) — in
-    /// the first pass, with the verdicts replayed from scratch in the
-    /// second — and suppressed deliveries never enter the index. Dead
-    /// recipients are classified first (a message to a retired process is
-    /// a dead letter, never an omission). When `trace` is given, each
-    /// suppressed delivery leaves a `"fault:omit"` note at the recipient —
-    /// the receive-omission symptom. Returns (dead letters, omitted).
-    fn build_filtered<M, A: Adversary<M>>(
-        &mut self,
-        round: Round,
-        pending: &[FlightOp<M>],
-        live: &LiveSet,
-        adversary: &mut A,
-        mut trace: Option<&mut Trace>,
-    ) -> (u64, u64) {
-        self.next_epoch();
-        self.touched.clear();
-        self.omit.clear();
-        let mut dead: u64 = 0;
-        let mut omitted: u64 = 0;
-        for op in pending {
-            for p in op.to.iter() {
-                let i = p.index();
-                if !live.contains(i) {
-                    dead += 1;
-                    self.omit.push(false);
-                    continue;
-                }
-                let drop = adversary.omits_delivery(round, op.from, p);
-                self.omit.push(drop);
-                if drop {
-                    omitted += 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push(Event::Note { round, pid: p, tag: "fault:omit" });
-                    }
-                    continue;
-                }
-                if self.stamp[i] != self.epoch {
-                    self.stamp[i] = self.epoch;
-                    self.cursor[i] = 0;
-                    self.touched.push(i as u32);
-                }
-                self.cursor[i] += 1;
-            }
-        }
-        self.finish_counts();
-        let mut k = 0usize;
-        for (id, op) in pending.iter().enumerate() {
-            for p in op.to.iter() {
-                let i = p.index();
-                let drop = self.omit[k];
-                k += 1;
-                if live.contains(i) && !drop {
-                    self.index[self.cursor[i] as usize] = id as u32;
-                    self.cursor[i] += 1;
-                }
-            }
-        }
-        (dead, omitted)
     }
 
     /// Bytes in the pid-indexed columns (counted against the SoA budget).
@@ -988,7 +954,7 @@ where
     /// (statuses of still-running processes read [`Status::Alive`]).
     pub fn into_report(mut self) -> (Report, Vec<P>) {
         self.flush_work();
-        self.debug_check_ledger();
+        self.st.metrics.debug_check();
         self.observe_mem();
         let st = self.st;
         (
@@ -1061,20 +1027,10 @@ where
         }
     }
 
-    /// The ledger invariant: the per-unit multiplicities sum to the work
-    /// total. Holds whenever the run column is empty.
-    fn debug_check_ledger(&self) {
-        debug_assert_eq!(
-            self.st.metrics.work_by_unit.iter().map(|&c| u64::from(c)).sum::<u64>(),
-            self.st.metrics.work_total,
-            "work ledger disagrees with work_total"
-        );
-    }
-
     /// The metrics an abnormal exit carries: flushed and checked.
     fn error_metrics(&mut self) -> Box<Metrics> {
         self.flush_work();
-        self.debug_check_ledger();
+        self.st.metrics.debug_check();
         Box::new(self.st.metrics.clone())
     }
 
@@ -1135,20 +1091,15 @@ where
         //    recipients become dead letters without ever materializing.
         let have_inbox = !self.st.pending.is_empty();
         if have_inbox {
-            if self.st.adversary.filters_deliveries() {
-                let (dead, omitted) = self.delivery.build_filtered(
-                    round,
-                    &self.st.pending,
-                    &self.st.live,
-                    &mut self.st.adversary,
-                    self.record.then_some(&mut self.st.trace),
-                );
-                self.st.metrics.dead_letters += dead;
-                self.st.metrics.omissions += omitted;
-            } else {
-                self.st.metrics.dead_letters +=
-                    self.delivery.build(&self.st.pending, &self.st.live);
-            }
+            let (dead, omitted) = self.delivery.build(
+                round,
+                &self.st.pending,
+                &self.st.live,
+                &mut self.st.adversary,
+                self.record.then_some(&mut self.st.trace),
+            );
+            self.st.metrics.dead_letters += dead;
+            self.st.metrics.omissions += omitted;
         }
         // A delivery to at least one live, non-omitted recipient counts as
         // observable progress for the watchdog.
@@ -1314,7 +1265,10 @@ where
     /// Applies the adversary's ruling to one stepped process: intercept,
     /// fate application, metrics, tracing, and outbound queueing — the
     /// tail of a step, in ascending pid order (adversary RNG draws, trace
-    /// events, and message queue order all follow it).
+    /// events, and message queue order all follow it). Every fate runs the
+    /// same tail — notes, work, sends, send omissions, then crash or
+    /// termination — differing only in whether the work counts, which
+    /// [`Deliver`] filter the sends pass, and whether the process crashes.
     fn settle(&mut self, round: Round, pid: Pid, eff: &mut Effects<P::Msg>) {
         let idx = pid.index();
         let ctx = AdversaryCtx {
@@ -1324,11 +1278,12 @@ where
             crashes: self.st.metrics.crashes,
         };
         let fate = self.st.adversary.intercept(round, pid, eff, ctx);
-        // Copy out the recovery schedule (if any) before the match below
-        // borrows `fate`'s crash spec.
-        let recover_plan = match fate {
-            Fate::CrashRecover { downtime, wipe, .. } => Some((downtime.max(1), wipe)),
-            _ => None,
+        let (count_work, filter, crashed) = match &fate {
+            Fate::Survive => (true, None, false),
+            Fate::Omit(filter) => (true, Some(filter), false),
+            Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
+                (spec.count_work, Some(&spec.deliver), true)
+            }
         };
 
         if self.record {
@@ -1337,206 +1292,91 @@ where
             }
         }
 
-        match fate {
-            Fate::Survive => {
-                if let Some(unit) = eff.work() {
-                    self.record_work(idx, unit);
-                    if self.record {
-                        self.st.trace.push(Event::Work { round, pid, unit });
-                    }
-                }
-                let terminated = eff.is_terminated();
-                let mut out = Outbound {
-                    metrics: &mut self.st.metrics,
-                    trace: &mut self.st.trace,
-                    record: self.record,
-                    next_pending: &mut self.next_pending,
-                    round,
-                };
-                // Most steps send nothing: skip building and dropping a
-                // `Drain` for them. `Drain::drop` is an out-of-line call
-                // per step whenever the inliner declines it, which on the
-                // step-bound giant cells is a tenth of the pass.
-                if eff.send_count() > 0 {
-                    for op in eff.drain_sends() {
-                        out.deliver(pid, op.to, op.payload);
-                    }
-                }
-                if terminated {
-                    self.st.pset.retire(idx, true, round);
-                    self.st.live.remove(idx);
-                    self.st.metrics.terminations += 1;
-                    if self.record {
-                        self.st.trace.push(Event::Terminate { round, pid });
-                    }
-                }
+        if let Some(unit) = eff.work().filter(|_| count_work) {
+            self.record_work(idx, unit);
+            if self.record {
+                self.st.trace.push(Event::Work { round, pid, unit });
             }
-            Fate::Omit(ref filter) => {
-                // Send-omission: the process survives and everything but
-                // the filtered sends applies.
-                if let Some(unit) = eff.work() {
-                    self.record_work(idx, unit);
-                    if self.record {
-                        self.st.trace.push(Event::Work { round, pid, unit });
+        }
+
+        // Most steps send nothing: skip building and dropping a `Drain`
+        // for them. `Drain::drop` is an out-of-line call per step whenever
+        // the inliner declines it, which on the step-bound giant cells is a
+        // tenth of the pass.
+        if eff.send_count() > 0 {
+            // The filter indexes messages in send order (spans expand in
+            // ascending pid order). Unfiltered ops go out whole; a partial
+            // filter splits an op into its maximal runs of escaping
+            // recipients, one payload clone per extra run (never per
+            // recipient).
+            let total = eff.send_count() as u64;
+            let before = self.st.metrics.messages;
+            let mut msg_idx = 0usize;
+            for op in eff.drain_sends() {
+                let len = op.to.len();
+                match filter {
+                    None | Some(Deliver::All) => self.queue(round, pid, op.to, op.payload),
+                    Some(Deliver::None) => {}
+                    Some(d) => {
+                        let escaping = op
+                            .to
+                            .iter()
+                            .enumerate()
+                            .filter(|&(k, to)| d.lets_through(msg_idx + k, to))
+                            .map(|(_, to)| to);
+                        split_runs(escaping, op.payload, |run, m| {
+                            let to = Recipients::Span { lo: run.start, hi: run.end };
+                            self.queue(round, pid, to, m);
+                        });
                     }
                 }
-                let terminated = eff.is_terminated();
-                let total = eff.send_count() as u64;
-                let before = self.st.metrics.messages;
-                let mut out = Outbound {
-                    metrics: &mut self.st.metrics,
-                    trace: &mut self.st.trace,
-                    record: self.record,
-                    next_pending: &mut self.next_pending,
-                    round,
-                };
-                out.deliver_crash_subset(pid, eff, filter);
-                let suppressed = total - (self.st.metrics.messages - before);
+                msg_idx += len;
+            }
+            // Send omission: the surviving process's suppressed messages
+            // never left it. (A crash's unsent messages are not omissions.)
+            let suppressed = total - (self.st.metrics.messages - before);
+            if !crashed && suppressed > 0 {
                 self.st.metrics.omissions += suppressed;
-                if self.record && suppressed > 0 {
-                    self.st.trace.push(Event::Note { round, pid, tag: "fault:omit" });
-                }
-                if terminated {
-                    self.st.pset.retire(idx, true, round);
-                    self.st.live.remove(idx);
-                    self.st.metrics.terminations += 1;
-                    if self.record {
-                        self.st.trace.push(Event::Terminate { round, pid });
-                    }
-                }
-            }
-            Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
-                if spec.count_work {
-                    if let Some(unit) = eff.work() {
-                        self.record_work(idx, unit);
-                        if self.record {
-                            self.st.trace.push(Event::Work { round, pid, unit });
-                        }
-                    }
-                }
-                let mut out = Outbound {
-                    metrics: &mut self.st.metrics,
-                    trace: &mut self.st.trace,
-                    record: self.record,
-                    next_pending: &mut self.next_pending,
-                    round,
-                };
-                out.deliver_crash_subset(pid, eff, &spec.deliver);
-                self.st.pset.retire(idx, false, round);
-                self.st.live.remove(idx);
-                self.st.metrics.crashes += 1;
                 if self.record {
-                    self.st.trace.push(Event::Crash { round, pid });
-                }
-                if let Some((downtime, wipe)) = recover_plan {
-                    let at = round.saturating_add(u128::from(downtime));
-                    self.st.revive.insert(idx as u32, (at, wipe));
-                    self.st.next_revive = Some(self.st.next_revive.map_or(at, |r| r.min(at)));
+                    self.st.trace.push(Event::Note { round, pid, tag: "fault:omit" });
                 }
             }
         }
+
+        if crashed {
+            self.st.pset.retire(idx, false, round);
+            self.st.live.remove(idx);
+            self.st.metrics.crashes += 1;
+            if self.record {
+                self.st.trace.push(Event::Crash { round, pid });
+            }
+            if let Fate::CrashRecover { downtime, wipe, .. } = fate {
+                let at = round.saturating_add(u128::from(downtime.max(1)));
+                self.st.revive.insert(idx as u32, (at, wipe));
+                self.st.next_revive = Some(self.st.next_revive.map_or(at, |r| r.min(at)));
+            }
+        } else if eff.is_terminated() {
+            self.st.pset.retire(idx, true, round);
+            self.st.live.remove(idx);
+            self.st.metrics.terminations += 1;
+            if self.record {
+                self.st.trace.push(Event::Terminate { round, pid });
+            }
+        }
     }
-}
 
-/// The per-round outbound-delivery context: everything queueing a send op
-/// needs (counters, optional tracing, and the next-round in-flight buffer).
-struct Outbound<'a, M> {
-    metrics: &'a mut Metrics,
-    trace: &'a mut Trace,
-    record: bool,
-    next_pending: &'a mut Vec<FlightOp<M>>,
-    round: Round,
-}
-
-impl<M: Classify> Outbound<'_, M> {
-    /// Queues one surviving send op: bulk message accounting (O(1) per op)
-    /// plus per-recipient trace events when tracing is on.
-    fn deliver(&mut self, from: Pid, to: Recipients, payload: M) {
-        self.metrics.record_messages(payload.class(), to.len() as u64);
+    /// Queues one surviving send op for next round's delivery: bulk
+    /// message accounting (O(1) per op) plus per-recipient trace events
+    /// when tracing is on.
+    fn queue(&mut self, round: Round, from: Pid, to: Recipients, payload: P::Msg) {
+        let class = payload.class();
+        self.st.metrics.record_messages(class, to.len() as u64);
         if self.record {
             for recipient in to.iter() {
-                self.trace.push(Event::Send {
-                    round: self.round,
-                    from,
-                    to: recipient,
-                    class: payload.class(),
-                });
+                self.st.trace.push(Event::Send { round, from, to: recipient, class });
             }
         }
         self.next_pending.push(FlightOp { from, to, payload });
-    }
-
-    /// Applies a crashing process's [`Deliver`] filter to its send ops. The
-    /// filter indexes messages in send order (spans expand in ascending pid
-    /// order), exactly as the per-recipient representation did, so crash
-    /// semantics — and message counts — are unchanged. Ops are kept whole
-    /// or truncated wherever possible; only an arbitrary-subset filter that
-    /// fragments a span costs one payload clone per surviving *run* (never
-    /// per recipient).
-    fn deliver_crash_subset(
-        &mut self,
-        pid: Pid,
-        eff: &mut Effects<M>,
-        deliver: &crate::adversary::Deliver,
-    ) where
-        M: Clone,
-    {
-        use crate::adversary::Deliver;
-
-        let mut msg_idx = 0usize;
-        for op in eff.drain_sends() {
-            let len = op.to.len();
-            match deliver {
-                Deliver::All => self.deliver(pid, op.to, op.payload),
-                Deliver::None => {}
-                Deliver::Prefix(k) => {
-                    let keep = k.saturating_sub(msg_idx).min(len);
-                    if keep > 0 {
-                        self.deliver(pid, truncate(op.to, keep), op.payload);
-                    }
-                }
-                Deliver::Subset(set) => {
-                    // Split the op into maximal contiguous runs of
-                    // recipients the adversary lets through.
-                    let mut runs: Vec<(usize, usize)> = Vec::new();
-                    for p in op.to.iter() {
-                        if set.contains(&p) {
-                            match runs.last_mut() {
-                                Some((_, hi)) if *hi == p.index() => *hi += 1,
-                                _ => runs.push((p.index(), p.index() + 1)),
-                            }
-                        }
-                    }
-                    let mut payload = Some(op.payload);
-                    for (ri, &(lo, hi)) in runs.iter().enumerate() {
-                        let to = if hi - lo == 1 {
-                            Recipients::One(Pid::new(lo))
-                        } else {
-                            Recipients::Span { lo, hi }
-                        };
-                        // One clone per surviving run of a fragmented span —
-                        // the last run moves the payload; never per
-                        // recipient.
-                        let m = if ri + 1 == runs.len() {
-                            payload.take().expect("moved once")
-                        } else {
-                            payload.as_ref().expect("present until last").clone()
-                        };
-                        self.deliver(pid, to, m);
-                    }
-                }
-            }
-            msg_idx += len;
-        }
-    }
-}
-
-/// The first `keep` recipients of a set (`1 <= keep <= len`).
-fn truncate(to: Recipients, keep: usize) -> Recipients {
-    match to {
-        Recipients::One(p) => Recipients::One(p),
-        Recipients::Span { lo, .. } if keep == 1 => Recipients::One(Pid::new(lo)),
-        Recipients::Span { lo, .. } => Recipients::Span { lo, hi: lo + keep },
     }
 }
 

@@ -110,6 +110,31 @@ impl Metrics {
         }
     }
 
+    /// The accounting invariants, checked in debug builds wherever an
+    /// engine hands its `Metrics` out: the per-unit multiplicities sum to
+    /// the work total (the sync engine's work runs must be flushed first),
+    /// the per-class message counts sum to the message total (only
+    /// [`record_messages`](Metrics::record_messages) writes either), and
+    /// dead letters are a subset of the messages sent.
+    pub(crate) fn debug_check(&self) {
+        debug_assert_eq!(
+            self.work_by_unit.iter().map(|&c| u64::from(c)).sum::<u64>(),
+            self.work_total,
+            "work ledger disagrees with work_total"
+        );
+        debug_assert_eq!(
+            self.messages_by_class.values().sum::<u64>(),
+            self.messages,
+            "per-class message counts disagree with messages"
+        );
+        debug_assert!(
+            self.dead_letters <= self.messages,
+            "more dead letters ({}) than messages ({})",
+            self.dead_letters,
+            self.messages
+        );
+    }
+
     /// Bulk counter for span sends: one map lookup per *op*, not per
     /// recipient, while the counted values stay per-recipient (a
     /// `k`-recipient broadcast still counts `k`). Per-message call sites
@@ -199,6 +224,27 @@ mod tests {
         m.record_work(Unit::new(5));
         assert_eq!(m.work_by_unit.len(), 5);
         assert_eq!(m.work_by_unit[4], 1);
+    }
+
+    #[test]
+    fn debug_check_rejects_each_broken_invariant() {
+        let mut m = Metrics::new(2);
+        m.record_work(Unit::new(2));
+        m.record_messages("ordinary", 3);
+        m.dead_letters = 3;
+        m.debug_check();
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut unflushed = m.clone();
+        unflushed.work_total += 1;
+        let mut unclassed = m.clone();
+        unclassed.messages += 1;
+        let mut undelivered = m.clone();
+        undelivered.dead_letters += 1;
+        for broken in [unflushed, unclassed, undelivered] {
+            assert!(std::panic::catch_unwind(|| broken.debug_check()).is_err(), "{broken:?}");
+        }
     }
 
     #[test]

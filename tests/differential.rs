@@ -4,16 +4,16 @@
 //! representation — and steps every live process every executed round
 //! must produce byte-identical [`Report`]s (statuses and all metrics,
 //! including `messages_by_class`, dead letters, and per-unit work
-//! multiplicities) and the same executed-round count as the production
-//! engine's CSR span delivery and O(due) round index, over randomly drawn
-//! unicast/multicast patterns, crash schedules, crash-recovery fault
-//! plans, moving deadlines, and fast-forward gaps.
+//! multiplicities), the same executed-round count and the same event
+//! trace as the production engine's CSR span delivery and O(due) round
+//! index, over randomly drawn unicast/multicast patterns, crash schedules,
+//! crash-recovery fault plans, moving deadlines, and fast-forward gaps.
 
 use std::collections::BTreeMap;
 
 use doall::sim::{
-    run, Adversary, AdversaryCtx, Classify, CrashSpec, Effects, Fate, FaultKind, FaultPlan, Inbox,
-    MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace, Unit,
+    run, Adversary, AdversaryCtx, Classify, CrashSpec, Effects, Event, Fate, FaultKind, FaultPlan,
+    Inbox, MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace, Unit,
 };
 use proptest::prelude::*;
 
@@ -269,8 +269,18 @@ impl Protocol for Mover {
 /// every live process for its wakeup afresh. Crash-recovery revivals
 /// happen at the start of their round (before delivery), and the report
 /// counts executed rounds, so a production round index that adds or
-/// drops an executed round is caught too.
-fn run_reference<P, A>(mut procs: Vec<P>, mut adversary: A, cfg: RunConfig) -> Option<Report>
+/// drops an executed round is caught too. Alongside the report it returns
+/// the events the production engine traces, in the order the model fixes:
+/// each round's revivals, then its receive omissions (noted at the
+/// recipient, in send order), then per stepped process its notes, its
+/// work, one send per escaping recipient, a `"fault:omit"` note at the
+/// sender when an omission fault suppressed some of its sends, and its
+/// crash or termination.
+fn run_reference<P, A>(
+    mut procs: Vec<P>,
+    mut adversary: A,
+    cfg: RunConfig,
+) -> Option<(Report, Vec<Event>)>
 where
     P: Protocol,
     A: Adversary<P::Msg>,
@@ -282,6 +292,7 @@ where
     let mut metrics = Metrics::new(cfg.n);
     let mut revive: BTreeMap<usize, (Round, bool)> = BTreeMap::new();
     let mut executed_rounds = 0u64;
+    let mut events: Vec<Event> = Vec::new();
     let record_work = |m: &mut Metrics, unit: Unit| {
         m.work_total += 1;
         let idx = unit.zero_based();
@@ -310,6 +321,7 @@ where
             live += 1;
             metrics.recoveries += 1;
             procs[idx].on_recover(round, wipe);
+            events.push(Event::Recover { round, pid: Pid::new(idx) });
         }
         // Deliver: naive per-recipient inbox build, consulting receive
         // omission once per live (message, recipient) in send order.
@@ -320,6 +332,7 @@ where
                 metrics.dead_letters += 1;
             } else if filters && adversary.omits_delivery(round, from, to) {
                 metrics.omissions += 1;
+                events.push(Event::Note { round, pid: to, tag: "fault:omit" });
             } else {
                 inboxes[to.index()].push((from, payload));
             }
@@ -334,16 +347,22 @@ where
             procs[idx].step(round, Inbox::from_pairs(&inboxes[idx]), &mut eff);
             let ctx = AdversaryCtx::new(&alive, metrics.crashes);
             let fate = adversary.intercept(round, pid, &eff, ctx);
+            for &tag in eff.notes() {
+                events.push(Event::Note { round, pid, tag });
+            }
             match fate {
                 Fate::Survive => {
                     if let Some(unit) = eff.work() {
                         record_work(&mut metrics, unit);
+                        events.push(Event::Work { round, pid, unit });
                     }
                     for op in eff.sends() {
                         for to in op.to.iter() {
                             let payload = op.payload.clone();
                             metrics.messages += 1;
                             *metrics.messages_by_class.entry(payload.class()).or_insert(0) += 1;
+                            let class = payload.class();
+                            events.push(Event::Send { round, from: pid, to, class });
                             next_pending.push((pid, to, payload));
                         }
                     }
@@ -352,12 +371,14 @@ where
                         alive[idx] = false;
                         live -= 1;
                         metrics.terminations += 1;
+                        events.push(Event::Terminate { round, pid });
                     }
                 }
                 Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
                     if spec.count_work {
                         if let Some(unit) = eff.work() {
                             record_work(&mut metrics, unit);
+                            events.push(Event::Work { round, pid, unit });
                         }
                     }
                     let mut i = 0usize;
@@ -367,6 +388,8 @@ where
                                 let payload = op.payload.clone();
                                 metrics.messages += 1;
                                 *metrics.messages_by_class.entry(payload.class()).or_insert(0) += 1;
+                                let class = payload.class();
+                                events.push(Event::Send { round, from: pid, to, class });
                                 next_pending.push((pid, to, payload));
                             }
                             i += 1;
@@ -376,6 +399,7 @@ where
                     alive[idx] = false;
                     live -= 1;
                     metrics.crashes += 1;
+                    events.push(Event::Crash { round, pid });
                     if let Fate::CrashRecover { downtime, wipe, .. } = fate {
                         revive
                             .insert(idx, (round.saturating_add(u128::from(downtime.max(1))), wipe));
@@ -386,26 +410,35 @@ where
                     // filtered messages count as omissions.
                     if let Some(unit) = eff.work() {
                         record_work(&mut metrics, unit);
+                        events.push(Event::Work { round, pid, unit });
                     }
                     let mut i = 0usize;
+                    let mut suppressed = 0u64;
                     for op in eff.sends() {
                         for to in op.to.iter() {
                             if filter.lets_through(i, to) {
                                 let payload = op.payload.clone();
                                 metrics.messages += 1;
                                 *metrics.messages_by_class.entry(payload.class()).or_insert(0) += 1;
+                                let class = payload.class();
+                                events.push(Event::Send { round, from: pid, to, class });
                                 next_pending.push((pid, to, payload));
                             } else {
-                                metrics.omissions += 1;
+                                suppressed += 1;
                             }
                             i += 1;
                         }
+                    }
+                    if suppressed > 0 {
+                        metrics.omissions += suppressed;
+                        events.push(Event::Note { round, pid, tag: "fault:omit" });
                     }
                     if eff.is_terminated() {
                         statuses[idx] = Status::Terminated(round);
                         alive[idx] = false;
                         live -= 1;
                         metrics.terminations += 1;
+                        events.push(Event::Terminate { round, pid });
                     }
                 }
             }
@@ -413,13 +446,14 @@ where
 
         if live == 0 && revive.is_empty() {
             metrics.rounds = round;
-            return Some(Report {
+            let report = Report {
                 metrics,
                 trace: Trace::new(),
                 statuses,
                 mem: MemBudget::default(),
                 executed_rounds,
-            });
+            };
+            return Some((report, events));
         }
 
         std::mem::swap(&mut pending, &mut next_pending);
@@ -511,19 +545,22 @@ fn fault_plan(t: usize, seed: u64, horizon: u64) -> FaultPlan {
     plan
 }
 
-/// Runs `procs` through the production engine and the reference, and
-/// asserts they agree on metrics, statuses, and executed rounds.
+/// Runs `procs` through the production engine (traced) and the reference,
+/// and asserts they agree on metrics, statuses, executed rounds, and the
+/// event trace.
 fn assert_twins<P, A>(procs: Vec<P>, adversary: A, cfg: RunConfig) -> Report
 where
     P: Protocol + Clone,
     A: Adversary<P::Msg> + Clone,
 {
-    let fast = run(procs.clone(), adversary.clone(), cfg.clone()).expect("fixtures always retire");
-    let reference =
+    let fast = run(procs.clone(), adversary.clone(), cfg.clone().with_trace())
+        .expect("fixtures always retire");
+    let (reference, events) =
         run_reference(procs, adversary, cfg).expect("reference run must complete identically");
     assert_eq!(&fast.metrics, &reference.metrics);
     assert_eq!(&fast.statuses, &reference.statuses);
     assert_eq!(fast.executed_rounds, reference.executed_rounds);
+    assert_eq!(fast.trace.events(), events.as_slice());
     fast
 }
 
