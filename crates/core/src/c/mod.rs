@@ -130,6 +130,21 @@ impl Groups {
         ((1u64 << (h - 1)) - 1 + block) as usize
     }
 
+    /// The lowest member of the group at flat index `idx` other than `me`:
+    /// that group's initial pointer in `me`'s view.
+    fn lowest_other(self, idx: usize, me: u64) -> u64 {
+        // Inverts `flat_index`: level h holds indices 2^{h−1} − 1 ..
+        // 2^h − 2, so h − 1 is the position of `idx + 1`'s top bit.
+        let h = usize::BITS - (idx + 1).leading_zeros();
+        let block = (idx + 1 - (1 << (h - 1))) as u64;
+        let lowest = block * self.size(h);
+        if lowest == me {
+            lowest + 1
+        } else {
+            lowest
+        }
+    }
+
     /// The cyclic successor of `after` within group `(h, block)`, skipping
     /// `me` and every member of `f`; `None` if no eligible member remains.
     pub fn successor(
@@ -165,6 +180,15 @@ impl Groups {
 }
 
 /// A process's knowledge: the triple `(F_i, point_i, round_i)` of §3.1.
+///
+/// The per-group pointers and stamps are stored sparsely: only the groups
+/// whose pointer or stamp moved from its initial value are kept, sorted
+/// by [`Groups::flat_index`]. An absent group reads as its initial pointer
+/// (the group's lowest member other than the owner) with stamp 0. This is
+/// exact because [`merge`](View::merge) adopts a group only on a strictly
+/// later stamp, so an unmoved entry is never read across views. Building
+/// a view is O(1) and copying one is O(moved groups + |F|), where a dense
+/// table would be O(t) for both.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct View {
     /// Processes known to have retired.
@@ -174,30 +198,69 @@ pub struct View {
     /// Round at which the last known unit of work was performed (a wide
     /// virtual-time stamp: honest `t = 64` runs reach rounds beyond 2⁶⁴).
     pub round_work: Round,
-    /// Per-group pointer: successor of the last member known to have
-    /// received an ordinary message from a process working on the group
-    /// one level down. Indexed by [`Groups::flat_index`].
-    pub point: Vec<u64>,
-    /// Per-group round stamp for `point`, on the wide clock.
-    pub round: Vec<Round>,
+    groups: Groups,
+    owner: u64,
+    /// The groups off their initial state, sorted by `group`.
+    moved: Vec<Moved>,
+}
+
+/// One group's pointer and stamp in a [`View`], kept while they differ
+/// from the initial ones.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Moved {
+    group: usize,
+    point: u64,
+    round: Round,
 }
 
 impl View {
     /// The initial view of process `me`: nothing done, nobody failed, every
     /// pointer at the lowest-numbered group member other than `me`.
     pub fn initial(groups: Groups, me: u64) -> Self {
-        let mut point = vec![0; groups.group_count()];
-        let round = vec![Round::ZERO; groups.group_count()];
-        for h in 1..=groups.levels() {
-            for block in 0..(groups.t() / groups.size(h)) {
-                let lowest = groups
-                    .members(h, block)
-                    .find(|&p| p != me)
-                    .expect("groups have at least 2 members");
-                point[groups.flat_index(h, block)] = lowest;
-            }
+        View {
+            f: BTreeSet::new(),
+            point_work: 1,
+            round_work: Round::ZERO,
+            groups,
+            owner: me,
+            moved: Vec::new(),
         }
-        View { f: BTreeSet::new(), point_work: 1, round_work: Round::ZERO, point, round }
+    }
+
+    /// Per-group pointer of the group at [`Groups::flat_index`] `idx`:
+    /// successor of the last member known to have received an ordinary
+    /// message from a process working on the group one level down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below [`Groups::group_count`].
+    pub fn point(&self, idx: usize) -> u64 {
+        match self.find(idx) {
+            Ok(k) => self.moved[k].point,
+            Err(_) => self.groups.lowest_other(idx, self.owner),
+        }
+    }
+
+    /// Round stamp of [`point`](View::point)`(idx)`, on the wide clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below [`Groups::group_count`].
+    pub fn round(&self, idx: usize) -> Round {
+        self.find(idx).map_or(Round::ZERO, |k| self.moved[k].round)
+    }
+
+    /// Sets group `idx`'s pointer and stamp.
+    pub(crate) fn set(&mut self, idx: usize, point: u64, round: Round) {
+        match self.find(idx) {
+            Ok(k) => self.moved[k] = Moved { group: idx, point, round },
+            Err(k) => self.moved.insert(k, Moved { group: idx, point, round }),
+        }
+    }
+
+    fn find(&self, idx: usize) -> Result<usize, usize> {
+        assert!(idx < self.groups.group_count(), "group index {idx} out of range");
+        self.moved.binary_search_by_key(&idx, |m| m.group)
     }
 
     /// The reduced view: units known done plus failures known
@@ -212,7 +275,7 @@ impl View {
         self.f.is_superset(&other.f)
             && self.round_work >= other.round_work
             && self.point_work >= other.point_work
-            && self.round.iter().zip(&other.round).all(|(a, b)| a >= b)
+            && other.moved.iter().all(|m| self.round(m.group) >= m.round)
     }
 
     /// Merges a received view into this one (adopting, per group, the
@@ -231,12 +294,27 @@ impl View {
             self.point_work = other.point_work;
             changed = true;
         }
-        for idx in 0..self.point.len() {
-            if other.round[idx] > self.round[idx] {
-                self.round[idx] = other.round[idx];
-                self.point[idx] = other.point[idx];
+        // One walk over both sorted tables: groups this view holds are
+        // updated in place, the others are appended and sorted in after.
+        let len = self.moved.len();
+        let mut k = 0;
+        for m in other.moved.iter().filter(|m| m.round > Round::ZERO) {
+            while k < len && self.moved[k].group < m.group {
+                k += 1;
+            }
+            if k < len && self.moved[k].group == m.group {
+                if m.round > self.moved[k].round {
+                    self.moved[k] = *m;
+                    changed = true;
+                }
+            } else {
+                self.moved.push(*m);
                 changed = true;
             }
+        }
+        if self.moved.len() > len {
+            // Two sorted runs: the stable sort merges them in one pass.
+            self.moved.sort_by_key(|m| m.group);
         }
         changed
     }
@@ -353,11 +431,11 @@ mod tests {
         let g = Groups::new(4);
         let v = View::initial(g, 0);
         // Level 2 block 0 = {0,1}: lowest non-0 is 1.
-        assert_eq!(v.point[g.flat_index(2, 0)], 1);
+        assert_eq!(v.point(g.flat_index(2, 0)), 1);
         // Level 1 = {0..3}: lowest non-0 is 1.
-        assert_eq!(v.point[g.flat_index(1, 0)], 1);
+        assert_eq!(v.point(g.flat_index(1, 0)), 1);
         let v2 = View::initial(g, 1);
-        assert_eq!(v2.point[g.flat_index(2, 0)], 0);
+        assert_eq!(v2.point(g.flat_index(2, 0)), 0);
         assert_eq!(v.reduced(), 0);
     }
 
@@ -369,12 +447,11 @@ mod tests {
         b.f.insert(2);
         b.point_work = 5;
         b.round_work = Round::from(9u64);
-        b.point[0] = 3;
-        b.round[0] = Round::from(9u64);
+        b.set(0, 3, Round::from(9u64));
         assert!(a.merge(&b));
         assert_eq!(a.point_work, 5);
         assert!(a.f.contains(&2));
-        assert_eq!(a.point[0], 3);
+        assert_eq!(a.point(0), 3);
         assert_eq!(a.reduced(), 5);
         // Merging an older view changes nothing.
         assert!(!a.merge(&View::initial(g, 1)));
@@ -384,6 +461,142 @@ mod tests {
         // b does not dominate a in the f-component... (a == b ∪ older now)
         b.f.insert(3);
         assert!(!a.dominates(&b));
+    }
+
+    /// The dense two-array view the sparse table replaces: the reference
+    /// for `sparse_view_matches_dense_reference`.
+    #[derive(Clone)]
+    struct DenseView {
+        f: BTreeSet<u64>,
+        point_work: u64,
+        round_work: Round,
+        point: Vec<u64>,
+        round: Vec<Round>,
+    }
+
+    impl DenseView {
+        fn initial(groups: Groups, me: u64) -> Self {
+            let mut point = vec![0; groups.group_count()];
+            for h in 1..=groups.levels() {
+                for block in 0..(groups.t() / groups.size(h)) {
+                    let lowest = groups.members(h, block).find(|&p| p != me).unwrap();
+                    point[groups.flat_index(h, block)] = lowest;
+                }
+            }
+            let round = vec![Round::ZERO; groups.group_count()];
+            DenseView { f: BTreeSet::new(), point_work: 1, round_work: Round::ZERO, point, round }
+        }
+
+        fn dominates(&self, other: &DenseView) -> bool {
+            self.f.is_superset(&other.f)
+                && self.round_work >= other.round_work
+                && self.point_work >= other.point_work
+                && self.round.iter().zip(&other.round).all(|(a, b)| a >= b)
+        }
+
+        fn merge(&mut self, other: &DenseView) -> bool {
+            let mut changed = false;
+            if !other.f.is_subset(&self.f) {
+                self.f.extend(other.f.iter().copied());
+                changed = true;
+            }
+            if other.round_work > self.round_work
+                || (other.round_work == self.round_work && other.point_work > self.point_work)
+            {
+                self.round_work = other.round_work;
+                self.point_work = other.point_work;
+                changed = true;
+            }
+            for idx in 0..self.point.len() {
+                if other.round[idx] > self.round[idx] {
+                    self.round[idx] = other.round[idx];
+                    self.point[idx] = other.point[idx];
+                    changed = true;
+                }
+            }
+            changed
+        }
+    }
+
+    #[test]
+    fn sparse_view_matches_dense_reference() {
+        // xorshift-driven differential: stamped and unstamped pointer
+        // moves, F inserts, work moves and merges, applied to both.
+        let g = Groups::new(16);
+        let mut sparse: Vec<View> = (0..g.t()).map(|me| View::initial(g, me)).collect();
+        let mut dense: Vec<DenseView> = (0..g.t()).map(|me| DenseView::initial(g, me)).collect();
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for step in 0..20_000 {
+            let r = next();
+            let i = (r % g.t()) as usize;
+            let idx = ((r >> 8) % g.group_count() as u64) as usize;
+            let point = (r >> 16) % g.t();
+            let stamp = Round::from((r >> 24) % 40);
+            match (r >> 40) % 6 {
+                // A stamped move (report sent, or a merge-style adoption).
+                0 | 1 => {
+                    sparse[i].set(idx, point, stamp);
+                    dense[i].point[idx] = point;
+                    dense[i].round[idx] = stamp;
+                }
+                // A pointer-only move (failure detected), the stamp kept;
+                // sometimes back to the initial pointer.
+                2 => {
+                    let point =
+                        if r & (1 << 50) == 0 { point } else { g.lowest_other(idx, i as u64) };
+                    let kept = sparse[i].round(idx);
+                    sparse[i].set(idx, point, kept);
+                    dense[i].point[idx] = point;
+                }
+                3 => {
+                    sparse[i].f.insert(point);
+                    dense[i].f.insert(point);
+                }
+                4 => {
+                    sparse[i].point_work += 1;
+                    sparse[i].round_work = stamp;
+                    dense[i].point_work += 1;
+                    dense[i].round_work = stamp;
+                }
+                _ => {
+                    let j = ((r >> 48) % g.t()) as usize;
+                    if i != j {
+                        let (from_s, from_d) = (sparse[j].clone(), dense[j].clone());
+                        assert_eq!(
+                            sparse[i].merge(&from_s),
+                            dense[i].merge(&from_d),
+                            "step {step}: merge {j} into {i}"
+                        );
+                    }
+                }
+            }
+            let j = ((r >> 56) % g.t()) as usize;
+            assert_eq!(
+                sparse[i].dominates(&sparse[j]),
+                dense[i].dominates(&dense[j]),
+                "step {step}: {i} dominates {j}"
+            );
+            assert_eq!(
+                sparse[j].dominates(&sparse[i]),
+                dense[j].dominates(&dense[i]),
+                "step {step}: {j} dominates {i}"
+            );
+            for k in 0..g.group_count() {
+                assert_eq!(sparse[i].point(k), dense[i].point[k], "step {step}: point {k}");
+                assert_eq!(sparse[i].round(k), dense[i].round[k], "step {step}: round {k}");
+            }
+            assert_eq!(sparse[i].f, dense[i].f);
+            assert_eq!(
+                (sparse[i].point_work, sparse[i].round_work),
+                (dense[i].point_work, dense[i].round_work)
+            );
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl ProtocolC {
     }
 
     fn level_pointer(&self, h: u32) -> u64 {
-        self.view.point[self.groups.flat_index(h, self.groups.block_of(self.j, h))]
+        self.view.point(self.groups.flat_index(h, self.groups.block_of(self.j, h)))
     }
 
     /// Sends an ordinary report to the current pointer of our level-`h`
@@ -126,7 +126,7 @@ impl ProtocolC {
         let block = self.groups.block_of(self.j, h);
         let idx = self.groups.flat_index(h, block);
         let Some(target) =
-            self.groups.normalize(h, block, self.view.point[idx], self.j, &self.view.f)
+            self.groups.normalize(h, block, self.view.point(idx), self.j, &self.view.f)
         else {
             return false; // everyone else in the group is known retired
         };
@@ -134,8 +134,7 @@ impl ProtocolC {
             .groups
             .successor(h, block, target, self.j, &self.view.f)
             .expect("target itself is eligible, so a successor exists");
-        self.view.round[idx] = round;
-        self.view.point[idx] = next;
+        self.view.set(idx, next, round);
         eff.send(Pid::new(target as usize), CMsg::Ordinary(Box::new(self.view.clone())));
         true
     }
@@ -183,8 +182,9 @@ impl ProtocolC {
                         .groups
                         .successor(h, block, target, self.j, &self.view.f)
                         .map(|next| {
+                            // A pointer-only move: the stamp stays.
                             let idx = self.groups.flat_index(h, block);
-                            self.view.point[idx] = next;
+                            self.view.set(idx, next, self.view.round(idx));
                         })
                         .is_some();
                     let next_state = if has_more {
@@ -339,7 +339,9 @@ impl Protocol for ProtocolC {
 mod tests {
     use doall_bounds::theorems;
     use doall_sim::invariants::{check_sequential_work, check_single_active};
-    use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger};
+    use doall_sim::{
+        run, run_returning, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger,
+    };
 
     use super::*;
 
@@ -547,6 +549,29 @@ mod tests {
             "every process must retire"
         );
         bounds_hold(&report, 6, 4);
+    }
+
+    #[test]
+    fn deep_idle_views_hold_only_moved_groups() {
+        // The e3 deep-idle cell at t = 1024: p0 does all the work, and every
+        // passive process vanishes silently at round 2^100. A dense table
+        // would hold t − 1 groups per view; the sparse one holds at most
+        // log t + 1, and O(t) over all views.
+        let (n, t) = (1_024u64, 1_024u64);
+        let horizon = Round::new(1 << 100);
+        let plan = (1..t).fold(FaultPlan::default(), |plan, j| {
+            let at = Trigger::AtRound { pid: Pid::new(j as usize), round: horizon };
+            plan.crash_on(at, CrashSpec::silent())
+        });
+        let cfg = RunConfig::new(n as usize, Round::MAX);
+        let (report, procs) =
+            run_returning(ProtocolC::processes(n, t).unwrap(), plan, cfg).unwrap();
+        assert!(report.metrics.all_work_done());
+        let most = t.trailing_zeros() as usize + 1;
+        let moved: Vec<usize> = procs.iter().map(|p| p.view.moved.len()).collect();
+        assert!(moved.iter().all(|&m| m <= most), "{moved:?}");
+        let total: usize = moved.iter().sum();
+        assert!(total <= 2 * t as usize, "{total} moved groups over {t} views");
     }
 
     #[test]

@@ -427,16 +427,20 @@ impl ProtocolD {
 
         let mut done = false;
         if iter >= 1 {
-            // Messages broadcast during the previous round are in.
-            let u_before = u.clone();
+            // Messages broadcast during the previous round are in. One pass
+            // merges them and collects who was heard; the merges share one
+            // scratch buffer.
+            let mut scratch = Vec::new();
+            let mut heard = IntervalSet::new();
             let mut adopted = false;
-            for (_, msg) in inbox.iter() {
+            for (from, msg) in inbox.iter() {
                 let DMsg::Agree { phase, s, t, done: their_done } = msg else {
                     continue;
                 };
                 if *phase != self.phase {
                     continue; // stale straggler from an earlier phase
                 }
+                heard.insert(from.index() as u64);
                 if *their_done {
                     // Line 11-14: adopt the decided view wholesale.
                     self.s = s.clone();
@@ -444,24 +448,17 @@ impl ProtocolD {
                     done = true;
                     adopted = true;
                 } else if !adopted {
-                    self.s.intersect(s);
-                    t_new.union_with(t);
+                    self.s.intersect_via(s, &mut scratch);
+                    t_new.union_via(t, &mut scratch);
                 }
             }
             if !adopted && iter >= enable_iter {
-                for i in u_before.iter() {
-                    if i == self.j {
-                        continue;
-                    }
-                    let heard = inbox.iter().any(|(from, msg)| {
-                        from.index() as u64 == i
-                            && matches!(msg, DMsg::Agree { phase, .. } if *phase == self.phase)
-                    });
-                    if !heard {
-                        u.remove(i);
-                    }
-                }
-                if u == u_before {
+                // Everyone in `U` not heard from is faulty. `U` only
+                // shrinks, so an unchanged size means an unchanged view.
+                let before = u.len();
+                heard.insert(self.j);
+                u.intersect_via(&heard, &mut scratch);
+                if u.len() == before {
                     done = true; // line 17: the view has stabilized
                 }
             }
@@ -692,6 +689,29 @@ mod tests {
         let report = run(ProtocolD::processes(n, t).unwrap(), adv, cfg(n)).unwrap();
         assert!(report.metrics.all_work_done());
         assert!(report.metrics.work_total <= 2 * n);
+    }
+
+    #[test]
+    fn agreement_counts_are_pinned() {
+        // Exact counts of the broadcast agreement at (n, t) = (256, 64).
+        // Failure-free: one work phase of n/t rounds, then two agreement
+        // rounds of t(t − 1) messages each.
+        let (n, t) = (256u64, 64u64);
+        let counts = |adv: FaultPlan| {
+            let report = run(ProtocolD::processes(n, t).unwrap(), adv, cfg(n)).unwrap();
+            assert!(report.metrics.all_work_done());
+            let m = report.metrics;
+            (m.messages, m.rounds.get(), m.work_total)
+        };
+        assert_eq!(counts(FaultPlan::default()), (8_064, 6, 256));
+        // p0 dies mid-broadcast in the first agreement round, reaching only
+        // p1..p31. Those hear everyone, so their `U` is stable and they
+        // decide at once; p32..p63 miss p0, shrink `U`, and adopt the
+        // decided view one round later.
+        let heard_by = (1..32).map(Pid::new);
+        let adv =
+            FaultPlan::default().crash_at(Pid::new(0), n / t + 1, CrashSpec::subset(heard_by));
+        assert_eq!(counts(adv), (9_921, 7, 256));
     }
 
     #[test]

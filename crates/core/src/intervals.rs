@@ -170,7 +170,17 @@ impl IntervalSet {
 
     /// In-place intersection with `other`. `O(runs + other.runs)`.
     pub fn intersect(&mut self, other: &IntervalSet) {
-        let mut out = Vec::new();
+        self.intersect_via(other, &mut Vec::new());
+    }
+
+    /// [`intersect`](IntervalSet::intersect), building the result in
+    /// `scratch` and leaving this set's old buffer there, so repeated
+    /// merges through one scratch allocate nothing once warm.
+    pub(crate) fn intersect_via(&mut self, other: &IntervalSet, scratch: &mut Vec<(u64, u64)>) {
+        if self.runs == other.runs {
+            return;
+        }
+        scratch.clear();
         let (mut i, mut j) = (0, 0);
         while i < self.runs.len() && j < other.runs.len() {
             let (alo, ahi) = self.runs[i];
@@ -178,7 +188,7 @@ impl IntervalSet {
             let lo = alo.max(blo);
             let hi = ahi.min(bhi);
             if lo < hi {
-                out.push((lo, hi));
+                scratch.push((lo, hi));
             }
             if ahi <= bhi {
                 i += 1;
@@ -186,15 +196,21 @@ impl IntervalSet {
                 j += 1;
             }
         }
-        self.runs = out;
+        std::mem::swap(&mut self.runs, scratch);
     }
 
     /// In-place union with `other`. `O(runs + other.runs)`.
     pub fn union_with(&mut self, other: &IntervalSet) {
-        if other.runs.is_empty() {
+        self.union_via(other, &mut Vec::new());
+    }
+
+    /// [`union_with`](IntervalSet::union_with) through `scratch`, as
+    /// [`intersect_via`](IntervalSet::intersect_via).
+    pub(crate) fn union_via(&mut self, other: &IntervalSet, scratch: &mut Vec<(u64, u64)>) {
+        if other.runs.is_empty() || self.runs == other.runs {
             return;
         }
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(self.runs.len() + other.runs.len());
+        scratch.clear();
         let (mut i, mut j) = (0, 0);
         let push = |run: (u64, u64), out: &mut Vec<(u64, u64)>| match out.last_mut() {
             Some(last) if run.0 <= last.1 => last.1 = last.1.max(run.1),
@@ -204,14 +220,14 @@ impl IntervalSet {
             let take_a =
                 j >= other.runs.len() || (i < self.runs.len() && self.runs[i].0 <= other.runs[j].0);
             if take_a {
-                push(self.runs[i], &mut out);
+                push(self.runs[i], scratch);
                 i += 1;
             } else {
-                push(other.runs[j], &mut out);
+                push(other.runs[j], scratch);
                 j += 1;
             }
         }
-        self.runs = out;
+        std::mem::swap(&mut self.runs, scratch);
     }
 
     /// Approximate heap footprint in bytes.
@@ -357,6 +373,10 @@ mod tests {
         assert_eq!(dense(&s), model.iter().copied().collect::<Vec<_>>());
         // Algebra against the model too.
         let other: IntervalSet = (0..64u64).filter(|v| v % 3 != 0).collect();
+        let mut same = s.clone();
+        same.intersect(&s);
+        same.union_with(&s);
+        assert_eq!(same, s);
         let mut inter = s.clone();
         inter.intersect(&other);
         let expect: Vec<u64> = model.iter().copied().filter(|v| v % 3 != 0).collect();
