@@ -22,8 +22,6 @@
 //! waiting for a detector report about every lower-numbered process — the
 //! `INFER = true` instance of the same machine.
 
-use std::collections::BTreeSet;
-
 use doall_bounds::AbParams;
 use doall_sim::asynch::{AsyncEffects, AsyncProtocol};
 use doall_sim::{Inbox, Pid};
@@ -58,15 +56,19 @@ pub type AsyncProtocolA = AsyncAb<false>;
 #[derive(Clone, Debug)]
 pub struct AsyncAb<const INFER: bool> {
     core: DoWork,
-    /// Detector reports received ahead of the `known_below` watermark.
-    reported: BTreeSet<u64>,
+    /// Bitmap of the detector reports that can still move the
+    /// `known_below` watermark: bit `r` (word `r / 64`) is set for a
+    /// report on `known_below ≤ r < j`, grown on demand, so it never
+    /// holds more than `⌈j / 64⌉` words. Reports on `j` or above, or
+    /// below the watermark, are never read and are not stored.
+    reported: Vec<u64>,
     /// Everything below this pid is known retired by *inference*: an
     /// ordinary message from `i` proves all `k < i` retired (Lemma 2.2).
     /// Stays 0 unless `INFER`.
     inferred_below: u64,
     /// Everything below this pid is known retired (by report or
-    /// inference) — advanced incrementally so each notice or message
-    /// batch costs amortized O(log t), not a rescan of `0..j`.
+    /// inference) — advanced incrementally, one bit test per report, so a
+    /// notice or message batch never rescans `0..j`.
     known_below: u64,
 }
 
@@ -75,7 +77,7 @@ impl<const INFER: bool> AsyncAb<INFER> {
     pub fn new(params: AbParams, j: u64) -> Self {
         AsyncAb {
             core: DoWork::new(params, j),
-            reported: BTreeSet::new(),
+            reported: Vec::new(),
             inferred_below: 0,
             known_below: 0,
         }
@@ -96,10 +98,26 @@ impl<const INFER: bool> AsyncAb<INFER> {
     /// advanced incrementally).
     fn all_lower_known_retired(&mut self) -> bool {
         self.known_below = self.known_below.max(self.inferred_below);
-        while self.known_below < self.core.rank && self.reported.remove(&self.known_below) {
+        while self.known_below < self.core.rank && self.is_reported(self.known_below) {
             self.known_below += 1;
         }
         self.known_below >= self.core.rank
+    }
+
+    /// Records a detector report on `r` if the watermark can still read it.
+    fn record_report(&mut self, r: u64) {
+        if !(self.known_below..self.core.rank).contains(&r) {
+            return;
+        }
+        let word = (r / 64) as usize;
+        if word >= self.reported.len() {
+            self.reported.resize(word + 1, 0);
+        }
+        self.reported[word] |= 1 << (r % 64);
+    }
+
+    fn is_reported(&self, r: u64) -> bool {
+        self.reported.get((r / 64) as usize).is_some_and(|w| w & (1 << (r % 64)) != 0)
     }
 
     fn maybe_activate(&mut self, eff: &mut AsyncEffects<AbMsg>) {
@@ -152,7 +170,7 @@ impl<const INFER: bool> AsyncProtocol for AsyncAb<INFER> {
     }
 
     fn on_retirement(&mut self, retired: Pid, eff: &mut AsyncEffects<AbMsg>) {
-        self.reported.insert(retired.index() as u64);
+        self.record_report(retired.index() as u64);
         self.maybe_activate(eff);
     }
 
@@ -289,5 +307,97 @@ mod tests {
         let report = run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(3)).unwrap();
         assert!(report.metrics.all_work_done());
         assert!(report.metrics.work_total <= theorems::protocol_a(N, T).work);
+    }
+
+    /// The watermark as it was kept before the bitmap: every report, for
+    /// any pid, in a tree, removed as the watermark passes it.
+    struct TreeWatermark {
+        rank: u64,
+        reported: std::collections::BTreeSet<u64>,
+        inferred_below: u64,
+        known_below: u64,
+    }
+
+    impl TreeWatermark {
+        fn all_lower_known_retired(&mut self) -> bool {
+            self.known_below = self.known_below.max(self.inferred_below);
+            while self.known_below < self.rank && self.reported.remove(&self.known_below) {
+                self.known_below += 1;
+            }
+            self.known_below >= self.rank
+        }
+    }
+
+    /// Drives the bitmap watermark in lockstep with [`TreeWatermark`]:
+    /// reports in random order, duplicates (the shape of a revival's
+    /// replay), pids at or above the rank, inference jumps (`INFER` only)
+    /// and wipes.
+    fn bitmap_watermark_matches_tree<const INFER: bool>() {
+        let params = AbParams::new(256, 256);
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut eff = AsyncEffects::default();
+        for rank in [0, 1, 2, 63, 64, 65, 127, 128, 200, 255] {
+            let mut proc = AsyncAb::<INFER>::new(params, rank);
+            let mut model = TreeWatermark {
+                rank,
+                reported: Default::default(),
+                inferred_below: 0,
+                known_below: 0,
+            };
+            let mut last = 0u64;
+            for step in 0..20_000 {
+                eff.reset();
+                let r = next();
+                let near = model.known_below + (r >> 8) % 4;
+                let kind = (r >> 40) % 1024;
+                match kind {
+                    // Reports anywhere in the system, this pid and above
+                    // included.
+                    0..=383 => last = (r >> 8) % params.t,
+                    // Reports at or just past the watermark, so it moves.
+                    384..=767 => last = near.min(params.t - 1),
+                    // A duplicate of the last report.
+                    768..=895 => {}
+                    // An ordinary message from `from` proves all below it
+                    // retired (as `on_messages` records it).
+                    896..=1022 if INFER => {
+                        let from = near.min(params.t - 1);
+                        proc.inferred_below = proc.inferred_below.max(from.min(rank));
+                        model.inferred_below = model.inferred_below.max(from.min(rank));
+                    }
+                    896..=1022 => continue,
+                    _ => {
+                        proc.on_recover(true, &mut eff);
+                        model.reported.clear();
+                        model.inferred_below = 0;
+                        model.known_below = 0;
+                    }
+                }
+                if kind < 896 {
+                    proc.on_retirement(Pid::new(last as usize), &mut eff);
+                    model.reported.insert(last);
+                }
+                let ctx = format!("INFER={INFER} rank {rank} step {step}");
+                assert_eq!(
+                    proc.all_lower_known_retired(),
+                    model.all_lower_known_retired(),
+                    "{ctx}"
+                );
+                assert_eq!(proc.known_below, model.known_below, "{ctx}");
+                assert!(proc.reported.len() as u64 <= rank.div_ceil(64), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn report_bitmap_matches_tree_model() {
+        bitmap_watermark_matches_tree::<false>();
+        bitmap_watermark_matches_tree::<true>();
     }
 }

@@ -170,6 +170,48 @@ impl FleetReport {
     pub fn find(&self, label: &str) -> Option<&JobRecord> {
         self.records.iter().find(|r| r.label == label)
     }
+
+    /// Debug-build check that the aggregates agree with the records: one
+    /// record per job, each verdict tallied once, deadline misses only
+    /// among completed jobs, and the fleet's work and message totals the
+    /// sums over the completed jobs' reports.
+    pub(crate) fn debug_check(&self) {
+        let m = &self.metrics;
+        let tally = |f: fn(Verdict) -> bool| self.records.iter().filter(|r| f(r.verdict)).count();
+        debug_assert_eq!(m.jobs, self.records.len(), "jobs disagrees with the records");
+        debug_assert_eq!(
+            m.completed,
+            tally(|v| v == Verdict::Completed),
+            "completed disagrees with the records"
+        );
+        debug_assert_eq!(
+            m.rejected,
+            tally(|v| matches!(v, Verdict::Rejected(_))),
+            "rejected disagrees with the records"
+        );
+        debug_assert_eq!(
+            m.failed,
+            tally(|v| v == Verdict::Failed),
+            "failed disagrees with the records"
+        );
+        debug_assert!(
+            m.deadline_misses <= m.completed,
+            "more deadline misses ({}) than completed jobs ({})",
+            m.deadline_misses,
+            m.completed
+        );
+        let reports = || self.records.iter().filter_map(|r| r.report.as_ref());
+        debug_assert_eq!(
+            m.work_total,
+            reports().map(|r| r.metrics().work_total).sum::<u64>(),
+            "fleet work disagrees with the job reports"
+        );
+        debug_assert_eq!(
+            m.messages,
+            reports().map(|r| r.metrics().messages).sum::<u64>(),
+            "fleet messages disagree with the job reports"
+        );
+    }
 }
 
 /// Mutable scheduler state threaded through the event loop.
@@ -334,7 +376,9 @@ impl Session {
             max_queue_depth,
             sched.busy_slot_time,
         );
-        FleetReport { records, metrics }
+        let report = FleetReport { records, metrics };
+        report.debug_check();
+        report
     }
 }
 
@@ -417,4 +461,63 @@ fn percentile(sorted: &[u128], p: u128) -> u128 {
     }
     let rank = (p * sorted.len() as u128).div_ceil(100).max(1) as usize;
     sorted[rank.min(sorted.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use doall_sim::{Classify, Effects, Inbox, Protocol, Round, Unit};
+
+    use super::*;
+    use crate::JobSpec;
+
+    struct OneUnit(usize);
+
+    #[derive(Clone, Debug)]
+    struct NoMsg;
+    impl Classify for NoMsg {}
+
+    impl Protocol for OneUnit {
+        type Msg = NoMsg;
+        fn step(&mut self, _: Round, _: Inbox<'_, NoMsg>, eff: &mut Effects<NoMsg>) {
+            eff.perform(Unit::new(self.0 + 1));
+            eff.terminate();
+        }
+        fn next_wakeup(&self, now: Round) -> Option<Round> {
+            Some(now)
+        }
+    }
+
+    #[test]
+    fn debug_check_rejects_each_broken_invariant() {
+        // Two slots, no queue: the first job completes, the second finds
+        // the pool busy (QueueFull), the third is wider than the pool.
+        let mut session = Session::new(Pool::new(2), Admission::new(0));
+        for slots in [2, 2, 3] {
+            session.submit(0, JobSpec::new((0..slots).map(OneUnit).collect(), 4).into_job());
+        }
+        let mut report = session.run();
+        report.debug_check();
+        assert_eq!((report.metrics.completed, report.metrics.rejected), (1, 2));
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let good = report.metrics.clone();
+        let forged: [fn(&mut FleetMetrics); 7] = [
+            |m| m.jobs += 1,
+            |m| m.completed += 1,
+            |m| m.rejected -= 1,
+            |m| m.failed += 1,
+            |m| m.deadline_misses = m.completed + 1,
+            |m| m.work_total += 1,
+            |m| m.messages += 1,
+        ];
+        for forge in forged {
+            report.metrics = good.clone();
+            forge(&mut report.metrics);
+            let broken = report.metrics.clone();
+            assert!(catch_unwind(AssertUnwindSafe(|| report.debug_check())).is_err(), "{broken:?}");
+        }
+    }
 }

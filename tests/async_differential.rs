@@ -14,8 +14,9 @@
 //!    at `t = 1024` cover storm scale with full-struct [`Metrics`]
 //!    equality.
 //! 2. Failure-free asynchronous runs of Protocols A and B must report
-//!    exactly the synchronous work and message counts over a small grid —
-//!    the §2.1 claim that the bounds carry over.
+//!    exactly the synchronous work and message counts over a small grid
+//!    and, under a unit fixed delay, at storm scale `(2048, 1024)` — the
+//!    §2.1 claim that the bounds carry over.
 
 use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, DelayDist};
 use doall::sim::{Classify, CrashSpec, FaultPlan, Inbox, NoFailures, Pid, Trigger, Unit};
@@ -421,4 +422,34 @@ fn failure_free_async_equals_sync_for_a_and_b() {
             }
         }
     }
+    // Storm scale, the shape of `async_storm`'s failure-free cells, under
+    // `Fixed` 1 only. p0's terminal checkpoint is batched ahead of every
+    // detector notice about it, so p0 is the one process that ever
+    // activates: the 1,023 others are still passive when it lands and
+    // retire on it. A watermark that let one of them activate before
+    // then would add an activation here.
+    let (n, t) = (2_048u64, 1_024u64);
+    let sync_b = doall::sim::run(
+        ProtocolB::processes(n, t).unwrap(),
+        NoFailures,
+        doall::sim::RunConfig::new(n as usize, u64::MAX - 1),
+    )
+    .unwrap();
+    let cfg = AsyncConfig::new(n as usize, 42).with_delay(DelayDist::Fixed, 1);
+    let async_a =
+        run_async(AsyncProtocolA::processes(n, t).unwrap(), NoFailures, cfg.clone()).unwrap();
+    let async_b = run_async(AsyncProtocolB::processes(n, t).unwrap(), NoFailures, cfg).unwrap();
+    assert!(async_a.metrics.all_work_done() && async_b.metrics.all_work_done());
+    for report in [&async_a, &async_b] {
+        let activations = report.notes.iter().filter(|(_, _, tag)| *tag == "activate").count();
+        assert_eq!(activations, 1, "({n},{t},fixed 1): only p0 activates");
+    }
+    assert_eq!(async_a.metrics.work_total, 2_048, "A({n},{t},fixed 1)");
+    assert_eq!(async_a.metrics.messages, 94_240, "A({n},{t},fixed 1)");
+    assert_eq!(async_b.metrics.work_total, sync_b.metrics.work_total, "B({n},{t},fixed 1)");
+    assert_eq!(async_b.metrics.messages, sync_b.metrics.messages, "B({n},{t},fixed 1)");
+    assert_eq!(
+        async_b.metrics.messages_by_class, sync_b.metrics.messages_by_class,
+        "B({n},{t},fixed 1)"
+    );
 }
