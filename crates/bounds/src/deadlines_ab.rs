@@ -17,6 +17,9 @@ pub struct AbParams {
     pub n: u64,
     /// Number of processes (a perfect square).
     pub t: u64,
+    /// `√t`, computed once by [`new`](AbParams::new): every A/B step,
+    /// wakeup and deadline reads it.
+    sqrt_t: u64,
 }
 
 impl AbParams {
@@ -33,12 +36,13 @@ impl AbParams {
         assert!(crate::util::is_perfect_square(t), "t = {t} must be a perfect square");
         assert!(n.is_multiple_of(t), "n = {n} must be divisible by t = {t}");
         assert!(n >= t, "n = {n} must be at least t = {t}");
-        AbParams { n, t }
+        AbParams { n, t, sqrt_t: isqrt(t) }
     }
 
     /// `√t`.
     pub fn sqrt_t(self) -> u64 {
-        isqrt(self.t)
+        debug_assert_eq!(self.sqrt_t * self.sqrt_t, self.t, "cached √t out of step with t");
+        self.sqrt_t
     }
 
     /// The group of process `i`: `⌈(i+1)/√t⌉`, in `1..=√t`.

@@ -92,10 +92,17 @@ impl fmt::Display for DMsg {
 
 #[derive(Clone, Debug)]
 enum DState {
-    /// Performing this phase's share, one unit per round, then idling so
-    /// every process spends exactly `⌈|S|/|T|⌉` rounds in the phase.
+    /// Performing this phase's share `S'`, one unit per round, then idling
+    /// so every process spends exactly `⌈|S|/|T|⌉` rounds in the phase.
+    /// The share is walked by an inline cursor — `next..end` is what is
+    /// left of the run being worked, `run` the index of the share run to
+    /// load once it is used up — and `S` is left alone until the phase
+    /// ends, when line 8 removes the whole share at once.
     Work {
         share: IntervalSet,
+        next: u64,
+        end: u64,
+        run: usize,
         rounds_left: u64,
     },
     /// Running the Figure 4 `Agree` exchange.
@@ -126,8 +133,10 @@ enum DState {
         s_acc: IntervalSet,
         heard: IntervalSet,
     },
-    /// Reverted to Protocol A.
-    Fallback(FallbackMachine),
+    /// Reverted to Protocol A. Boxed: it is built only after a mass
+    /// failure, and inline it would grow every process from 160 bytes to
+    /// 256.
+    Fallback(Box<FallbackMachine>),
     Done,
 }
 
@@ -257,7 +266,7 @@ impl ProtocolD {
         let w = self.s.len().div_ceil(self.t_set.len());
         let grade = if self.t_set.contains(self.j) { self.t_set.rank(self.j) } else { 0 };
         let share = self.s.slice_by_rank(grade * w, w);
-        DState::Work { share, rounds_left: w }
+        DState::Work { share, next: 0, end: 0, run: 0, rounds_left: w }
     }
 
     fn enter_agree(&mut self) -> DState {
@@ -410,8 +419,8 @@ impl ProtocolD {
             eff.note("fallback");
             let survivors: Vec<u64> = self.t_set.iter().collect();
             let units: Vec<u64> = self.s.iter().collect();
-            self.state =
-                DState::Fallback(FallbackMachine::new(self.j, survivors, units, round + 1u64));
+            let machine = FallbackMachine::new(self.j, survivors, units, round + 1u64);
+            self.state = DState::Fallback(Box::new(machine));
             return;
         }
         self.state = self.build_work_phase();
@@ -491,13 +500,24 @@ impl Protocol for ProtocolD {
         }
         match &mut self.state {
             DState::Done => {}
-            DState::Work { share, rounds_left } => {
-                if let Some(unit) = share.pop_min() {
-                    eff.perform(Unit::new(unit as usize));
-                    self.s.remove(unit); // line 8: S := S \ S' (incrementally)
+            DState::Work { share, next, end, run, rounds_left } => {
+                if *next == *end {
+                    if let Some(&(lo, hi)) = share.runs().get(*run) {
+                        (*next, *end) = (lo, hi);
+                        *run += 1;
+                    }
+                }
+                if *next < *end {
+                    eff.perform(Unit::new(*next as usize));
+                    *next += 1;
                 }
                 *rounds_left -= 1;
                 if *rounds_left == 0 {
+                    // Line 8: S := S \ S'. The share holds at most as many
+                    // units as the phase has rounds, so all of it is done,
+                    // and nothing reads S before this point.
+                    let share = std::mem::take(share);
+                    self.s.subtract(&share);
                     self.state = self.enter_agree();
                 }
             }
@@ -552,7 +572,7 @@ impl Protocol for ProtocolD {
 mod tests {
     use doall_bounds::theorems;
     use doall_sim::invariants::check_no_zombie_actions;
-    use doall_sim::{run, CrashSpec, FaultPlan, NoFailures, Pid, RunConfig};
+    use doall_sim::{run, CrashSpec, Event, FaultPlan, NoFailures, Pid, RunConfig};
 
     use super::*;
 
@@ -816,6 +836,101 @@ mod tests {
             assert!(report.metrics.all_work_done(), "seed {seed}");
             assert!(report.metrics.work_total <= 3 * n, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn work_cursor_walks_a_fragmented_share_then_subtracts_it() {
+        // S hand-fragmented into three runs: grade 1's share spans all of
+        // them, grade 3's is short and leaves idle rounds. Each step
+        // performs the next unit in ascending order, S is untouched until
+        // the phase's last step, and then loses exactly the share (line 8).
+        let (n, t) = (40u64, 4u64);
+        for (j, share_runs) in [(1u64, 3usize), (3, 1)] {
+            let mut d = ProtocolD::new(n, t, j);
+            d.s = (1..=n).filter(|u| ![12, 15, 16].contains(u)).collect();
+            d.state = d.build_work_phase();
+            let DState::Work { share, .. } = &d.state else { unreachable!() };
+            assert_eq!(share.runs().len(), share_runs, "p{j}");
+            let before: Vec<u64> = d.s.iter().collect();
+            let w = (before.len() as u64).div_ceil(t);
+            let share: Vec<u64> =
+                before.iter().copied().skip((j * w) as usize).take(w as usize).collect();
+            let mut performed = Vec::new();
+            for r in 1..=w {
+                assert!(matches!(d.state, DState::Work { .. }), "p{j} round {r}");
+                assert!(d.s.iter().eq(before.iter().copied()), "p{j} round {r}: S changed early");
+                let mut eff = Effects::default();
+                d.step(Round::new(r.into()), Inbox::empty(), &mut eff);
+                performed.extend(eff.work().map(|u| u.get() as u64));
+            }
+            assert_eq!(performed, share, "p{j}");
+            assert!(!matches!(d.state, DState::Work { .. }), "p{j}");
+            let expect = before.iter().copied().filter(|u| !share.contains(u));
+            assert!(d.s.iter().eq(expect), "p{j}: S \\ S'");
+        }
+    }
+
+    #[test]
+    fn cold_fallback_state_is_boxed() {
+        // 65,536 of these are swept every round of the scale cell.
+        assert!(std::mem::size_of::<DState>() <= 80);
+        assert!(std::mem::size_of::<ProtocolD>() <= 160);
+    }
+
+    /// p2, p5 and p9 of a `(120, 12)` system crash in round 4 of phase 0,
+    /// so phase 1 redistributes three non-adjacent runs of 10 units over 9
+    /// survivors, `w = 4`: p3's share is `{29, 30, 51, 52}`, across a gap.
+    fn non_adjacent_crashes(base: FaultPlan) -> FaultPlan {
+        [2usize, 5, 9]
+            .into_iter()
+            .fold(base, |adv, j| adv.crash_at(Pid::new(j), 4u64, CrashSpec::silent()))
+    }
+
+    #[test]
+    fn shares_across_runs_after_non_adjacent_crashes_are_pinned() {
+        let (n, t) = (120u64, 12u64);
+        let counts = |procs: Vec<ProtocolD>| {
+            let report = run(procs, non_adjacent_crashes(FaultPlan::default()), cfg(n)).unwrap();
+            assert!(report.metrics.all_work_done());
+            assert!(check_no_zombie_actions(&report.trace).is_empty());
+            let m = report.metrics;
+            (m.messages, m.rounds.get(), m.work_total)
+        };
+        assert_eq!(counts(ProtocolD::processes(n, t).unwrap()), (459, 20, 129));
+        assert_eq!(counts(ProtocolD::processes_with_coordinator(n, t).unwrap()), (35, 20, 129));
+    }
+
+    #[test]
+    fn stale_recovery_mid_share_resumes_the_cursor() {
+        // On top of the crashes above, p3 crashes in round 15 after
+        // performing 29 and 30 of its phase-1 share and rejoins stale three
+        // steps later: it resumes at 51, the far side of the gap.
+        use doall_sim::faults::FaultKind;
+        let (n, t) = (120u64, 12u64);
+        let recover = FaultKind::CrashRecover { pid: Pid::new(3), downtime: 3, wipe: false };
+        let counts = |procs: Vec<ProtocolD>| {
+            let plan = non_adjacent_crashes(FaultPlan::new([recover.clone().at(15u64)]));
+            let report = run(procs, plan, cfg(n)).unwrap();
+            assert!(report.metrics.all_work_done());
+            assert!(check_no_zombie_actions(&report.trace).is_empty());
+            let p3: Vec<(u128, usize)> = report
+                .trace
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Work { round, pid, unit } if pid.index() == 3 => {
+                        Some((round.get(), unit.get()))
+                    }
+                    _ => None,
+                })
+                .filter(|&(r, _)| (14..20).contains(&r))
+                .collect();
+            assert_eq!(p3, [(14, 29), (15, 30), (18, 51), (19, 52)]);
+            let m = report.metrics;
+            (m.messages, m.rounds.get(), m.work_total)
+        };
+        assert_eq!(counts(ProtocolD::processes(n, t).unwrap()), (499, 50, 155));
+        assert_eq!(counts(ProtocolD::processes_with_coordinator(n, t).unwrap()), (77, 58, 159));
     }
 
     #[test]

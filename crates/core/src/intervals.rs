@@ -122,17 +122,6 @@ impl IntervalSet {
         self.runs.first().map(|&(lo, _)| lo)
     }
 
-    /// Removes and returns the smallest element.
-    pub fn pop_min(&mut self) -> Option<u64> {
-        let &(lo, hi) = self.runs.first()?;
-        if lo + 1 == hi {
-            self.runs.remove(0);
-        } else {
-            self.runs[0].0 = lo + 1;
-        }
-        Some(lo)
-    }
-
     /// Iterates the elements in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.runs.iter().flat_map(|&(lo, hi)| lo..hi)
@@ -197,6 +186,60 @@ impl IntervalSet {
             }
         }
         std::mem::swap(&mut self.runs, scratch);
+    }
+
+    /// In-place difference `self \ other`. `O(runs + other.runs)`; a
+    /// one-run `other` inside one run of this set (Protocol D's usual
+    /// share) is cut out in place, growing the run vector by at most one.
+    pub fn subtract(&mut self, other: &IntervalSet) {
+        if let [(blo, bhi)] = other.runs[..] {
+            if let Ok(i) = self.find(blo) {
+                let (lo, hi) = self.runs[i];
+                if bhi <= hi {
+                    match (blo == lo, bhi == hi) {
+                        (true, true) => {
+                            self.runs.remove(i);
+                        }
+                        (true, false) => self.runs[i].0 = bhi,
+                        (false, true) => self.runs[i].1 = blo,
+                        (false, false) => {
+                            self.runs[i].1 = blo;
+                            self.runs.insert(i + 1, (bhi, hi));
+                        }
+                    }
+                    return;
+                }
+            }
+        }
+        if other.runs.is_empty() {
+            return;
+        }
+        // General case: a two-pointer walk, as `intersect_via`'s, pushing
+        // each run's surviving pieces left to right. Every run of `other`
+        // splits at most one run, which bounds the output.
+        let mut out = Vec::with_capacity(self.runs.len() + other.runs.len());
+        let mut j = 0;
+        for &(alo, ahi) in &self.runs {
+            let mut cur = alo;
+            while j < other.runs.len() && other.runs[j].1 <= cur {
+                j += 1;
+            }
+            while j < other.runs.len() && other.runs[j].0 < ahi {
+                let (blo, bhi) = other.runs[j];
+                if blo > cur {
+                    out.push((cur, blo));
+                }
+                cur = cur.max(bhi);
+                if bhi > ahi {
+                    break; // it may cover the next run too
+                }
+                j += 1;
+            }
+            if cur < ahi {
+                out.push((cur, ahi));
+            }
+        }
+        self.runs = out;
     }
 
     /// In-place union with `other`. `O(runs + other.runs)`.
@@ -290,15 +333,36 @@ mod tests {
     }
 
     #[test]
-    fn pop_min_drains_in_order() {
-        let mut s: IntervalSet = [7u64, 2, 9, 3].into_iter().collect();
-        let mut drained = Vec::new();
-        while let Some(v) = s.pop_min() {
-            drained.push(v);
-        }
-        assert_eq!(drained, vec![2, 3, 7, 9]);
+    fn subtract_cuts_in_place_or_merges() {
+        // The in-place path: one run of `other` inside one run of `self`.
+        let cut = |lo, hi| {
+            let mut s: IntervalSet =
+                [0u64, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 21].into_iter().collect();
+            s.subtract(&IntervalSet::from_range(lo..hi));
+            s
+        };
+        assert_eq!(cut(0, 10).runs(), &[(20, 22)]); // a whole run
+        assert_eq!(cut(0, 3).runs(), &[(3, 10), (20, 22)]); // a prefix
+        assert_eq!(cut(7, 10).runs(), &[(0, 7), (20, 22)]); // a suffix
+        assert_eq!(cut(4, 6).runs(), &[(0, 4), (6, 10), (20, 22)]); // a middle split
+        assert_eq!(cut(9, 10).runs(), &[(0, 9), (20, 22)]);
+        assert_eq!(cut(5, 6).runs(), &[(0, 5), (6, 10), (20, 22)]);
+        // One run that leaves its run of `self`, or misses it, takes the
+        // general path.
+        assert_eq!(cut(8, 21).runs(), &[(0, 8), (21, 22)]);
+        assert_eq!(cut(12, 18).runs(), &[(0, 10), (20, 22)]);
+        assert_eq!(cut(12, 30).runs(), &[(0, 10)]);
+        // A multi-run `other`, one of whose runs covers a gap and reaches
+        // into the next run.
+        let mut s: IntervalSet = (0u64..30).filter(|v| v % 10 < 6).collect();
+        assert_eq!(s.runs(), &[(0, 6), (10, 16), (20, 26)]);
+        let other: IntervalSet = [1u64, 2, 4, 5, 6, 7, 8, 9, 10, 11, 25].into_iter().collect();
+        s.subtract(&other);
+        assert_eq!(s.runs(), &[(0, 1), (3, 4), (12, 16), (20, 25)]);
+        s.subtract(&IntervalSet::new());
+        assert_eq!(s.len(), 11);
+        s.subtract(&IntervalSet::from_range(0..100));
         assert!(s.is_empty());
-        assert_eq!(s.min(), None);
     }
 
     #[test]
@@ -386,5 +450,27 @@ mod tests {
         let mut expect: std::collections::BTreeSet<u64> = model.clone();
         expect.extend((0..64u64).filter(|v| v % 3 != 0));
         assert_eq!(dense(&uni), expect.into_iter().collect::<Vec<_>>());
+        // Differences against the model: a fixed multi-run set, then random
+        // ones, single runs included (the in-place path).
+        let mut diff = s.clone();
+        diff.subtract(&other);
+        let expect: Vec<u64> = model.iter().copied().filter(|v| v % 3 == 0).collect();
+        assert_eq!(dense(&diff), expect);
+        for step in 0..400 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let cut: std::collections::BTreeSet<u64> = if x & 1 == 0 {
+                let lo = (x >> 8) % 64;
+                (lo..lo + (x >> 20) % 12).collect()
+            } else {
+                (0..64u64).filter(|v| (x >> (v % 61)) & 3 == 0).collect()
+            };
+            let mut diff = s.clone();
+            diff.subtract(&cut.iter().copied().collect());
+            let expect: Vec<u64> = model.difference(&cut).copied().collect();
+            assert_eq!(dense(&diff), expect, "step {step}");
+            assert_eq!(diff, expect.into_iter().collect::<IntervalSet>(), "step {step}: runs");
+        }
     }
 }

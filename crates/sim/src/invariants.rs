@@ -19,6 +19,37 @@ pub struct Violation {
     pub what: String,
 }
 
+/// A `Pid`-keyed map stored densely, slot `pid.index()`, grown on demand:
+/// a trace names processes `0..t`, so the checkers look a pid up by
+/// indexing instead of searching a tree on every event.
+struct PidMap<V>(Vec<Option<V>>);
+
+impl<V: Copy> PidMap<V> {
+    fn new() -> Self {
+        PidMap(Vec::new())
+    }
+
+    fn insert(&mut self, pid: Pid, v: V) {
+        let i = pid.index();
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(v);
+    }
+
+    fn remove(&mut self, pid: Pid) -> Option<V> {
+        self.0.get_mut(pid.index()).and_then(Option::take)
+    }
+
+    fn get(&self, pid: Pid) -> Option<V> {
+        self.0.get(pid.index()).copied().flatten()
+    }
+
+    fn contains(&self, pid: Pid) -> bool {
+        self.get(pid).is_some()
+    }
+}
+
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "round {}: {}", self.round, self.what)
@@ -33,13 +64,13 @@ impl std::fmt::Display for Violation {
 pub fn check_single_active(trace: &Trace) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut current: Option<(Pid, Round)> = None;
-    let mut retired: std::collections::BTreeSet<Pid> = std::collections::BTreeSet::new();
+    let mut retired = PidMap::new();
 
     for event in trace.events() {
         match event {
             Event::Note { round, pid, tag } if *tag == "activate" => {
                 if let Some((prev, _)) = current {
-                    if prev != *pid && !retired.contains(&prev) {
+                    if prev != *pid && !retired.contains(prev) {
                         violations.push(Violation {
                             round: *round,
                             what: format!(
@@ -51,7 +82,7 @@ pub fn check_single_active(trace: &Trace) -> Vec<Violation> {
                 current = Some((*pid, *round));
             }
             Event::Crash { pid, .. } | Event::Terminate { pid, .. } => {
-                retired.insert(*pid);
+                retired.insert(*pid, ());
             }
             _ => {}
         }
@@ -65,13 +96,13 @@ pub fn check_single_active(trace: &Trace) -> Vec<Violation> {
 /// takeover order follows knowledge, not process number.
 pub fn check_activation_order(trace: &Trace) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut retired: std::collections::BTreeSet<Pid> = std::collections::BTreeSet::new();
+    let mut retired = PidMap::new();
 
     for event in trace.events() {
         match event {
             Event::Note { round, pid, tag } if *tag == "activate" => {
                 for lower in Pid::range(0, pid.index()) {
-                    if !retired.contains(&lower) {
+                    if !retired.contains(lower) {
                         violations.push(Violation {
                             round: *round,
                             what: format!("{pid} activated before {lower} retired"),
@@ -80,7 +111,7 @@ pub fn check_activation_order(trace: &Trace) -> Vec<Violation> {
                 }
             }
             Event::Crash { pid, .. } | Event::Terminate { pid, .. } => {
-                retired.insert(*pid);
+                retired.insert(*pid, ());
             }
             _ => {}
         }
@@ -118,7 +149,7 @@ pub fn check_sequential_work(trace: &Trace) -> Vec<Violation> {
 /// recovery are legitimate again.
 pub fn check_no_zombie_actions(trace: &Trace) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut retired_at: std::collections::BTreeMap<Pid, Round> = std::collections::BTreeMap::new();
+    let mut retired_at = PidMap::new();
     for event in trace.events() {
         let (pid, round) = match event {
             Event::Crash { pid, round } | Event::Terminate { pid, round } => {
@@ -126,7 +157,7 @@ pub fn check_no_zombie_actions(trace: &Trace) -> Vec<Violation> {
                 continue;
             }
             Event::Recover { pid, .. } => {
-                retired_at.remove(pid);
+                retired_at.remove(*pid);
                 continue;
             }
             Event::Work { pid, round, .. } => (*pid, *round),
@@ -136,7 +167,7 @@ pub fn check_no_zombie_actions(trace: &Trace) -> Vec<Violation> {
             // observer acting; retired observers never receive one anyway.
             Event::Notice { .. } => continue,
         };
-        if let Some(&r) = retired_at.get(&pid) {
+        if let Some(r) = retired_at.get(pid) {
             if round > r {
                 violations.push(Violation {
                     round,
@@ -156,7 +187,7 @@ pub fn check_no_zombie_actions(trace: &Trace) -> Vec<Violation> {
 /// also flags a `Recover` for a process that never crashed.
 pub fn check_recovery_silence(trace: &Trace) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut down_since: std::collections::BTreeMap<Pid, Round> = std::collections::BTreeMap::new();
+    let mut down_since = PidMap::new();
     for event in trace.events() {
         let (pid, round) = match event {
             Event::Crash { pid, round } => {
@@ -164,7 +195,7 @@ pub fn check_recovery_silence(trace: &Trace) -> Vec<Violation> {
                 continue;
             }
             Event::Recover { pid, round } => {
-                if down_since.remove(pid).is_none() {
+                if down_since.remove(*pid).is_none() {
                     violations.push(Violation {
                         round: *round,
                         what: format!("{pid} recovered without a preceding crash"),
@@ -173,7 +204,7 @@ pub fn check_recovery_silence(trace: &Trace) -> Vec<Violation> {
                 continue;
             }
             Event::Terminate { pid, .. } => {
-                down_since.remove(pid);
+                down_since.remove(*pid);
                 continue;
             }
             Event::Work { pid, round, .. } => (*pid, *round),
@@ -181,7 +212,7 @@ pub fn check_recovery_silence(trace: &Trace) -> Vec<Violation> {
             Event::Note { pid, round, .. } => (*pid, *round),
             Event::Notice { .. } => continue,
         };
-        if let Some(&since) = down_since.get(&pid) {
+        if let Some(since) = down_since.get(pid) {
             if round > since {
                 violations.push(Violation {
                     round,
@@ -294,18 +325,18 @@ pub fn check_termination_after_completion(trace: &Trace, n: usize) -> Vec<Violat
 /// variant's correctness rests on).
 pub fn check_detector_soundness(trace: &Trace) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut retired: std::collections::BTreeSet<Pid> = std::collections::BTreeSet::new();
+    let mut retired = PidMap::new();
     for event in trace.events() {
         match event {
             Event::Crash { pid, .. } | Event::Terminate { pid, .. } => {
-                retired.insert(*pid);
+                retired.insert(*pid, ());
             }
             // A recovered process is alive again: accusing it from here on
             // (until it re-retires) is a soundness violation.
             Event::Recover { pid, .. } => {
-                retired.remove(pid);
+                retired.remove(*pid);
             }
-            Event::Notice { round, observer, retired: accused } if !retired.contains(accused) => {
+            Event::Notice { round, observer, retired: accused } if !retired.contains(*accused) => {
                 violations.push(Violation {
                     round: *round,
                     what: format!("detector accused live process {accused} to observer {observer}"),
