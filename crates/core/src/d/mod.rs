@@ -38,15 +38,15 @@ pub enum DMsg {
         /// Whether the sender has decided this agreement phase.
         done: bool,
     },
-    /// Coordinator variant (§4 closing remark): a participant's view sent
-    /// to the phase coordinator instead of being broadcast.
+    /// Coordinator variant (§4 closing remark): a participant's
+    /// outstanding-units set sent to the phase coordinator instead of being
+    /// broadcast. The coordinator learns who is live from who reported, so
+    /// the sender's live set is not sent.
     Report {
         /// Work/agreement phase index.
         phase: u32,
         /// The sender's outstanding-units set.
         s: IntervalSet,
-        /// The sender's set of processes believed live.
-        t: IntervalSet,
     },
     /// Coordinator variant: the coordinator's merged, authoritative view.
     Decision {
@@ -79,9 +79,7 @@ impl fmt::Display for DMsg {
             DMsg::Agree { phase, s, t, done } => {
                 write!(f, "agree(phase={phase}, |S|={}, |T|={}, done={done})", s.len(), t.len())
             }
-            DMsg::Report { phase, s, t } => {
-                write!(f, "report(phase={phase}, |S|={}, |T|={})", s.len(), t.len())
-            }
+            DMsg::Report { phase, s } => write!(f, "report(phase={phase}, |S|={})", s.len()),
             DMsg::Decision { phase, s, t } => {
                 write!(f, "decision(phase={phase}, |S|={}, |T|={})", s.len(), t.len())
             }
@@ -332,9 +330,8 @@ impl ProtocolD {
                     return;
                 }
                 for (from, msg) in inbox.iter() {
-                    if let DMsg::Report { phase, s, t } = msg {
+                    if let DMsg::Report { phase, s } = msg {
                         if *phase == self.phase {
-                            let _ = t; // liveness knowledge comes from who reported
                             s_acc.intersect(s);
                             heard.insert(from.index() as u64);
                         }
@@ -368,14 +365,8 @@ impl ProtocolD {
                 if entry == Round::ZERO {
                     entry = round;
                     // First round of the phase: file our report.
-                    eff.send(
-                        Pid::new(self.coordinator() as usize),
-                        DMsg::Report {
-                            phase: self.phase,
-                            s: self.s.clone(),
-                            t: self.t_set.clone(),
-                        },
-                    );
+                    let report = DMsg::Report { phase: self.phase, s: self.s.clone() };
+                    eff.send(Pid::new(self.coordinator() as usize), report);
                     self.state = DState::CoordFollower { entry, t_prev };
                     return;
                 }
@@ -500,26 +491,13 @@ impl Protocol for ProtocolD {
         }
         match &mut self.state {
             DState::Done => {}
-            DState::Work { share, next, end, run, rounds_left } => {
-                if *next == *end {
-                    if let Some(&(lo, hi)) = share.runs().get(*run) {
-                        (*next, *end) = (lo, hi);
-                        *run += 1;
-                    }
+            DState::Work { .. } => {
+                // A work round performs what a lease would offer, if the
+                // share has anything left, and is otherwise idle.
+                if let Some((unit, _)) = self.lease(round) {
+                    eff.perform(unit);
                 }
-                if *next < *end {
-                    eff.perform(Unit::new(*next as usize));
-                    *next += 1;
-                }
-                *rounds_left -= 1;
-                if *rounds_left == 0 {
-                    // Line 8: S := S \ S'. The share holds at most as many
-                    // units as the phase has rounds, so all of it is done,
-                    // and nothing reads S before this point.
-                    let share = std::mem::take(share);
-                    self.s.subtract(&share);
-                    self.state = self.enter_agree();
-                }
+                self.advance(1);
             }
             DState::Agree { .. } => self.agree_step(round, inbox, eff),
             DState::CoordLeader { .. } | DState::CoordFollower { .. } => {
@@ -549,6 +527,45 @@ impl Protocol for ProtocolD {
             DState::Done => None,
             DState::Fallback(machine) => machine.next_wakeup(now),
             _ => Some(now),
+        }
+    }
+
+    /// A work phase never reads its inbox, so what is left of the share
+    /// run being worked (the next run once it is used up), up to the
+    /// phase's last round, is a lease.
+    fn lease(&self, _now: Round) -> Option<(Unit, u64)> {
+        let DState::Work { share, next, end, run, rounds_left } = &self.state else {
+            return None;
+        };
+        if self.retire_next_step {
+            return None;
+        }
+        let (lo, hi) = if next < end { (*next, *end) } else { *share.runs().get(*run)? };
+        Some((Unit::new(lo as usize), (hi - lo).min(*rounds_left)))
+    }
+
+    /// `k` rounds of the work phase: the cursor moves past the units they
+    /// perform (none on an idle round), and the phase's last round applies
+    /// line 8 and enters agreement.
+    fn advance(&mut self, k: u64) {
+        let DState::Work { share, next, end, run, rounds_left } = &mut self.state else {
+            unreachable!("advance outside a work phase");
+        };
+        if *next == *end {
+            if let Some(&(lo, hi)) = share.runs().get(*run) {
+                (*next, *end) = (lo, hi);
+                *run += 1;
+            }
+        }
+        *next = (*next + k).min(*end);
+        *rounds_left -= k;
+        if *rounds_left == 0 {
+            // Line 8: S := S \ S'. The share holds at most as many units as
+            // the phase has rounds, so all of it is done, and nothing reads
+            // S before this point.
+            let share = std::mem::take(share);
+            self.s.subtract(&share);
+            self.state = self.enter_agree();
         }
     }
 
@@ -868,6 +885,62 @@ mod tests {
             let expect = before.iter().copied().filter(|u| !share.contains(u));
             assert!(d.s.iter().eq(expect), "p{j}: S \\ S'");
         }
+    }
+
+    #[test]
+    fn lease_then_advance_lands_where_steps_do() {
+        // The fragmented share above, walked lease by lease: at every lease,
+        // `k` default steps perform the offered units in order, send, note
+        // and retire nothing and leave the process due each next round,
+        // and `advance(k)` reaches the same state — `S`, the cursor and
+        // the `DState` variant — for `k` below the lease and equal to it.
+        let (n, t) = (40u64, 4u64);
+        for j in [1u64, 3] {
+            let mut d = ProtocolD::new(n, t, j);
+            d.s = (1..=n).filter(|u| ![12, 15, 16].contains(u)).collect();
+            d.state = d.build_work_phase();
+            let mut now = 1u64;
+            let mut leases = 0;
+            while let Some((first, len)) = d.lease(Round::from(now)) {
+                leases += 1;
+                for k in [1, len / 2, len - 1, len].into_iter().filter(|&k| k >= 1) {
+                    let mut stepped = d.clone();
+                    for r in now..now + k {
+                        let mut eff = Effects::default();
+                        stepped.step(Round::from(r), Inbox::empty(), &mut eff);
+                        let unit = Unit::new(first.get() + (r - now) as usize);
+                        assert_eq!(eff.work(), Some(unit), "p{j} round {r}");
+                        assert!(eff.sends().is_empty() && eff.notes().is_empty());
+                        assert!(!eff.is_terminated());
+                        let after = Round::from(r + 1);
+                        assert_eq!(stepped.next_wakeup(after), Some(after));
+                    }
+                    let mut leased = d.clone();
+                    leased.advance(k);
+                    assert_eq!(format!("{leased:?}"), format!("{stepped:?}"), "p{j}: k = {k}");
+                }
+                d.advance(len);
+                now += len;
+            }
+            // p1's share spans three runs, one lease each; p3's short share
+            // leaves idle rounds, which no lease covers.
+            assert_eq!(leases, if j == 1 { 3 } else { 1 }, "p{j}");
+            while matches!(d.state, DState::Work { .. }) {
+                let mut eff = Effects::default();
+                d.step(Round::from(now), Inbox::empty(), &mut eff);
+                assert!(eff.is_idle(), "p{j}: idle round {now}");
+                now += 1;
+            }
+            assert!(d.lease(Round::from(now)).is_none(), "p{j}: agreement offers no lease");
+        }
+    }
+
+    #[test]
+    fn no_lease_while_a_stale_retirement_is_due() {
+        let mut d = ProtocolD::new(8, 2, 0);
+        assert_eq!(d.lease(Round::ONE), Some((Unit::new(1), 4)));
+        d.retire_next_step = true;
+        assert_eq!(d.lease(Round::ONE), None);
     }
 
     #[test]

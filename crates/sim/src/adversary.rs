@@ -227,6 +227,17 @@ impl<'a> AdversaryCtx<'a> {
 /// names, every alive process is stepped and intercepted exactly as in a
 /// dense engine. Adversaries that only react to visible activity (work,
 /// sends, notes) need nothing: a skipped step has no effects to react to.
+///
+/// Leased steps (see the work-lease contract on
+/// [`Protocol`](crate::Protocol)) are never intercepted either: a process
+/// holding a lease performs one unit per round, sends nothing and notes
+/// nothing, and the engine skips its `intercept` on those rounds. It grants
+/// a lease only where [`permits_lease`](Adversary::permits_lease) says
+/// `true`, and never across a round [`next_event`](Adversary::next_event)
+/// names. An adversary may permit leases for `pid` only if it would rule
+/// [`Fate::Survive`] on every such step and its rulings on the others do
+/// not depend on having seen them, and if `next_event` never announces a
+/// round earlier than it did before.
 pub trait Adversary<M> {
     /// Decides the fate of `pid`'s round-`round` actions.
     fn intercept(
@@ -283,6 +294,13 @@ pub trait Adversary<M> {
     fn validate(&self, _t: usize) -> Result<(), String> {
         Ok(())
     }
+
+    /// Whether `pid`'s work leases may skip this adversary (see the
+    /// trait-level interception contract). The default `false` intercepts
+    /// every step.
+    fn permits_lease(&self, _pid: Pid) -> bool {
+        false
+    }
 }
 
 impl<M> Adversary<M> for Box<dyn Adversary<M>> {
@@ -311,6 +329,10 @@ impl<M> Adversary<M> for Box<dyn Adversary<M>> {
     fn validate(&self, t: usize) -> Result<(), String> {
         (**self).validate(t)
     }
+
+    fn permits_lease(&self, pid: Pid) -> bool {
+        (**self).permits_lease(pid)
+    }
 }
 
 /// The failure-free adversary.
@@ -334,6 +356,10 @@ impl<M> Adversary<M> for NoFailures {
     fn intercept(&mut self, _: Round, _: Pid, _: &Effects<M>, _: AdversaryCtx<'_>) -> Fate {
         Fate::Survive
     }
+
+    fn permits_lease(&self, _: Pid) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -342,7 +368,7 @@ mod tests {
     //! [`FaultPlan`] ruling through this module's trait.
 
     use super::*;
-    use crate::faults::{FaultPlan, Trigger};
+    use crate::faults::{FaultKind, FaultPlan, Trigger};
     use crate::ids::Unit;
 
     fn ctx(alive: &[bool]) -> AdversaryCtx<'_> {
@@ -493,6 +519,37 @@ mod tests {
             adv.intercept(Round::new(9), Pid::new(2), &e2, ctx(&alive)),
             Fate::Crash(_)
         ));
+    }
+
+    fn permits_lease(plan: &FaultPlan, pid: usize) -> bool {
+        Adversary::<()>::permits_lease(plan, Pid::new(pid))
+    }
+
+    #[test]
+    fn fault_plans_permit_leases_only_where_no_step_is_watched() {
+        assert!(Adversary::<()>::permits_lease(&NoFailures, Pid::new(0)));
+        assert!(permits_lease(&FaultPlan::default(), 0));
+        // Coins draw once per step.
+        assert!(!permits_lease(&FaultPlan::random(1, 0.1, 3), 1));
+        assert!(!permits_lease(&FaultPlan::random(1, 0.0, 0), 1));
+        // A work rule counts p0's steps, and only p0's.
+        let nth_work = FaultPlan::default()
+            .crash_on(Trigger::NthWorkBy { pid: Pid::new(0), nth: 2 }, CrashSpec::silent());
+        assert!(!permits_lease(&nth_work, 0));
+        assert!(permits_lease(&nth_work, 1));
+        // A timed window rules on every step it covers, of any pid here.
+        let window = FaultPlan::new([FaultKind::OmitSends(Pid::new(1)).at(5u64).for_rounds(3)]);
+        assert!(!permits_lease(&window, 0) && !permits_lease(&window, 1));
+        // Exact-round crashes are events: leases are clipped at them.
+        let crash_at = FaultPlan::default().crash_at(Pid::new(1), 9, CrashSpec::silent());
+        assert!(permits_lease(&crash_at, 0) && permits_lease(&crash_at, 1));
+        // A note rule never sees a leased process, which emits nothing.
+        let note = FaultPlan::default()
+            .crash_on(Trigger::NthNote { tag: "activate", nth: 2 }, CrashSpec::silent());
+        assert!(permits_lease(&note, 0));
+        // A boxed adversary forwards the answer.
+        let boxed: Box<dyn Adversary<()>> = Box::new(nth_work);
+        assert!(!boxed.permits_lease(Pid::new(0)) && boxed.permits_lease(Pid::new(1)));
     }
 
     #[test]

@@ -569,12 +569,16 @@ const PS_TERMINATED: u8 = 2;
 const PS_CODE: u8 = 0b011;
 /// Flag bit: an alive process's slot holds a cached wakeup round.
 const PS_WAKE: u8 = 0b100;
+/// Flag bit: the cached wakeup is the end of a work lease; the process is
+/// parked, however many messages reach it, until that round.
+const PS_LEASE: u8 = 0b1000;
 
 /// Struct-of-arrays per-process engine state: one metadata byte (status
-/// code plus a wakeup-present flag) and one 128-bit slot per process. The
-/// slot is a union keyed by the metadata — for an alive process it caches
-/// the next spontaneous wakeup round (valid only when [`PS_WAKE`] is set,
-/// so a saturated `Round::MAX` deadline needs no out-of-band sentinel);
+/// code plus wakeup-present and lease flags) and one 128-bit slot per
+/// process. The slot is a union keyed by the metadata — for an alive
+/// process it caches the next spontaneous wakeup round (valid only when
+/// [`PS_WAKE`] is set, so a saturated `Round::MAX` deadline needs no
+/// out-of-band sentinel; with [`PS_LEASE`] also set, it is a lease's end);
 /// for a retired process it records the retirement round. 17 bytes per
 /// process replace the former parallel `Vec<Status>` + `Vec<bool>` +
 /// `Vec<u32>` + two `Vec<Option<...>>` columns (≈ 57 bytes with `Option`
@@ -617,17 +621,30 @@ impl ProcSet {
         self.meta[idx] & PS_WAKE != 0 && self.slot[idx] <= round.get()
     }
 
-    /// Replaces an alive process's cached wakeup.
+    /// Replaces an alive process's cached wakeup (ending any lease).
     fn set_wakeup(&mut self, idx: usize, wake: Option<Round>) {
         match wake {
             Some(r) => {
-                self.meta[idx] |= PS_WAKE;
+                self.meta[idx] = self.meta[idx] & !PS_LEASE | PS_WAKE;
                 self.slot[idx] = r.get();
             }
             None => {
-                self.meta[idx] &= !PS_WAKE;
+                self.meta[idx] &= !(PS_WAKE | PS_LEASE);
             }
         }
+    }
+
+    /// Parks an alive process on a work lease ending at `end`, when it is
+    /// due again.
+    fn lease(&mut self, idx: usize, end: Round) {
+        self.meta[idx] |= PS_WAKE | PS_LEASE;
+        self.slot[idx] = end.get();
+    }
+
+    /// Whether `round` lies inside a lease of the process (a lease's end
+    /// round does not: the process is due there).
+    fn leased(&self, idx: usize, round: Round) -> bool {
+        self.meta[idx] & PS_LEASE != 0 && self.slot[idx] > round.get()
     }
 
     /// Retires a process, recording the retirement round in its slot.
@@ -783,15 +800,16 @@ where
 ///   work-run column) are rebuilt fresh, which is safe because the round
 ///   clock is strictly monotone, the delivery index's stamps can only match
 ///   rounds they were built in, an empty round index forces one exact
-///   scan, and every pause has already folded the work runs into the
-///   ledger.
+///   scan, every pause has already folded the work runs into the
+///   ledger, and no work lease crosses a pause point.
 /// * **Watchdog** — with [`RunConfig::stall_window`] set, the engine
 ///   monitors observable progress every executed round and aborts livelocks
 ///   with a [`StallDiagnosis`] instead of burning the round budget.
 ///
 /// Each executed round runs the same phases as the classic loop: revivals,
 /// delivery, stepping with adversary interception, retirement bookkeeping,
-/// then a sparse fast-forward over provably idle rounds.
+/// work-lease grants (see the lease contract on [`Protocol`]), then a
+/// sparse fast-forward over provably idle rounds.
 pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // The run state — the whole of it, and exactly what a snapshot is.
     st: EngineSnapshot<P, A>,
@@ -830,6 +848,12 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // engine (every `run_until` return, `into_report`, each `RunError`),
     // so a paused engine's ledger is always complete.
     open: Vec<(usize, usize)>,
+    // The latest end of a work lease granted so far. Every lease starts
+    // the round after its grant and none is cut, so the rounds still leased
+    // are exactly `round .. lease_until`: the watchdog counts them as
+    // progress and the fast-forward visits them without a scan. Leases are
+    // clipped at every pause point, so a resumed engine starts at zero.
+    lease_until: Round,
 }
 
 impl<P, A> Engine<P, A>
@@ -907,7 +931,7 @@ where
                 self.flush_work();
                 return Ok(false);
             }
-            self.advance()?;
+            self.advance(stop)?;
         }
         self.flush_work();
         Ok(true)
@@ -931,8 +955,9 @@ where
     /// round they were built in, and the clock is strictly monotone), the
     /// empty round index carries a bound of round 0, so the first resumed
     /// round finds its due processes by an exact scan of the wakeup cache,
-    /// and the snapshot's ledger already holds every performance. The
-    /// continuation is bit-identical to the uninterrupted run.
+    /// and the snapshot's ledger already holds every performance, no lease
+    /// reaching past it. The continuation is bit-identical to the
+    /// uninterrupted run.
     pub fn resume(snapshot: EngineSnapshot<P, A>) -> Self {
         let t = snapshot.procs.len();
         Engine {
@@ -945,6 +970,7 @@ where
             next_pending: Vec::new(),
             next_due: Vec::new(),
             far: Some(Round::ZERO),
+            lease_until: Round::ZERO,
         }
     }
 
@@ -1003,17 +1029,17 @@ where
         self.st.mem.ledger_bytes = self.st.mem.ledger_bytes.max(ledger);
     }
 
-    /// Counts one performance of `unit` by process `idx`: `work_total` at
-    /// once (the watchdog reads it), the per-unit table through the
-    /// writer's open run.
-    fn record_work(&mut self, idx: usize, unit: Unit) {
-        self.st.metrics.work_total += 1;
-        let u = unit.zero_based();
+    /// Counts one performance each of `len` successive units from `first`
+    /// by process `idx`: `work_total` at once (the watchdog reads it), the
+    /// per-unit table through the writer's open run.
+    fn record_work(&mut self, idx: usize, first: Unit, len: usize) {
+        self.st.metrics.work_total += len as u64;
+        let u = first.zero_based();
         let run = &mut self.open[idx];
         if u == run.1 {
-            run.1 += 1;
+            run.1 += len;
         } else {
-            let (lo, hi) = std::mem::replace(run, (u, u + 1));
+            let (lo, hi) = std::mem::replace(run, (u, u + len));
             self.st.metrics.record_work_run(lo, hi);
         }
     }
@@ -1043,13 +1069,17 @@ where
     }
 
     /// Executes one round (plus any sparse fast-forward that follows it),
-    /// leaving the engine paused at the next round boundary.
-    fn advance(&mut self) -> Result<(), RunError> {
+    /// leaving the engine paused at the next round boundary; `stop` is the
+    /// pause point of the running [`run_until`](Engine::run_until), which
+    /// no lease may cross.
+    fn advance(&mut self, stop: Option<Round>) -> Result<(), RunError> {
         let round = self.st.round;
         if round > self.st.cfg.max_rounds {
             return Err(self.round_limit());
         }
         self.st.executed_rounds += 1;
+        // A round some lease covers is one in which its holder works.
+        let leased_work = round < self.lease_until;
 
         // Progress baseline for the watchdog: any retirement, recovery, or
         // unit of work moves one of these counters.
@@ -1112,6 +1142,7 @@ where
         // crashes with budget left) return `Some(now)` and keep the dense
         // behaviour bit-for-bit.
         let adv_due = self.st.adversary.next_event(round).is_some_and(|r| r <= round);
+        debug_assert!(!adv_due || !leased_work, "adversary event at {round} inside a lease");
 
         // 2. The due list: the set of processes stepped this round is fully
         //    determined at the round boundary (live ∧ (adversary event ∨
@@ -1122,12 +1153,15 @@ where
         //    round's `next_due` plus the inbox recipients not already in
         //    it, merged back into pid order. Otherwise the exact scan walks
         //    the live set and recomputes `far` from every process it skips.
+        //    A leased process's inbox does not make it due: its lease
+        //    promises the same step whatever arrives.
         if !adv_due && self.far.is_none_or(|f| f > round) {
             std::mem::swap(&mut self.due, &mut self.next_due);
             if have_inbox {
                 let indexed = self.due.len();
                 for &i in &self.delivery.touched {
-                    if !self.st.pset.wakeup_due(i as usize, round) {
+                    let p = i as usize;
+                    if !self.st.pset.wakeup_due(p, round) && !self.st.pset.leased(p, round) {
                         self.due.push(i);
                     }
                 }
@@ -1142,7 +1176,10 @@ where
             let delivery = &self.delivery;
             let due = &mut self.due;
             for i in self.st.live.iter() {
-                if adv_due || (have_inbox && delivery.has_inbox(i)) || pset.wakeup_due(i, round) {
+                if adv_due
+                    || (have_inbox && delivery.has_inbox(i) && !pset.leased(i, round))
+                    || pset.wakeup_due(i, round)
+                {
                     due.push(i as u32);
                 } else if let Some(w) = pset.wakeup(i) {
                     far = Some(far.map_or(w, |f| f.min(w)));
@@ -1156,11 +1193,14 @@ where
         //    rule on it before the next one steps. Each survivor's
         //    refreshed wakeup goes into the index: exactly `next` joins
         //    `next_due` (in pid order, since the loop is), anything later
-        //    lowers `far`.
+        //    lowers `far`. A process due next round may offer a lease; the
+        //    offers are granted once the round's outcome is settled, below.
         let next = round.saturating_add(1);
+        let mut offered = false;
         let mut eff = std::mem::replace(&mut self.eff, Effects::new());
         for di in 0..self.due.len() {
             let idx = self.due[di] as usize;
+            debug_assert!(!self.st.pset.leased(idx, round), "leased p{idx} stepped at {round}");
             eff.reset();
             let inbox = if have_inbox && self.delivery.has_inbox(idx) {
                 self.delivery.inbox(idx, &self.st.pending)
@@ -1175,7 +1215,10 @@ where
                 let wake = self.st.procs[idx].next_wakeup(next).map(|w| w.max(next));
                 self.st.pset.set_wakeup(idx, wake);
                 match wake {
-                    Some(w) if w == next => self.next_due.push(idx as u32),
+                    Some(w) if w == next => {
+                        self.next_due.push(idx as u32);
+                        offered |= !self.record && self.st.procs[idx].lease(next).is_some();
+                    }
                     Some(w) => self.far = Some(self.far.map_or(w, |f| f.min(w))),
                     None => {}
                 }
@@ -1202,6 +1245,7 @@ where
         // window is a livelock verdict. Fast-forwarded rounds (below) are
         // provably quiescent and never counted.
         let progress = delivered
+            || leased_work
             || self.st.metrics.work_total != work0
             || self.st.metrics.crashes != crashes0
             || self.st.metrics.terminations != terminations0
@@ -1223,18 +1267,28 @@ where
             }
         }
 
+        // Grants come after the watchdog, so a `Stalled` payload carries no
+        // work of rounds the run never reached.
+        if offered {
+            self.grant_leases(next, stop);
+        }
+
         // Sparse fast-forward through provably idle rounds. Messages in
-        // flight, or a process in `next_due`, make `next` the target (every
-        // cached wakeup, adversary event and revival is clamped to at least
-        // `next`, so nothing can come sooner). Only a fully quiescent round
-        // scans the live set for the earliest cached wakeup — one O(live)
-        // scan per jump, however astronomically far the target lies
+        // flight, a process in `next_due`, or a lease reaching `next` make
+        // `next` the target (every cached wakeup, adversary event and
+        // revival is clamped to at least `next`, so nothing can come
+        // sooner; a leased round is one with work). Only a fully quiescent
+        // round scans the live set for the earliest cached wakeup — one
+        // O(live) scan per jump, however astronomically far the target lies
         // (Protocol C's silent waiting phases cost exactly one jump each on
         // the 128-bit clock) — and the exact minimum it finds resets `far`.
         // A saturated wakeup (`Round::MAX`) is a legal target: a deadline
         // past the representable horizon fires *at* the horizon, exactly
         // as the old 64-bit clock fired saturated deadlines at `u64::MAX`.
-        let advanced = if self.st.pending.is_empty() && self.next_due.is_empty() {
+        let advanced = if self.st.pending.is_empty()
+            && self.next_due.is_empty()
+            && self.lease_until < next
+        {
             let wake = {
                 let pset = &self.st.pset;
                 self.st.live.iter().filter_map(|i| pset.wakeup(i)).min()
@@ -1260,6 +1314,46 @@ where
         }
         self.st.round = advanced;
         Ok(())
+    }
+
+    /// Grants the work leases offered from `next_due`. A permitted offer
+    /// is clipped so that no leased round reaches the adversary's next
+    /// event, the pause point `stop` or past `max_rounds`; its units go to
+    /// the writer's open run at once, [`Protocol::advance`] moves the
+    /// process past them, and it is parked until the lease ends. Granted
+    /// processes leave `next_due`, whose other entries keep their order.
+    fn grant_leases(&mut self, next: Round, stop: Option<Round>) {
+        let event = self.st.adversary.next_event(next).map(|r| r.max(next));
+        let cap = self.st.cfg.max_rounds.saturating_add(1);
+        let horizon = [event, stop].into_iter().flatten().fold(cap, Round::min);
+        if horizon <= next {
+            return;
+        }
+        let room = horizon - next;
+        let mut kept = 0;
+        for k in 0..self.next_due.len() {
+            let idx = self.next_due[k] as usize;
+            let pid = Pid::new(idx);
+            let offer = self.st.procs[idx].lease(next);
+            match offer.filter(|_| self.st.adversary.permits_lease(pid)) {
+                Some((first, len)) => {
+                    debug_assert!(len >= 1, "{pid} offered an empty lease");
+                    let len = u128::from(len).min(room) as u64;
+                    let end = next + u128::from(len);
+                    self.record_work(idx, first, len as usize);
+                    self.st.procs[idx].advance(len);
+                    debug_assert_eq!(self.st.procs[idx].next_wakeup(end), Some(end), "{pid}");
+                    self.st.pset.lease(idx, end);
+                    self.lease_until = self.lease_until.max(end);
+                    self.far = Some(self.far.map_or(end, |f| f.min(end)));
+                }
+                None => {
+                    self.next_due[kept] = idx as u32;
+                    kept += 1;
+                }
+            }
+        }
+        self.next_due.truncate(kept);
     }
 
     /// Applies the adversary's ruling to one stepped process: intercept,
@@ -1293,7 +1387,7 @@ where
         }
 
         if let Some(unit) = eff.work().filter(|_| count_work) {
-            self.record_work(idx, unit);
+            self.record_work(idx, unit, 1);
             if self.record {
                 self.st.trace.push(Event::Work { round, pid, unit });
             }

@@ -833,6 +833,15 @@ impl<M> Adversary<M> for FaultPlan {
     fn validate(&self, t: usize) -> Result<(), String> {
         self.validate_on(t, Plane::Sync).map_err(|e| e.to_string())
     }
+
+    /// Leases need a plan that rules the same on a skipped work step as on
+    /// a stepped one: no coins (they draw once per step), no timed faults,
+    /// and no rule that counts `pid`'s steps. Exact-round rules are events,
+    /// which the engine clips leases at; note rules never see a leased
+    /// process, which emits nothing.
+    fn permits_lease(&self, pid: Pid) -> bool {
+        self.random.is_none() && self.faults.is_empty() && !self.by_pid.contains_key(&pid)
+    }
 }
 
 impl<M> AsyncAdversary<M> for FaultPlan {

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::effects::Effects;
-use crate::ids::Round;
+use crate::ids::{Round, Unit};
 use crate::message::{Classify, Inbox};
 
 /// A per-process protocol state machine driven by the synchronous engine.
@@ -28,6 +28,23 @@ use crate::message::{Classify, Inbox};
 /// never from counting `step` invocations. Protocol C relies on this: its
 /// deadlines are `Θ(K (n+t) 2^{n+t})` rounds long — wide-clock territory —
 /// and simulating them round-by-round would be infeasible.
+///
+/// # Work leases
+///
+/// A process due next round may also offer a *lease*: a run of rounds in
+/// which it only works, whatever it receives. [`lease`](Protocol::lease)
+/// returning `Some((first, len))` at `now` promises, for rounds
+/// `now .. now + len` and any inboxes: the process performs `first`,
+/// `first + 1`, … one unit per round; it sends nothing, notes nothing and
+/// does not terminate; and after any prefix of `k <= len` of those rounds
+/// it is due at `now + k`. When the adversary
+/// [permits](crate::Adversary::permits_lease) it and no trace is
+/// recording, the engine credits the whole run to the ledger at once,
+/// calls [`advance(len)`](Protocol::advance) and parks the process until
+/// `now + len`, still visiting every leased round, so every count is the
+/// one per-round stepping produces. Leases are never cut short: the engine
+/// clips `len` at the adversary's next event and at any pause point before
+/// granting it. The defaults (no lease) are per-round stepping.
 pub trait Protocol {
     /// The message payload exchanged by this protocol.
     type Msg: Clone + fmt::Debug + Classify;
@@ -59,6 +76,24 @@ pub trait Protocol {
     /// protocols whose progress claims tolerate silent periods.
     fn on_recover(&mut self, round: Round, wipe: bool) {
         let _ = (round, wipe);
+    }
+
+    /// The run of units this process will perform one per round from `now`
+    /// on, whatever arrives: `Some((first, len))` with `len >= 1`, under the
+    /// promise of the trait-level lease contract. The default `None` never
+    /// offers one.
+    #[inline]
+    fn lease(&self, now: Round) -> Option<(Unit, u64)> {
+        let _ = now;
+        None
+    }
+
+    /// Leaves the state where `k` steps of the lease last offered would
+    /// have left it (`1 <= k <= len`). Called once per granted lease, at
+    /// grant time; the default does nothing, matching the default `lease`.
+    #[inline]
+    fn advance(&mut self, k: u64) {
+        let _ = k;
     }
 }
 

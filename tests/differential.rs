@@ -8,6 +8,9 @@
 //! trace as the production engine's CSR span delivery and O(due) round
 //! index, over randomly drawn unicast/multicast patterns, crash schedules,
 //! crash-recovery fault plans, moving deadlines, and fast-forward gaps.
+//! The production engine also runs untraced, where it grants work leases
+//! (a traced run never does), and must agree with the reference on
+//! everything but the trace.
 
 use std::collections::BTreeMap;
 
@@ -15,6 +18,7 @@ use doall::sim::{
     run, Adversary, AdversaryCtx, Classify, CrashSpec, Effects, Event, Fate, FaultKind, FaultPlan,
     Inbox, MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace, Unit,
 };
+use doall::ProtocolD;
 use proptest::prelude::*;
 
 /// A payload with two metric classes, so `messages_by_class` is exercised.
@@ -545,9 +549,9 @@ fn fault_plan(t: usize, seed: u64, horizon: u64) -> FaultPlan {
     plan
 }
 
-/// Runs `procs` through the production engine (traced) and the reference,
-/// and asserts they agree on metrics, statuses, executed rounds, and the
-/// event trace.
+/// Runs `procs` through the production engine, traced and untraced, and
+/// the reference, and asserts all three agree on metrics, statuses and
+/// executed rounds, and the traced run on the event trace.
 fn assert_twins<P, A>(procs: Vec<P>, adversary: A, cfg: RunConfig) -> Report
 where
     P: Protocol + Clone,
@@ -555,13 +559,137 @@ where
 {
     let fast = run(procs.clone(), adversary.clone(), cfg.clone().with_trace())
         .expect("fixtures always retire");
+    let bare = run(procs.clone(), adversary.clone(), cfg.clone()).expect("fixtures always retire");
     let (reference, events) =
         run_reference(procs, adversary, cfg).expect("reference run must complete identically");
-    assert_eq!(&fast.metrics, &reference.metrics);
-    assert_eq!(&fast.statuses, &reference.statuses);
-    assert_eq!(fast.executed_rounds, reference.executed_rounds);
+    for (label, report) in [("traced", &fast), ("untraced", &bare)] {
+        assert_eq!(&report.metrics, &reference.metrics, "{label}");
+        assert_eq!(&report.statuses, &reference.statuses, "{label}");
+        assert_eq!(report.executed_rounds, reference.executed_rounds, "{label}");
+    }
     assert_eq!(fast.trace.events(), events.as_slice());
     fast
+}
+
+/// A lease-offering worker, or a pinger that keeps deliveries landing on
+/// leased workers. A worker performs `units` successive units (wrapping
+/// at `n`) one per round from `start`, and each round offers a lease of
+/// up to `chunk` of them: never across the wrap, and never the last
+/// unit, whose round terminates. A pinger unicasts to a drawn pid every
+/// `stride` rounds from `start`, `pings` times, then terminates. Neither
+/// reads its inbox beyond a checksum, so a worker's lease holds whatever
+/// arrives.
+#[derive(Clone)]
+struct Grinder {
+    me: usize,
+    t: usize,
+    n: usize,
+    seed: u64,
+    start: Round,
+    pinger: bool,
+    stride: u64,
+    count: u64,
+    offset: usize,
+    chunk: u64,
+    done: u64,
+    checksum: u64,
+}
+
+impl Grinder {
+    fn procs(t: usize, n: usize, seed: u64) -> Vec<Grinder> {
+        (0..t)
+            .map(|me| {
+                let h = mix(seed ^ 0x4752_494E ^ (me as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+                Grinder {
+                    me,
+                    t,
+                    n,
+                    seed,
+                    start: Round::from(1 + h % 20),
+                    pinger: (h >> 8).is_multiple_of(3),
+                    stride: 1 + (h >> 12) % 4,
+                    count: 1 + (h >> 16) % 40,
+                    offset: (h >> 24) as usize % n,
+                    chunk: [1, 2, 7, 64][(h >> 32) as usize % 4],
+                    done: 0,
+                    checksum: 0,
+                }
+            })
+            .collect()
+    }
+
+    fn unit(&self) -> usize {
+        (self.offset + self.done as usize) % self.n
+    }
+}
+
+impl Protocol for Grinder {
+    type Msg = Chat;
+
+    fn step(&mut self, round: Round, inbox: Inbox<'_, Chat>, eff: &mut Effects<Chat>) {
+        for (from, msg) in inbox.iter() {
+            self.checksum = mix(self.checksum ^ (from.index() as u64) ^ msg.0);
+        }
+        if self.next_wakeup(round) != Some(round) {
+            return;
+        }
+        if self.pinger {
+            let h = mix(self.seed ^ (self.me as u64) << 32 ^ round.get() as u64 ^ self.checksum);
+            eff.send(Pid::new(h as usize % self.t), Chat(h >> 40));
+        } else {
+            eff.perform(Unit::new(1 + self.unit()));
+        }
+        self.done += 1;
+        if self.done == self.count {
+            eff.terminate();
+        }
+    }
+
+    fn next_wakeup(&self, now: Round) -> Option<Round> {
+        if self.done >= self.count {
+            None
+        } else if !self.pinger {
+            Some(now.max(self.start))
+        } else {
+            let due = self.start + u128::from(self.done * self.stride);
+            Some(now.max(due))
+        }
+    }
+
+    fn lease(&self, now: Round) -> Option<(Unit, u64)> {
+        if self.pinger || now < self.start {
+            return None;
+        }
+        let len = self.chunk.min(self.count - self.done - 1).min((self.n - self.unit()) as u64);
+        (len > 0).then(|| (Unit::new(1 + self.unit()), len))
+    }
+
+    fn advance(&mut self, k: u64) {
+        self.done += k;
+    }
+}
+
+/// Non-adjacent exact-round crashes for Protocol D: up to three of every
+/// other pid from 1 or 2 (pid 0 survives), each in a round drawn from the
+/// first work phase and the agreement after it, so shares of the second
+/// phase span runs and leases are clipped mid-phase.
+fn d_crashes(t: usize, n: usize, seed: u64) -> FaultPlan {
+    let rounds = n.div_ceil(t) as u64 + 4;
+    let mut plan = FaultPlan::default();
+    for c in 0..mix(seed ^ 0xD) % 4 {
+        let pid = 1 + (seed % 2) as usize + 2 * c as usize;
+        if pid >= t {
+            break;
+        }
+        let h = mix(seed ^ 0xD ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let spec = match (h >> 32) % 3 {
+            0 => CrashSpec::silent(),
+            1 => CrashSpec::after_round(),
+            _ => CrashSpec::prefix((h >> 40) as usize % t),
+        };
+        plan = plan.crash_at(Pid::new(pid), 1 + h % rounds, spec);
+    }
+    plan
 }
 
 proptest! {
@@ -608,6 +736,41 @@ proptest! {
         let cfg = RunConfig::new(n, Round::MAX);
         let report = assert_twins(Mover::procs(t, n, seed), fault_plan(t, seed, 60), cfg);
         prop_assert!(report.metrics.crashes >= report.metrics.recoveries);
+    }
+
+    /// Protocol D, broadcast or coordinated, failure-free or under
+    /// non-adjacent exact-round crashes, at shapes with `n % t != 0` and
+    /// `n < t`: the untraced engine leases every work phase, clipped at
+    /// each crash round.
+    #[test]
+    fn protocol_d_leases_match_dense_reference(
+        t in 1usize..=12,
+        n in 1usize..=60,
+        coordinated in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let procs = if coordinated {
+            ProtocolD::processes_with_coordinator(n as u64, t as u64)
+        } else {
+            ProtocolD::processes(n as u64, t as u64)
+        }
+        .expect("valid D shape");
+        let plan = if seed.is_multiple_of(4) { FaultPlan::default() } else { d_crashes(t, n, seed) };
+        let report = assert_twins(procs, plan, RunConfig::new(n, 100_000));
+        prop_assert!(report.metrics.all_work_done());
+    }
+
+    /// Lease-offering workers among pingers under exact-round crashes:
+    /// deliveries reach leased workers, leases stop at the unit-range wrap
+    /// and at every crash round, and some workers are crashed mid-run.
+    #[test]
+    fn grinders_match_dense_reference_under_crash_schedules(
+        t in 1usize..=40,
+        n in 1usize..=30,
+        seed in any::<u64>(),
+    ) {
+        let cfg = RunConfig::new(n, 10_000);
+        assert_twins(Grinder::procs(t, n, seed), crash_schedule(t, seed, 60), cfg);
     }
 
     /// Sanity on the generator itself: some drawn systems really do send

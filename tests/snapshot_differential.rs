@@ -200,43 +200,68 @@ fn has_discontiguous_writer(report: &Report) -> bool {
     })
 }
 
-/// The pause net for the sync engine's per-writer work runs. One engine
-/// pauses at every executed round and another, kept in lockstep, is
-/// rebuilt from its own snapshot at each pause. At every pause the ledger
-/// that [`Engine::metrics`] and [`Engine::snapshot`] expose must already
-/// hold every performance (Σ `work_by_unit` = `work_total`) and agree
-/// across the two engines; both must finish with the straight run's
-/// report.
-fn assert_pause_net<P, A>(label: &str, procs: Vec<P>, adversary: A, n: usize) -> Report
+/// The work ledger the straight run's trace implies at the start of
+/// round `at`: every performance of an earlier round.
+fn ledger_before(straight: &Report, at: Round) -> Vec<u32> {
+    let mut ledger = vec![0; straight.metrics.work_by_unit.len()];
+    for e in straight.trace.events() {
+        if let Event::Work { round, unit, .. } = e {
+            if *round < at {
+                ledger[unit.zero_based()] += 1;
+            }
+        }
+    }
+    ledger
+}
+
+/// The pause net for the sync engine's per-writer work runs and work
+/// leases. One engine pauses every `every` rounds and another, kept in
+/// lockstep, is rebuilt from its own snapshot at each pause; both run
+/// traced and then untraced, where they lease. At every pause the ledger
+/// that [`Engine::metrics`] and [`Engine::snapshot`] expose must hold
+/// exactly the performances of the rounds before it (so no lease reaches
+/// past a pause) and agree across the two engines; both must finish with
+/// the straight run's report and executed rounds.
+fn assert_pause_net<P, A>(label: &str, procs: Vec<P>, adversary: A, n: usize, every: u64) -> Report
 where
     P: Protocol + Clone,
     P::Msg: Clone,
     A: Adversary<P::Msg> + Clone,
 {
-    let cfg = RunConfig::new(n, Round::MAX).with_trace();
-    let straight = run(procs.clone(), adversary.clone(), cfg.clone()).expect("straight run");
-    let mut paused = Engine::new(procs.clone(), adversary.clone(), cfg.clone()).expect("valid");
-    let mut chained = Engine::new(procs, adversary, cfg).expect("valid");
-    let mut pauses = 0;
-    loop {
-        let stop = Some(paused.round().next());
-        let done = paused.run_until(stop).expect("segment must run");
-        assert_eq!(done, chained.run_until(stop).expect("segment must run"), "{label}");
-        if done {
-            break;
+    let traced = RunConfig::new(n, Round::MAX).with_trace();
+    let straight = run(procs.clone(), adversary.clone(), traced.clone()).expect("straight run");
+    for cfg in [traced.clone(), RunConfig { record_trace: false, ..traced }] {
+        let label = format!("{label}, every {every}, traced: {}", cfg.record_trace);
+        let bare = run(procs.clone(), adversary.clone(), cfg.clone()).expect("straight run");
+        assert_eq!(bare.metrics, straight.metrics, "{label}: straight");
+        assert_eq!(bare.executed_rounds, straight.executed_rounds, "{label}: straight");
+        let mut paused = Engine::new(procs.clone(), adversary.clone(), cfg.clone()).expect("valid");
+        let mut chained = Engine::new(procs.clone(), adversary.clone(), cfg).expect("valid");
+        let mut pauses = 0;
+        loop {
+            let stop = Some(paused.round() + u128::from(every));
+            let done = paused.run_until(stop).expect("segment must run");
+            assert_eq!(done, chained.run_until(stop).expect("segment must run"), "{label}");
+            if done {
+                break;
+            }
+            pauses += 1;
+            let at = paused.round();
+            let m = paused.metrics();
+            assert_eq!(ledger_sum(m), m.work_total, "{label}: metrics() at round {at}");
+            assert_eq!(m.work_by_unit, ledger_before(&straight, at), "{label}: round {at}");
+            let snapshot = paused.snapshot();
+            assert_eq!(snapshot.metrics(), m, "{label}: snapshot() at round {at}");
+            chained = Engine::resume(chained.snapshot());
+            assert_eq!(chained.metrics(), m, "{label}: resumed engine at round {at}");
         }
-        pauses += 1;
-        let at = paused.round();
-        let m = paused.metrics();
-        assert_eq!(ledger_sum(m), m.work_total, "{label}: metrics() at round {at}");
-        let snapshot = paused.snapshot();
-        assert_eq!(snapshot.metrics(), m, "{label}: snapshot() at round {at}");
-        chained = Engine::resume(chained.snapshot());
-        assert_eq!(chained.metrics(), m, "{label}: resumed engine at round {at}");
+        assert!(pauses > 1, "{label}: the run paused only {pauses} time(s)");
+        for (how, engine) in [("paused", paused), ("resumed", chained)] {
+            let report = engine.into_report().0;
+            assert_eq!(bare, report, "{label}: {how}");
+            assert_eq!(bare.executed_rounds, report.executed_rounds, "{label}: {how}");
+        }
     }
-    assert!(pauses > 1, "{label}: the run paused only {pauses} time(s)");
-    assert_eq!(straight, paused.into_report().0, "{label}: paused every round");
-    assert_eq!(straight, chained.into_report().0, "{label}: resumed every round");
     straight
 }
 
@@ -249,6 +274,7 @@ fn pausing_every_round_keeps_the_work_ledger_complete() {
         ProtocolD::processes_with_coordinator(n, t).expect("valid D shape"),
         FaultPlan::default(),
         n as usize,
+        1,
     );
     assert_eq!(d.metrics.work_total, n);
 
@@ -261,6 +287,7 @@ fn pausing_every_round_keeps_the_work_ledger_complete() {
         ProtocolA::processes(n, t).expect("valid A shape"),
         Scenario::TakeoverCascade { victims: 15 }.fault_plan(Plane::Sync),
         n as usize,
+        1,
     );
     assert!(a.metrics.all_work_done());
     assert!(a.metrics.work_total > n, "the cascade must redo work");
@@ -274,9 +301,31 @@ fn pausing_every_round_keeps_the_work_ledger_complete() {
         ProtocolD::processes_with_coordinator(n, t).expect("valid D shape"),
         Scenario::TakeoverCascade { victims: 4 }.fault_plan(Plane::Sync),
         n as usize,
+        1,
     );
     assert!(d.metrics.all_work_done());
     assert!(has_discontiguous_writer(&d), "reallocation must split some writer's work");
+}
+
+#[test]
+fn pausing_every_few_rounds_clips_leases_at_the_pause() {
+    // Coordinator-D's 32-round work phases lease between pauses, each
+    // lease clipped at the next one; under the cascade p4..p7 lease, the
+    // watched victims p0..p3 step, and phase 1's shares jump runs.
+    let (n, t) = (256u64, 8u64);
+    for every in [3, 7] {
+        for (label, plan) in [
+            ("coordinator-D", FaultPlan::default()),
+            (
+                "coordinator-D under takeover-cascade(4)",
+                Scenario::TakeoverCascade { victims: 4 }.fault_plan(Plane::Sync),
+            ),
+        ] {
+            let procs = ProtocolD::processes_with_coordinator(n, t).expect("valid D shape");
+            let d = assert_pause_net(label, procs, plan, n as usize, every);
+            assert!(d.metrics.all_work_done());
+        }
+    }
 }
 
 /// Async plane with retirement-notice runs in flight: twelve processes
