@@ -114,8 +114,7 @@ where
         .with_stall_window(STALL_WINDOW);
     Some(match run_async(procs, plan, cfg) {
         Ok(report) => {
-            let survivors = report.terminated.iter().filter(|&&t| t).count();
-            let mut v = contract_violations(survivors, &report.metrics);
+            let mut v = contract_violations(report.survivor_count(), &report.metrics);
             trace_violations(&report.trace, case.n, &mut v);
             v
         }

@@ -23,29 +23,6 @@ use crate::effects::Effects;
 use crate::ids::{Pid, Round};
 use crate::liveset::LiveSet;
 
-/// The live-set view inside an [`AdversaryCtx`]: either a borrowed
-/// `&[bool]` slice (tests, the asynchronous engine, standalone harnesses)
-/// or the synchronous engine's compressed [`LiveSet`]. Both answer
-/// membership in O(1); adversaries query through
-/// [`is_alive`](AliveView::is_alive) and never see the representation.
-#[derive(Clone, Copy, Debug)]
-pub enum AliveView<'a> {
-    /// A dense boolean slice, indexed by pid.
-    Slice(&'a [bool]),
-    /// The engine's compressed live set.
-    Set(&'a LiveSet),
-}
-
-impl AliveView<'_> {
-    /// Whether `pid` has neither crashed nor terminated.
-    pub fn is_alive(&self, pid: Pid) -> bool {
-        match self {
-            AliveView::Slice(s) => s.get(pid.index()).copied().unwrap_or(false),
-            AliveView::Set(l) => l.contains(pid.index()),
-        }
-    }
-}
-
 /// What happens to a process's actions in one atomic step (a synchronous
 /// round, or one asynchronous handler invocation).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -150,47 +127,39 @@ impl Deliver {
 
 /// Read-only view of the engine state an adversary may consult.
 ///
-/// The engine maintains the live-set incrementally and hands out a borrowed
-/// view per intercept, so constructing a context is free and
-/// [`alive_count`](AdversaryCtx::alive_count) is O(1) — adversaries that
-/// consult it every round (e.g. [`FaultPlan::random`](crate::FaultPlan::random)
-/// sparing the last survivor) add no per-round scan.
+/// Both engines hand out a context per intercept that borrows their live
+/// set (a pid is absent once it has crashed or terminated, and back once a
+/// crash-recovery revives it), so constructing one is free and every query
+/// is O(1) — adversaries that consult
+/// [`alive_count`](AdversaryCtx::alive_count) every round (e.g.
+/// [`FaultPlan::random`](crate::FaultPlan::random) sparing the last
+/// survivor) add no per-round scan.
 #[derive(Clone, Copy, Debug)]
 pub struct AdversaryCtx<'a> {
-    /// Number of processes in the system.
-    pub t: usize,
-    /// Live-set membership view (a pid is absent once it has crashed or
-    /// terminated); see [`AliveView`].
-    pub alive: AliveView<'a>,
-    /// Number of live processes, maintained incrementally by the engine
-    /// (use [`AdversaryCtx::new`] to compute it from a slice).
-    pub live: usize,
+    alive: &'a LiveSet,
     /// Crashes inflicted so far.
     pub crashes: u32,
 }
 
 impl<'a> AdversaryCtx<'a> {
-    /// Builds a context from an alive slice, counting the live processes.
-    ///
-    /// The engine constructs contexts directly from its incremental
-    /// counters; this constructor is for tests and standalone harnesses.
-    pub fn new(alive: &'a [bool], crashes: u32) -> Self {
-        AdversaryCtx {
-            t: alive.len(),
-            alive: AliveView::Slice(alive),
-            live: alive.iter().filter(|a| **a).count(),
-            crashes,
-        }
+    /// A context over the live set `alive` after `crashes` crashes.
+    pub fn new(alive: &'a LiveSet, crashes: u32) -> Self {
+        AdversaryCtx { alive, crashes }
+    }
+
+    /// Number of processes in the system.
+    pub fn t(&self) -> usize {
+        self.alive.universe()
     }
 
     /// Whether `pid` has neither crashed nor terminated.
     pub fn is_alive(&self, pid: Pid) -> bool {
-        self.alive.is_alive(pid)
+        self.alive.contains(pid.index())
     }
 
     /// Number of processes that have neither crashed nor terminated.
     pub fn alive_count(&self) -> usize {
-        self.live
+        self.alive.len()
     }
 }
 
@@ -199,8 +168,8 @@ impl<'a> AdversaryCtx<'a> {
 /// Implementations decide, per stepped process, whether the process
 /// survives the round. They see the process's proposed [`Effects`] — so
 /// they can crash a process precisely when it performs its `k`-th unit of
-/// work, or split a particular broadcast — and the set of still-alive
-/// processes.
+/// work, or split a particular broadcast — and, through [`AdversaryCtx`],
+/// the engine's live set and crash count.
 ///
 /// # Shared fault contract (synchronous and asynchronous planes)
 ///
@@ -340,13 +309,13 @@ impl<M> Adversary<M> for Box<dyn Adversary<M>> {
 /// # Examples
 ///
 /// ```
-/// use doall_sim::{NoFailures, Adversary, Effects, Fate, Pid, AdversaryCtx, Round};
+/// use doall_sim::{NoFailures, Adversary, Effects, Fate, LiveSet, Pid, AdversaryCtx, Round};
 ///
 /// let mut adv = NoFailures;
 /// let eff: Effects<()> = Effects::new();
-/// let alive = [true, true];
+/// let alive = LiveSet::new(2);
 /// let ctx = AdversaryCtx::new(&alive, 0);
-/// assert_eq!(ctx.alive_count(), 2);
+/// assert_eq!((ctx.t(), ctx.alive_count()), (2, 2));
 /// assert_eq!(adv.intercept(Round::new(1), Pid::new(0), &eff, ctx), Fate::Survive);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
@@ -371,7 +340,7 @@ mod tests {
     use crate::faults::{FaultKind, FaultPlan, Trigger};
     use crate::ids::Unit;
 
-    fn ctx(alive: &[bool]) -> AdversaryCtx<'_> {
+    fn ctx(alive: &LiveSet) -> AdversaryCtx<'_> {
         AdversaryCtx::new(alive, 0)
     }
 
@@ -398,7 +367,7 @@ mod tests {
     fn schedule_fires_only_on_its_round_and_pid() {
         let mut s = FaultPlan::default().crash_at(Pid::new(1), 5, CrashSpec::silent());
         let eff: Effects<()> = Effects::new();
-        let alive = [true, true];
+        let alive = LiveSet::new(2);
         assert_eq!(s.intercept(Round::new(4), Pid::new(1), &eff, ctx(&alive)), Fate::Survive);
         assert_eq!(s.intercept(Round::new(5), Pid::new(0), &eff, ctx(&alive)), Fate::Survive);
         assert!(matches!(
@@ -417,7 +386,7 @@ mod tests {
         );
         assert_eq!(s.len(), 2);
         let eff: Effects<()> = Effects::new();
-        let alive = [true; 4];
+        let alive = LiveSet::new(4);
         assert_eq!(
             s.intercept(Round::new(7), Pid::new(3), &eff, ctx(&alive)),
             Fate::Crash(CrashSpec::prefix(2))
@@ -440,7 +409,7 @@ mod tests {
     fn random_adversary_respects_budget() {
         let mut adv = FaultPlan::random(42, 1.0, 0);
         let eff: Effects<()> = Effects::new();
-        let alive = [true, true, true];
+        let alive = LiveSet::new(3);
         // p = 1.0 but budget 0: never crashes, and never forces a dense round.
         assert_eq!(adv.intercept(Round::new(1), Pid::new(0), &eff, ctx(&alive)), Fate::Survive);
         assert_eq!(next_event(&adv, 1), None);
@@ -451,7 +420,9 @@ mod tests {
         let mut adv = FaultPlan::random(7, 1.0, 10);
         assert_eq!(next_event(&adv, 1), Some(Round::new(1)), "coins pin every round");
         let eff: Effects<()> = Effects::new();
-        let alive = [true, false, false];
+        let mut alive = LiveSet::new(3);
+        alive.remove(1);
+        alive.remove(2);
         assert_eq!(adv.intercept(Round::new(1), Pid::new(0), &eff, ctx(&alive)), Fate::Survive);
         assert_eq!(next_event(&adv, 2), None, "a lone survivor releases fast-forward");
     }
@@ -461,7 +432,7 @@ mod tests {
         let run = |seed| {
             let mut adv = FaultPlan::random(seed, 0.5, 100);
             let eff: Effects<()> = Effects::new();
-            let alive = [true; 4];
+            let alive = LiveSet::new(4);
             (1u64..50)
                 .map(|r| {
                     let fate = adv.intercept(Round::from(r), Pid::new(0), &eff, ctx(&alive));
@@ -477,7 +448,7 @@ mod tests {
     fn random_crashes_split_broadcasts_unless_clean() {
         let mut eff: Effects<()> = Effects::new();
         eff.broadcast((1..4).map(Pid::new), ());
-        let alive = [true; 4];
+        let alive = LiveSet::new(4);
         let mut split = FaultPlan::random(5, 1.0, 10);
         let fate = split.intercept(Round::new(1), Pid::new(0), &eff, ctx(&alive));
         assert!(
@@ -492,7 +463,7 @@ mod tests {
     fn trigger_nth_work_fires_exactly_once() {
         let mut adv = FaultPlan::default()
             .crash_on(Trigger::NthWorkBy { pid: Pid::new(0), nth: 2 }, CrashSpec::silent());
-        let alive = [true, true];
+        let alive = LiveSet::new(2);
         let idle: Effects<()> = Effects::new();
         let mut working: Effects<()> = Effects::new();
         working.perform(Unit::new(1));
@@ -509,7 +480,7 @@ mod tests {
     fn trigger_note_counts_across_processes() {
         let mut adv = FaultPlan::default()
             .crash_on(Trigger::NthNote { tag: "activate", nth: 2 }, CrashSpec::silent());
-        let alive = [true, true, true];
+        let alive = LiveSet::new(3);
         let mut e1: Effects<()> = Effects::new();
         e1.note("activate");
         assert_eq!(adv.intercept(Round::new(3), Pid::new(1), &e1, ctx(&alive)), Fate::Survive);

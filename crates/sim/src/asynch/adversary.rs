@@ -136,8 +136,9 @@ mod tests {
     use crate::adversary::CrashSpec;
     use crate::faults::{FaultPlan, Trigger};
     use crate::ids::Unit;
+    use crate::liveset::LiveSet;
 
-    fn ctx(alive: &[bool]) -> AdversaryCtx<'_> {
+    fn ctx(alive: &LiveSet) -> AdversaryCtx<'_> {
         AdversaryCtx::new(alive, 0)
     }
 
@@ -148,7 +149,7 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
         let eff: AsyncEffects<()> = AsyncEffects::default();
-        let alive = [true, true];
+        let alive = LiveSet::new(2);
         assert_eq!(s.intercept(Time::new(1), Pid::new(0), 2, &eff, ctx(&alive)), Fate::Survive);
         assert_eq!(s.intercept(Time::new(1), Pid::new(1), 3, &eff, ctx(&alive)), Fate::Survive);
         assert!(matches!(
@@ -161,10 +162,12 @@ mod tests {
     fn random_adversary_respects_budget_and_lone_survivor() {
         let eff: AsyncEffects<()> = AsyncEffects::default();
         let mut broke = FaultPlan::random(42, 1.0, 0);
-        let alive = [true, true, true];
+        let alive = LiveSet::new(3);
         assert_eq!(broke.intercept(Time::new(1), Pid::new(0), 1, &eff, ctx(&alive)), Fate::Survive);
         let mut spare = FaultPlan::random(42, 1.0, 10);
-        let last = [true, false, false];
+        let mut last = LiveSet::new(3);
+        last.remove(1);
+        last.remove(2);
         assert_eq!(spare.intercept(Time::new(1), Pid::new(0), 1, &eff, ctx(&last)), Fate::Survive);
         assert!(matches!(
             spare.intercept(Time::new(1), Pid::new(0), 1, &eff, ctx(&alive)),
@@ -177,7 +180,7 @@ mod tests {
         // A single invocation performing units 1..=3 crosses nth = 2.
         let mut adv = FaultPlan::default()
             .crash_on(Trigger::NthWorkBy { pid: Pid::new(0), nth: 2 }, CrashSpec::silent());
-        let alive = [true, true];
+        let alive = LiveSet::new(2);
         let mut eff: AsyncEffects<()> = AsyncEffects::default();
         eff.perform(Unit::new(1));
         eff.perform(Unit::new(2));
@@ -193,7 +196,7 @@ mod tests {
     fn trigger_note_counts_across_processes() {
         let mut adv = FaultPlan::default()
             .crash_on(Trigger::NthNote { tag: "activate", nth: 2 }, CrashSpec::silent());
-        let alive = [true, true, true];
+        let alive = LiveSet::new(3);
         let mut e1: AsyncEffects<()> = AsyncEffects::default();
         e1.note("activate");
         assert_eq!(adv.intercept(Time::new(3), Pid::new(1), 1, &e1, ctx(&alive)), Fate::Survive);

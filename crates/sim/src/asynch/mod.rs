@@ -73,6 +73,7 @@ mod adversary;
 mod queue;
 pub mod reference;
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -81,9 +82,9 @@ use serde::{Deserialize, Serialize};
 
 pub use adversary::AsyncAdversary;
 
-use crate::adversary::{AdversaryCtx, AliveView, Fate};
+use crate::adversary::{AdversaryCtx, Fate};
 use crate::effects::SendBuf;
-use crate::engine::MemBudget;
+use crate::engine::{survivor_queries, MemBudget, ProcTable, Status};
 use crate::ids::{Pid, Round, Unit};
 use crate::message::{Classify, FlightOp, Inbox};
 use crate::metrics::Metrics;
@@ -374,7 +375,7 @@ impl AsyncConfig {
 /// Result of an asynchronous run.
 ///
 /// Two reports compare equal when their *semantic* outcome matches —
-/// metrics, retirement columns, notes, and trace. The [`mem`](AsyncReport::mem)
+/// metrics, statuses, notes, and trace. The [`mem`](AsyncReport::mem)
 /// probe and [`executed`](AsyncReport::executed) counter are excluded from
 /// equality, mirroring [`Report`](crate::Report): they measure host-side
 /// footprint and effort, not the simulated execution.
@@ -382,10 +383,11 @@ impl AsyncConfig {
 pub struct AsyncReport {
     /// Work / message counters (rounds field holds the final timestamp).
     pub metrics: Metrics,
-    /// Which processes terminated normally.
-    pub terminated: Vec<bool>,
-    /// Which processes crashed.
-    pub crashed: Vec<bool>,
+    /// Final status of each process, in [`Report`](crate::Report)'s
+    /// vocabulary: the timestamp at which it crashed or terminated, or
+    /// [`Status::Alive`] (only on a paused or failed run). A process that
+    /// recovered from a crash reads its later fate.
+    pub statuses: Vec<Status>,
     /// Activation notes observed, in order.
     pub notes: Vec<(Time, Pid, &'static str)>,
     /// Event log (empty unless [`AsyncConfig::record_trace`] was set); the
@@ -406,8 +408,7 @@ pub struct AsyncReport {
 impl PartialEq for AsyncReport {
     fn eq(&self, other: &Self) -> bool {
         self.metrics == other.metrics
-            && self.terminated == other.terminated
-            && self.crashed == other.crashed
+            && self.statuses == other.statuses
             && self.notes == other.notes
             && self.trace == other.trace
     }
@@ -416,22 +417,7 @@ impl PartialEq for AsyncReport {
 impl Eq for AsyncReport {}
 
 impl AsyncReport {
-    /// Whether at least one process terminated normally.
-    pub fn has_survivor(&self) -> bool {
-        self.terminated.iter().any(|&t| t)
-    }
-
-    /// Iterates over the processes that terminated normally, in pid order,
-    /// without building an intermediate `Vec` — parity with
-    /// [`Report::survivors_iter`](crate::Report::survivors_iter).
-    pub fn survivors_iter(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.terminated.iter().enumerate().filter(|(_, t)| **t).map(|(i, _)| Pid::new(i))
-    }
-
-    /// Number of processes that terminated normally.
-    pub fn survivor_count(&self) -> usize {
-        self.terminated.iter().filter(|t| **t).count()
-    }
+    survivor_queries!();
 }
 
 /// What the asynchronous watchdog saw when it tripped — the event-plane
@@ -664,7 +650,7 @@ impl NoticeRuns {
 /// the op arena with its in-flight payloads, the notice-run table with its
 /// partly dispatched fan-outs, the full event schedule
 /// (including tie-breaking sequence numbers), the delay RNG mid-stream,
-/// metrics, trace and the live/reviving sets — so that
+/// metrics, trace, the process table and the pending revivals — so that
 /// [`AsyncEngine::resume`] followed by a run to completion is
 /// **bit-identical** to the uninterrupted run.
 #[derive(Clone, Serialize, Deserialize)]
@@ -678,16 +664,11 @@ pub struct AsyncEngineSnapshot<P: AsyncProtocol, A> {
     notices: NoticeRuns,
     metrics: Metrics,
     trace: Trace,
-    terminated: Vec<bool>,
-    crashed: Vec<bool>,
-    // The live-set, maintained incrementally (mirrors the sync engine's
-    // AdversaryCtx contract): alive[p] == !crashed[p] && !terminated[p].
-    alive: Vec<bool>,
-    live: usize,
-    // Crashed processes with a scheduled Revive event still pending: the
-    // run must not end (nor count as stalled) while one exists.
-    reviving: Vec<bool>,
-    pending_revivals: usize,
+    // Status, retirement time and live set, shared with the sync engine.
+    table: ProcTable,
+    // Crashed processes with a scheduled Revive event still pending,
+    // sparse: the run must not end (nor count as stalled) while one exists.
+    reviving: BTreeSet<u32>,
     invocations: Vec<u64>,
     notes: Vec<(Time, Pid, &'static str)>,
     handled: u64,
@@ -747,9 +728,9 @@ pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     // once so the zero-fault delivery path stays branch-predictable.
     filters: bool,
     record: bool,
-    // ---- scratch: built empty by resume() (safe: `generation` stamps
-    // only ever match groups built within one batch, and `batch` is empty
-    // at every pause boundary) ----
+    // ---- scratch: built empty by resume() (safe: a group index is only
+    // trusted within the batch that built it, and `batch` is empty at
+    // every pause boundary) ----
     eff: AsyncEffects<P::Msg>,
     batch: Vec<Ev>,
     inbox_ids: Vec<u32>,
@@ -758,12 +739,12 @@ pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     draws: Vec<(u64, Pid)>,
     // Per-timestamp delivery grouping (one linear pre-pass instead of a
     // rescan of the batch per recipient): `groups[slot[p]]` lists the
-    // `(op, batch position)` pairs addressed to `p` this timestamp, with
-    // `stamp` distinguishing generations so nothing is cleared per pid.
-    stamp: Vec<u64>,
+    // `(op, batch position)` pairs addressed to `p` this timestamp. The
+    // pair is a sparse set: `slot[p]` counts only if it names a group of
+    // this batch whose first delivery is addressed to `p`, so a stale
+    // entry is never cleared.
     slot: Vec<u32>,
     groups: Vec<Vec<(u32, u32)>>,
-    generation: u64,
 }
 
 impl<P, A> AsyncEngine<P, A>
@@ -801,12 +782,8 @@ where
             notices: NoticeRuns::default(),
             metrics: Metrics::new(cfg.n),
             trace: Trace::new(),
-            terminated: vec![false; t],
-            crashed: vec![false; t],
-            alive: vec![true; t],
-            live: t,
-            reviving: vec![false; t],
-            pending_revivals: 0,
+            table: ProcTable::new((0..t).map(|_| None)),
+            reviving: BTreeSet::new(),
             invocations: vec![0; t],
             notes: Vec::new(),
             handled: 0,
@@ -907,8 +884,7 @@ where
         if self.st.finished {
             return Ok(true);
         }
-        let t = self.st.procs.len();
-        let alive_pids = (0..t).filter(|&i| self.st.alive[i]).map(Pid::new).collect::<Vec<_>>();
+        let alive_pids = self.st.table.live().ones().map(Pid::new).collect::<Vec<_>>();
         if alive_pids.is_empty() {
             self.st.finished = true;
             Ok(true)
@@ -943,10 +919,8 @@ where
             batch: Vec::new(),
             inbox_ids: Vec::new(),
             draws: Vec::new(),
-            stamp: vec![0; t],
             slot: vec![0; t],
             groups: Vec::new(),
-            generation: 0,
         }
     }
 
@@ -959,8 +933,7 @@ where
         let st = self.st;
         AsyncReport {
             metrics: st.metrics,
-            terminated: st.terminated,
-            crashed: st.crashed,
+            statuses: st.table.statuses(),
             notes: st.notes,
             trace: st.trace,
             mem: st.mem,
@@ -974,13 +947,8 @@ where
     /// event queue + batch scratch, `ledger` the work table, notes, and
     /// trace.
     fn observe_mem(&mut self) {
-        self.st.mem.soa_bytes = (self.st.terminated.capacity()
-            + self.st.crashed.capacity()
-            + self.st.alive.capacity()
-            + self.st.reviving.capacity()
-            + self.st.invocations.capacity() * 8
-            + self.stamp.capacity() * 8
-            + self.slot.capacity() * 4) as u64;
+        self.st.mem.soa_bytes = self.st.table.bytes()
+            + (self.st.invocations.capacity() * 8 + self.slot.capacity() * 4) as u64;
         let flight = (self.st.arena.slots.capacity() * std::mem::size_of::<FlightOp<P::Msg>>()
             + self.st.arena.refs.capacity() * 4
             + self.st.arena.free.capacity() * 4
@@ -1000,8 +968,7 @@ where
     }
 
     fn diagnosis(&self) -> AsyncStallDiagnosis {
-        let stalled: Vec<Pid> =
-            (0..self.st.procs.len()).filter(|&i| self.st.alive[i]).map(Pid::new).collect();
+        let stalled: Vec<Pid> = self.st.table.live().ones().map(Pid::new).collect();
         let invocations = stalled.iter().map(|&p| (p, self.st.invocations[p.index()])).collect();
         AsyncStallDiagnosis {
             time: self.st.now,
@@ -1009,7 +976,7 @@ where
             stalled,
             invocations,
             pending_events: self.st.queue.len(),
-            pending_revivals: self.st.pending_revivals,
+            pending_revivals: self.st.reviving.len(),
         }
     }
 
@@ -1020,14 +987,15 @@ where
     /// are start-of-idle noise: every process has retired).
     fn process_batch(&mut self, now: Time) -> Result<bool, AsyncRunError> {
         let t = self.st.procs.len();
-        self.generation += 1;
-        let generation = self.generation;
         let mut groups_used = 0usize;
         for (pos, ev) in self.batch.iter().enumerate() {
             if let Ev::Deliver { op, to } = *ev {
                 let p = to.index();
-                if self.stamp[p] != generation {
-                    self.stamp[p] = generation;
+                let g = self.slot[p] as usize;
+                let grouped = g < groups_used
+                    && matches!(self.batch[self.groups[g][0].1 as usize],
+                        Ev::Deliver { to: head, .. } if head == to);
+                if !grouped {
                     if self.groups.len() == groups_used {
                         self.groups.push(Vec::new());
                     }
@@ -1045,7 +1013,7 @@ where
             let pid = match ev {
                 Ev::Consumed => continue,
                 Ev::Start(pid) => {
-                    if !self.st.alive[pid.index()] {
+                    if !self.st.table.live().contains(pid.index()) {
                         continue;
                     }
                     self.eff.reset();
@@ -1053,7 +1021,7 @@ where
                     pid
                 }
                 Ev::Tick(pid) => {
-                    if !self.st.alive[pid.index()] {
+                    if !self.st.table.live().contains(pid.index()) {
                         continue;
                     }
                     self.eff.reset();
@@ -1063,7 +1031,7 @@ where
                 Ev::Inject(pid) => {
                     // Handler-free invocation: nothing runs, but the
                     // adversary gets its interception point below.
-                    if !self.st.alive[pid.index()] {
+                    if !self.st.table.live().contains(pid.index()) {
                         continue;
                     }
                     self.eff.reset();
@@ -1071,14 +1039,10 @@ where
                 }
                 Ev::Revive { pid, wipe } => {
                     let idx = pid.index();
-                    if self.st.alive[idx] || !self.st.reviving[idx] {
+                    if !self.st.reviving.remove(&(idx as u32)) {
                         continue;
                     }
-                    self.st.reviving[idx] = false;
-                    self.st.pending_revivals -= 1;
-                    self.st.crashed[idx] = false;
-                    self.st.alive[idx] = true;
-                    self.st.live += 1;
+                    self.st.table.revive(idx);
                     self.st.metrics.recoveries += 1;
                     if self.record {
                         self.st.trace.push(Event::Recover { round: now, pid });
@@ -1093,7 +1057,8 @@ where
                     // idempotent; soundness is untouched because only
                     // permanently retired processes are replayed.
                     for obs in 0..t {
-                        if obs != idx && !self.st.alive[obs] && !self.st.reviving[obs] {
+                        let retired = !self.st.table.live().contains(obs);
+                        if retired && !self.st.reviving.contains(&(obs as u32)) {
                             let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
                             self.draws.push((delay, Pid::new(obs)));
                         }
@@ -1107,7 +1072,7 @@ where
                     // the order its per-observer events would have had.
                     for k in start..start + len {
                         let (observer, retired) = self.st.notices.fans[slot as usize].notice(k);
-                        if !self.st.alive[observer.index()] {
+                        if !self.st.table.live().contains(observer.index()) {
                             continue;
                         }
                         if self.record {
@@ -1123,7 +1088,7 @@ where
                     continue;
                 }
                 Ev::Deliver { op, to } => {
-                    if !self.st.alive[to.index()] {
+                    if !self.st.table.live().contains(to.index()) {
                         // Individually dead-lettered: a recipient that died
                         // mid-batch (or before all-retired early return)
                         // never gets its group dispatched, matching the
@@ -1200,12 +1165,7 @@ where
         let idx = pid.index();
         self.st.invocations[idx] += 1;
 
-        let ctx = AdversaryCtx {
-            t: self.st.procs.len(),
-            alive: AliveView::Slice(&self.st.alive),
-            live: self.st.live,
-            crashes: self.st.metrics.crashes,
-        };
+        let ctx = AdversaryCtx::new(self.st.table.live(), self.st.metrics.crashes);
         let fate = self.st.adversary.intercept(now, pid, self.st.invocations[idx], &self.eff, ctx);
 
         for tag in self.eff.notes.drain(..) {
@@ -1288,14 +1248,12 @@ where
         }
 
         let retired_now = if crashed_now {
-            self.st.crashed[idx] = true;
             self.st.metrics.crashes += 1;
             if self.record {
                 self.st.trace.push(Event::Crash { round: now, pid });
             }
             true
         } else if self.eff.terminated {
-            self.st.terminated[idx] = true;
             self.st.metrics.terminations += 1;
             if self.record {
                 self.st.trace.push(Event::Terminate { round: now, pid });
@@ -1306,30 +1264,26 @@ where
         };
 
         if retired_now {
-            self.st.alive[idx] = false;
-            self.st.live -= 1;
+            self.st.table.retire(idx, !crashed_now, now);
             if let Some((downtime, wipe)) = recover_plan {
                 // Recoverable crash: schedule the restart; crucially, NO
                 // detector notices — the detector stays sound by never
                 // accusing a process that will act again.
-                self.st.reviving[idx] = true;
-                self.st.pending_revivals += 1;
+                self.st.reviving.insert(idx as u32);
                 self.st.queue.push(now + downtime, Ev::Revive { pid, wipe });
             } else {
                 // Retirement detector: eventually (and soundly) inform
                 // everyone still alive.
-                for (obs, &obs_alive) in self.st.alive.iter().enumerate() {
-                    if obs_alive {
-                        let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
-                        self.draws.push((delay, Pid::new(obs)));
-                    }
+                for obs in self.st.table.live().ones() {
+                    let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
+                    self.draws.push((delay, Pid::new(obs)));
                 }
                 self.fan_out(now, pid, false);
             }
         }
 
         self.st.metrics.rounds = now;
-        self.st.finished = self.st.live == 0 && self.st.pending_revivals == 0;
+        self.st.finished = self.st.table.live().is_empty() && self.st.reviving.is_empty();
         Ok(self.st.finished)
     }
 
@@ -1483,7 +1437,7 @@ mod tests {
         let procs = vec![Quitter { me: 0 }, Quitter { me: 1 }];
         let report = run_async(procs, NoFailures, AsyncConfig::default().with_trace()).unwrap();
         assert!(report.notes.iter().any(|(_, p, tag)| *p == Pid::new(1) && *tag == "noticed"));
-        assert_eq!(report.terminated, vec![true, true]);
+        assert!(report.statuses.iter().all(Status::is_terminated));
         assert!(!report.trace.is_empty());
         assert!(check_detector_soundness(&report.trace).is_empty());
     }
@@ -1601,7 +1555,7 @@ mod tests {
         assert!(resumed.run_until(None).unwrap());
         let report = resumed.into_report();
         assert_eq!(report.metrics, straight.metrics);
-        assert_eq!(report.terminated, straight.terminated);
+        assert_eq!(report.statuses, straight.statuses);
         assert_eq!(report.notes, straight.notes);
         assert_eq!(report.trace, straight.trace);
     }

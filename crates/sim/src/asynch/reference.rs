@@ -20,9 +20,10 @@ use rand::SeedableRng;
 use super::{
     AsyncAdversary, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncReport, AsyncRunError, Time,
 };
-use crate::adversary::{AdversaryCtx, AliveView, Fate};
-use crate::engine::MemBudget;
+use crate::adversary::{AdversaryCtx, Fate};
+use crate::engine::{MemBudget, Status};
 use crate::ids::Pid;
+use crate::liveset::LiveSet;
 use crate::message::{Classify, Inbox};
 use crate::metrics::Metrics;
 use crate::trace::{Event, Trace};
@@ -98,17 +99,15 @@ where
     let mut metrics = Metrics::new(cfg.n);
     let mut trace = Trace::new();
     let record = cfg.record_trace;
-    let mut terminated = vec![false; t];
-    let mut crashed = vec![false; t];
-    let mut alive = vec![true; t];
-    let mut live = t;
+    let mut statuses = vec![Status::Alive; t];
+    let mut alive = LiveSet::new(t);
     let mut invocations = vec![0u64; t];
     let mut notes: Vec<(Time, Pid, &'static str)> = Vec::new();
     let mut handled: u64 = 0;
     let mut executed: u64 = 0;
     let mut eff: AsyncEffects<P::Msg> = AsyncEffects::default();
 
-    while let Some(Reverse(first)) = heap.pop() {
+    'run: while let Some(Reverse(first)) = heap.pop() {
         let now = first.time;
         executed += 1;
         let mut batch: Vec<RefEv<P::Msg>> = vec![first.ev];
@@ -121,7 +120,7 @@ where
             let pid = match ev {
                 RefEv::Consumed => continue,
                 RefEv::Start(pid) => {
-                    if !alive[pid.index()] {
+                    if !alive.contains(pid.index()) {
                         continue;
                     }
                     eff.reset();
@@ -129,7 +128,7 @@ where
                     pid
                 }
                 RefEv::Tick(pid) => {
-                    if !alive[pid.index()] {
+                    if !alive.contains(pid.index()) {
                         continue;
                     }
                     eff.reset();
@@ -137,7 +136,7 @@ where
                     pid
                 }
                 RefEv::Notice { observer, retired } => {
-                    if !alive[observer.index()] {
+                    if !alive.contains(observer.index()) {
                         continue;
                     }
                     if record {
@@ -148,7 +147,7 @@ where
                     observer
                 }
                 RefEv::Deliver { from, to, payload } => {
-                    if !alive[to.index()] {
+                    if !alive.contains(to.index()) {
                         metrics.dead_letters += 1;
                         continue;
                     }
@@ -176,8 +175,7 @@ where
             let idx = pid.index();
             invocations[idx] += 1;
 
-            let ctx =
-                AdversaryCtx { t, alive: AliveView::Slice(&alive), live, crashes: metrics.crashes };
+            let ctx = AdversaryCtx::new(&alive, metrics.crashes);
             let fate = adversary.intercept(now, pid, invocations[idx], &eff, ctx);
 
             for tag in eff.notes.drain(..) {
@@ -246,14 +244,14 @@ where
             }
 
             let retired_now = if crashed_now {
-                crashed[idx] = true;
+                statuses[idx] = Status::Crashed(now);
                 metrics.crashes += 1;
                 if record {
                     trace.push(Event::Crash { round: now, pid });
                 }
                 true
             } else if eff.terminated {
-                terminated[idx] = true;
+                statuses[idx] = Status::Terminated(now);
                 metrics.terminations += 1;
                 if record {
                     trace.push(Event::Terminate { round: now, pid });
@@ -264,47 +262,26 @@ where
             };
 
             if retired_now {
-                alive[idx] = false;
-                live -= 1;
-                for (obs, &obs_alive) in alive.iter().enumerate() {
-                    if obs != idx && obs_alive {
-                        let delay = cfg.delay.sample(&mut rng, max_delay);
-                        push(
-                            &mut heap,
-                            now + delay,
-                            RefEv::Notice { observer: Pid::new(obs), retired: pid },
-                        );
-                    }
+                alive.remove(idx);
+                for obs in alive.ones() {
+                    let delay = cfg.delay.sample(&mut rng, max_delay);
+                    push(
+                        &mut heap,
+                        now + delay,
+                        RefEv::Notice { observer: Pid::new(obs), retired: pid },
+                    );
                 }
             }
 
             metrics.rounds = now;
-            if live == 0 {
-                return Ok(AsyncReport {
-                    metrics,
-                    terminated,
-                    crashed,
-                    notes,
-                    trace,
-                    mem: MemBudget::default(),
-                    executed,
-                });
+            if alive.is_empty() {
+                break 'run;
             }
         }
     }
 
-    let alive_pids = (0..t).filter(|&i| alive[i]).map(Pid::new).collect::<Vec<_>>();
-    if alive_pids.is_empty() {
-        Ok(AsyncReport {
-            metrics,
-            terminated,
-            crashed,
-            notes,
-            trace,
-            mem: MemBudget::default(),
-            executed,
-        })
-    } else {
-        Err(AsyncRunError::Stalled { alive: alive_pids })
+    if !alive.is_empty() {
+        return Err(AsyncRunError::Stalled { alive: alive.ones().map(Pid::new).collect() });
     }
+    Ok(AsyncReport { metrics, statuses, notes, trace, mem: MemBudget::default(), executed })
 }

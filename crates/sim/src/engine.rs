@@ -6,7 +6,7 @@ use std::num::NonZeroUsize;
 
 use serde::{Deserialize, Serialize};
 
-use crate::adversary::{Adversary, AdversaryCtx, AliveView, Deliver, Fate};
+use crate::adversary::{Adversary, AdversaryCtx, Deliver, Fate};
 use crate::effects::{split_runs, Effects, Recipients};
 use crate::ids::{Pid, Round, Unit};
 use crate::liveset::LiveSet;
@@ -188,6 +188,31 @@ impl MemBudget {
     }
 }
 
+/// The survivor queries of a report's `statuses` column, written once for
+/// [`Report`] and [`AsyncReport`](crate::asynch::AsyncReport).
+macro_rules! survivor_queries {
+    () => {
+        /// Iterates over the processes that terminated normally, in pid
+        /// order, without building an intermediate `Vec`.
+        pub fn survivors_iter(&self) -> impl Iterator<Item = $crate::Pid> + '_ {
+            let terminated = self.statuses.iter().map($crate::Status::is_terminated);
+            terminated.enumerate().filter(|&(_, t)| t).map(|(i, _)| $crate::Pid::new(i))
+        }
+
+        /// Number of processes that terminated normally.
+        pub fn survivor_count(&self) -> usize {
+            self.survivors_iter().count()
+        }
+
+        /// Whether at least one process terminated normally — the premise
+        /// of the paper's correctness guarantee.
+        pub fn has_survivor(&self) -> bool {
+            self.survivors_iter().next().is_some()
+        }
+    };
+}
+pub(crate) use survivor_queries;
+
 impl Report {
     /// Processes that terminated normally (the survivors).
     ///
@@ -198,26 +223,7 @@ impl Report {
         self.survivors_iter().collect()
     }
 
-    /// Iterates over the processes that terminated normally, in pid order,
-    /// without building an intermediate `Vec`.
-    pub fn survivors_iter(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_terminated())
-            .map(|(i, _)| Pid::new(i))
-    }
-
-    /// Number of processes that terminated normally.
-    pub fn survivor_count(&self) -> usize {
-        self.statuses.iter().filter(|s| s.is_terminated()).count()
-    }
-
-    /// Whether at least one process survived — the premise of the paper's
-    /// correctness guarantee.
-    pub fn has_survivor(&self) -> bool {
-        self.statuses.iter().any(Status::is_terminated)
-    }
+    survivor_queries!();
 }
 
 /// Watchdog report attached to abnormal exits: who is stuck, since when,
@@ -559,7 +565,7 @@ impl DeliveryIndex {
     }
 }
 
-/// Status code bits in [`ProcSet::meta`]: process is alive.
+/// Status code bits in [`ProcTable::meta`]: process is alive.
 const PS_ALIVE: u8 = 0;
 /// Status code bits: process crashed (retirement round in its slot).
 const PS_CRASHED: u8 = 1;
@@ -567,48 +573,88 @@ const PS_CRASHED: u8 = 1;
 const PS_TERMINATED: u8 = 2;
 /// Mask of the status code bits.
 const PS_CODE: u8 = 0b011;
-/// Flag bit: an alive process's slot holds a cached wakeup round.
+/// Flag bit (sync engine): an alive process's slot holds a cached wakeup
+/// round.
 const PS_WAKE: u8 = 0b100;
-/// Flag bit: the cached wakeup is the end of a work lease; the process is
-/// parked, however many messages reach it, until that round.
+/// Flag bit (sync engine): the cached wakeup is the end of a work lease;
+/// the process is parked, however many messages reach it, until that round.
 const PS_LEASE: u8 = 0b1000;
 
-/// Struct-of-arrays per-process engine state: one metadata byte (status
-/// code plus wakeup-present and lease flags) and one 128-bit slot per
-/// process. The slot is a union keyed by the metadata — for an alive
-/// process it caches the next spontaneous wakeup round (valid only when
-/// [`PS_WAKE`] is set, so a saturated `Round::MAX` deadline needs no
-/// out-of-band sentinel; with [`PS_LEASE`] also set, it is a lease's end);
-/// for a retired process it records the retirement round. 17 bytes per
-/// process replace the former parallel `Vec<Status>` + `Vec<bool>` +
-/// `Vec<u32>` + two `Vec<Option<...>>` columns (≈ 57 bytes with `Option`
-/// padding), which is what moves `t = 10^6` systems comfortably under the
-/// 32-byte/process engine budget.
+/// The process table both engines hold: per process one metadata byte
+/// (status code, plus the sync engine's wakeup-present and lease flags)
+/// and one 128-bit slot, and the [`LiveSet`] over them.
+/// [`retire`](ProcTable::retire) and [`revive`](ProcTable::revive) move
+/// the status and the live set in one call, so the two never disagree.
+///
+/// The slot is a union keyed by the metadata: for a retired process it
+/// records the retirement round (the [`Status`] the reports carry); for an
+/// alive process of the sync engine it caches the next spontaneous wakeup
+/// round (valid only when [`PS_WAKE`] is set, so a saturated `Round::MAX`
+/// deadline needs no out-of-band sentinel; with [`PS_LEASE`] also set, it
+/// is a lease's end). 17 bytes per process plus one live bit keep
+/// `t = 10^6` systems comfortably under the 32-byte/process engine budget.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-struct ProcSet {
+pub(crate) struct ProcTable {
     meta: Vec<u8>,
     slot: Vec<u128>,
+    live: LiveSet,
 }
 
-impl ProcSet {
+impl ProcTable {
     /// Builds the table with every process alive and the given initial
-    /// wakeup cache.
-    fn from_wakeups(wakeups: impl Iterator<Item = Option<Round>>) -> Self {
-        let mut meta = Vec::new();
-        let mut slot = Vec::new();
+    /// wakeup cache (the async engine passes `None` throughout).
+    pub(crate) fn new(wakeups: impl Iterator<Item = Option<Round>>) -> Self {
+        let (mut meta, mut slot) = (Vec::new(), Vec::new());
         for w in wakeups {
-            match w {
-                Some(r) => {
-                    meta.push(PS_ALIVE | PS_WAKE);
-                    slot.push(r.get());
-                }
-                None => {
-                    meta.push(PS_ALIVE);
-                    slot.push(0);
-                }
-            }
+            meta.push(if w.is_some() { PS_ALIVE | PS_WAKE } else { PS_ALIVE });
+            slot.push(w.map_or(0, Round::get));
         }
-        ProcSet { meta, slot }
+        let live = LiveSet::new(meta.len());
+        ProcTable { meta, slot, live }
+    }
+
+    /// The live set: the processes that have neither crashed nor
+    /// terminated.
+    pub(crate) fn live(&self) -> &LiveSet {
+        &self.live
+    }
+
+    /// Retires an alive process at round `at`, recording the round in its
+    /// slot and removing it from the live set.
+    pub(crate) fn retire(&mut self, idx: usize, terminated: bool, at: Round) {
+        self.meta[idx] = if terminated { PS_TERMINATED } else { PS_CRASHED };
+        self.slot[idx] = at.get();
+        let was_live = self.live.remove(idx);
+        debug_assert!(was_live, "p{idx} retired twice");
+    }
+
+    /// Returns a crashed process to life (crash-recovery revival), with no
+    /// cached wakeup.
+    pub(crate) fn revive(&mut self, idx: usize) {
+        self.meta[idx] = PS_ALIVE;
+        self.slot[idx] = 0;
+        let was_dead = self.live.insert(idx);
+        debug_assert!(was_dead, "p{idx} revived while alive");
+    }
+
+    /// The process's [`Status`] as the report vocabulary sees it.
+    fn status(&self, idx: usize) -> Status {
+        match self.meta[idx] & PS_CODE {
+            PS_CRASHED => Status::Crashed(Round::new(self.slot[idx])),
+            PS_TERMINATED => Status::Terminated(Round::new(self.slot[idx])),
+            _ => Status::Alive,
+        }
+    }
+
+    /// Materializes the per-process status column for a report.
+    pub(crate) fn statuses(&self) -> Vec<Status> {
+        (0..self.meta.len()).map(|i| self.status(i)).collect()
+    }
+
+    /// Bytes held by the table and its live set, for the memory probe.
+    pub(crate) fn bytes(&self) -> u64 {
+        (self.meta.capacity() + self.slot.capacity() * std::mem::size_of::<u128>()) as u64
+            + self.live.bytes()
     }
 
     /// The cached wakeup of an alive process (`None` = purely reactive).
@@ -647,36 +693,19 @@ impl ProcSet {
         self.meta[idx] & PS_LEASE != 0 && self.slot[idx] > round.get()
     }
 
-    /// Retires a process, recording the retirement round in its slot.
-    fn retire(&mut self, idx: usize, terminated: bool, round: Round) {
-        self.meta[idx] = if terminated { PS_TERMINATED } else { PS_CRASHED };
-        self.slot[idx] = round.get();
-    }
-
-    /// Returns a crashed process to life (crash-recovery revival); the
-    /// caller refreshes the wakeup cache afterwards.
-    fn revive(&mut self, idx: usize) {
-        self.meta[idx] = PS_ALIVE;
-        self.slot[idx] = 0;
-    }
-
-    /// The process's [`Status`] as the report vocabulary sees it.
-    fn status(&self, idx: usize) -> Status {
-        match self.meta[idx] & PS_CODE {
-            PS_CRASHED => Status::Crashed(Round::new(self.slot[idx])),
-            PS_TERMINATED => Status::Terminated(Round::new(self.slot[idx])),
-            _ => Status::Alive,
-        }
-    }
-
-    /// Materializes the per-process status column for a [`Report`].
-    fn statuses(&self) -> Vec<Status> {
-        (0..self.meta.len()).map(|i| self.status(i)).collect()
-    }
-
-    /// Bytes held by the table, for the memory probe.
-    fn bytes(&self) -> u64 {
-        (self.meta.capacity() + self.slot.capacity() * std::mem::size_of::<u128>()) as u64
+    /// The live processes in pid order, each with its cached wakeup and
+    /// whether `round` lies inside its lease: the exact scans, which walk
+    /// the live set's runs while they read the columns.
+    fn live_wakeups(
+        &mut self,
+        round: Round,
+    ) -> impl Iterator<Item = (usize, Option<Round>, bool)> + '_ {
+        let ProcTable { meta, slot, live } = self;
+        let (meta, slot) = (&*meta, &*slot);
+        live.iter().map(move |i| {
+            let wake = (meta[i] & PS_WAKE != 0).then(|| Round::new(slot[i]));
+            (i, wake, meta[i] & PS_LEASE != 0 && slot[i] > round.get())
+        })
     }
 }
 
@@ -723,7 +752,8 @@ pub struct EngineSnapshot<P: Protocol, A> {
     cfg: RunConfig,
     round: Round,
     // Struct-of-arrays per-process state: status + retirement round +
-    // cached wakeup, one byte and one slot per process (see [`ProcSet`]).
+    // cached wakeup, one byte and one slot per process, and the live set
+    // (see [`ProcTable`]).
     // The wakeup cache holds the earliest round each alive process may act
     // spontaneously (absent = purely reactive, `Round::MAX` = a deadline
     // saturated past the horizon, which fires *at* the horizon). A process
@@ -734,15 +764,11 @@ pub struct EngineSnapshot<P: Protocol, A> {
     // can change), so entries for untouched processes stay valid. The
     // engine's round index (`next_due` / `far`, scratch beside it) is
     // derived from this table; the exact scans that rebuild the index read
-    // it whenever the index cannot answer on its own.
-    pset: ProcSet,
-    // The compressed live set: bitset membership plus lazily rebuilt
-    // maximal runs. Replaces both the old `Vec<bool>` mirror and the
-    // compacting `order` list — the per-round due-scan walks the runs in
-    // pid order, so a mass extinction leaving a handful of survivors costs
-    // O(survivors) per round from the very next round, with no compaction
-    // heuristics.
-    live: LiveSet,
+    // it whenever the index cannot answer on its own. The exact scans walk
+    // the live set's runs in pid order, so a mass extinction leaving a
+    // handful of survivors costs O(survivors) per round from the very next
+    // round.
+    table: ProcTable,
     metrics: Metrics,
     trace: Trace,
     // In-flight send ops awaiting delivery at `round`. Messages cross a
@@ -872,14 +898,13 @@ where
             return Err(RunError::InvalidAdversary { reason });
         }
         let t = procs.len();
-        let pset = ProcSet::from_wakeups(
+        let table = ProcTable::new(
             procs.iter().map(|p| p.next_wakeup(Round::ONE).map(|w| w.max(Round::ONE))),
         );
         let mem =
             MemBudget { proc_bytes: (t * std::mem::size_of::<P>()) as u64, ..MemBudget::default() };
         Ok(Self::resume(EngineSnapshot {
-            pset,
-            live: LiveSet::new(t),
+            table,
             metrics: Metrics::new(cfg.n),
             trace: Trace::new(),
             pending: Vec::new(),
@@ -987,7 +1012,7 @@ where
             Report {
                 metrics: st.metrics,
                 trace: st.trace,
-                statuses: st.pset.statuses(),
+                statuses: st.table.statuses(),
                 mem: st.mem,
                 executed_rounds: st.executed_rounds,
             },
@@ -998,8 +1023,8 @@ where
     /// The watchdog's view of the paused engine: who is alive, what they
     /// are waiting on, and what is in flight.
     fn diagnosis(&self) -> StallDiagnosis {
-        let stalled: Vec<Pid> = self.st.live.ones().map(Pid::new).collect();
-        let wakeups = stalled.iter().map(|&p| (p, self.st.pset.wakeup(p.index()))).collect();
+        let stalled: Vec<Pid> = self.st.table.live.ones().map(Pid::new).collect();
+        let wakeups = stalled.iter().map(|&p| (p, self.st.table.wakeup(p.index()))).collect();
         StallDiagnosis {
             round: self.st.round,
             last_progress: self.st.last_progress,
@@ -1014,8 +1039,7 @@ where
     /// per-process SoA columns (recomputed — they are stable at t), and the
     /// high-water mark of transient flight state and ledgers.
     fn observe_mem(&mut self) {
-        self.st.mem.soa_bytes =
-            self.st.pset.bytes() + self.st.live.bytes() + self.delivery.soa_bytes();
+        self.st.mem.soa_bytes = self.st.table.bytes() + self.delivery.soa_bytes();
         let flight = self.delivery.flight_bytes()
             + ((self.st.pending.capacity() + self.next_pending.capacity())
                 * std::mem::size_of::<FlightOp<P::Msg>>()) as u64
@@ -1101,12 +1125,11 @@ where
             for (i, wipe) in ready {
                 self.st.revive.remove(&i);
                 let idx = i as usize;
-                self.st.pset.revive(idx);
-                self.st.live.insert(idx);
+                self.st.table.revive(idx);
                 self.st.metrics.recoveries += 1;
                 self.st.procs[idx].on_recover(round, wipe);
                 let wake = self.st.procs[idx].next_wakeup(round).map(|w| w.max(round));
-                self.st.pset.set_wakeup(idx, wake);
+                self.st.table.set_wakeup(idx, wake);
                 if self.record {
                     self.st.trace.push(Event::Recover { round, pid: Pid::new(idx) });
                 }
@@ -1124,7 +1147,7 @@ where
             let (dead, omitted) = self.delivery.build(
                 round,
                 &self.st.pending,
-                &self.st.live,
+                &self.st.table.live,
                 &mut self.st.adversary,
                 self.record.then_some(&mut self.st.trace),
             );
@@ -1161,7 +1184,7 @@ where
                 let indexed = self.due.len();
                 for &i in &self.delivery.touched {
                     let p = i as usize;
-                    if !self.st.pset.wakeup_due(p, round) && !self.st.pset.leased(p, round) {
+                    if !self.st.table.wakeup_due(p, round) && !self.st.table.leased(p, round) {
                         self.due.push(i);
                     }
                 }
@@ -1172,16 +1195,15 @@ where
         } else {
             self.due.clear();
             let mut far: Option<Round> = None;
-            let pset = &self.st.pset;
             let delivery = &self.delivery;
             let due = &mut self.due;
-            for i in self.st.live.iter() {
+            for (i, wake, leased) in self.st.table.live_wakeups(round) {
                 if adv_due
-                    || (have_inbox && delivery.has_inbox(i) && !pset.leased(i, round))
-                    || pset.wakeup_due(i, round)
+                    || (have_inbox && delivery.has_inbox(i) && !leased)
+                    || wake.is_some_and(|w| w <= round)
                 {
                     due.push(i as u32);
-                } else if let Some(w) = pset.wakeup(i) {
+                } else if let Some(w) = wake {
                     far = Some(far.map_or(w, |f| f.min(w)));
                 }
             }
@@ -1200,7 +1222,7 @@ where
         let mut eff = std::mem::replace(&mut self.eff, Effects::new());
         for di in 0..self.due.len() {
             let idx = self.due[di] as usize;
-            debug_assert!(!self.st.pset.leased(idx, round), "leased p{idx} stepped at {round}");
+            debug_assert!(!self.st.table.leased(idx, round), "leased p{idx} stepped at {round}");
             eff.reset();
             let inbox = if have_inbox && self.delivery.has_inbox(idx) {
                 self.delivery.inbox(idx, &self.st.pending)
@@ -1211,9 +1233,9 @@ where
             self.settle(round, Pid::new(idx), &mut eff);
             // The step may have changed this process's timing state;
             // refresh its cached wakeup (retired slots are never read).
-            if self.st.live.contains(idx) {
+            if self.st.table.live.contains(idx) {
                 let wake = self.st.procs[idx].next_wakeup(next).map(|w| w.max(next));
-                self.st.pset.set_wakeup(idx, wake);
+                self.st.table.set_wakeup(idx, wake);
                 match wake {
                     Some(w) if w == next => {
                         self.next_due.push(idx as u32);
@@ -1229,7 +1251,7 @@ where
         self.observe_mem();
 
         // Did everyone retire? (A scheduled revival is not retirement.)
-        if self.st.live.is_empty() && self.st.revive.is_empty() {
+        if self.st.table.live.is_empty() && self.st.revive.is_empty() {
             self.st.metrics.rounds = round;
             self.st.finished = true;
             return Ok(());
@@ -1289,10 +1311,7 @@ where
             && self.next_due.is_empty()
             && self.lease_until < next
         {
-            let wake = {
-                let pset = &self.st.pset;
-                self.st.live.iter().filter_map(|i| pset.wakeup(i)).min()
-            };
+            let wake = self.st.table.live_wakeups(next).filter_map(|(_, w, _)| w).min();
             self.far = wake;
             let wake = wake.map(|w| w.max(next));
             let adv = self.st.adversary.next_event(next).map(|r| r.max(next));
@@ -1300,7 +1319,7 @@ where
             match [wake, adv, rev].into_iter().flatten().min() {
                 Some(target) => target,
                 None => {
-                    let alive = self.st.live.ones().map(Pid::new).collect();
+                    let alive = self.st.table.live.ones().map(Pid::new).collect();
                     return Err(RunError::Deadlock { round, alive, metrics: self.error_metrics() });
                 }
             }
@@ -1343,7 +1362,7 @@ where
                     self.record_work(idx, first, len as usize);
                     self.st.procs[idx].advance(len);
                     debug_assert_eq!(self.st.procs[idx].next_wakeup(end), Some(end), "{pid}");
-                    self.st.pset.lease(idx, end);
+                    self.st.table.lease(idx, end);
                     self.lease_until = self.lease_until.max(end);
                     self.far = Some(self.far.map_or(end, |f| f.min(end)));
                 }
@@ -1365,12 +1384,7 @@ where
     /// [`Deliver`] filter the sends pass, and whether the process crashes.
     fn settle(&mut self, round: Round, pid: Pid, eff: &mut Effects<P::Msg>) {
         let idx = pid.index();
-        let ctx = AdversaryCtx {
-            t: self.st.procs.len(),
-            alive: AliveView::Set(&self.st.live),
-            live: self.st.live.len(),
-            crashes: self.st.metrics.crashes,
-        };
+        let ctx = AdversaryCtx::new(&self.st.table.live, self.st.metrics.crashes);
         let fate = self.st.adversary.intercept(round, pid, eff, ctx);
         let (count_work, filter, crashed) = match &fate {
             Fate::Survive => (true, None, false),
@@ -1438,8 +1452,7 @@ where
         }
 
         if crashed {
-            self.st.pset.retire(idx, false, round);
-            self.st.live.remove(idx);
+            self.st.table.retire(idx, false, round);
             self.st.metrics.crashes += 1;
             if self.record {
                 self.st.trace.push(Event::Crash { round, pid });
@@ -1450,8 +1463,7 @@ where
                 self.st.next_revive = Some(self.st.next_revive.map_or(at, |r| r.min(at)));
             }
         } else if eff.is_terminated() {
-            self.st.pset.retire(idx, true, round);
-            self.st.live.remove(idx);
+            self.st.table.retire(idx, true, round);
             self.st.metrics.terminations += 1;
             if self.record {
                 self.st.trace.push(Event::Terminate { round, pid });

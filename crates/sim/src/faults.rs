@@ -1169,6 +1169,7 @@ impl<P: AsyncProtocol> AsyncProtocol for AsyncDegraded<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::liveset::LiveSet;
 
     #[test]
     fn fault_builders_compose() {
@@ -1188,7 +1189,7 @@ mod tests {
         let mut plan = FaultPlan::default();
         assert!(plan.is_empty());
         let eff: Effects<()> = Effects::new();
-        let alive = [true, true];
+        let alive = LiveSet::new(2);
         let ctx = AdversaryCtx::new(&alive, 0);
         assert_eq!(
             Adversary::<()>::intercept(&mut plan, Round::ONE, Pid::new(0), &eff, ctx),

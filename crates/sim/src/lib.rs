@@ -85,7 +85,7 @@ pub mod chaos;
 pub mod faults;
 pub mod invariants;
 
-pub use adversary::{Adversary, AdversaryCtx, AliveView, CrashSpec, Deliver, Fate, NoFailures};
+pub use adversary::{Adversary, AdversaryCtx, CrashSpec, Deliver, Fate, NoFailures};
 pub use effects::{Effects, Recipients, SendOp};
 pub use engine::{
     run, run_returning, Engine, EngineSnapshot, MemBudget, Report, RunConfig, RunError,

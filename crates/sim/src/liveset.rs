@@ -12,11 +12,16 @@
 //!   extinction leaves one survivor in a `t = 2^17` system, the per-round
 //!   due-scan walks one run of length one instead of 2048 bitset words.
 //!
-//! Mutations touch only the bitset (O(1) per pid, O(span/64) for a bulk
-//! span kill) and mark the run list dirty; the runs are rebuilt from the
-//! words on the next iteration after a mutation, so quiet stretches — the
-//! common case, since the live set only moves on retirement, revival, and
-//! recovery — iterate at interval-set speed with no rebuild at all.
+//! Mutations touch only the bitset (O(1) per pid) and mark the run list
+//! dirty; the runs are rebuilt from the words on the next iteration after
+//! a mutation, so quiet stretches — the common case, since the live set
+//! only moves on retirement and revival — iterate at interval-set speed
+//! with no rebuild at all.
+//!
+//! Both engines hold their live set inside the crate's process table,
+//! which moves it together with the status column on every retirement and
+//! revival; adversaries see it through
+//! [`AdversaryCtx`](crate::AdversaryCtx).
 
 use serde::{Deserialize, Serialize};
 
@@ -31,8 +36,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(live.len(), 10);
 /// live.remove(3);
 /// assert!(!live.contains(3));
-/// assert_eq!(live.kill_span(5, 8), 3);
-/// assert_eq!(live.iter().collect::<Vec<_>>(), vec![0, 1, 2, 4, 8, 9]);
+/// assert_eq!(live.iter().collect::<Vec<_>>(), vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LiveSet {
@@ -104,56 +108,6 @@ impl LiveSet {
         true
     }
 
-    /// Kills every live pid in `[lo, hi)` in one pass over `⌈span/64⌉`
-    /// words (no per-pid work); returns how many were live.
-    pub fn kill_span(&mut self, lo: usize, hi: usize) -> u64 {
-        let hi = hi.min(self.t);
-        if lo >= hi {
-            return 0;
-        }
-        let mut removed: u32 = 0;
-        let (wlo, whi) = (lo / 64, (hi - 1) / 64);
-        for wi in wlo..=whi {
-            let mut mask = u64::MAX;
-            if wi == wlo {
-                mask &= u64::MAX << (lo % 64);
-            }
-            if wi == whi && !hi.is_multiple_of(64) {
-                mask &= (1u64 << (hi % 64)) - 1;
-            }
-            let hit = self.words[wi] & mask;
-            removed += hit.count_ones();
-            self.words[wi] &= !mask;
-        }
-        if removed > 0 {
-            self.len -= removed as usize;
-            self.dirty = true;
-        }
-        u64::from(removed)
-    }
-
-    /// Number of live pids in `[lo, hi)`, by popcount over the span's
-    /// words.
-    pub fn count_span(&self, lo: usize, hi: usize) -> usize {
-        let hi = hi.min(self.t);
-        if lo >= hi {
-            return 0;
-        }
-        let (wlo, whi) = (lo / 64, (hi - 1) / 64);
-        let mut count = 0u32;
-        for wi in wlo..=whi {
-            let mut mask = u64::MAX;
-            if wi == wlo {
-                mask &= u64::MAX << (lo % 64);
-            }
-            if wi == whi && !hi.is_multiple_of(64) {
-                mask &= (1u64 << (hi % 64)) - 1;
-            }
-            count += (self.words[wi] & mask).count_ones();
-        }
-        count as usize
-    }
-
     /// Rebuilds the run list from the bitset if any mutation happened
     /// since the last rebuild.
     fn ensure_runs(&mut self) {
@@ -199,8 +153,8 @@ impl LiveSet {
 
     /// Iterates the live pids in pid order, in O(live + runs) after an
     /// amortized O(t/64) rebuild on the first iteration following a
-    /// mutation. Requires `&mut self` for the lazy rebuild; cold callers
-    /// holding only `&self` can use [`ones`](LiveSet::ones).
+    /// mutation. Requires `&mut self` for the lazy rebuild; callers
+    /// holding only `&self` use [`ones`](LiveSet::ones).
     pub fn iter(&mut self) -> impl Iterator<Item = usize> + '_ {
         self.ensure_runs();
         self.runs.iter().flat_map(|&(lo, hi)| lo as usize..hi as usize)
@@ -212,11 +166,12 @@ impl LiveSet {
         &self.runs
     }
 
-    /// Iterates the live pids straight off the bitset, in O(t/64); for
-    /// cold paths (diagnostics) that only hold `&self`.
+    /// Iterates the live pids straight off the bitset, in O(t/64 + live);
+    /// for callers that only hold `&self`.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().filter(|(_, &w)| w != 0).flat_map(|(wi, &w)| {
-            (0..64).filter(move |b| w & (1u64 << b) != 0).map(move |b| wi * 64 + b)
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            std::iter::successors((w != 0).then_some(w), |&w| Some(w & (w - 1)).filter(|&r| r != 0))
+                .map(move |w| wi * 64 + w.trailing_zeros() as usize)
         })
     }
 
@@ -272,47 +227,26 @@ mod tests {
     }
 
     #[test]
-    fn kill_span_crosses_word_boundaries() {
-        let mut s = LiveSet::new(200);
-        assert_eq!(s.kill_span(1, 199), 198);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.runs(), &[(0, 1), (199, 200)]);
-        // Idempotent: nothing left to kill.
-        assert_eq!(s.kill_span(0, 200), 2);
-        assert!(s.is_empty());
-        assert_eq!(s.kill_span(0, 200), 0);
-    }
-
-    #[test]
-    fn kill_span_clamps_and_counts_only_live() {
-        let mut s = LiveSet::new(64);
-        s.remove(10);
-        assert_eq!(s.kill_span(8, 12), 3);
-        assert_eq!(s.kill_span(60, 1000), 4);
-        assert_eq!(s.len(), 56);
-        assert_eq!(s.count_span(0, 64), s.len());
-    }
-
-    #[test]
-    fn count_span_matches_iteration() {
-        let mut s = LiveSet::new(150);
-        for i in (0..150).step_by(3) {
-            s.remove(i);
-        }
-        for lo in [0usize, 1, 63, 64, 65, 100] {
-            for hi in [lo, lo + 1, 128, 150, 400] {
-                let expect = s.clone().iter().filter(|&i| i >= lo && i < hi).count();
-                assert_eq!(s.count_span(lo, hi), expect, "span {lo}..{hi}");
-            }
-        }
-    }
-
-    #[test]
     fn mass_extinction_leaves_tiny_runs() {
         let mut s = LiveSet::new(1 << 17);
-        assert_eq!(s.kill_span(1, 1 << 17), (1 << 17) - 1);
+        for i in 1..1 << 17 {
+            assert!(s.remove(i));
+        }
         assert_eq!(s.len(), 1);
         assert_eq!(s.runs(), &[(0, 1)]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn ones_matches_iter_across_words() {
+        let mut s = LiveSet::new(200);
+        for i in (0..200).filter(|i| i % 3 == 0 || (60..130).contains(i)) {
+            s.remove(i);
+        }
+        let ones: Vec<usize> = s.ones().collect();
+        assert_eq!(ones, s.iter().collect::<Vec<_>>());
+        assert_eq!(ones.len(), s.len());
+        assert_eq!(ones.last(), Some(&199));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! 1. [`doall::sim::asynch::run_async`] (payload stored once in the op
 //!    arena, calendar-queue scheduling, batched zero-copy inboxes) must
-//!    produce **bit-identical** [`AsyncReport`]s — metrics, statuses,
-//!    notes, and full traces — to
+//!    produce **bit-identical** [`AsyncReport`]s — metrics, statuses
+//!    (whose retirement times must match the trace's), notes, and full
+//!    traces — to
 //!    [`doall::sim::asynch::reference::run_async_reference`] (payload
 //!    cloned per recipient at scheduling, plain binary heap) over random
 //!    send/delay/crash patterns. Drawn `max_delay`s stay small (dense
@@ -16,10 +17,13 @@
 //! 2. Failure-free asynchronous runs of Protocols A and B must report
 //!    exactly the synchronous work and message counts over a small grid
 //!    and, under a unit fixed delay, at storm scale `(2048, 1024)` — the
-//!    §2.1 claim that the bounds carry over.
+//!    §2.1 claim that the bounds carry over. On the traced small grid,
+//!    both planes' statuses carry their trace's retirement times.
 
 use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, DelayDist};
-use doall::sim::{Classify, CrashSpec, FaultPlan, Inbox, NoFailures, Pid, Trigger, Unit};
+use doall::sim::{
+    Classify, CrashSpec, FaultPlan, Inbox, NoFailures, Pid, RunConfig, Status, Trace, Trigger, Unit,
+};
 use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB};
 use proptest::prelude::*;
@@ -176,6 +180,17 @@ fn crash_schedule(t: usize, seed: u64) -> FaultPlan {
     sched
 }
 
+/// Every pid's status carries the time of its retirement event in the
+/// trace, on either plane: a retired pid's crash or termination time, none
+/// for a pid still alive. (No run checked here recovers from a crash, so
+/// each pid retires at most once.)
+fn assert_statuses_match_trace(statuses: &[Status], trace: &Trace, at: &str) {
+    assert!(!trace.is_empty(), "{at}: untraced run");
+    for (p, status) in statuses.iter().enumerate() {
+        assert_eq!(status.round(), trace.retirement_round(Pid::new(p)), "{at}: p{p}");
+    }
+}
+
 fn dist_of(raw: u8) -> DelayDist {
     match raw % 3 {
         0 => DelayDist::Uniform,
@@ -210,8 +225,8 @@ fn assert_arena_matches_reference(t: usize, n: usize, max_delay: u64, delay: Del
     .expect("reference run must complete identically");
     let at = format!("t={t} n={n} max_delay={max_delay} {delay:?} seed={seed}");
     assert_eq!(fast.metrics, reference.metrics, "{at}");
-    assert_eq!(fast.terminated, reference.terminated, "{at}");
-    assert_eq!(fast.crashed, reference.crashed, "{at}");
+    assert_eq!(fast.statuses, reference.statuses, "{at}");
+    assert_statuses_match_trace(&fast.statuses, &fast.trace, &at);
     assert_eq!(fast.notes, reference.notes, "{at}");
     assert_eq!(fast.trace, reference.trace, "{at}");
 }
@@ -355,27 +370,25 @@ fn arena_engine_matches_reference_at_storm_scale() {
 fn failure_free_async_equals_sync_for_a_and_b() {
     let grid = [(16u64, 16u64), (32, 16), (64, 16), (36, 36)];
     for (n, t) in grid {
-        let sync_a = doall::sim::run(
-            ProtocolA::processes(n, t).unwrap(),
-            NoFailures,
-            doall::sim::RunConfig::new(n as usize, u64::MAX - 1),
-        )
-        .unwrap();
-        let sync_b = doall::sim::run(
-            ProtocolB::processes(n, t).unwrap(),
-            NoFailures,
-            doall::sim::RunConfig::new(n as usize, u64::MAX - 1),
-        )
-        .unwrap();
+        let cfg = RunConfig::new(n as usize, u64::MAX - 1).with_trace();
+        let sync_a =
+            doall::sim::run(ProtocolA::processes(n, t).unwrap(), NoFailures, cfg.clone()).unwrap();
+        let sync_b = doall::sim::run(ProtocolB::processes(n, t).unwrap(), NoFailures, cfg).unwrap();
+        assert_statuses_match_trace(&sync_a.statuses, &sync_a.trace, &format!("sync A({n},{t})"));
+        assert_statuses_match_trace(&sync_b.statuses, &sync_b.trace, &format!("sync B({n},{t})"));
         // Exact equality under fixed delays, for several hop costs.
         for max_delay in [1u64, 3, 11] {
-            let cfg = AsyncConfig::new(n as usize, 42).with_delay(DelayDist::Fixed, max_delay);
+            let cfg = AsyncConfig::new(n as usize, 42)
+                .with_delay(DelayDist::Fixed, max_delay)
+                .with_trace();
             let async_a =
                 run_async(AsyncProtocolA::processes(n, t).unwrap(), NoFailures, cfg.clone())
                     .unwrap();
             let async_b =
                 run_async(AsyncProtocolB::processes(n, t).unwrap(), NoFailures, cfg).unwrap();
             for (label, sync, asynch) in [("A", &sync_a, &async_a), ("B", &sync_b, &async_b)] {
+                let at = format!("{label}({n},{t},fixed {max_delay})");
+                assert_statuses_match_trace(&asynch.statuses, &asynch.trace, &at);
                 assert!(asynch.metrics.all_work_done(), "{label}({n},{t},fixed {max_delay})");
                 assert_eq!(
                     asynch.metrics.work_total, sync.metrics.work_total,

@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 
 use doall::sim::{
     run, Adversary, AdversaryCtx, Classify, CrashSpec, Effects, Event, Fate, FaultKind, FaultPlan,
-    Inbox, MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace, Unit,
+    Inbox, LiveSet, MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace,
+    Unit,
 };
 use doall::ProtocolD;
 use proptest::prelude::*;
@@ -291,8 +292,7 @@ where
 {
     let t = procs.len();
     let mut statuses = vec![Status::Alive; t];
-    let mut alive = vec![true; t];
-    let mut live = t;
+    let mut alive = LiveSet::new(t);
     let mut metrics = Metrics::new(cfg.n);
     let mut revive: BTreeMap<usize, (Round, bool)> = BTreeMap::new();
     let mut executed_rounds = 0u64;
@@ -321,8 +321,7 @@ where
         for (idx, wipe) in ready {
             revive.remove(&idx);
             statuses[idx] = Status::Alive;
-            alive[idx] = true;
-            live += 1;
+            alive.insert(idx);
             metrics.recoveries += 1;
             procs[idx].on_recover(round, wipe);
             events.push(Event::Recover { round, pid: Pid::new(idx) });
@@ -332,7 +331,7 @@ where
         let filters = adversary.filters_deliveries();
         let mut inboxes: Vec<Vec<(Pid, P::Msg)>> = vec![Vec::new(); t];
         for (from, to, payload) in pending.drain(..) {
-            if !alive[to.index()] {
+            if !alive.contains(to.index()) {
                 metrics.dead_letters += 1;
             } else if filters && adversary.omits_delivery(round, from, to) {
                 metrics.omissions += 1;
@@ -343,7 +342,7 @@ where
         }
 
         for idx in 0..t {
-            if !alive[idx] {
+            if !alive.contains(idx) {
                 continue;
             }
             let pid = Pid::new(idx);
@@ -372,8 +371,7 @@ where
                     }
                     if eff.is_terminated() {
                         statuses[idx] = Status::Terminated(round);
-                        alive[idx] = false;
-                        live -= 1;
+                        alive.remove(idx);
                         metrics.terminations += 1;
                         events.push(Event::Terminate { round, pid });
                     }
@@ -400,8 +398,7 @@ where
                         }
                     }
                     statuses[idx] = Status::Crashed(round);
-                    alive[idx] = false;
-                    live -= 1;
+                    alive.remove(idx);
                     metrics.crashes += 1;
                     events.push(Event::Crash { round, pid });
                     if let Fate::CrashRecover { downtime, wipe, .. } = fate {
@@ -439,8 +436,7 @@ where
                     }
                     if eff.is_terminated() {
                         statuses[idx] = Status::Terminated(round);
-                        alive[idx] = false;
-                        live -= 1;
+                        alive.remove(idx);
                         metrics.terminations += 1;
                         events.push(Event::Terminate { round, pid });
                     }
@@ -448,7 +444,7 @@ where
             }
         }
 
-        if live == 0 && revive.is_empty() {
+        if alive.is_empty() && revive.is_empty() {
             metrics.rounds = round;
             let report = Report {
                 metrics,
@@ -465,11 +461,8 @@ where
 
         if pending.is_empty() {
             let next = round.next();
-            let wake = (0..t)
-                .filter(|&i| alive[i])
-                .filter_map(|i| procs[i].next_wakeup(next))
-                .map(|w| w.max(next))
-                .min();
+            let wake =
+                alive.ones().filter_map(|i| procs[i].next_wakeup(next)).map(|w| w.max(next)).min();
             let adv = adversary.next_event(next).map(|r| r.max(next));
             let rev = revive.values().map(|&(at, _)| at.max(next)).min();
             // `None` is a deadlock: neither fixture ever produces one.

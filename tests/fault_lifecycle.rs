@@ -10,10 +10,18 @@
 //! change to fault scheduling, symptom emission, recovery semantics, the
 //! engines' stepping order, or the async RNG stream shows up here as a
 //! diff against the transcript, not as a vague invariant failure.
+//!
+//! A probe adversary reruns both lifecycles to check the live-set view
+//! every intercept is handed (see [`Probe`]).
 
-use doall::sim::asynch::{run_async, AsyncConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use doall::sim::asynch::{run_async, AsyncAdversary, AsyncConfig, AsyncEffects, Time};
 use doall::sim::invariants::{check_degraded_rate, check_recovery_silence};
-use doall::sim::{run, Event, FaultKind, FaultPlan, Pid, Round, RunConfig};
+use doall::sim::{
+    run, Adversary, AdversaryCtx, Effects, Event, Fate, FaultKind, FaultPlan, Pid, Round, RunConfig,
+};
 use doall::{AsyncProtocolB, ProtocolB};
 
 /// Collects `(round, pid)` pairs of every note with the given tag.
@@ -50,11 +58,7 @@ fn crashes_and_recoveries(trace: &doall::sim::Trace) -> (Timeline, Timeline) {
 ///    remaining queue, and retires last at 23.
 #[test]
 fn sync_three_fault_lifecycle_is_pinned() {
-    let plan = FaultPlan::new([
-        FaultKind::Slow { pid: Pid::new(0), factor: 2 }.at(2u64).for_rounds(6),
-        FaultKind::OmitSends(Pid::new(0)).at(9u64).for_rounds(4),
-        FaultKind::CrashRecover { pid: Pid::new(0), downtime: 5, wipe: false }.at(14u64),
-    ]);
+    let plan = sync_plan();
     let procs = plan.wrap(ProtocolB::processes(8, 4).unwrap());
     let report = run(procs, plan, RunConfig::new(8, 10_000).with_trace()).unwrap();
 
@@ -108,6 +112,15 @@ fn sync_three_fault_lifecycle_is_pinned() {
     assert_eq!(p0_terminate, vec![23]);
 }
 
+/// The synchronous lifecycle's plan (see the pinned test above).
+fn sync_plan() -> FaultPlan {
+    FaultPlan::new([
+        FaultKind::Slow { pid: Pid::new(0), factor: 2 }.at(2u64).for_rounds(6),
+        FaultKind::OmitSends(Pid::new(0)).at(9u64).for_rounds(4),
+        FaultKind::CrashRecover { pid: Pid::new(0), downtime: 5, wipe: false }.at(14u64),
+    ])
+}
+
 /// Async Protocol B (n = 8, t = 4, seed 3, `max_delay` 7) under three
 /// composed faults:
 ///
@@ -121,15 +134,9 @@ fn sync_three_fault_lifecycle_is_pinned() {
 ///    finishes 6..=8 and terminates first at 64.
 #[test]
 fn async_three_fault_lifecycle_is_pinned() {
-    let plan = FaultPlan::new([
-        FaultKind::Slow { pid: Pid::new(1), factor: 4 }.at(2u64).for_rounds(8),
-        FaultKind::OmitRecv(Pid::new(2)).at(5u64).for_rounds(30),
-        FaultKind::CrashRecover { pid: Pid::new(0), downtime: 40, wipe: true }.at(9u64),
-    ]);
+    let plan = async_plan();
     let procs = plan.wrap_async(AsyncProtocolB::processes(8, 4).unwrap());
-    let cfg =
-        AsyncConfig { max_delay: 7, max_events: 1_000_000, ..AsyncConfig::new(8, 3) }.with_trace();
-    let report = run_async(procs, plan, cfg).unwrap();
+    let report = run_async(procs, plan, async_cfg()).unwrap();
 
     // Totals: units 1..=5 done twice (pre-crash work is lost to the
     // wipe), 6..=8 once; the single omission is the dropped notice.
@@ -173,4 +180,167 @@ fn async_three_fault_lifecycle_is_pinned() {
         }
     }
     assert_eq!(terminations, vec![(64, 0), (65, 3), (67, 2), (69, 1)]);
+}
+
+/// The asynchronous lifecycle's plan and configuration (see the pinned
+/// test above).
+fn async_plan() -> FaultPlan {
+    FaultPlan::new([
+        FaultKind::Slow { pid: Pid::new(1), factor: 4 }.at(2u64).for_rounds(8),
+        FaultKind::OmitRecv(Pid::new(2)).at(5u64).for_rounds(30),
+        FaultKind::CrashRecover { pid: Pid::new(0), downtime: 40, wipe: true }.at(9u64),
+    ])
+}
+
+fn async_cfg() -> AsyncConfig {
+    AsyncConfig { max_delay: 7, max_events: 1_000_000, ..AsyncConfig::new(8, 3) }.with_trace()
+}
+
+/// What a [`Probe`] saw over one run.
+#[derive(Default)]
+struct Seen {
+    intercepts: u32,
+    /// The crash-recovery the plan ruled: `(time, victim, downtime)`.
+    recovery: Option<(u128, Pid, u128)>,
+    /// Intercepts inside the victim's downtime (each read it dead).
+    dead_during: u32,
+    /// Intercepts after the downtime that read the victim alive.
+    alive_after: u32,
+}
+
+/// An adversary that rules exactly as its [`FaultPlan`] (every hook is
+/// forwarded) and checks the [`AdversaryCtx`] at every intercept: the
+/// live count agrees with membership over `0..t`, the intercepted pid is
+/// alive, and a crash-recovery victim reads dead throughout its downtime.
+/// No adversary in the library reads `is_alive`, so without this probe a
+/// wrong view would pass every suite.
+struct Probe {
+    plan: FaultPlan,
+    seen: Rc<RefCell<Seen>>,
+}
+
+impl Probe {
+    fn new(plan: FaultPlan) -> (Self, Rc<RefCell<Seen>>) {
+        let seen = Rc::default();
+        (Probe { plan, seen: Rc::clone(&seen) }, seen)
+    }
+
+    fn check(&self, now: Round, pid: Pid, ctx: AdversaryCtx<'_>) {
+        let now = now.get();
+        let members = (0..ctx.t()).filter(|&p| ctx.is_alive(Pid::new(p))).count();
+        assert_eq!(ctx.alive_count(), members, "at {now}");
+        assert!(ctx.is_alive(pid), "{pid} intercepted at {now} while dead");
+        let mut seen = self.seen.borrow_mut();
+        seen.intercepts += 1;
+        if let Some((at, victim, downtime)) = seen.recovery {
+            if now < at + downtime {
+                assert!(!ctx.is_alive(victim), "{victim} alive at {now}, inside its downtime");
+                seen.dead_during += 1;
+            } else if ctx.is_alive(victim) {
+                seen.alive_after += 1;
+            }
+        }
+    }
+
+    fn ruled(&self, now: Round, pid: Pid, fate: &Fate) {
+        if let Fate::CrashRecover { downtime, .. } = fate {
+            self.seen.borrow_mut().recovery = Some((now.get(), pid, u128::from(*downtime)));
+        }
+    }
+}
+
+impl<M> Adversary<M> for Probe {
+    fn intercept(
+        &mut self,
+        round: Round,
+        pid: Pid,
+        eff: &Effects<M>,
+        ctx: AdversaryCtx<'_>,
+    ) -> Fate {
+        self.check(round, pid, ctx);
+        let fate = Adversary::intercept(&mut self.plan, round, pid, eff, ctx);
+        self.ruled(round, pid, &fate);
+        fate
+    }
+
+    fn next_event(&self, now: Round) -> Option<Round> {
+        Adversary::<M>::next_event(&self.plan, now)
+    }
+
+    fn filters_deliveries(&self) -> bool {
+        Adversary::<M>::filters_deliveries(&self.plan)
+    }
+
+    fn omits_delivery(&mut self, now: Round, from: Pid, to: Pid) -> bool {
+        Adversary::<M>::omits_delivery(&mut self.plan, now, from, to)
+    }
+
+    fn validate(&self, t: usize) -> Result<(), String> {
+        Adversary::<M>::validate(&self.plan, t)
+    }
+
+    fn permits_lease(&self, pid: Pid) -> bool {
+        Adversary::<M>::permits_lease(&self.plan, pid)
+    }
+}
+
+impl<M> AsyncAdversary<M> for Probe {
+    fn intercept(
+        &mut self,
+        time: Time,
+        pid: Pid,
+        invocation: u64,
+        eff: &AsyncEffects<M>,
+        ctx: AdversaryCtx<'_>,
+    ) -> Fate {
+        self.check(time, pid, ctx);
+        let fate = AsyncAdversary::intercept(&mut self.plan, time, pid, invocation, eff, ctx);
+        self.ruled(time, pid, &fate);
+        fate
+    }
+
+    fn scheduled_events(&self) -> Vec<(Time, Pid)> {
+        AsyncAdversary::<M>::scheduled_events(&self.plan)
+    }
+
+    fn filters_deliveries(&self) -> bool {
+        AsyncAdversary::<M>::filters_deliveries(&self.plan)
+    }
+
+    fn omits_delivery(&mut self, now: Time, from: Pid, to: Pid) -> bool {
+        AsyncAdversary::<M>::omits_delivery(&mut self.plan, now, from, to)
+    }
+
+    fn validate(&self, t: usize) -> Result<(), String> {
+        AsyncAdversary::<M>::validate(&self.plan, t)
+    }
+}
+
+/// The probe's verdict on one lifecycle: it saw the recovery, read the
+/// victim dead inside the downtime and alive after it.
+fn assert_probe_saw_recovery(seen: &Seen, plane: &str) {
+    assert!(seen.recovery.is_some(), "{plane}: the plan ruled no crash-recovery");
+    assert!(seen.dead_during > 0, "{plane}: no intercept inside the downtime");
+    assert!(seen.alive_after > 0, "{plane}: the victim never read alive after its downtime");
+}
+
+/// Both pinned lifecycles, rerun under the probe: every intercept's view
+/// is consistent, and the probe changes nothing about the run.
+#[test]
+fn adversary_ctx_view_tracks_retirement_and_revival_on_both_planes() {
+    let (probe, seen) = Probe::new(sync_plan());
+    let cfg = RunConfig::new(8, 10_000).with_trace();
+    let plan = sync_plan();
+    let probed = run(plan.wrap(ProtocolB::processes(8, 4).unwrap()), probe, cfg.clone()).unwrap();
+    let plain = run(plan.wrap(ProtocolB::processes(8, 4).unwrap()), plan, cfg).unwrap();
+    assert_eq!(probed, plain, "sync: the probe changed the run");
+    assert_probe_saw_recovery(&seen.borrow(), "sync");
+
+    let (probe, seen) = Probe::new(async_plan());
+    let plan = async_plan();
+    let procs = || plan.wrap_async(AsyncProtocolB::processes(8, 4).unwrap());
+    let probed = run_async(procs(), probe, async_cfg()).unwrap();
+    let plain = run_async(procs(), plan.clone(), async_cfg()).unwrap();
+    assert_eq!(probed, plain, "async: the probe changed the run");
+    assert_probe_saw_recovery(&seen.borrow(), "async");
 }
