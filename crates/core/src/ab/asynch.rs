@@ -243,18 +243,15 @@ mod tests {
             Trigger::NthInvocationOf { pid: Pid::new(0), nth: 5 },
             CrashSpec { deliver: Deliver::Prefix(0), count_work: true },
         );
-        let report = run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(2)).unwrap();
+        let report =
+            run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(2).with_trace())
+                .unwrap();
         assert!(report.metrics.all_work_done());
         let b = theorems::protocol_a(N, T);
         assert!(report.metrics.work_total <= b.work);
         assert!(report.metrics.messages <= b.messages);
         // Activation order is preserved: p0 then p1.
-        let activations: Vec<Pid> = report
-            .notes
-            .iter()
-            .filter(|(_, _, tag)| *tag == "activate")
-            .map(|(_, p, _)| *p)
-            .collect();
+        let activations: Vec<Pid> = report.trace.notes("activate").map(|(_, p)| p).collect();
         assert_eq!(activations, vec![Pid::new(0), Pid::new(1)]);
     }
 
@@ -280,12 +277,7 @@ mod tests {
                 run_async(AsyncProtocolA::processes(N, T).unwrap(), crash, cfg(seed).with_trace())
                     .unwrap();
             assert!(report.metrics.all_work_done(), "seed {seed}");
-            let activations: Vec<Pid> = report
-                .notes
-                .iter()
-                .filter(|(_, _, tag)| *tag == "activate")
-                .map(|(_, p, _)| *p)
-                .collect();
+            let activations: Vec<Pid> = report.trace.notes("activate").map(|(_, p)| p).collect();
             assert!(
                 activations.windows(2).all(|w| w[0] < w[1]),
                 "seed {seed}: activations not strictly ordered: {activations:?}"

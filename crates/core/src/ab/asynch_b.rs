@@ -71,11 +71,7 @@ mod tests {
     }
 
     fn activation_of(report: &AsyncReport, pid: Pid) -> Option<doall_sim::asynch::Time> {
-        report
-            .notes
-            .iter()
-            .find(|(_, p, tag)| *p == pid && *tag == "activate")
-            .map(|(time, _, _)| *time)
+        report.trace.notes("activate").find(|&(_, p)| p == pid).map(|(time, _)| time)
     }
 
     #[test]
@@ -133,7 +129,9 @@ mod tests {
         // report on long-dead p0 is still in flight when p1's report
         // lands" a common occurrence instead of a 1-in-100 coincidence.
         let cfg = |seed| {
-            AsyncConfig::new(N as usize, seed).with_delay(doall_sim::asynch::DelayDist::Bimodal, 32)
+            AsyncConfig::new(N as usize, seed)
+                .with_delay(doall_sim::asynch::DelayDist::Bimodal, 32)
+                .with_trace()
         };
         let mut strictly_earlier = 0u32;
         for seed in 0..40 {

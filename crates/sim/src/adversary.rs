@@ -25,6 +25,10 @@ use crate::liveset::LiveSet;
 
 /// What happens to a process's actions in one atomic step (a synchronous
 /// round, or one asynchronous handler invocation).
+///
+/// Both engines read a fate one way — whether the work counts, which
+/// [`Deliver`] filter the sends pass, whether the process crashes, and
+/// when it revives — and run one tail for every fate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fate {
     /// The process survives the step; all effects are applied.
@@ -56,6 +60,33 @@ pub enum Fate {
         /// Whether the restart loses all protocol state.
         wipe: bool,
     },
+}
+
+/// A [`Fate`] as both engines apply it: whether the step's work counts,
+/// the filter its sends pass in send order (`None`: all leave), whether
+/// the process crashes, and a crash-recovery's `(downtime ≥ 1, wipe)`.
+pub(crate) struct Ruling<'a> {
+    pub(crate) count_work: bool,
+    pub(crate) filter: Option<&'a Deliver>,
+    pub(crate) crash: bool,
+    pub(crate) revival: Option<(u64, bool)>,
+}
+
+impl Fate {
+    /// The one reading of a fate; a `Deliver::All` filter reads as none.
+    #[inline]
+    pub(crate) fn ruling(&self) -> Ruling<'_> {
+        let (count_work, filter, crash, revival) = match self {
+            Fate::Survive => (true, None, false, None),
+            Fate::Omit(filter) => (true, Some(filter), false, None),
+            Fate::Crash(spec) => (spec.count_work, Some(&spec.deliver), true, None),
+            Fate::CrashRecover { spec, downtime, wipe } => {
+                (spec.count_work, Some(&spec.deliver), true, Some(((*downtime).max(1), *wipe)))
+            }
+        };
+        let filter = filter.filter(|d| !matches!(d, Deliver::All));
+        Ruling { count_work, filter, crash, revival }
+    }
 }
 
 /// Fine-grained description of a mid-round crash.

@@ -82,7 +82,7 @@ use serde::{Deserialize, Serialize};
 
 pub use adversary::AsyncAdversary;
 
-use crate::adversary::{AdversaryCtx, Fate};
+use crate::adversary::AdversaryCtx;
 use crate::effects::SendBuf;
 use crate::engine::{survivor_queries, MemBudget, ProcTable, Status};
 use crate::ids::{Pid, Round, Unit};
@@ -290,7 +290,7 @@ pub trait AsyncProtocol {
     }
 
     /// Invoked when the engine restarts this process after a
-    /// [`Fate::CrashRecover`] downtime. With
+    /// [`Fate::CrashRecover`](crate::Fate::CrashRecover) downtime. With
     /// `wipe`, the process lost all state and must reset to its initial
     /// configuration; without it, the state is exactly what it was at the
     /// crash (stale: every message delivered during the downtime was
@@ -375,7 +375,7 @@ impl AsyncConfig {
 /// Result of an asynchronous run.
 ///
 /// Two reports compare equal when their *semantic* outcome matches —
-/// metrics, statuses, notes, and trace. The [`mem`](AsyncReport::mem)
+/// metrics, statuses, and trace. The [`mem`](AsyncReport::mem)
 /// probe and [`executed`](AsyncReport::executed) counter are excluded from
 /// equality, mirroring [`Report`](crate::Report): they measure host-side
 /// footprint and effort, not the simulated execution.
@@ -388,10 +388,10 @@ pub struct AsyncReport {
     /// [`Status::Alive`] (only on a paused or failed run). A process that
     /// recovered from a crash reads its later fate.
     pub statuses: Vec<Status>,
-    /// Activation notes observed, in order.
-    pub notes: Vec<(Time, Pid, &'static str)>,
     /// Event log (empty unless [`AsyncConfig::record_trace`] was set); the
-    /// `round` field of each event holds the logical timestamp.
+    /// `round` field of each event holds the logical timestamp. Protocol
+    /// notes live only here, as on the synchronous plane: read them with
+    /// [`Trace::notes`] on a traced run.
     pub trace: Trace,
     /// Peak memory held by the engine (arena, event queue, SoA columns,
     /// scratch) — see [`MemBudget`]. The reference scheduler reports
@@ -409,7 +409,6 @@ impl PartialEq for AsyncReport {
     fn eq(&self, other: &Self) -> bool {
         self.metrics == other.metrics
             && self.statuses == other.statuses
-            && self.notes == other.notes
             && self.trace == other.trace
     }
 }
@@ -670,7 +669,6 @@ pub struct AsyncEngineSnapshot<P: AsyncProtocol, A> {
     // sparse: the run must not end (nor count as stalled) while one exists.
     reviving: BTreeSet<u32>,
     invocations: Vec<u64>,
-    notes: Vec<(Time, Pid, &'static str)>,
     handled: u64,
     now: Time,
     last_progress: Time,
@@ -727,7 +725,6 @@ pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     // Whether deliveries must be checked for receive omission; queried
     // once so the zero-fault delivery path stays branch-predictable.
     filters: bool,
-    record: bool,
     // ---- scratch: built empty by resume() (safe: a group index is only
     // trusted within the batch that built it, and `batch` is empty at
     // every pause boundary) ----
@@ -781,11 +778,10 @@ where
             arena: OpArena::new(),
             notices: NoticeRuns::default(),
             metrics: Metrics::new(cfg.n),
-            trace: Trace::new(),
+            trace: Trace::recording(cfg.record_trace),
             table: ProcTable::new((0..t).map(|_| None)),
             reviving: BTreeSet::new(),
             invocations: vec![0; t],
-            notes: Vec::new(),
             handled: 0,
             now: Time::ZERO,
             last_progress: Time::ZERO,
@@ -829,7 +825,7 @@ where
     ///
     /// Pausing is exact: a paused engine continued to completion produces
     /// bit-for-bit the report of an uninterrupted run (same metrics,
-    /// message schedule, trace and notes).
+    /// message schedule and trace).
     ///
     /// # Errors
     ///
@@ -846,10 +842,7 @@ where
             };
             self.st.now = now;
             self.st.executed += 1;
-            let work0 = self.st.metrics.work_total;
-            let crashes0 = self.st.metrics.crashes;
-            let terminations0 = self.st.metrics.terminations;
-            let recoveries0 = self.st.metrics.recoveries;
+            let mark = self.st.metrics.progress();
             let result = self.process_batch(now);
             self.batch.clear();
             self.observe_mem();
@@ -857,17 +850,12 @@ where
             if self.st.finished {
                 return Ok(true);
             }
-            // Watchdog: progress is a delivered message batch or movement
-            // of the work / crash / termination / recovery counters (the
-            // sync engine's definition, on virtual time instead of
-            // executed rounds). Revivals always count — recoveries moves —
-            // so an arbitrarily long crash downtime cannot false-trip.
-            let progress = delivered
-                || self.st.metrics.work_total != work0
-                || self.st.metrics.crashes != crashes0
-                || self.st.metrics.terminations != terminations0
-                || self.st.metrics.recoveries != recoveries0;
-            if progress {
+            // Watchdog: progress is a delivered message batch or a move of
+            // the progress mark (the sync engine's definition, on virtual
+            // time instead of executed rounds). Revivals always count — the
+            // mark moves — so an arbitrarily long crash downtime cannot
+            // false-trip.
+            if delivered || self.st.metrics.progress() != mark {
                 self.st.last_progress = now;
             } else if let Some(window) = self.st.cfg.stall_window {
                 if now.saturating_sub(self.st.last_progress) > u128::from(window) {
@@ -913,7 +901,6 @@ where
         AsyncEngine {
             max_delay: snapshot.cfg.max_delay.max(1),
             filters: snapshot.adversary.filters_deliveries(),
-            record: snapshot.cfg.record_trace,
             st: snapshot,
             eff: AsyncEffects::default(),
             batch: Vec::new(),
@@ -934,7 +921,6 @@ where
         AsyncReport {
             metrics: st.metrics,
             statuses: st.table.statuses(),
-            notes: st.notes,
             trace: st.trace,
             mem: st.mem,
             executed: st.executed,
@@ -944,8 +930,7 @@ where
     /// Folds the current buffer footprint into the peak-memory probe — the
     /// async peer of the sync engine's per-round observation. `soa` is the
     /// per-process columns, `flight` the op arena + notice-run table +
-    /// event queue + batch scratch, `ledger` the work table, notes, and
-    /// trace.
+    /// event queue + batch scratch, `ledger` the work table and the trace.
     fn observe_mem(&mut self) {
         self.st.mem.soa_bytes = self.st.table.bytes()
             + (self.st.invocations.capacity() * 8 + self.slot.capacity() * 4) as u64;
@@ -960,9 +945,7 @@ where
             as u64
             + self.st.queue.bytes();
         self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
-        let ledger = (self.st.metrics.work_by_unit.capacity() * 4
-            + self.st.notes.capacity() * std::mem::size_of::<(Time, Pid, &'static str)>())
-            as u64
+        let ledger = (self.st.metrics.work_by_unit.capacity() * 4) as u64
             + std::mem::size_of_val(self.st.trace.events()) as u64;
         self.st.mem.ledger_bytes = self.st.mem.ledger_bytes.max(ledger);
     }
@@ -1042,11 +1025,8 @@ where
                     if !self.st.reviving.remove(&(idx as u32)) {
                         continue;
                     }
-                    self.st.table.revive(idx);
-                    self.st.metrics.recoveries += 1;
-                    if self.record {
-                        self.st.trace.push(Event::Recover { round: now, pid });
-                    }
+                    let st = &mut self.st;
+                    st.table.revive(idx, now, &mut st.metrics, &mut st.trace);
                     self.eff.reset();
                     self.st.procs[idx].on_recover(wipe, &mut self.eff);
                     // Detector re-registration: replay every past
@@ -1075,9 +1055,7 @@ where
                         if !self.st.table.live().contains(observer.index()) {
                             continue;
                         }
-                        if self.record {
-                            self.st.trace.push(Event::Notice { round: now, observer, retired });
-                        }
+                        self.st.trace.push(Event::Notice { round: now, observer, retired });
                         self.eff.reset();
                         self.st.procs[observer.index()].on_retirement(retired, &mut self.eff);
                         if self.settle(now, observer)? {
@@ -1120,13 +1098,11 @@ where
                             )
                         {
                             self.st.metrics.omissions += 1;
-                            if self.record {
-                                self.st.trace.push(Event::Note {
-                                    round: now,
-                                    pid: to,
-                                    tag: "fault:omit",
-                                });
-                            }
+                            self.st.trace.push(Event::Note {
+                                round: now,
+                                pid: to,
+                                tag: "fault:omit",
+                            });
                             self.st.arena.release(op2);
                             continue;
                         }
@@ -1155,8 +1131,11 @@ where
 
     /// The tail of every handler invocation by `pid` at `now`, whose
     /// actions are in `eff`: counts the invocation, lets the adversary
-    /// rule, and applies the ruling to the notes, work, sends, tick and
-    /// retirement. Returns whether the execution just finished.
+    /// rule, and applies its shared reading of the fate (`Fate::ruling`) to
+    /// the notes, work, sends, tick and retirement. What is this plane's
+    /// own is how escaping sends are queued (one delay draw per recipient)
+    /// and how a revival is scheduled (a queued [`Ev::Revive`]). Returns
+    /// whether the execution just finished.
     fn settle(&mut self, now: Time, pid: Pid) -> Result<bool, AsyncRunError> {
         self.st.handled += 1;
         if self.st.handled > self.st.cfg.max_events {
@@ -1167,32 +1146,15 @@ where
 
         let ctx = AdversaryCtx::new(self.st.table.live(), self.st.metrics.crashes);
         let fate = self.st.adversary.intercept(now, pid, self.st.invocations[idx], &self.eff, ctx);
+        let ruling = fate.ruling();
 
         for tag in self.eff.notes.drain(..) {
-            self.st.notes.push((now, pid, tag));
-            if self.record {
-                self.st.trace.push(Event::Note { round: now, pid, tag });
-            }
+            self.st.trace.push(Event::Note { round: now, pid, tag });
         }
-
-        let (count_work, deliver) = match &fate {
-            Fate::Survive => (true, None),
-            Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
-                (spec.count_work, Some(&spec.deliver))
-            }
-            Fate::Omit(filter) => (true, Some(filter)),
-        };
-        let is_omit = matches!(fate, Fate::Omit(_));
-        let recover_plan = match &fate {
-            Fate::CrashRecover { downtime, wipe, .. } => Some(((*downtime).max(1), *wipe)),
-            _ => None,
-        };
-        if count_work {
+        if ruling.count_work {
             for &unit in &self.eff.work {
                 self.st.metrics.record_work(unit);
-                if self.record {
-                    self.st.trace.push(Event::Work { round: now, pid, unit });
-                }
+                self.st.trace.push(Event::Work { round: now, pid, unit });
             }
         }
 
@@ -1204,17 +1166,13 @@ where
         // happens at event granularity, even a fragmented `Subset` costs
         // zero payload clones here.
         let mut msg_idx = 0usize;
-        let mut omitted_now = 0u64;
+        let mut suppressed = 0u64;
         for op in self.eff.drain_sends() {
             let len = op.to.len();
             let lets_through =
-                |k: usize, to: Pid| deliver.is_none_or(|d| d.lets_through(msg_idx + k, to));
+                |k: usize, to: Pid| ruling.filter.is_none_or(|d| d.lets_through(msg_idx + k, to));
             let scheduled = op.to.iter().enumerate().filter(|&(k, to)| lets_through(k, to)).count();
-            if is_omit {
-                // Send omission: the process survives, the suppressed
-                // messages never left it.
-                omitted_now += (len - scheduled) as u64;
-            }
+            suppressed += (len - scheduled) as u64;
             if scheduled > 0 {
                 let class = op.payload.class();
                 self.st.metrics.record_messages(class, scheduled as u64);
@@ -1226,46 +1184,23 @@ where
                     if lets_through(k, to) {
                         let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
                         self.st.queue.push(now + delay, Ev::Deliver { op: id, to });
-                        if self.record {
-                            self.st.trace.push(Event::Send { round: now, from: pid, to, class });
-                        }
+                        self.st.trace.push(Event::Send { round: now, from: pid, to, class });
                     }
                 }
             }
             msg_idx += len;
         }
-
-        if omitted_now > 0 {
-            self.st.metrics.omissions += omitted_now;
-            if self.record {
-                self.st.trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
-            }
+        // Send omission: the surviving process's suppressed messages never
+        // left it. (A crash's unsent messages are not omissions.)
+        if !ruling.crash && suppressed > 0 {
+            self.st.metrics.omissions += suppressed;
+            self.st.trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
         }
 
-        let crashed_now = matches!(fate, Fate::Crash(_) | Fate::CrashRecover { .. });
-        if self.eff.tick && !crashed_now && !self.eff.terminated {
-            self.st.queue.push(now + 1u64, Ev::Tick(pid));
-        }
-
-        let retired_now = if crashed_now {
-            self.st.metrics.crashes += 1;
-            if self.record {
-                self.st.trace.push(Event::Crash { round: now, pid });
-            }
-            true
-        } else if self.eff.terminated {
-            self.st.metrics.terminations += 1;
-            if self.record {
-                self.st.trace.push(Event::Terminate { round: now, pid });
-            }
-            true
-        } else {
-            false
-        };
-
-        if retired_now {
-            self.st.table.retire(idx, !crashed_now, now);
-            if let Some((downtime, wipe)) = recover_plan {
+        if ruling.crash || self.eff.terminated {
+            let st = &mut self.st;
+            st.table.retire(idx, !ruling.crash, now, &mut st.metrics, &mut st.trace);
+            if let Some((downtime, wipe)) = ruling.revival {
                 // Recoverable crash: schedule the restart; crucially, NO
                 // detector notices — the detector stays sound by never
                 // accusing a process that will act again.
@@ -1280,6 +1215,8 @@ where
                 }
                 self.fan_out(now, pid, false);
             }
+        } else if self.eff.tick {
+            self.st.queue.push(now + 1u64, Ev::Tick(pid));
         }
 
         self.st.metrics.rounds = now;
@@ -1436,7 +1373,7 @@ mod tests {
         }
         let procs = vec![Quitter { me: 0 }, Quitter { me: 1 }];
         let report = run_async(procs, NoFailures, AsyncConfig::default().with_trace()).unwrap();
-        assert!(report.notes.iter().any(|(_, p, tag)| *p == Pid::new(1) && *tag == "noticed"));
+        assert!(report.trace.notes("noticed").any(|(_, p)| p == Pid::new(1)));
         assert!(report.statuses.iter().all(Status::is_terminated));
         assert!(!report.trace.is_empty());
         assert!(check_detector_soundness(&report.trace).is_empty());
@@ -1556,7 +1493,6 @@ mod tests {
         let report = resumed.into_report();
         assert_eq!(report.metrics, straight.metrics);
         assert_eq!(report.statuses, straight.statuses);
-        assert_eq!(report.notes, straight.notes);
         assert_eq!(report.trace, straight.trace);
     }
 

@@ -8,7 +8,7 @@
 //! payload `k` times at scheduling and the queue is a plain binary heap.
 //! The differential property test (`tests/async_differential.rs`) proves
 //! the two produce bit-identical [`AsyncReport`]s over random
-//! send/delay/crash patterns at small `t`, and identical
+//! send/delay/crash/omission patterns at small `t`, and identical
 //! [`Metrics`] for Protocols A and B at storm scale (`t = 1024`).
 
 use std::cmp::Reverse;
@@ -69,9 +69,9 @@ impl<M> Ord for Entry<M> {
 ///
 /// # Panics
 ///
-/// On a [`Fate::CrashRecover`] verdict: crash-recovery (like receive
-/// omission and adversary-scheduled injections) exists only in the arena
-/// engine; this specification covers the fail-stop and send-omission
+/// On a [`Fate::CrashRecover`] verdict: crash-recovery (like
+/// adversary-scheduled injections) exists only in the arena engine; this
+/// specification covers the fail-stop, send-omission and receive-omission
 /// semantics the two engines share.
 pub fn run_async_reference<P, A>(
     mut procs: Vec<P>,
@@ -96,13 +96,12 @@ where
         push(&mut heap, Time::ZERO, RefEv::Start(Pid::new(pid)));
     }
 
+    let filters = adversary.filters_deliveries();
     let mut metrics = Metrics::new(cfg.n);
-    let mut trace = Trace::new();
-    let record = cfg.record_trace;
+    let mut trace = Trace::recording(cfg.record_trace);
     let mut statuses = vec![Status::Alive; t];
     let mut alive = LiveSet::new(t);
     let mut invocations = vec![0u64; t];
-    let mut notes: Vec<(Time, Pid, &'static str)> = Vec::new();
     let mut handled: u64 = 0;
     let mut executed: u64 = 0;
     let mut eff: AsyncEffects<P::Msg> = AsyncEffects::default();
@@ -139,9 +138,7 @@ where
                     if !alive.contains(observer.index()) {
                         continue;
                     }
-                    if record {
-                        trace.push(Event::Notice { round: now, observer, retired });
-                    }
+                    trace.push(Event::Notice { round: now, observer, retired });
                     eff.reset();
                     procs[observer.index()].on_retirement(retired, &mut eff);
                     observer
@@ -162,6 +159,21 @@ where
                             pairs.push((f2, p2));
                         }
                     }
+                    // Receive omission: once per (message, recipient), at
+                    // dispatch; a wholly dropped group invokes nothing.
+                    if filters {
+                        pairs.retain(|&(from, _)| {
+                            let drop = adversary.omits_delivery(now, from, to);
+                            if drop {
+                                metrics.omissions += 1;
+                                trace.push(Event::Note { round: now, pid: to, tag: "fault:omit" });
+                            }
+                            !drop
+                        });
+                        if pairs.is_empty() {
+                            continue;
+                        }
+                    }
                     eff.reset();
                     procs[to.index()].on_messages(Inbox::from_pairs(&pairs), &mut eff);
                     to
@@ -179,10 +191,7 @@ where
             let fate = adversary.intercept(now, pid, invocations[idx], &eff, ctx);
 
             for tag in eff.notes.drain(..) {
-                notes.push((now, pid, tag));
-                if record {
-                    trace.push(Event::Note { round: now, pid, tag });
-                }
+                trace.push(Event::Note { round: now, pid, tag });
             }
 
             let (count_work, deliver) = match &fate {
@@ -198,9 +207,7 @@ where
             if count_work {
                 for &unit in &eff.work {
                     metrics.record_work(unit);
-                    if record {
-                        trace.push(Event::Work { round: now, pid, unit });
-                    }
+                    trace.push(Event::Work { round: now, pid, unit });
                 }
             }
 
@@ -223,9 +230,7 @@ where
                         metrics.record_messages(class, 1);
                         let delay = cfg.delay.sample(&mut rng, max_delay);
                         push(&mut heap, now + delay, RefEv::Deliver { from: pid, to, payload });
-                        if record {
-                            trace.push(Event::Send { round: now, from: pid, to, class });
-                        }
+                        trace.push(Event::Send { round: now, from: pid, to, class });
                     }
                 }
                 msg_idx += len;
@@ -233,9 +238,7 @@ where
 
             if omitted_now > 0 {
                 metrics.omissions += omitted_now;
-                if record {
-                    trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
-                }
+                trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
             }
 
             let crashed_now = matches!(fate, Fate::Crash(_));
@@ -246,16 +249,12 @@ where
             let retired_now = if crashed_now {
                 statuses[idx] = Status::Crashed(now);
                 metrics.crashes += 1;
-                if record {
-                    trace.push(Event::Crash { round: now, pid });
-                }
+                trace.push(Event::Crash { round: now, pid });
                 true
             } else if eff.terminated {
                 statuses[idx] = Status::Terminated(now);
                 metrics.terminations += 1;
-                if record {
-                    trace.push(Event::Terminate { round: now, pid });
-                }
+                trace.push(Event::Terminate { round: now, pid });
                 true
             } else {
                 false
@@ -283,5 +282,5 @@ where
     if !alive.is_empty() {
         return Err(AsyncRunError::Stalled { alive: alive.ones().map(Pid::new).collect() });
     }
-    Ok(AsyncReport { metrics, statuses, notes, trace, mem: MemBudget::default(), executed })
+    Ok(AsyncReport { metrics, statuses, trace, mem: MemBudget::default(), executed })
 }

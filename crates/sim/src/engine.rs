@@ -6,7 +6,7 @@ use std::num::NonZeroUsize;
 
 use serde::{Deserialize, Serialize};
 
-use crate::adversary::{Adversary, AdversaryCtx, Deliver, Fate};
+use crate::adversary::{Adversary, AdversaryCtx, Deliver};
 use crate::effects::{split_runs, Effects, Recipients};
 use crate::ids::{Pid, Round, Unit};
 use crate::liveset::LiveSet;
@@ -469,16 +469,16 @@ impl DeliveryIndex {
     /// adversary [filters deliveries](Adversary::filters_deliveries), it is
     /// consulted exactly once per live (message, recipient) — in the first
     /// pass, with the verdicts replayed from scratch in the second — and
-    /// suppressed deliveries never enter the index; with `trace`, each
-    /// leaves a `"fault:omit"` note at the recipient (the receive-omission
-    /// symptom). Returns (dead letters, omitted).
+    /// suppressed deliveries never enter the index; each leaves a
+    /// `"fault:omit"` note at the recipient (the receive-omission symptom)
+    /// in `trace`. Returns (dead letters, omitted).
     fn build<M, A: Adversary<M>>(
         &mut self,
         round: Round,
         pending: &[FlightOp<M>],
         live: &LiveSet,
         adversary: &mut A,
-        mut trace: Option<&mut Trace>,
+        trace: &mut Trace,
     ) -> (u64, u64) {
         let filters = adversary.filters_deliveries();
         self.next_epoch();
@@ -498,9 +498,7 @@ impl DeliveryIndex {
                     self.omit.push(drop);
                     if drop {
                         omitted += 1;
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.push(Event::Note { round, pid: p, tag: "fault:omit" });
-                        }
+                        trace.push(Event::Note { round, pid: p, tag: "fault:omit" });
                         continue;
                     }
                 }
@@ -584,7 +582,8 @@ const PS_LEASE: u8 = 0b1000;
 /// (status code, plus the sync engine's wakeup-present and lease flags)
 /// and one 128-bit slot, and the [`LiveSet`] over them.
 /// [`retire`](ProcTable::retire) and [`revive`](ProcTable::revive) move
-/// the status and the live set in one call, so the two never disagree.
+/// the status, the live set, the crash, termination or recovery count and
+/// the trace in one call, so none of them ever disagree.
 ///
 /// The slot is a union keyed by the metadata: for a retired process it
 /// records the retirement round (the [`Status`] the reports carry); for an
@@ -620,21 +619,46 @@ impl ProcTable {
     }
 
     /// Retires an alive process at round `at`, recording the round in its
-    /// slot and removing it from the live set.
-    pub(crate) fn retire(&mut self, idx: usize, terminated: bool, at: Round) {
-        self.meta[idx] = if terminated { PS_TERMINATED } else { PS_CRASHED };
+    /// slot, removing it from the live set, and counting and tracing its
+    /// crash or termination.
+    pub(crate) fn retire(
+        &mut self,
+        idx: usize,
+        terminated: bool,
+        at: Round,
+        metrics: &mut Metrics,
+        trace: &mut Trace,
+    ) {
+        let pid = Pid::new(idx);
+        if terminated {
+            self.meta[idx] = PS_TERMINATED;
+            metrics.terminations += 1;
+            trace.push(Event::Terminate { round: at, pid });
+        } else {
+            self.meta[idx] = PS_CRASHED;
+            metrics.crashes += 1;
+            trace.push(Event::Crash { round: at, pid });
+        }
         self.slot[idx] = at.get();
         let was_live = self.live.remove(idx);
         debug_assert!(was_live, "p{idx} retired twice");
     }
 
-    /// Returns a crashed process to life (crash-recovery revival), with no
-    /// cached wakeup.
-    pub(crate) fn revive(&mut self, idx: usize) {
+    /// Returns a crashed process to life at round `at` (crash-recovery
+    /// revival), with no cached wakeup, counting and tracing the recovery.
+    pub(crate) fn revive(
+        &mut self,
+        idx: usize,
+        at: Round,
+        metrics: &mut Metrics,
+        trace: &mut Trace,
+    ) {
         self.meta[idx] = PS_ALIVE;
         self.slot[idx] = 0;
         let was_dead = self.live.insert(idx);
         debug_assert!(was_dead, "p{idx} revived while alive");
+        metrics.recoveries += 1;
+        trace.push(Event::Recover { round: at, pid: Pid::new(idx) });
     }
 
     /// The process's [`Status`] as the report vocabulary sees it.
@@ -839,8 +863,6 @@ where
 pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // The run state — the whole of it, and exactly what a snapshot is.
     st: EngineSnapshot<P, A>,
-    // Derived from `cfg.record_trace` by `resume`.
-    record: bool,
     // Scratch buffers, allocated once (by `resume`) and recycled every
     // round; not part of the state. In steady state the loop performs no
     // allocation: `eff` is reset (not rebuilt), the two op buffers and the
@@ -906,7 +928,7 @@ where
         Ok(Self::resume(EngineSnapshot {
             table,
             metrics: Metrics::new(cfg.n),
-            trace: Trace::new(),
+            trace: Trace::recording(cfg.record_trace),
             pending: Vec::new(),
             round: Round::ONE,
             revive: BTreeMap::new(),
@@ -986,7 +1008,6 @@ where
     pub fn resume(snapshot: EngineSnapshot<P, A>) -> Self {
         let t = snapshot.procs.len();
         Engine {
-            record: snapshot.cfg.record_trace,
             delivery: DeliveryIndex::new(t),
             open: vec![(0, 0); t],
             st: snapshot,
@@ -1106,11 +1127,8 @@ where
         let leased_work = round < self.lease_until;
 
         // Progress baseline for the watchdog: any retirement, recovery, or
-        // unit of work moves one of these counters.
-        let work0 = self.st.metrics.work_total;
-        let crashes0 = self.st.metrics.crashes;
-        let terminations0 = self.st.metrics.terminations;
-        let recoveries0 = self.st.metrics.recoveries;
+        // unit of work moves the mark.
+        let mark = self.st.metrics.progress();
 
         // 0. Restart processes whose recovery downtime has elapsed — before
         //    delivery, so messages arriving this very round are received.
@@ -1125,14 +1143,10 @@ where
             for (i, wipe) in ready {
                 self.st.revive.remove(&i);
                 let idx = i as usize;
-                self.st.table.revive(idx);
-                self.st.metrics.recoveries += 1;
+                self.st.table.revive(idx, round, &mut self.st.metrics, &mut self.st.trace);
                 self.st.procs[idx].on_recover(round, wipe);
                 let wake = self.st.procs[idx].next_wakeup(round).map(|w| w.max(round));
                 self.st.table.set_wakeup(idx, wake);
-                if self.record {
-                    self.st.trace.push(Event::Recover { round, pid: Pid::new(idx) });
-                }
             }
             self.st.next_revive = self.st.revive.values().map(|&(at, _)| at).min();
             // A revived process is in no index entry: force the exact scan.
@@ -1149,7 +1163,7 @@ where
                 &self.st.pending,
                 &self.st.table.live,
                 &mut self.st.adversary,
-                self.record.then_some(&mut self.st.trace),
+                &mut self.st.trace,
             );
             self.st.metrics.dead_letters += dead;
             self.st.metrics.omissions += omitted;
@@ -1239,7 +1253,8 @@ where
                 match wake {
                     Some(w) if w == next => {
                         self.next_due.push(idx as u32);
-                        offered |= !self.record && self.st.procs[idx].lease(next).is_some();
+                        offered |= !self.st.trace.is_recording()
+                            && self.st.procs[idx].lease(next).is_some();
                     }
                     Some(w) => self.far = Some(self.far.map_or(w, |f| f.min(w))),
                     None => {}
@@ -1266,13 +1281,7 @@ where
         // live-set movement extends the no-progress streak; exhausting the
         // window is a livelock verdict. Fast-forwarded rounds (below) are
         // provably quiescent and never counted.
-        let progress = delivered
-            || leased_work
-            || self.st.metrics.work_total != work0
-            || self.st.metrics.crashes != crashes0
-            || self.st.metrics.terminations != terminations0
-            || self.st.metrics.recoveries != recoveries0;
-        if progress {
+        if delivered || leased_work || self.st.metrics.progress() != mark {
             self.st.last_progress = round;
             self.st.stall_streak = 0;
         } else {
@@ -1379,32 +1388,22 @@ where
     /// fate application, metrics, tracing, and outbound queueing — the
     /// tail of a step, in ascending pid order (adversary RNG draws, trace
     /// events, and message queue order all follow it). Every fate runs the
-    /// same tail — notes, work, sends, send omissions, then crash or
-    /// termination — differing only in whether the work counts, which
-    /// [`Deliver`] filter the sends pass, and whether the process crashes.
+    /// same tail (see `Fate::ruling`); what is this plane's own is how
+    /// escaping sends are queued (span runs) and how a revival is
+    /// scheduled (the `revive` map).
     fn settle(&mut self, round: Round, pid: Pid, eff: &mut Effects<P::Msg>) {
         let idx = pid.index();
         let ctx = AdversaryCtx::new(&self.st.table.live, self.st.metrics.crashes);
         let fate = self.st.adversary.intercept(round, pid, eff, ctx);
-        let (count_work, filter, crashed) = match &fate {
-            Fate::Survive => (true, None, false),
-            Fate::Omit(filter) => (true, Some(filter), false),
-            Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
-                (spec.count_work, Some(&spec.deliver), true)
-            }
-        };
+        let ruling = fate.ruling();
 
-        if self.record {
-            for tag in eff.notes() {
-                self.st.trace.push(Event::Note { round, pid, tag });
-            }
+        for tag in eff.notes() {
+            self.st.trace.push(Event::Note { round, pid, tag });
         }
 
-        if let Some(unit) = eff.work().filter(|_| count_work) {
+        if let Some(unit) = eff.work().filter(|_| ruling.count_work) {
             self.record_work(idx, unit, 1);
-            if self.record {
-                self.st.trace.push(Event::Work { round, pid, unit });
-            }
+            self.st.trace.push(Event::Work { round, pid, unit });
         }
 
         // Most steps send nothing: skip building and dropping a `Drain`
@@ -1422,8 +1421,8 @@ where
             let mut msg_idx = 0usize;
             for op in eff.drain_sends() {
                 let len = op.to.len();
-                match filter {
-                    None | Some(Deliver::All) => self.queue(round, pid, op.to, op.payload),
+                match ruling.filter {
+                    None => self.queue(round, pid, op.to, op.payload),
                     Some(Deliver::None) => {}
                     Some(d) => {
                         let escaping = op
@@ -1443,31 +1442,20 @@ where
             // Send omission: the surviving process's suppressed messages
             // never left it. (A crash's unsent messages are not omissions.)
             let suppressed = total - (self.st.metrics.messages - before);
-            if !crashed && suppressed > 0 {
+            if !ruling.crash && suppressed > 0 {
                 self.st.metrics.omissions += suppressed;
-                if self.record {
-                    self.st.trace.push(Event::Note { round, pid, tag: "fault:omit" });
-                }
+                self.st.trace.push(Event::Note { round, pid, tag: "fault:omit" });
             }
         }
 
-        if crashed {
-            self.st.table.retire(idx, false, round);
-            self.st.metrics.crashes += 1;
-            if self.record {
-                self.st.trace.push(Event::Crash { round, pid });
-            }
-            if let Fate::CrashRecover { downtime, wipe, .. } = fate {
-                let at = round.saturating_add(u128::from(downtime.max(1)));
-                self.st.revive.insert(idx as u32, (at, wipe));
-                self.st.next_revive = Some(self.st.next_revive.map_or(at, |r| r.min(at)));
-            }
-        } else if eff.is_terminated() {
-            self.st.table.retire(idx, true, round);
-            self.st.metrics.terminations += 1;
-            if self.record {
-                self.st.trace.push(Event::Terminate { round, pid });
-            }
+        if ruling.crash || eff.is_terminated() {
+            let st = &mut self.st;
+            st.table.retire(idx, !ruling.crash, round, &mut st.metrics, &mut st.trace);
+        }
+        if let Some((downtime, wipe)) = ruling.revival {
+            let at = round.saturating_add(u128::from(downtime));
+            self.st.revive.insert(idx as u32, (at, wipe));
+            self.st.next_revive = Some(self.st.next_revive.map_or(at, |r| r.min(at)));
         }
     }
 
@@ -1477,7 +1465,7 @@ where
     fn queue(&mut self, round: Round, from: Pid, to: Recipients, payload: P::Msg) {
         let class = payload.class();
         self.st.metrics.record_messages(class, to.len() as u64);
-        if self.record {
+        if self.st.trace.is_recording() {
             for recipient in to.iter() {
                 self.st.trace.push(Event::Send { round, from, to: recipient, class });
             }

@@ -910,9 +910,11 @@ impl SlowWindow {
 /// windows (and for an empty window list) the wrapper is a strict
 /// pass-through: same steps, same effects, bit-identical runs.
 ///
-/// Symptoms: the first gated step of a window emits a `"fault:slow"`
-/// note; the first step at or past a window's `until` emits
-/// `"fault:slow:repaired"`. A clone carries the buffered messages and
+/// Symptoms: the first step inside a window emits a `"fault:slow"` note,
+/// whether that step is gated or on the window's grid (a window opening
+/// on an acting process notes at its first round); the first step at or
+/// past a window's `until` emits `"fault:slow:repaired"`. Only
+/// [`AsyncDegraded`] waits for a gated invocation before it notes. A clone carries the buffered messages and
 /// window cursors, so engine snapshots capture mid-window state exactly.
 #[derive(Clone, Debug)]
 pub struct Degraded<P: Protocol> {
@@ -1034,7 +1036,10 @@ impl<P: Protocol> Protocol for Degraded<P> {
 /// window — whose `from`/`until` are invocation ordinals, 1-based — only
 /// every `factor`-th counted invocation reaches the inner protocol;
 /// gated message batches are buffered and a tick is requested so the
-/// deferred work is eventually driven. With no windows the wrapper is a
+/// deferred work is eventually driven. Its `"fault:slow"` note comes
+/// with the window's first *gated* invocation, not its first one (unlike
+/// [`Degraded`]); `"fault:slow:repaired"` with the first counted
+/// invocation at or past `until`. With no windows the wrapper is a
 /// strict pass-through. A clone carries the invocation counter and the
 /// buffered batches, so engine snapshots capture mid-window state exactly.
 #[derive(Clone, Debug)]

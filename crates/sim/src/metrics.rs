@@ -56,6 +56,17 @@ impl Metrics {
         self.work_total + self.messages
     }
 
+    /// The watchdogs' progress mark: work plus every retirement and
+    /// recovery. All four only ever grow, so the mark moves exactly when
+    /// one of them does.
+    #[inline]
+    pub(crate) fn progress(&self) -> u64 {
+        self.work_total
+            + u64::from(self.crashes)
+            + u64::from(self.terminations)
+            + u64::from(self.recoveries)
+    }
+
     /// Whether every unit `1..=n` was performed at least once.
     pub fn all_work_done(&self) -> bool {
         self.work_by_unit.iter().all(|&c| c > 0)

@@ -95,21 +95,48 @@ impl Event {
     }
 }
 
-/// An ordered log of [`Event`]s.
+/// An ordered log of [`Event`]s that knows whether it records.
 ///
-/// Recording is optional (see
-/// [`RunConfig::record_trace`](crate::RunConfig::record_trace)); long
-/// experiment sweeps disable it, tests enable it and feed the trace to the
-/// checkers in [`invariants`](crate::invariants).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+/// Both engines set the flag from their config's `record_trace` (see
+/// [`RunConfig::record_trace`](crate::RunConfig::record_trace)) and push
+/// every event; an untraced run's trace drops them all. Long sweeps leave
+/// recording off; tests turn it on and feed the trace to the checkers in
+/// [`invariants`](crate::invariants). Equality compares events only.
+#[derive(Clone, Debug, Serialize)]
 pub struct Trace {
     events: Vec<Event>,
+    recording: bool,
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events
+    }
+}
+
+impl Eq for Trace {}
+
+impl Default for Trace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Trace {
-    /// An empty trace.
+    /// An empty trace that records.
     pub fn new() -> Self {
-        Self::default()
+        Self::recording(true)
+    }
+
+    /// An empty trace that records only if `on`.
+    pub(crate) fn recording(on: bool) -> Self {
+        Trace { events: Vec::new(), recording: on }
+    }
+
+    /// Whether events pushed to this trace are kept.
+    #[inline]
+    pub(crate) fn is_recording(&self) -> bool {
+        self.recording
     }
 
     /// All events in execution order.
@@ -145,8 +172,12 @@ impl Trace {
         })
     }
 
+    /// Appends `event` if the trace records; a no-op otherwise.
+    #[inline]
     pub(crate) fn push(&mut self, event: Event) {
-        self.events.push(event);
+        if self.recording {
+            self.events.push(event);
+        }
     }
 }
 
@@ -163,6 +194,15 @@ mod tests {
         let activations: Vec<_> = t.notes("activate").collect();
         assert_eq!(activations, vec![(Round::new(1), Pid::new(0)), (Round::new(9), Pid::new(1))]);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn an_off_trace_drops_pushes_and_equality_ignores_the_flag() {
+        let mut off = Trace::recording(false);
+        off.push(Event::Crash { round: Round::new(1), pid: Pid::new(0) });
+        assert!(off.is_empty() && !off.is_recording());
+        assert!(Trace::new().is_recording() && Trace::default().is_recording());
+        assert_eq!(off, Trace::new(), "equality compares events only");
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! 1. [`doall::sim::asynch::run_async`] (payload stored once in the op
 //!    arena, calendar-queue scheduling, batched zero-copy inboxes) must
 //!    produce **bit-identical** [`AsyncReport`]s — metrics, statuses
-//!    (whose retirement times must match the trace's), notes, and full
-//!    traces — to
+//!    (whose retirement times must match the trace's), and full traces,
+//!    notes included — to
 //!    [`doall::sim::asynch::reference::run_async_reference`] (payload
 //!    cloned per recipient at scheduling, plain binary heap) over random
-//!    send/delay/crash patterns. Drawn `max_delay`s stay small (dense
+//!    send/delay/crash patterns, alone and with seeded send- and
+//!    receive-omission windows on top. Drawn `max_delay`s stay small (dense
 //!    same-bucket traffic); a fixed grid straddles the calendar ring's cap,
 //!    so message traffic through the overflow heap is exercised too, and
 //!    `max_delay = u64::MAX` pins that the ring is never sized from the
@@ -22,7 +23,8 @@
 
 use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, DelayDist};
 use doall::sim::{
-    Classify, CrashSpec, FaultPlan, Inbox, NoFailures, Pid, RunConfig, Status, Trace, Trigger, Unit,
+    Classify, CrashSpec, Fault, FaultKind, FaultPlan, Inbox, NoFailures, Pid, RunConfig, Status,
+    Trace, Trigger, Unit,
 };
 use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB};
@@ -157,10 +159,11 @@ impl AsyncProtocol for AsyncChatter {
     }
 }
 
-/// A random invocation-indexed crash schedule: up to 5 crashes with every
-/// delivery-filter shape (silent, after-round, prefix, arbitrary subset).
-fn crash_schedule(t: usize, seed: u64) -> FaultPlan {
-    let mut sched = FaultPlan::default();
+/// A random invocation-indexed crash schedule on top of the timed
+/// `windows`: up to 5 crashes with every delivery-filter shape (silent,
+/// after-round, prefix, arbitrary subset).
+fn crash_schedule(t: usize, seed: u64, windows: Vec<Fault>) -> FaultPlan {
+    let mut sched = FaultPlan::new(windows);
     let crashes = mix(seed) % 6;
     for c in 0..crashes {
         let h = mix(seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -178,6 +181,21 @@ fn crash_schedule(t: usize, seed: u64) -> FaultPlan {
         sched = sched.crash_on(Trigger::NthInvocationOf { pid, nth: invocation }, spec);
     }
     sched
+}
+
+/// Seeded omission windows: one `OmitSends` and one `OmitRecv`, each on a
+/// drawn pid, opening within the first 8 timestamps (where a chatter's own
+/// actions fall) and lasting up to `8 + 2 · min(max_delay, 96)` of them.
+fn omission_windows(t: usize, max_delay: u64, seed: u64) -> Vec<Fault> {
+    let span = 8 + 2 * max_delay.min(96);
+    (0..2u64)
+        .map(|k| {
+            let h = mix(seed ^ k.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+            let pid = Pid::new(h as usize % t);
+            let kind = if k == 0 { FaultKind::OmitSends(pid) } else { FaultKind::OmitRecv(pid) };
+            kind.at((h >> 8) % 8).for_rounds(1 + (h >> 40) % span)
+        })
+        .collect()
 }
 
 /// Every pid's status carries the time of its retirement event in the
@@ -199,12 +217,21 @@ fn dist_of(raw: u8) -> DelayDist {
     }
 }
 
-/// Runs one chatter system under one crash schedule through the op-arena
+/// Runs one chatter system under one crash schedule, on top of the
+/// omission windows drawn from `omit_seed` if given, through the op-arena
 /// engine and the per-recipient-clone reference scheduler and requires the
 /// complete [`AsyncReport`](doall::sim::asynch::AsyncReport) to agree:
-/// every metric (totals, per class, dead letters, per-unit multiplicities,
-/// final timestamp), statuses, notes, and the full recorded trace.
-fn assert_arena_matches_reference(t: usize, n: usize, max_delay: u64, delay: DelayDist, seed: u64) {
+/// every metric (totals, per class, dead letters, omissions, per-unit
+/// multiplicities, final timestamp), statuses, and the full recorded
+/// trace, notes included. Returns the run's omission count.
+fn assert_arena_matches_reference(
+    t: usize,
+    n: usize,
+    max_delay: u64,
+    delay: DelayDist,
+    seed: u64,
+    omit_seed: Option<u64>,
+) -> u64 {
     let cfg = AsyncConfig {
         n,
         seed,
@@ -214,7 +241,8 @@ fn assert_arena_matches_reference(t: usize, n: usize, max_delay: u64, delay: Del
         record_trace: true,
         stall_window: None,
     };
-    let sched = crash_schedule(t, seed);
+    let windows = omit_seed.map_or(Vec::new(), |s| omission_windows(t, max_delay, s));
+    let sched = crash_schedule(t, seed, windows);
     let fast = run_async(AsyncChatter::procs(t, n, seed), sched.clone(), cfg.clone())
         .expect("chatters always retire");
     let reference = doall::sim::asynch::reference::run_async_reference(
@@ -223,12 +251,12 @@ fn assert_arena_matches_reference(t: usize, n: usize, max_delay: u64, delay: Del
         cfg,
     )
     .expect("reference run must complete identically");
-    let at = format!("t={t} n={n} max_delay={max_delay} {delay:?} seed={seed}");
+    let at = format!("t={t} n={n} max_delay={max_delay} {delay:?} seed={seed} omit={omit_seed:?}");
     assert_eq!(fast.metrics, reference.metrics, "{at}");
     assert_eq!(fast.statuses, reference.statuses, "{at}");
     assert_statuses_match_trace(&fast.statuses, &fast.trace, &at);
-    assert_eq!(fast.notes, reference.notes, "{at}");
     assert_eq!(fast.trace, reference.trace, "{at}");
+    fast.metrics.omissions
 }
 
 /// The calendar ring's slot cap (`RING_CAP` in `asynch/queue.rs`, private
@@ -239,16 +267,22 @@ const RING_CAP: u64 = 4096;
 /// Delay widths just under, just over and well past the ring cap, at a
 /// small shape: message traffic that fits the ring exactly, spills by one
 /// slot, and mostly lives in the overflow heap must all still match the
-/// reference scheduler event for event.
+/// reference scheduler event for event — crash-only, and with omission
+/// windows, of which at least some must drop messages.
 #[test]
 fn arena_engine_matches_reference_across_the_ring_cap() {
+    let mut omitted = 0;
     for max_delay in [RING_CAP - 1, RING_CAP + 1, 3 * RING_CAP] {
         for delay in [DelayDist::Uniform, DelayDist::Fixed, DelayDist::Bimodal] {
             for seed in 0..6u64 {
-                assert_arena_matches_reference(6, 8, max_delay, delay, mix(seed));
+                assert_arena_matches_reference(6, 8, max_delay, delay, mix(seed), None);
+                let omit_seed = Some(mix(seed ^ 0x0D15));
+                omitted +=
+                    assert_arena_matches_reference(6, 8, max_delay, delay, mix(seed), omit_seed);
             }
         }
     }
+    assert!(omitted > 0, "no omission window ever dropped a message");
 }
 
 /// `max_delay` is plain public data and `u64::MAX` is a valid value: the
@@ -293,7 +327,7 @@ proptest! {
 
     /// The op-arena engine and the per-recipient-clone reference scheduler
     /// agree on the complete AsyncReport over random shapes, schedules and
-    /// delay distributions.
+    /// delay distributions, crash-only and with seeded omission windows.
     #[test]
     fn arena_engine_matches_per_recipient_reference(
         t in 1usize..=10,
@@ -303,8 +337,10 @@ proptest! {
         max_delay in 1u64..=96,
         raw_dist in 0u8..=2,
         seed in any::<u64>(),
+        omit_seed in any::<u64>(),
     ) {
-        assert_arena_matches_reference(t, n, max_delay, dist_of(raw_dist), seed);
+        assert_arena_matches_reference(t, n, max_delay, dist_of(raw_dist), seed, None);
+        assert_arena_matches_reference(t, n, max_delay, dist_of(raw_dist), seed, Some(omit_seed));
     }
 
     /// Sanity on the generator itself: drawn systems really do send
@@ -313,13 +349,32 @@ proptest! {
     fn async_chatter_runs_produce_traffic(seed in any::<u64>()) {
         let report = run_async(
             AsyncChatter::procs(8, 8, seed),
-            crash_schedule(8, seed),
+            crash_schedule(8, seed, Vec::new()),
             AsyncConfig { max_delay: 6, ..AsyncConfig::new(8, seed) },
         ).expect("chatters always retire");
         prop_assert_eq!(
             u64::from(report.metrics.crashes + report.metrics.terminations),
             8u64
         );
+    }
+}
+
+/// Sanity on the omission windows: each kind on its own drops messages in
+/// some drawn runs, so neither omission path is compared vacuously.
+#[test]
+fn omission_windows_drop_messages_of_both_kinds() {
+    for kind in 0..2 {
+        let dropped: u64 = (0..32u64)
+            .map(|seed| {
+                let windows = vec![omission_windows(8, 6, seed).swap_remove(kind)];
+                let cfg = AsyncConfig { max_delay: 6, ..AsyncConfig::new(8, seed) };
+                run_async(AsyncChatter::procs(8, 8, seed), crash_schedule(8, seed, windows), cfg)
+                    .expect("chatters always retire")
+                    .metrics
+                    .omissions
+            })
+            .sum();
+        assert!(dropped > 0, "window kind {kind} never dropped a message");
     }
 }
 
@@ -448,13 +503,13 @@ fn failure_free_async_equals_sync_for_a_and_b() {
         doall::sim::RunConfig::new(n as usize, u64::MAX - 1),
     )
     .unwrap();
-    let cfg = AsyncConfig::new(n as usize, 42).with_delay(DelayDist::Fixed, 1);
+    let cfg = AsyncConfig::new(n as usize, 42).with_delay(DelayDist::Fixed, 1).with_trace();
     let async_a =
         run_async(AsyncProtocolA::processes(n, t).unwrap(), NoFailures, cfg.clone()).unwrap();
     let async_b = run_async(AsyncProtocolB::processes(n, t).unwrap(), NoFailures, cfg).unwrap();
     assert!(async_a.metrics.all_work_done() && async_b.metrics.all_work_done());
     for report in [&async_a, &async_b] {
-        let activations = report.notes.iter().filter(|(_, _, tag)| *tag == "activate").count();
+        let activations = report.trace.notes("activate").count();
         assert_eq!(activations, 1, "({n},{t},fixed 1): only p0 activates");
     }
     assert_eq!(async_a.metrics.work_total, 2_048, "A({n},{t},fixed 1)");

@@ -12,7 +12,8 @@
 //! diff against the transcript, not as a vague invariant failure.
 //!
 //! A probe adversary reruns both lifecycles to check the live-set view
-//! every intercept is handed (see [`Probe`]).
+//! every intercept is handed (see [`Probe`]), and untraced twins check
+//! that a run without tracing records nothing and counts the same.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -20,7 +21,8 @@ use std::rc::Rc;
 use doall::sim::asynch::{run_async, AsyncAdversary, AsyncConfig, AsyncEffects, Time};
 use doall::sim::invariants::{check_degraded_rate, check_recovery_silence};
 use doall::sim::{
-    run, Adversary, AdversaryCtx, Effects, Event, Fate, FaultKind, FaultPlan, Pid, Round, RunConfig,
+    run, Adversary, AdversaryCtx, Effects, Event, Fate, Fault, FaultKind, FaultPlan, Pid, Round,
+    RunConfig,
 };
 use doall::{AsyncProtocolB, ProtocolB};
 
@@ -343,4 +345,61 @@ fn adversary_ctx_view_tracks_retirement_and_revival_on_both_planes() {
     let plain = run_async(procs(), plan.clone(), async_cfg()).unwrap();
     assert_eq!(probed, plain, "async: the probe changed the run");
     assert_probe_saw_recovery(&seen.borrow(), "async");
+}
+
+/// The plan with its omission window's kind replaced by `kind`, over the
+/// same stretch.
+fn with_omission(plan: &FaultPlan, kind: FaultKind) -> FaultPlan {
+    FaultPlan::new(plan.faults().iter().map(|f| match f.kind {
+        FaultKind::OmitSends(_) | FaultKind::OmitRecv(_) => {
+            Fault { kind: kind.clone(), ..f.clone() }
+        }
+        _ => f.clone(),
+    }))
+}
+
+/// Untraced twins of both pinned lifecycles, and of each with its
+/// omission window turned to the other side (the sync one onto a receiving
+/// watcher, the async one onto the sending worker), so that every event
+/// kind and both omission paths of both engines run untraced. Each untraced
+/// run records nothing, and its metrics and statuses equal the traced
+/// run's: the flag inside the trace is the only gate, and it gates only
+/// the trace.
+#[test]
+fn untraced_lifecycles_record_nothing_and_count_the_same() {
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut seen = |trace: &doall::sim::Trace| {
+        kinds.extend(trace.events().iter().map(|e| match e {
+            Event::Work { .. } => "Work",
+            Event::Send { .. } => "Send",
+            Event::Crash { .. } => "Crash",
+            Event::Terminate { .. } => "Terminate",
+            Event::Notice { .. } => "Notice",
+            Event::Note { .. } => "Note",
+            Event::Recover { .. } => "Recover",
+        }));
+    };
+    for plan in [sync_plan(), with_omission(&sync_plan(), FaultKind::OmitRecv(Pid::new(1)))] {
+        let procs = || plan.wrap(ProtocolB::processes(8, 4).unwrap());
+        let traced = run(procs(), plan.clone(), RunConfig::new(8, 10_000).with_trace()).unwrap();
+        let untraced = run(procs(), plan.clone(), RunConfig::new(8, 10_000)).unwrap();
+        assert!(traced.metrics.omissions > 0, "sync {:?}: no omission", plan.faults());
+        assert!(untraced.trace.is_empty(), "sync {:?}: untraced run recorded", plan.faults());
+        assert_eq!(untraced.metrics, traced.metrics, "sync {:?}", plan.faults());
+        assert_eq!(untraced.statuses, traced.statuses, "sync {:?}", plan.faults());
+        seen(&traced.trace);
+    }
+    for plan in [async_plan(), with_omission(&async_plan(), FaultKind::OmitSends(Pid::new(0)))] {
+        let procs = || plan.wrap_async(AsyncProtocolB::processes(8, 4).unwrap());
+        let traced = run_async(procs(), plan.clone(), async_cfg()).unwrap();
+        let cfg = AsyncConfig { record_trace: false, ..async_cfg() };
+        let untraced = run_async(procs(), plan.clone(), cfg).unwrap();
+        assert!(traced.metrics.omissions > 0, "async {:?}: no omission", plan.faults());
+        assert!(untraced.trace.is_empty(), "async {:?}: untraced run recorded", plan.faults());
+        assert_eq!(untraced.metrics, traced.metrics, "async {:?}", plan.faults());
+        assert_eq!(untraced.statuses, traced.statuses, "async {:?}", plan.faults());
+        seen(&traced.trace);
+    }
+    let all = ["Crash", "Note", "Notice", "Recover", "Send", "Terminate", "Work"];
+    assert!(kinds.into_iter().eq(all), "the traced twins must cover every event kind");
 }
