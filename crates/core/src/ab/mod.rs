@@ -67,12 +67,6 @@ pub enum AbMsg {
 }
 
 impl AbMsg {
-    /// Whether this is an *ordinary* message in the paper's sense
-    /// (everything except `go ahead`).
-    pub fn is_ordinary(&self) -> bool {
-        !matches!(self, AbMsg::GoAhead)
-    }
-
     /// The subchunk the message reports, if ordinary.
     pub fn subchunk(&self) -> Option<u64> {
         match self {
@@ -605,8 +599,6 @@ mod tests {
         assert_eq!(AbMsg::Partial { c: 3 }.class(), "ordinary");
         assert_eq!(AbMsg::Full { c: 4, g: 2 }.class(), "ordinary");
         assert_eq!(AbMsg::GoAhead.class(), "go_ahead");
-        assert!(AbMsg::Partial { c: 3 }.is_ordinary());
-        assert!(!AbMsg::GoAhead.is_ordinary());
     }
 
     #[test]

@@ -242,13 +242,8 @@ impl IntervalSet {
         self.runs = out;
     }
 
-    /// In-place union with `other`. `O(runs + other.runs)`.
-    pub fn union_with(&mut self, other: &IntervalSet) {
-        self.union_via(other, &mut Vec::new());
-    }
-
-    /// [`union_with`](IntervalSet::union_with) through `scratch`, as
-    /// [`intersect_via`](IntervalSet::intersect_via).
+    /// In-place union with `other` through `scratch`, as
+    /// [`intersect_via`](IntervalSet::intersect_via). `O(runs + other.runs)`.
     pub(crate) fn union_via(&mut self, other: &IntervalSet, scratch: &mut Vec<(u64, u64)>) {
         if other.runs.is_empty() || self.runs == other.runs {
             return;
@@ -395,11 +390,11 @@ mod tests {
     fn union_coalesces() {
         let mut a: IntervalSet = [1u64, 2, 3, 10].into_iter().collect();
         let b: IntervalSet = [4u64, 5, 9, 11, 20].into_iter().collect();
-        a.union_with(&b);
+        a.union_via(&b, &mut Vec::new());
         assert_eq!(dense(&a), vec![1, 2, 3, 4, 5, 9, 10, 11, 20]);
         assert_eq!(a.runs(), &[(1, 6), (9, 12), (20, 21)]);
         let before = a.clone();
-        a.union_with(&IntervalSet::new());
+        a.union_via(&IntervalSet::new(), &mut Vec::new());
         assert_eq!(a, before);
     }
 
@@ -439,14 +434,14 @@ mod tests {
         let other: IntervalSet = (0..64u64).filter(|v| v % 3 != 0).collect();
         let mut same = s.clone();
         same.intersect(&s);
-        same.union_with(&s);
+        same.union_via(&s, &mut Vec::new());
         assert_eq!(same, s);
         let mut inter = s.clone();
         inter.intersect(&other);
         let expect: Vec<u64> = model.iter().copied().filter(|v| v % 3 != 0).collect();
         assert_eq!(dense(&inter), expect);
         let mut uni = s.clone();
-        uni.union_with(&other);
+        uni.union_via(&other, &mut Vec::new());
         let mut expect: std::collections::BTreeSet<u64> = model.clone();
         expect.extend((0..64u64).filter(|v| v % 3 != 0));
         assert_eq!(dense(&uni), expect.into_iter().collect::<Vec<_>>());

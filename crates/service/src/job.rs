@@ -7,7 +7,7 @@
 use std::fmt;
 
 use doall_sim::asynch::{
-    run_async, AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, AsyncRunError, DelayDist,
+    run_async, AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, DelayDist,
 };
 use doall_sim::chaos::Plane;
 use doall_sim::{
@@ -203,7 +203,7 @@ fn execute_async<P>(
     procs: Vec<P>,
     scenario: &Scenario,
     cfg: AsyncConfig,
-) -> Result<AsyncReport, AsyncRunError>
+) -> Result<AsyncReport, RunError>
 where
     P: AsyncProtocol,
     P::Msg: 'static,
@@ -225,8 +225,9 @@ where
     ///
     /// # Errors
     ///
-    /// Propagates the engine's [`RunError`] (round limit, stall, invalid
-    /// adversary).
+    /// Propagates the engine's [`RunError`]: `InvalidAdversary`,
+    /// `RoundLimit`, `Deadlock`, or `Stalled` with
+    /// [`stall_window`](JobSpec::stall_window) set.
     pub fn run(self) -> Result<Report, RunError> {
         let cfg = self.run_config();
         execute_sync(self.procs, &self.scenario, cfg)
@@ -257,9 +258,7 @@ where
             label,
             slots,
             deadline,
-            thunk: Box::new(move || {
-                execute_sync(procs, &scenario, cfg).map(JobReport::Sync).map_err(JobError::Sync)
-            }),
+            thunk: Box::new(move || execute_sync(procs, &scenario, cfg).map(JobReport::Sync)),
         }
     }
 }
@@ -273,8 +272,10 @@ where
     ///
     /// # Errors
     ///
-    /// Propagates the engine's [`AsyncRunError`].
-    pub fn run_async(self) -> Result<AsyncReport, AsyncRunError> {
+    /// Propagates the engine's [`RunError`]: `InvalidAdversary`,
+    /// `EventLimit`, `Deadlock`, or `Stalled` with
+    /// [`stall_window`](JobSpec::stall_window) set.
+    pub fn run_async(self) -> Result<AsyncReport, RunError> {
         let cfg = self.async_config();
         execute_async(self.procs, &self.scenario, cfg)
     }
@@ -284,8 +285,8 @@ where
     ///
     /// # Errors
     ///
-    /// Propagates the engine's [`AsyncRunError`].
-    pub fn run_async_with<A>(self, adversary: A) -> Result<AsyncReport, AsyncRunError>
+    /// Propagates the engine's [`RunError`].
+    pub fn run_async_with<A>(self, adversary: A) -> Result<AsyncReport, RunError>
     where
         A: AsyncAdversary<P::Msg>,
     {
@@ -303,9 +304,7 @@ where
             label,
             slots,
             deadline,
-            thunk: Box::new(move || {
-                execute_async(procs, &scenario, cfg).map(JobReport::Async).map_err(JobError::Async)
-            }),
+            thunk: Box::new(move || execute_async(procs, &scenario, cfg).map(JobReport::Async)),
         }
     }
 }
@@ -317,7 +316,7 @@ pub struct Job {
     pub(crate) label: String,
     pub(crate) slots: usize,
     pub(crate) deadline: Option<u128>,
-    pub(crate) thunk: Box<dyn FnOnce() -> Result<JobReport, JobError> + Send>,
+    pub(crate) thunk: Box<dyn FnOnce() -> Result<JobReport, RunError> + Send>,
 }
 
 impl Job {
@@ -382,27 +381,6 @@ impl JobReport {
         }
     }
 }
-
-/// An engine error from either plane, surfaced in a
-/// [`JobRecord`](crate::JobRecord).
-#[derive(Debug)]
-pub enum JobError {
-    /// The synchronous engine failed.
-    Sync(RunError),
-    /// The asynchronous engine failed.
-    Async(AsyncRunError),
-}
-
-impl fmt::Display for JobError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobError::Sync(e) => write!(f, "sync engine: {e}"),
-            JobError::Async(e) => write!(f, "async engine: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
 
 #[cfg(test)]
 mod tests {

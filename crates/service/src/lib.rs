@@ -49,7 +49,7 @@ mod job;
 mod session;
 
 pub use arrivals::ArrivalModel;
-pub use job::{Job, JobError, JobReport, JobSpec};
+pub use job::{Job, JobReport, JobSpec};
 pub use session::{
     Admission, FleetMetrics, FleetReport, JobRecord, Pool, RejectReason, Session, Verdict,
 };

@@ -23,7 +23,9 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::job::{Job, JobError, JobReport};
+use doall_sim::RunError;
+
+use crate::job::{Job, JobReport};
 
 /// A shared pool of process slots. A running job occupies as many slots
 /// as it has processes (its system size `t`).
@@ -108,7 +110,7 @@ pub struct JobRecord {
     /// The engine report (present iff completed).
     pub report: Option<JobReport>,
     /// The engine error (present iff failed).
-    pub error: Option<JobError>,
+    pub error: Option<RunError>,
 }
 
 impl JobRecord {

@@ -74,7 +74,7 @@ pub trait AsyncAdversary<M> {
 
     /// Checks the adversary's schedule against a system of `t` processes,
     /// before the first event. An `Err` aborts the run with
-    /// [`AsyncRunError::InvalidAdversary`](crate::asynch::AsyncRunError::InvalidAdversary)
+    /// [`RunError::InvalidAdversary`](crate::RunError::InvalidAdversary)
     /// — the asynchronous analogue of
     /// [`Adversary::validate`](crate::Adversary::validate).
     /// [`FaultPlan`](crate::faults::FaultPlan) overrides this; the default

@@ -84,7 +84,9 @@ pub use adversary::AsyncAdversary;
 
 use crate::adversary::AdversaryCtx;
 use crate::effects::SendBuf;
-use crate::engine::{survivor_queries, MemBudget, ProcTable, Status};
+use crate::engine::{
+    survivor_queries, MemBudget, ProcTable, RunError, StallDiagnosis, Status, Waiting,
+};
 use crate::ids::{Pid, Round, Unit};
 use crate::message::{Classify, FlightOp, Inbox};
 use crate::metrics::Metrics;
@@ -325,9 +327,9 @@ pub struct AsyncConfig {
     /// Watchdog window in virtual time: if more than this many time-steps
     /// elapse after the last *progress* (a delivered message batch, or any
     /// movement of the work / crash / termination / recovery counters),
-    /// the run fails with [`AsyncRunError::Livelock`] and a diagnosis —
-    /// the asynchronous peer of
-    /// [`RunConfig::stall_window`](crate::RunConfig::stall_window).
+    /// the run fails with [`RunError::Stalled`], the variant the sync
+    /// watchdog ([`RunConfig::stall_window`](crate::RunConfig::stall_window))
+    /// raises too.
     /// `None` (the default) disables the watchdog.
     pub stall_window: Option<u64>,
 }
@@ -419,103 +421,10 @@ impl AsyncReport {
     survivor_queries!();
 }
 
-/// What the asynchronous watchdog saw when it tripped — the event-plane
-/// peer of [`StallDiagnosis`](crate::StallDiagnosis). Lists the processes
-/// still alive (with their handler-invocation counts, to distinguish a
-/// never-scheduled process from a busy-looping one) plus the pending
-/// event and revival backlog.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-pub struct AsyncStallDiagnosis {
-    /// Timestamp of the batch that tripped the watchdog.
-    pub time: Time,
-    /// Timestamp of the last observed progress.
-    pub last_progress: Time,
-    /// Processes still alive and unterminated, in pid order.
-    pub stalled: Vec<Pid>,
-    /// Handler-invocation counts of the stalled processes, `(pid, count)`.
-    pub invocations: Vec<(Pid, u64)>,
-    /// Per-recipient events still pending in the scheduler queue: a
-    /// queued notice run counts one event per report it carries.
-    pub pending_events: usize,
-    /// Crashed processes with a scheduled revival outstanding.
-    pub pending_revivals: usize,
-}
-
-impl fmt::Display for AsyncStallDiagnosis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "time {}, last progress at {}, {} stalled: ",
-            self.time,
-            self.last_progress,
-            self.stalled.len()
-        )?;
-        for (i, (pid, inv)) in self.invocations.iter().take(8).enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{pid}({inv} invocations)")?;
-        }
-        if self.invocations.len() > 8 {
-            write!(f, ", +{} more", self.invocations.len() - 8)?;
-        }
-        write!(
-            f,
-            "; {} pending events, {} pending revivals",
-            self.pending_events, self.pending_revivals
-        )
-    }
-}
-
-/// Errors from the asynchronous engine.
-#[derive(Debug)]
-pub enum AsyncRunError {
-    /// The handler-invocation cap was exceeded.
-    EventLimit {
-        /// The configured cap.
-        limit: u64,
-    },
-    /// Live, unterminated processes remain but no events are pending.
-    Stalled {
-        /// Processes still alive and unterminated.
-        alive: Vec<Pid>,
-    },
-    /// The watchdog tripped: events kept flowing, but nothing counted as
-    /// progress for longer than [`AsyncConfig::stall_window`] virtual
-    /// time-steps (a tick-loop livelock, or an idle stretch a protocol
-    /// never escapes).
-    Livelock {
-        /// The configured window that was exceeded.
-        window: u64,
-        /// What the watchdog saw.
-        diagnosis: Box<AsyncStallDiagnosis>,
-    },
-    /// The adversary's schedule is inconsistent with the system (see
-    /// [`AsyncAdversary::validate`]); the run never started.
-    InvalidAdversary {
-        /// Why the schedule was rejected.
-        reason: String,
-    },
-}
-
-impl fmt::Display for AsyncRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AsyncRunError::EventLimit { limit } => write!(f, "event limit of {limit} exceeded"),
-            AsyncRunError::Stalled { alive } => {
-                write!(f, "stalled with processes {alive:?} alive and no pending events")
-            }
-            AsyncRunError::Livelock { window, diagnosis } => {
-                write!(f, "no progress for over {window} time-steps ({diagnosis})")
-            }
-            AsyncRunError::InvalidAdversary { reason } => {
-                write!(f, "invalid adversary schedule: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AsyncRunError {}
+/// The asynchronous engine's errors are the synchronous engine's
+/// [`RunError`]. This name survives only because the frozen `benchmark/`
+/// crate still uses it.
+pub type AsyncRunError = RunError;
 
 /// The in-flight op slab: every payload lives in exactly one slot, shared
 /// by all its pending delivery events; `refs` counts the deliveries still
@@ -716,7 +625,7 @@ where
 /// [`resume`](AsyncEngine::resume) round-trip the paused state with a
 /// bit-identical-continuation guarantee. The optional
 /// [`AsyncConfig::stall_window`] watchdog converts tick-loop livelocks
-/// into a loud [`AsyncRunError::Livelock`] with a diagnosis.
+/// into a loud [`RunError::Stalled`] with a diagnosis.
 pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     // ---- state: the whole of it, and exactly what a snapshot is ----
     st: AsyncEngineSnapshot<P, A>,
@@ -753,13 +662,13 @@ where
     ///
     /// # Errors
     ///
-    /// [`AsyncRunError::InvalidAdversary`] if the adversary's
+    /// [`RunError::InvalidAdversary`] if the adversary's
     /// [`validate`](AsyncAdversary::validate) hook rejects the schedule
     /// (e.g. a [`FaultPlan`](crate::FaultPlan) that permanently crashes
     /// every process).
-    pub fn new(procs: Vec<P>, adversary: A, cfg: AsyncConfig) -> Result<Self, AsyncRunError> {
+    pub fn new(procs: Vec<P>, adversary: A, cfg: AsyncConfig) -> Result<Self, RunError> {
         let t = procs.len();
-        adversary.validate(t).map_err(|reason| AsyncRunError::InvalidAdversary { reason })?;
+        adversary.validate(t).map_err(|reason| RunError::InvalidAdversary { reason })?;
         let mut queue = EventQueue::with_horizon(cfg.max_delay.max(1));
         for pid in 0..t {
             queue.push(Time::ZERO, Ev::Start(Pid::new(pid)));
@@ -829,12 +738,13 @@ where
     ///
     /// # Errors
     ///
-    /// [`AsyncRunError::EventLimit`] if the invocation cap is exceeded;
-    /// [`AsyncRunError::Stalled`] if live processes remain with nothing
+    /// [`RunError::EventLimit`] if the invocation cap is exceeded;
+    /// [`RunError::Deadlock`] if live processes remain with nothing
     /// pending (a protocol bug — in a correct protocol some process always
-    /// eventually acts); [`AsyncRunError::Livelock`] if the
-    /// [`AsyncConfig::stall_window`] watchdog trips.
-    pub fn run_until(&mut self, stop: Option<Time>) -> Result<bool, AsyncRunError> {
+    /// eventually acts); [`RunError::Stalled`] if the
+    /// [`AsyncConfig::stall_window`] watchdog trips. Each carries the
+    /// metrics and a [`StallDiagnosis`].
+    pub fn run_until(&mut self, stop: Option<Time>) -> Result<bool, RunError> {
         while !self.st.finished {
             debug_assert!(self.batch.is_empty(), "batch buffer must drain between timestamps");
             let Some(now) = self.st.queue.drain_next(&mut self.batch) else {
@@ -859,26 +769,20 @@ where
                 self.st.last_progress = now;
             } else if let Some(window) = self.st.cfg.stall_window {
                 if now.saturating_sub(self.st.last_progress) > u128::from(window) {
-                    return Err(AsyncRunError::Livelock {
-                        window,
-                        diagnosis: Box::new(self.diagnosis()),
-                    });
+                    let metrics = self.error_metrics();
+                    return Err(RunError::Stalled { window, metrics, diagnosis: self.diagnosis() });
                 }
             }
             if stop.is_some_and(|s| now >= s) {
                 return Ok(false);
             }
         }
-        if self.st.finished {
+        if self.st.finished || self.st.table.live().is_empty() {
+            self.st.finished = true;
             return Ok(true);
         }
-        let alive_pids = self.st.table.live().ones().map(Pid::new).collect::<Vec<_>>();
-        if alive_pids.is_empty() {
-            self.st.finished = true;
-            Ok(true)
-        } else {
-            Err(AsyncRunError::Stalled { alive: alive_pids })
-        }
+        let metrics = self.error_metrics();
+        Err(RunError::Deadlock { metrics, diagnosis: self.diagnosis() })
     }
 
     /// Captures the engine's full state at the current batch boundary.
@@ -950,17 +854,29 @@ where
         self.st.mem.ledger_bytes = self.st.mem.ledger_bytes.max(ledger);
     }
 
-    fn diagnosis(&self) -> AsyncStallDiagnosis {
-        let stalled: Vec<Pid> = self.st.table.live().ones().map(Pid::new).collect();
-        let invocations = stalled.iter().map(|&p| (p, self.st.invocations[p.index()])).collect();
-        AsyncStallDiagnosis {
-            time: self.st.now,
+    /// The metrics an abnormal exit carries, checked.
+    fn error_metrics(&self) -> Box<Metrics> {
+        self.st.metrics.debug_check();
+        Box::new(self.st.metrics.clone())
+    }
+
+    fn event_limit(&self) -> RunError {
+        let (limit, metrics) = (self.st.cfg.max_events, self.error_metrics());
+        RunError::EventLimit { limit, metrics, diagnosis: self.diagnosis() }
+    }
+
+    /// The engine's [`StallDiagnosis`]: who is alive, how often each was
+    /// invoked, and what is still queued.
+    fn diagnosis(&self) -> Box<StallDiagnosis> {
+        let invocations = &self.st.invocations;
+        let stalled = self.st.table.live().ones();
+        Box::new(StallDiagnosis {
+            round: self.st.now,
             last_progress: self.st.last_progress,
-            stalled,
-            invocations,
-            pending_events: self.st.queue.len(),
+            stalled: stalled.map(|i| (Pid::new(i), Waiting::Invocations(invocations[i]))).collect(),
+            pending: self.st.queue.len(),
             pending_revivals: self.st.reviving.len(),
-        }
+        })
     }
 
     /// Dispatches every event of the drained batch at timestamp `now`.
@@ -968,7 +884,7 @@ where
     /// watchdog's strongest progress signal). Sets `finished` on
     /// completion, leaving any remaining batch events undispatched (they
     /// are start-of-idle noise: every process has retired).
-    fn process_batch(&mut self, now: Time) -> Result<bool, AsyncRunError> {
+    fn process_batch(&mut self, now: Time) -> Result<bool, RunError> {
         let t = self.st.procs.len();
         let mut groups_used = 0usize;
         for (pos, ev) in self.batch.iter().enumerate() {
@@ -1136,10 +1052,10 @@ where
     /// own is how escaping sends are queued (one delay draw per recipient)
     /// and how a revival is scheduled (a queued [`Ev::Revive`]). Returns
     /// whether the execution just finished.
-    fn settle(&mut self, now: Time, pid: Pid) -> Result<bool, AsyncRunError> {
+    fn settle(&mut self, now: Time, pid: Pid) -> Result<bool, RunError> {
         self.st.handled += 1;
         if self.st.handled > self.st.cfg.max_events {
-            return Err(AsyncRunError::EventLimit { limit: self.st.cfg.max_events });
+            return Err(self.event_limit());
         }
         let idx = pid.index();
         self.st.invocations[idx] += 1;
@@ -1252,17 +1168,13 @@ where
 ///
 /// # Errors
 ///
-/// [`AsyncRunError::InvalidAdversary`] if the adversary rejects the
-/// system's shape; [`AsyncRunError::EventLimit`] if the invocation cap is
-/// exceeded; [`AsyncRunError::Stalled`] if live processes remain with
-/// nothing pending (a protocol bug — in a correct protocol some process
-/// always eventually acts); [`AsyncRunError::Livelock`] if the optional
-/// watchdog trips.
+/// [`RunError::InvalidAdversary`] if the adversary rejects the system's
+/// shape, otherwise as [`AsyncEngine::run_until`].
 pub fn run_async<P, A>(
     procs: Vec<P>,
     adversary: A,
     cfg: AsyncConfig,
-) -> Result<AsyncReport, AsyncRunError>
+) -> Result<AsyncReport, RunError>
 where
     P: AsyncProtocol,
     A: AsyncAdversary<P::Msg>,
@@ -1338,8 +1250,11 @@ mod tests {
         // p1 never hears anything except the retirement notice, which in
         // this toy protocol does not terminate it -> the run stalls.
         match err {
-            AsyncRunError::Stalled { alive } => assert_eq!(alive, vec![Pid::new(1)]),
-            other => panic!("expected stall, got {other}"),
+            RunError::Deadlock { diagnosis, .. } => {
+                // p1 ran its start handler and heard p0's retirement.
+                assert_eq!(diagnosis.stalled, [(Pid::new(1), Waiting::Invocations(2))]);
+            }
+            other => panic!("expected deadlock, got {other}"),
         }
     }
 
@@ -1514,18 +1429,21 @@ mod tests {
         let cfg = AsyncConfig { n: 1, ..Default::default() }.with_stall_window(16);
         let err = run_async(vec![Spinner], NoFailures, cfg).unwrap_err();
         match err {
-            AsyncRunError::Livelock { window, diagnosis } => {
+            RunError::Stalled { window, diagnosis, .. } => {
                 assert_eq!(window, 16);
-                assert_eq!(diagnosis.stalled, vec![Pid::new(0)]);
-                assert!(diagnosis.time > diagnosis.last_progress);
+                assert!(diagnosis.round > diagnosis.last_progress);
+                let [(pid, Waiting::Invocations(count))] = diagnosis.stalled[..] else {
+                    panic!("one stalled process with its invocation count: {diagnosis}");
+                };
+                assert_eq!(pid, Pid::new(0));
                 // The diagnosis renders the per-pid invocation counts.
-                assert!(diagnosis.to_string().contains("p0("));
+                assert!(diagnosis.to_string().contains(&format!("p0: {count} invocations")));
             }
-            other => panic!("expected livelock, got {other}"),
+            other => panic!("expected a watchdog stall, got {other}"),
         }
     }
 
-    /// `pending_events` counts per-recipient events, not queue entries:
+    /// `pending` counts per-recipient events, not queue entries:
     /// three quitters fan retirement notices out under bimodal delays, so
     /// when the 16-step watchdog trips, each fan-out's delay-64 run is
     /// still queued and counts one event per report it carries — the
@@ -1560,12 +1478,12 @@ mod tests {
         }
         .with_stall_window(16);
         match run_async(procs, NoFailures, cfg).unwrap_err() {
-            AsyncRunError::Livelock { diagnosis, .. } => {
+            RunError::Stalled { diagnosis, .. } => {
                 assert_eq!(diagnosis.stalled.len(), 5);
                 // Five pending ticks plus nine undelivered notices.
-                assert_eq!(diagnosis.pending_events, 14);
+                assert_eq!(diagnosis.pending, 14);
             }
-            other => panic!("expected livelock, got {other}"),
+            other => panic!("expected a watchdog stall, got {other}"),
         }
     }
 
@@ -1581,7 +1499,7 @@ mod tests {
         let procs = vec![Player { me: 0 }, Player { me: 1 }];
         let err = run_async(procs, plan, AsyncConfig { n: 2, ..Default::default() }).unwrap_err();
         match err {
-            AsyncRunError::InvalidAdversary { reason } => {
+            RunError::InvalidAdversary { reason } => {
                 assert!(reason.contains("all"), "unexpected reason: {reason}");
             }
             other => panic!("expected invalid-adversary error, got {other}"),

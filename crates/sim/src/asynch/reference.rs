@@ -17,11 +17,9 @@ use std::collections::BinaryHeap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use super::{
-    AsyncAdversary, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncReport, AsyncRunError, Time,
-};
+use super::{AsyncAdversary, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncReport, Time};
 use crate::adversary::{AdversaryCtx, Fate};
-use crate::engine::{MemBudget, Status};
+use crate::engine::{MemBudget, RunError, StallDiagnosis, Status, Waiting};
 use crate::ids::Pid;
 use crate::liveset::LiveSet;
 use crate::message::{Classify, Inbox};
@@ -65,7 +63,9 @@ impl<M> Ord for Entry<M> {
 ///
 /// # Errors
 ///
-/// As [`run_async`](super::run_async).
+/// As [`run_async`](super::run_async), except that the scheduler tracks no
+/// progress mark and has no watchdog: a diagnosis's `last_progress` reads
+/// [`Time::ZERO`], and [`RunError::Stalled`] is never raised.
 ///
 /// # Panics
 ///
@@ -77,7 +77,7 @@ pub fn run_async_reference<P, A>(
     mut procs: Vec<P>,
     mut adversary: A,
     cfg: AsyncConfig,
-) -> Result<AsyncReport, AsyncRunError>
+) -> Result<AsyncReport, RunError>
 where
     P: AsyncProtocol,
     A: AsyncAdversary<P::Msg>,
@@ -105,9 +105,21 @@ where
     let mut handled: u64 = 0;
     let mut executed: u64 = 0;
     let mut eff: AsyncEffects<P::Msg> = AsyncEffects::default();
+    let mut now = Time::ZERO;
+    let diagnosis = |now, alive: &LiveSet, invocations: &[u64], pending| {
+        let stalled = alive.ones().map(|i| (Pid::new(i), Waiting::Invocations(invocations[i])));
+        let stalled = stalled.collect();
+        Box::new(StallDiagnosis {
+            round: now,
+            last_progress: Time::ZERO,
+            stalled,
+            pending,
+            pending_revivals: 0,
+        })
+    };
 
     'run: while let Some(Reverse(first)) = heap.pop() {
-        let now = first.time;
+        now = first.time;
         executed += 1;
         let mut batch: Vec<RefEv<P::Msg>> = vec![first.ev];
         while heap.peek().is_some_and(|Reverse(e)| e.time == now) {
@@ -182,7 +194,11 @@ where
 
             handled += 1;
             if handled > cfg.max_events {
-                return Err(AsyncRunError::EventLimit { limit: cfg.max_events });
+                return Err(RunError::EventLimit {
+                    limit: cfg.max_events,
+                    metrics: Box::new(metrics),
+                    diagnosis: diagnosis(now, &alive, &invocations, heap.len()),
+                });
             }
             let idx = pid.index();
             invocations[idx] += 1;
@@ -280,7 +296,8 @@ where
     }
 
     if !alive.is_empty() {
-        return Err(AsyncRunError::Stalled { alive: alive.ones().map(Pid::new).collect() });
+        let diagnosis = diagnosis(now, &alive, &invocations, 0);
+        return Err(RunError::Deadlock { metrics: Box::new(metrics), diagnosis });
     }
     Ok(AsyncReport { metrics, statuses, trace, mem: MemBudget::default(), executed })
 }

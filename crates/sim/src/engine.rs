@@ -27,11 +27,6 @@ pub enum Status {
 }
 
 impl Status {
-    /// Whether the process retired (crashed or terminated).
-    pub fn is_retired(&self) -> bool {
-        !matches!(self, Status::Alive)
-    }
-
     /// Whether the process survived to normal termination.
     pub fn is_terminated(&self) -> bool {
         matches!(self, Status::Terminated(_))
@@ -60,7 +55,9 @@ pub struct RunConfig {
     /// Watchdog window: the maximum number of consecutive *executed* rounds
     /// tolerated without observable progress (a delivery to a live process,
     /// a unit of work, a retirement, or a live-set change) before the run
-    /// is aborted with [`RunError::Stalled`]. Rounds skipped by the sparse
+    /// is aborted with [`RunError::Stalled`], the variant the async
+    /// watchdog ([`AsyncConfig::stall_window`](crate::asynch::AsyncConfig::stall_window))
+    /// raises too. Rounds skipped by the sparse
     /// fast-forward are provably quiescent and never count against the
     /// window, so deep-idle protocols (Protocol C's `2^k`-round waits) are
     /// not false positives. `None` disables the watchdog.
@@ -181,11 +178,6 @@ impl MemBudget {
     pub fn engine_bytes(&self) -> u64 {
         self.soa_bytes + self.flight_bytes
     }
-
-    /// Total peak across all four pools.
-    pub fn total_bytes(&self) -> u64 {
-        self.soa_bytes + self.flight_bytes + self.ledger_bytes + self.proc_bytes
-    }
 }
 
 /// The survivor queries of a report's `statuses` column, written once for
@@ -226,24 +218,45 @@ impl Report {
     survivor_queries!();
 }
 
-/// Watchdog report attached to abnormal exits: who is stuck, since when,
-/// and what (if anything) is still in flight. Produced by the progress
-/// monitor when it aborts a stalled run ([`RunError::Stalled`]) and to
-/// classify [`RunError::RoundLimit`] exits, which previously timed out
-/// with nothing but a metrics dump.
+/// What a stalled process is waiting on: the one plane-specific column of
+/// a [`StallDiagnosis`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+pub enum Waiting {
+    /// Sync engine: the process's cached next wakeup (`None` = purely
+    /// reactive: it will never act unless a message arrives).
+    Wakeup(Option<Round>),
+    /// Async engine: the process's handler-invocation count, which tells a
+    /// never-scheduled process from a busy-looping one.
+    Invocations(u64),
+}
+
+impl fmt::Display for Waiting {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Waiting::Wakeup(Some(w)) => write!(f, "wakes {w}"),
+            Waiting::Wakeup(None) => write!(f, "reactive"),
+            Waiting::Invocations(n) => write!(f, "{n} invocations"),
+        }
+    }
+}
+
+/// What an engine saw when it abandoned a run, attached to every
+/// [`RunError`] raised after the engine was built, on either plane: who is
+/// stuck, since when, and what is still pending. On the async plane the
+/// rounds are virtual timestamps.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct StallDiagnosis {
     /// Round at which the diagnosis was taken.
     pub round: Round,
     /// Last round with observable progress ([`Round::ZERO`] if none ever).
     pub last_progress: Round,
-    /// Processes still alive — the stall suspects.
-    pub stalled: Vec<Pid>,
-    /// Cached next wakeup of each stalled process (`None` = purely
-    /// reactive: it will never act unless a message arrives).
-    pub wakeups: Vec<(Pid, Option<Round>)>,
-    /// Send ops still in flight (due for delivery next executed round).
-    pub pending_ops: usize,
+    /// The processes still alive (the stall suspects), in pid order, each
+    /// with what it is waiting on.
+    pub stalled: Vec<(Pid, Waiting)>,
+    /// Deliveries still pending: send ops in flight, due next executed
+    /// round (sync), or per-recipient events in the scheduler queue, a
+    /// queued notice run counting one per report it carries (async).
+    pub pending: usize,
     /// Crash-recoveries scheduled but not yet fired.
     pub pending_revivals: usize,
 }
@@ -257,33 +270,28 @@ impl fmt::Display for StallDiagnosis {
             self.last_progress,
             self.stalled.len()
         )?;
-        for (i, (pid, wake)) in self.wakeups.iter().take(8).enumerate() {
+        for (i, (pid, waiting)) in self.stalled.iter().take(8).enumerate() {
             let sep = if i == 0 { " [" } else { ", " };
-            match wake {
-                Some(w) => write!(f, "{sep}{pid}: wakes {w}")?,
-                None => write!(f, "{sep}{pid}: reactive")?,
-            }
+            write!(f, "{sep}{pid}: {waiting}")?;
         }
-        if !self.wakeups.is_empty() {
-            if self.wakeups.len() > 8 {
-                write!(f, ", +{} more]", self.wakeups.len() - 8)?;
-            } else {
-                write!(f, "]")?;
-            }
+        if self.stalled.len() > 8 {
+            write!(f, ", +{} more]", self.stalled.len() - 8)?;
+        } else if !self.stalled.is_empty() {
+            write!(f, "]")?;
         }
-        write!(
-            f,
-            "; {} op(s) in flight, {} revival(s) pending",
-            self.pending_ops, self.pending_revivals
-        )
+        write!(f, "; {} pending, {} revival(s) pending", self.pending, self.pending_revivals)
     }
 }
 
-/// Why a run failed to complete.
-#[derive(Debug)]
+/// Why a run of either engine failed to complete. Every variant but
+/// [`InvalidAdversary`](RunError::InvalidAdversary) is raised by a built
+/// engine and carries its metrics at the moment the run was abandoned
+/// (work ledger complete, `rounds` the last executed round or handled
+/// timestamp) and a [`StallDiagnosis`].
+#[derive(Debug, PartialEq, Eq)]
 pub enum RunError {
-    /// The configured round cap was exceeded (likely a protocol bug or an
-    /// undersized cap).
+    /// Sync engine: the round cap [`RunConfig::max_rounds`] was exceeded
+    /// (likely a protocol bug or an undersized cap).
     RoundLimit {
         /// The cap that was exceeded.
         limit: Round,
@@ -292,33 +300,43 @@ pub enum RunError {
         /// Who was still alive and what they were waiting on.
         diagnosis: Box<StallDiagnosis>,
     },
-    /// No messages in flight, no process due to wake, no adversary event —
-    /// but some processes are still alive. The protocol livelocked.
-    Deadlock {
-        /// Round at which the deadlock was detected.
-        round: Round,
-        /// Processes still alive.
-        alive: Vec<Pid>,
-        /// Metrics at the moment of deadlock.
-        metrics: Box<Metrics>,
-    },
-    /// The watchdog aborted the run: [`RunConfig::stall_window`] consecutive
-    /// executed rounds passed with no delivery, no work, no retirement, and
-    /// no live-set change. Unlike [`RunError::Deadlock`] (provably nothing
-    /// can ever happen) this is a heuristic livelock verdict: processes are
-    /// executing but none of it is observable progress.
-    Stalled {
-        /// Round at which the watchdog fired.
-        round: Round,
-        /// The configured window that was exhausted.
-        window: u64,
-        /// Who is stuck and what they were waiting on.
-        diagnosis: Box<StallDiagnosis>,
+    /// Async engine: the handler-invocation cap
+    /// [`AsyncConfig::max_events`](crate::asynch::AsyncConfig::max_events)
+    /// was exceeded.
+    EventLimit {
+        /// The cap that was exceeded.
+        limit: u64,
         /// Metrics at the moment the run was abandoned.
         metrics: Box<Metrics>,
+        /// Who was still alive and what they were waiting on.
+        diagnosis: Box<StallDiagnosis>,
+    },
+    /// Live processes remain but provably nothing can ever happen: no
+    /// message in flight, no process due to wake, no adversary event and
+    /// no revival (sync), or an empty event queue (async).
+    Deadlock {
+        /// Metrics at the moment of deadlock.
+        metrics: Box<Metrics>,
+        /// Who is stuck and what they are waiting on.
+        diagnosis: Box<StallDiagnosis>,
+    },
+    /// The watchdog aborted the run: more than `window` executed rounds
+    /// ([`RunConfig::stall_window`]) or virtual time-steps
+    /// ([`AsyncConfig::stall_window`](crate::asynch::AsyncConfig::stall_window))
+    /// passed without observable progress. Unlike
+    /// [`Deadlock`](RunError::Deadlock) (provably nothing can ever happen)
+    /// this is a heuristic livelock verdict: processes are acting but none
+    /// of it is progress.
+    Stalled {
+        /// The configured window that was exhausted.
+        window: u64,
+        /// Metrics at the moment the run was abandoned.
+        metrics: Box<Metrics>,
+        /// Who is stuck and what they were waiting on.
+        diagnosis: Box<StallDiagnosis>,
     },
     /// The adversary's fault schedule is self-contradictory or unsurvivable
-    /// (see [`Adversary::validate`]); the run was refused before round 1.
+    /// (see [`Adversary::validate`]); the run was refused before it began.
     InvalidAdversary {
         /// Why the schedule was rejected.
         reason: String,
@@ -329,16 +347,16 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::RoundLimit { limit, diagnosis, .. } => {
-                write!(
-                    f,
-                    "round limit of {limit} exceeded before all processes retired ({diagnosis})"
-                )
+                write!(f, "round limit of {limit} exceeded ({diagnosis})")
             }
-            RunError::Deadlock { round, alive, .. } => {
-                write!(f, "deadlock at round {round}: processes {alive:?} alive but nothing can ever happen")
+            RunError::EventLimit { limit, diagnosis, .. } => {
+                write!(f, "event limit of {limit} exceeded ({diagnosis})")
             }
-            RunError::Stalled { round, window, diagnosis, .. } => {
-                write!(f, "watchdog: no progress for {window} executed round(s) as of round {round} ({diagnosis})")
+            RunError::Deadlock { diagnosis, .. } => {
+                write!(f, "deadlock: nothing can ever happen ({diagnosis})")
+            }
+            RunError::Stalled { window, diagnosis, .. } => {
+                write!(f, "watchdog: stall window of {window} exhausted ({diagnosis})")
             }
             RunError::InvalidAdversary { reason } => {
                 write!(f, "invalid adversary schedule: {reason}")
@@ -368,8 +386,11 @@ impl std::error::Error for RunError {}
 ///
 /// # Errors
 ///
-/// Returns [`RunError::RoundLimit`] if the cap is exceeded and
-/// [`RunError::Deadlock`] if live processes can never act again.
+/// Returns [`RunError::InvalidAdversary`] if the adversary rejects the
+/// system shape, [`RunError::RoundLimit`] if the cap is exceeded,
+/// [`RunError::Deadlock`] if live processes can never act again, and
+/// [`RunError::Stalled`] if the [`RunConfig::stall_window`] watchdog
+/// trips. Each but the first carries the metrics and a [`StallDiagnosis`].
 ///
 /// # Examples
 ///
@@ -971,7 +992,9 @@ where
     ///
     /// # Errors
     ///
-    /// As [`run`], plus [`RunError::Stalled`] when the watchdog is armed.
+    /// [`RunError::RoundLimit`], [`RunError::Deadlock`] or
+    /// [`RunError::Stalled`], as [`run`]; the engine is left at the round
+    /// it failed in.
     pub fn run_until(&mut self, stop: Option<Round>) -> Result<bool, RunError> {
         while !self.st.finished {
             if stop.is_some_and(|s| self.st.round >= s) {
@@ -1041,19 +1064,21 @@ where
         )
     }
 
-    /// The watchdog's view of the paused engine: who is alive, what they
-    /// are waiting on, and what is in flight.
-    fn diagnosis(&self) -> StallDiagnosis {
-        let stalled: Vec<Pid> = self.st.table.live.ones().map(Pid::new).collect();
-        let wakeups = stalled.iter().map(|&p| (p, self.st.table.wakeup(p.index()))).collect();
-        StallDiagnosis {
+    /// The paused engine's [`StallDiagnosis`]: who is alive, when each
+    /// wakes, and what is in flight.
+    fn diagnosis(&self) -> Box<StallDiagnosis> {
+        let table = &self.st.table;
+        Box::new(StallDiagnosis {
             round: self.st.round,
             last_progress: self.st.last_progress,
-            stalled,
-            wakeups,
-            pending_ops: self.st.pending.len(),
+            stalled: table
+                .live
+                .ones()
+                .map(|i| (Pid::new(i), Waiting::Wakeup(table.wakeup(i))))
+                .collect(),
+            pending: self.st.pending.len(),
             pending_revivals: self.st.revive.len(),
-        }
+        })
     }
 
     /// Folds the current buffer footprint into the peak-memory probe:
@@ -1106,11 +1131,8 @@ where
     }
 
     fn round_limit(&mut self) -> RunError {
-        RunError::RoundLimit {
-            limit: self.st.cfg.max_rounds,
-            metrics: self.error_metrics(),
-            diagnosis: Box::new(self.diagnosis()),
-        }
+        let (limit, metrics) = (self.st.cfg.max_rounds, self.error_metrics());
+        RunError::RoundLimit { limit, metrics, diagnosis: self.diagnosis() }
     }
 
     /// Executes one round (plus any sparse fast-forward that follows it),
@@ -1123,6 +1145,7 @@ where
             return Err(self.round_limit());
         }
         self.st.executed_rounds += 1;
+        self.st.metrics.rounds = round;
         // A round some lease covers is one in which its holder works.
         let leased_work = round < self.lease_until;
 
@@ -1267,7 +1290,6 @@ where
 
         // Did everyone retire? (A scheduled revival is not retirement.)
         if self.st.table.live.is_empty() && self.st.revive.is_empty() {
-            self.st.metrics.rounds = round;
             self.st.finished = true;
             return Ok(());
         }
@@ -1288,12 +1310,8 @@ where
             self.st.stall_streak += 1;
             if let Some(window) = self.st.cfg.stall_window {
                 if self.st.stall_streak > window {
-                    return Err(RunError::Stalled {
-                        round,
-                        window,
-                        diagnosis: Box::new(self.diagnosis()),
-                        metrics: self.error_metrics(),
-                    });
+                    let metrics = self.error_metrics();
+                    return Err(RunError::Stalled { window, metrics, diagnosis: self.diagnosis() });
                 }
             }
         }
@@ -1316,25 +1334,23 @@ where
         // A saturated wakeup (`Round::MAX`) is a legal target: a deadline
         // past the representable horizon fires *at* the horizon, exactly
         // as the old 64-bit clock fired saturated deadlines at `u64::MAX`.
-        let advanced = if self.st.pending.is_empty()
-            && self.next_due.is_empty()
-            && self.lease_until < next
-        {
-            let wake = self.st.table.live_wakeups(next).filter_map(|(_, w, _)| w).min();
-            self.far = wake;
-            let wake = wake.map(|w| w.max(next));
-            let adv = self.st.adversary.next_event(next).map(|r| r.max(next));
-            let rev = self.st.next_revive.map(|r| r.max(next));
-            match [wake, adv, rev].into_iter().flatten().min() {
-                Some(target) => target,
-                None => {
-                    let alive = self.st.table.live.ones().map(Pid::new).collect();
-                    return Err(RunError::Deadlock { round, alive, metrics: self.error_metrics() });
+        let advanced =
+            if self.st.pending.is_empty() && self.next_due.is_empty() && self.lease_until < next {
+                let wake = self.st.table.live_wakeups(next).filter_map(|(_, w, _)| w).min();
+                self.far = wake;
+                let wake = wake.map(|w| w.max(next));
+                let adv = self.st.adversary.next_event(next).map(|r| r.max(next));
+                let rev = self.st.next_revive.map(|r| r.max(next));
+                match [wake, adv, rev].into_iter().flatten().min() {
+                    Some(target) => target,
+                    None => {
+                        let metrics = self.error_metrics();
+                        return Err(RunError::Deadlock { metrics, diagnosis: self.diagnosis() });
+                    }
                 }
-            }
-        } else {
-            next
-        };
+            } else {
+                next
+            };
         if advanced == round {
             // Live processes remain but the clock cannot advance past the
             // horizon: report the cap rather than spinning at Round::MAX.
@@ -1567,13 +1583,23 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn run_error_stays_within_64_bytes() {
+        // Metrics and diagnosis are boxed, so every `Result<_, RunError>`
+        // the engines pass around stays small.
+        assert!(std::mem::size_of::<RunError>() <= 64, "{}", std::mem::size_of::<RunError>());
+    }
+
+    #[test]
     fn silent_crash_of_token_holder_deadlocks_the_ring() {
         // Crash p1 the round it would forward the token: the remaining
         // processes wait forever — the engine must detect this, not hang.
         let schedule = FaultPlan::default().crash_at(Pid::new(1), 2, CrashSpec::silent());
         let err = run(Ring::procs(3, 1), schedule, RunConfig::new(3, 1000)).unwrap_err();
         match err {
-            RunError::Deadlock { alive, .. } => assert_eq!(alive, vec![Pid::new(2)]),
+            RunError::Deadlock { diagnosis, .. } => {
+                assert_eq!(diagnosis.stalled, [(Pid::new(2), Waiting::Wakeup(None))]);
+            }
             other => panic!("expected Deadlock, got {other}"),
         }
     }
@@ -1643,8 +1669,6 @@ mod tests {
         let report = run(Ring::procs(2, 1), NoFailures, RunConfig::new(2, 100)).unwrap();
         assert_eq!(report.statuses[0], Status::Terminated(Round::new(1)));
         assert_eq!(report.statuses[1], Status::Terminated(Round::new(2)));
-        assert!(Status::Crashed(Round::new(3)).is_retired());
-        assert!(!Status::Alive.is_retired());
         assert_eq!(Status::Terminated(Round::new(2)).round(), Some(Round::new(2)));
         assert_eq!(Status::Alive.round(), None);
     }

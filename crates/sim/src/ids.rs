@@ -327,20 +327,6 @@ impl Unit {
     pub const fn zero_based(self) -> usize {
         self.0 - 1
     }
-
-    /// Iterates over units `lo..=hi` (inclusive, one-based).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use doall_sim::Unit;
-    ///
-    /// let units: Vec<usize> = Unit::range_inclusive(3, 5).map(Unit::get).collect();
-    /// assert_eq!(units, vec![3, 4, 5]);
-    /// ```
-    pub fn range_inclusive(lo: usize, hi: usize) -> impl DoubleEndedIterator<Item = Unit> + Clone {
-        (lo..=hi).map(Unit)
-    }
 }
 
 impl fmt::Display for Unit {
@@ -383,13 +369,6 @@ mod tests {
     #[should_panic(expected = "numbered from 1")]
     fn unit_zero_is_rejected() {
         let _ = Unit::new(0);
-    }
-
-    #[test]
-    fn unit_range_is_inclusive() {
-        assert_eq!(Unit::range_inclusive(1, 1).count(), 1);
-        // `hi < lo` yields the empty range, used for "no remaining work".
-        assert_eq!(Unit::range_inclusive(2, 1).count(), 0);
     }
 
     #[test]

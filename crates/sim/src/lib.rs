@@ -89,7 +89,7 @@ pub use adversary::{Adversary, AdversaryCtx, CrashSpec, Deliver, Fate, NoFailure
 pub use effects::{Effects, Recipients, SendOp};
 pub use engine::{
     run, run_returning, Engine, EngineSnapshot, MemBudget, Report, RunConfig, RunError,
-    StallDiagnosis, Status,
+    StallDiagnosis, Status, Waiting,
 };
 pub use faults::{
     AsyncDegraded, Degraded, Fault, FaultKind, FaultPlan, FaultPlanError, SlowWindow, Trigger,

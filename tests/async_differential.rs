@@ -314,7 +314,7 @@ fn out_of_range_crash_probability_is_a_typed_error() {
             .run_async()
             .expect_err("an invalid probability must refuse the run");
         match err {
-            doall::sim::asynch::AsyncRunError::InvalidAdversary { reason } => {
+            doall::sim::RunError::InvalidAdversary { reason } => {
                 assert!(reason.contains("probability"), "p = {p}: {reason}");
             }
             other => panic!("p = {p}: expected InvalidAdversary, got {other}"),

@@ -1,9 +1,10 @@
 //! Engine-level integration tests: model-rule enforcement, delivery
 //! semantics, fast-forward equivalence, adversary composition.
 
+use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncReport};
 use doall::sim::{
-    run, Classify, CrashSpec, Deliver, Effects, FaultPlan, Inbox, NoFailures, Pid, Protocol, Round,
-    RunConfig, Unit,
+    run, Classify, CrashSpec, Deliver, Effects, Engine, FaultPlan, Inbox, Metrics, NoFailures, Pid,
+    Protocol, Round, RunConfig, RunError, StallDiagnosis, Unit, Waiting,
 };
 
 /// Ping-pong between two processes for a configurable number of volleys,
@@ -206,7 +207,7 @@ fn wakeup_exactly_at_max_rounds_is_not_a_round_limit_error() {
 
     // One round later is out of budget.
     let err = run(vec![FireAt::new(501)], NoFailures, RunConfig::new(1, 500)).unwrap_err();
-    assert!(matches!(err, doall::sim::RunError::RoundLimit { limit, .. } if limit == 500u64));
+    assert!(matches!(err, RunError::RoundLimit { limit, .. } if limit == 500u64));
 }
 
 #[test]
@@ -291,15 +292,27 @@ impl Protocol for Forever {
     }
 }
 
+/// The payload every exit of a `Forever` run carries, on either plane:
+/// the three units, `rounds` the last executed round or handled timestamp
+/// `last`, and `stalled` the one live process with what it waits on.
+fn assert_exit_payload(metrics: &Metrics, diagnosis: &StallDiagnosis, last: u64, on: Waiting) {
+    assert_eq!(metrics.work_total, 3);
+    assert_eq!(metrics.work_by_unit, [1, 1, 1]);
+    assert_eq!(metrics.rounds, last);
+    assert_eq!(diagnosis.stalled, [(Pid::new(0), on)]);
+    assert!(diagnosis.round >= diagnosis.last_progress, "{diagnosis}");
+}
+
 #[test]
 fn round_limit_reports_partial_metrics() {
     // A protocol that never terminates trips the round cap with its
-    // accumulated metrics intact.
+    // accumulated metrics intact; the diagnosis is taken at the refused
+    // round 51.
     match run(vec![Forever { busy: true }], NoFailures, RunConfig::new(3, 50)) {
-        Err(doall::sim::RunError::RoundLimit { limit, metrics, .. }) => {
+        Err(RunError::RoundLimit { limit, metrics, diagnosis }) => {
             assert_eq!(limit, 50u64);
-            assert_eq!(metrics.work_total, 3);
-            assert_eq!(metrics.work_by_unit, [1, 1, 1]);
+            assert_exit_payload(&metrics, &diagnosis, 50, Waiting::Wakeup(Some(Round::new(51))));
+            assert_eq!((diagnosis.round, diagnosis.last_progress), (Round::new(51), Round::new(3)));
         }
         other => panic!("expected RoundLimit, got {other:?}"),
     }
@@ -311,10 +324,10 @@ fn stall_reports_partial_metrics() {
     // work exhaust the window long before the cap.
     let cfg = RunConfig::new(3, 50).with_stall_window(5);
     match run(vec![Forever { busy: true }], NoFailures, cfg) {
-        Err(doall::sim::RunError::Stalled { window, metrics, .. }) => {
+        Err(RunError::Stalled { window, metrics, diagnosis }) => {
             assert_eq!(window, 5);
-            assert_eq!(metrics.work_total, 3);
-            assert_eq!(metrics.work_by_unit, [1, 1, 1]);
+            assert_exit_payload(&metrics, &diagnosis, 9, Waiting::Wakeup(Some(Round::new(10))));
+            assert_eq!((diagnosis.round, diagnosis.last_progress), (Round::new(9), Round::new(3)));
         }
         other => panic!("expected Stalled, got {other:?}"),
     }
@@ -325,10 +338,96 @@ fn deadlock_reports_partial_metrics() {
     // Purely reactive after round 3, with nothing in flight: the engine
     // proves nothing can ever happen and hands back the metrics so far.
     match run(vec![Forever { busy: false }], NoFailures, RunConfig::new(3, 50)) {
-        Err(doall::sim::RunError::Deadlock { round, metrics, .. }) => {
-            assert_eq!(round, 3u64);
-            assert_eq!(metrics.work_total, 3);
-            assert_eq!(metrics.work_by_unit, [1, 1, 1]);
+        Err(RunError::Deadlock { metrics, diagnosis }) => {
+            assert_exit_payload(&metrics, &diagnosis, 3, Waiting::Wakeup(None));
+            assert_eq!((diagnosis.round, diagnosis.last_progress), (Round::new(3), Round::new(3)));
+        }
+        other => panic!("expected Deadlock, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_paused_engine_reports_its_last_executed_round() {
+    let mut engine = Engine::new(vec![Forever { busy: true }], NoFailures, RunConfig::new(3, 50))
+        .expect("valid");
+    assert!(!engine.run_until(Some(Round::new(10))).expect("no error before the cap"));
+    assert_eq!(engine.round(), 10u64);
+    assert_eq!(engine.metrics().rounds, 9u64);
+}
+
+/// `Forever` on the async plane: units 1, 2, 3 at timestamps 0, 1, 2 (the
+/// start handler and two ticks), then a tick every time-step when `busy`
+/// and nothing at all otherwise.
+struct AsyncForever {
+    busy: bool,
+    done: usize,
+}
+impl AsyncForever {
+    fn step(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+        if self.done < 3 {
+            self.done += 1;
+            eff.perform(Unit::new(self.done));
+        }
+        if self.busy || self.done < 3 {
+            eff.continue_later();
+        }
+    }
+}
+impl AsyncProtocol for AsyncForever {
+    type Msg = NoMsg;
+    fn on_start(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+        self.step(eff);
+    }
+    fn on_messages(&mut self, _: Inbox<'_, NoMsg>, _: &mut AsyncEffects<NoMsg>) {}
+    fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<NoMsg>) {}
+    fn on_tick(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+        self.step(eff);
+    }
+}
+
+fn run_forever_async(busy: bool, cfg: AsyncConfig) -> Result<AsyncReport, RunError> {
+    run_async(vec![AsyncForever { busy, done: 0 }], NoFailures, cfg)
+}
+
+#[test]
+fn event_limit_reports_partial_metrics() {
+    // Ten handlers (timestamps 0..=9) are settled; the eleventh, at 10, is
+    // refused.
+    let cfg = AsyncConfig { max_events: 10, ..AsyncConfig::new(3, 0) };
+    match run_forever_async(true, cfg) {
+        Err(RunError::EventLimit { limit, metrics, diagnosis }) => {
+            assert_eq!(limit, 10);
+            assert_exit_payload(&metrics, &diagnosis, 9, Waiting::Invocations(10));
+            assert_eq!((diagnosis.round, diagnosis.last_progress), (Round::new(10), Round::new(2)));
+        }
+        other => panic!("expected EventLimit, got {other:?}"),
+    }
+}
+
+#[test]
+fn async_stall_reports_partial_metrics() {
+    // Progress last moved at timestamp 2; the tick at 8 is the first more
+    // than five time-steps later.
+    let cfg = AsyncConfig::new(3, 0).with_stall_window(5);
+    match run_forever_async(true, cfg) {
+        Err(RunError::Stalled { window, metrics, diagnosis }) => {
+            assert_eq!(window, 5);
+            assert_exit_payload(&metrics, &diagnosis, 8, Waiting::Invocations(9));
+            assert_eq!((diagnosis.round, diagnosis.last_progress), (Round::new(8), Round::new(2)));
+            assert_eq!(diagnosis.pending, 1, "the next tick is queued");
+        }
+        other => panic!("expected Stalled, got {other:?}"),
+    }
+}
+
+#[test]
+fn async_deadlock_reports_partial_metrics() {
+    // After the third unit nothing is queued and the process is alive.
+    match run_forever_async(false, AsyncConfig::new(3, 0)) {
+        Err(RunError::Deadlock { metrics, diagnosis }) => {
+            assert_exit_payload(&metrics, &diagnosis, 2, Waiting::Invocations(3));
+            assert_eq!((diagnosis.round, diagnosis.last_progress), (Round::new(2), Round::new(2)));
+            assert_eq!(diagnosis.pending, 0);
         }
         other => panic!("expected Deadlock, got {other:?}"),
     }
@@ -418,7 +517,7 @@ fn out_of_range_crash_probability_is_a_typed_error() {
             .run()
             .expect_err("an invalid probability must refuse the run");
         match err {
-            doall::sim::RunError::InvalidAdversary { reason } => {
+            RunError::InvalidAdversary { reason } => {
                 assert!(reason.contains("probability"), "p = {p}: {reason}");
             }
             other => panic!("p = {p}: expected InvalidAdversary, got {other}"),

@@ -3,7 +3,7 @@
 //! rule, plane and range validation, and the parked behaviour of one-shot
 //! timed crashes.
 
-use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncRunError};
+use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol};
 use doall::sim::chaos::Plane;
 use doall::sim::{
     run, Classify, CrashSpec, Effects, FaultKind, FaultPlan, FaultPlanError, Inbox, Metrics, Pid,
@@ -186,7 +186,7 @@ fn plane_only_triggers_are_refused_on_the_other_plane() {
     for trigger in sync_only {
         assert!(run(burst(), plan(trigger.clone()), RunConfig::new(1, 100)).is_ok());
         let err = run_async(burst(), plan(trigger), AsyncConfig::new(1, 0)).unwrap_err();
-        assert!(matches!(err, AsyncRunError::InvalidAdversary { .. }), "{err}");
+        assert!(matches!(err, RunError::InvalidAdversary { .. }), "{err}");
     }
     let trigger = Trigger::NthInvocationOf { pid, nth: 1 };
     assert!(run_async(burst(), plan(trigger.clone()), AsyncConfig::new(1, 0)).is_ok());
@@ -218,7 +218,7 @@ fn rule_pids_and_crash_probabilities_are_validated() {
         let coins = FaultPlan::random(1, p, 1);
         assert!(matches!(coins.validate(2), Err(FaultPlanError::BadProbability { .. })), "{p}");
         let err = run_async(burst(), coins, AsyncConfig::new(1, 0)).unwrap_err();
-        assert!(matches!(err, AsyncRunError::InvalidAdversary { .. }), "{p}");
+        assert!(matches!(err, RunError::InvalidAdversary { .. }), "{p}");
     }
     assert!(FaultPlan::random(1, 1.0, 1).validate(2).is_ok());
 }

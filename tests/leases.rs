@@ -16,7 +16,7 @@ use std::rc::Rc;
 use doall::core::d::DMsg;
 use doall::sim::{
     run, Adversary, Classify, CrashSpec, Effects, Engine, FaultPlan, Inbox, NoFailures, Pid,
-    Protocol, Report, Round, RunConfig, RunError, Trigger, Unit,
+    Protocol, Report, Round, RunConfig, RunError, Trigger, Unit, Waiting,
 };
 use doall::ProtocolD;
 
@@ -228,13 +228,15 @@ fn a_stall_verdict_carries_no_work_of_later_rounds() {
         let mut cfg = RunConfig::new(20, 1_000).with_stall_window(2);
         cfg.record_trace = trace;
         match run(procs, plan.clone(), cfg) {
-            Err(RunError::Stalled { round, metrics, diagnosis, .. }) => (round, metrics, diagnosis),
+            Err(RunError::Stalled { metrics, diagnosis, .. }) => {
+                (diagnosis.round, metrics, diagnosis)
+            }
             other => panic!("expected a stall, got {:?}", other.map(|r| r.metrics)),
         }
     };
     let (round, metrics, diagnosis) = stall(false);
     assert_eq!((round, metrics.work_total), (Round::new(13), 10));
-    assert_eq!(diagnosis.wakeups, [(Pid::new(0), Some(Round::new(14)))]);
+    assert_eq!(diagnosis.stalled, [(Pid::new(0), Waiting::Wakeup(Some(Round::new(14))))]);
     let traced = stall(true);
     assert_eq!((traced.0, &traced.1, &traced.2), (round, &metrics, &diagnosis));
 }

@@ -5,7 +5,7 @@
 
 use doall::service::{Admission, ArrivalModel, JobSpec, Pool, Session, Verdict};
 use doall::sim::asynch::{run_async, AsyncConfig, DelayDist};
-use doall::sim::{run, RunConfig};
+use doall::sim::{run, RunConfig, RunError};
 use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolB, ProtocolD};
 use proptest::prelude::*;
@@ -136,6 +136,37 @@ fn mixed_plane_fleet_serves_both_engines() {
     assert!(fleet.find("sync").unwrap().report.as_ref().unwrap().as_sync().is_some());
     assert!(fleet.find("async").unwrap().report.as_ref().unwrap().as_async().is_some());
     assert!(fleet.metrics.utilization > 0.0);
+}
+
+/// A job whose engine fails is recorded as failed with the very error a
+/// direct run of the same spec returns, on either plane: a round cap too
+/// small for the sync engine, an invocation cap too small for the async one.
+#[test]
+fn failed_jobs_record_the_direct_runs_error() {
+    let (n, t) = (32u64, 16u64);
+    let sync = || JobSpec::new(ProtocolB::processes(n, t).unwrap(), n as usize).max_rounds(3);
+    let asynch = || {
+        JobSpec::new(AsyncProtocolA::processes(n, t).unwrap(), n as usize).seed(7).max_events(50)
+    };
+    let direct_sync = sync().run().unwrap_err();
+    let direct_async = asynch().run_async().unwrap_err();
+    assert!(matches!(&direct_sync, RunError::RoundLimit { metrics, .. } if metrics.work_total > 0));
+    assert!(
+        matches!(&direct_async, RunError::EventLimit { metrics, .. } if metrics.work_total > 0)
+    );
+
+    let mut session = Session::new(Pool::new(64), Admission::new(2));
+    session.submit(0, sync().label("sync").into_job());
+    session.submit(0, asynch().label("async").into_async_job());
+    let fleet = session.run();
+    assert_eq!(fleet.metrics.failed, 2);
+    for (label, direct) in [("sync", direct_sync), ("async", direct_async)] {
+        let record = fleet.find(label).expect("served");
+        assert_eq!(record.verdict, Verdict::Failed, "{label}");
+        assert!(record.report.is_none(), "{label}");
+        // Variant, limit, metrics and diagnosis all equal the direct run's.
+        assert_eq!(record.error.as_ref(), Some(&direct), "{label}");
+    }
 }
 
 /// Deterministic backpressure arithmetic: a burst of five single-width
