@@ -27,7 +27,7 @@ use doall_core::c::CMsg;
 use doall_core::{ConfigError, ProtocolA, ProtocolB, ProtocolC};
 use doall_sim::{
     run_returning, Adversary, Classify, Effects, Inbox, Metrics, Pid, Protocol, Recipients, Round,
-    RunConfig, RunError, SendOp, Unit,
+    RunConfig, RunError,
 };
 
 /// The agreement value (the paper's `V` is abstract; 64 bits cover the
@@ -133,7 +133,7 @@ impl BaProcess {
     /// O(1)-per-broadcast representation end to end.
     fn sender_step(&mut self, round: Round, inbox: Inbox<'_, BaMsg>, eff: &mut Effects<BaMsg>) {
         let inner_round = Round::new(round - Round::ONE);
-        let mut ieff;
+        let v = self.value;
         match self.sender.as_mut().expect("sender_step on a non-sender") {
             SenderEngine::A(inner) => {
                 let tin: Vec<(Pid, AbMsg)> = inbox
@@ -145,7 +145,7 @@ impl BaProcess {
                     .collect();
                 let mut inner_eff = Effects::new();
                 inner.step(inner_round, Inbox::from_pairs(&tin), &mut inner_eff);
-                ieff = Translated::from_ab(inner_eff);
+                self.forward(&inner_eff, eff, |m| BaMsg::Ab(*m));
             }
             SenderEngine::B(inner) => {
                 let tin: Vec<(Pid, AbMsg)> = inbox
@@ -157,7 +157,7 @@ impl BaProcess {
                     .collect();
                 let mut inner_eff = Effects::new();
                 inner.step(inner_round, Inbox::from_pairs(&tin), &mut inner_eff);
-                ieff = Translated::from_ab(inner_eff);
+                self.forward(&inner_eff, eff, |m| BaMsg::Ab(*m));
             }
             SenderEngine::C(inner) => {
                 let tin: Vec<(Pid, CMsg)> = inbox
@@ -169,72 +169,40 @@ impl BaProcess {
                     .collect();
                 let mut inner_eff = Effects::new();
                 inner.step(inner_round, Inbox::from_pairs(&tin), &mut inner_eff);
-                ieff = Translated::from_c(inner_eff);
+                self.forward(&inner_eff, eff, |m| BaMsg::C { inner: m.clone(), v });
             }
         }
+    }
 
-        // A performed unit u means: inform process u-1 of the value.
-        if let Some(u) = ieff.work.take() {
+    /// Replays one inner work-protocol step onto this step: a performed
+    /// unit `u` means "inform process `u − 1` of the value" (units beyond
+    /// `n` are divisibility padding, silently consumed), each inner send op
+    /// goes out wrapped by `wrap` as one op, notes carry over, and inner
+    /// termination ends the sender's role.
+    fn forward<M>(
+        &mut self,
+        inner: &Effects<M>,
+        eff: &mut Effects<BaMsg>,
+        wrap: impl Fn(&M) -> BaMsg,
+    ) {
+        for &u in inner.work() {
             let target = u.get() as u64 - 1;
             if target < self.n && target != self.me {
                 eff.send(Pid::new(target as usize), BaMsg::Inform { v: self.value });
             }
-            // Units beyond n are divisibility padding: silently consumed.
         }
-        for op in ieff.sends.drain(..) {
-            let wrapped = match op.payload {
-                EitherMsg::Ab(m) => BaMsg::Ab(m),
-                EitherMsg::C(m) => BaMsg::C { inner: m, v: self.value },
-            };
+        for op in inner.sends() {
             match op.to {
-                Recipients::One(to) => eff.send(to, wrapped),
-                Recipients::Span { lo, hi } => eff.multicast(lo..hi, wrapped),
+                Recipients::One(to) => eff.send(to, wrap(&op.payload)),
+                Recipients::Span { lo, hi } => eff.multicast(lo..hi, wrap(&op.payload)),
             }
         }
-        for note in ieff.notes.drain(..) {
+        for &note in inner.notes() {
             eff.note(note);
         }
-        if ieff.terminated {
+        if inner.is_terminated() {
             self.sender_done = true;
         }
-    }
-}
-
-enum EitherMsg {
-    Ab(AbMsg),
-    C(CMsg),
-}
-
-struct Translated {
-    work: Option<Unit>,
-    sends: Vec<SendOp<EitherMsg>>,
-    notes: Vec<&'static str>,
-    terminated: bool,
-}
-
-impl Translated {
-    fn from_ab(eff: Effects<AbMsg>) -> Self {
-        let work = eff.work();
-        let terminated = eff.is_terminated();
-        let notes = eff.notes().to_vec();
-        let sends = eff
-            .sends()
-            .iter()
-            .map(|op| SendOp { to: op.to, payload: EitherMsg::Ab(op.payload) })
-            .collect();
-        Translated { work, sends, notes, terminated }
-    }
-
-    fn from_c(eff: Effects<CMsg>) -> Self {
-        let work = eff.work();
-        let terminated = eff.is_terminated();
-        let notes = eff.notes().to_vec();
-        let sends = eff
-            .sends()
-            .iter()
-            .map(|op| SendOp { to: op.to, payload: EitherMsg::C(op.payload.clone()) })
-            .collect();
-        Translated { work, sends, notes, terminated }
     }
 }
 

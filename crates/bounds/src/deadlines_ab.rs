@@ -61,11 +61,6 @@ impl AbParams {
         (g - 1) * s..g * s
     }
 
-    /// Size of each work chunk, `n/√t`.
-    pub fn chunk_size(self) -> u64 {
-        self.n / self.sqrt_t()
-    }
-
     /// Size of each work subchunk, `n/t`.
     pub fn subchunk_size(self) -> u64 {
         self.n / self.t
@@ -159,7 +154,6 @@ mod tests {
     #[test]
     fn chunking_matches_the_paper() {
         let p = p();
-        assert_eq!(p.chunk_size(), 8); // n/√t = 32/4
         assert_eq!(p.subchunk_size(), 2); // n/t = 32/16
         assert_eq!(p.subchunk_units(1), 1..=2);
         assert_eq!(p.subchunk_units(16), 31..=32);

@@ -10,7 +10,7 @@
 //! The checkpointing logic is not a copy of the synchronous `DoWork` of
 //! Figure 1 but the same function: [`AsyncAb`] holds the crate's one
 //! `DoWork` driver (see [`super`]) and emits through
-//! [`AsyncEffects`] where the synchronous protocols emit through
+//! [`Effects`] where the synchronous protocols emit through
 //! `Effects`. Only the activation trigger changes: the retirement detector
 //! of [`doall_sim::asynch`] replaces the round deadline. Because the
 //! detector is *sound* (it never reports a live process), at most one
@@ -23,7 +23,8 @@
 //! `INFER = true` instance of the same machine.
 
 use doall_bounds::AbParams;
-use doall_sim::asynch::{AsyncEffects, AsyncProtocol};
+use doall_sim::asynch::AsyncProtocol;
+use doall_sim::Effects;
 use doall_sim::{Inbox, Pid};
 
 use super::{validate, AbMsg, DoWork, Heard};
@@ -120,7 +121,7 @@ impl<const INFER: bool> AsyncAb<INFER> {
         self.reported.get((r / 64) as usize).is_some_and(|w| w & (1 << (r % 64)) != 0)
     }
 
-    fn maybe_activate(&mut self, eff: &mut AsyncEffects<AbMsg>) {
+    fn maybe_activate(&mut self, eff: &mut Effects<AbMsg>) {
         if self.core.is_passive() && self.all_lower_known_retired() {
             self.core.activate(eff);
             self.keep_ticking(eff);
@@ -128,7 +129,7 @@ impl<const INFER: bool> AsyncAb<INFER> {
     }
 
     /// An active schedule is driven one operation per tick.
-    fn keep_ticking(&self, eff: &mut AsyncEffects<AbMsg>) {
+    fn keep_ticking(&self, eff: &mut Effects<AbMsg>) {
         if self.core.is_active() {
             eff.continue_later();
         }
@@ -138,13 +139,13 @@ impl<const INFER: bool> AsyncAb<INFER> {
 impl<const INFER: bool> AsyncProtocol for AsyncAb<INFER> {
     type Msg = AbMsg;
 
-    fn on_start(&mut self, eff: &mut AsyncEffects<AbMsg>) {
+    fn on_start(&mut self, eff: &mut Effects<AbMsg>) {
         if self.core.rank == 0 {
             self.maybe_activate(eff);
         }
     }
 
-    fn on_messages(&mut self, inbox: Inbox<'_, AbMsg>, eff: &mut AsyncEffects<AbMsg>) {
+    fn on_messages(&mut self, inbox: Inbox<'_, AbMsg>, eff: &mut Effects<AbMsg>) {
         if !self.core.is_passive() {
             return; // active/terminated processes ignore stray traffic
         }
@@ -169,17 +170,17 @@ impl<const INFER: bool> AsyncProtocol for AsyncAb<INFER> {
         }
     }
 
-    fn on_retirement(&mut self, retired: Pid, eff: &mut AsyncEffects<AbMsg>) {
+    fn on_retirement(&mut self, retired: Pid, eff: &mut Effects<AbMsg>) {
         self.record_report(retired.index() as u64);
         self.maybe_activate(eff);
     }
 
-    fn on_tick(&mut self, eff: &mut AsyncEffects<AbMsg>) {
+    fn on_tick(&mut self, eff: &mut Effects<AbMsg>) {
         self.core.advance(eff);
         self.keep_ticking(eff);
     }
 
-    fn on_recover(&mut self, wipe: bool, eff: &mut AsyncEffects<AbMsg>) {
+    fn on_recover(&mut self, wipe: bool, eff: &mut Effects<AbMsg>) {
         eff.note("rejoin");
         self.core.on_recover(wipe);
         if wipe {
@@ -333,7 +334,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut eff = AsyncEffects::default();
+        let mut eff = Effects::default();
         for rank in [0, 1, 2, 63, 64, 65, 127, 128, 200, 255] {
             let mut proc = AsyncAb::<INFER>::new(params, rank);
             let mut model = TreeWatermark {

@@ -36,7 +36,6 @@ use std::fmt;
 use std::ops::Range;
 
 use doall_bounds::AbParams;
-use doall_sim::asynch::AsyncEffects;
 use doall_sim::{Classify, Effects, Round, Unit};
 
 use crate::error::ConfigError;
@@ -358,28 +357,23 @@ pub(crate) trait Sink {
     fn terminate(&mut self);
 }
 
-macro_rules! effects_sink {
-    ($effects:ident) => {
-        /// Ranks are pids and units are units; every broadcast is one O(1)
-        /// span multicast, the payload stored once whatever the width.
-        impl Sink for $effects<AbMsg> {
-            fn work(&mut self, u: u64) {
-                self.perform(Unit::new(u as usize));
-            }
-            fn multicast(&mut self, ranks: Range<u64>, msg: AbMsg) {
-                $effects::multicast(self, ranks.start as usize..ranks.end as usize, msg);
-            }
-            fn note(&mut self, tag: &'static str) {
-                $effects::note(self, tag);
-            }
-            fn terminate(&mut self) {
-                $effects::terminate(self);
-            }
-        }
-    };
+/// Ranks are pids and units are units; every broadcast is one O(1) span
+/// multicast, the payload stored once whatever the width. One impl serves
+/// both planes, whose steps record on the same [`Effects`].
+impl Sink for Effects<AbMsg> {
+    fn work(&mut self, u: u64) {
+        self.perform(Unit::new(u as usize));
+    }
+    fn multicast(&mut self, ranks: Range<u64>, msg: AbMsg) {
+        Effects::multicast(self, ranks.start as usize..ranks.end as usize, msg);
+    }
+    fn note(&mut self, tag: &'static str) {
+        Effects::note(self, tag);
+    }
+    fn terminate(&mut self) {
+        Effects::terminate(self);
+    }
 }
-effects_sink!(Effects);
-effects_sink!(AsyncEffects);
 
 /// The clip-and-relabel sink behind every padded machine (see
 /// [`padded_params`]): ranks at or above `t_real` are virtual processes,
@@ -741,7 +735,7 @@ mod tests {
     fn exec_work_performs_the_unit() {
         // Holding (3) with n/t = 2: PartialCp { c: 3 }, then Work { u: 7 }.
         let eff = effects_after(0, LastOrdinary::Partial { c: 3 }, 1);
-        assert_eq!(eff.work(), Some(Unit::new(7)));
+        assert_eq!(eff.work(), [Unit::new(7)]);
         assert!(eff.sends().is_empty());
     }
 
@@ -752,7 +746,7 @@ mod tests {
         let mut eff = Effects::new();
         assert!(!d.advance(&mut eff), "passive: the step is the caller's");
         d.activate(&mut eff);
-        assert_eq!((eff.notes(), eff.work()), (&["activate"][..], Some(Unit::new(1))));
+        assert_eq!((eff.notes(), eff.work()), (&["activate"][..], &[Unit::new(1)][..]));
         assert!(d.is_active() && !eff.is_terminated());
         eff.reset();
         assert!(d.advance(&mut eff));

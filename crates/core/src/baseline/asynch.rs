@@ -1,6 +1,7 @@
 //! The "everyone does everything" baseline on the asynchronous plane.
 
-use doall_sim::asynch::{AsyncEffects, AsyncProtocol};
+use doall_sim::asynch::AsyncProtocol;
+use doall_sim::Effects;
 use doall_sim::{Inbox, Pid, Unit};
 
 use super::replicate::NoMsg;
@@ -46,7 +47,7 @@ impl AsyncReplicate {
         Ok((0..t).map(|_| AsyncReplicate { n, next: 1 }).collect())
     }
 
-    fn step(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+    fn step(&mut self, eff: &mut Effects<NoMsg>) {
         eff.perform(Unit::new(self.next as usize));
         if self.next == self.n {
             eff.terminate();
@@ -60,17 +61,17 @@ impl AsyncReplicate {
 impl AsyncProtocol for AsyncReplicate {
     type Msg = NoMsg;
 
-    fn on_start(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+    fn on_start(&mut self, eff: &mut Effects<NoMsg>) {
         self.step(eff);
     }
 
-    fn on_messages(&mut self, _inbox: Inbox<'_, NoMsg>, _eff: &mut AsyncEffects<NoMsg>) {
+    fn on_messages(&mut self, _inbox: Inbox<'_, NoMsg>, _eff: &mut Effects<NoMsg>) {
         unreachable!("NoMsg is uninhabited: nothing can ever be sent");
     }
 
-    fn on_retirement(&mut self, _retired: Pid, _eff: &mut AsyncEffects<NoMsg>) {}
+    fn on_retirement(&mut self, _retired: Pid, _eff: &mut Effects<NoMsg>) {}
 
-    fn on_tick(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+    fn on_tick(&mut self, eff: &mut Effects<NoMsg>) {
         self.step(eff);
     }
 }

@@ -143,7 +143,7 @@ mod tests {
         let mut eff = Effects::new();
         m.step(Round::new(100), &[], &mut eff);
         // First op is real unit 10 (relabeled unit 1).
-        assert_eq!(eff.work(), Some(Unit::new(10)));
+        assert_eq!(eff.work(), [Unit::new(10)]);
         assert_eq!(eff.notes(), ["activate"]);
     }
 
@@ -156,9 +156,7 @@ mod tests {
         for r in 1u64..200 {
             let mut eff = Effects::new();
             m.step(Round::from(r), &[], &mut eff);
-            if let Some(u) = eff.work() {
-                performed.push(u.get());
-            }
+            performed.extend(eff.work().iter().map(|u| u.get()));
             if m.is_done() {
                 break;
             }

@@ -878,7 +878,7 @@ mod tests {
                 assert!(d.s.iter().eq(before.iter().copied()), "p{j} round {r}: S changed early");
                 let mut eff = Effects::default();
                 d.step(Round::new(r.into()), Inbox::empty(), &mut eff);
-                performed.extend(eff.work().map(|u| u.get() as u64));
+                performed.extend(eff.work().iter().map(|u| u.get() as u64));
             }
             assert_eq!(performed, share, "p{j}");
             assert!(!matches!(d.state, DState::Work { .. }), "p{j}");
@@ -909,7 +909,7 @@ mod tests {
                         let mut eff = Effects::default();
                         stepped.step(Round::from(r), Inbox::empty(), &mut eff);
                         let unit = Unit::new(first.get() + (r - now) as usize);
-                        assert_eq!(eff.work(), Some(unit), "p{j} round {r}");
+                        assert_eq!(eff.work(), [unit], "p{j} round {r}");
                         assert!(eff.sends().is_empty() && eff.notes().is_empty());
                         assert!(!eff.is_terminated());
                         let after = Round::from(r + 1);

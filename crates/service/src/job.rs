@@ -10,17 +10,14 @@ use doall_sim::asynch::{
     run_async, AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, DelayDist,
 };
 use doall_sim::chaos::Plane;
-use doall_sim::{
-    run, Adversary, FaultKind, FaultPlan, Metrics, Protocol, Report, Round, RunConfig, RunError,
-};
+use doall_sim::{run, FaultKind, FaultPlan, Metrics, Protocol, Report, Round, RunConfig, RunError};
 use doall_workload::Scenario;
 
 /// A complete description of one Do-All job: the per-process protocol
 /// state machines, the failure [`Scenario`], and the engine limits of
 /// both planes. Terminal calls pick the plane:
 ///
-/// * [`run`](JobSpec::run) / [`run_with`](JobSpec::run_with) — the
-///   synchronous round engine;
+/// * [`run`](JobSpec::run) — the synchronous round engine;
 /// * [`run_async`](JobSpec::run_async) /
 ///   [`run_async_with`](JobSpec::run_async_with) — the event-driven
 ///   engine, honouring the [`seed`](JobSpec::seed) and
@@ -231,21 +228,6 @@ where
     pub fn run(self) -> Result<Report, RunError> {
         let cfg = self.run_config();
         execute_sync(self.procs, &self.scenario, cfg)
-    }
-
-    /// Runs on the synchronous engine under a **custom adversary**,
-    /// ignoring the spec's scenario — the escape hatch for adversaries
-    /// with no [`Scenario`] name.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's [`RunError`].
-    pub fn run_with<A>(self, adversary: A) -> Result<Report, RunError>
-    where
-        A: Adversary<P::Msg>,
-    {
-        let cfg = self.run_config();
-        run(self.procs, adversary, cfg)
     }
 
     /// Boxes this spec as a synchronous-plane [`Job`] for a

@@ -289,11 +289,6 @@ impl Session {
         self.pending.push((at, seq, job));
     }
 
-    /// Jobs submitted so far.
-    pub fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Runs the whole stream to completion. Deterministic: the schedule
     /// depends only on the submitted (instant, job) pairs and the
     /// pool/admission limits.

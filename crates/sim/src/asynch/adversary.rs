@@ -19,8 +19,9 @@
 //! [`Adversary`](crate::Adversary). A [`FaultPlan`](crate::FaultPlan)
 //! implements this trait, so one plan of any faults drives both planes.
 
-use super::{AsyncEffects, Time};
+use super::Time;
 use crate::adversary::{AdversaryCtx, Fate, NoFailures};
+use crate::effects::Effects;
 use crate::ids::Pid;
 
 /// An asynchronous crash-failure adversary.
@@ -36,7 +37,7 @@ pub trait AsyncAdversary<M> {
         time: Time,
         pid: Pid,
         invocation: u64,
-        effects: &AsyncEffects<M>,
+        effects: &Effects<M>,
         ctx: AdversaryCtx<'_>,
     ) -> Fate;
 
@@ -90,7 +91,7 @@ impl<M> AsyncAdversary<M> for Box<dyn AsyncAdversary<M>> {
         time: Time,
         pid: Pid,
         invocation: u64,
-        effects: &AsyncEffects<M>,
+        effects: &Effects<M>,
         ctx: AdversaryCtx<'_>,
     ) -> Fate {
         (**self).intercept(time, pid, invocation, effects, ctx)
@@ -115,14 +116,7 @@ impl<M> AsyncAdversary<M> for Box<dyn AsyncAdversary<M>> {
 
 /// [`NoFailures`] serves both planes: it never crashes anyone.
 impl<M> AsyncAdversary<M> for NoFailures {
-    fn intercept(
-        &mut self,
-        _: Time,
-        _: Pid,
-        _: u64,
-        _: &AsyncEffects<M>,
-        _: AdversaryCtx<'_>,
-    ) -> Fate {
+    fn intercept(&mut self, _: Time, _: Pid, _: u64, _: &Effects<M>, _: AdversaryCtx<'_>) -> Fate {
         Fate::Survive
     }
 }
@@ -148,7 +142,7 @@ mod tests {
             .crash_on(Trigger::NthInvocationOf { pid: Pid::new(0), nth: 3 }, CrashSpec::silent());
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
-        let eff: AsyncEffects<()> = AsyncEffects::default();
+        let eff: Effects<()> = Effects::default();
         let alive = LiveSet::new(2);
         assert_eq!(s.intercept(Time::new(1), Pid::new(0), 2, &eff, ctx(&alive)), Fate::Survive);
         assert_eq!(s.intercept(Time::new(1), Pid::new(1), 3, &eff, ctx(&alive)), Fate::Survive);
@@ -160,7 +154,7 @@ mod tests {
 
     #[test]
     fn random_adversary_respects_budget_and_lone_survivor() {
-        let eff: AsyncEffects<()> = AsyncEffects::default();
+        let eff: Effects<()> = Effects::default();
         let mut broke = FaultPlan::random(42, 1.0, 0);
         let alive = LiveSet::new(3);
         assert_eq!(broke.intercept(Time::new(1), Pid::new(0), 1, &eff, ctx(&alive)), Fate::Survive);
@@ -181,7 +175,7 @@ mod tests {
         let mut adv = FaultPlan::default()
             .crash_on(Trigger::NthWorkBy { pid: Pid::new(0), nth: 2 }, CrashSpec::silent());
         let alive = LiveSet::new(2);
-        let mut eff: AsyncEffects<()> = AsyncEffects::default();
+        let mut eff: Effects<()> = Effects::default();
         eff.perform(Unit::new(1));
         eff.perform(Unit::new(2));
         eff.perform(Unit::new(3));
@@ -197,10 +191,10 @@ mod tests {
         let mut adv = FaultPlan::default()
             .crash_on(Trigger::NthNote { tag: "activate", nth: 2 }, CrashSpec::silent());
         let alive = LiveSet::new(3);
-        let mut e1: AsyncEffects<()> = AsyncEffects::default();
+        let mut e1: Effects<()> = Effects::default();
         e1.note("activate");
         assert_eq!(adv.intercept(Time::new(3), Pid::new(1), 1, &e1, ctx(&alive)), Fate::Survive);
-        let mut e2: AsyncEffects<()> = AsyncEffects::default();
+        let mut e2: Effects<()> = Effects::default();
         e2.note("activate");
         assert!(matches!(
             adv.intercept(Time::new(9), Pid::new(2), 1, &e2, ctx(&alive)),

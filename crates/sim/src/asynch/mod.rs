@@ -20,6 +20,12 @@
 //! work and message counts, which is exactly what the paper claims carries
 //! over from the synchronous analysis.
 //!
+//! A handler records its actions on the same [`Effects`] a synchronous
+//! step does. Only the rules differ: untimed, a handler may perform any
+//! number of units, and [`Effects::continue_later`] asks for an
+//! [`AsyncProtocol::on_tick`] one time-step later — the round engine
+//! rejects both.
+//!
 //! ## The op arena
 //!
 //! An in-flight payload lives **once**, in a slab slot shared by every
@@ -83,11 +89,11 @@ use serde::{Deserialize, Serialize};
 pub use adversary::AsyncAdversary;
 
 use crate::adversary::AdversaryCtx;
-use crate::effects::SendBuf;
+use crate::effects::Effects;
 use crate::engine::{
     survivor_queries, MemBudget, ProcTable, RunError, StallDiagnosis, Status, Waiting,
 };
-use crate::ids::{Pid, Round, Unit};
+use crate::ids::{Pid, Round};
 use crate::message::{Classify, FlightOp, Inbox};
 use crate::metrics::Metrics;
 use crate::trace::{Event, Trace};
@@ -140,127 +146,10 @@ impl DelayDist {
     }
 }
 
-/// Actions recorded by an asynchronous event handler.
-///
-/// Unlike the synchronous [`Effects`](crate::Effects), a handler may
-/// perform *several* units of work at once: asynchronous time is untimed,
-/// so there is no per-round work budget to enforce. Send recording is the
-/// shared span-multicast machinery of the synchronous plane — payload
-/// stored once per op, `multicast` O(1), `broadcast` coalescing runs.
-#[derive(Debug)]
-pub struct AsyncEffects<M> {
-    work: Vec<Unit>,
-    sends: SendBuf<M>,
-    notes: Vec<&'static str>,
-    terminated: bool,
-    tick: bool,
-}
-
-impl<M> Default for AsyncEffects<M> {
-    fn default() -> Self {
-        AsyncEffects {
-            work: Vec::new(),
-            sends: SendBuf::default(),
-            notes: Vec::new(),
-            terminated: false,
-            tick: false,
-        }
-    }
-}
-
-impl<M> AsyncEffects<M> {
-    /// Clears all recorded actions while retaining the buffers, so the
-    /// engine can recycle one scratch instance across handler invocations
-    /// without allocating per event.
-    pub fn reset(&mut self) {
-        self.work.clear();
-        self.sends.clear();
-        self.notes.clear();
-        self.terminated = false;
-        self.tick = false;
-    }
-
-    /// Performs a unit of work.
-    pub fn perform(&mut self, unit: Unit) {
-        self.work.push(unit);
-    }
-
-    /// Sends `payload` to `to` (delivery is delayed by the scheduler).
-    pub fn send(&mut self, to: Pid, payload: M) {
-        self.sends.one(to, payload);
-    }
-
-    /// Broadcasts `payload` to the contiguous pid range `to` in O(1) —
-    /// the payload is stored once. Empty ranges record nothing.
-    pub fn multicast(&mut self, to: std::ops::Range<usize>, payload: M) {
-        self.sends.span(to, payload);
-    }
-
-    /// Broadcasts `payload` to every recipient, coalescing consecutive
-    /// ascending runs into spans (same coalescer as
-    /// [`Effects::broadcast`](crate::Effects::broadcast)).
-    pub fn broadcast<I>(&mut self, to: I, payload: M)
-    where
-        I: IntoIterator<Item = Pid>,
-        M: Clone,
-    {
-        self.sends.coalesced(to, payload);
-    }
-
-    /// Terminates this process after the handler returns.
-    pub fn terminate(&mut self) {
-        self.terminated = true;
-    }
-
-    /// Records a trace annotation (e.g. `"activate"`).
-    pub fn note(&mut self, tag: &'static str) {
-        self.notes.push(tag);
-    }
-
-    /// Requests a [`AsyncProtocol::on_tick`] callback one time-step later,
-    /// so that a long local computation (e.g. an active process working
-    /// through its schedule) runs one operation per event and remains
-    /// interruptible by crashes and message deliveries.
-    pub fn continue_later(&mut self) {
-        self.tick = true;
-    }
-
-    /// The units of work performed by this handler, in order.
-    pub fn work_units(&self) -> &[Unit] {
-        &self.work
-    }
-
-    /// The send operations queued by this handler, in send order.
-    pub fn sends(&self) -> &[crate::SendOp<M>] {
-        self.sends.ops()
-    }
-
-    /// Total point-to-point messages queued by this handler (a
-    /// `k`-recipient op counts `k`) — O(1).
-    pub fn send_count(&self) -> usize {
-        self.sends.count()
-    }
-
-    /// The trace annotations recorded by this handler.
-    pub fn notes(&self) -> &[&'static str] {
-        &self.notes
-    }
-
-    /// Whether the handler terminated the process.
-    pub fn is_terminated(&self) -> bool {
-        self.terminated
-    }
-
-    /// Whether the handler requested an [`AsyncProtocol::on_tick`]
-    /// continuation.
-    pub fn wants_tick(&self) -> bool {
-        self.tick
-    }
-
-    pub(crate) fn drain_sends(&mut self) -> std::vec::Drain<'_, crate::SendOp<M>> {
-        self.sends.drain()
-    }
-}
+/// The asynchronous plane's old name for [`Effects`], the one step record
+/// both planes share. This name survives only because the frozen
+/// `benchmark/` crate (`src/span.rs`) still uses it.
+pub type AsyncEffects<M> = Effects<M>;
 
 /// A per-process asynchronous protocol.
 pub trait AsyncProtocol {
@@ -268,13 +157,13 @@ pub trait AsyncProtocol {
     type Msg: Clone + fmt::Debug + Classify;
 
     /// Invoked once at the start of the execution.
-    fn on_start(&mut self, eff: &mut AsyncEffects<Self::Msg>);
+    fn on_start(&mut self, eff: &mut Effects<Self::Msg>);
 
     /// Invoked when messages arrive: every message reaching this process
     /// at one timestamp is delivered in a single batched [`Inbox`] view
     /// (iterated as `(sender, &payload)` in schedule order), borrowing
     /// straight from the engine's op arena — no payload is cloned.
-    fn on_messages(&mut self, inbox: Inbox<'_, Self::Msg>, eff: &mut AsyncEffects<Self::Msg>);
+    fn on_messages(&mut self, inbox: Inbox<'_, Self::Msg>, eff: &mut Effects<Self::Msg>);
 
     /// Invoked when the retirement detector reports that `retired` has
     /// crashed or terminated. Reports are sound and eventually complete,
@@ -283,11 +172,11 @@ pub trait AsyncProtocol {
     /// to a process that recovers from a crash (see
     /// [`on_recover`](AsyncProtocol::on_recover)), so implementations
     /// must treat repeated reports idempotently.
-    fn on_retirement(&mut self, retired: Pid, eff: &mut AsyncEffects<Self::Msg>);
+    fn on_retirement(&mut self, retired: Pid, eff: &mut Effects<Self::Msg>);
 
     /// Invoked after a previous handler called
-    /// [`AsyncEffects::continue_later`]. Default: no-op.
-    fn on_tick(&mut self, eff: &mut AsyncEffects<Self::Msg>) {
+    /// [`Effects::continue_later`]. Default: no-op.
+    fn on_tick(&mut self, eff: &mut Effects<Self::Msg>) {
         let _ = eff;
     }
 
@@ -297,11 +186,11 @@ pub trait AsyncProtocol {
     /// configuration; without it, the state is exactly what it was at the
     /// crash (stale: every message delivered during the downtime was
     /// lost). This is a full handler invocation — record sends, work or a
-    /// [`continue_later`](AsyncEffects::continue_later) on `eff` to
+    /// [`continue_later`](Effects::continue_later) on `eff` to
     /// re-establish any tick chain the crash severed. The default keeps
     /// the stale state and does nothing, which is safe for protocols whose
     /// progress claims tolerate silent periods.
-    fn on_recover(&mut self, wipe: bool, eff: &mut AsyncEffects<Self::Msg>) {
+    fn on_recover(&mut self, wipe: bool, eff: &mut Effects<Self::Msg>) {
         let _ = (wipe, eff);
     }
 }
@@ -637,7 +526,7 @@ pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     // ---- scratch: built empty by resume() (safe: a group index is only
     // trusted within the batch that built it, and `batch` is empty at
     // every pause boundary) ----
-    eff: AsyncEffects<P::Msg>,
+    eff: Effects<P::Msg>,
     batch: Vec<Ev>,
     inbox_ids: Vec<u32>,
     // One notice fan-out's `(delay, pid)` draws, sorted by delay before
@@ -709,12 +598,6 @@ where
     /// The timestamp of the most recently processed batch.
     pub fn time(&self) -> Time {
         self.st.now
-    }
-
-    /// Whether the execution has completed (every process retired with no
-    /// revival pending).
-    pub fn is_finished(&self) -> bool {
-        self.st.finished
     }
 
     /// The metrics accumulated so far.
@@ -806,7 +689,7 @@ where
             max_delay: snapshot.cfg.max_delay.max(1),
             filters: snapshot.adversary.filters_deliveries(),
             st: snapshot,
-            eff: AsyncEffects::default(),
+            eff: Effects::default(),
             batch: Vec::new(),
             inbox_ids: Vec::new(),
             draws: Vec::new(),
@@ -1064,11 +947,11 @@ where
         let fate = self.st.adversary.intercept(now, pid, self.st.invocations[idx], &self.eff, ctx);
         let ruling = fate.ruling();
 
-        for tag in self.eff.notes.drain(..) {
+        for &tag in self.eff.notes() {
             self.st.trace.push(Event::Note { round: now, pid, tag });
         }
         if ruling.count_work {
-            for &unit in &self.eff.work {
+            for &unit in self.eff.work() {
                 self.st.metrics.record_work(unit);
                 self.st.trace.push(Event::Work { round: now, pid, unit });
             }
@@ -1113,7 +996,7 @@ where
             self.st.trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
         }
 
-        if ruling.crash || self.eff.terminated {
+        if ruling.crash || self.eff.is_terminated() {
             let st = &mut self.st;
             st.table.retire(idx, !ruling.crash, now, &mut st.metrics, &mut st.trace);
             if let Some((downtime, wipe)) = ruling.revival {
@@ -1131,7 +1014,7 @@ where
                 }
                 self.fan_out(now, pid, false);
             }
-        } else if self.eff.tick {
+        } else if self.eff.wants_tick() {
             self.st.queue.push(now + 1u64, Ev::Tick(pid));
         }
 
@@ -1189,6 +1072,7 @@ mod tests {
     use super::*;
     use crate::adversary::{CrashSpec, NoFailures};
     use crate::faults::{FaultPlan, Trigger};
+    use crate::ids::Unit;
     use crate::invariants::check_detector_soundness;
 
     #[derive(Clone, Debug)]
@@ -1208,7 +1092,7 @@ mod tests {
     impl AsyncProtocol for Player {
         type Msg = Ball;
 
-        fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+        fn on_start(&mut self, eff: &mut Effects<Ball>) {
             if self.me == 0 {
                 eff.perform(Unit::new(1));
                 eff.send(Pid::new(1), Ball);
@@ -1216,13 +1100,13 @@ mod tests {
             }
         }
 
-        fn on_messages(&mut self, inbox: Inbox<'_, Ball>, eff: &mut AsyncEffects<Ball>) {
+        fn on_messages(&mut self, inbox: Inbox<'_, Ball>, eff: &mut Effects<Ball>) {
             assert!(!inbox.is_empty());
             eff.perform(Unit::new(2));
             eff.terminate();
         }
 
-        fn on_retirement(&mut self, _retired: Pid, eff: &mut AsyncEffects<Ball>) {
+        fn on_retirement(&mut self, _retired: Pid, eff: &mut Effects<Ball>) {
             eff.note("saw_retirement");
         }
     }
@@ -1275,13 +1159,13 @@ mod tests {
         }
         impl AsyncProtocol for Quitter {
             type Msg = Ball;
-            fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+            fn on_start(&mut self, eff: &mut Effects<Ball>) {
                 if self.me == 0 {
                     eff.terminate();
                 }
             }
-            fn on_messages(&mut self, _: Inbox<'_, Ball>, _: &mut AsyncEffects<Ball>) {}
-            fn on_retirement(&mut self, _: Pid, eff: &mut AsyncEffects<Ball>) {
+            fn on_messages(&mut self, _: Inbox<'_, Ball>, _: &mut Effects<Ball>) {}
+            fn on_retirement(&mut self, _: Pid, eff: &mut Effects<Ball>) {
                 eff.note("noticed");
                 eff.terminate();
             }
@@ -1302,7 +1186,7 @@ mod tests {
         }
         impl AsyncProtocol for Spray {
             type Msg = Ball;
-            fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+            fn on_start(&mut self, eff: &mut Effects<Ball>) {
                 if self.me < 3 {
                     // Three senders each unicast to p3 — Fixed delay lands
                     // them all at the same timestamp.
@@ -1310,14 +1194,14 @@ mod tests {
                     eff.terminate();
                 }
             }
-            fn on_messages(&mut self, inbox: Inbox<'_, Ball>, eff: &mut AsyncEffects<Ball>) {
+            fn on_messages(&mut self, inbox: Inbox<'_, Ball>, eff: &mut Effects<Ball>) {
                 // Record the batch width as a performed unit: unit 3 in
                 // the report proves all three messages shared one
                 // invocation.
                 eff.perform(Unit::new(inbox.len()));
                 eff.terminate();
             }
-            fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Ball>) {}
+            fn on_retirement(&mut self, _: Pid, _: &mut Effects<Ball>) {}
         }
         let procs: Vec<Spray> = (0..4).map(|me| Spray { me }).collect();
         let cfg = AsyncConfig { n: 3, max_delay: 4, delay: DelayDist::Fixed, ..Default::default() };
@@ -1337,16 +1221,16 @@ mod tests {
         }
         impl AsyncProtocol for Once {
             type Msg = Ball;
-            fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+            fn on_start(&mut self, eff: &mut Effects<Ball>) {
                 if self.me == 0 {
                     eff.multicast(1..6, Ball);
                 }
                 eff.terminate();
             }
-            fn on_messages(&mut self, _: Inbox<'_, Ball>, eff: &mut AsyncEffects<Ball>) {
+            fn on_messages(&mut self, _: Inbox<'_, Ball>, eff: &mut Effects<Ball>) {
                 eff.terminate();
             }
-            fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Ball>) {}
+            fn on_retirement(&mut self, _: Pid, _: &mut Effects<Ball>) {}
         }
         let procs: Vec<Once> = (0..6).map(|me| Once { me }).collect();
         let adv = FaultPlan::default().crash_on(
@@ -1369,13 +1253,13 @@ mod tests {
     impl AsyncProtocol for PingPong {
         type Msg = Ball;
 
-        fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+        fn on_start(&mut self, eff: &mut Effects<Ball>) {
             if self.me == 0 {
                 eff.send(Pid::new(1), Ball);
             }
         }
 
-        fn on_messages(&mut self, _: Inbox<'_, Ball>, eff: &mut AsyncEffects<Ball>) {
+        fn on_messages(&mut self, _: Inbox<'_, Ball>, eff: &mut Effects<Ball>) {
             eff.perform(Unit::new(self.me + 1));
             self.hops += 1;
             if self.hops >= 12 {
@@ -1385,7 +1269,7 @@ mod tests {
             }
         }
 
-        fn on_retirement(&mut self, _: Pid, eff: &mut AsyncEffects<Ball>) {
+        fn on_retirement(&mut self, _: Pid, eff: &mut Effects<Ball>) {
             eff.terminate();
         }
     }
@@ -1417,12 +1301,12 @@ mod tests {
         struct Spinner;
         impl AsyncProtocol for Spinner {
             type Msg = Ball;
-            fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+            fn on_start(&mut self, eff: &mut Effects<Ball>) {
                 eff.continue_later();
             }
-            fn on_messages(&mut self, _: Inbox<'_, Ball>, _: &mut AsyncEffects<Ball>) {}
-            fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Ball>) {}
-            fn on_tick(&mut self, eff: &mut AsyncEffects<Ball>) {
+            fn on_messages(&mut self, _: Inbox<'_, Ball>, _: &mut Effects<Ball>) {}
+            fn on_retirement(&mut self, _: Pid, _: &mut Effects<Ball>) {}
+            fn on_tick(&mut self, eff: &mut Effects<Ball>) {
                 eff.continue_later();
             }
         }
@@ -1455,16 +1339,16 @@ mod tests {
         }
         impl AsyncProtocol for Spinner {
             type Msg = Ball;
-            fn on_start(&mut self, eff: &mut AsyncEffects<Ball>) {
+            fn on_start(&mut self, eff: &mut Effects<Ball>) {
                 if self.me < 3 {
                     eff.terminate();
                 } else {
                     eff.continue_later();
                 }
             }
-            fn on_messages(&mut self, _: Inbox<'_, Ball>, _: &mut AsyncEffects<Ball>) {}
-            fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Ball>) {}
-            fn on_tick(&mut self, eff: &mut AsyncEffects<Ball>) {
+            fn on_messages(&mut self, _: Inbox<'_, Ball>, _: &mut Effects<Ball>) {}
+            fn on_retirement(&mut self, _: Pid, _: &mut Effects<Ball>) {}
+            fn on_tick(&mut self, eff: &mut Effects<Ball>) {
                 eff.continue_later();
             }
         }

@@ -59,7 +59,7 @@ pub(crate) enum Ev {
         len: u32,
     },
     /// A self-scheduled continuation (see
-    /// [`AsyncEffects::continue_later`](super::AsyncEffects::continue_later)).
+    /// [`Effects::continue_later`](crate::Effects::continue_later)).
     Tick(Pid),
     /// An adversary-scheduled injection point (see
     /// [`AsyncAdversary::scheduled_events`](super::AsyncAdversary::scheduled_events)):

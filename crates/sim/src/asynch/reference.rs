@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use super::{AsyncAdversary, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncReport, Time};
+use super::{AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, Effects, Time};
 use crate::adversary::{AdversaryCtx, Fate};
 use crate::engine::{MemBudget, RunError, StallDiagnosis, Status, Waiting};
 use crate::ids::Pid;
@@ -63,9 +63,11 @@ impl<M> Ord for Entry<M> {
 ///
 /// # Errors
 ///
-/// As [`run_async`](super::run_async), except that the scheduler tracks no
-/// progress mark and has no watchdog: a diagnosis's `last_progress` reads
-/// [`Time::ZERO`], and [`RunError::Stalled`] is never raised.
+/// As [`run_async`](super::run_async), with the same per-batch watchdog:
+/// [`RunError::Stalled`] once more than [`AsyncConfig::stall_window`] time
+/// passes after the last batch that delivered a message or moved the
+/// progress mark. Diagnoses match the engine's; with no crash-recovery
+/// here, `pending_revivals` is always 0.
 ///
 /// # Panics
 ///
@@ -104,14 +106,15 @@ where
     let mut invocations = vec![0u64; t];
     let mut handled: u64 = 0;
     let mut executed: u64 = 0;
-    let mut eff: AsyncEffects<P::Msg> = AsyncEffects::default();
+    let mut eff: Effects<P::Msg> = Effects::default();
     let mut now = Time::ZERO;
-    let diagnosis = |now, alive: &LiveSet, invocations: &[u64], pending| {
+    let mut last_progress = Time::ZERO;
+    let diagnosis = |now, last_progress, alive: &LiveSet, invocations: &[u64], pending| {
         let stalled = alive.ones().map(|i| (Pid::new(i), Waiting::Invocations(invocations[i])));
         let stalled = stalled.collect();
         Box::new(StallDiagnosis {
             round: now,
-            last_progress: Time::ZERO,
+            last_progress,
             stalled,
             pending,
             pending_revivals: 0,
@@ -121,6 +124,8 @@ where
     'run: while let Some(Reverse(first)) = heap.pop() {
         now = first.time;
         executed += 1;
+        let mark = metrics.progress();
+        let mut delivered = false;
         let mut batch: Vec<RefEv<P::Msg>> = vec![first.ev];
         while heap.peek().is_some_and(|Reverse(e)| e.time == now) {
             batch.push(heap.pop().expect("peeked").0.ev);
@@ -188,6 +193,7 @@ where
                     }
                     eff.reset();
                     procs[to.index()].on_messages(Inbox::from_pairs(&pairs), &mut eff);
+                    delivered = true;
                     to
                 }
             };
@@ -197,7 +203,7 @@ where
                 return Err(RunError::EventLimit {
                     limit: cfg.max_events,
                     metrics: Box::new(metrics),
-                    diagnosis: diagnosis(now, &alive, &invocations, heap.len()),
+                    diagnosis: diagnosis(now, last_progress, &alive, &invocations, heap.len()),
                 });
             }
             let idx = pid.index();
@@ -206,7 +212,7 @@ where
             let ctx = AdversaryCtx::new(&alive, metrics.crashes);
             let fate = adversary.intercept(now, pid, invocations[idx], &eff, ctx);
 
-            for tag in eff.notes.drain(..) {
+            for &tag in eff.notes() {
                 trace.push(Event::Note { round: now, pid, tag });
             }
 
@@ -221,7 +227,7 @@ where
             };
             let is_omit = matches!(fate, Fate::Omit(_));
             if count_work {
-                for &unit in &eff.work {
+                for &unit in eff.work() {
                     metrics.record_work(unit);
                     trace.push(Event::Work { round: now, pid, unit });
                 }
@@ -258,7 +264,7 @@ where
             }
 
             let crashed_now = matches!(fate, Fate::Crash(_));
-            if eff.tick && !crashed_now && !eff.terminated {
+            if eff.wants_tick() && !crashed_now && !eff.is_terminated() {
                 push(&mut heap, now + 1u64, RefEv::Tick(pid));
             }
 
@@ -267,7 +273,7 @@ where
                 metrics.crashes += 1;
                 trace.push(Event::Crash { round: now, pid });
                 true
-            } else if eff.terminated {
+            } else if eff.is_terminated() {
                 statuses[idx] = Status::Terminated(now);
                 metrics.terminations += 1;
                 trace.push(Event::Terminate { round: now, pid });
@@ -293,10 +299,20 @@ where
                 break 'run;
             }
         }
+
+        // The engine's watchdog, on the same batch boundaries.
+        if delivered || metrics.progress() != mark {
+            last_progress = now;
+        } else if let Some(window) = cfg.stall_window {
+            if now.saturating_sub(last_progress) > u128::from(window) {
+                let diagnosis = diagnosis(now, last_progress, &alive, &invocations, heap.len());
+                return Err(RunError::Stalled { window, metrics: Box::new(metrics), diagnosis });
+            }
+        }
     }
 
     if !alive.is_empty() {
-        let diagnosis = diagnosis(now, &alive, &invocations, 0);
+        let diagnosis = diagnosis(now, last_progress, &alive, &invocations, 0);
         return Err(RunError::Deadlock { metrics: Box::new(metrics), diagnosis });
     }
     Ok(AsyncReport { metrics, statuses, trace, mem: MemBudget::default(), executed })

@@ -1,4 +1,7 @@
-//! The per-round output of a protocol step.
+//! The record of one protocol step, shared by both execution planes: a
+//! synchronous round and an asynchronous handler invocation record the same
+//! work, sends, notes and termination on one [`Effects`]; each engine
+//! enforces its own plane's rules on that record.
 
 use std::ops::Range;
 
@@ -71,151 +74,86 @@ pub struct SendOp<M> {
     pub payload: M,
 }
 
-/// The shared send-op recording buffer behind both the synchronous
-/// [`Effects`] and the asynchronous
-/// [`AsyncEffects`](crate::asynch::AsyncEffects): ops store their payload
-/// once, span multicasts are recorded in O(1), and arbitrary recipient
-/// iterators are coalesced into maximal contiguous runs. The per-message
-/// count (`sent`) is maintained incrementally so both planes report
-/// per-recipient message totals in O(1).
-#[derive(Debug)]
-pub(crate) struct SendBuf<M> {
-    ops: Vec<SendOp<M>>,
-    /// Total number of point-to-point messages across `ops` (the sum of
-    /// the ops' recipient counts).
-    sent: usize,
-}
-
-impl<M> Default for SendBuf<M> {
-    fn default() -> Self {
-        SendBuf { ops: Vec::new(), sent: 0 }
-    }
-}
-
-impl<M> SendBuf<M> {
-    /// Clears the recorded ops while retaining the buffer's capacity.
-    pub(crate) fn clear(&mut self) {
-        self.ops.clear();
-        self.sent = 0;
-    }
-
-    /// Records a unicast.
-    pub(crate) fn one(&mut self, to: Pid, payload: M) {
-        self.sent += 1;
-        self.ops.push(SendOp { to: Recipients::One(to), payload });
-    }
-
-    /// Records a contiguous-range broadcast as one op (payload stored
-    /// once). Empty ranges record nothing.
-    pub(crate) fn span(&mut self, to: Range<usize>, payload: M) {
-        if to.is_empty() {
-            return;
-        }
-        self.sent += to.len();
-        self.ops.push(SendOp { to: Recipients::Span { lo: to.start, hi: to.end }, payload });
-    }
-
-    /// Records a broadcast to an arbitrary pid iterator, coalescing
-    /// consecutive ascending runs into spans (one clone per extra run).
-    pub(crate) fn coalesced<I>(&mut self, to: I, payload: M)
-    where
-        I: IntoIterator<Item = Pid>,
-        M: Clone,
-    {
-        split_runs(to, payload, |run, m| self.span(run, m));
-    }
-
-    /// The recorded ops, in send order.
-    pub(crate) fn ops(&self) -> &[SendOp<M>] {
-        &self.ops
-    }
-
-    /// Total point-to-point messages recorded (a `k`-recipient op counts
-    /// `k`) — O(1).
-    pub(crate) fn count(&self) -> usize {
-        self.sent
-    }
-
-    /// Whether nothing has been recorded.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Moves the recorded ops out, leaving the capacity in place.
-    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, SendOp<M>> {
-        self.sent = 0;
-        self.ops.drain(..)
-    }
-}
-
-/// Everything a process decided to do during one round.
+/// Everything a process decided to do in one step: a round of the
+/// synchronous engine or one handler invocation of the asynchronous one.
 ///
-/// The engine hands an empty `Effects` to [`Protocol::step`] each round; the
-/// protocol records its actions on it. The synchronous model of the paper
-/// allows, per round, **at most one unit of work** plus **one round of
-/// communication** (any number of messages, e.g. a broadcast to a whole
-/// group); [`Effects::perform`] enforces the work rule.
+/// The engine hands an empty `Effects` to [`Protocol::step`] (or to an
+/// [`AsyncProtocol`] handler); the protocol records its actions on it. The
+/// record is the same on both planes; the rules on it are the engine's.
+/// The synchronous model of the paper allows, per round, **at most one
+/// unit of work** plus **one round of communication** (any number of
+/// messages, e.g. a broadcast to a whole group), and no
+/// [`continue_later`](Effects::continue_later): the round engine checks
+/// both right after each `step` and panics on a violation. Asynchronous
+/// time is untimed, so a handler may perform several units at once.
 ///
 /// Sends are recorded as [`SendOp`]s: [`Effects::send`] queues a unicast,
 /// [`Effects::multicast`] a contiguous-range broadcast in O(1), and
 /// [`Effects::broadcast`] accepts an arbitrary pid iterator, coalescing
 /// consecutive runs into spans (a contiguous iterator costs one op and zero
-/// payload clones).
+/// payload clones). The per-recipient message count is kept as ops are
+/// recorded, so [`Effects::send_count`] is O(1).
 ///
-/// The engine recycles a single scratch instance across all processes and
-/// rounds ([`Effects::reset`] clears it while keeping its buffers), so the
+/// Each engine recycles a single scratch instance across all processes and
+/// steps ([`Effects::reset`] clears it while keeping its buffers), so the
 /// steady-state hot loop performs no allocation beyond what the protocol's
 /// own sends require the first time a high-water mark is reached.
 ///
 /// [`Protocol::step`]: crate::Protocol::step
+/// [`AsyncProtocol`]: crate::asynch::AsyncProtocol
 #[derive(Debug)]
 pub struct Effects<M> {
-    work: Option<Unit>,
-    sends: SendBuf<M>,
+    work: Vec<Unit>,
+    ops: Vec<SendOp<M>>,
+    /// Total number of point-to-point messages across `ops` (the sum of
+    /// the ops' recipient counts).
+    sent: usize,
     notes: Vec<&'static str>,
     terminated: bool,
+    tick: bool,
 }
 
 impl<M> Default for Effects<M> {
     fn default() -> Self {
-        Effects { work: None, sends: SendBuf::default(), notes: Vec::new(), terminated: false }
+        Effects {
+            work: Vec::new(),
+            ops: Vec::new(),
+            sent: 0,
+            notes: Vec::new(),
+            terminated: false,
+            tick: false,
+        }
     }
 }
 
 impl<M> Effects<M> {
-    /// Creates an empty set of effects (the idle round).
+    /// Creates an empty set of effects (the idle step).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Clears all recorded actions while retaining the send/note buffers,
-    /// so one scratch instance can be recycled round after round without
-    /// reallocating.
+    /// Clears all recorded actions while retaining the work/send/note
+    /// buffers, so one scratch instance can be recycled step after step
+    /// without reallocating.
     pub fn reset(&mut self) {
-        self.work = None;
-        self.sends.clear();
+        self.work.clear();
+        self.ops.clear();
+        self.sent = 0;
         self.notes.clear();
         self.terminated = false;
+        self.tick = false;
     }
 
-    /// Performs one unit of work this round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a unit was already performed this round: the model permits
-    /// one unit of work per process per round.
+    /// Performs one unit of work. The round engine permits one per round;
+    /// an asynchronous handler may perform several.
     pub fn perform(&mut self, unit: Unit) {
-        assert!(
-            self.work.is_none(),
-            "model violation: at most one unit of work per round (attempted {unit} after {})",
-            self.work.expect("just checked"),
-        );
-        self.work = Some(unit);
+        self.work.push(unit);
     }
 
     /// Sends `payload` to a single recipient.
     pub fn send(&mut self, to: Pid, payload: M) {
-        self.sends.one(to, payload);
+        self.sent += 1;
+        self.ops.push(SendOp { to: Recipients::One(to), payload });
     }
 
     /// Broadcasts `payload` to the contiguous pid range `to` — one payload,
@@ -227,10 +165,14 @@ impl<M> Effects<M> {
     /// equal to the sender are the caller's responsibility to exclude; the
     /// engine delivers self-addressed messages like any other.
     pub fn multicast(&mut self, to: Range<usize>, payload: M) {
-        self.sends.span(to, payload);
+        if to.is_empty() {
+            return;
+        }
+        self.sent += to.len();
+        self.ops.push(SendOp { to: Recipients::Span { lo: to.start, hi: to.end }, payload });
     }
 
-    /// Broadcasts `payload` to every listed recipient (one round, many
+    /// Broadcasts `payload` to every listed recipient (one step, many
     /// messages), coalescing consecutive ascending runs into spans: a
     /// contiguous iterator records a single op without cloning the payload;
     /// an arbitrary one costs one op (and one clone) per contiguous run.
@@ -242,7 +184,7 @@ impl<M> Effects<M> {
         I: IntoIterator<Item = Pid>,
         M: Clone,
     {
-        self.sends.coalesced(to, payload);
+        split_runs(to, payload, |run, m| self.multicast(run, m));
     }
 
     /// Broadcasts `payload` to every pid of `to` except `skip` — the
@@ -265,7 +207,7 @@ impl<M> Effects<M> {
     }
 
     /// Marks the process as terminated (retired voluntarily) at the end of
-    /// this round. Messages sent in the same round still go out.
+    /// this step. Messages sent in the same step still go out.
     pub fn terminate(&mut self) {
         self.terminated = true;
     }
@@ -280,51 +222,69 @@ impl<M> Effects<M> {
         self.notes.push(tag);
     }
 
-    /// The unit of work performed this round, if any.
-    pub fn work(&self) -> Option<Unit> {
-        self.work
+    /// Requests an [`AsyncProtocol::on_tick`] callback one time-step later,
+    /// so that a long local computation (e.g. an active process working
+    /// through its schedule) runs one operation per event and remains
+    /// interruptible by crashes and message deliveries. Asynchronous plane
+    /// only: a synchronous process asks for its next round through
+    /// [`Protocol::next_wakeup`].
+    ///
+    /// [`AsyncProtocol::on_tick`]: crate::asynch::AsyncProtocol::on_tick
+    /// [`Protocol::next_wakeup`]: crate::Protocol::next_wakeup
+    pub fn continue_later(&mut self) {
+        self.tick = true;
     }
 
-    /// The send operations queued this round, in send order.
+    /// The units of work performed this step, in order.
+    pub fn work(&self) -> &[Unit] {
+        &self.work
+    }
+
+    /// The send operations queued this step, in send order.
     pub fn sends(&self) -> &[SendOp<M>] {
-        self.sends.ops()
+        &self.ops
     }
 
-    /// Total number of point-to-point messages queued this round (a
+    /// Total number of point-to-point messages queued this step (a
     /// `k`-recipient op counts `k`) — O(1), maintained incrementally.
     pub fn send_count(&self) -> usize {
-        self.sends.count()
+        self.sent
     }
 
-    /// The trace annotations recorded this round.
+    /// The trace annotations recorded this step.
     pub fn notes(&self) -> &[&'static str] {
         &self.notes
     }
 
-    /// Whether the process terminated this round.
+    /// Whether the process terminated this step.
     pub fn is_terminated(&self) -> bool {
         self.terminated
     }
 
-    /// Whether this round was a pure no-op.
-    pub fn is_idle(&self) -> bool {
-        self.work.is_none() && self.sends.is_empty() && !self.terminated
+    /// Whether this step requested a
+    /// [`continue_later`](Effects::continue_later) continuation.
+    pub fn wants_tick(&self) -> bool {
+        self.tick
     }
 
-    /// Moves this round's send ops out, leaving the buffer's capacity in
-    /// place for the next round.
+    /// Whether this step was a pure no-op.
+    pub fn is_idle(&self) -> bool {
+        self.work.is_empty() && self.ops.is_empty() && !self.terminated && !self.tick
+    }
+
+    /// Moves this step's send ops out, leaving the buffer's capacity in
+    /// place for the next step.
     pub(crate) fn drain_sends(&mut self) -> std::vec::Drain<'_, SendOp<M>> {
-        self.sends.drain()
+        self.sent = 0;
+        self.ops.drain(..)
     }
 }
 
 /// Splits a pid iterator into maximal consecutive ascending runs and
 /// hands each to `emit` with its own copy of `payload`: a clone for every
 /// run but the last, which moves the payload (an empty iterator drops it).
-/// Behind [`SendBuf::coalesced`] — and so [`Effects::broadcast`] and its
-/// asynchronous counterpart
-/// [`AsyncEffects::broadcast`](crate::asynch::AsyncEffects::broadcast) —
-/// and the sync engine's crash and omission filter.
+/// Behind [`Effects::broadcast`] and the sync engine's crash and omission
+/// filter.
 pub(crate) fn split_runs<I, M, F>(to: I, payload: M, mut emit: F)
 where
     I: IntoIterator<Item = Pid>,
@@ -354,7 +314,7 @@ mod tests {
     fn idle_effects_report_idle() {
         let eff: Effects<()> = Effects::new();
         assert!(eff.is_idle());
-        assert!(eff.work().is_none());
+        assert!(eff.work().is_empty());
         assert!(eff.sends().is_empty());
         assert_eq!(eff.send_count(), 0);
     }
@@ -363,16 +323,24 @@ mod tests {
     fn perform_records_the_unit() {
         let mut eff: Effects<()> = Effects::new();
         eff.perform(Unit::new(4));
-        assert_eq!(eff.work(), Some(Unit::new(4)));
+        assert_eq!(eff.work(), [Unit::new(4)]);
         assert!(!eff.is_idle());
     }
 
     #[test]
-    #[should_panic(expected = "at most one unit of work per round")]
-    fn two_units_in_one_round_violate_the_model() {
+    fn several_units_keep_their_order_and_reset_clears_them_and_the_tick() {
         let mut eff: Effects<()> = Effects::new();
-        eff.perform(Unit::new(1));
-        eff.perform(Unit::new(2));
+        for u in [3, 1, 2] {
+            eff.perform(Unit::new(u));
+        }
+        eff.continue_later();
+        assert_eq!(eff.work(), [Unit::new(3), Unit::new(1), Unit::new(2)]);
+        assert!(eff.wants_tick());
+        assert!(!eff.is_idle());
+        eff.reset();
+        assert!(eff.work().is_empty());
+        assert!(!eff.wants_tick());
+        assert!(eff.is_idle());
     }
 
     #[test]
@@ -459,9 +427,9 @@ mod tests {
         assert_eq!(eff.send_count(), 0);
         assert!(eff.notes().is_empty());
         assert!(!eff.is_terminated());
-        // The one-unit-per-round rule restarts after a reset.
+        assert!(eff.work().is_empty());
         eff.perform(Unit::new(2));
-        assert_eq!(eff.work(), Some(Unit::new(2)));
+        assert_eq!(eff.work(), [Unit::new(2)]);
     }
 
     #[test]

@@ -966,14 +966,10 @@ where
     }
 
     /// The round the engine is paused at (the next round to execute, or
-    /// the final round once [`is_finished`](Engine::is_finished)).
+    /// the final round once [`run_until`](Engine::run_until) has returned
+    /// `Ok(true)`).
     pub fn round(&self) -> Round {
         self.st.round
-    }
-
-    /// Whether every process has retired (the run is complete).
-    pub fn is_finished(&self) -> bool {
-        self.st.finished
     }
 
     /// Metrics accumulated so far. The per-unit ledger
@@ -1044,9 +1040,10 @@ where
     }
 
     /// Consumes the engine into its [`Report`] and final protocol states.
-    /// Meaningful once [`is_finished`](Engine::is_finished); on an
-    /// unfinished engine it reports the state as of the pause point
-    /// (statuses of still-running processes read [`Status::Alive`]).
+    /// Meaningful once [`run_until`](Engine::run_until) has returned
+    /// `Ok(true)`; on an unfinished engine it reports the state as of the
+    /// pause point (statuses of still-running processes read
+    /// [`Status::Alive`]).
     pub fn into_report(mut self) -> (Report, Vec<P>) {
         self.flush_work();
         self.st.metrics.debug_check();
@@ -1267,6 +1264,15 @@ where
                 Inbox::empty()
             };
             self.st.procs[idx].step(round, inbox, &mut eff);
+            // The round model's rules on the step record (a violation is a
+            // protocol bug): one unit of work per round, and no
+            // `continue_later`, which only the asynchronous engine honours.
+            let work = eff.work();
+            assert!(
+                work.len() <= 1,
+                "model violation: at most one unit of work per round (p{idx} at {round}: {work:?})"
+            );
+            assert!(!eff.wants_tick(), "model violation: p{idx} called continue_later at {round}");
             self.settle(round, Pid::new(idx), &mut eff);
             // The step may have changed this process's timing state;
             // refresh its cached wakeup (retired slots are never read).
@@ -1417,7 +1423,7 @@ where
             self.st.trace.push(Event::Note { round, pid, tag });
         }
 
-        if let Some(unit) = eff.work().filter(|_| ruling.count_work) {
+        if let Some(&unit) = eff.work().first().filter(|_| ruling.count_work) {
             self.record_work(idx, unit, 1);
             self.st.trace.push(Event::Work { round, pid, unit });
         }

@@ -42,7 +42,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversaryCtx, CrashSpec, Deliver, Fate};
-use crate::asynch::{AsyncAdversary, AsyncEffects, AsyncProtocol, Time};
+use crate::asynch::{AsyncAdversary, AsyncProtocol, Time};
 use crate::chaos::Plane;
 use crate::effects::Effects;
 use crate::ids::{Pid, Round};
@@ -287,6 +287,19 @@ struct Step<'a> {
     messages: usize,
     notes: &'a [&'static str],
     invocation: u64,
+}
+
+impl<'a> Step<'a> {
+    /// The same reading on both planes.
+    fn of<M>(effects: &'a Effects<M>, invocation: u64) -> Self {
+        Step {
+            units: effects.work().len() as u64,
+            sending: !effects.sends().is_empty(),
+            messages: effects.send_count(),
+            notes: effects.notes(),
+            invocation,
+        }
+    }
 }
 
 /// The random crash source (see [`FaultPlan::random`]).
@@ -801,14 +814,7 @@ impl<M> Adversary<M> for FaultPlan {
         effects: &Effects<M>,
         ctx: AdversaryCtx<'_>,
     ) -> Fate {
-        let step = || Step {
-            units: u64::from(effects.work().is_some()),
-            sending: !effects.sends().is_empty(),
-            messages: effects.send_count(),
-            notes: effects.notes(),
-            invocation: 0,
-        };
-        self.rule(round, pid, step, ctx)
+        self.rule(round, pid, || Step::of(effects, 0), ctx)
     }
 
     fn next_event(&self, now: Round) -> Option<Round> {
@@ -850,17 +856,10 @@ impl<M> AsyncAdversary<M> for FaultPlan {
         time: Time,
         pid: Pid,
         invocation: u64,
-        effects: &AsyncEffects<M>,
+        effects: &Effects<M>,
         ctx: AdversaryCtx<'_>,
     ) -> Fate {
-        let step = || Step {
-            units: effects.work_units().len() as u64,
-            sending: !effects.sends().is_empty(),
-            messages: effects.send_count(),
-            notes: effects.notes(),
-            invocation,
-        };
-        self.rule(time, pid, step, ctx)
+        self.rule(time, pid, || Step::of(effects, invocation), ctx)
     }
 
     fn scheduled_events(&self) -> Vec<(Time, Pid)> {
@@ -1072,7 +1071,7 @@ impl<P: AsyncProtocol> AsyncDegraded<P> {
 
     /// Counts this invocation and decides whether it is gated; emits
     /// lifecycle notes on window entry/exit.
-    fn gate(&mut self, eff: &mut AsyncEffects<P::Msg>) -> bool {
+    fn gate(&mut self, eff: &mut Effects<P::Msg>) -> bool {
         self.counted += 1;
         let now = Round::new(u128::from(self.counted));
         let mut gated = false;
@@ -1095,7 +1094,7 @@ impl<P: AsyncProtocol> AsyncDegraded<P> {
 
     /// Runs the inner handler(s) for an ungated invocation: buffered
     /// messages first (with `current` folded in), then a deferred tick.
-    fn flush(&mut self, current: Option<Inbox<'_, P::Msg>>, eff: &mut AsyncEffects<P::Msg>) {
+    fn flush(&mut self, current: Option<Inbox<'_, P::Msg>>, eff: &mut Effects<P::Msg>) {
         if self.buffered.is_empty() {
             if let Some(inbox) = current {
                 self.inner.on_messages(inbox, eff);
@@ -1122,12 +1121,12 @@ impl<P: AsyncProtocol> AsyncDegraded<P> {
 impl<P: AsyncProtocol> AsyncProtocol for AsyncDegraded<P> {
     type Msg = P::Msg;
 
-    fn on_start(&mut self, eff: &mut AsyncEffects<Self::Msg>) {
+    fn on_start(&mut self, eff: &mut Effects<Self::Msg>) {
         self.inner.on_start(eff);
         self.inner_wants_tick = self.inner_wants_tick || eff.wants_tick();
     }
 
-    fn on_messages(&mut self, inbox: Inbox<'_, Self::Msg>, eff: &mut AsyncEffects<Self::Msg>) {
+    fn on_messages(&mut self, inbox: Inbox<'_, Self::Msg>, eff: &mut Effects<Self::Msg>) {
         if self.windows.is_empty() {
             self.inner.on_messages(inbox, eff);
             return;
@@ -1140,14 +1139,14 @@ impl<P: AsyncProtocol> AsyncProtocol for AsyncDegraded<P> {
         }
     }
 
-    fn on_retirement(&mut self, retired: Pid, eff: &mut AsyncEffects<Self::Msg>) {
+    fn on_retirement(&mut self, retired: Pid, eff: &mut Effects<Self::Msg>) {
         self.inner.on_retirement(retired, eff);
         // OR, don't overwrite: a pending deferred tick desire must
         // survive an interleaved retirement report.
         self.inner_wants_tick = self.inner_wants_tick || eff.wants_tick();
     }
 
-    fn on_tick(&mut self, eff: &mut AsyncEffects<Self::Msg>) {
+    fn on_tick(&mut self, eff: &mut Effects<Self::Msg>) {
         if self.windows.is_empty() {
             self.inner.on_tick(eff);
             return;
@@ -1159,7 +1158,7 @@ impl<P: AsyncProtocol> AsyncProtocol for AsyncDegraded<P> {
         }
     }
 
-    fn on_recover(&mut self, wipe: bool, eff: &mut AsyncEffects<Self::Msg>) {
+    fn on_recover(&mut self, wipe: bool, eff: &mut Effects<Self::Msg>) {
         // Control-plane invocation: never counted or gated — a degraded
         // process still restarts on time; only its protocol work is slow.
         if wipe {

@@ -20,11 +20,15 @@
 //!    and, under a unit fixed delay, at storm scale `(2048, 1024)` — the
 //!    §2.1 claim that the bounds carry over. On the traced small grid,
 //!    both planes' statuses carry their trace's retirement times.
+//! 3. With [`AsyncConfig::stall_window`] armed, both schedulers trip the
+//!    same watchdog at the same timestamp with the same diagnosis: on a
+//!    tick livelock, and on random-crash Protocol B cells.
 
-use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, DelayDist};
+use doall::sim::asynch::reference::run_async_reference;
+use doall::sim::asynch::{run_async, AsyncConfig, AsyncProtocol, AsyncReport, DelayDist};
 use doall::sim::{
-    Classify, CrashSpec, Fault, FaultKind, FaultPlan, Inbox, NoFailures, Pid, RunConfig, Status,
-    Trace, Trigger, Unit,
+    Classify, CrashSpec, Effects, Fault, FaultKind, FaultPlan, Inbox, NoFailures, Pid, RunConfig,
+    RunError, Status, Trace, Trigger, Unit,
 };
 use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB};
@@ -91,7 +95,7 @@ impl AsyncChatter {
             .collect()
     }
 
-    fn act(&mut self, eff: &mut AsyncEffects<Chat>) {
+    fn act(&mut self, eff: &mut Effects<Chat>) {
         if self.acted >= self.actions {
             return;
         }
@@ -133,11 +137,11 @@ impl AsyncChatter {
 impl AsyncProtocol for AsyncChatter {
     type Msg = Chat;
 
-    fn on_start(&mut self, eff: &mut AsyncEffects<Chat>) {
+    fn on_start(&mut self, eff: &mut Effects<Chat>) {
         self.act(eff);
     }
 
-    fn on_messages(&mut self, inbox: Inbox<'_, Chat>, eff: &mut AsyncEffects<Chat>) {
+    fn on_messages(&mut self, inbox: Inbox<'_, Chat>, eff: &mut Effects<Chat>) {
         for (from, msg) in inbox.iter() {
             self.checksum = mix(self.checksum ^ (from.index() as u64) ^ msg.0);
             if self.echoes_left > 0 && self.acted < self.actions {
@@ -147,14 +151,14 @@ impl AsyncProtocol for AsyncChatter {
         }
     }
 
-    fn on_retirement(&mut self, retired: Pid, eff: &mut AsyncEffects<Chat>) {
+    fn on_retirement(&mut self, retired: Pid, eff: &mut Effects<Chat>) {
         self.checksum = mix(self.checksum ^ 0xDEAD ^ retired.index() as u64);
         if self.checksum.is_multiple_of(5) {
             eff.note("observed_retirement");
         }
     }
 
-    fn on_tick(&mut self, eff: &mut AsyncEffects<Chat>) {
+    fn on_tick(&mut self, eff: &mut Effects<Chat>) {
         self.act(eff);
     }
 }
@@ -245,12 +249,8 @@ fn assert_arena_matches_reference(
     let sched = crash_schedule(t, seed, windows);
     let fast = run_async(AsyncChatter::procs(t, n, seed), sched.clone(), cfg.clone())
         .expect("chatters always retire");
-    let reference = doall::sim::asynch::reference::run_async_reference(
-        AsyncChatter::procs(t, n, seed),
-        sched,
-        cfg,
-    )
-    .expect("reference run must complete identically");
+    let reference = run_async_reference(AsyncChatter::procs(t, n, seed), sched, cfg)
+        .expect("reference run must complete identically");
     let at = format!("t={t} n={n} max_delay={max_delay} {delay:?} seed={seed} omit={omit_seed:?}");
     assert_eq!(fast.metrics, reference.metrics, "{at}");
     assert_eq!(fast.statuses, reference.statuses, "{at}");
@@ -393,11 +393,7 @@ fn arena_engine_matches_reference_at_storm_scale() {
     {
         let cfg = AsyncConfig::new(2_048, 7).with_delay(DelayDist::Uniform, 4);
         let arena = run_async(build(2_048, 1_024), scenario.async_adversary(), cfg.clone());
-        let reference = doall::sim::asynch::reference::run_async_reference(
-            build(2_048, 1_024),
-            scenario.async_adversary(),
-            cfg,
-        );
+        let reference = run_async_reference(build(2_048, 1_024), scenario.async_adversary(), cfg);
         let (arena, reference) = (arena.unwrap().metrics, reference.unwrap().metrics);
         assert_eq!(arena, reference, "{}", scenario.label());
         assert_eq!(arena.messages, messages, "{}", scenario.label());
@@ -408,6 +404,79 @@ fn arena_engine_matches_reference_at_storm_scale() {
         Scenario::DeadOnArrival { k: 992 },
         31_744,
     );
+}
+
+/// Requires the two schedulers' outcomes to agree: equal metrics and
+/// statuses when both complete; on a watchdog trip the same window,
+/// metrics and diagnosis. Returns whether the run stalled.
+fn assert_same_outcome(
+    fast: Result<AsyncReport, RunError>,
+    reference: Result<AsyncReport, RunError>,
+    at: &str,
+) -> bool {
+    match (fast, reference) {
+        (Ok(fast), Ok(reference)) => {
+            assert_eq!(fast.metrics, reference.metrics, "{at}");
+            assert_eq!(fast.statuses, reference.statuses, "{at}");
+            false
+        }
+        (
+            Err(RunError::Stalled { window, metrics, diagnosis }),
+            Err(RunError::Stalled { window: w, metrics: m, diagnosis: d }),
+        ) => {
+            assert_eq!((window, metrics), (w, m), "{at}");
+            assert_eq!(diagnosis, d, "{at}");
+            assert!(diagnosis.round > diagnosis.last_progress, "{at}");
+            true
+        }
+        (fast, reference) => panic!("{at}: engine {fast:?}, reference {reference:?}"),
+    }
+}
+
+/// A process that asks for a tick forever and does nothing else.
+struct Spinner;
+
+impl AsyncProtocol for Spinner {
+    type Msg = Chat;
+    fn on_start(&mut self, eff: &mut Effects<Chat>) {
+        eff.continue_later();
+    }
+    fn on_messages(&mut self, _: Inbox<'_, Chat>, _: &mut Effects<Chat>) {}
+    fn on_retirement(&mut self, _: Pid, _: &mut Effects<Chat>) {}
+    fn on_tick(&mut self, eff: &mut Effects<Chat>) {
+        eff.continue_later();
+    }
+}
+
+/// A tick livelock trips the reference's watchdog exactly as the engine's:
+/// two spinners under a 50-step window stall at time 51, long before the
+/// default event cap, on both schedulers.
+#[test]
+fn reference_watchdog_trips_on_a_tick_livelock_like_the_engine() {
+    let cfg = AsyncConfig::new(1, 0).with_stall_window(50);
+    let fast = run_async(vec![Spinner, Spinner], NoFailures, cfg.clone());
+    let reference = run_async_reference(vec![Spinner, Spinner], NoFailures, cfg);
+    let Err(RunError::Stalled { diagnosis, .. }) = &fast else { panic!("{fast:?}") };
+    assert_eq!((diagnosis.round.get(), diagnosis.last_progress.get()), (51, 0));
+    assert!(assert_same_outcome(fast, reference, "spinners"));
+}
+
+/// Random-crash Protocol B cells under a 2-step window: most runs stall
+/// (a passive process waits longer than the window for its turn), and each
+/// one does so at the same timestamp, with the same metrics and diagnosis,
+/// on both schedulers; the rest complete identically.
+#[test]
+fn reference_watchdog_matches_the_engine_on_random_crash_cells() {
+    let mut stalled = 0;
+    for seed in 0..64u64 {
+        let plan = FaultPlan::random(seed, 0.05, 15);
+        let cfg = AsyncConfig::new(32, seed).with_stall_window(2);
+        let procs = || AsyncProtocolB::processes(32, 16).unwrap();
+        let fast = run_async(procs(), plan.clone(), cfg.clone());
+        let reference = run_async_reference(procs(), plan, cfg);
+        stalled += usize::from(assert_same_outcome(fast, reference, &format!("seed {seed}")));
+    }
+    assert!(0 < stalled && stalled < 64, "{stalled} of 64 stalled: one outcome never seen");
 }
 
 /// §2.1's carried-over bounds, sharpened to equality where equality is a

@@ -348,6 +348,9 @@ where
             let pid = Pid::new(idx);
             eff.reset();
             procs[idx].step(round, Inbox::from_pairs(&inboxes[idx]), &mut eff);
+            // The round model's rules, as the engine checks them.
+            assert!(eff.work().len() <= 1, "model violation: {pid} did two units at {round}");
+            assert!(!eff.wants_tick(), "model violation: {pid} asked for a tick at {round}");
             let ctx = AdversaryCtx::new(&alive, metrics.crashes);
             let fate = adversary.intercept(round, pid, &eff, ctx);
             for &tag in eff.notes() {
@@ -355,7 +358,7 @@ where
             }
             match fate {
                 Fate::Survive => {
-                    if let Some(unit) = eff.work() {
+                    for &unit in eff.work() {
                         record_work(&mut metrics, unit);
                         events.push(Event::Work { round, pid, unit });
                     }
@@ -378,7 +381,7 @@ where
                 }
                 Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
                     if spec.count_work {
-                        if let Some(unit) = eff.work() {
+                        for &unit in eff.work() {
                             record_work(&mut metrics, unit);
                             events.push(Event::Work { round, pid, unit });
                         }
@@ -409,7 +412,7 @@ where
                 Fate::Omit(filter) => {
                     // Send omission: the process survives, works, and its
                     // filtered messages count as omissions.
-                    if let Some(unit) = eff.work() {
+                    for &unit in eff.work() {
                         record_work(&mut metrics, unit);
                         events.push(Event::Work { round, pid, unit });
                     }

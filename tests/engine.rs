@@ -1,7 +1,7 @@
 //! Engine-level integration tests: model-rule enforcement, delivery
 //! semantics, fast-forward equivalence, adversary composition.
 
-use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncReport};
+use doall::sim::asynch::{run_async, AsyncConfig, AsyncProtocol, AsyncReport};
 use doall::sim::{
     run, Classify, CrashSpec, Deliver, Effects, Engine, FaultPlan, Inbox, Metrics, NoFailures, Pid,
     Protocol, Round, RunConfig, RunError, StallDiagnosis, Unit, Waiting,
@@ -99,6 +99,27 @@ fn double_work_per_round_is_rejected() {
         }
     }
     let _ = run(vec![Greedy], NoFailures, RunConfig::new(2, 10));
+}
+
+/// `continue_later` is the asynchronous plane's self-scheduling; a round
+/// protocol that calls it is caught by the same model-rule check.
+#[test]
+#[should_panic(expected = "model violation")]
+fn continue_later_in_a_round_is_rejected() {
+    struct Ticker;
+    #[derive(Clone, Debug)]
+    struct NoMsg;
+    impl Classify for NoMsg {}
+    impl Protocol for Ticker {
+        type Msg = NoMsg;
+        fn step(&mut self, _: Round, _: Inbox<'_, NoMsg>, eff: &mut Effects<NoMsg>) {
+            eff.continue_later();
+        }
+        fn next_wakeup(&self, now: Round) -> Option<Round> {
+            Some(now)
+        }
+    }
+    let _ = run(vec![Ticker], NoFailures, RunConfig::new(2, 10));
 }
 
 #[test]
@@ -363,7 +384,7 @@ struct AsyncForever {
     done: usize,
 }
 impl AsyncForever {
-    fn step(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+    fn step(&mut self, eff: &mut Effects<NoMsg>) {
         if self.done < 3 {
             self.done += 1;
             eff.perform(Unit::new(self.done));
@@ -375,12 +396,12 @@ impl AsyncForever {
 }
 impl AsyncProtocol for AsyncForever {
     type Msg = NoMsg;
-    fn on_start(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+    fn on_start(&mut self, eff: &mut Effects<NoMsg>) {
         self.step(eff);
     }
-    fn on_messages(&mut self, _: Inbox<'_, NoMsg>, _: &mut AsyncEffects<NoMsg>) {}
-    fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<NoMsg>) {}
-    fn on_tick(&mut self, eff: &mut AsyncEffects<NoMsg>) {
+    fn on_messages(&mut self, _: Inbox<'_, NoMsg>, _: &mut Effects<NoMsg>) {}
+    fn on_retirement(&mut self, _: Pid, _: &mut Effects<NoMsg>) {}
+    fn on_tick(&mut self, eff: &mut Effects<NoMsg>) {
         self.step(eff);
     }
 }

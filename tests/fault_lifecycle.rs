@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use doall::sim::asynch::{run_async, AsyncAdversary, AsyncConfig, AsyncEffects, Time};
+use doall::sim::asynch::{run_async, AsyncAdversary, AsyncConfig, Time};
 use doall::sim::invariants::{check_degraded_rate, check_recovery_silence};
 use doall::sim::{
     run, Adversary, AdversaryCtx, Effects, Event, Fate, Fault, FaultKind, FaultPlan, Pid, Round,
@@ -292,7 +292,7 @@ impl<M> AsyncAdversary<M> for Probe {
         time: Time,
         pid: Pid,
         invocation: u64,
-        eff: &AsyncEffects<M>,
+        eff: &Effects<M>,
         ctx: AdversaryCtx<'_>,
     ) -> Fate {
         self.check(time, pid, ctx);

@@ -3,7 +3,7 @@
 //! rule, plane and range validation, and the parked behaviour of one-shot
 //! timed crashes.
 
-use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol};
+use doall::sim::asynch::{run_async, AsyncConfig, AsyncProtocol};
 use doall::sim::chaos::Plane;
 use doall::sim::{
     run, Classify, CrashSpec, Effects, FaultKind, FaultPlan, FaultPlanError, Inbox, Metrics, Pid,
@@ -113,7 +113,7 @@ impl Protocol for Burst {
 
 impl AsyncProtocol for Burst {
     type Msg = Ping;
-    fn on_start(&mut self, eff: &mut AsyncEffects<Ping>) {
+    fn on_start(&mut self, eff: &mut Effects<Ping>) {
         if self.0 == 0 {
             eff.perform(Unit::new(1));
             eff.note("go");
@@ -121,8 +121,8 @@ impl AsyncProtocol for Burst {
         }
         eff.terminate();
     }
-    fn on_messages(&mut self, _: Inbox<'_, Ping>, _: &mut AsyncEffects<Ping>) {}
-    fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Ping>) {}
+    fn on_messages(&mut self, _: Inbox<'_, Ping>, _: &mut Effects<Ping>) {}
+    fn on_retirement(&mut self, _: Pid, _: &mut Effects<Ping>) {}
 }
 
 fn burst() -> Vec<Burst> {
