@@ -9,8 +9,9 @@
 //! cargo run --release -p doall-bench --bin chaos -- --replay target/chaos/repro.txt
 //! ```
 //!
-//! Also `--count N` (seeds `0..N`) and `--out-dir DIR`; any other
-//! argument is rejected with exit code 2.
+//! Also `--count N` (seeds `0..N`) and `--out-dir DIR`. Any other
+//! argument, a non-numeric `--count`, and an unreadable or malformed
+//! `--seeds` or `--replay` file are rejected on stderr with exit code 2.
 //!
 //! The campaign itself fans out across the work-stealing sweep scheduler
 //! ([`doall_bench::sweep`]): each seed × grid cell — run plus, on failure,
@@ -138,10 +139,12 @@ fn case_violations(protocol: &str, plane: Plane, case: &ChaosCase) -> Option<Vec
     }
 }
 
-fn replay(path: &str) -> i32 {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let repro = Repro::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
-    match case_violations(&repro.protocol, repro.plane, &repro.case) {
+/// Replays a repro file; the exit code says whether its failure
+/// reproduces. An unreadable or malformed file is an `Err`.
+fn replay(path: &str) -> Result<i32, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let repro = Repro::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    Ok(match case_violations(&repro.protocol, repro.plane, &repro.case) {
         Some(v) if !v.is_empty() => {
             println!("{path}: failure reproduces on {} ({}):", repro.protocol, repro.plane);
             for violation in v {
@@ -157,16 +160,22 @@ fn replay(path: &str) -> i32 {
             println!("{path}: shape not runnable (bad t / invalid plan)");
             1
         }
-    }
+    })
 }
 
-fn load_seeds(path: &str) -> Vec<u64> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+fn load_seeds(path: &str) -> Result<Vec<u64>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| l.parse().unwrap_or_else(|_| panic!("bad seed line in {path}: `{l}`")))
+        .map(|l| l.parse().map_err(|_| format!("bad seed line in {path}: `{l}`")))
         .collect()
+}
+
+/// Reports a bad input on stderr and exits 2, as an unknown argument does.
+fn usage_error(e: impl std::fmt::Display) -> ! {
+    eprintln!("chaos: {e}");
+    std::process::exit(2);
 }
 
 /// Arguments that stand alone.
@@ -177,23 +186,22 @@ const OPTIONS: [&str; 4] = ["--seeds", "--count", "--replay", "--out-dir"];
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = cli::check_args(&args, &FLAGS, &OPTIONS) {
-        eprintln!("chaos: {e}");
-        std::process::exit(2);
+        usage_error(e);
     }
     let flag = |name: &str| args.iter().any(|a| a == name);
     let opt = |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1));
 
     if let Some(path) = opt("--replay") {
-        std::process::exit(replay(path));
+        std::process::exit(replay(path).unwrap_or_else(|e| usage_error(e)));
     }
 
     let smoke = flag("--smoke");
     let out_dir = opt("--out-dir").cloned().unwrap_or_else(|| "target/chaos".to_string());
     let seeds: Vec<u64> = match opt("--seeds") {
-        Some(path) => load_seeds(path),
+        Some(path) => load_seeds(path).unwrap_or_else(|e| usage_error(e)),
         None => {
             let count: u64 = opt("--count")
-                .map(|c| c.parse().expect("--count takes a number"))
+                .map(|c| c.parse().unwrap_or_else(|_| usage_error("--count takes a number")))
                 .unwrap_or(if smoke { 8 } else { 24 });
             (0..count).collect()
         }

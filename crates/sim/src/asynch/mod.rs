@@ -77,7 +77,6 @@
 
 mod adversary;
 mod queue;
-pub mod reference;
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -285,8 +284,9 @@ pub struct AsyncReport {
     /// [`Trace::notes`] on a traced run.
     pub trace: Trace,
     /// Peak memory held by the engine (arena, event queue, SoA columns,
-    /// scratch) — see [`MemBudget`]. The reference scheduler reports
-    /// zeroes: it is an executable spec, not a measured engine.
+    /// scratch) — see [`MemBudget`]. The reference scheduler in the test
+    /// suite's `tests/support/` reports zeroes: it is an executable spec,
+    /// not a measured engine.
     pub mem: MemBudget,
     /// Number of timestamp batches the engine actually processed — the
     /// async peer of [`Report::executed_rounds`](crate::Report::executed_rounds)
@@ -773,6 +773,11 @@ where
         for (pos, ev) in self.batch.iter().enumerate() {
             if let Ev::Deliver { op, to } = *ev {
                 let p = to.index();
+                if p >= t {
+                    // Addressed past the system: no group, a dead letter
+                    // at dispatch, as on the sync plane.
+                    continue;
+                }
                 let g = self.slot[p] as usize;
                 let grouped = g < groups_used
                     && matches!(self.batch[self.groups[g][0].1 as usize],
@@ -867,9 +872,10 @@ where
                 Ev::Deliver { op, to } => {
                     if !self.st.table.live().contains(to.index()) {
                         // Individually dead-lettered: a recipient that died
-                        // mid-batch (or before all-retired early return)
-                        // never gets its group dispatched, matching the
-                        // reference scheduler event for event.
+                        // mid-batch (or before all-retired early return), or
+                        // one past the system, never gets its group
+                        // dispatched, matching the reference scheduler in
+                        // `tests/support/` event for event.
                         self.st.metrics.dead_letters += 1;
                         self.st.arena.release(op);
                         continue;

@@ -148,8 +148,9 @@ impl Metrics {
 
     /// Bulk counter for span sends: one map lookup per *op*, not per
     /// recipient, while the counted values stay per-recipient (a
-    /// `k`-recipient broadcast still counts `k`). Per-message call sites
-    /// (the async plane's per-recipient reference scheduler) pass `k = 1`.
+    /// `k`-recipient broadcast still counts `k`). The per-recipient
+    /// reference engines in the test suite's `tests/support/` count one
+    /// message at a time through the public fields instead.
     pub(crate) fn record_messages(&mut self, class: &'static str, k: u64) {
         if k == 0 {
             return;

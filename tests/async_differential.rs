@@ -4,16 +4,16 @@
 //!    arena, calendar-queue scheduling, batched zero-copy inboxes) must
 //!    produce **bit-identical** [`AsyncReport`]s — metrics, statuses
 //!    (whose retirement times must match the trace's), and full traces,
-//!    notes included — to
-//!    [`doall::sim::asynch::reference::run_async_reference`] (payload
-//!    cloned per recipient at scheduling, plain binary heap) over random
-//!    send/delay/crash patterns, alone and with seeded send- and
-//!    receive-omission windows on top. Drawn `max_delay`s stay small (dense
-//!    same-bucket traffic); a fixed grid straddles the calendar ring's cap,
-//!    so message traffic through the overflow heap is exercised too, and
-//!    `max_delay = u64::MAX` pins that the ring is never sized from the
-//!    raw input. The random patterns stay at `t ≤ 10`; Protocols A and B
-//!    at `t = 1024` cover storm scale with full-struct [`Metrics`]
+//!    notes included — to the reference scheduler in `tests/support/`
+//!    (`run_async_reference`: payload cloned per recipient at scheduling,
+//!    plain binary heap) over random send/delay patterns under crash
+//!    rules and timed crashes, alone and with seeded send- and
+//!    receive-omission windows on top. Drawn `max_delay`s stay small
+//!    (dense same-bucket traffic); a fixed grid straddles the calendar
+//!    ring's cap, so message traffic through the overflow heap is exercised
+//!    too, and `max_delay = u64::MAX` pins that the ring is never sized
+//!    from the raw input. The random patterns stay at `t ≤ 10`; Protocols
+//!    A and B at `t = 1024` cover storm scale with full-struct [`Metrics`]
 //!    equality.
 //! 2. Failure-free asynchronous runs of Protocols A and B must report
 //!    exactly the synchronous work and message counts over a small grid
@@ -23,38 +23,22 @@
 //! 3. With [`AsyncConfig::stall_window`] armed, both schedulers trip the
 //!    same watchdog at the same timestamp with the same diagnosis: on a
 //!    tick livelock, and on random-crash Protocol B cells.
+//! 4. Both schedulers refuse an invalid adversary with the same error,
+//!    dead-letter sends addressed past the system, and let a timed crash
+//!    strike a quiescent process.
 
-use doall::sim::asynch::reference::run_async_reference;
+mod support;
+
 use doall::sim::asynch::{run_async, AsyncConfig, AsyncProtocol, AsyncReport, DelayDist};
 use doall::sim::{
-    Classify, CrashSpec, Effects, Fault, FaultKind, FaultPlan, Inbox, NoFailures, Pid, RunConfig,
+    CrashSpec, Effects, Event, Fault, FaultKind, FaultPlan, Inbox, NoFailures, Pid, RunConfig,
     RunError, Status, Trace, Trigger, Unit,
 };
 use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB};
 use proptest::prelude::*;
-
-/// A payload with two metric classes, so `messages_by_class` is exercised.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Chat(u64);
-
-impl Classify for Chat {
-    fn class(&self) -> &'static str {
-        if self.0.is_multiple_of(2) {
-            "even"
-        } else {
-            "odd"
-        }
-    }
-}
-
-/// SplitMix64: the per-(seed, pid, invocation) decision hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use support::async_reference::run_async_reference;
+use support::{crash_spec, mix, Chat};
 
 /// A scripted chatterbox for the event-driven plane: self-drives through
 /// `actions` tick-chained steps, each drawn from a deterministic hash —
@@ -163,26 +147,30 @@ impl AsyncProtocol for AsyncChatter {
     }
 }
 
-/// A random invocation-indexed crash schedule on top of the timed
-/// `windows`: up to 5 crashes with every delivery-filter shape (silent,
-/// after-round, prefix, arbitrary subset).
+/// A random crash schedule on top of the timed `windows`: up to 5
+/// invocation-indexed crash rules with every delivery-filter shape
+/// (silent, after-round, prefix, arbitrary subset), and up to two timed
+/// `Crash(p).at(k)` faults on distinct pids at timestamps `0..16`, which
+/// strike through the adversary's scheduled events. One pid is always
+/// spared a timed crash, so the plan validates.
 fn crash_schedule(t: usize, seed: u64, windows: Vec<Fault>) -> FaultPlan {
-    let mut sched = FaultPlan::new(windows);
-    let crashes = mix(seed) % 6;
-    for c in 0..crashes {
+    let mut faults = windows;
+    let mut timed: Vec<usize> = Vec::new();
+    for c in 0..mix(seed ^ 0x7143) % 3 {
+        let h = mix(seed ^ 0x7143 ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let pid = h as usize % t;
+        if !timed.contains(&pid) && timed.len() + 1 < t {
+            timed.push(pid);
+            faults.push(FaultKind::Crash(Pid::new(pid)).at((h >> 16) % 16));
+        }
+    }
+    let mut sched = FaultPlan::new(faults);
+    for c in 0..mix(seed) % 6 {
         let h = mix(seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let pid = Pid::new(h as usize % t);
         let invocation = 1 + (h >> 16) % 12;
-        let spec = match (h >> 32) % 4 {
-            0 => CrashSpec::silent(),
-            1 => CrashSpec::after_round(),
-            2 => CrashSpec::prefix((h >> 40) as usize % (t + 1)),
-            _ => {
-                let members = (0..t).filter(|&p| (h >> (p % 24)) & 1 == 1).map(Pid::new);
-                CrashSpec::subset(members)
-            }
-        };
-        sched = sched.crash_on(Trigger::NthInvocationOf { pid, nth: invocation }, spec);
+        let trigger = Trigger::NthInvocationOf { pid, nth: invocation };
+        sched = sched.crash_on(trigger, crash_spec(h, t));
     }
     sched
 }
@@ -249,13 +237,13 @@ fn assert_arena_matches_reference(
     let sched = crash_schedule(t, seed, windows);
     let fast = run_async(AsyncChatter::procs(t, n, seed), sched.clone(), cfg.clone())
         .expect("chatters always retire");
-    let reference = run_async_reference(AsyncChatter::procs(t, n, seed), sched, cfg)
+    let (reference, events) = run_async_reference(AsyncChatter::procs(t, n, seed), sched, cfg)
         .expect("reference run must complete identically");
     let at = format!("t={t} n={n} max_delay={max_delay} {delay:?} seed={seed} omit={omit_seed:?}");
     assert_eq!(fast.metrics, reference.metrics, "{at}");
     assert_eq!(fast.statuses, reference.statuses, "{at}");
     assert_statuses_match_trace(&fast.statuses, &fast.trace, &at);
-    assert_eq!(fast.trace, reference.trace, "{at}");
+    assert_eq!(fast.trace.events(), events.as_slice(), "{at}");
     fast.metrics.omissions
 }
 
@@ -394,7 +382,7 @@ fn arena_engine_matches_reference_at_storm_scale() {
         let cfg = AsyncConfig::new(2_048, 7).with_delay(DelayDist::Uniform, 4);
         let arena = run_async(build(2_048, 1_024), scenario.async_adversary(), cfg.clone());
         let reference = run_async_reference(build(2_048, 1_024), scenario.async_adversary(), cfg);
-        let (arena, reference) = (arena.unwrap().metrics, reference.unwrap().metrics);
+        let (arena, reference) = (arena.unwrap().metrics, reference.unwrap().0.metrics);
         assert_eq!(arena, reference, "{}", scenario.label());
         assert_eq!(arena.messages, messages, "{}", scenario.label());
     }
@@ -411,10 +399,10 @@ fn arena_engine_matches_reference_at_storm_scale() {
 /// metrics and diagnosis. Returns whether the run stalled.
 fn assert_same_outcome(
     fast: Result<AsyncReport, RunError>,
-    reference: Result<AsyncReport, RunError>,
+    reference: Result<(AsyncReport, Vec<Event>), RunError>,
     at: &str,
 ) -> bool {
-    match (fast, reference) {
+    match (fast, reference.map(|(report, _)| report)) {
         (Ok(fast), Ok(reference)) => {
             assert_eq!(fast.metrics, reference.metrics, "{at}");
             assert_eq!(fast.statuses, reference.statuses, "{at}");
@@ -589,4 +577,104 @@ fn failure_free_async_equals_sync_for_a_and_b() {
         async_b.metrics.messages_by_class, sync_b.metrics.messages_by_class,
         "B({n},{t},fixed 1)"
     );
+}
+
+/// The references refuse what the engines refuse: a crash rule on p99 over
+/// four processes is the same [`RunError::InvalidAdversary`], with the same
+/// reason, from the engine and from its reference.
+#[test]
+fn reference_refuses_an_invalid_adversary_like_the_engine() {
+    let rule = Trigger::NthInvocationOf { pid: Pid::new(99), nth: 1 };
+    let plan = FaultPlan::default().crash_on(rule, CrashSpec::silent());
+    let cfg = AsyncConfig::new(16, 0);
+    let procs = || AsyncProtocolA::processes(16, 4).unwrap();
+    let fast = run_async(procs(), plan.clone(), cfg.clone());
+    let reference = run_async_reference(procs(), plan, cfg);
+    let Err(RunError::InvalidAdversary { reason }) = &fast else { panic!("{fast:?}") };
+    assert!(reason.contains("p99"), "{reason}");
+    assert_eq!(fast.err(), reference.err());
+}
+
+/// Four processes that each address pids past the system in three
+/// tick-chained handlers, then terminate: one unicast to `t + 5`, or one
+/// span over `0..t + 3` (three recipients past the end).
+struct AsyncStray {
+    t: usize,
+    wide: bool,
+    sent: u64,
+}
+
+impl AsyncStray {
+    fn act(&mut self, eff: &mut Effects<Chat>) {
+        if self.wide {
+            eff.multicast(0..self.t + 3, Chat(self.sent));
+        } else {
+            eff.send(Pid::new(self.t + 5), Chat(self.sent));
+        }
+        self.sent += 1;
+        if self.sent == 3 {
+            eff.terminate();
+        } else {
+            eff.continue_later();
+        }
+    }
+}
+
+impl AsyncProtocol for AsyncStray {
+    type Msg = Chat;
+    fn on_start(&mut self, eff: &mut Effects<Chat>) {
+        self.act(eff);
+    }
+    fn on_messages(&mut self, _: Inbox<'_, Chat>, _: &mut Effects<Chat>) {}
+    fn on_retirement(&mut self, _: Pid, _: &mut Effects<Chat>) {}
+    fn on_tick(&mut self, eff: &mut Effects<Chat>) {
+        self.act(eff);
+    }
+}
+
+/// A recipient past the system is a dead letter at delivery, never a
+/// panic, and both schedulers agree on every report and event. Under a
+/// unit fixed delay the counts are the sync plane's: 12 messages and 8
+/// dead letters for the unicasts, 84 and 24 for the spans (the last sends
+/// land after every process has retired).
+#[test]
+fn sends_past_the_system_are_dead_letters_like_the_reference() {
+    for (wide, messages, dead) in [(false, 12, 8), (true, 84, 24)] {
+        let delays = [(DelayDist::Fixed, 1), (DelayDist::Uniform, 3), (DelayDist::Bimodal, 3)];
+        for (delay, max_delay) in delays {
+            for seed in 0..8u64 {
+                let procs = || (0..4).map(|_| AsyncStray { t: 4, wide, sent: 0 }).collect();
+                let cfg = AsyncConfig::new(1, seed).with_delay(delay, max_delay).with_trace();
+                let fast: AsyncReport = run_async(procs(), NoFailures, cfg.clone()).unwrap();
+                let (reference, events) = run_async_reference(procs(), NoFailures, cfg).unwrap();
+                let at = format!("wide={wide} {delay:?} {max_delay} seed={seed}");
+                assert_eq!(fast.metrics, reference.metrics, "{at}");
+                assert_eq!(fast.statuses, reference.statuses, "{at}");
+                assert_eq!(fast.trace.events(), events.as_slice(), "{at}");
+                assert_eq!(fast.metrics.messages, messages, "{at}");
+                if delay == DelayDist::Fixed {
+                    assert_eq!(fast.metrics.dead_letters, dead, "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// A timed crash strikes a quiescent process through its injection point
+/// on both schedulers: under `Crash(p3).at(2)`, Protocol B's p3 is still
+/// passive at time 2 and crashes there, on the engine and on the
+/// reference alike.
+#[test]
+fn timed_crash_strikes_a_quiescent_process_like_the_engine() {
+    let plan = FaultPlan::new(vec![FaultKind::Crash(Pid::new(3)).at(2)]);
+    let cfg = AsyncConfig::new(16, 5).with_trace();
+    let procs = || AsyncProtocolB::processes(16, 4).unwrap();
+    let fast = run_async(procs(), plan.clone(), cfg.clone()).unwrap();
+    let (reference, events) = run_async_reference(procs(), plan, cfg).unwrap();
+    assert_eq!(fast.statuses[3], Status::Crashed(2u64.into()));
+    let p3 = Pid::new(3);
+    assert!(!fast.trace.notes("activate").any(|(time, pid)| pid == p3 && time <= 2u64));
+    assert_eq!(fast.metrics, reference.metrics);
+    assert_eq!(fast.statuses, reference.statuses);
+    assert_eq!(fast.trace.events(), events.as_slice());
 }

@@ -1,48 +1,30 @@
 //! Differential property test for the span-multicast message plane and
-//! the sparse round scheduler: a *reference engine* that expands every
-//! send op into per-recipient `(from, to, payload)` triples — the pre-PR-3
-//! representation — and steps every live process every executed round
-//! must produce byte-identical [`Report`]s (statuses and all metrics,
-//! including `messages_by_class`, dead letters, and per-unit work
-//! multiplicities), the same executed-round count and the same event
-//! trace as the production engine's CSR span delivery and O(due) round
-//! index, over randomly drawn unicast/multicast patterns, crash schedules,
+//! the sparse round scheduler: the *reference engine* in `tests/support/`
+//! (`run_reference`), which expands every send op into per-recipient
+//! `(from, to, payload)` triples — the representation span multicast
+//! replaced — and steps every live process every executed round, must
+//! produce byte-identical [`Report`]s (statuses and all metrics, including
+//! `messages_by_class`, dead letters, and per-unit work multiplicities),
+//! the same executed-round count and the same event trace as the
+//! production engine's CSR span delivery and O(due) round index, over
+//! randomly drawn unicast/multicast patterns, crash schedules,
 //! crash-recovery fault plans, moving deadlines, and fast-forward gaps.
 //! The production engine also runs untraced, where it grants work leases
 //! (a traced run never does), and must agree with the reference on
-//! everything but the trace.
+//! everything but the trace. Where a run fails, the two must fail with
+//! the same whole [`RunError`]: an invalid adversary, a deadlock, a round
+//! limit, or a stall of the armed watchdog, diagnosis included.
 
-use std::collections::BTreeMap;
+mod support;
 
 use doall::sim::{
-    run, Adversary, AdversaryCtx, Classify, CrashSpec, Effects, Event, Fate, FaultKind, FaultPlan,
-    Inbox, LiveSet, MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace,
-    Unit,
+    run, Adversary, CrashSpec, Effects, FaultKind, FaultPlan, Inbox, Pid, Protocol, Report, Round,
+    RunConfig, RunError, Trigger, Unit,
 };
-use doall::ProtocolD;
+use doall::{ProtocolB, ProtocolD};
 use proptest::prelude::*;
-
-/// A payload with two metric classes, so `messages_by_class` is exercised.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Chat(u64);
-
-impl Classify for Chat {
-    fn class(&self) -> &'static str {
-        if self.0.is_multiple_of(2) {
-            "even"
-        } else {
-            "odd"
-        }
-    }
-}
-
-/// SplitMix64: the per-(seed, pid, round) decision hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use support::sync_reference::run_reference;
+use support::{crash_spec, mix, Chat};
 
 /// A scripted chatterbox: acts every `stride` rounds from `start`, for
 /// `actions` actions, each drawn from a deterministic hash — some mix of a
@@ -265,217 +247,6 @@ impl Protocol for Mover {
     }
 }
 
-/// The reference engine: same model semantics as `doall::sim::run`, but
-/// every send op is immediately expanded into one owned `(from, to,
-/// payload)` triple per recipient — per-recipient clones, per-recipient
-/// metric recording, per-recipient delivery — the representation the span
-/// engine replaced. It keeps no wakeup cache and no round index: every
-/// live process steps every executed round, and the fast-forward asks
-/// every live process for its wakeup afresh. Crash-recovery revivals
-/// happen at the start of their round (before delivery), and the report
-/// counts executed rounds, so a production round index that adds or
-/// drops an executed round is caught too. Alongside the report it returns
-/// the events the production engine traces, in the order the model fixes:
-/// each round's revivals, then its receive omissions (noted at the
-/// recipient, in send order), then per stepped process its notes, its
-/// work, one send per escaping recipient, a `"fault:omit"` note at the
-/// sender when an omission fault suppressed some of its sends, and its
-/// crash or termination.
-fn run_reference<P, A>(
-    mut procs: Vec<P>,
-    mut adversary: A,
-    cfg: RunConfig,
-) -> Option<(Report, Vec<Event>)>
-where
-    P: Protocol,
-    A: Adversary<P::Msg>,
-{
-    let t = procs.len();
-    let mut statuses = vec![Status::Alive; t];
-    let mut alive = LiveSet::new(t);
-    let mut metrics = Metrics::new(cfg.n);
-    let mut revive: BTreeMap<usize, (Round, bool)> = BTreeMap::new();
-    let mut executed_rounds = 0u64;
-    let mut events: Vec<Event> = Vec::new();
-    let record_work = |m: &mut Metrics, unit: Unit| {
-        m.work_total += 1;
-        let idx = unit.zero_based();
-        if idx >= m.work_by_unit.len() {
-            m.work_by_unit.resize(idx + 1, 0);
-        }
-        m.work_by_unit[idx] += 1;
-    };
-    let mut pending: Vec<(Pid, Pid, P::Msg)> = Vec::new();
-    let mut next_pending: Vec<(Pid, Pid, P::Msg)> = Vec::new();
-    let mut eff: Effects<P::Msg> = Effects::new();
-    let mut round: Round = Round::ONE;
-
-    loop {
-        if round > cfg.max_rounds {
-            return None;
-        }
-        executed_rounds += 1;
-        // Revive: restarts whose downtime has elapsed, before delivery.
-        let ready: Vec<(usize, bool)> =
-            revive.iter().filter(|(_, &(at, _))| at <= round).map(|(&i, &(_, w))| (i, w)).collect();
-        for (idx, wipe) in ready {
-            revive.remove(&idx);
-            statuses[idx] = Status::Alive;
-            alive.insert(idx);
-            metrics.recoveries += 1;
-            procs[idx].on_recover(round, wipe);
-            events.push(Event::Recover { round, pid: Pid::new(idx) });
-        }
-        // Deliver: naive per-recipient inbox build, consulting receive
-        // omission once per live (message, recipient) in send order.
-        let filters = adversary.filters_deliveries();
-        let mut inboxes: Vec<Vec<(Pid, P::Msg)>> = vec![Vec::new(); t];
-        for (from, to, payload) in pending.drain(..) {
-            if !alive.contains(to.index()) {
-                metrics.dead_letters += 1;
-            } else if filters && adversary.omits_delivery(round, from, to) {
-                metrics.omissions += 1;
-                events.push(Event::Note { round, pid: to, tag: "fault:omit" });
-            } else {
-                inboxes[to.index()].push((from, payload));
-            }
-        }
-
-        for idx in 0..t {
-            if !alive.contains(idx) {
-                continue;
-            }
-            let pid = Pid::new(idx);
-            eff.reset();
-            procs[idx].step(round, Inbox::from_pairs(&inboxes[idx]), &mut eff);
-            // The round model's rules, as the engine checks them.
-            assert!(eff.work().len() <= 1, "model violation: {pid} did two units at {round}");
-            assert!(!eff.wants_tick(), "model violation: {pid} asked for a tick at {round}");
-            let ctx = AdversaryCtx::new(&alive, metrics.crashes);
-            let fate = adversary.intercept(round, pid, &eff, ctx);
-            for &tag in eff.notes() {
-                events.push(Event::Note { round, pid, tag });
-            }
-            match fate {
-                Fate::Survive => {
-                    for &unit in eff.work() {
-                        record_work(&mut metrics, unit);
-                        events.push(Event::Work { round, pid, unit });
-                    }
-                    for op in eff.sends() {
-                        for to in op.to.iter() {
-                            let payload = op.payload.clone();
-                            metrics.messages += 1;
-                            *metrics.messages_by_class.entry(payload.class()).or_insert(0) += 1;
-                            let class = payload.class();
-                            events.push(Event::Send { round, from: pid, to, class });
-                            next_pending.push((pid, to, payload));
-                        }
-                    }
-                    if eff.is_terminated() {
-                        statuses[idx] = Status::Terminated(round);
-                        alive.remove(idx);
-                        metrics.terminations += 1;
-                        events.push(Event::Terminate { round, pid });
-                    }
-                }
-                Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
-                    if spec.count_work {
-                        for &unit in eff.work() {
-                            record_work(&mut metrics, unit);
-                            events.push(Event::Work { round, pid, unit });
-                        }
-                    }
-                    let mut i = 0usize;
-                    for op in eff.sends() {
-                        for to in op.to.iter() {
-                            if spec.deliver.lets_through(i, to) {
-                                let payload = op.payload.clone();
-                                metrics.messages += 1;
-                                *metrics.messages_by_class.entry(payload.class()).or_insert(0) += 1;
-                                let class = payload.class();
-                                events.push(Event::Send { round, from: pid, to, class });
-                                next_pending.push((pid, to, payload));
-                            }
-                            i += 1;
-                        }
-                    }
-                    statuses[idx] = Status::Crashed(round);
-                    alive.remove(idx);
-                    metrics.crashes += 1;
-                    events.push(Event::Crash { round, pid });
-                    if let Fate::CrashRecover { downtime, wipe, .. } = fate {
-                        revive
-                            .insert(idx, (round.saturating_add(u128::from(downtime.max(1))), wipe));
-                    }
-                }
-                Fate::Omit(filter) => {
-                    // Send omission: the process survives, works, and its
-                    // filtered messages count as omissions.
-                    for &unit in eff.work() {
-                        record_work(&mut metrics, unit);
-                        events.push(Event::Work { round, pid, unit });
-                    }
-                    let mut i = 0usize;
-                    let mut suppressed = 0u64;
-                    for op in eff.sends() {
-                        for to in op.to.iter() {
-                            if filter.lets_through(i, to) {
-                                let payload = op.payload.clone();
-                                metrics.messages += 1;
-                                *metrics.messages_by_class.entry(payload.class()).or_insert(0) += 1;
-                                let class = payload.class();
-                                events.push(Event::Send { round, from: pid, to, class });
-                                next_pending.push((pid, to, payload));
-                            } else {
-                                suppressed += 1;
-                            }
-                            i += 1;
-                        }
-                    }
-                    if suppressed > 0 {
-                        metrics.omissions += suppressed;
-                        events.push(Event::Note { round, pid, tag: "fault:omit" });
-                    }
-                    if eff.is_terminated() {
-                        statuses[idx] = Status::Terminated(round);
-                        alive.remove(idx);
-                        metrics.terminations += 1;
-                        events.push(Event::Terminate { round, pid });
-                    }
-                }
-            }
-        }
-
-        if alive.is_empty() && revive.is_empty() {
-            metrics.rounds = round;
-            let report = Report {
-                metrics,
-                trace: Trace::new(),
-                statuses,
-                mem: MemBudget::default(),
-                executed_rounds,
-            };
-            return Some((report, events));
-        }
-
-        std::mem::swap(&mut pending, &mut next_pending);
-        next_pending.clear();
-
-        if pending.is_empty() {
-            let next = round.next();
-            let wake =
-                alive.ones().filter_map(|i| procs[i].next_wakeup(next)).map(|w| w.max(next)).min();
-            let adv = adversary.next_event(next).map(|r| r.max(next));
-            let rev = revive.values().map(|&(at, _)| at.max(next)).min();
-            // `None` is a deadlock: neither fixture ever produces one.
-            round = [wake, adv, rev].into_iter().flatten().min()?;
-        } else {
-            round = round.next();
-        }
-    }
-}
-
 /// A random crash schedule: up to 5 crashes in rounds `1..=horizon` with
 /// every delivery-filter shape (silent, after-round, prefix, arbitrary
 /// subset).
@@ -486,16 +257,7 @@ fn crash_schedule(t: usize, seed: u64, horizon: u64) -> FaultPlan {
         let h = mix(seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let pid = Pid::new(h as usize % t);
         let round = 1 + (h >> 16) % horizon;
-        let spec = match (h >> 32) % 4 {
-            0 => CrashSpec::silent(),
-            1 => CrashSpec::after_round(),
-            2 => CrashSpec::prefix((h >> 40) as usize % (t + 1)),
-            _ => {
-                let members = (0..t).filter(|&p| (h >> (p % 24)) & 1 == 1).map(Pid::new);
-                CrashSpec::subset(members)
-            }
-        };
-        sched = sched.crash_at(pid, round, spec);
+        sched = sched.crash_at(pid, round, crash_spec(h, t));
     }
     sched
 }
@@ -546,25 +308,44 @@ fn fault_plan(t: usize, seed: u64, horizon: u64) -> FaultPlan {
 }
 
 /// Runs `procs` through the production engine, traced and untraced, and
-/// the reference, and asserts all three agree on metrics, statuses and
-/// executed rounds, and the traced run on the event trace.
+/// through the reference, and requires one outcome. When the reference
+/// completes, all three agree on metrics, statuses and executed rounds,
+/// and the traced run on the event trace; when it fails, both engine runs
+/// fail with the same whole [`RunError`] — variant, metrics and diagnosis.
+fn twin_outcome<P, A>(procs: Vec<P>, adversary: A, cfg: RunConfig) -> Result<Report, RunError>
+where
+    P: Protocol + Clone,
+    A: Adversary<P::Msg> + Clone,
+{
+    let traced = run(procs.clone(), adversary.clone(), cfg.clone().with_trace());
+    let bare = run(procs.clone(), adversary.clone(), cfg.clone());
+    match run_reference(procs, adversary, cfg.with_trace()) {
+        Ok((reference, events)) => {
+            let traced = traced.expect("the engine must complete like the reference");
+            let bare = bare.expect("the untraced engine must complete like the reference");
+            for (label, report) in [("traced", &traced), ("untraced", &bare)] {
+                assert_eq!(&report.metrics, &reference.metrics, "{label}");
+                assert_eq!(&report.statuses, &reference.statuses, "{label}");
+                assert_eq!(report.executed_rounds, reference.executed_rounds, "{label}");
+            }
+            assert_eq!(traced.trace.events(), events.as_slice());
+            Ok(traced)
+        }
+        Err(e) => {
+            assert_eq!(traced.as_ref().err(), Some(&e), "traced");
+            assert_eq!(bare.as_ref().err(), Some(&e), "untraced");
+            Err(e)
+        }
+    }
+}
+
+/// [`twin_outcome`] for systems that always retire.
 fn assert_twins<P, A>(procs: Vec<P>, adversary: A, cfg: RunConfig) -> Report
 where
     P: Protocol + Clone,
     A: Adversary<P::Msg> + Clone,
 {
-    let fast = run(procs.clone(), adversary.clone(), cfg.clone().with_trace())
-        .expect("fixtures always retire");
-    let bare = run(procs.clone(), adversary.clone(), cfg.clone()).expect("fixtures always retire");
-    let (reference, events) =
-        run_reference(procs, adversary, cfg).expect("reference run must complete identically");
-    for (label, report) in [("traced", &fast), ("untraced", &bare)] {
-        assert_eq!(&report.metrics, &reference.metrics, "{label}");
-        assert_eq!(&report.statuses, &reference.statuses, "{label}");
-        assert_eq!(report.executed_rounds, reference.executed_rounds, "{label}");
-    }
-    assert_eq!(fast.trace.events(), events.as_slice());
-    fast
+    twin_outcome(procs, adversary, cfg).expect("fixtures always retire")
 }
 
 /// A lease-offering worker, or a pinger that keeps deliveries landing on
@@ -784,4 +565,168 @@ proptest! {
             8u64
         );
     }
+}
+
+/// The references refuse what the engines refuse: a crash rule on p99 over
+/// four processes is the same [`RunError::InvalidAdversary`], with the same
+/// reason, from the engine and from its reference.
+#[test]
+fn reference_refuses_an_invalid_adversary_like_the_engine() {
+    let rule = Trigger::NthWorkBy { pid: Pid::new(99), nth: 1 };
+    let plan = FaultPlan::default().crash_on(rule, CrashSpec::silent());
+    let err = twin_outcome(Chatter::procs(4, 8, 1), plan, RunConfig::new(8, 10_000))
+        .expect_err("a rule past the system must refuse the run");
+    let RunError::InvalidAdversary { reason } = err else { panic!("{err}") };
+    assert!(reason.contains("p99"), "{reason}");
+}
+
+/// Four processes that each address pids past the system for three
+/// rounds, then terminate: one unicast to `t + 5`, or one span over
+/// `0..t + 3` (three recipients past the end).
+#[derive(Clone)]
+struct Stray {
+    t: usize,
+    wide: bool,
+    sent: u64,
+}
+
+impl Protocol for Stray {
+    type Msg = Chat;
+
+    fn step(&mut self, _: Round, _: Inbox<'_, Chat>, eff: &mut Effects<Chat>) {
+        if self.wide {
+            eff.multicast(0..self.t + 3, Chat(self.sent));
+        } else {
+            eff.send(Pid::new(self.t + 5), Chat(self.sent));
+        }
+        self.sent += 1;
+        if self.sent == 3 {
+            eff.terminate();
+        }
+    }
+
+    fn next_wakeup(&self, now: Round) -> Option<Round> {
+        (self.sent < 3).then_some(now)
+    }
+}
+
+/// A recipient past the system is a dead letter, never a panic: the last
+/// round's sends are never delivered, so the unicasts read 12 messages and
+/// 8 dead letters, the spans 84 messages and 24 dead letters, on the
+/// engine and on its reference alike.
+#[test]
+fn sends_past_the_system_are_dead_letters_like_the_reference() {
+    for (wide, messages, dead) in [(false, 12, 8), (true, 84, 24)] {
+        let procs = vec![Stray { t: 4, wide, sent: 0 }; 4];
+        let report = assert_twins(procs, FaultPlan::default(), RunConfig::new(1, 100));
+        assert_eq!((report.metrics.messages, report.metrics.dead_letters), (messages, dead));
+    }
+}
+
+/// A token ring: p0 holds the token at round 1, and each holder performs
+/// one unit and passes the token on, until the holder of hop `hops`
+/// broadcasts the end and everyone terminates on it. A process holding no
+/// token never wakes on its own, so a silent crash of the holder, or a
+/// pass to a crashed pid, loses the token for good: a deadlock.
+#[derive(Clone)]
+struct Ring {
+    me: usize,
+    t: usize,
+    n: usize,
+    hops: u64,
+    start: bool,
+}
+
+impl Protocol for Ring {
+    type Msg = Chat;
+
+    fn step(&mut self, _: Round, inbox: Inbox<'_, Chat>, eff: &mut Effects<Chat>) {
+        let mut token = std::mem::take(&mut self.start).then_some(0);
+        for (_, &Chat(hop)) in inbox.iter() {
+            if hop == u64::MAX {
+                eff.terminate();
+                return;
+            }
+            token = Some(hop);
+        }
+        let Some(hop) = token else { return };
+        eff.perform(Unit::new(1 + hop as usize % self.n));
+        if hop + 1 == self.hops {
+            eff.multicast(0..self.t, Chat(u64::MAX));
+            eff.terminate();
+        } else {
+            eff.send(Pid::new((self.me + 1) % self.t), Chat(hop + 1));
+        }
+    }
+
+    fn next_wakeup(&self, now: Round) -> Option<Round> {
+        self.start.then_some(now)
+    }
+}
+
+/// Random crash schedules over token rings under a watchdog armed wider
+/// than the crash horizon (so a lost token deadlocks rather than stalls):
+/// most runs deadlock, each at the same round, with the same metrics and the
+/// same diagnosis, on the engine and on its reference; the rest complete
+/// identically.
+#[test]
+fn reference_deadlocks_like_the_engine_on_random_crash_cells() {
+    let mut deadlocked = 0;
+    for seed in 0..64u64 {
+        let t = 2 + (seed % 7) as usize;
+        let procs: Vec<Ring> =
+            (0..t).map(|me| Ring { me, t, n: 5, hops: 3 * t as u64, start: me == 0 }).collect();
+        let cfg = RunConfig::new(5, 10_000).with_stall_window(64);
+        match twin_outcome(procs, crash_schedule(t, seed, 3 * t as u64), cfg) {
+            Ok(_) => {}
+            Err(RunError::Deadlock { .. }) => deadlocked += 1,
+            Err(e) => panic!("seed {seed}: {e}"),
+        }
+    }
+    assert!(0 < deadlocked && deadlocked < 64, "{deadlocked} of 64 deadlocked");
+}
+
+/// The sync peer of the async suite's watchdog twin: random-crash Protocol
+/// B cells under a 2-round window. Most runs stall (a passive process
+/// waits longer than the window for its deadline), each at the same round,
+/// with the same metrics and the same diagnosis, wakeups included, on the
+/// engine and on its reference; the rest complete identically.
+#[test]
+fn reference_watchdog_matches_the_engine_on_random_crash_cells() {
+    let mut stalled = 0;
+    for seed in 0..64u64 {
+        let plan = FaultPlan::random(seed, 0.05, 15);
+        let cfg = RunConfig::new(32, 100_000).with_stall_window(2);
+        let procs = ProtocolB::processes(32, 16).unwrap();
+        match twin_outcome(procs, plan, cfg) {
+            Ok(_) => {}
+            Err(RunError::Stalled { diagnosis, .. }) => {
+                assert!(diagnosis.round > diagnosis.last_progress, "seed {seed}");
+                stalled += 1;
+            }
+            Err(e) => panic!("seed {seed}: {e}"),
+        }
+    }
+    assert!(0 < stalled && stalled < 64, "{stalled} of 64 stalled");
+}
+
+/// Moving deadlines under crash schedules against a 12-round cap: runs
+/// that outlive the cap hit [`RunError::RoundLimit`] at the same round,
+/// with the same metrics and diagnosis (wakeups and in-flight ops
+/// included), on the engine and on its reference.
+#[test]
+fn reference_hits_the_round_limit_like_the_engine() {
+    let mut limited = 0;
+    for seed in 0..64u64 {
+        let cfg = RunConfig::new(8, 12).with_stall_window(64);
+        match twin_outcome(Mover::procs(8, 8, seed), crash_schedule(8, seed, 12), cfg) {
+            Ok(_) => {}
+            Err(RunError::RoundLimit { diagnosis, .. }) => {
+                assert!(diagnosis.round > 12u64, "seed {seed}");
+                limited += 1;
+            }
+            Err(e) => panic!("seed {seed}: {e}"),
+        }
+    }
+    assert!(0 < limited && limited < 64, "{limited} of 64 hit the cap");
 }

@@ -1,33 +1,23 @@
-//! The per-recipient-clone reference scheduler: the representation the op
-//! arena replaced, kept as an executable specification.
-//!
-//! [`run_async_reference`] implements *exactly* the semantics of
-//! [`run_async`](super::run_async) — same batching rule, same adversary
-//! protocol, same RNG draw order — but materializes every delivery as an
-//! owned `(from, to, payload)` event: a `k`-recipient broadcast clones the
-//! payload `k` times at scheduling and the queue is a plain binary heap.
-//! The differential property test (`tests/async_differential.rs`) proves
-//! the two produce bit-identical [`AsyncReport`]s over random
-//! send/delay/crash/omission patterns at small `t`, and identical
-//! [`Metrics`] for Protocols A and B at storm scale (`t = 1024`).
+//! The asynchronous plane's reference scheduler.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use doall::sim::asynch::{
+    AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, DelayDist, Time,
+};
+use doall::sim::{
+    AdversaryCtx, Classify, Effects, Event, Fate, Inbox, LiveSet, MemBudget, Metrics, Pid,
+    RunError, StallDiagnosis, Status, Trace, Waiting,
+};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use super::{AsyncAdversary, AsyncConfig, AsyncProtocol, AsyncReport, Effects, Time};
-use crate::adversary::{AdversaryCtx, Fate};
-use crate::engine::{MemBudget, RunError, StallDiagnosis, Status, Waiting};
-use crate::ids::Pid;
-use crate::liveset::LiveSet;
-use crate::message::{Classify, Inbox};
-use crate::metrics::Metrics;
-use crate::trace::{Event, Trace};
+use super::{progress, record_message, record_work, Log};
 
 enum RefEv<M> {
     Start(Pid),
+    Inject(Pid),
     Deliver { from: Pid, to: Pid, payload: M },
     Notice { observer: Pid, retired: Pid },
     Tick(Pid),
@@ -57,36 +47,63 @@ impl<M> Ord for Entry<M> {
     }
 }
 
-/// [`run_async`](super::run_async) with the pre-arena per-recipient-clone
-/// event representation. Produces bit-identical reports; exists to be
-/// differentially tested and benchmarked against.
+/// One per-hop delay draw, as [`DelayDist`] documents it.
+fn draw(delay: DelayDist, rng: &mut SmallRng, max_delay: u64) -> u64 {
+    match delay {
+        DelayDist::Uniform => rng.gen_range(1..=max_delay),
+        DelayDist::Fixed => max_delay,
+        DelayDist::Bimodal => {
+            if rng.gen_bool(0.5) {
+                1
+            } else {
+                max_delay
+            }
+        }
+    }
+}
+
+/// `doall::sim::asynch::run_async` with the pre-arena per-recipient-clone
+/// event representation: the same batching rule, adversary protocol and
+/// RNG draw order, but every delivery is an owned `(from, to, payload)`
+/// event — a `k`-recipient broadcast clones the payload `k` times at
+/// scheduling — and the queue is a plain binary heap. Events are ordered
+/// by time, then by push order: each process's start signal, then the
+/// adversary's [`scheduled_events`](AsyncAdversary::scheduled_events) as
+/// handler-free invocations (in the order listed, pids past the system
+/// skipped), then everything the run schedules. A delivery to a pid that
+/// is not alive, including one past the system, is a dead letter.
+///
+/// Alongside the report (whose trace is empty) it returns, when
+/// [`AsyncConfig::record_trace`] is set, the events the engine traces.
 ///
 /// # Errors
 ///
-/// As [`run_async`](super::run_async), with the same per-batch watchdog:
-/// [`RunError::Stalled`] once more than [`AsyncConfig::stall_window`] time
-/// passes after the last batch that delivered a message or moved the
-/// progress mark. Diagnoses match the engine's; with no crash-recovery
-/// here, `pending_revivals` is always 0.
+/// [`RunError::InvalidAdversary`] if the adversary's `validate` refuses
+/// the system, before any event; otherwise as `run_async`, with the same
+/// per-batch watchdog: [`RunError::Stalled`] once more than
+/// [`AsyncConfig::stall_window`] time passes after the last batch that
+/// delivered a message or moved the progress mark. Diagnoses match the
+/// engine's; with no crash-recovery here, `pending_revivals` is always 0.
 ///
 /// # Panics
 ///
-/// On a [`Fate::CrashRecover`] verdict: crash-recovery (like
-/// adversary-scheduled injections) exists only in the arena engine; this
-/// specification covers the fail-stop, send-omission and receive-omission
-/// semantics the two engines share.
+/// On a [`Fate::CrashRecover`] verdict: crash-recovery exists only in the
+/// arena engine; this specification covers the fail-stop, send-omission
+/// and receive-omission semantics the two schedulers share.
 pub fn run_async_reference<P, A>(
     mut procs: Vec<P>,
     mut adversary: A,
     cfg: AsyncConfig,
-) -> Result<AsyncReport, RunError>
+) -> Result<(AsyncReport, Vec<Event>), RunError>
 where
     P: AsyncProtocol,
     A: AsyncAdversary<P::Msg>,
 {
     let t = procs.len();
-    let max_delay = cfg.max_delay.max(1);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    adversary.validate(t).map_err(|reason| RunError::InvalidAdversary { reason })?;
+    let AsyncConfig { n, seed, max_delay, delay, max_events, record_trace, stall_window } = cfg;
+    let max_delay = max_delay.max(1);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut heap: BinaryHeap<Reverse<Entry<P::Msg>>> = BinaryHeap::new();
     let mut seq: u64 = 0;
     let mut push =
@@ -97,16 +114,21 @@ where
     for pid in 0..t {
         push(&mut heap, Time::ZERO, RefEv::Start(Pid::new(pid)));
     }
+    for (time, pid) in adversary.scheduled_events() {
+        if pid.index() < t {
+            push(&mut heap, time, RefEv::Inject(pid));
+        }
+    }
 
     let filters = adversary.filters_deliveries();
-    let mut metrics = Metrics::new(cfg.n);
-    let mut trace = Trace::recording(cfg.record_trace);
+    let mut metrics = Metrics::new(n);
+    let mut log = Log::new(record_trace);
     let mut statuses = vec![Status::Alive; t];
     let mut alive = LiveSet::new(t);
     let mut invocations = vec![0u64; t];
     let mut handled: u64 = 0;
     let mut executed: u64 = 0;
-    let mut eff: Effects<P::Msg> = Effects::default();
+    let mut eff: Effects<P::Msg> = Effects::new();
     let mut now = Time::ZERO;
     let mut last_progress = Time::ZERO;
     let diagnosis = |now, last_progress, alive: &LiveSet, invocations: &[u64], pending| {
@@ -124,7 +146,7 @@ where
     'run: while let Some(Reverse(first)) = heap.pop() {
         now = first.time;
         executed += 1;
-        let mark = metrics.progress();
+        let mark = progress(&metrics);
         let mut delivered = false;
         let mut batch: Vec<RefEv<P::Msg>> = vec![first.ev];
         while heap.peek().is_some_and(|Reverse(e)| e.time == now) {
@@ -143,6 +165,14 @@ where
                     procs[pid.index()].on_start(&mut eff);
                     pid
                 }
+                RefEv::Inject(pid) => {
+                    // Handler-free: only the adversary's ruling below runs.
+                    if !alive.contains(pid.index()) {
+                        continue;
+                    }
+                    eff.reset();
+                    pid
+                }
                 RefEv::Tick(pid) => {
                     if !alive.contains(pid.index()) {
                         continue;
@@ -155,7 +185,7 @@ where
                     if !alive.contains(observer.index()) {
                         continue;
                     }
-                    trace.push(Event::Notice { round: now, observer, retired });
+                    log.push(Event::Notice { round: now, observer, retired });
                     eff.reset();
                     procs[observer.index()].on_retirement(retired, &mut eff);
                     observer
@@ -183,7 +213,7 @@ where
                             let drop = adversary.omits_delivery(now, from, to);
                             if drop {
                                 metrics.omissions += 1;
-                                trace.push(Event::Note { round: now, pid: to, tag: "fault:omit" });
+                                log.push(Event::Note { round: now, pid: to, tag: "fault:omit" });
                             }
                             !drop
                         });
@@ -199,9 +229,9 @@ where
             };
 
             handled += 1;
-            if handled > cfg.max_events {
+            if handled > max_events {
                 return Err(RunError::EventLimit {
-                    limit: cfg.max_events,
+                    limit: max_events,
                     metrics: Box::new(metrics),
                     diagnosis: diagnosis(now, last_progress, &alive, &invocations, heap.len()),
                 });
@@ -213,57 +243,50 @@ where
             let fate = adversary.intercept(now, pid, invocations[idx], &eff, ctx);
 
             for &tag in eff.notes() {
-                trace.push(Event::Note { round: now, pid, tag });
+                log.push(Event::Note { round: now, pid, tag });
             }
 
             let (count_work, deliver) = match &fate {
                 Fate::Survive => (true, None),
-                Fate::Crash(spec) => (spec.count_work, Some(spec.deliver.clone())),
-                Fate::Omit(filter) => (true, Some(filter.clone())),
+                Fate::Crash(spec) => (spec.count_work, Some(&spec.deliver)),
+                Fate::Omit(filter) => (true, Some(filter)),
                 Fate::CrashRecover { .. } => panic!(
                     "crash-recovery faults are not supported by the reference scheduler; \
                      use run_async (the arena engine) for recovery runs"
                 ),
             };
-            let is_omit = matches!(fate, Fate::Omit(_));
+            let crashed_now = matches!(fate, Fate::Crash(_));
             if count_work {
                 for &unit in eff.work() {
-                    metrics.record_work(unit);
-                    trace.push(Event::Work { round: now, pid, unit });
+                    record_work(&mut metrics, unit);
+                    log.push(Event::Work { round: now, pid, unit });
                 }
             }
 
             // Per-recipient expansion: one owned, cloned payload per
             // scheduled delivery — the representation under test.
-            let mut msg_idx = 0usize;
-            let mut omitted_now = 0u64;
-            for op in eff.drain_sends() {
-                let len = op.to.len();
-                for (k, to) in op.to.iter().enumerate() {
-                    let pass = deliver
-                        .as_ref()
-                        .is_none_or(|d: &crate::Deliver| d.lets_through(msg_idx + k, to));
-                    if is_omit && !pass {
-                        omitted_now += 1;
-                    }
-                    if pass {
+            let (mut msg_idx, mut suppressed) = (0usize, 0u64);
+            for op in eff.sends() {
+                for to in op.to.iter() {
+                    if deliver.is_none_or(|d| d.lets_through(msg_idx, to)) {
                         let payload = op.payload.clone();
                         let class = payload.class();
-                        metrics.record_messages(class, 1);
-                        let delay = cfg.delay.sample(&mut rng, max_delay);
-                        push(&mut heap, now + delay, RefEv::Deliver { from: pid, to, payload });
-                        trace.push(Event::Send { round: now, from: pid, to, class });
+                        record_message(&mut metrics, class);
+                        let at = now + draw(delay, &mut rng, max_delay);
+                        push(&mut heap, at, RefEv::Deliver { from: pid, to, payload });
+                        log.push(Event::Send { round: now, from: pid, to, class });
+                    } else {
+                        suppressed += 1;
                     }
+                    msg_idx += 1;
                 }
-                msg_idx += len;
+            }
+            // Send omission: a crash's unsent messages are not omissions.
+            if !crashed_now && suppressed > 0 {
+                metrics.omissions += suppressed;
+                log.push(Event::Note { round: now, pid, tag: "fault:omit" });
             }
 
-            if omitted_now > 0 {
-                metrics.omissions += omitted_now;
-                trace.push(Event::Note { round: now, pid, tag: "fault:omit" });
-            }
-
-            let crashed_now = matches!(fate, Fate::Crash(_));
             if eff.wants_tick() && !crashed_now && !eff.is_terminated() {
                 push(&mut heap, now + 1u64, RefEv::Tick(pid));
             }
@@ -271,12 +294,12 @@ where
             let retired_now = if crashed_now {
                 statuses[idx] = Status::Crashed(now);
                 metrics.crashes += 1;
-                trace.push(Event::Crash { round: now, pid });
+                log.push(Event::Crash { round: now, pid });
                 true
             } else if eff.is_terminated() {
                 statuses[idx] = Status::Terminated(now);
                 metrics.terminations += 1;
-                trace.push(Event::Terminate { round: now, pid });
+                log.push(Event::Terminate { round: now, pid });
                 true
             } else {
                 false
@@ -285,12 +308,8 @@ where
             if retired_now {
                 alive.remove(idx);
                 for obs in alive.ones() {
-                    let delay = cfg.delay.sample(&mut rng, max_delay);
-                    push(
-                        &mut heap,
-                        now + delay,
-                        RefEv::Notice { observer: Pid::new(obs), retired: pid },
-                    );
+                    let at = now + draw(delay, &mut rng, max_delay);
+                    push(&mut heap, at, RefEv::Notice { observer: Pid::new(obs), retired: pid });
                 }
             }
 
@@ -301,9 +320,9 @@ where
         }
 
         // The engine's watchdog, on the same batch boundaries.
-        if delivered || metrics.progress() != mark {
+        if delivered || progress(&metrics) != mark {
             last_progress = now;
-        } else if let Some(window) = cfg.stall_window {
+        } else if let Some(window) = stall_window {
             if now.saturating_sub(last_progress) > u128::from(window) {
                 let diagnosis = diagnosis(now, last_progress, &alive, &invocations, heap.len());
                 return Err(RunError::Stalled { window, metrics: Box::new(metrics), diagnosis });
@@ -315,5 +334,7 @@ where
         let diagnosis = diagnosis(now, last_progress, &alive, &invocations, 0);
         return Err(RunError::Deadlock { metrics: Box::new(metrics), diagnosis });
     }
-    Ok(AsyncReport { metrics, statuses, trace, mem: MemBudget::default(), executed })
+    let report =
+        AsyncReport { metrics, statuses, trace: Trace::new(), mem: MemBudget::default(), executed };
+    Ok((report, log.events))
 }
