@@ -1251,9 +1251,7 @@ pub fn e16() -> Outcome {
 /// `t = 2^16`–`2^17` processes and `n = 2^27`–`10^8` units — while
 /// per-process engine state stays inside its 32-byte budget. Each giant
 /// cell is paired with a small cell that validates the identical formula
-/// on the honest grid first. Registered in [`by_id`] only, *not* in
-/// [`all`]: the giant cells are the CI scale-smoke leg, not part of the
-/// default suite. Derivations: EXPERIMENTS.md §e17.
+/// on the honest grid first. Derivations: EXPERIMENTS.md §e17.
 pub fn e17() -> Outcome {
     let mut table = Table::new([
         "cell",
@@ -1581,7 +1579,6 @@ pub fn e18() -> Outcome {
 /// each experiment already fan out across all sweep workers, and nesting
 /// a second level of parallelism on top would multiply the thread count
 /// past the core count instead of speeding anything up.
-/// `e17` (the scale-smoke leg) is deliberately excluded — run it by id.
 pub fn all() -> Vec<Outcome> {
     vec![
         e1(),
@@ -1600,6 +1597,7 @@ pub fn all() -> Vec<Outcome> {
         e14(),
         e15(),
         e16(),
+        e17(),
         e18(),
     ]
 }

@@ -267,19 +267,23 @@ fn push_full_checkpoint(ops: &mut VecDeque<Op>, p: AbParams, c: u64, from_group:
 }
 
 /// A lazily-expanded `DoWork` schedule: pops the exact op sequence of
-/// [`compile_dowork`] while materialising only the restart prologue plus
-/// one subchunk at a time — `O(n/t + √t)` resident ops instead of
+/// [`compile_dowork`] while holding only checkpoint ops and a cursor over
+/// the current subchunk's units — `O(√t)` resident ops instead of
 /// `O(n + t√t)`, which is what lets a lone survivor chew through
-/// `n = 10^8` units without holding a gigabyte of op queue.
+/// `n = 10^8` units without holding a gigabyte of op queue, and what makes
+/// the leading work run an O(1) [`lease`](Schedule::lease).
 #[derive(Clone, Debug)]
 pub struct Schedule {
     p: AbParams,
     /// The owner's group (fixed; checkpoint targets depend on it).
     gj: u64,
-    /// The restart prologue, then at most one expanded subchunk.
+    /// Checkpoint ops due before the cursor's units: the restart prologue,
+    /// then the checkpoints of the subchunk the cursor last drained.
     buf: VecDeque<Op>,
-    /// Next subchunk to expand into `buf`; `> p.t` once exhausted.
-    next_s: u64,
+    /// The units of the current subchunk not yet worked (one-based,
+    /// half-open; the subchunk is `(work.end − 1)/(n/t)`), empty only once
+    /// every subchunk is worked.
+    work: Range<u64>,
 }
 
 impl Schedule {
@@ -288,36 +292,61 @@ impl Schedule {
     pub fn new(p: AbParams, j: u64, last: LastOrdinary) -> Self {
         let gj = p.group_of(j);
         let buf = restart_prologue(p, gj, last);
-        Schedule { p, gj, buf, next_s: last.completed_subchunk() + 1 }
+        Schedule { p, gj, buf, work: Self::units(p, last.completed_subchunk() + 1) }
     }
 
-    /// Expands the next subchunk (Figure 1 lines 10–14) into the buffer.
-    fn refill(&mut self) {
-        let s = self.next_s;
-        if s > self.p.t {
-            return;
+    /// Subchunk `s`'s units as a half-open range, empty past `p.t`.
+    fn units(p: AbParams, s: u64) -> Range<u64> {
+        if s > p.t {
+            return 0..0;
         }
-        self.next_s += 1;
-        for u in self.p.subchunk_units(s) {
-            self.buf.push_back(Op::Work { u });
-        }
+        let units = p.subchunk_units(s);
+        *units.start()..*units.end() + 1
+    }
+
+    /// The cursor drained its subchunk `s`: queue its checkpoints (Figure 1
+    /// lines 12–14), which precede the next subchunk's units.
+    fn close_subchunk(&mut self) {
+        let s = (self.work.end - 1) / self.p.subchunk_size();
         self.buf.push_back(Op::PartialCp { c: s });
         if s.is_multiple_of(self.p.sqrt_t()) {
             push_full_checkpoint(&mut self.buf, self.p, s, self.gj + 1);
         }
+        self.work = Self::units(self.p, s + 1);
     }
 
     /// The next one-round operation, or `None` once the schedule is done.
     pub fn pop_front(&mut self) -> Option<Op> {
-        if self.buf.is_empty() {
-            self.refill();
+        if let Some(op) = self.buf.pop_front() {
+            return Some(op);
         }
-        self.buf.pop_front()
+        let u = self.work.start;
+        (!self.work.is_empty()).then(|| {
+            self.skip(1);
+            Op::Work { u }
+        })
+    }
+
+    /// The leading run of `Work` ops, as `(first unit, length)`: `None`
+    /// while a checkpoint comes first or once the schedule is done. A run
+    /// never ends the schedule — its subchunk's `PartialCp` follows it.
+    pub fn lease(&self) -> Option<(u64, u64)> {
+        (self.buf.is_empty() && !self.work.is_empty())
+            .then(|| (self.work.start, self.work.end - self.work.start))
+    }
+
+    /// Pops `k` ops of the leading work run, `1 <= k <=` its length.
+    pub fn skip(&mut self, k: u64) {
+        debug_assert!(self.buf.is_empty() && k >= 1 && k <= self.work.end - self.work.start);
+        self.work.start += k;
+        if self.work.is_empty() {
+            self.close_subchunk();
+        }
     }
 
     /// Whether every operation has been popped.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty() && self.next_s > self.p.t
+        self.buf.is_empty() && self.work.is_empty()
     }
 }
 
@@ -544,6 +573,26 @@ impl DoWork {
         true
     }
 
+    /// The work lease an active driver offers (see `Protocol::lease`): the
+    /// leading work run of its schedule, as `(first, len)` in the driver's
+    /// own unit numbering, ending at unit `n_real` — the units above it are
+    /// phantoms, silent rounds rather than work. O(1), no scan. An active
+    /// driver ignores its inbox and a work op sends, notes and retires
+    /// nothing, so the run keeps the lease promise as it stands.
+    pub(crate) fn lease(&self, n_real: u64) -> Option<(u64, u64)> {
+        let Phase::Active { ops } = &self.phase else { return None };
+        let (first, len) = ops.lease()?;
+        (first <= n_real).then(|| (first, len.min(n_real - first + 1)))
+    }
+
+    /// Where `k` steps of the lease last offered leave the driver.
+    pub(crate) fn skip(&mut self, k: u64) {
+        let Phase::Active { ops } = &mut self.phase else {
+            unreachable!("skip outside an active schedule");
+        };
+        ops.skip(k);
+    }
+
     /// When the driver next acts unprompted; `passive` is the caller's
     /// activation rule, consulted only while passive.
     pub(crate) fn next_wakeup(
@@ -581,6 +630,8 @@ impl DoWork {
 
 #[cfg(test)]
 mod tests {
+    use doall_sim::{Inbox, Protocol};
+
     use super::*;
 
     fn p() -> AbParams {
@@ -827,14 +878,26 @@ mod tests {
                     lasts.push(LastOrdinary::Full { c, g, sender_in_own_group: false });
                 }
             }
-            let resident_cap = (p.subchunk_size() + 6 * p.sqrt_t() + 2) as usize;
+            // No work op is ever buffered: a prologue or one subchunk's
+            // checkpoints, at most `2√t + 1` ops.
+            let resident_cap = (2 * p.sqrt_t() + 1) as usize;
             for j in 0..t {
                 for &last in &lasts {
                     let expect: Vec<Op> = compile_dowork(p, j, last).into();
                     let mut sched = Schedule::new(p, j, last);
                     assert_eq!(sched.is_empty(), expect.is_empty());
                     let mut got = Vec::new();
-                    while let Some(op) = sched.pop_front() {
+                    loop {
+                        // The lease is the leading run of `Work` ops of
+                        // what is left, with consecutive units.
+                        let rest = &expect[got.len()..];
+                        let run = rest.iter().take_while(|op| matches!(op, Op::Work { .. }));
+                        let lease = match rest.first() {
+                            Some(&Op::Work { u }) => Some((u, run.count() as u64)),
+                            _ => None,
+                        };
+                        assert_eq!(sched.lease(), lease, "n={n} t={t} j={j} at {}", got.len());
+                        let Some(op) = sched.pop_front() else { break };
                         got.push(op);
                         assert!(sched.buf.len() <= resident_cap, "n={n} t={t} j={j}");
                     }
@@ -842,6 +905,51 @@ mod tests {
                     assert_eq!(got, expect, "n={n} t={t} j={j} last={last:?}");
                 }
             }
+        }
+    }
+
+    /// Walks an activated process from round `now` to retirement, nothing
+    /// arriving, and checks every lease it offers against per-round steps:
+    /// for `k` below and equal to `len`, each of the `k` steps performs the
+    /// next offered unit and nothing else and leaves the process due next
+    /// round, and `advance(k)` Debug-equals them. Returns the units the
+    /// walk performed, in order, and the number of leases.
+    pub(crate) fn walk_leases<P>(mut proc: P, mut now: u64) -> (Vec<u64>, u64)
+    where
+        P: Protocol<Msg = AbMsg> + Clone + fmt::Debug,
+    {
+        let (mut units, mut leases) = (Vec::new(), 0);
+        loop {
+            let Some((first, len)) = proc.lease(Round::from(now)) else {
+                let mut eff = Effects::new();
+                proc.step(Round::from(now), Inbox::empty(), &mut eff);
+                units.extend(eff.work().iter().map(|u| u.get() as u64));
+                now += 1;
+                if eff.is_terminated() {
+                    return (units, leases);
+                }
+                continue;
+            };
+            leases += 1;
+            for k in [1, len / 2, len - 1, len].into_iter().filter(|&k| k >= 1) {
+                let mut stepped = proc.clone();
+                for r in now..now + k {
+                    let mut eff = Effects::new();
+                    stepped.step(Round::from(r), Inbox::empty(), &mut eff);
+                    let unit = Unit::new(first.get() + (r - now) as usize);
+                    assert_eq!(eff.work(), [unit], "round {r}");
+                    assert!(eff.sends().is_empty() && eff.notes().is_empty());
+                    assert!(!eff.is_terminated());
+                    let after = Round::from(r + 1);
+                    assert_eq!(stepped.next_wakeup(after), Some(after));
+                }
+                let mut leased = proc.clone();
+                leased.advance(k);
+                assert_eq!(format!("{leased:?}"), format!("{stepped:?}"), "k = {k}");
+            }
+            proc.advance(len);
+            units.extend(first.get() as u64..first.get() as u64 + len);
+            now += len;
         }
     }
 

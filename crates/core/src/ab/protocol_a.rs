@@ -12,7 +12,7 @@
 //! real system.
 
 use doall_bounds::deadlines_ab::{dd, AbParams};
-use doall_sim::{Effects, Inbox, Protocol, Round};
+use doall_sim::{Effects, Inbox, Protocol, Round, Unit};
 
 use super::{padded_params, validate, AbMsg, Clipped, DoWork, Heard, Sink};
 use crate::error::ConfigError;
@@ -159,6 +159,19 @@ impl Protocol for ProtocolA {
         // passed, so the next step re-activates from the fictitious view.
         self.core.on_recover(wipe);
     }
+
+    /// An active process ignores its inbox, so the leading work run of its
+    /// schedule is a lease, ended at `n_real`: phantom units are silent
+    /// rounds, not work.
+    #[inline]
+    fn lease(&self, _now: Round) -> Option<(Unit, u64)> {
+        let (first, len) = self.core.lease(self.n_real)?;
+        Some((Unit::new(first as usize), len))
+    }
+
+    fn advance(&mut self, k: u64) {
+        self.core.skip(k);
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +183,8 @@ mod tests {
     use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger};
 
     use super::*;
+    use crate::ab::tests::walk_leases;
+    use crate::ab::LastOrdinary;
 
     const N: u64 = 32;
     const T: u64 = 16;
@@ -414,6 +429,32 @@ mod tests {
         }
         let report = run(ProtocolA::processes_padded(n, t).unwrap(), adv, padded_cfg(n)).unwrap();
         bounds_hold(&report, p.n, p.t);
+    }
+
+    #[test]
+    fn lease_then_advance_lands_where_steps_do() {
+        // Padded (50, 6) runs on (54, 9): subchunks of 6, and the last one,
+        // units 49..=54, holds two real units and four phantoms. Rank 4,
+        // activated fresh or after a restart prologue, leases each
+        // subchunk's work run, the last one cut at unit 50 — the phantoms
+        // are silent rounds it steps — and `advance(k)` lands where `k`
+        // steps do (see `ab::tests::walk_leases`).
+        let lasts = [
+            (LastOrdinary::Fictitious, 0, 9),
+            (LastOrdinary::Partial { c: 3 }, 3, 6),
+            (LastOrdinary::Full { c: 6, g: 3, sender_in_own_group: true }, 6, 3),
+            (LastOrdinary::Full { c: 6, g: 2, sender_in_own_group: false }, 6, 3),
+        ];
+        for (last, c, leases) in lasts {
+            let mut a = ProtocolA::processes_padded(50, 6).unwrap().remove(4);
+            a.core.last = last;
+            let mut eff = Effects::new();
+            a.core.activate(&mut clip(&mut eff, a.n_real, a.t_real));
+            let (units, got) = walk_leases(a, 2);
+            let all: Vec<u64> = eff.work().iter().map(|u| u.get() as u64).chain(units).collect();
+            assert_eq!(all, (c * 6 + 1..=50).collect::<Vec<_>>(), "{last:?}");
+            assert_eq!(got, leases, "{last:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! requires.
 
 use doall_bounds::deadlines_ab::{ddb, pto, AbParams};
-use doall_sim::{Effects, Inbox, Pid, Protocol, Round};
+use doall_sim::{Effects, Inbox, Pid, Protocol, Round, Unit};
 
 use super::{validate, AbMsg, DoWork, Heard};
 use crate::error::ConfigError;
@@ -220,6 +220,18 @@ impl Protocol for ProtocolB {
         // the process into its preactive polling phase, whose go-aheads
         // either wake a live lower process or license a safe takeover.
     }
+
+    /// An active process ignores its inbox (stray `go ahead`s included),
+    /// so the leading work run of its schedule is a lease.
+    #[inline]
+    fn lease(&self, _now: Round) -> Option<(Unit, u64)> {
+        let (first, len) = self.core.lease(self.core.params.n)?;
+        Some((Unit::new(first as usize), len))
+    }
+
+    fn advance(&mut self, k: u64) {
+        self.core.skip(k);
+    }
 }
 
 #[cfg(test)]
@@ -231,6 +243,8 @@ mod tests {
     use doall_sim::{run, CrashSpec, Deliver, FaultPlan, NoFailures, Pid, RunConfig, Trigger};
 
     use super::*;
+    use crate::ab::tests::walk_leases;
+    use crate::ab::LastOrdinary;
 
     const N: u64 = 32;
     const T: u64 = 16;
@@ -265,6 +279,32 @@ mod tests {
         assert!(check_single_active(&report.trace).is_empty(), "two active processes");
         assert!(check_activation_order(&report.trace).is_empty(), "activation out of order");
         assert!(check_sequential_work(&report.trace).is_empty());
+    }
+
+    #[test]
+    fn lease_then_advance_lands_where_steps_do() {
+        // (144, 9): subchunks of 16. Rank 4 (group 2), activated fresh or
+        // after a restart prologue, leases every remaining subchunk's work
+        // run — the first one less the unit its activation step performed
+        // — and `advance(k)` lands where `k` steps do, `waiting` and the
+        // last sender untouched (see `ab::tests::walk_leases`).
+        let lasts = [
+            (LastOrdinary::Fictitious, 0, 9),
+            (LastOrdinary::Partial { c: 3 }, 3, 6),
+            (LastOrdinary::Partial { c: 4 }, 4, 5),
+            (LastOrdinary::Full { c: 6, g: 3, sender_in_own_group: true }, 6, 3),
+            (LastOrdinary::Full { c: 6, g: 2, sender_in_own_group: false }, 6, 3),
+        ];
+        for (last, c, leases) in lasts {
+            let mut b = ProtocolB::processes(144, 9).unwrap().remove(4);
+            b.core.last = last;
+            let mut eff = Effects::new();
+            b.core.activate(&mut eff);
+            let (units, got) = walk_leases(b, 2);
+            let all: Vec<u64> = eff.work().iter().map(|u| u.get() as u64).chain(units).collect();
+            assert_eq!(all, (c * 16 + 1..=144).collect::<Vec<_>>(), "{last:?}");
+            assert_eq!(got, leases, "{last:?}");
+        }
     }
 
     #[test]

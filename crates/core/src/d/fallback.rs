@@ -20,7 +20,7 @@
 //! where that one uses identities.
 
 use doall_bounds::deadlines_ab::{dd, AbParams};
-use doall_sim::{Effects, Pid, Round};
+use doall_sim::{Effects, Pid, Round, Unit};
 
 use crate::ab::{padded_params, AbMsg, Clipped, DoWork, Heard};
 
@@ -107,6 +107,22 @@ impl FallbackMachine {
         }
     }
 
+    /// The driver's work lease relabelled onto the real units: offered
+    /// only when the run maps onto consecutive real units (a lease
+    /// performs `first, first + 1, …`), otherwise `None`. `units` is sorted
+    /// and duplicate-free, so comparing the run's two ends decides it.
+    pub fn lease(&self) -> Option<(Unit, u64)> {
+        let (first, len) = self.core.lease(self.units.len() as u64)?;
+        let lo = self.units[first as usize - 1];
+        let hi = self.units[(first + len) as usize - 2];
+        (hi - lo == len - 1).then(|| (Unit::new(lo as usize), len))
+    }
+
+    /// Where `k` steps of the lease last offered leave the machine.
+    pub fn skip(&mut self, k: u64) {
+        self.core.skip(k);
+    }
+
     /// Earliest round at which this machine wants to act spontaneously.
     pub fn next_wakeup(&self, now: Round) -> Option<Round> {
         self.core
@@ -145,6 +161,31 @@ mod tests {
         // First op is real unit 10 (relabeled unit 1).
         assert_eq!(eff.work(), [Unit::new(10)]);
         assert_eq!(eff.notes(), ["activate"]);
+    }
+
+    #[test]
+    fn leases_only_runs_the_unit_map_keeps_contiguous() {
+        // One survivor, S = {10, 11, 12, 40, 41}: relabelled units 1..=5
+        // form one work run, but real units 12 and 40 are not adjacent.
+        // Each step performs the next unit, and a lease is offered only
+        // once the rest of the run maps onto consecutive real units.
+        let mut m = FallbackMachine::new(3, vec![3], vec![10, 11, 12, 40, 41], 1u64);
+        assert_eq!(m.lease(), None, "passive");
+        let mut offered = Vec::new();
+        for r in 1u64..4 {
+            let mut eff = Effects::new();
+            m.step(Round::from(r), &[], &mut eff);
+            offered.push((eff.work()[0].get(), m.lease()));
+        }
+        let run = Some((Unit::new(40), 2));
+        assert_eq!(offered, [(10, None), (11, None), (12, run)]);
+        let mut stepped = m.clone();
+        for r in 4u64..6 {
+            stepped.step(Round::from(r), &[], &mut Effects::new());
+        }
+        m.skip(2);
+        assert_eq!(format!("{m:?}"), format!("{stepped:?}"));
+        assert_eq!(m.lease(), None, "a checkpoint comes next");
     }
 
     #[test]

@@ -532,24 +532,32 @@ impl Protocol for ProtocolD {
 
     /// A work phase never reads its inbox, so what is left of the share
     /// run being worked (the next run once it is used up), up to the
-    /// phase's last round, is a lease.
+    /// phase's last round, is a lease. So is the fallback's, which its
+    /// machine relabels (see [`FallbackMachine::lease`]).
     fn lease(&self, _now: Round) -> Option<(Unit, u64)> {
-        let DState::Work { share, next, end, run, rounds_left } = &self.state else {
-            return None;
-        };
         if self.retire_next_step {
             return None;
         }
-        let (lo, hi) = if next < end { (*next, *end) } else { *share.runs().get(*run)? };
-        Some((Unit::new(lo as usize), (hi - lo).min(*rounds_left)))
+        match &self.state {
+            DState::Work { share, next, end, run, rounds_left } => {
+                let (lo, hi) = if next < end { (*next, *end) } else { *share.runs().get(*run)? };
+                Some((Unit::new(lo as usize), (hi - lo).min(*rounds_left)))
+            }
+            DState::Fallback(machine) => machine.lease(),
+            _ => None,
+        }
     }
 
     /// `k` rounds of the work phase: the cursor moves past the units they
     /// perform (none on an idle round), and the phase's last round applies
-    /// line 8 and enters agreement.
+    /// line 8 and enters agreement. In the fallback, `k` work ops of the
+    /// machine's schedule.
     fn advance(&mut self, k: u64) {
+        if let DState::Fallback(machine) = &mut self.state {
+            return machine.skip(k);
+        }
         let DState::Work { share, next, end, run, rounds_left } = &mut self.state else {
-            unreachable!("advance outside a work phase");
+            unreachable!("advance outside a work phase or the fallback");
         };
         if *next == *end {
             if let Some(&(lo, hi)) = share.runs().get(*run) {

@@ -127,10 +127,11 @@ pub struct Report {
     pub statuses: Vec<Status>,
     /// Peak memory held by the engine and workload (see [`MemBudget`]).
     pub mem: MemBudget,
-    /// Number of rounds the engine actually *executed* (one per internal
-    /// `advance` call). On fast-forward-heavy runs this is
-    /// astronomically smaller than [`Metrics::rounds`] — the simulated
-    /// clock — and is the correct denominator for wall-clock rates.
+    /// Number of rounds the engine *executed*: the rounds it visited, plus
+    /// the leased rounds it crossed in one jump, each counted as the visit
+    /// it stands for (see the lease contract on [`Protocol`]). On
+    /// fast-forward-heavy runs this is astronomically smaller than
+    /// [`Metrics::rounds`] — the simulated clock.
     /// Excluded from equality alongside `mem`: it measures host effort,
     /// not simulated outcome.
     pub executed_rounds: u64,
@@ -834,8 +835,9 @@ pub struct EngineSnapshot<P: Protocol, A> {
     finished: bool,
     // Peak-memory probe, observed once per executed round.
     mem: MemBudget,
-    // Rounds actually executed (one per `advance` call); the fast-forward
-    // jumps the 128-bit clock but not this counter. Part of the state, so
+    // Rounds executed: one per `advance` call, plus each leased round a
+    // jump crosses (the visit it stands for); the idle fast-forward jumps
+    // the 128-bit clock but not this counter. Part of the state, so
     // a resumed run reports the same total as an uninterrupted one.
     #[serde(default)]
     executed_rounds: u64,
@@ -902,9 +904,10 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // O(due) instead of scanning the live set. `next_due` holds, in pid
     // order, the processes the step loop refreshed to a wakeup of exactly
     // the next round; `far` is a lower bound on the cached wakeup of every
-    // other live process (`None`: none has one). The bound only ever
-    // drops between exact scans, each of which recomputes it; a revival
-    // or `resume` sets it to a round already reached, forcing a scan.
+    // other live process but the `held` lease's holder (`None`: none has
+    // one). The bound only ever drops between exact scans, each of which
+    // recomputes it; a revival or `resume` sets it to a round already
+    // reached, forcing a scan.
     next_due: Vec<u32>,
     far: Option<Round>,
     // The open work runs, one per writer: process `p`'s performances since
@@ -920,9 +923,19 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // The latest end of a work lease granted so far. Every lease starts
     // the round after its grant and none is cut, so the rounds still leased
     // are exactly `round .. lease_until`: the watchdog counts them as
-    // progress and the fast-forward visits them without a scan. Leases are
-    // clipped at every pause point, so a resumed engine starts at zero.
+    // progress, and the fast-forward jumps across those in which nobody
+    // steps without a scan. Leases are clipped at every pause point, so a
+    // resumed engine starts at zero.
     lease_until: Round,
+    // One running lease the round index serves itself, as (end, holder):
+    // the first granted while none is held here. At its end the holder
+    // joins the due list from this field, not from the exact scan, and
+    // `far` leaves it out. Figure 1 keeps one process active, so each of
+    // its short leases lands here and a lease end costs O(1), not O(live);
+    // leases granted beside it (a D work phase's) lower `far` instead. Only
+    // a lease ending at a pause point can be held there, and the first
+    // resumed round's exact scan finds its holder from its slot.
+    held: Option<(Round, u32)>,
 }
 
 impl<P, A> Engine<P, A>
@@ -1036,6 +1049,7 @@ where
             next_due: Vec::new(),
             far: Some(Round::ZERO),
             lease_until: Round::ZERO,
+            held: None,
         }
     }
 
@@ -1214,34 +1228,39 @@ where
         //    promises the same step whatever arrives.
         if !adv_due && self.far.is_none_or(|f| f > round) {
             std::mem::swap(&mut self.due, &mut self.next_due);
+            let indexed = self.due.len();
             if have_inbox {
-                let indexed = self.due.len();
                 for &i in &self.delivery.touched {
                     let p = i as usize;
                     if !self.st.table.wakeup_due(p, round) && !self.st.table.leased(p, round) {
                         self.due.push(i);
                     }
                 }
-                if self.due.len() > indexed {
-                    self.due.sort();
-                }
+            }
+            if let Some((_, i)) = self.held.take_if(|&mut (end, _)| end <= round) {
+                self.due.push(i);
+            }
+            if self.due.len() > indexed {
+                self.due.sort();
             }
         } else {
             self.due.clear();
             let mut far: Option<Round> = None;
             let delivery = &self.delivery;
             let due = &mut self.due;
+            let held = self.held.map(|(_, i)| i as usize);
             for (i, wake, leased) in self.st.table.live_wakeups(round) {
                 if adv_due
                     || (have_inbox && delivery.has_inbox(i) && !leased)
                     || wake.is_some_and(|w| w <= round)
                 {
                     due.push(i as u32);
-                } else if let Some(w) = wake {
+                } else if let Some(w) = wake.filter(|_| !leased || held != Some(i)) {
                     far = Some(far.map_or(w, |f| f.min(w)));
                 }
             }
             self.far = far;
+            self.held.take_if(|&mut (end, _)| end <= round);
         }
         self.next_due.clear();
 
@@ -1282,8 +1301,11 @@ where
                 match wake {
                     Some(w) if w == next => {
                         self.next_due.push(idx as u32);
+                        // Only an offer the adversary would permit costs
+                        // the round a grant pass.
                         offered |= !self.st.trace.is_recording()
-                            && self.st.procs[idx].lease(next).is_some();
+                            && self.st.procs[idx].lease(next).is_some()
+                            && self.st.adversary.permits_lease(Pid::new(idx));
                     }
                     Some(w) => self.far = Some(self.far.map_or(w, |f| f.min(w))),
                     None => {}
@@ -1329,34 +1351,59 @@ where
         }
 
         // Sparse fast-forward through provably idle rounds. Messages in
-        // flight, a process in `next_due`, or a lease reaching `next` make
-        // `next` the target (every cached wakeup, adversary event and
-        // revival is clamped to at least `next`, so nothing can come
-        // sooner; a leased round is one with work). Only a fully quiescent
-        // round scans the live set for the earliest cached wakeup — one
-        // O(live) scan per jump, however astronomically far the target lies
-        // (Protocol C's silent waiting phases cost exactly one jump each on
-        // the 128-bit clock) — and the exact minimum it finds resets `far`.
-        // A saturated wakeup (`Round::MAX`) is a legal target: a deadline
-        // past the representable horizon fires *at* the horizon, exactly
-        // as the old 64-bit clock fired saturated deadlines at `u64::MAX`.
-        let advanced =
-            if self.st.pending.is_empty() && self.next_due.is_empty() && self.lease_until < next {
-                let wake = self.st.table.live_wakeups(next).filter_map(|(_, w, _)| w).min();
-                self.far = wake;
-                let wake = wake.map(|w| w.max(next));
-                let adv = self.st.adversary.next_event(next).map(|r| r.max(next));
-                let rev = self.st.next_revive.map(|r| r.max(next));
-                match [wake, adv, rev].into_iter().flatten().min() {
-                    Some(target) => target,
-                    None => {
-                        let metrics = self.error_metrics();
-                        return Err(RunError::Deadlock { metrics, diagnosis: self.diagnosis() });
-                    }
+        // flight or a process in `next_due` make `next` the target (every
+        // cached wakeup, adversary event and revival is clamped to at least
+        // `next`, so nothing can come sooner).
+        //
+        // Otherwise, while a lease reaches past `next`, nobody steps before
+        // the earliest of `far`, the held lease's end and a revival, and the
+        // only thing those rounds hold is leased work, already credited: the
+        // clock jumps there in O(1) and counts the rounds crossed as
+        // executed, each with progress, as visiting them one by one would.
+        // Leases end by the adversary's next event (which never moves
+        // earlier), by `max_rounds + 1` and by the pause point, so the jump
+        // does too.
+        //
+        // Only a fully quiescent round scans the live set for the earliest
+        // cached wakeup — one O(live) scan per jump, however astronomically
+        // far the target lies (Protocol C's silent waiting phases cost
+        // exactly one jump each on the 128-bit clock) — and the exact
+        // minimum it finds resets `far`. A saturated wakeup (`Round::MAX`)
+        // is a legal target: a deadline past the representable horizon
+        // fires *at* the horizon, exactly as the old 64-bit clock fired
+        // saturated deadlines at `u64::MAX`.
+        let quiet = self.st.pending.is_empty() && self.next_due.is_empty();
+        let advanced = if quiet && self.lease_until > next {
+            let held = self.held.map(|(end, _)| end);
+            let target = [self.far, held, self.st.next_revive]
+                .into_iter()
+                .flatten()
+                .fold(self.lease_until, Round::min)
+                .max(next);
+            if target > next {
+                let last = Round::new(target.get() - 1);
+                self.st.executed_rounds += (target - next) as u64;
+                self.st.metrics.rounds = last;
+                self.st.last_progress = last;
+                self.st.stall_streak = 0;
+            }
+            target
+        } else if quiet && self.lease_until < next {
+            let wake = self.st.table.live_wakeups(next).filter_map(|(_, w, _)| w).min();
+            self.far = wake;
+            let wake = wake.map(|w| w.max(next));
+            let adv = self.st.adversary.next_event(next).map(|r| r.max(next));
+            let rev = self.st.next_revive.map(|r| r.max(next));
+            match [wake, adv, rev].into_iter().flatten().min() {
+                Some(target) => target,
+                None => {
+                    let metrics = self.error_metrics();
+                    return Err(RunError::Deadlock { metrics, diagnosis: self.diagnosis() });
                 }
-            } else {
-                next
-            };
+            }
+        } else {
+            next
+        };
         if advanced == round {
             // Live processes remain but the clock cannot advance past the
             // horizon: report the cap rather than spinning at Round::MAX.
@@ -1395,7 +1442,11 @@ where
                     debug_assert_eq!(self.st.procs[idx].next_wakeup(end), Some(end), "{pid}");
                     self.st.table.lease(idx, end);
                     self.lease_until = self.lease_until.max(end);
-                    self.far = Some(self.far.map_or(end, |f| f.min(end)));
+                    if self.held.is_none() {
+                        self.held = Some((end, idx as u32));
+                    } else {
+                        self.far = Some(self.far.map_or(end, |f| f.min(end)));
+                    }
                 }
                 None => {
                     self.next_due[kept] = idx as u32;

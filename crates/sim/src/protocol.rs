@@ -41,10 +41,12 @@ use crate::message::{Classify, Inbox};
 /// [permits](crate::Adversary::permits_lease) it and no trace is
 /// recording, the engine credits the whole run to the ledger at once,
 /// calls [`advance(len)`](Protocol::advance) and parks the process until
-/// `now + len`, still visiting every leased round, so every count is the
-/// one per-round stepping produces. Leases are never cut short: the engine
-/// clips `len` at the adversary's next event and at any pause point before
-/// granting it. The defaults (no lease) are per-round stepping.
+/// `now + len`. Leased rounds in which nobody steps and nothing is in
+/// flight are crossed in one clock jump, counted as executed rounds with
+/// progress, so every count is the one per-round stepping produces. Leases
+/// are never cut short: the engine clips `len` at the adversary's next
+/// event, at any pause point and at the round cap before granting it. The
+/// defaults (no lease) are per-round stepping.
 pub trait Protocol {
     /// The message payload exchanged by this protocol.
     type Msg: Clone + fmt::Debug + Classify;

@@ -6,19 +6,31 @@
 //! `4t − 1` steps untraced — round 1, then three agreement rounds, the last
 //! without the coordinator — against one step per process per round when
 //! a trace is recording (no leases) or when the wrapper keeps the trait
-//! defaults. Every pair of runs must agree on the report and on the rounds
-//! executed. A lone worker near the end of the 128-bit clock checks that
-//! the lease end is clipped at the round cap, not past it.
+//! defaults. Figure 1's `DoWork` leases too: a lone B survivor and the last
+//! process of an A takeover cascade each step once per checkpoint op, not
+//! once per unit. Every pair of runs must agree on the report and on the
+//! rounds executed. A leased span is crossed in one clock jump, so the
+//! edges of a jump — a pause, the round cap, a one-round watchdog and an
+//! adversary event inside a span — are twinned against the traced run and
+//! the dense reference in `tests/support/`. A lone worker near the end of
+//! the 128-bit clock checks that the lease end is clipped at the round cap,
+//! not past it.
+
+mod support;
 
 use std::cell::Cell;
 use std::rc::Rc;
 
+use doall::core::ab::AbMsg;
 use doall::core::d::DMsg;
+use doall::sim::chaos::Plane;
 use doall::sim::{
-    run, Adversary, Classify, CrashSpec, Effects, Engine, FaultPlan, Inbox, NoFailures, Pid,
-    Protocol, Report, Round, RunConfig, RunError, Trigger, Unit, Waiting,
+    run, Adversary, AdversaryCtx, Classify, CrashSpec, Effects, Engine, Fate, FaultPlan, Inbox,
+    NoFailures, Pid, Protocol, Report, Round, RunConfig, RunError, Trigger, Unit, Waiting,
 };
-use doall::ProtocolD;
+use doall::workload::Scenario;
+use doall::{ProtocolA, ProtocolB, ProtocolD};
+use support::sync_reference::run_reference;
 
 /// Counts the steps of the processes it wraps in one shared cell; with
 /// `leases` it forwards the lease pair, without it keeps the defaults.
@@ -239,4 +251,247 @@ fn a_stall_verdict_carries_no_work_of_later_rounds() {
     assert_eq!(diagnosis.stalled, [(Pid::new(0), Waiting::Wakeup(Some(Round::new(14))))]);
     let traced = stall(true);
     assert_eq!((traced.0, &traced.1, &traced.2), (round, &metrics, &diagnosis));
+}
+
+/// Runs `procs` under `scenario`, each process counted in one shared cell,
+/// leasing unless the trace records; returns the report and the steps.
+fn counted<P: Protocol>(procs: Vec<P>, scenario: Scenario, n: u64, trace: bool) -> (Report, u64)
+where
+    P::Msg: 'static,
+{
+    let steps = Rc::new(Cell::new(0));
+    let procs =
+        procs.into_iter().map(|inner| Counted { inner, leases: true, steps: Rc::clone(&steps) });
+    let mut cfg = RunConfig::new(n as usize, Round::MAX);
+    cfg.record_trace = trace;
+    let report = run(procs.collect(), scenario.adversary(), cfg).expect("completes");
+    (report, steps.get())
+}
+
+/// The untraced run's steps, after checking its report against the traced
+/// twin's (tracing grants no leases, so that one steps every round).
+fn leased_steps<P: Protocol + Clone>(procs: Vec<P>, scenario: Scenario, n: u64) -> (u64, u64)
+where
+    P::Msg: 'static,
+{
+    let (leased, steps) = counted(procs.clone(), scenario.clone(), n, false);
+    let (traced, dense) = counted(procs, scenario, n, true);
+    assert_eq!(leased.metrics, traced.metrics);
+    assert_eq!(leased.statuses, traced.statuses);
+    assert_eq!(leased.executed_rounds, traced.executed_rounds);
+    assert!(leased.metrics.all_work_done());
+    (steps, dense)
+}
+
+#[test]
+fn figure_1_survivors_step_once_per_checkpoint_op() {
+    // Lone-survivor B(2^12, 2^8): all t processes step in round 1, where
+    // t − 1 of them die. The survivor, pid t − 1, is last in the last
+    // group: at its deadline it polls the √t − 1 dead members below it, one
+    // step each, then activates (unit 1). Its partial checkpoints go to no
+    // one and it owes no full checkpoint, so its schedule is t subchunks of
+    // n/t units, each followed by one `PartialCp`: t more steps, every work
+    // run after unit 1 a lease. 2t + √t in all; per round, n − 1 more.
+    let (n, t) = (1u64 << 12, 1u64 << 8);
+    let (steps, dense) =
+        leased_steps(ProtocolB::processes(n, t).unwrap(), Scenario::DeadOnArrival { k: t - 1 }, n);
+    let lone = 2 * t + t.isqrt();
+    assert_eq!((steps, dense), (lone, lone + n - 1), "lone-survivor B({n}, {t})");
+
+    // A takeover cascade on A(2^12, 2^10): p0 … p(t−2) each activate at
+    // their deadline, perform one unit and die unreported; nobody sends,
+    // so every victim steps exactly once. The survivor then steps `1 + t`
+    // times, as above: 2t in all, against `t − 1 + n + t` per round.
+    let (n, t) = (1u64 << 12, 1u64 << 10);
+    let (steps, dense) = leased_steps(
+        ProtocolA::processes(n, t).unwrap(),
+        Scenario::TakeoverCascade { victims: t - 1 },
+        n,
+    );
+    assert_eq!((steps, dense), (2 * t, t - 1 + n + t), "takeover-cascade A({n}, {t})");
+}
+
+/// B(1024, 16): subchunks of 64 units. Under `MassExtinction` p0 is the
+/// lone survivor, active from round 1: unit 1 in its activation step, a
+/// lease for units 2..=64 (rounds 2..=64), its first partial checkpoint
+/// in round 65, then units 65..=128 leased over rounds 66..=129.
+const BN: u64 = 1024;
+const BT: u64 = 16;
+
+fn lone_b(round: u64) -> FaultPlan {
+    Scenario::MassExtinction { from: 1, k: BT - 1, round }.fault_plan(Plane::Sync)
+}
+
+/// The untraced and traced engine and the dense reference on the system
+/// `procs` builds, which must give one outcome: the same metrics, statuses
+/// and executed rounds, or the same whole [`RunError`].
+fn twins<P, A>(procs: impl Fn() -> Vec<P>, adversary: A, cfg: RunConfig) -> Result<Report, RunError>
+where
+    P: Protocol,
+    A: Adversary<P::Msg> + Clone,
+{
+    let bare = run(procs(), adversary.clone(), cfg.clone());
+    let traced = run(procs(), adversary.clone(), cfg.clone().with_trace());
+    match run_reference(procs(), adversary, cfg) {
+        Ok((reference, _)) => {
+            for (label, report) in [("untraced", &bare), ("traced", &traced)] {
+                let report = report.as_ref().expect(label);
+                assert_eq!(report.metrics, reference.metrics, "{label}");
+                assert_eq!(report.statuses, reference.statuses, "{label}");
+                assert_eq!(report.executed_rounds, reference.executed_rounds, "{label}");
+            }
+            bare
+        }
+        Err(e) => {
+            assert_eq!(bare.as_ref().err(), Some(&e), "untraced");
+            assert_eq!(traced.as_ref().err(), Some(&e), "traced");
+            Err(e)
+        }
+    }
+}
+
+/// [`twins`] on `B(BN, BT)`.
+fn three_ways(plan: FaultPlan, cfg: RunConfig) -> Result<Report, RunError> {
+    twins(|| ProtocolB::processes(BN, BT).unwrap(), plan, cfg)
+}
+
+#[test]
+fn a_pause_inside_a_jumped_span_resumes_bit_identically() {
+    let cfg = RunConfig::new(BN as usize, 1_000_000);
+    let whole = three_ways(lone_b(1), cfg.clone()).expect("completes");
+    for stop in [2u64, 40, 64, 65, 66, 100, 129, 130, 700] {
+        let stop = Round::from(stop);
+        let b = || ProtocolB::processes(BN, BT).unwrap();
+        let mut engine = Engine::new(b(), lone_b(1), cfg.clone()).unwrap();
+        assert!(!engine.run_until(Some(stop)).unwrap());
+        assert_eq!(engine.round(), stop);
+        // The pause reads what a per-round pause does: the traced engine's.
+        let mut traced = Engine::new(b(), lone_b(1), cfg.clone().with_trace()).unwrap();
+        assert!(!traced.run_until(Some(stop)).unwrap());
+        let snap = engine.snapshot();
+        let (at_pause, _) = Engine::resume(snap.clone()).into_report();
+        let (traced_pause, _) = traced.into_report();
+        assert_eq!(at_pause.metrics, traced_pause.metrics, "pause at {stop}");
+        assert_eq!(at_pause.executed_rounds, traced_pause.executed_rounds, "pause at {stop}");
+
+        let mut resumed = Engine::resume(snap);
+        assert!(resumed.run_until(None).unwrap());
+        let (report, _) = resumed.into_report();
+        assert_eq!(report, whole, "resumed from {stop}");
+        assert_eq!(report.executed_rounds, whole.executed_rounds, "resumed from {stop}");
+    }
+}
+
+#[test]
+fn a_round_cap_inside_a_leased_span_is_the_same_whole_round_limit() {
+    for cap in [1u64, 63, 64, 100, 129] {
+        let cfg = RunConfig::new(BN as usize, cap);
+        match three_ways(lone_b(1), cfg) {
+            Err(RunError::RoundLimit { limit, metrics, diagnosis }) => {
+                assert_eq!(limit, Round::from(cap));
+                assert_eq!(metrics.rounds, Round::from(cap));
+                assert_eq!(diagnosis.round, Round::from(cap + 1));
+            }
+            other => {
+                panic!("cap {cap}: expected a round limit, got {:?}", other.map(|r| r.metrics))
+            }
+        }
+    }
+}
+
+#[test]
+fn a_one_round_watchdog_sees_a_jumped_span_as_progress() {
+    // Failure-free B: every round either works or delivers to a live
+    // process, leased rounds included, so a window of one never fires.
+    let cfg = RunConfig::new(BN as usize, 1_000_000).with_stall_window(1);
+    let report = three_ways(FaultPlan::default(), cfg).expect("no stall");
+    assert_eq!(report.metrics.work_total, BN);
+
+    // A lone A survivor last in its group: its partial checkpoints send
+    // nothing, so each is a round without progress, and the jump over the
+    // leased span that follows must clear that streak, as the leased
+    // rounds' work would, or the next checkpoint is a second such round.
+    let (n, t) = (1024u64, 16u64);
+    let plan = Scenario::DeadOnArrival { k: t - 1 }.fault_plan(Plane::Sync);
+    let cfg = RunConfig::new(n as usize, 1_000_000).with_stall_window(1);
+    let report = twins(|| ProtocolA::processes(n, t).unwrap(), plan, cfg).expect("no stall");
+    assert_eq!(report.metrics.work_total, n);
+}
+
+/// Crashes `pid` in round `at`, an announced event, with a wiped recovery
+/// `downtime` rounds later, and lets every other process lease.
+#[derive(Clone)]
+struct Bounce {
+    pid: Pid,
+    at: Round,
+    downtime: u64,
+}
+
+impl Adversary<AbMsg> for Bounce {
+    fn intercept(
+        &mut self,
+        round: Round,
+        pid: Pid,
+        _: &Effects<AbMsg>,
+        _: AdversaryCtx<'_>,
+    ) -> Fate {
+        if (round, pid) != (self.at, self.pid) {
+            return Fate::Survive;
+        }
+        Fate::CrashRecover { spec: CrashSpec::silent(), downtime: self.downtime, wipe: true }
+    }
+
+    fn next_event(&self, now: Round) -> Option<Round> {
+        (now <= self.at).then_some(self.at)
+    }
+
+    fn permits_lease(&self, pid: Pid) -> bool {
+        pid != self.pid
+    }
+}
+
+#[test]
+fn a_revival_inside_a_jumped_span_lands_on_its_round() {
+    // Failure-free B, p1 crashed in round 66 with a downtime of 20: p0's
+    // lease, granted after round 66 (the event), covers rounds 67..=129,
+    // and p1 revives wiped in round 86, where its long-passed deadline
+    // makes it take over at once and redo work. The jump from round 66
+    // must stop there, not at the lease end.
+    let adversary = Bounce { pid: Pid::new(1), at: Round::new(66), downtime: 20 };
+    let cfg = RunConfig::new(BN as usize, 1_000_000);
+    let report = twins(|| ProtocolB::processes(BN, BT).unwrap(), adversary, cfg).unwrap();
+    assert_eq!(report.metrics.recoveries, 1);
+    assert!(report.metrics.all_work_done() && report.metrics.work_total > BN);
+}
+
+#[test]
+fn an_extinction_inside_a_subchunk_clips_the_survivors_lease() {
+    // p0's own steps, counted alone: its activation round, one round per
+    // checkpoint op (t partial, 2√t(√t − 1) full), and — when the others
+    // die in round 100, inside the lease over rounds 66..=129 — round 100,
+    // where the adversary rules on every live process. Dying in round 65,
+    // a checkpoint round p0 steps anyway, clips nothing.
+    let p0_steps = |round: u64| {
+        let mine = Rc::new(Cell::new(0));
+        let others = Rc::new(Cell::new(0));
+        let procs: Vec<_> = ProtocolB::processes(BN, BT)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(j, inner)| {
+                let steps = Rc::clone(if j == 0 { &mine } else { &others });
+                Counted { inner, leases: true, steps }
+            })
+            .collect();
+        let cfg = RunConfig::new(BN as usize, 1_000_000);
+        let report = run(procs, lone_b(round), cfg.clone()).unwrap();
+        let twin = three_ways(lone_b(round), cfg).unwrap();
+        assert_eq!(report.metrics, twin.metrics);
+        assert_eq!(report.executed_rounds, twin.executed_rounds);
+        mine.get()
+    };
+    let s = BT.isqrt();
+    let checkpoints = BT + 2 * s * (s - 1);
+    assert_eq!(p0_steps(65), 1 + checkpoints);
+    assert_eq!(p0_steps(100), 1 + checkpoints + 1);
 }
