@@ -41,9 +41,11 @@
 //! The detector's reports outnumber deliveries, and a crash storm issues
 //! them in bursts, so they are not queued one event per observer. A
 //! retirement draws each alive observer's delay (one draw per observer,
-//! ascending pid), stable-sorts the `(delay, pid)` pairs into one pid array
-//! in a slot of the notice-run table, and queues one `NoticeRun` event per
-//! distinct delay: one per fan-out under [`DelayDist::Fixed`], at most two
+//! ascending pid), groups the pids by delay into one pid array in a slot of
+//! the notice-run table — a counting sort with one bucket per calendar
+//! slot, plus one overflow bucket, sorted on its own, for draws wider than
+//! the ring — and queues one `NoticeRun` event per distinct delay, in
+//! ascending delay: one per fan-out under [`DelayDist::Fixed`], at most two
 //! under [`DelayDist::Bimodal`]. A revival's replay of past retirements is
 //! the same fan-out with the observer fixed. Dispatch walks a run in place,
 //! one [`AsyncProtocol::on_retirement`] invocation per observer still
@@ -87,7 +89,7 @@ use serde::{Deserialize, Serialize};
 
 pub use adversary::AsyncAdversary;
 
-use crate::adversary::AdversaryCtx;
+use crate::adversary::{AdversaryCtx, Fate};
 use crate::effects::Effects;
 use crate::engine::{
     survivor_queries, MemBudget, ProcTable, RunError, StallDiagnosis, Status, Waiting,
@@ -97,7 +99,7 @@ use crate::message::{Classify, FlightOp, Inbox};
 use crate::metrics::Metrics;
 use crate::trace::{Event, Trace};
 
-use queue::{Ev, EventQueue};
+use queue::{ring_width, Ev, EventQueue};
 
 /// Logical timestamp of the asynchronous scheduler — the same wide
 /// virtual-time clock as the synchronous plane's [`Round`], so traces,
@@ -135,8 +137,10 @@ impl DelayDist {
         }
     }
 
-    /// A short, stable label for tables and logs.
+    /// A short, stable label for tables and logs, naming the bound the
+    /// engine uses: a `max_delay` of `0` reads as `1`.
     pub fn label(self, max_delay: u64) -> String {
+        let max_delay = max_delay.max(1);
         match self {
             DelayDist::Uniform => format!("uniform(1..={max_delay})"),
             DelayDist::Fixed => format!("fixed({max_delay})"),
@@ -404,10 +408,10 @@ struct NoticeRuns {
 }
 
 impl NoticeRuns {
-    /// Stores a fan-out whose delay-sorted draws are `draws` and returns
-    /// its slot.
-    fn insert(&mut self, fixed: Pid, replay: bool, draws: &[(u64, Pid)]) -> u32 {
-        let fan = NoticeFan { pids: draws.iter().map(|&(_, pid)| pid).collect(), fixed, replay };
+    /// Stores a fan-out whose pids, grouped by delay, are `pids` and
+    /// returns its slot.
+    fn insert(&mut self, fixed: Pid, replay: bool, pids: Box<[Pid]>) -> u32 {
+        let fan = NoticeFan { pids, fixed, replay };
         self.pids += fan.pids.len();
         match self.free.pop() {
             Some(slot) => {
@@ -436,6 +440,125 @@ impl NoticeRuns {
         self.fans.capacity() * std::mem::size_of::<NoticeFan>()
             + self.pids * std::mem::size_of::<Pid>()
             + self.free.capacity() * 4
+    }
+}
+
+/// One notice fan-out in the making: its `(delay, pid)` draws in draw
+/// (ascending pid) order, counted into buckets as they are drawn, and then
+/// laid into the notice-run table by [`queue_runs`](FanOut::queue_runs).
+/// Scratch: between fan-outs it holds no draw and every bucket is zero.
+struct FanOut {
+    draws: Vec<(u64, Pid)>,
+    /// Draws per bucket: one bucket per delay below the ring's width, then
+    /// one overflow bucket for every draw at or past it.
+    sizes: Vec<u32>,
+    /// The overflow bucket's draws, stable-sorted by delay; empty whenever
+    /// `max_delay` fits the ring.
+    far: Vec<(u64, Pid)>,
+    /// The smallest and the largest delay drawn.
+    lo: u64,
+    hi: u64,
+}
+
+impl FanOut {
+    fn new(max_delay: u64) -> Self {
+        let sizes = vec![0; ring_width(max_delay) + 1];
+        FanOut { draws: Vec::new(), sizes, far: Vec::new(), lo: u64::MAX, hi: 0 }
+    }
+
+    /// The bucket of `delay`: its calendar slot below the ring's width,
+    /// the overflow bucket (the last) at or past it.
+    fn bucket(&self, delay: u64) -> usize {
+        delay.min(self.sizes.len() as u64 - 1) as usize
+    }
+
+    /// Records the drawn delay of the report to or about `pid`.
+    fn draw(&mut self, delay: u64, pid: Pid) {
+        let b = self.bucket(delay);
+        self.sizes[b] += 1;
+        self.lo = self.lo.min(delay);
+        self.hi = self.hi.max(delay);
+        self.draws.push((delay, pid));
+    }
+
+    /// Stores the drawn fan-out around the shared pid `fixed` (the retired
+    /// process, or with `replay` the observer) in a slot of `notices`,
+    /// grouped by delay, and queues one run per distinct delay.
+    ///
+    /// The grouping is a counting sort keyed by calendar slot: each
+    /// bucket below the ring's width scatters its pids straight into the
+    /// slot's pid array in draw order, and the overflow bucket, at the end
+    /// of the array, is the only one stable-sorted by delay. A fan-out
+    /// whose draws share one delay (every `Fixed` one) is stored in draw
+    /// order. Either way each run is ascending by pid, the runs are queued
+    /// in ascending delay with consecutive `seq`s — so the queue orders
+    /// them against every other event exactly as it would the per-report
+    /// events — and the slot's last run is its last dispatched.
+    fn queue_runs(
+        &mut self,
+        now: Time,
+        fixed: Pid,
+        replay: bool,
+        notices: &mut NoticeRuns,
+        queue: &mut EventQueue,
+    ) {
+        if self.draws.is_empty() {
+            return;
+        }
+        let (lo, hi) = (std::mem::replace(&mut self.lo, u64::MAX), std::mem::take(&mut self.hi));
+        if lo == hi {
+            let b = self.bucket(lo);
+            let len = std::mem::take(&mut self.sizes[b]);
+            let pids = self.draws.drain(..).map(|(_, pid)| pid).collect();
+            let slot = notices.insert(fixed, replay, pids);
+            queue.push(now + lo, Ev::NoticeRun { slot, start: 0, len });
+            return;
+        }
+        // Bucket sizes become start positions, then (after the scatter)
+        // end positions.
+        let far = self.sizes.len() - 1;
+        let (lo, hi) = (self.bucket(lo), self.bucket(hi));
+        let mut end = 0u32;
+        for size in &mut self.sizes[lo..=hi] {
+            end += std::mem::replace(size, end);
+        }
+        let mut pids = vec![Pid::default(); self.draws.len()].into_boxed_slice();
+        for &(delay, pid) in &self.draws {
+            let b = self.bucket(delay);
+            if b == far {
+                self.far.push((delay, pid));
+            } else {
+                pids[self.sizes[b] as usize] = pid;
+                self.sizes[b] += 1;
+            }
+        }
+        self.far.sort_by_key(|&(delay, _)| delay);
+        let tail = pids.len() - self.far.len();
+        for (to, &(_, pid)) in pids[tail..].iter_mut().zip(&self.far) {
+            *to = pid;
+        }
+        let slot = notices.insert(fixed, replay, pids);
+        let mut start = 0u32;
+        for b in lo..=hi.min(far - 1) {
+            let end = std::mem::take(&mut self.sizes[b]);
+            if end > start {
+                queue.push(now + b as u64, Ev::NoticeRun { slot, start, len: end - start });
+                start = end;
+            }
+        }
+        self.sizes[far] = 0;
+        for run in self.far.chunk_by(|a, b| a.0 == b.0) {
+            let len = run.len() as u32;
+            queue.push(now + run[0].0, Ev::NoticeRun { slot, start, len });
+            start += len;
+        }
+        self.far.clear();
+        self.draws.clear();
+    }
+
+    fn bytes(&self) -> usize {
+        (self.draws.capacity() + self.far.capacity()) * std::mem::size_of::<(u64, Pid)>()
+            + self.sizes.capacity() * 4
     }
 }
 
@@ -529,9 +652,8 @@ pub struct AsyncEngine<P: AsyncProtocol, A: AsyncAdversary<P::Msg>> {
     eff: Effects<P::Msg>,
     batch: Vec<Ev>,
     inbox_ids: Vec<u32>,
-    // One notice fan-out's `(delay, pid)` draws, sorted by delay before
-    // they enter the notice-run table.
-    draws: Vec<(u64, Pid)>,
+    // The retirement detector's fan-out being drawn.
+    fan: FanOut,
     // Per-timestamp delivery grouping (one linear pre-pass instead of a
     // rescan of the batch per recipient): `groups[slot[p]]` lists the
     // `(op, batch position)` pairs addressed to `p` this timestamp. The
@@ -685,14 +807,15 @@ where
     /// derived values and scratch buffers are built.
     pub fn resume(snapshot: AsyncEngineSnapshot<P, A>) -> Self {
         let t = snapshot.procs.len();
+        let max_delay = snapshot.cfg.max_delay.max(1);
         AsyncEngine {
-            max_delay: snapshot.cfg.max_delay.max(1),
+            max_delay,
             filters: snapshot.adversary.filters_deliveries(),
             st: snapshot,
             eff: Effects::default(),
             batch: Vec::new(),
             inbox_ids: Vec::new(),
-            draws: Vec::new(),
+            fan: FanOut::new(max_delay),
             slot: vec![0; t],
             groups: Vec::new(),
         }
@@ -717,7 +840,8 @@ where
     /// Folds the current buffer footprint into the peak-memory probe — the
     /// async peer of the sync engine's per-round observation. `soa` is the
     /// per-process columns, `flight` the op arena + notice-run table +
-    /// event queue + batch scratch, `ledger` the work table and the trace.
+    /// event queue + batch and fan-out scratch, `ledger` the work table and
+    /// the trace.
     fn observe_mem(&mut self) {
         self.st.mem.soa_bytes = self.st.table.bytes()
             + (self.st.invocations.capacity() * 8 + self.slot.capacity() * 4) as u64;
@@ -728,8 +852,7 @@ where
             + self.inbox_ids.capacity() * 4
             + self.groups.iter().map(|g| g.capacity() * 8).sum::<usize>()
             + self.st.notices.bytes()
-            + self.draws.capacity() * std::mem::size_of::<(u64, Pid)>())
-            as u64
+            + self.fan.bytes()) as u64
             + self.st.queue.bytes();
         self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
         let ledger = (self.st.metrics.work_by_unit.capacity() * 4) as u64
@@ -844,10 +967,11 @@ where
                         let retired = !self.st.table.live().contains(obs);
                         if retired && !self.st.reviving.contains(&(obs as u32)) {
                             let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
-                            self.draws.push((delay, Pid::new(obs)));
+                            self.fan.draw(delay, Pid::new(obs));
                         }
                     }
-                    self.fan_out(now, pid, true);
+                    let st = &mut self.st;
+                    self.fan.queue_runs(now, pid, true, &mut st.notices, &mut st.queue);
                     pid
                 }
                 Ev::NoticeRun { slot, start, len } => {
@@ -934,13 +1058,16 @@ where
         Ok(delivered)
     }
 
-    /// The tail of every handler invocation by `pid` at `now`, whose
-    /// actions are in `eff`: counts the invocation, lets the adversary
-    /// rule, and applies its shared reading of the fate (`Fate::ruling`) to
-    /// the notes, work, sends, tick and retirement. What is this plane's
-    /// own is how escaping sends are queued (one delay draw per recipient)
-    /// and how a revival is scheduled (a queued [`Ev::Revive`]). Returns
-    /// whether the execution just finished.
+    /// The close of every handler invocation by `pid` at `now`, whose
+    /// actions are in `eff`: counts the invocation and lets the adversary
+    /// rule. An invocation that survives (or is ruled an omission) having
+    /// recorded nothing — no note, unit, send, termination or tick — ends
+    /// here: the clock is all it moves, and `pid` is still alive, so the
+    /// run is not finished. Notices to observers that ignore them are most
+    /// of the plane's invocations. Everything else goes to
+    /// [`settle_tail`](Self::settle_tail). Returns whether the execution
+    /// just finished.
+    #[inline(always)]
     fn settle(&mut self, now: Time, pid: Pid) -> Result<bool, RunError> {
         self.st.handled += 1;
         if self.st.handled > self.st.cfg.max_events {
@@ -951,6 +1078,25 @@ where
 
         let ctx = AdversaryCtx::new(self.st.table.live(), self.st.metrics.crashes);
         let fate = self.st.adversary.intercept(now, pid, self.st.invocations[idx], &self.eff, ctx);
+        if matches!(fate, Fate::Survive | Fate::Omit(_))
+            && self.eff.is_idle()
+            && self.eff.notes().is_empty()
+        {
+            debug_assert!(self.st.table.live().contains(idx) && !self.st.finished);
+            self.st.metrics.rounds = now;
+            return Ok(false);
+        }
+        self.settle_tail(now, pid, fate)
+    }
+
+    /// The rest of [`settle`](Self::settle): applies the adversary's
+    /// shared reading of `fate` (`Fate::ruling`) to the notes, work, sends,
+    /// tick and retirement. What is this plane's own is how escaping sends
+    /// are queued (one delay draw per recipient) and how a revival is
+    /// scheduled (a queued [`Ev::Revive`]).
+    #[inline(never)]
+    fn settle_tail(&mut self, now: Time, pid: Pid, fate: Fate) -> Result<bool, RunError> {
+        let idx = pid.index();
         let ruling = fate.ruling();
 
         for &tag in self.eff.notes() {
@@ -1016,9 +1162,10 @@ where
                 // everyone still alive.
                 for obs in self.st.table.live().ones() {
                     let delay = self.st.cfg.delay.sample(&mut self.st.rng, self.max_delay);
-                    self.draws.push((delay, Pid::new(obs)));
+                    self.fan.draw(delay, Pid::new(obs));
                 }
-                self.fan_out(now, pid, false);
+                let st = &mut self.st;
+                self.fan.queue_runs(now, pid, false, &mut st.notices, &mut st.queue);
             }
         } else if self.eff.wants_tick() {
             self.st.queue.push(now + 1u64, Ev::Tick(pid));
@@ -1027,27 +1174,6 @@ where
         self.st.metrics.rounds = now;
         self.st.finished = self.st.table.live().is_empty() && self.st.reviving.is_empty();
         Ok(self.st.finished)
-    }
-
-    /// Queues the notice fan-out whose per-report delays `draws` holds, in
-    /// ascending pid order, around the shared pid `fixed` (the retired
-    /// process, or with `replay` the observer). A stable sort by delay
-    /// groups the reports into one run per distinct delay, each ascending
-    /// by pid; the runs take consecutive `seq`s, so the queue orders them
-    /// against every other event exactly as it would the per-report events.
-    fn fan_out(&mut self, now: Time, fixed: Pid, replay: bool) {
-        if self.draws.is_empty() {
-            return;
-        }
-        self.draws.sort_by_key(|&(delay, _)| delay);
-        let slot = self.st.notices.insert(fixed, replay, &self.draws);
-        let mut start = 0u32;
-        for run in self.draws.chunk_by(|a, b| a.0 == b.0) {
-            let len = run.len() as u32;
-            self.st.queue.push(now + run[0].0, Ev::NoticeRun { slot, start, len });
-            start += len;
-        }
-        self.draws.clear();
     }
 }
 
@@ -1374,6 +1500,84 @@ mod tests {
                 assert_eq!(diagnosis.pending, 14);
             }
             other => panic!("expected a watchdog stall, got {other}"),
+        }
+    }
+
+    #[test]
+    fn delay_labels_name_the_bound_the_engine_uses() {
+        assert_eq!(DelayDist::Uniform.label(0), "uniform(1..=1)");
+        assert_eq!(DelayDist::Fixed.label(0), "fixed(1)");
+        assert_eq!(DelayDist::Bimodal.label(0), "bimodal(1|1)");
+        assert_eq!(DelayDist::Uniform.label(4), "uniform(1..=4)");
+        assert_eq!(DelayDist::Bimodal.label(32), "bimodal(1|32)");
+    }
+
+    /// `FanOut`'s counting sort lays a fan-out out exactly as a stable sort
+    /// by delay does: the slot's pid array, and the `(delay, start, len)`
+    /// runs it queues. The widths straddle the ring cap, and the draws are
+    /// uniform, all one delay, a mix of near and far delays around the
+    /// ring's width, or congruent modulo it. One `FanOut` serves every
+    /// case of a width, so each must leave its scratch clean.
+    #[test]
+    fn fan_out_buckets_match_a_stable_sort_by_delay() {
+        let cap = queue::RING_CAP;
+        for max_delay in [1, 4, 256, cap, cap + 1, u64::MAX] {
+            let width = ring_width(max_delay) as u64;
+            let mut rng = SmallRng::seed_from_u64(max_delay);
+            let mut fan = FanOut::new(max_delay);
+            for case in 0..48u64 {
+                let k = 1 + rng.gen_range(0..70usize);
+                let one = rng.gen_range(1..=max_delay);
+                let base = rng.gen_range(1..=max_delay.min(width));
+                let draw = |rng: &mut SmallRng| match case % 4 {
+                    0 => rng.gen_range(1..=max_delay),
+                    1 => one,
+                    2 => {
+                        let near = rng.gen_range(1..=max_delay.min(3));
+                        let edge = (width - 2 + rng.gen_range(0..4u64)).clamp(1, max_delay);
+                        let far = max_delay - rng.gen_range(0..max_delay.min(3));
+                        [near, edge, far][rng.gen_range(0..3usize)]
+                    }
+                    _ => base
+                        .saturating_add(width.saturating_mul(rng.gen_range(0..4u64)))
+                        .min(max_delay),
+                };
+                let draws: Vec<(u64, Pid)> =
+                    (0..k).map(|p| (draw(&mut rng), Pid::new(p))).collect();
+
+                let (mut notices, mut queue) =
+                    (NoticeRuns::default(), EventQueue::with_horizon(max_delay));
+                let now = Time::from(5u64);
+                for &(delay, pid) in &draws {
+                    fan.draw(delay, pid);
+                }
+                fan.queue_runs(now, Pid::new(0), false, &mut notices, &mut queue);
+
+                let mut model = draws.clone();
+                model.sort_by_key(|&(delay, _)| delay);
+                let mut runs = Vec::new();
+                let mut start = 0u32;
+                for run in model.chunk_by(|a, b| a.0 == b.0) {
+                    runs.push((u128::from(run[0].0), start, run.len() as u32));
+                    start += run.len() as u32;
+                }
+                let at = format!("max_delay={max_delay} case={case} draws={draws:?}");
+                let pids: Vec<Pid> = model.iter().map(|&(_, pid)| pid).collect();
+                assert_eq!(*notices.fans[0].pids, *pids, "{at}");
+
+                let (mut batch, mut queued) = (Vec::new(), Vec::new());
+                while let Some(time) = queue.drain_next(&mut batch) {
+                    for ev in batch.drain(..) {
+                        let Ev::NoticeRun { slot: 0, start, len } = ev else {
+                            panic!("{at}: not a run of slot 0: {ev:?}");
+                        };
+                        queued.push((time.saturating_sub(now), start, len));
+                    }
+                }
+                assert_eq!(queued, runs, "{at}");
+                assert!(fan.sizes.iter().all(|&size| size == 0), "{at}");
+                assert!(fan.draws.is_empty() && fan.far.is_empty(), "{at}");
+            }
         }
     }
 

@@ -32,7 +32,14 @@ use crate::ids::Pid;
 /// `max_delay` but never beyond this: `max_delay` is a plain public input
 /// (`u64::MAX` is valid), and a delay wider than the ring only routes its
 /// far traffic through the overflow heap.
-const RING_CAP: u64 = 4096;
+pub(super) const RING_CAP: u64 = 4096;
+
+/// The ring's width for `max_delay`: one slot per delay it can hold,
+/// `0..=min(max_delay, RING_CAP)`. The engine's notice fan-out buckets its
+/// draws by the same width.
+pub(super) fn ring_width(max_delay: u64) -> usize {
+    max_delay.min(RING_CAP) as usize + 1
+}
 
 /// One scheduled occurrence. No payload lives here — deliveries carry an
 /// op-arena id, notice runs a slot of the engine's notice-run table.
@@ -163,9 +170,8 @@ impl EventQueue {
     /// `max_delay` past the most recently drained timestamp (plus the
     /// initial burst at time 0).
     pub(crate) fn with_horizon(max_delay: u64) -> Self {
-        let slots = max_delay.min(RING_CAP) as usize + 1;
         EventQueue {
-            buckets: (0..slots).map(|_| Vec::new()).collect(),
+            buckets: (0..ring_width(max_delay)).map(|_| Vec::new()).collect(),
             cursor: Time::ZERO,
             ring_len: 0,
             ring_cap: 0,

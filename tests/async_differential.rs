@@ -12,9 +12,11 @@
 //!    (dense same-bucket traffic); a fixed grid straddles the calendar
 //!    ring's cap, so message traffic through the overflow heap is exercised
 //!    too, and `max_delay = u64::MAX` pins that the ring is never sized
-//!    from the raw input. The random patterns stay at `t ≤ 10`; Protocols
-//!    A and B at `t = 1024` cover storm scale with full-struct [`Metrics`]
-//!    equality.
+//!    from the raw input. Past the cap, `t = 64` systems draw notice
+//!    fan-outs of dozens of far delays, which the engine alone sorts
+//!    (its overflow bucket). The random patterns stay at `t ≤ 10`;
+//!    Protocols A and B at `t = 1024` cover storm scale with full-struct
+//!    [`Metrics`] equality.
 //! 2. Failure-free asynchronous runs of Protocols A and B must report
 //!    exactly the synchronous work and message counts over a small grid
 //!    and, under a unit fixed delay, at storm scale `(2048, 1024)` — the
@@ -31,8 +33,8 @@ mod support;
 
 use doall::sim::asynch::{run_async, AsyncConfig, AsyncProtocol, AsyncReport, DelayDist};
 use doall::sim::{
-    CrashSpec, Effects, Event, Fault, FaultKind, FaultPlan, Inbox, NoFailures, Pid, RunConfig,
-    RunError, Status, Trace, Trigger, Unit,
+    CrashSpec, Effects, Event, Fault, FaultKind, FaultPlan, Inbox, NoFailures, Pid, Round,
+    RunConfig, RunError, Status, Trace, Trigger, Unit,
 };
 use doall::workload::Scenario;
 use doall::{AsyncProtocolA, AsyncProtocolB, ProtocolA, ProtocolB};
@@ -271,6 +273,42 @@ fn arena_engine_matches_reference_across_the_ring_cap() {
         }
     }
     assert!(omitted > 0, "no omission window ever dropped a message");
+}
+
+/// Wide delays with big fan-outs: at `t = 64` a retirement draws dozens of
+/// notice delays, most of them at or past the ring's width, so each
+/// fan-out fills the engine's overflow bucket — with delays that can be
+/// congruent modulo the width — and must still queue its runs in the
+/// reference's order, event for event, under every distribution. The
+/// chatters retire within a few steps, so most of their far notices find
+/// no observer; Protocol B's survivors of a dead-on-arrival burst wait on
+/// the detector, so there the far runs are dispatched and traced.
+#[test]
+fn big_fan_outs_match_reference_past_the_ring_cap() {
+    for max_delay in [RING_CAP + 1, 3 * RING_CAP, u64::MAX] {
+        for delay in [DelayDist::Uniform, DelayDist::Fixed, DelayDist::Bimodal] {
+            let mut far_notices = 0;
+            for seed in 0..4u64 {
+                assert_arena_matches_reference(64, 16, max_delay, delay, mix(seed ^ 0xFA7), None);
+
+                let cfg = AsyncConfig::new(64, mix(seed)).with_delay(delay, max_delay).with_trace();
+                let scenario = Scenario::DeadOnArrival { k: 40 };
+                let procs = || AsyncProtocolB::processes(64, 64).unwrap();
+                let fast = run_async(procs(), scenario.async_adversary(), cfg.clone()).unwrap();
+                let (reference, events) =
+                    run_async_reference(procs(), scenario.async_adversary(), cfg).unwrap();
+                let at = format!("B(64, 64) max_delay={max_delay} {delay:?} seed={seed}");
+                assert_eq!(fast.metrics, reference.metrics, "{at}");
+                assert_eq!(fast.statuses, reference.statuses, "{at}");
+                assert_eq!(fast.trace.events(), events.as_slice(), "{at}");
+                far_notices += events
+                    .iter()
+                    .filter(|e| matches!(e, Event::Notice { round, .. } if *round > Round::from(RING_CAP)))
+                    .count();
+            }
+            assert!(far_notices > 0, "{max_delay} {delay:?}: no far notice was dispatched");
+        }
+    }
 }
 
 /// `max_delay` is plain public data and `u64::MAX` is a valid value: the
