@@ -1104,7 +1104,7 @@ where
         }
         if ruling.count_work {
             for &unit in self.eff.work() {
-                self.st.metrics.record_work(unit);
+                self.st.metrics.record_work(unit, 1);
                 self.st.trace.push(Event::Work { round: now, pid, unit });
             }
         }

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversaryCtx, Deliver};
 use crate::effects::{split_runs, Effects, Recipients};
-use crate::ids::{Pid, Round, Unit};
+use crate::ids::{Pid, Round};
 use crate::liveset::LiveSet;
 use crate::message::{Classify, FlightOp, Inbox};
 use crate::metrics::Metrics;
@@ -164,10 +164,8 @@ pub struct MemBudget {
     /// next round's). Proportional to per-round traffic and stepping, not
     /// to `t`.
     pub flight_bytes: u64,
-    /// Workload-proportional ledgers: the per-unit work multiplicity table,
-    /// the recorded trace, and (sync engine) the per-writer column of open
-    /// work runs that feeds the table, two `usize` per process. The column is
-    /// counted here, not in `soa_bytes`, because it is part of the ledger.
+    /// Workload-proportional ledgers: the per-unit work multiplicity table
+    /// and the recorded trace.
     pub ledger_bytes: u64,
     /// Shallow protocol state: `size_of::<P>() × t`.
     pub proc_bytes: u64,
@@ -741,17 +739,12 @@ impl ProcTable {
 
     /// The live processes in pid order, each with its cached wakeup and
     /// whether `round` lies inside its lease: the exact scans, which walk
-    /// the live set's runs while they read the columns.
+    /// the live set's bitset while they read the columns.
     fn live_wakeups(
-        &mut self,
+        &self,
         round: Round,
     ) -> impl Iterator<Item = (usize, Option<Round>, bool)> + '_ {
-        let ProcTable { meta, slot, live } = self;
-        let (meta, slot) = (&*meta, &*slot);
-        live.iter().map(move |i| {
-            let wake = (meta[i] & PS_WAKE != 0).then(|| Round::new(slot[i]));
-            (i, wake, meta[i] & PS_LEASE != 0 && slot[i] > round.get())
-        })
+        self.live.ones().map(move |i| (i, self.wakeup(i), self.leased(i, round)))
     }
 }
 
@@ -811,9 +804,7 @@ pub struct EngineSnapshot<P: Protocol, A> {
     // engine's round index (`next_due` / `far`, scratch beside it) is
     // derived from this table; the exact scans that rebuild the index read
     // it whenever the index cannot answer on its own. The exact scans walk
-    // the live set's runs in pid order, so a mass extinction leaving a
-    // handful of survivors costs O(survivors) per round from the very next
-    // round.
+    // the live set's bitset in pid order, O(t/64 + live) each.
     table: ProcTable,
     metrics: Metrics,
     trace: Trace,
@@ -869,12 +860,12 @@ where
 /// * **Checkpoint/restore** — [`snapshot`](Engine::snapshot) captures the
 ///   complete run state at any pause point and [`resume`](Engine::resume)
 ///   reconstructs an engine that continues bit-identically; scratch
-///   buffers (the delivery index, effect buffers, the round index, the
-///   work-run column) are rebuilt fresh, which is safe because the round
-///   clock is strictly monotone, the delivery index's stamps can only match
-///   rounds they were built in, an empty round index forces one exact
-///   scan, every pause has already folded the work runs into the
-///   ledger, and no work lease crosses a pause point.
+///   buffers (the delivery index, effect buffers, the round index) are
+///   rebuilt fresh, which is safe because the round clock is strictly
+///   monotone, the delivery index's stamps can only match rounds they were
+///   built in, an empty round index forces one exact scan, every
+///   performance is in the ledger the moment it happens, and no work lease
+///   crosses a pause point.
 /// * **Watchdog** — with [`RunConfig::stall_window`] set, the engine
 ///   monitors observable progress every executed round and aborts livelocks
 ///   with a [`StallDiagnosis`] instead of burning the round budget.
@@ -910,16 +901,6 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // reached, forcing a scan.
     next_due: Vec<u32>,
     far: Option<Round>,
-    // The open work runs, one per writer: process `p`'s performances since
-    // the last flush are exactly the zero-based units `open[p].0 ..
-    // open[p].1`. A performance that extends its writer's run costs one
-    // write to this column instead of a read-modify-write scattered
-    // across the dense `Metrics::work_by_unit`; any other performance
-    // folds the run into the table with one contiguous add and opens a new
-    // one. `flush_work` empties the column wherever `Metrics` leaves the
-    // engine (every `run_until` return, `into_report`, each `RunError`),
-    // so a paused engine's ledger is always complete.
-    open: Vec<(usize, usize)>,
     // The latest end of a work lease granted so far. Every lease starts
     // the round after its grant and none is cut, so the rounds still leased
     // are exactly `round .. lease_until`: the watchdog counts them as
@@ -986,9 +967,9 @@ where
     }
 
     /// Metrics accumulated so far. The per-unit ledger
-    /// ([`Metrics::work_by_unit`]) is complete at every pause: the engine
-    /// folds its per-writer work runs into the table before
-    /// [`run_until`](Engine::run_until) returns.
+    /// ([`Metrics::work_by_unit`]) is complete at every pause: each
+    /// performance, and each lease's units, are written to it as they are
+    /// credited.
     pub fn metrics(&self) -> &Metrics {
         &self.st.metrics
     }
@@ -1007,12 +988,10 @@ where
     pub fn run_until(&mut self, stop: Option<Round>) -> Result<bool, RunError> {
         while !self.st.finished {
             if stop.is_some_and(|s| self.st.round >= s) {
-                self.flush_work();
                 return Ok(false);
             }
             self.advance(stop)?;
         }
-        self.flush_work();
         Ok(true)
     }
 
@@ -1028,20 +1007,18 @@ where
 
     /// Reconstructs an engine from a snapshot, which moves in whole as the
     /// engine's state; this is the only place scratch state (delivery
-    /// index, effect buffers, round index, work-run column) is built, and
-    /// it is built empty. Stale-stamp reasoning makes that equivalent to
-    /// the buffers the original engine carried (stamps only ever match the
-    /// round they were built in, and the clock is strictly monotone), the
-    /// empty round index carries a bound of round 0, so the first resumed
-    /// round finds its due processes by an exact scan of the wakeup cache,
-    /// and the snapshot's ledger already holds every performance, no lease
-    /// reaching past it. The continuation is bit-identical to the
-    /// uninterrupted run.
+    /// index, effect buffers, round index) is built, and it is built empty.
+    /// Stale-stamp reasoning makes that equivalent to the buffers the
+    /// original engine carried (stamps only ever match the round they were
+    /// built in, and the clock is strictly monotone), the empty round index
+    /// carries a bound of round 0, so the first resumed round finds its due
+    /// processes by an exact scan of the wakeup cache, and the snapshot's
+    /// ledger already holds every performance, no lease reaching past it.
+    /// The continuation is bit-identical to the uninterrupted run.
     pub fn resume(snapshot: EngineSnapshot<P, A>) -> Self {
         let t = snapshot.procs.len();
         Engine {
             delivery: DeliveryIndex::new(t),
-            open: vec![(0, 0); t],
             st: snapshot,
             due: Vec::new(),
             eff: Effects::new(),
@@ -1059,7 +1036,6 @@ where
     /// pause point (statuses of still-running processes read
     /// [`Status::Alive`]).
     pub fn into_report(mut self) -> (Report, Vec<P>) {
-        self.flush_work();
         self.st.metrics.debug_check();
         self.observe_mem();
         let st = self.st;
@@ -1104,44 +1080,17 @@ where
             + (self.st.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
         self.st.mem.flight_bytes = self.st.mem.flight_bytes.max(flight);
         let ledger = (self.st.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()
-            + self.open.capacity() * std::mem::size_of::<(usize, usize)>())
-            as u64
-            + std::mem::size_of_val(self.st.trace.events()) as u64;
+            + std::mem::size_of_val(self.st.trace.events())) as u64;
         self.st.mem.ledger_bytes = self.st.mem.ledger_bytes.max(ledger);
     }
 
-    /// Counts one performance each of `len` successive units from `first`
-    /// by process `idx`: `work_total` at once (the watchdog reads it), the
-    /// per-unit table through the writer's open run.
-    fn record_work(&mut self, idx: usize, first: Unit, len: usize) {
-        self.st.metrics.work_total += len as u64;
-        let u = first.zero_based();
-        let run = &mut self.open[idx];
-        if u == run.1 {
-            run.1 += len;
-        } else {
-            let (lo, hi) = std::mem::replace(run, (u, u + len));
-            self.st.metrics.record_work_run(lo, hi);
-        }
-    }
-
-    /// Folds every open work run into [`Metrics::work_by_unit`], leaving
-    /// the column empty.
-    fn flush_work(&mut self) {
-        for run in &mut self.open {
-            self.st.metrics.record_work_run(run.0, run.1);
-            run.0 = run.1;
-        }
-    }
-
-    /// The metrics an abnormal exit carries: flushed and checked.
-    fn error_metrics(&mut self) -> Box<Metrics> {
-        self.flush_work();
+    /// The metrics an abnormal exit carries, checked.
+    fn error_metrics(&self) -> Box<Metrics> {
         self.st.metrics.debug_check();
         Box::new(self.st.metrics.clone())
     }
 
-    fn round_limit(&mut self) -> RunError {
+    fn round_limit(&self) -> RunError {
         let (limit, metrics) = (self.st.cfg.max_rounds, self.error_metrics());
         RunError::RoundLimit { limit, metrics, diagnosis: self.diagnosis() }
     }
@@ -1416,9 +1365,10 @@ where
     /// Grants the work leases offered from `next_due`. A permitted offer
     /// is clipped so that no leased round reaches the adversary's next
     /// event, the pause point `stop` or past `max_rounds`; its units go to
-    /// the writer's open run at once, [`Protocol::advance`] moves the
-    /// process past them, and it is parked until the lease ends. Granted
-    /// processes leave `next_due`, whose other entries keep their order.
+    /// the ledger at once, as one contiguous add, [`Protocol::advance`]
+    /// moves the process past them, and it is parked until the lease ends.
+    /// Granted processes leave `next_due`, whose other entries keep their
+    /// order.
     fn grant_leases(&mut self, next: Round, stop: Option<Round>) {
         let event = self.st.adversary.next_event(next).map(|r| r.max(next));
         let cap = self.st.cfg.max_rounds.saturating_add(1);
@@ -1437,7 +1387,7 @@ where
                     debug_assert!(len >= 1, "{pid} offered an empty lease");
                     let len = u128::from(len).min(room) as u64;
                     let end = next + u128::from(len);
-                    self.record_work(idx, first, len as usize);
+                    self.st.metrics.record_work(first, len as usize);
                     self.st.procs[idx].advance(len);
                     debug_assert_eq!(self.st.procs[idx].next_wakeup(end), Some(end), "{pid}");
                     self.st.table.lease(idx, end);
@@ -1475,7 +1425,7 @@ where
         }
 
         if let Some(&unit) = eff.work().first().filter(|_| ruling.count_work) {
-            self.record_work(idx, unit, 1);
+            self.st.metrics.record_work(unit, 1);
             self.st.trace.push(Event::Work { round, pid, unit });
         }
 

@@ -1,22 +1,13 @@
-//! Compressed live/retired process sets.
+//! The live/retired process set: one bit per pid.
 //!
 //! The message plane already stores broadcasts as *spans* rather than
-//! per-recipient envelopes; [`LiveSet`] extends the same idea to liveness.
-//! It is a hybrid of two representations kept deliberately asymmetric:
-//!
-//! * a **bitset** (`⌈t/64⌉` words) answering membership and count queries
-//!   in O(1) — the delivery index intersects every span with the live set
-//!   once per recipient, so this is the hot query path;
-//! * a lazily rebuilt **run list** (maximal `[lo, hi)` intervals of live
-//!   pids) driving pid-order iteration in O(live + runs) — after a mass
-//!   extinction leaves one survivor in a `t = 2^17` system, the per-round
-//!   due-scan walks one run of length one instead of 2048 bitset words.
-//!
-//! Mutations touch only the bitset (O(1) per pid) and mark the run list
-//! dirty; the runs are rebuilt from the words on the next iteration after
-//! a mutation, so quiet stretches — the common case, since the live set
-//! only moves on retirement and revival — iterate at interval-set speed
-//! with no rebuild at all.
+//! per-recipient envelopes; [`LiveSet`] keeps liveness just as compact, a
+//! bitset of `⌈t/64⌉` words. Membership and count queries are O(1) — the
+//! delivery index intersects every span with the live set once per
+//! recipient, so this is the hot query path — and walking the live pids in
+//! order costs O(t/64 + live), one word test per 64 pids. The walk is the
+//! sync engine's exact due scan, which its round index leaves to the rare
+//! round it cannot answer on its own.
 //!
 //! Both engines hold their live set inside the crate's process table,
 //! which moves it together with the status column on every retirement and
@@ -36,16 +27,13 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(live.len(), 10);
 /// live.remove(3);
 /// assert!(!live.contains(3));
-/// assert_eq!(live.iter().collect::<Vec<_>>(), vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
+/// assert_eq!(live.ones().collect::<Vec<_>>(), vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LiveSet {
     t: usize,
     words: Vec<u64>,
     len: usize,
-    /// Maximal half-open runs of live pids, valid only when `!dirty`.
-    runs: Vec<(u32, u32)>,
-    dirty: bool,
 }
 
 impl LiveSet {
@@ -57,8 +45,7 @@ impl LiveSet {
                 *last = (1u64 << (t % 64)) - 1;
             }
         }
-        let runs = if t > 0 { vec![(0, t as u32)] } else { Vec::new() };
-        LiveSet { t, words, len: t, runs, dirty: false }
+        LiveSet { t, words, len: t }
     }
 
     /// Size of the universe (`t`), not the number of live members.
@@ -90,7 +77,6 @@ impl LiveSet {
         }
         *w &= !mask;
         self.len -= 1;
-        self.dirty = true;
         true
     }
 
@@ -104,70 +90,11 @@ impl LiveSet {
         }
         *w |= mask;
         self.len += 1;
-        self.dirty = true;
         true
     }
 
-    /// Rebuilds the run list from the bitset if any mutation happened
-    /// since the last rebuild.
-    fn ensure_runs(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        self.runs.clear();
-        let mut open: Option<u32> = None;
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w == 0 {
-                if let Some(lo) = open.take() {
-                    self.runs.push((lo, (wi * 64) as u32));
-                }
-                continue;
-            }
-            if w == u64::MAX {
-                if open.is_none() {
-                    open = Some((wi * 64) as u32);
-                }
-                continue;
-            }
-            let base = (wi * 64) as u32;
-            let mut bit = 0u32;
-            while bit < 64 {
-                if w & (1u64 << bit) != 0 {
-                    if open.is_none() {
-                        open = Some(base + bit);
-                    }
-                    bit += 1;
-                } else {
-                    if let Some(lo) = open.take() {
-                        self.runs.push((lo, base + bit));
-                    }
-                    bit += 1;
-                }
-            }
-        }
-        if let Some(lo) = open {
-            self.runs.push((lo, self.t as u32));
-        }
-        self.dirty = false;
-    }
-
-    /// Iterates the live pids in pid order, in O(live + runs) after an
-    /// amortized O(t/64) rebuild on the first iteration following a
-    /// mutation. Requires `&mut self` for the lazy rebuild; callers
-    /// holding only `&self` use [`ones`](LiveSet::ones).
-    pub fn iter(&mut self) -> impl Iterator<Item = usize> + '_ {
-        self.ensure_runs();
-        self.runs.iter().flat_map(|&(lo, hi)| lo as usize..hi as usize)
-    }
-
-    /// The maximal runs of live pids, pid-ordered (rebuilds lazily).
-    pub fn runs(&mut self) -> &[(u32, u32)] {
-        self.ensure_runs();
-        &self.runs
-    }
-
-    /// Iterates the live pids straight off the bitset, in O(t/64 + live);
-    /// for callers that only hold `&self`.
+    /// Iterates the live pids in pid order, straight off the bitset, in
+    /// O(t/64 + live).
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             std::iter::successors((w != 0).then_some(w), |&w| Some(w & (w - 1)).filter(|&r| r != 0))
@@ -175,31 +102,71 @@ impl LiveSet {
         })
     }
 
-    /// Bytes held by this set (words plus the run list), for the memory
-    /// probe.
+    /// Bytes held by this set, for the memory probe.
     pub fn bytes(&self) -> u64 {
-        (self.words.capacity() * std::mem::size_of::<u64>()
-            + self.runs.capacity() * std::mem::size_of::<(u32, u32)>()) as u64
+        (self.words.capacity() * std::mem::size_of::<u64>()) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Asserts that `s` holds exactly the pids `model` marks live.
+    fn check(s: &LiveSet, model: &[bool]) {
+        let want: Vec<usize> = (0..model.len()).filter(|&i| model[i]).collect();
+        assert_eq!(s.ones().collect::<Vec<_>>(), want);
+        assert_eq!(s.len(), want.len());
+        assert_eq!(s.is_empty(), want.is_empty());
+        assert_eq!(s.universe(), model.len());
+        for (i, &live) in model.iter().enumerate() {
+            assert_eq!(s.contains(i), live, "pid {i}");
+        }
+        assert!(!s.contains(model.len()));
+    }
 
     #[test]
-    fn full_set_is_one_run() {
-        let mut s = LiveSet::new(130);
-        assert_eq!(s.len(), 130);
-        assert_eq!(s.runs(), &[(0, 130)]);
-        assert!(s.contains(0) && s.contains(129) && !s.contains(130));
+    fn random_removals_and_insertions_match_a_vec_of_bools() {
+        for t in [0, 1, 63, 64, 65, 130, 4096] {
+            let mut rng = SmallRng::seed_from_u64(t as u64);
+            let mut s = LiveSet::new(t);
+            let mut model = vec![true; t];
+            check(&s, &model);
+            if t == 0 {
+                continue;
+            }
+            // Each phase visits a window of pids in random order and
+            // removes or inserts each one. A phase of all removals empties
+            // the window's words (the whole set, for t ≤ 192) and one of
+            // all insertions fills them; the others leave them mixed and
+            // hit pids already in the state asked for.
+            let w = t.min(192);
+            for p_remove in [1.0, 0.5, 0.0, 0.9, 1.0, 0.1, 0.5] {
+                let lo = rng.gen_range(0..=t - w);
+                let mut pids: Vec<usize> = (lo..lo + w).collect();
+                for k in (1..w).rev() {
+                    pids.swap(k, rng.gen_range(0..=k));
+                }
+                for i in pids {
+                    if rng.gen_bool(p_remove) {
+                        assert_eq!(s.remove(i), model[i], "remove {i} at t = {t}");
+                        model[i] = false;
+                    } else {
+                        assert_eq!(s.insert(i), !model[i], "insert {i} at t = {t}");
+                        model[i] = true;
+                    }
+                    check(&s, &model);
+                }
+            }
+        }
     }
 
     #[test]
     fn empty_universe_is_empty() {
-        let mut s = LiveSet::new(0);
+        let s = LiveSet::new(0);
         assert!(s.is_empty());
-        assert_eq!(s.iter().count(), 0);
         assert_eq!(s.ones().count(), 0);
     }
 
@@ -212,18 +179,7 @@ mod tests {
         assert!(s.insert(64));
         assert!(!s.insert(64));
         assert_eq!(s.len(), 65);
-        assert_eq!(s.runs(), &[(0, 65)]);
-    }
-
-    #[test]
-    fn runs_split_around_holes() {
-        let mut s = LiveSet::new(10);
-        s.remove(3);
-        s.remove(4);
-        s.remove(9);
-        assert_eq!(s.runs(), &[(0, 3), (5, 9)]);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2, 5, 6, 7, 8]);
-        assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 1, 2, 5, 6, 7, 8]);
+        assert!(s.ones().eq(0..65));
     }
 
     #[test]
@@ -233,20 +189,8 @@ mod tests {
             assert!(s.remove(i));
         }
         assert_eq!(s.len(), 1);
-        assert_eq!(s.runs(), &[(0, 1)]);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0]);
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn ones_matches_iter_across_words() {
-        let mut s = LiveSet::new(200);
-        for i in (0..200).filter(|i| i % 3 == 0 || (60..130).contains(i)) {
-            s.remove(i);
-        }
-        let ones: Vec<usize> = s.ones().collect();
-        assert_eq!(ones, s.iter().collect::<Vec<_>>());
-        assert_eq!(ones.len(), s.len());
-        assert_eq!(ones.last(), Some(&199));
+        assert!(s.insert(1 << 16) && !s.insert(1 << 16));
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 1 << 16]);
     }
 }

@@ -98,21 +98,17 @@ impl Metrics {
         self.work_by_unit.iter().map(|&c| u64::from(c.saturating_sub(1))).sum()
     }
 
-    pub(crate) fn record_work(&mut self, unit: Unit) {
-        self.work_total += 1;
-        let idx = unit.zero_based();
-        if idx >= self.work_by_unit.len() {
-            self.work_by_unit.resize(idx + 1, 0);
+    /// Counts one performance each of the `len` successive units from
+    /// `first`: `work_total` by `len`, and one contiguous add to the
+    /// per-unit table, grown on demand (an empty run grows nothing). The
+    /// one writer of both, so they never disagree.
+    pub(crate) fn record_work(&mut self, first: Unit, len: usize) {
+        if len == 0 {
+            return;
         }
-        self.work_by_unit[idx] += 1;
-    }
-
-    /// Adds one performance to each of the zero-based units `lo..hi` of
-    /// the multiplicity table, growing it like
-    /// [`record_work`](Metrics::record_work). Leaves `work_total` alone: the
-    /// sync engine counts each performance as it happens and folds a
-    /// writer's contiguous run of units in here later, in one pass.
-    pub(crate) fn record_work_run(&mut self, lo: usize, hi: usize) {
+        self.work_total += len as u64;
+        let lo = first.zero_based();
+        let hi = lo + len;
         if hi > self.work_by_unit.len() {
             self.work_by_unit.resize(hi, 0);
         }
@@ -123,8 +119,8 @@ impl Metrics {
 
     /// The accounting invariants, checked in debug builds wherever an
     /// engine hands its `Metrics` out: the per-unit multiplicities sum to
-    /// the work total (the sync engine's work runs must be flushed first),
-    /// the per-class message counts sum to the message total (only
+    /// the work total (only [`record_work`](Metrics::record_work) writes
+    /// either), the per-class message counts sum to the message total (only
     /// [`record_messages`](Metrics::record_messages) writes either), and
     /// dead letters are a subset of the messages sent.
     pub(crate) fn debug_check(&self) {
@@ -167,8 +163,8 @@ mod tests {
     #[test]
     fn effort_is_work_plus_messages() {
         let mut m = Metrics::new(3);
-        m.record_work(Unit::new(1));
-        m.record_work(Unit::new(1));
+        m.record_work(Unit::new(1), 1);
+        m.record_work(Unit::new(1), 1);
         m.record_messages("ordinary", 1);
         assert_eq!(m.work_total, 2);
         assert_eq!(m.messages, 1);
@@ -178,11 +174,11 @@ mod tests {
     #[test]
     fn completion_and_missing_units() {
         let mut m = Metrics::new(3);
-        m.record_work(Unit::new(1));
-        m.record_work(Unit::new(3));
+        m.record_work(Unit::new(1), 1);
+        m.record_work(Unit::new(3), 1);
         assert!(!m.all_work_done());
         assert_eq!(m.missing_units(), vec![Unit::new(2)]);
-        m.record_work(Unit::new(2));
+        m.record_work(Unit::new(2), 1);
         assert!(m.all_work_done());
         assert!(m.missing_units().is_empty());
     }
@@ -190,10 +186,10 @@ mod tests {
     #[test]
     fn wasted_work_counts_repeats_only() {
         let mut m = Metrics::new(2);
-        m.record_work(Unit::new(1));
-        m.record_work(Unit::new(1));
-        m.record_work(Unit::new(1));
-        m.record_work(Unit::new(2));
+        m.record_work(Unit::new(1), 1);
+        m.record_work(Unit::new(1), 1);
+        m.record_work(Unit::new(1), 1);
+        m.record_work(Unit::new(2), 1);
         assert_eq!(m.wasted_work(), 2);
         assert_eq!(m.redone_units(), vec![(Unit::new(1), 3)]);
     }
@@ -233,7 +229,7 @@ mod tests {
     #[test]
     fn work_by_unit_grows_on_demand() {
         let mut m = Metrics::new(1);
-        m.record_work(Unit::new(5));
+        m.record_work(Unit::new(5), 1);
         assert_eq!(m.work_by_unit.len(), 5);
         assert_eq!(m.work_by_unit[4], 1);
     }
@@ -241,20 +237,20 @@ mod tests {
     #[test]
     fn debug_check_rejects_each_broken_invariant() {
         let mut m = Metrics::new(2);
-        m.record_work(Unit::new(2));
+        m.record_work(Unit::new(2), 1);
         m.record_messages("ordinary", 3);
         m.dead_letters = 3;
         m.debug_check();
         if !cfg!(debug_assertions) {
             return;
         }
-        let mut unflushed = m.clone();
-        unflushed.work_total += 1;
+        let mut miscounted = m.clone();
+        miscounted.work_total += 1;
         let mut unclassed = m.clone();
         unclassed.messages += 1;
         let mut undelivered = m.clone();
         undelivered.dead_letters += 1;
-        for broken in [unflushed, unclassed, undelivered] {
+        for broken in [miscounted, unclassed, undelivered] {
             assert!(std::panic::catch_unwind(|| broken.debug_check()).is_err(), "{broken:?}");
         }
     }
@@ -262,14 +258,17 @@ mod tests {
     #[test]
     fn a_work_run_matches_its_units_recorded_one_by_one() {
         let mut run = Metrics::new(2);
-        run.record_work_run(1, 4);
-        run.record_work_run(3, 3);
+        run.record_work(Unit::new(2), 3);
+        run.record_work(Unit::new(4), 0);
+        run.record_work(Unit::new(9), 0);
+        run.record_work(Unit::new(3), 2);
         let mut one_by_one = Metrics::new(2);
-        for u in 2..=4 {
-            one_by_one.record_work(Unit::new(u));
+        for u in [2, 3, 4, 3, 4] {
+            one_by_one.record_work(Unit::new(u), 1);
         }
-        assert_eq!(run.work_by_unit, one_by_one.work_by_unit);
-        assert_eq!(run.work_by_unit, vec![0, 1, 1, 1]);
-        assert_eq!(run.work_total, 0, "the caller counts work_total");
+        assert_eq!(run, one_by_one);
+        assert_eq!(run.work_by_unit, vec![0, 1, 2, 2]);
+        assert_eq!(run.work_total, 5);
+        run.debug_check();
     }
 }

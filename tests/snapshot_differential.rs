@@ -188,8 +188,8 @@ fn ledger_sum(m: &Metrics) -> u64 {
 }
 
 /// Whether some process performed two units back to back that are not
-/// successive, i.e. the sync engine had to close one of its work runs
-/// mid-run and open another.
+/// successive, i.e. one writer's ledger writes do not form one contiguous
+/// run.
 fn has_discontiguous_writer(report: &Report) -> bool {
     let mut last: BTreeMap<Pid, usize> = BTreeMap::new();
     report.trace.events().iter().any(|e| match e {
@@ -214,10 +214,10 @@ fn ledger_before(straight: &Report, at: Round) -> Vec<u32> {
     ledger
 }
 
-/// The pause net for the sync engine's per-writer work runs and work
-/// leases. One engine pauses every `every` rounds and another, kept in
-/// lockstep, is rebuilt from its own snapshot at each pause; both run
-/// traced and then untraced, where they lease. At every pause the ledger
+/// The pause net for the sync engine's work ledger and work leases. One
+/// engine pauses every `every` rounds and another, kept in lockstep, is
+/// rebuilt from its own snapshot at each pause; both run traced and then
+/// untraced, where they lease. At every pause the ledger
 /// that [`Engine::metrics`] and [`Engine::snapshot`] expose must hold
 /// exactly the performances of the rounds before it (so no lease reaches
 /// past a pause) and agree across the two engines; both must finish with
